@@ -215,7 +215,6 @@ class RootSet:
     """Verified roots plus bookkeeping about the bound they were tested against."""
 
     roots: list[complex] = field(default_factory=list)
-    degenerate: bool = False
     bound_used: int | None = None
 
 
@@ -238,14 +237,6 @@ def pair_elimination_bound(deg_alpha: int, deg_conj: int) -> int:
     """Common-root bound for a pair of polynomials of matching degrees."""
     x, y = min(deg_alpha, deg_conj), max(deg_alpha, deg_conj)
     return 2 ** x * y
-
-
-def _alt_single_bound(deg_alpha: int, deg_conj: int) -> int:
-    # historical alternative expression with n = x + y; kept only to flag
-    # when it would disagree with the bound actually enforced
-    x, y = min(deg_alpha, deg_conj), max(deg_alpha, deg_conj)
-    n = x + y
-    return 2 ** max(x - 1, 0) * (n * n + (n - x) ** 2 - x * (n - x))
 
 
 # ---------------------------------------------------------------------------
@@ -456,86 +447,131 @@ def _newton_polish(q: UnivariatePoly, dq: UnivariatePoly, r: complex, steps: int
     return best
 
 
-def _poly_derivs(p: BivariatePoly) -> tuple[np.ndarray, np.ndarray]:
-    c = p.coeffs
-    da = npoly.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, c.shape[1]), dtype=complex)
-    db = npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((c.shape[0], 1), dtype=complex)
-    return da, db
+# Gauss-Newton polish of candidate roots: steps per candidate and step
+# halvings per line search.
+POLISH_STEPS = 8
+POLISH_HALVINGS = 5
 
 
-def _polish_on_system(alpha: complex, system: list[BivariatePoly], steps: int = 8) -> complex:
-    """Gauss-Newton on the genuine-root residuals, treating re/im separately."""
-    def residual(a):
-        return np.array([p(a) for p in system], dtype=complex)
+def _stack_grids(grids: list[np.ndarray]) -> np.ndarray:
+    """Zero-pad coefficient grids into one ``(A, B, K)`` stack."""
+    rows = max(g.shape[0] for g in grids)
+    cols = max(g.shape[1] for g in grids)
+    out = np.zeros((rows, cols, len(grids)), dtype=grids[0].dtype)
+    for k, g in enumerate(grids):
+        out[: g.shape[0], : g.shape[1], k] = g
+    return out
 
-    derivs = [_poly_derivs(p) for p in system]
-    best = alpha
-    best_res = np.linalg.norm(residual(alpha))
-    a = alpha
-    for _ in range(steps):
-        r = residual(a)
-        ja = np.array([npoly.polyval2d(a, np.conj(a), d[0]) for d in derivs])
-        jb = np.array([npoly.polyval2d(a, np.conj(a), d[1]) for d in derivs])
+
+def _eval_stack(stack: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every grid of an ``(A, B, K)`` stack at the points ``(x[i], y[i])``.
+
+    Horner over the alpha rows, then over the conjugate columns, in the
+    order ``polyval2d`` uses; returns shape ``(len(x), K)``.
+    """
+    v = np.broadcast_to(stack[-1], (x.size,) + stack.shape[1:])
+    for row in stack[-2::-1]:
+        v = row + v * x[:, None, None]
+    w = v[:, -1]
+    for j in range(stack.shape[1] - 2, -1, -1):
+        w = v[:, j] + w * y[:, None]
+    return w
+
+
+def _polish(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Gauss-Newton on the genuine-root residuals of every point at once.
+
+    ``values`` is the ``(A, B, K)`` stack of the system's grids.  Each point
+    takes the least-squares step in (re, im), halved until the residual norm
+    drops strictly below its best so far; a point whose step is not finite,
+    or that no halving improves, stops there.
+    """
+    rows, cols, k = values.shape
+    d_alpha = np.zeros_like(values)
+    d_alpha[:-1] = values[1:] * np.arange(1, rows)[:, None, None]
+    d_conj = np.zeros_like(values)
+    d_conj[:, :-1] = values[:, 1:] * np.arange(1, cols)[:, None]
+    stack = np.concatenate([values, d_alpha, d_conj], axis=2)
+    a = points.copy()
+    best_res = np.linalg.norm(_eval_stack(values, a, a.conj()), axis=1)
+    live = np.arange(a.size)
+    damps = 0.5 ** np.arange(POLISH_HALVINGS)
+    for _ in range(POLISH_STEPS):
+        if live.size == 0:
+            break
+        x = a[live]
+        ev = _eval_stack(stack, x, x.conj())
+        r, ja, jb = ev[:, :k], ev[:, k:2 * k], ev[:, 2 * k:]
         # d/dx and d/dy of each complex residual (alpha = x + iy)
         jx = ja + jb
         jy = 1j * (ja - jb)
-        m = np.zeros((2 * len(system), 2))
-        rhs = np.zeros(2 * len(system))
-        m[0::2, 0], m[0::2, 1] = jx.real, jy.real
-        m[1::2, 0], m[1::2, 1] = jx.imag, jy.imag
-        rhs[0::2], rhs[1::2] = -r.real, -r.imag
-        try:
-            delta, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        step = delta[0] + 1j * delta[1]
-        if not np.isfinite(step):
-            break
-        damp = 1.0
-        improved = False
-        for _ in range(5):
-            cand = a + damp * step
-            res = np.linalg.norm(residual(cand))
-            if res < best_res:
-                a, best, best_res = cand, cand, res
-                improved = True
-                break
-            damp /= 2
-        if not improved:
-            break
-    return best
-
-
-def _system_scale(p: BivariatePoly, alpha: complex) -> float:
-    mag = npoly.polyval2d(abs(alpha), abs(alpha), np.abs(p.coeffs))
-    return max(1.0, float(np.real(mag)))
+        m = np.empty((x.size, 2 * k, 2))
+        rhs = np.empty((x.size, 2 * k))
+        m[:, 0::2, 0], m[:, 0::2, 1] = jx.real, jy.real
+        m[:, 1::2, 0], m[:, 1::2, 1] = jx.imag, jy.imag
+        rhs[:, 0::2], rhs[:, 1::2] = -r.real, -r.imag
+        # lstsq per point, not one batched SVD: on the rank-deficient
+        # Jacobians of self-conjugate polynomials the rounding of the
+        # minimum-norm step decides where the polish stops on a curve of
+        # roots, and a batched solve moved accepted roots there
+        step = np.full(x.size, np.nan, dtype=complex)
+        for i in range(x.size):
+            try:
+                delta, *_ = np.linalg.lstsq(m[i], rhs[i], rcond=None)
+            except np.linalg.LinAlgError:
+                continue
+            step[i] = delta[0] + 1j * delta[1]
+        finite = np.isfinite(step)
+        live, x, step = live[finite], x[finite], step[finite]
+        trial = x[:, None] + damps * step[:, None]
+        res = np.linalg.norm(_eval_stack(values, trial.ravel(), trial.ravel().conj()),
+                             axis=1).reshape(trial.shape)
+        better = res < best_res[live, None]
+        hit = better.any(axis=1)
+        first = better.argmax(axis=1)[hit]
+        live = live[hit]
+        a[live] = trial[hit, first]
+        best_res[live] = res[hit, first]
+    return a
 
 
 def verify_roots(candidates, system: list[BivariatePoly], tol=None,
                  polish: bool = True, bound_used: int | None = None) -> RootSet:
     """Back-substitute candidates into the originating system.
 
-    A candidate survives when every polynomial evaluates below the residual
-    tolerance at ``(alpha, conj(alpha))``.  Survivors within MERGE_RADIUS of
-    each other are merged and the result is sorted by (re, im).
+    With ``polish`` every finite candidate is first refined by Gauss-Newton
+    on the system's residuals (8 steps, 5 step halvings each).  The K grids
+    and their derivative grids are zero-padded into one stack, and each step
+    evaluates residuals, Jacobians and all line-search points for every
+    candidate at once, by Horner over an array of points; candidates keep
+    their own state (current point, best residual, still moving or not) and
+    only the 2-unknown least-squares step is solved per candidate.  A
+    candidate survives when every polynomial evaluates below the residual
+    tolerance, scaled by that polynomial's absolute-coefficient value at
+    ``|alpha|``.  Survivors within MERGE_RADIUS of each other are merged and
+    the result is sorted by (re, im).
+
+    Array products may round differently from the scalar ones of
+    ``polyval2d``, so roots can differ from a one-candidate-at-a-time polish
+    in the last bits.
     """
     from .matrixcore import ToleranceConfig
 
     tol = tol or ToleranceConfig()
     if not system:
         raise ValueError("verify_roots needs a nonempty system")
-    kept: list[complex] = []
-    for alpha in candidates:
-        a = complex(alpha)
-        if not np.isfinite(a):
-            continue
-        if polish:
-            a = _polish_on_system(a, system)
-        ok = all(abs(p(a)) <= tol.root_residual_tol * _system_scale(p, a) for p in system)
-        if ok:
-            kept.append(a)
+    points = np.asarray(candidates, dtype=complex).ravel()
+    points = points[np.isfinite(points)]
+    grids = [p.coeffs for p in system]
+    values = _stack_grids(grids)
+    if polish:
+        points = _polish(points, values)
+    resid = np.abs(_eval_stack(values, points, points.conj()))
+    mag = np.abs(points)
+    scale = np.maximum(1.0, _eval_stack(_stack_grids([np.abs(g) for g in grids]), mag, mag))
+    kept = points[np.all(resid <= tol.root_residual_tol * scale, axis=1)]
     merged: list[complex] = []
-    for a in sorted(kept, key=lambda z: (z.real, z.imag)):
+    for a in sorted(kept.tolist(), key=lambda z: (z.real, z.imag)):
         if merged and abs(a - merged[-1]) <= MERGE_RADIUS:
             continue
         if any(abs(a - m) <= MERGE_RADIUS for m in merged):
@@ -544,4 +580,4 @@ def verify_roots(candidates, system: list[BivariatePoly], tol=None,
     if bound_used is not None and len(merged) > bound_used:
         logger.debug("verified roots (%d) exceed the nominal bound (%d)",
                      len(merged), bound_used)
-    return RootSet(roots=merged, degenerate=False, bound_used=bound_used)
+    return RootSet(roots=merged, bound_used=bound_used)

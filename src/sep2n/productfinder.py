@@ -10,7 +10,6 @@ bivariate determinant systems handled by :mod:`sep2n.polyelim`.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -21,7 +20,6 @@ from .polyelim import (
     BivariatePoly,
     DegenerateElimination,
     UnivariatePoly,
-    _alt_single_bound,
     eliminate_pair,
     eliminate_single,
     pair_elimination_bound,
@@ -44,9 +42,6 @@ __all__ = [
     "build_paired_system",
     "eliminate_paired",
 ]
-
-
-logger = logging.getLogger(__name__)
 
 
 class NonGenericInput(Exception):
@@ -482,11 +477,6 @@ def eliminate_paired(cs: ConstraintSystem, tol: ToleranceConfig | None = None):
         else:
             q = eliminate_single(d)
             bound = single_elimination_bound(x, y)
-            alt = _alt_single_bound(x, y)
-            if alt != bound:
-                logger.debug("alternative single-elimination bound %d differs "
-                             "from the enforced %d at degrees (%d, %d)",
-                             alt, bound, x, y)
     else:
         base = cs.dets[0]
         reduced = [eliminate_pair(base, dj) for dj in cs.dets[1:]]

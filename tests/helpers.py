@@ -3,10 +3,13 @@
 The oracles here deliberately avoid the library code paths they check:
 ranks are counted from eigenvalues, norms come from power iteration, PSD
 ordering from the spectrum of the difference, and bivariate roots from a
-dense grid scan with finite-difference Newton refinement.
+dense grid scan with finite-difference Newton refinement.  Root
+verification also has a scalar reference, one ``polyval2d`` call per
+candidate and polynomial, for the batched one in the library.
 """
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from sep2n.matrixcore import hermitize, partial_transpose_matrix
 from sep2n.productfinder import ProductVector
@@ -233,6 +236,89 @@ def grid_root_oracle(polys, box=5.0, step=0.01, residual_tol=1e-8, merge=1e-6):
     roots.sort(key=lambda z: (z.real, z.imag))
     merged = []
     for a in roots:
+        if any(abs(a - m) <= merge for m in merged):
+            continue
+        merged.append(a)
+    return merged
+
+
+# ---------------------------------------------------------------------------
+# scalar root verification: the one-candidate, one-polynomial loop that the
+# batched ``verify_roots`` replaced, kept as its reference
+# ---------------------------------------------------------------------------
+
+def _scalar_derivs(c):
+    da = npoly.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, c.shape[1]), dtype=complex)
+    db = npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((c.shape[0], 1), dtype=complex)
+    return da, db
+
+
+def _scalar_polish(alpha, coeff_list, steps=8):
+    """Gauss-Newton on the genuine-root residuals, treating re/im separately."""
+    def residual(a):
+        return np.array([npoly.polyval2d(a, np.conj(a), c) for c in coeff_list], dtype=complex)
+
+    derivs = [_scalar_derivs(c) for c in coeff_list]
+    best = alpha
+    best_res = np.linalg.norm(residual(alpha))
+    a = alpha
+    for _ in range(steps):
+        r = residual(a)
+        ja = np.array([npoly.polyval2d(a, np.conj(a), d[0]) for d in derivs])
+        jb = np.array([npoly.polyval2d(a, np.conj(a), d[1]) for d in derivs])
+        # d/dx and d/dy of each complex residual (alpha = x + iy)
+        jx = ja + jb
+        jy = 1j * (ja - jb)
+        m = np.zeros((2 * len(coeff_list), 2))
+        rhs = np.zeros(2 * len(coeff_list))
+        m[0::2, 0], m[0::2, 1] = jx.real, jy.real
+        m[1::2, 0], m[1::2, 1] = jx.imag, jy.imag
+        rhs[0::2], rhs[1::2] = -r.real, -r.imag
+        try:
+            delta, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        step = delta[0] + 1j * delta[1]
+        if not np.isfinite(step):
+            break
+        damp = 1.0
+        improved = False
+        for _ in range(5):
+            cand = a + damp * step
+            res = np.linalg.norm(residual(cand))
+            if res < best_res:
+                a, best, best_res = cand, cand, res
+                improved = True
+                break
+            damp /= 2
+        if not improved:
+            break
+    return best
+
+
+def _scalar_scale(c, alpha):
+    mag = npoly.polyval2d(abs(alpha), abs(alpha), np.abs(c))
+    return max(1.0, float(np.real(mag)))
+
+
+def scalar_verify_roots(candidates, polys, residual_tol=1e-8, merge=1e-6):
+    """Polish, accept and merge candidates one at a time with ``polyval2d``.
+
+    ``polys`` may be BivariatePoly instances or raw coefficient grids.
+    Returns roots sorted by (re, im), merged within ``merge``.
+    """
+    coeff_list = [np.asarray(getattr(p, "coeffs", p), dtype=complex) for p in polys]
+    kept = []
+    for alpha in candidates:
+        a = complex(alpha)
+        if not np.isfinite(a):
+            continue
+        a = _scalar_polish(a, coeff_list)
+        if all(abs(npoly.polyval2d(a, np.conj(a), c)) <= residual_tol * _scalar_scale(c, a)
+               for c in coeff_list):
+            kept.append(complex(a))
+    merged = []
+    for a in sorted(kept, key=lambda z: (z.real, z.imag)):
         if any(abs(a - m) <= merge for m in merged):
             continue
         merged.append(a)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sep2n.polyelim import (
+    MERGE_RADIUS,
     BivariatePoly,
     DegenerateElimination,
     NonFinite,
@@ -16,11 +17,16 @@ from sep2n.polyelim import (
     verify_roots,
 )
 
-from helpers import grid_root_oracle, plant_common_roots, sets_match
+from helpers import grid_root_oracle, plant_common_roots, scalar_verify_roots, sets_match
 
 
 def poly(terms):
     return BivariatePoly.from_terms(terms)
+
+
+def assert_sorted_and_merged(roots):
+    assert roots == sorted(roots, key=lambda z: (z.real, z.imag))
+    assert all(abs(a - b) > MERGE_RADIUS for i, a in enumerate(roots) for b in roots[i + 1:])
 
 
 CUBE_ROOTS = sorted([0, 1, np.exp(2j * np.pi / 3), np.exp(-2j * np.pi / 3)],
@@ -181,20 +187,71 @@ class TestVerifyRoots:
         system = [poly({(2, 0): 1.0, (0, 1): -1.0})]
         kept = verify_roots(CUBE_ROOTS, system)
         assert len(kept.roots) == 4
+        assert_sorted_and_merged(kept.roots)
+        # deg_alpha == 0 beside deg_conj == 0: the stacked alpha-derivative
+        # grid of the first is all zero
+        system = [poly({(0, 2): 1.0, (0, 0): -1.0}), poly({(2, 0): 1.0, (0, 0): -1.0})]
+        kept = verify_roots([1.0001, -0.9999 + 1e-4j, 1.0, 0.9], system)
+        assert len(kept.roots) == 2
+        assert all(abs(a - b) < 1e-12 for a, b in zip(kept.roots, [-1.0, 1.0]))
+        assert_sorted_and_merged(kept.roots)
+        # |a|^2 - 1 is self-conjugate: its Jacobian has rank one and its roots
+        # form a curve; points on it stay, points off it may move onto it
+        p = poly({(1, 1): 1.0, (0, 0): -1.0})
+        on_curve = [1.0, -1.0, 1j, np.exp(0.3j), np.exp(-2.0j)]
+        kept = verify_roots(on_curve + [1.2, 0.6j, 2.0 - 1.0j], [p])
+        assert all(any(abs(a - r) < 1e-9 for r in kept.roots) for a in on_curve)
+        assert all(abs(p(r)) <= 1e-8 * max(1.0, abs(r) ** 2 + 1.0) for r in kept.roots)
+        assert_sorted_and_merged(kept.roots)
 
     def test_rejects_false_candidate(self):
         kept = verify_roots([1j], [poly({(1, 1): 1.0, (0, 0): 1.0})])
         assert kept.roots == []
+        system = [poly({(2, 0): 1.0, (0, 1): -1.0})]
+        assert verify_roots([], system).roots == []
+        assert verify_roots(np.zeros(0, dtype=complex), system).roots == []
+        nonfinite = [np.nan, np.inf, complex(1.0, np.inf), complex(np.nan, 0.0)]
+        assert verify_roots(nonfinite, system).roots == []
 
     def test_merges_close_candidates(self):
         system = [poly({(1, 0): 1.0, (0, 0): -1.0})]
         kept = verify_roots([1.0, 1.0 + 1e-9], system, polish=False)
         assert len(kept.roots) == 1
+        kept = verify_roots(CUBE_ROOTS + [c + 1e-7 for c in CUBE_ROOTS],
+                            [poly({(2, 0): 1.0, (0, 1): -1.0})])
+        assert len(kept.roots) == 4
+        assert_sorted_and_merged(kept.roots)
 
     def test_requires_system(self):
         with pytest.raises(ValueError):
             verify_roots([0.0], [])
 
+    def test_matches_scalar_reference(self):
+        """Batched polish and acceptance agree with the scalar loop they replaced.
+
+        Generic systems of K = 1..6 polynomials with mixed grid shapes (so
+        the stack is padded) share two planted roots; candidates are the
+        elimination's roots plus decoys near and away from the planted ones.
+        """
+        rng = np.random.default_rng(12)
+        shapes = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (3, 1)]
+        accepted = 0
+        for trial in range(60):
+            k = trial % 6 + 1
+            planted = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(2)]
+            picks = rng.choice(len(shapes), size=k)
+            system = [BivariatePoly(plant_common_roots(rng, *shapes[i], planted)[0])
+                      for i in picks]
+            q = eliminate_single(system[0]) if k == 1 else eliminate_pair(system[0], system[1])
+            decoys = [a + 1e-3 * complex(*rng.standard_normal(2)) for a in planted]
+            decoys += list(rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3))
+            candidates = list(univariate_roots(q)) + decoys
+            ours = verify_roots(candidates, system).roots
+            ref = scalar_verify_roots(candidates, system)
+            assert len(ours) == len(ref)
+            assert all(abs(a - b) <= 1e-10 * (1 + abs(b)) for a, b in zip(ours, ref))
+            accepted += len(ours)
+        assert accepted >= 120
 
 class TestReduceUnivariatePair:
     def test_degree_drops_and_common_root_kept(self):
