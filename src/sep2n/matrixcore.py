@@ -9,6 +9,7 @@ all downstream branching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +29,7 @@ __all__ = [
     "pseudoinverse",
     "psd_difference_check",
     "operator_norm",
+    "operator_norm_at_most",
 ]
 
 
@@ -102,6 +104,62 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+# Relative margin by which the entry bracket must clear a bound before it
+# decides a norm comparison; far above the rounding of an SVD norm.
+BRACKET_MARGIN = 1e-6
+# Below this, products and entries lose relative precision to subnormals.
+_BRACKET_SAFE = np.finfo(float).tiny / BRACKET_MARGIN
+
+
+def _entry_bracket(m) -> tuple[float, float] | None:
+    """``(max|m_ij|, sqrt(rows*cols) * max|m_ij|)``, or None when not finite or not 2-D."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        return None
+    if m.size == 0:
+        return 0.0, 0.0
+    top = float(np.max(np.abs(m)))
+    upper = math.sqrt(m.size) * top
+    if not math.isfinite(upper):
+        return None
+    return top, upper
+
+
+def operator_norm_at_most(m, t: float, r=None, floor: float = 0.0) -> bool:
+    """Decide ``operator_norm(m) <= t * max(operator_norm(r), floor)`` exactly.
+
+    With ``r`` None the right-hand side is ``t * floor``.  The largest entry
+    modulus brackets the spectral norm, ``max|m_ij| <= ||M|| <=
+    sqrt(rows*cols) * max|m_ij|``, and likewise for R.  The brackets decide
+    the comparison only when they clear the bound by the relative margin
+    ``BRACKET_MARGIN``, far above the rounding of an SVD norm, and only away
+    from the subnormal range.  Otherwise, and whenever a bracket is not
+    finite, the expression above is evaluated through ``operator_norm``, so
+    the answer is always the one of the SVD and non-finite input still
+    raises ``ValueError``.
+    """
+    bm = _entry_bracket(m)
+    br = (0.0, 0.0) if r is None else _entry_bracket(r)
+    if bm is not None and br is not None:
+        lower, upper = bm
+        bound_lower = t * max(br[0], floor)
+        bound_upper = t * max(br[1], floor)
+        if upper == 0.0 or (bound_lower >= _BRACKET_SAFE
+                            and upper <= bound_lower * (1.0 - BRACKET_MARGIN)):
+            return True
+        if lower >= _BRACKET_SAFE and lower > bound_upper * (1.0 + BRACKET_MARGIN):
+            return False
+    ref = floor if r is None else max(operator_norm(r), floor)
+    return operator_norm(m) <= t * ref
+
+
+def _is_hermitian(m: np.ndarray, tol: "ToleranceConfig") -> bool:
+    """``||M - M^dag|| <= max(psd_tol, 1e3 eps) * ||M||``; exact Hermitian input skips the norms."""
+    skew = m - m.conj().T
+    return not np.any(skew) or operator_norm_at_most(
+        skew, max(tol.psd_tol, 1e3 * np.finfo(float).eps), m)
+
+
 def partial_transpose_matrix(m: np.ndarray, n: int) -> np.ndarray:
     """Transpose the first (qubit) factor: swap the two off-diagonal N x N blocks."""
     if m.shape != (2 * n, 2 * n):
@@ -162,11 +220,15 @@ def pseudoinverse(m, tol: ToleranceConfig | None = None) -> np.ndarray:
     """
     tol = tol or ToleranceConfig()
     m = as_complex_matrix(m)
-    scale = operator_norm(m)
-    if operator_norm(m - m.conj().T) > max(tol.psd_tol * scale, 1e3 * np.finfo(float).eps * scale):
+    if not _is_hermitian(m, tol):
         raise ValueError("pseudoinverse requires a Hermitian matrix")
     w, v = np.linalg.eigh(hermitize(m))
-    if scale <= 0.0:
+    return _spectral_pinv(m, w, v, tol)
+
+
+def _spectral_pinv(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Pseudoinverse of the Hermitian ``m`` from its eigendecomposition ``(w, v)``."""
+    if not np.any(m):
         return np.zeros_like(m)
     keep = np.abs(w) > tol.rank_rel_tol * np.max(np.abs(w))
     winv = np.zeros_like(w)
@@ -233,6 +295,7 @@ class DensityState:
     The matrix is symmetrized at construction and all spectral data for the
     state and its partial transpose are computed once; instances are treated
     as immutable afterwards.  Trace does not have to be 1, only positive.
+    Both pseudoinverses are built from the cached eigendecompositions.
     """
 
     def __init__(self, matrix, n: int | None = None, tol: ToleranceConfig | None = None,
@@ -247,10 +310,9 @@ class DensityState:
         elif 2 * n != dim:
             raise ValueError(f"matrix shape {m.shape} inconsistent with N={n}")
 
-        scale = operator_norm(m)
-        herm_err = operator_norm(m - m.conj().T)
-        if scale > 0 and herm_err > max(tol.psd_tol * scale, 1e3 * np.finfo(float).eps * scale):
-            raise ValueError(f"matrix is not Hermitian (relative deviation {herm_err / scale:.3e})")
+        if not _is_hermitian(m, tol):
+            herm_err = operator_norm(m - m.conj().T) / operator_norm(m)
+            raise ValueError(f"matrix is not Hermitian (relative deviation {herm_err:.3e})")
 
         self.n = int(n)
         self.dim = dim
@@ -304,12 +366,13 @@ class DensityState:
 
     def pseudoinverse(self) -> np.ndarray:
         if self._pinv is None:
-            self._pinv = pseudoinverse(self.matrix, self.tol)
+            self._pinv = _spectral_pinv(self.matrix, self._eigvals, self._eigvecs, self.tol)
         return self._pinv
 
     def pt_pseudoinverse(self) -> np.ndarray:
         if self._pt_pinv is None:
-            self._pt_pinv = pseudoinverse(self.pt_matrix, self.tol)
+            self._pt_pinv = _spectral_pinv(self.pt_matrix, self._pt_eigvals, self._pt_eigvecs,
+                                           self.tol)
         return self._pt_pinv
 
     def __repr__(self):

@@ -11,6 +11,7 @@ bivariate determinant systems handled by :mod:`sep2n.polyelim`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -77,7 +78,8 @@ class ProductVector:
     """Pair (e in C2, f in CN), stored unit-normalized with fixed phases.
 
     ``alpha`` parametrizes ``e = (alpha|0> + |1>)/norm``; ``None`` marks the
-    chart point e = |0> that the affine parametrization misses.
+    chart point e = |0> that the affine parametrization misses.  ``vector``
+    and ``conjugate_partner`` are built once; the cached vector is read-only.
     """
 
     e: np.ndarray
@@ -101,11 +103,14 @@ class ProductVector:
             alpha = complex(e[0] / e[1])
         return cls(e=e, f=_phase_normalize(f), alpha=alpha)
 
-    @property
+    @cached_property
     def vector(self) -> np.ndarray:
-        return np.kron(self.e, self.f)
+        # the products of np.kron(e, f), without its reshaping overhead
+        v = (self.e[:, None] * self.f[None, :]).ravel()
+        v.flags.writeable = False
+        return v
 
-    @property
+    @cached_property
     def conjugate_partner(self) -> "ProductVector":
         alpha = None if self.alpha is None else np.conj(self.alpha)
         return ProductVector(e=np.conj(self.e), f=self.f, alpha=alpha)
@@ -140,14 +145,6 @@ class ConstraintSystem:
     m2: int
     dets: list[BivariatePoly]
     selections: list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-    @property
-    def rows1(self) -> int:
-        return self.a1.shape[0]
-
-    @property
-    def rows2(self) -> int:
-        return self.a2.shape[0]
 
     def stacked(self, alpha: complex) -> np.ndarray:
         top = alpha * np.conj(self.a1) + np.conj(self.b1)

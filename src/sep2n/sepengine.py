@@ -11,6 +11,7 @@ certificate that is re-verified against the input before being emitted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,7 +21,7 @@ from .matrixcore import (
     DensityState,
     ToleranceConfig,
     hermitize,
-    operator_norm,
+    operator_norm_at_most,
     partial_trace_second,
     psd_difference_check,
 )
@@ -180,7 +181,7 @@ def subtract(state: DensityState, v: ProductVector) -> tuple[DensityState, float
         case = "ii"
     lam = min(lam0, lamb0)
     m2 = hermitize(state.matrix - lam * v.projector())
-    tiny = operator_norm(m2) <= 1e-12 * max(state.norm, 1e-300)
+    tiny = operator_norm_at_most(m2, 1e-12, floor=max(state.norm, 1e-300))
     new_state = DensityState(m2, n=state.n, tol=state.tol, require_psd=not tiny)
     return new_state, lam, case
 
@@ -250,7 +251,7 @@ def reduce_by_kernel(state: DensityState, v: ProductVector,
     m2 = hermitize(state.matrix - lam * np.outer(sub_vec, sub_vec.conj()))
     weight = lam * float(np.vdot(g, g).real)
     pv = ProductVector.from_e_f(ehat, g)
-    tiny = operator_norm(m2) <= 1e-12 * max(state.norm, 1e-300)
+    tiny = operator_norm_at_most(m2, 1e-12, floor=max(state.norm, 1e-300))
     intermediate = DensityState(m2, n=n, tol=state.tol, require_psd=not tiny)
     reduced, iso = strip_support(intermediate)
     return reduced, (weight, pv), iso
@@ -311,7 +312,8 @@ def pt_invariant_decompose(state: DensityState, tol: ToleranceConfig | None = No
     with the rank-equals-dimension construction.
     """
     tol = tol or state.tol
-    if operator_norm(state.matrix - state.pt_matrix) > PT_INVARIANCE_REL_TOL * max(state.norm, 1e-300):
+    if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
+                                 floor=max(state.norm, 1e-300)):
         raise ValueError("state is not invariant under partial transposition")
     t0 = max(state.trace, 1e-300)
     cur = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), n=state.n, tol=state.tol)
@@ -337,7 +339,7 @@ def pt_invariant_decompose(state: DensityState, tol: ToleranceConfig | None = No
         terms.append((lam, _lift_pv(best, lift)))
         # re-symmetrize to cancel floating-point drift of the invariance
         symm = hermitize((new_state.matrix + new_state.pt_matrix) / 2)
-        tiny = operator_norm(symm) <= 1e-12 * max(state.norm, 1e-300)
+        tiny = operator_norm_at_most(symm, 1e-12, floor=max(state.norm, 1e-300))
         cur = DensityState(symm, n=cur.n, tol=state.tol, require_psd=not tiny)
     raise NonGenericInput("invariant reduction failed to terminate")
 
@@ -459,7 +461,7 @@ def symmetric_split_check(state: DensityState, a=None,
 
     remainder = hermitize(rho_s - comp)
     terms: list[tuple[float, ProductVector]] = []
-    if operator_norm(remainder) > 1e-12 * max(state.norm, 1e-300):
+    if not operator_norm_at_most(remainder, 1e-12, floor=max(state.norm, 1e-300)):
         try:
             rem_state = DensityState(remainder, n=n, tol=state.tol)
             sub = pt_invariant_decompose(rem_state, tol)
@@ -478,7 +480,9 @@ def symmetric_split_check(state: DensityState, a=None,
     return Verdict(VerdictKind.SEPARABLE, certificate=cert)
 
 
-def _default_transforms() -> list[np.ndarray]:
+@functools.cache
+def _default_transforms() -> np.ndarray:
+    """The default candidates of ``pt_symmetrizing_search``, stacked and read-only."""
     rng = np.random.default_rng(20260810)
     cands = [np.eye(2, dtype=complex)]
     for s in (2.0, 0.5, 3.0, 1.0 / 3.0):
@@ -487,7 +491,28 @@ def _default_transforms() -> list[np.ndarray]:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         if abs(np.linalg.det(a)) >= 0.1:
             cands.append(a)
-    return cands
+    stacked = np.array(cands)
+    stacked.flags.writeable = False
+    return stacked
+
+
+def _symmetrizing_screen(state: DensityState, cands: np.ndarray) -> np.ndarray:
+    """Mask of the candidates A whose sigma = (A x I) rho (A x I)^dag may be PT-invariant.
+
+    sigma - sigma^TA is nonzero only in the off-diagonal blocks, where it is
+    +-(sigma_01 - sigma_10), so ``||sigma - sigma^TA|| >= max|sigma_01 -
+    sigma_10|`` while ``||sigma|| <= 2N max|sigma_ij|``.  A candidate whose
+    block gap exceeds twice ``PT_INVARIANCE_REL_TOL * max(2N max|sigma_ij|,
+    1e-300)`` therefore fails the invariance test of the search; the factor
+    two absorbs rounding.  Non-finite values are never screened out.
+    """
+    n = state.n
+    blocks = state.matrix.reshape(2, n, 2, n)
+    sigma = np.einsum("kac,cidj,kbd->kaibj", cands, blocks, cands.conj())
+    gap = np.max(np.abs(sigma[:, 0, :, 1, :] - sigma[:, 1, :, 0, :]), axis=(1, 2))
+    size = np.max(np.abs(sigma).reshape(len(cands), -1), axis=1)
+    limit = 2.0 * PT_INVARIANCE_REL_TOL * np.maximum(2 * n * size, 1e-300)
+    return ~(np.isfinite(gap) & np.isfinite(limit) & (gap > limit))
 
 
 def pt_symmetrizing_search(state: DensityState, candidates=None,
@@ -502,14 +527,18 @@ def pt_symmetrizing_search(state: DensityState, candidates=None,
     n = state.n
     if candidates is None:
         candidates = _default_transforms()
-    for a in candidates:
-        a = np.asarray(a, dtype=complex)
-        if abs(np.linalg.det(a)) < 1e-12:
+    else:
+        candidates = [np.asarray(a, dtype=complex) for a in candidates]
+        if any(a.shape != (2, 2) for a in candidates):
+            raise ValueError("candidate transforms must be 2 x 2")
+        candidates = np.array(candidates).reshape(-1, 2, 2)
+    for a, possible in zip(candidates, _symmetrizing_screen(state, candidates)):
+        if not possible or abs(np.linalg.det(a)) < 1e-12:
             continue
         w = np.kron(a, np.eye(n, dtype=complex))
         sigma = hermitize(w @ state.matrix @ w.conj().T)
         sig_pt = hermitize(w.conj() @ state.pt_matrix @ w.T)
-        if operator_norm(sigma - sig_pt) > PT_INVARIANCE_REL_TOL * max(operator_norm(sigma), 1e-300):
+        if not operator_norm_at_most(sigma - sig_pt, PT_INVARIANCE_REL_TOL, sigma, 1e-300):
             continue
         try:
             sig_state = DensityState(sigma, n=n, tol=state.tol)
@@ -541,11 +570,8 @@ def verify_certificate(state, cert: SeparabilityCertificate,
         if not (weight > 0):
             raise ValueError(f"certificate weights must be positive, got {weight!r}")
     recon = cert.reconstruct(matrix.shape[0])
-    scale = operator_norm(matrix)
-    err = operator_norm(matrix - recon)
-    if scale <= 0:
-        return err <= tol.cert_recon_tol
-    return err <= tol.cert_recon_tol * scale
+    floor = 0.0 if np.any(matrix) else 1.0  # a zero state gets an absolute bound
+    return operator_norm_at_most(matrix - recon, tol.cert_recon_tol, matrix, floor)
 
 
 MAX_PIPELINE_PASSES = 200
@@ -616,7 +642,8 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                                          ranks_before=(cur.rank, cur.pt_rank)))
             return assemble(_base_terms(cur, np.eye(1, dtype=complex)), lift), trace
 
-        if operator_norm(cur.matrix - cur.pt_matrix) <= PT_INVARIANCE_REL_TOL * max(cur.norm, 1e-300):
+        if operator_norm_at_most(cur.matrix - cur.pt_matrix, PT_INVARIANCE_REL_TOL,
+                                 floor=max(cur.norm, 1e-300)):
             try:
                 sub_cert = pt_invariant_decompose(cur, tol)
                 trace.steps.append(TraceStep(op="pt-invariant", n_before=m_dim,

@@ -7,6 +7,7 @@ from sep2n.matrixcore import (
     hermitize,
     numerical_rank_kernel,
     operator_norm,
+    operator_norm_at_most,
     partial_expectation,
     partial_transpose,
     partial_transpose_matrix,
@@ -137,6 +138,17 @@ class TestPseudoinverse:
         with pytest.raises(ValueError):
             pseudoinverse(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_state_pseudoinverses_reuse_cached_spectra(self):
+        rng = np.random.default_rng(61)
+        rank_deficient, _, _ = build_separable(rng, 3, 4)
+        npt = np.zeros((4, 4), dtype=complex)
+        npt[[0, 0, 3, 3], [0, 3, 0, 3]] = 0.5  # (|00> + |11>)/sqrt(2), NPT
+        for m in (rank_deficient, npt, np.zeros((4, 4), dtype=complex)):
+            state = DensityState(m, require_psd=False)
+            assert np.array_equal(state.pseudoinverse(), pseudoinverse(state.matrix))
+            assert np.array_equal(state.pt_pseudoinverse(), pseudoinverse(state.pt_matrix))
+        assert state.pseudoinverse() is state.pseudoinverse()
+
 
 class TestPsdDifference:
     def test_scaled_identity(self):
@@ -201,6 +213,66 @@ class TestOperatorNorm:
         for _ in range(10):
             m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             assert operator_norm(m) == pytest.approx(power_iteration_norm(m, rng), abs=1e-10)
+
+    @staticmethod
+    def _bounds_around(m):
+        """Bounds below, inside and above the entry bracket of m, and at its SVD norm."""
+        lower = float(np.max(np.abs(m))) if m.size else 0.0
+        upper = np.sqrt(m.size) * lower
+        s = operator_norm(m)
+        return [0.5 * lower, lower * (1 - 1e-9), lower, (lower + s) / 2, s * (1 - 1e-13), s,
+                s * (1 + 1e-13), (s + upper) / 2, upper, upper * (1 + 1e-9), 2 * upper]
+
+    def test_at_most_matches_svd_comparison(self):
+        rng = np.random.default_rng(62)
+        for scale in (1.0, 1e150, 1e-150):
+            for shape in ((6, 6), (8, 8), (3, 5), (16, 16)):
+                m = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                r = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                nr = operator_norm(r)
+                for bound in self._bounds_around(m):
+                    expected = operator_norm(m) <= bound
+                    assert operator_norm_at_most(m, 1.0, floor=bound) == expected
+                    assert operator_norm_at_most(m, 1e-3, floor=1e3 * bound) == \
+                        (operator_norm(m) <= 1e-3 * (1e3 * bound))
+                    t = bound / nr
+                    assert operator_norm_at_most(m, t, r) == (operator_norm(m) <= t * nr)
+                    # the floor wins over a smaller reference norm
+                    assert operator_norm_at_most(m, 1.0, 1e-3 * r, bound) == expected
+
+    def test_at_most_flat_matrix_upper_bound_is_the_norm(self):
+        # rank one with equal moduli: the SVD norm may round above sqrt(rows*cols) max|m_ij|
+        for shape in ((2, 3), (5, 5), (5, 6), (8, 9), (16, 17)):
+            m = np.ones(shape, dtype=complex)
+            for bound in self._bounds_around(m):
+                assert operator_norm_at_most(m, 1.0, floor=bound) == (operator_norm(m) <= bound)
+
+    def test_at_most_single_entry_lower_bound_is_the_norm(self):
+        m = np.zeros((3, 4), dtype=complex)
+        m[1, 2] = 3.0 - 4.0j
+        assert operator_norm(m) == 5.0
+        for bound in (5.0, 5.0 * (1 - 1e-12), 5.0 * (1 - 1e-7), 5.0 * (1 - 1e-3), 5.0 * (1 + 1e-12)):
+            assert operator_norm_at_most(m, 1.0, floor=bound) == (operator_norm(m) <= bound)
+        assert operator_norm_at_most(m, 1.0, 2 * m) and not operator_norm_at_most(m, 0.5, 0.9 * m)
+
+    def test_at_most_zero_and_empty(self):
+        for m in (np.zeros((4, 4), dtype=complex), np.zeros((0, 3), dtype=complex)):
+            assert operator_norm_at_most(m, 1e-12, floor=1e-300)
+            assert operator_norm_at_most(m, 1.0)
+            assert operator_norm_at_most(m, 1e-8, np.zeros((4, 4)), 1e-300)
+            assert operator_norm_at_most(np.eye(2), 1.0, m, 1.0)
+            assert not operator_norm_at_most(np.eye(2), 1.0, m, 0.5)
+
+    def test_at_most_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            m = np.eye(3, dtype=complex)
+            m[0, 1] = bad
+            with pytest.raises(ValueError):
+                operator_norm_at_most(m, 1.0, floor=1.0)
+            with pytest.raises(ValueError):
+                operator_norm_at_most(np.eye(3), 1.0, m)
+            with pytest.raises(ValueError):
+                operator_norm_at_most(np.zeros((3, 3)), 1.0, m)
 
 
 class TestDensityState:

@@ -47,6 +47,12 @@ class TestProductVector:
         partner = pv.conjugate_partner
         assert np.allclose(partner.e, np.conj(pv.e))
         assert np.allclose(partner.f, pv.f)
+        assert pv.conjugate_partner is partner
+        for v in (pv, partner, random_product_vector(rng, 1), random_product_vector(rng, 8)):
+            assert v.vector.tobytes() == np.kron(v.e, v.f).tobytes()
+            assert v.vector is v.vector
+            with pytest.raises(ValueError):
+                v.vector[0] = 0.0
 
     def test_projector_is_rank_one(self):
         rng = np.random.default_rng(1)

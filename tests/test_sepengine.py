@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sep2n import matrixcore
 from sep2n.matrixcore import DensityState, ToleranceConfig, hermitize, partial_transpose_matrix
 from sep2n.productfinder import ProductVector, paired_products
 from sep2n.sepengine import (
@@ -21,6 +22,7 @@ from sep2n.sepengine import (
     symmetric_split_check,
     verify_certificate,
 )
+from sep2n.sepengine import _default_transforms, _symmetrizing_screen
 
 from helpers import (
     build_separable,
@@ -376,6 +378,24 @@ class TestPtSymmetrizingSearch:
         verdict = pt_symmetrizing_search(state, candidates=[np.eye(2), a])
         assert verdict is not None
         assert verify_certificate(state, verdict.certificate)
+        # a singular candidate is skipped, not fatal
+        verdict = pt_symmetrizing_search(state, candidates=[np.ones((2, 2)), np.zeros((2, 2)), a])
+        assert verdict is not None
+        assert verify_certificate(state, verdict.certificate)
+        # the default list, with the state built from one of its transforms; a
+        # 1e-9 relative invariance defect still passes the search's 1e-8 test
+        defaults = _default_transforms()
+        for n, k in ((2, 17), (3, 40), (4, 54)):
+            sigma = random_pt_invariant(rng, n)
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            sigma[:n, n:] += 1e-9 * np.linalg.norm(sigma, 2) * x / np.linalg.norm(x, 2)
+            sigma[n:, :n] = sigma[:n, n:].conj().T
+            w = np.kron(np.linalg.inv(defaults[k]), np.eye(n))
+            state = DensityState(w @ sigma @ w.conj().T)
+            assert _symmetrizing_screen(state, defaults)[k]
+            verdict = pt_symmetrizing_search(state)
+            assert verdict is not None
+            assert verify_certificate(state, verdict.certificate)
 
     def test_exhausted_candidates_return_none(self):
         state = DensityState(embedded_max_entangled(2), require_psd=True)
@@ -414,6 +434,23 @@ class TestAnalyze:
         verdict, trace = analyze(embedded_max_entangled(2))
         assert verdict.kind is VerdictKind.ENTANGLED_NPT
         assert verdict.witness["pt_min_eigenvalue"] < 0
+
+    def test_no_svd_norm_on_constructive_paths(self, monkeypatch):
+        # threshold tests are decided by entry brackets on these paths
+        calls = []
+        original = matrixcore.operator_norm
+
+        def counting(m):
+            calls.append(1)
+            return original(m)
+
+        monkeypatch.setattr(matrixcore, "operator_norm", counting)
+        rng = np.random.default_rng(63)
+        rank_n, _, _ = build_separable(rng, 4, 4)
+        for m in (rank_n, random_pt_invariant(rng, 4)):
+            verdict, _ = analyze(m)
+            assert verdict.kind is VerdictKind.SEPARABLE
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rank_n_mixtures(self, n):
