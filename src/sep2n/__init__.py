@@ -12,7 +12,6 @@ from .matrixcore import (
     ToleranceConfig,
     numerical_rank_kernel,
     operator_norm,
-    partial_transpose,
     partial_transpose_matrix,
     pseudoinverse,
     psd_difference_check,
@@ -34,7 +33,6 @@ from .productfinder import (
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
-    kernel_contractions_independent,
     kernel_product_vector,
     paired_products,
     products_in_subspace,

@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -84,15 +85,18 @@ def certificate_to_json(cert: SeparabilityCertificate) -> dict:
 
 
 def certificate_from_json(data) -> SeparabilityCertificate:
-    if "certificate" in data and isinstance(data["certificate"], dict):
+    if isinstance(data, dict) and isinstance(data.get("certificate"), dict):
         data = data["certificate"]
-    if data is None or "terms" not in data:
+    if not isinstance(data, dict) or "terms" not in data:
         raise InputError("no certificate terms found")
     terms = []
-    for t in data["terms"]:
-        terms.append((float(t["weight"]),
-                      ProductVector.from_e_f(_vector_from_json(t["e"]),
-                                             _vector_from_json(t["f"]))))
+    try:
+        for t in data["terms"]:
+            terms.append((float(t["weight"]),
+                          ProductVector.from_e_f(_vector_from_json(t["e"]),
+                                                 _vector_from_json(t["f"]))))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"bad certificate term: {exc!r}") from exc
     return SeparabilityCertificate(terms)
 
 
@@ -139,7 +143,7 @@ def load_tolerances(flag_overrides: dict | None = None,
         data.update(file_overrides)
     if flag_overrides:
         data.update(flag_overrides)
-    known = {"rank_rel_tol", "psd_tol", "root_residual_tol", "cert_recon_tol"}
+    known = {f.name for f in fields(ToleranceConfig)}
     unknown = set(data) - known
     if unknown:
         raise InputError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -173,7 +177,10 @@ def load_state(path, flag_overrides: dict | None = None) -> tuple[DensityState, 
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc or "n" not in doc:
         raise InputError(f"{path}: state file needs 'n' and 'matrix' fields")
-    n = int(doc["n"])
+    try:
+        n = int(doc["n"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad 'n' field: {exc}") from exc
     try:
         matrix = _matrix_from_json(doc["matrix"])
     except (InputError, TypeError, ValueError) as exc:
@@ -395,12 +402,8 @@ def cmd_batch(args) -> int:
         except InputError as exc:
             return path.name, "error", 0.0, str(exc)
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [work(p) for p in inputs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, inputs))
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        results = list(pool.map(work, inputs))
 
     counts: dict[str, int] = {}
     times = []

@@ -10,7 +10,7 @@ all downstream branching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -22,9 +22,7 @@ __all__ = [
     "as_complex_matrix",
     "hermitize",
     "partial_transpose_matrix",
-    "partial_transpose",
     "partial_trace_second",
-    "partial_expectation",
     "numerical_rank_kernel",
     "pseudoinverse",
     "psd_difference_check",
@@ -55,30 +53,15 @@ class ToleranceConfig:
     cert_recon_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "psd_tol", "root_residual_tol", "cert_recon_tol"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
         if self.rank_rel_tol >= 1:
             raise ValueError("rank_rel_tol must be < 1")
 
-    def replace(self, **overrides) -> "ToleranceConfig":
-        data = {
-            "rank_rel_tol": self.rank_rel_tol,
-            "psd_tol": self.psd_tol,
-            "root_residual_tol": self.root_residual_tol,
-            "cert_recon_tol": self.cert_recon_tol,
-        }
-        data.update(overrides)
-        return ToleranceConfig(**data)
-
     def as_dict(self) -> dict:
-        return {
-            "rank_rel_tol": self.rank_rel_tol,
-            "psd_tol": self.psd_tol,
-            "root_residual_tol": self.root_residual_tol,
-            "cert_recon_tol": self.cert_recon_tol,
-        }
+        return asdict(self)
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -173,17 +156,6 @@ def partial_transpose_matrix(m: np.ndarray, n: int) -> np.ndarray:
 def partial_trace_second(m: np.ndarray, n: int) -> np.ndarray:
     """Trace out the qubit, leaving an N x N operator on the second factor."""
     return m[:n, :n] + m[n:, n:]
-
-
-def partial_expectation(m: np.ndarray, n: int, e_left: np.ndarray, e_right: np.ndarray) -> np.ndarray:
-    """N x N block <e_left| M |e_right>, contracting only the qubit factor."""
-    el = np.conj(np.asarray(e_left, dtype=complex))
-    er = np.asarray(e_right, dtype=complex)
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            out += el[a] * er[b] * m[a * n:(a + 1) * n, b * n:(b + 1) * n]
-    return out
 
 
 class RankInfo(NamedTuple):
@@ -282,11 +254,6 @@ def psd_difference_check(x, y, tol: ToleranceConfig | None = None) -> bool:
             return False
     contraction = _psd_sqrt(y) @ _psd_inv_sqrt(x, tol)
     return operator_norm(contraction) ** 2 <= 1.0 + tol.psd_tol
-
-
-def partial_transpose(state: "DensityState") -> "DensityState":
-    """Partial transpose of a state; the result may fail the PSD invariant."""
-    return DensityState(state.pt_matrix, n=state.n, tol=state.tol, require_psd=False)
 
 
 class DensityState:

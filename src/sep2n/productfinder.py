@@ -39,7 +39,6 @@ __all__ = [
     "paired_products",
     "real_e_products",
     "kernel_product_vector",
-    "kernel_contractions_independent",
     "build_paired_system",
     "eliminate_paired",
 ]
@@ -50,9 +49,9 @@ class NonGenericInput(Exception):
 
 
 # Deterministic sample parameters used when a search hits an infinite family:
-# four fixed complex values and four real ones, plus the e = |0> chart.
-SAMPLE_COMPLEX_ALPHAS = (0.437 + 0.821j, -1.133 + 0.294j, 0.512 - 0.668j, -0.274 - 1.147j)
-SAMPLE_REAL_ALPHAS = (0.0, 1.0, -1.0, 0.5)
+# four fixed complex values and four real ones.
+SAMPLE_ALPHAS = (0.437 + 0.821j, -1.133 + 0.294j, 0.512 - 0.668j, -0.274 - 1.147j,
+                 0.0, 1.0, -1.0, 0.5)
 REAL_ALPHA_GRID = (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 / 3.0)
 
 # Identically-zero threshold for interpolated determinant coefficients
@@ -134,7 +133,10 @@ class InfiniteFamily:
 
 @dataclass
 class ConstraintSystem:
-    """Orthocomplement blocks of a paired search plus its determinant polynomials."""
+    """Orthocomplement blocks of a paired search plus its determinant polynomials.
+
+    A single-subspace search is the system whose partner block is empty.
+    """
 
     a1: np.ndarray
     b1: np.ndarray
@@ -146,10 +148,16 @@ class ConstraintSystem:
     dets: list[BivariatePoly]
     selections: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
+    def __post_init__(self):
+        # the constraint rows at alpha are alpha * A* + B*
+        self.conj_blocks = tuple(np.conj(x) for x in (self.a1, self.b1, self.a2, self.b2))
+
     def stacked(self, alpha: complex) -> np.ndarray:
-        top = alpha * np.conj(self.a1) + np.conj(self.b1)
-        bottom = np.conj(alpha) * np.conj(self.a2) + np.conj(self.b2)
-        return np.vstack([top, bottom])
+        ac1, bc1, ac2, bc2 = self.conj_blocks
+        top = alpha * ac1 + bc1
+        if not ac2.shape[0]:
+            return top
+        return np.vstack([top, np.conj(alpha) * ac2 + bc2])
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +183,18 @@ def _blocks(comp: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return comp[:n, :].T.copy(), comp[n:, :].T.copy()
 
 
-def _membership_residual(h: np.ndarray, v: np.ndarray) -> float:
-    return float(np.linalg.norm(v - h @ (h.conj().T @ v)))
+def _single_system(h: np.ndarray, n: int) -> ConstraintSystem:
+    """Constraints of |e,f> in H alone: a paired system with no partner rows."""
+    a, b = _blocks(orthonormal_complement(h), n)
+    empty = np.zeros((0, n), dtype=complex)
+    return ConstraintSystem(a1=a, b1=b, a2=empty, b2=empty, n=n, m1=h.shape[1], m2=2 * n,
+                            dets=[], selections=[])
 
 
-def _membership_tol(tol: ToleranceConfig) -> float:
-    return 10.0 * tol.root_residual_tol
+def in_range(basis: np.ndarray, vec: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Whether vec lies in the span of the orthonormal columns of basis."""
+    residual = float(np.linalg.norm(vec - basis @ (basis.conj().T @ vec)))
+    return residual <= 10.0 * tol.root_residual_tol
 
 
 def _smallest_null_vector(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,41 +244,32 @@ def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# single-subspace search
+# fixed-alpha solves
 # ---------------------------------------------------------------------------
 
-def _family_samples_single(ac: np.ndarray, bc: np.ndarray, h: np.ndarray,
-                           n: int, tol: ToleranceConfig) -> list[ProductVector]:
-    samples = []
-    for alpha in SAMPLE_COMPLEX_ALPHAS + SAMPLE_REAL_ALPHAS:
-        v = _solve_f_single(ac, bc, alpha, n)
-        if v is not None and _membership_residual(h, v.vector) <= _membership_tol(tol):
-            samples.append(v)
-    inf_v = _alpha_infinity_single(ac, n, tol)
-    if inf_v is not None and _membership_residual(h, inf_v.vector) <= _membership_tol(tol):
-        samples.append(inf_v)
-    return samples
+def _has_null(s: np.ndarray, k: int, alpha: complex) -> bool:
+    """Whether the k-th largest singular value of a constraint matrix is numerically zero.
+
+    ``s`` holds the singular values of the N-column matrix; those past
+    ``s.size`` (fewer rows than k) are zero.  Constraint rows come from
+    orthonormal complements, so the matrix scale is O(1 + |alpha|); anchoring
+    there keeps the test meaningful when the whole matrix nearly vanishes
+    (e.g. at repeated roots).
+    """
+    return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), 1.0 + abs(alpha))
 
 
-def _null_scale(s: np.ndarray, alpha: complex) -> float:
-    # constraint rows come from orthonormal complements, so the matrix scale
-    # is O(1 + |alpha|); anchoring there keeps the test meaningful when the
-    # whole matrix nearly vanishes (e.g. at repeated roots)
-    top = float(s[0]) if s.size else 0.0
-    return max(top, 1.0 + abs(alpha))
-
-
-def _refine_alpha_f(ac1, bc1, ac2, bc2, alpha: complex, rounds: int = 3):
+def _refine_alpha_f(cs: ConstraintSystem, alpha: complex, rounds: int = 3):
     """Alternate between the best alpha for f and the best f for alpha.
 
     The joint least-squares alpha given f is closed-form; this repairs the
     sqrt-of-epsilon splitting that companion eigenvalues suffer at repeated
     roots.
     """
+    ac1, bc1, ac2, bc2 = cs.conj_blocks
     f = None
     for _ in range(rounds):
-        m = np.vstack([alpha * ac1 + bc1, np.conj(alpha) * ac2 + bc2])
-        f, _s = _smallest_null_vector(m)
+        f, _s = _smallest_null_vector(cs.stacked(alpha))
         x1, y1 = ac1 @ f, bc1 @ f
         x2, y2 = ac2 @ f, bc2 @ f
         denom = float(np.real(np.vdot(x1, x1) + np.vdot(x2, x2)))
@@ -274,28 +279,45 @@ def _refine_alpha_f(ac1, bc1, ac2, bc2, alpha: complex, rounds: int = 3):
     return alpha, f
 
 
-def _solve_f_single(ac, bc, alpha, n) -> ProductVector | None:
-    m = alpha * ac + bc
-    if m.shape[0] == 0:
-        f = np.zeros(n, dtype=complex)
-        f[0] = 1.0
-        return ProductVector.from_alpha(alpha, f)
-    f, s = _smallest_null_vector(m)
-    if s.size and m.shape[0] >= n and s[min(n, s.size) - 1] > NULL_ACCEPT * _null_scale(s, alpha):
-        return None
-    return ProductVector.from_alpha(alpha, f)
+def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray | None,
+                    tol: ToleranceConfig) -> list[ProductVector]:
+    """Product vectors at e = e(alpha), one solve for each alpha in ``alphas``.
+
+    A vector is kept when |e,f> lies in H1 and, unless ``h2`` is None,
+    |e*,f> lies in H2.  At finite alpha f is the smallest right singular
+    vector of the stacked constraints, kept only where they drop rank; at
+    None (e = |0>) it is the first kernel vector of the alpha-coefficient
+    rows.  With no constraint rows f is the first basis vector.  A paired
+    chart point whose f is not unique is outside the generic case.
+    """
+    first = np.eye(cs.n, 1, dtype=complex)
+    found = []
+    for alpha in alphas:
+        if alpha is None:
+            rows = np.vstack(cs.conj_blocks[::2])
+            kernel = numerical_rank_kernel(rows, tol).kernel_basis if rows.shape[0] else first
+            if kernel.shape[1] == 0:
+                continue
+            if h2 is not None and kernel.shape[1] > 1:
+                raise NonGenericInput("alpha-infinity solution space has dimension > 1")
+            f = kernel[:, 0]
+        else:
+            m = cs.stacked(alpha)
+            f = first[:, 0]
+            if m.shape[0]:
+                f, s = _smallest_null_vector(m)
+                if not _has_null(s, cs.n, alpha):
+                    continue
+        v = ProductVector.from_alpha(alpha, f)
+        if in_range(h1, v.vector, tol) and (
+                h2 is None or in_range(h2, v.conjugate_partner.vector, tol)):
+            found.append(v)
+    return found
 
 
-def _alpha_infinity_single(ac, n, tol) -> ProductVector | None:
-    if ac.shape[0] == 0:
-        f = np.zeros(n, dtype=complex)
-        f[0] = 1.0
-        return ProductVector.from_alpha(None, f)
-    info = numerical_rank_kernel(ac, tol)
-    if info.kernel_basis.shape[1] == 0:
-        return None
-    return ProductVector.from_alpha(None, info.kernel_basis[:, 0])
-
+# ---------------------------------------------------------------------------
+# single-subspace search
+# ---------------------------------------------------------------------------
 
 def products_in_subspace(h, tol: ToleranceConfig | None = None):
     """All product vectors in a subspace, or an InfiniteFamily marker.
@@ -311,62 +333,45 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
     n = two_n // 2
     if m == 0:
         return []
-    comp = orthonormal_complement(h)
-    a, b = _blocks(comp, n)
-    ac, bc = np.conj(a), np.conj(b)
-
+    cs = _single_system(h, n)
+    samples = SAMPLE_ALPHAS + (None,)
     if m > n:
-        return InfiniteFamily(samples=_family_samples_single(ac, bc, h, n, tol),
+        return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                               note="subspace dimension exceeds N")
 
-    if m == n:
-        det = det_poly_univariate(ac, bc)
-        if np.max(np.abs(det.coeffs)) <= DET_ZERO_TOL:
-            return InfiniteFamily(samples=_family_samples_single(ac, bc, h, n, tol),
-                                  note="determinant vanishes identically")
-        candidates = list(univariate_roots(det, tol)) if det.degree >= 1 else []
-        found = _collect_single(candidates, ac, bc, h, n, tol)
-        inf_v = _alpha_infinity_single(ac, n, tol)
-        if inf_v is not None and _membership_residual(h, inf_v.vector) <= _membership_tol(tol):
-            found.append(inf_v)
-        return sorted(found, key=_sort_key)
-
-    # m < n: overdetermined; candidates from the first non-degenerate
-    # N-row determinant, verified against the full stack
-    rows = ac.shape[0]
+    # m = n has one N-row determinant; m < n is overdetermined, with
+    # candidates from the first non-degenerate N-row determinant, verified
+    # against the full stack
+    ac, bc = cs.conj_blocks[:2]
     candidates: list[complex] = []
-    for sel in combinations(range(rows), n):
+    for sel in combinations(range(ac.shape[0]), n):
         det = det_poly_univariate(ac[list(sel)], bc[list(sel)])
-        if np.max(np.abs(det.coeffs)) <= DET_ZERO_TOL:
-            continue
-        if det.degree >= 1:
-            candidates = list(univariate_roots(det, tol))
-        break
-    found = _collect_single(candidates, ac, bc, h, n, tol)
-    if np.linalg.matrix_rank(ac) < n:
-        inf_v = _alpha_infinity_single(ac, n, tol)
-        if inf_v is not None and _membership_residual(h, inf_v.vector) <= _membership_tol(tol):
-            found.append(inf_v)
+        if np.max(np.abs(det.coeffs)) > DET_ZERO_TOL:
+            candidates = list(univariate_roots(det, tol)) if det.degree >= 1 else []
+            break
+        if m == n:
+            return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
+                                  note="determinant vanishes identically")
+    found = _collect_single(candidates, cs, h, tol)
+    if m == n or np.linalg.matrix_rank(ac) < n:
+        found += _chart_products(cs, (None,), h, None, tol)
     return sorted(found, key=_sort_key)
 
 
-def _collect_single(candidates, ac, bc, h, n, tol) -> list[ProductVector]:
+def _collect_single(candidates, cs: ConstraintSystem, h, tol) -> list[ProductVector]:
     found = []
     seen: list[complex] = []
-    empty = np.zeros((0, n), dtype=complex)
     for alpha in candidates:
         alpha = complex(alpha)
         if any(abs(alpha - s) <= 1e-6 for s in seen):
             continue
-        alpha, f = _refine_alpha_f(ac, bc, empty, empty, alpha)
+        alpha, f = _refine_alpha_f(cs, alpha)
         if f is None or any(abs(alpha - s) <= 1e-6 for s in seen):
             continue
-        m = alpha * ac + bc
-        s = np.linalg.svd(m, compute_uv=False)
-        if m.shape[0] >= n and s[min(n, s.size) - 1] > NULL_ACCEPT * _null_scale(s, alpha):
+        if not _has_null(np.linalg.svd(cs.stacked(alpha), compute_uv=False), cs.n, alpha):
             continue
         v = ProductVector.from_alpha(alpha, f)
-        if _membership_residual(h, v.vector) <= _membership_tol(tol):
+        if in_range(h, v.vector, tol):
             found.append(v)
             seen.append(alpha)
     return found
@@ -417,12 +422,10 @@ def build_paired_system(h1, h2, tol: ToleranceConfig | None = None) -> Constrain
     a1, b1 = _blocks(comp1, n)
     a2, b2 = _blocks(comp2, n)
     r1, r2 = a1.shape[0], a2.shape[0]
-
-    dets: list[BivariatePoly] = []
-    selections: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=m1, m2=m2,
+                          dets=[], selections=[])
     if r1 + r2 >= n:
-        ac1, bc1 = np.conj(a1), np.conj(b1)
-        ac2, bc2 = np.conj(a2), np.conj(b2)
+        ac1, bc1, ac2, bc2 = cs.conj_blocks
         sels = _row_selections(r1, r2, n)
         # the fixed whole block must stay independent for the shortcut to be
         # exhaustive; fall back to a full mixed enumeration otherwise
@@ -446,10 +449,9 @@ def build_paired_system(h1, h2, tol: ToleranceConfig | None = None) -> Constrain
                                      (ac2[list(sel2)], bc2[list(sel2)]))
             if np.max(np.abs(det.coeffs)) <= DET_ZERO_TOL:
                 continue
-            dets.append(det)
-            selections.append((sel1, sel2))
-    return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=m1, m2=m2,
-                            dets=dets, selections=selections)
+            cs.dets.append(det)
+            cs.selections.append((sel1, sel2))
+    return cs
 
 
 def eliminate_paired(cs: ConstraintSystem, tol: ToleranceConfig | None = None):
@@ -489,38 +491,6 @@ def eliminate_paired(cs: ConstraintSystem, tol: ToleranceConfig | None = None):
                "bound": bound}
 
 
-def _family_samples_paired(cs: ConstraintSystem, h1, h2, tol) -> list[ProductVector]:
-    samples = []
-    for alpha in SAMPLE_COMPLEX_ALPHAS + SAMPLE_REAL_ALPHAS:
-        m = cs.stacked(alpha)
-        if m.shape[0] == 0:
-            f = np.zeros(cs.n, dtype=complex)
-            f[0] = 1.0
-            v = ProductVector.from_alpha(alpha, f)
-        else:
-            f, _ = _smallest_null_vector(m)
-            v = ProductVector.from_alpha(alpha, f)
-        if (_membership_residual(h1, v.vector) <= _membership_tol(tol)
-                and _membership_residual(h2, v.conjugate_partner.vector) <= _membership_tol(tol)):
-            samples.append(v)
-    return samples
-
-
-def _alpha_infinity_paired(cs: ConstraintSystem, tol) -> ProductVector | None:
-    stack = np.vstack([np.conj(cs.a1), np.conj(cs.a2)])
-    if stack.shape[0] == 0:
-        f = np.zeros(cs.n, dtype=complex)
-        f[0] = 1.0
-        return ProductVector.from_alpha(None, f)
-    info = numerical_rank_kernel(stack, tol)
-    null_dim = info.kernel_basis.shape[1]
-    if null_dim == 0:
-        return None
-    if null_dim > 1:
-        raise NonGenericInput("alpha-infinity solution space has dimension > 1")
-    return ProductVector.from_alpha(None, info.kernel_basis[:, 0])
-
-
 def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     """Product vectors with |e,f> in H1 and the conjugate partner in H2.
 
@@ -540,10 +510,10 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     n = h1.shape[0] // 2
     cs = build_paired_system(h1, h2, tol)
     if cs.m1 + cs.m2 > 3 * n:
-        return InfiniteFamily(samples=_family_samples_paired(cs, h1, h2, tol),
+        return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="dimension count exceeds 3N")
     if not cs.dets:
-        return InfiniteFamily(samples=_family_samples_paired(cs, h1, h2, tol),
+        return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="all determinants vanish identically")
     try:
         q, diag = eliminate_paired(cs, tol)
@@ -555,31 +525,21 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     found: list[ProductVector] = []
     for alpha in rootset.roots:
         v = _vector_at_root(cs, alpha, tol)
-        if v is None:
-            continue
-        if (_membership_residual(h1, v.vector) <= _membership_tol(tol)
-                and _membership_residual(h2, v.conjugate_partner.vector) <= _membership_tol(tol)):
+        if (v is not None and in_range(h1, v.vector, tol)
+                and in_range(h2, v.conjugate_partner.vector, tol)):
             found.append(v)
-    inf_v = _alpha_infinity_paired(cs, tol)
-    if inf_v is not None:
-        if (_membership_residual(h1, inf_v.vector) <= _membership_tol(tol)
-                and _membership_residual(h2, inf_v.conjugate_partner.vector) <= _membership_tol(tol)):
-            found.append(inf_v)
+    found += _chart_products(cs, (None,), h1, h2, tol)
     return sorted(found, key=_sort_key)
 
 
 def _vector_at_root(cs: ConstraintSystem, alpha: complex, tol) -> ProductVector | None:
-    alpha, f = _refine_alpha_f(np.conj(cs.a1), np.conj(cs.b1),
-                               np.conj(cs.a2), np.conj(cs.b2), alpha)
+    alpha, f = _refine_alpha_f(cs, alpha)
     if f is None:
         return None
-    m = cs.stacked(alpha)
-    s = np.linalg.svd(m, compute_uv=False)
-    scale = _null_scale(s, alpha)
-    sigmas = np.concatenate([s, np.zeros(max(0, cs.n - s.size))])
-    if sigmas[cs.n - 1] > NULL_ACCEPT * scale:
+    s = np.linalg.svd(cs.stacked(alpha), compute_uv=False)
+    if not _has_null(s, cs.n, alpha):
         return None
-    if cs.n >= 2 and sigmas[cs.n - 2] <= NULL_ACCEPT * scale:
+    if cs.n >= 2 and _has_null(s, cs.n - 1, alpha):
         raise NonGenericInput(
             f"solution space at alpha={alpha:.6g} has dimension > 1")
     return ProductVector.from_alpha(alpha, f)
@@ -601,18 +561,7 @@ def real_e_products(h, tol: ToleranceConfig | None = None) -> list[ProductVector
     n = two_n // 2
     if m <= n:
         raise ValueError(f"real-e search needs dim(H) > N, got dim {m} with N={n}")
-    comp = orthonormal_complement(h)
-    a, b = _blocks(comp, n)
-    ac, bc = np.conj(a), np.conj(b)
-    found = []
-    for alpha in REAL_ALPHA_GRID:
-        v = _solve_f_single(ac, bc, alpha, n)
-        if v is not None and _membership_residual(h, v.vector) <= _membership_tol(tol):
-            found.append(v)
-    inf_v = _alpha_infinity_single(ac, n, tol)
-    if inf_v is not None and _membership_residual(h, inf_v.vector) <= _membership_tol(tol):
-        found.append(inf_v)
-    return found
+    return _chart_products(_single_system(h, n), REAL_ALPHA_GRID + (None,), h, None, tol)
 
 
 def kernel_product_vector(state, tol: ToleranceConfig | None = None) -> ProductVector | None:
@@ -637,26 +586,3 @@ def kernel_product_vector(state, tol: ToleranceConfig | None = None) -> ProductV
         if np.linalg.norm(state.pt_matrix @ partner) <= 1e-6 * pt_norm:
             return v
     return None
-
-
-def kernel_contractions_independent(state, e) -> bool:
-    """Check that the qubit contractions of the kernel basis stay independent.
-
-    Contracting each kernel vector with a fixed e in C2 yields k(rho)
-    vectors in CN; their independence (for every e) is what licenses fixing
-    a whole constraint block during the paired search.  Vacuously true for
-    trivial kernels.
-    """
-    kernel = state.kernel_basis
-    k = kernel.shape[1]
-    if k == 0:
-        return True
-    e = np.asarray(e, dtype=complex)
-    e = e / np.linalg.norm(e)
-    n = state.n
-    contracted = np.conj(e[0]) * kernel[:n, :] + np.conj(e[1]) * kernel[n:, :]
-    # kernel columns are orthonormal and e is unit, so the singular values
-    # live on an O(1) scale; a relative cutoff would misread a near-zero
-    # contraction as full rank
-    s = np.linalg.svd(contracted, compute_uv=False)
-    return int(np.count_nonzero(s > state.tol.rank_rel_tol * max(1.0, float(s[0])))) == k

@@ -29,6 +29,7 @@ from .productfinder import (
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
+    in_range,
     kernel_product_vector,
     paired_products,
     real_e_products,
@@ -140,10 +141,6 @@ class ReductionTrace:
 # subtraction primitives
 # ---------------------------------------------------------------------------
 
-def _range_residual(basis: np.ndarray, vec: np.ndarray) -> float:
-    return float(np.linalg.norm(vec - basis @ (basis.conj().T @ vec)))
-
-
 def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
     """Maximal subtraction weights keeping the state and its transpose positive.
 
@@ -151,13 +148,11 @@ def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
     partial transpose; the weights are the inverse quadratic forms of the
     pseudoinverses along those vectors.
     """
-    tol = state.tol
-    mt = 10.0 * tol.root_residual_tol
     vec = v.vector
     partner = v.conjugate_partner.vector
-    if _range_residual(state.range_basis, vec) > mt:
+    if not in_range(state.range_basis, vec, state.tol):
         raise VectorOutsideRange("|e,f> is not in the range of the state")
-    if _range_residual(state.pt_range_basis, partner) > mt:
+    if not in_range(state.pt_range_basis, partner, state.tol):
         raise VectorOutsideRange("|e*,f> is not in the range of the partial transpose")
     q = float(np.real(np.vdot(vec, state.pseudoinverse() @ vec)))
     qbar = float(np.real(np.vdot(partner, state.pt_pseudoinverse() @ partner)))
@@ -603,8 +598,9 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
     lift = np.eye(state0.n, dtype=complex)
     base = None
     base_lift = None
-    nongeneric = False
-    infinite_unresolved = False
+    # why an inconclusive answer is given; NonGenericInput outranks an
+    # unresolved infinite family, and ReductionStalled is the default
+    reason = None
     # entangled claims must not rest on fragile integer-rank decisions;
     # any borderline spectrum seen along the way poisons exhaustiveness
     borderline_seen = bool(state0.warnings)
@@ -650,13 +646,13 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                                              ranks_before=(cur.rank, cur.pt_rank)))
                 return assemble(sub_cert.terms, lift), trace
             except (NonGenericInput, ValueError):
-                nongeneric = True
+                reason = REASON_NON_GENERIC
 
         try:
             v = kernel_product_vector(cur, tol)
         except NonGenericInput:
             v = None
-            nongeneric = True
+            reason = REASON_NON_GENERIC
         if v is not None:
             try:
                 rb = (cur.rank, cur.pt_rank)
@@ -675,10 +671,10 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                 # support looked full but the kernel line is annihilated:
                 # borderline rank decision, do not loop on it
                 trace.notes.append("support violation during kernel reduction")
-                nongeneric = True
+                reason = REASON_NON_GENERIC
                 break
             except NonGenericInput:
-                nongeneric = True
+                reason = REASON_NON_GENERIC
 
         if cur.rank == m_dim:
             if cur.pt_rank != m_dim:
@@ -688,7 +684,7 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                 sub_cert = decompose_rank_n(cur, tol)
             except NonGenericInput as exc:
                 trace.notes.append(f"constructive decomposition degenerated: {exc}")
-                nongeneric = True
+                reason = REASON_NON_GENERIC
                 break
             trace.steps.append(TraceStep(op="rank-n-decompose", n_before=m_dim,
                                          ranks_before=(cur.rank, cur.pt_rank)))
@@ -700,7 +696,7 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                 sub_cert = decompose_rank_n(pt_state, tol)
             except (NonGenericInput, ValueError) as exc:
                 trace.notes.append(f"transpose-side decomposition degenerated: {exc}")
-                nongeneric = True
+                reason = REASON_NON_GENERIC
                 break
             flipped = [(w, ProductVector.from_e_f(np.conj(pv.e), pv.f)) for w, pv in sub_cert.terms]
             trace.steps.append(TraceStep(op="rank-n-decompose-pt", n_before=m_dim,
@@ -711,7 +707,7 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
             res = paired_products(cur.range_basis, cur.pt_range_basis, tol)
         except NonGenericInput as exc:
             trace.notes.append(f"paired search degenerated: {exc}")
-            nongeneric = True
+            reason = REASON_NON_GENERIC
             break
 
         if isinstance(res, InfiniteFamily):
@@ -719,14 +715,14 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                 trace.notes.append("infinite family below the 3N threshold (non-generic)")
             best = _best_subtraction(cur, res.samples)
             if best is None:
-                infinite_unresolved = True
+                reason = reason or REASON_INFINITE_FAMILY
                 break
             rb = (cur.rank, cur.pt_rank)
             try:
                 new_cur, lam, case = subtract(cur, best)
             except (VectorOutsideRange, ValueError) as exc:
                 trace.notes.append(f"sample subtraction failed: {exc}")
-                infinite_unresolved = True
+                reason = reason or REASON_INFINITE_FAMILY
                 break
             terms.append((lam, _lift_pv(best, lift)))
             trace.nonexhaustive_subtraction = True
@@ -743,7 +739,7 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                 break
             if borderline_seen:
                 trace.notes.append("empty enumeration discarded: borderline rank decisions")
-                nongeneric = True
+                reason = REASON_NON_GENERIC
                 break
             trace.exhaustive_enumeration = True
             trace.steps.append(TraceStep(op="enumeration-empty", n_before=m_dim,
@@ -755,7 +751,7 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
             bio = biorthogonal_check(cur, res, tol)
         except DependentProjectors as exc:
             trace.notes.append(f"dependent projectors: {exc}")
-            nongeneric = True
+            reason = REASON_NON_GENERIC
             break
         if bio.kind is VerdictKind.SEPARABLE:
             trace.exhaustive_enumeration = not trace.nonexhaustive_subtraction
@@ -768,7 +764,7 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
             break
         if borderline_seen:
             trace.notes.append("negative expansion discarded: borderline rank decisions")
-            nongeneric = True
+            reason = REASON_NON_GENERIC
             break
         trace.exhaustive_enumeration = True
         trace.steps.append(TraceStep(op="biorthogonal", n_before=m_dim,
@@ -788,10 +784,4 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
                 trace.steps.append(TraceStep(op="fallback-sufficient"))
                 return Verdict(VerdictKind.SEPARABLE, certificate=cert), trace
 
-    if nongeneric:
-        reason = REASON_NON_GENERIC
-    elif infinite_unresolved:
-        reason = REASON_INFINITE_FAMILY
-    else:
-        reason = REASON_REDUCTION_STALLED
-    return Verdict(VerdictKind.INCONCLUSIVE, reason=reason), trace
+    return Verdict(VerdictKind.INCONCLUSIVE, reason=reason or REASON_REDUCTION_STALLED), trace

@@ -99,6 +99,17 @@ def random_ppt_mixture(rng, n):
 # linear-algebra oracles
 # ---------------------------------------------------------------------------
 
+def partial_expectation(m, n, e_left, e_right):
+    """N x N block <e_left| M |e_right>, contracting only the qubit factor."""
+    el = np.conj(np.asarray(e_left, dtype=complex))
+    er = np.asarray(e_right, dtype=complex)
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            out += el[a] * er[b] * m[a * n:(a + 1) * n, b * n:(b + 1) * n]
+    return out
+
+
 def eig_rank(m, rel_cutoff=1e-9):
     """Rank by counting eigenvalue magnitudes (Hermitian input)."""
     w = np.abs(np.linalg.eigvalsh(hermitize(np.asarray(m, dtype=complex))))

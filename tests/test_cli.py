@@ -144,6 +144,31 @@ class TestVerifyCommand:
         r2.write_text(json.dumps(doc["report"]))
         assert main(["verify", str(s), str(r2)]) != 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", None), ("e", None), ("f", None),
+        ("weight", "heavy"), ("e", [[1.0, 0.0]]),
+    ], ids=["no-weight", "no-e", "no-f", "text-weight", "one-entry-e"])
+    def test_malformed_term_is_input_error(self, tmp_path, capsys, field, value):
+        s, r = self._analyzed_pair(tmp_path)
+        doc = json.loads(r.read_text())
+        term = doc["report"]["certificate"]["terms"][0]
+        if value is None:
+            del term[field]
+        else:
+            term[field] = value
+        r.write_text(json.dumps(doc))
+        assert main(["verify", str(s), str(r)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @staticmethod
+    def _analyzed_pair(tmp_path):
+        s = tmp_path / "s.json"
+        main(["generate", "--kind", "rank-n-separable", "--n", "2", "--seed", "4",
+              "--out", str(s)])
+        r = tmp_path / "r.json"
+        main(["analyze", str(s), "--report", str(r)])
+        return s, r
+
 
 class TestBatchCommand:
     def test_mixed_directory(self, tmp_path):
@@ -167,11 +192,18 @@ class TestBatchCommand:
         main(["generate", "--kind", "rank-n-separable", "--n", "2", "--seed", "0",
               "--out", str(d / "good.json")])
         (d / "bad.json").write_text("{broken")
+        doc = json.loads((d / "good.json").read_text())
+        doc["n"] = None
+        (d / "badn.json").write_text(json.dumps(doc))
         assert main(["batch", str(d), "--jobs", "1"]) == 0
         out = capsys.readouterr().out
-        assert "error" in out
+        rows = {parts[0]: parts[1] for parts in map(str.split, out.splitlines())
+                if parts and parts[0].endswith(".json")}
+        assert rows["bad.json"] == "error" and rows["badn.json"] == "error"
+        assert rows["good.json"] == "separable"
         assert (d / "good.report.json").exists()
         assert not (d / "bad.report.json").exists()
+        assert not (d / "badn.report.json").exists()
 
     def test_aggregate_counts_match_generator_manifest(self, tmp_path):
         # generator labels are ground truth for the npt / separable kinds
@@ -238,6 +270,16 @@ class TestStateFileRoundTrip:
         rec1 = verdict.certificate.reconstruct(6)
         rec2 = cert.reconstruct(6)
         assert np.allclose(rec1, rec2, atol=1e-14)
+
+    @pytest.mark.parametrize("bad_n", [None, "two", [2]], ids=["null", "string", "list"])
+    def test_bad_n_is_input_error(self, tmp_path, capsys, bad_n):
+        p = tmp_path / "s.json"
+        write_state(p, np.eye(4, dtype=complex) / 4, 2)
+        doc = json.loads(p.read_text())
+        doc["n"] = bad_n
+        p.write_text(json.dumps(doc))
+        assert main(["analyze", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_generator_parameter_validation(self):
         with pytest.raises(Exception):

@@ -8,8 +8,6 @@ from sep2n.matrixcore import (
     numerical_rank_kernel,
     operator_norm,
     operator_norm_at_most,
-    partial_expectation,
-    partial_transpose,
     partial_transpose_matrix,
     pseudoinverse,
     psd_difference_check,
@@ -19,6 +17,7 @@ from sep2n.productfinder import ProductVector
 from helpers import (
     build_separable,
     eig_rank,
+    partial_expectation,
     power_iteration_norm,
     psd_difference_oracle,
     random_product_vector,
@@ -71,15 +70,6 @@ class TestPartialTranspose:
             lhs = partial_expectation(m, n, ei, ej)
             rhs = partial_expectation(pt, n, np.conj(ej), np.conj(ei))
             assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_state_level_operation(self):
-        rng = np.random.default_rng(3)
-        m, _, _ = build_separable(rng, 3, 4)
-        state = DensityState(m)
-        pt_state = partial_transpose(state)
-        assert np.allclose(pt_state.matrix, state.pt_matrix)
-        back = partial_transpose(pt_state)
-        assert np.allclose(back.matrix, state.matrix, atol=1e-12)
 
 
 class TestRankKernel:

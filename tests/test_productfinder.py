@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sep2n.matrixcore import DensityState
+from sep2n.matrixcore import DensityState, ToleranceConfig
 from sep2n.productfinder import (
     InfiniteFamily,
+    NonGenericInput,
     ProductVector,
+    _chart_products,
     build_paired_system,
     eliminate_paired,
-    kernel_contractions_independent,
     kernel_product_vector,
     paired_products,
     products_in_subspace,
@@ -25,6 +26,12 @@ def basis_vec(n, i, k):
 
 def membership_residual(h, v):
     return np.linalg.norm(v - h @ (h.conj().T @ v))
+
+
+# the alphas every infinite-family search samples, and the real-e grid
+SAMPLES = [0.437 + 0.821j, -1.133 + 0.294j, 0.512 - 0.668j, -0.274 - 1.147j,
+           0.0, 1.0, -1.0, 0.5]
+REAL_GRID = [0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 / 3.0]
 
 
 class TestProductVector:
@@ -76,7 +83,7 @@ class TestProductsInSubspace:
     def test_full_space_infinite(self):
         res = products_in_subspace(np.eye(6, dtype=complex))
         assert isinstance(res, InfiniteFamily)
-        assert len(res.samples) >= 8
+        assert [v.alpha for v in res.samples] == SAMPLES + [None]
         for v in res.samples:
             assert abs(np.linalg.norm(v.vector) - 1) < 1e-10
 
@@ -165,7 +172,27 @@ class TestPairedProducts:
         eye = np.eye(8, dtype=complex)
         res = paired_products(eye, eye)
         assert isinstance(res, InfiniteFamily)
-        assert len(res.samples) >= 8
+        assert res.note == "dimension count exceeds 3N"
+        # the paired search samples no chart point
+        assert [v.alpha for v in res.samples] == SAMPLES
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("dim_f", [1, 2])
+    def test_all_determinants_vanish(self, n, dim_f):
+        # H1 = H2 = C2 x F: every e has an f in F, so the constraint stack
+        # (4(N - dim F) >= N rows) drops rank for every alpha
+        rng = np.random.default_rng(100 * n + dim_f)
+        f_basis = np.linalg.qr(rng.standard_normal((n, dim_f))
+                               + 1j * rng.standard_normal((n, dim_f)))[0]
+        h = np.kron(np.eye(2), f_basis)
+        assert 4 * (n - dim_f) >= n
+        res = paired_products(h, h)
+        assert isinstance(res, InfiniteFamily)
+        assert res.note == "all determinants vanish identically"
+        assert [v.alpha for v in res.samples] == SAMPLES
+        for v in res.samples:
+            assert membership_residual(h, v.vector) < 1e-7
+            assert membership_residual(h, v.conjugate_partner.vector) < 1e-7
 
     def test_rank_six_six_degree_bound(self):
         rng = np.random.default_rng(5)
@@ -242,10 +269,62 @@ class TestPairedProducts:
         assert sets_match(alphas, oracle, radius=1e-5)
 
 
+class TestUniqueFAtSharedE:
+    """A product vector planted at one e: found when its f is unique, else non-generic.
+
+    H1 holds e x F and H2 holds e* x F, each beside random directions; e is
+    the chart point |0> (alpha None) or a finite alpha.
+    """
+
+    CASES = [((1.0, 0.0), None, "alpha-infinity"),
+             ((0.3 - 0.7j, 1.0), 0.3 - 0.7j, "solution space at alpha")]
+
+    @staticmethod
+    def _planted(rng, e, dim_f, extra, n=4):
+        e = np.array(e, dtype=complex)[:, None]
+        f_basis = np.linalg.qr(rng.standard_normal((n, dim_f))
+                               + 1j * rng.standard_normal((n, dim_f)))[0]
+        return [np.linalg.qr(np.column_stack([np.kron(qubit, f_basis),
+                                              rng.standard_normal((2 * n, extra))
+                                              + 1j * rng.standard_normal((2 * n, extra))]))[0]
+                for qubit in (e, np.conj(e))]
+
+    @pytest.mark.parametrize("e, alpha, _msg", CASES)
+    def test_unique_f_found(self, e, alpha, _msg):
+        h1, h2 = self._planted(np.random.default_rng(30), e, 1, 3)
+        res = paired_products(h1, h2)
+        assert isinstance(res, list) and len(res) == 1
+        if alpha is None:
+            assert res[0].alpha is None
+        else:
+            assert abs(res[0].alpha - alpha) < 1e-8
+        assert membership_residual(h1, res[0].vector) < 1e-7
+        assert membership_residual(h2, res[0].conjugate_partner.vector) < 1e-7
+
+    @pytest.mark.parametrize("e, _alpha, msg", CASES)
+    def test_non_unique_f_is_non_generic(self, e, _alpha, msg):
+        h1, h2 = self._planted(np.random.default_rng(31), e, 2, 2)
+        with pytest.raises(NonGenericInput, match=msg):
+            paired_products(h1, h2)
+
+
+class TestChartProducts:
+    def test_partner_checked_against_second_subspace(self):
+        # with no constraint rows f is |0>, so |e*,f> lies in C2 x |0> and
+        # never in C2 x |1>; the single search (h2 None) keeps every vector
+        eye = np.eye(4, dtype=complex)
+        cs = build_paired_system(eye, eye)
+        alphas = SAMPLES + [None]
+        tol = ToleranceConfig()
+        assert len(_chart_products(cs, alphas, eye, eye[:, [0, 2]], tol)) == 9
+        assert _chart_products(cs, alphas, eye, eye[:, [1, 3]], tol) == []
+        assert len(_chart_products(cs, alphas, eye, None, tol)) == 9
+
+
 class TestRealEProducts:
     def test_full_two_by_two(self):
         res = real_e_products(np.eye(4, dtype=complex))
-        assert len(res) >= 1
+        assert [v.alpha for v in res] == REAL_GRID + [None]
         for v in res:
             assert np.allclose(v.e, np.conj(v.e), atol=1e-10)
 
@@ -329,32 +408,6 @@ def _kernel_scan_residual(comp, alpha, n):
         m[:, k] = np.kron(e, f)
     s = np.linalg.svd(comp @ m, compute_uv=False)
     return s[-1]
-
-
-class TestKernelContractionIndependence:
-    def test_vacuous_for_trivial_kernel(self):
-        rng = np.random.default_rng(14)
-        m, _, _ = build_separable(rng, 2, 8)
-        state = DensityState(m)
-        assert kernel_contractions_independent(state, np.array([1.0, 0.0]))
-
-    def test_generic_rank_five(self):
-        rng = np.random.default_rng(15)
-        m, _, _ = build_separable(rng, 4, 5)
-        state = DensityState(m)
-        for _ in range(5):
-            e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            assert kernel_contractions_independent(state, e)
-
-    def test_fails_at_planted_kernel_vector(self):
-        rng = np.random.default_rng(16)
-        n = 3
-        m, pv, _ = _separable_with_planted_kernel(rng, n)
-        state = DensityState(m)
-        # contracting against the direction orthogonal to the planted e
-        # annihilates one kernel direction, so independence must fail
-        ehat = np.array([-np.conj(pv.e[1]), np.conj(pv.e[0])])
-        assert not kernel_contractions_independent(state, ehat)
 
 
 def _separable_with_planted_kernel(rng, n, product_terms=3, eta_rank=2):
