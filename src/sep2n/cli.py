@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -177,10 +178,11 @@ def load_state(path, flag_overrides: dict | None = None) -> tuple[DensityState, 
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "matrix" not in doc or "n" not in doc:
         raise InputError(f"{path}: state file needs 'n' and 'matrix' fields")
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad 'n' field: {exc}") from exc
+    n = doc["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"{path}: bad 'n' field: {n!r} is not an integer")
     try:
         matrix = _matrix_from_json(doc["matrix"])
     except (InputError, TypeError, ValueError) as exc:
@@ -261,15 +263,6 @@ def run_analysis(path, flag_overrides: dict | None = None) -> tuple[dict, int]:
 # generators
 # ---------------------------------------------------------------------------
 
-def _random_product_states(rng, n: int, count: int):
-    vecs = []
-    for _ in range(count):
-        e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        vecs.append(ProductVector.from_e_f(e, f))
-    return vecs
-
-
 def generate_state(kind: str, n: int, rank: int | None, seed: int) -> tuple[np.ndarray, str]:
     """Deterministic test-state construction; self-checked before returning."""
     rng = np.random.default_rng(seed)
@@ -281,7 +274,10 @@ def generate_state(kind: str, n: int, rank: int | None, seed: int) -> tuple[np.n
         if count < 1 or count > 4 * dim:
             raise InputError(f"rank {count} out of range")
         m = np.zeros((dim, dim), dtype=complex)
-        for pv in _random_product_states(rng, n, count):
+        vecs = [ProductVector.from_e_f(rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                                       rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                for _ in range(count)]
+        for pv in vecs:
             m += rng.uniform(0.5, 1.5) * pv.projector()
         m /= np.real(np.trace(m))
         state = DensityState(m, n=n)
@@ -405,12 +401,8 @@ def cmd_batch(args) -> int:
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(work, inputs))
 
-    counts: dict[str, int] = {}
-    times = []
-    for _name, verdict, seconds, err in results:
-        counts[verdict] = counts.get(verdict, 0) + 1
-        if err is None:
-            times.append(seconds)
+    counts = Counter(verdict for _name, verdict, _s, _err in results)
+    times = [seconds for _name, _verdict, seconds, err in results if err is None]
     print(f"{'file':<32} {'verdict':<16} {'seconds':>8}")
     for name, verdict, seconds, err in results:
         extra = f"  ({err})" if err else ""

@@ -12,6 +12,7 @@ back-substitution.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,9 +162,6 @@ class BivariatePoly:
         if conj_val is None:
             conj_val = np.conj(alpha)
         return npoly.polyval2d(alpha, conj_val, self.coeffs)
-
-    def conjugate(self) -> "BivariatePoly":
-        return conjugate_poly(self)
 
     def diagonal(self) -> "UnivariatePoly":
         """Restriction to conj(alpha) -> alpha (real-line slice)."""
@@ -413,38 +411,56 @@ def univariate_roots(q: UnivariatePoly, tol=None) -> np.ndarray:
     if q.degree < 1:
         return np.zeros(0, dtype=complex)
     roots = np.roots(c[::-1])
-    dq = q.derivative()
-    scale = np.linalg.norm(c)
+    coeffs, dcoeffs = c.tolist(), q.derivative().coeffs.tolist()
+    resid = np.empty(roots.size)
     for i, r in enumerate(roots):
-        roots[i] = _newton_polish(q, dq, r)
-    resid = np.abs(q(roots))
-    bound = tol.root_residual_tol * (1.0 + np.abs(roots)) ** q.degree * scale
+        roots[i], resid[i] = _newton_polish(coeffs, dcoeffs, r)
     if np.any(~np.isfinite(roots)):
         raise NonFinite("root finding produced non-finite values")
+    bound = tol.root_residual_tol * (1.0 + np.abs(roots)) ** q.degree * np.linalg.norm(c)
     if np.any(resid > bound):
-        worst = float(np.max(resid / bound))
-        logger.debug("root residuals above bound by factor %.3g", worst)
+        logger.debug("root residuals above bound by factor %.3g", float(np.max(resid / bound)))
     return roots
 
 
-def _newton_polish(q: UnivariatePoly, dq: UnivariatePoly, r: complex, steps: int = 6) -> complex:
-    best, best_res = r, abs(q(r))
+def _horner(c: list, x: complex) -> complex:
+    """``npoly.polyval(x, c)`` in Python complex arithmetic, with the same bits."""
+    v = c[-1] + x * 0
+    for a in reversed(c[:-1]):
+        v = a + v * x
+    return v
+
+
+def _abs(v: complex) -> float:
+    try:
+        return abs(v)
+    except OverflowError:  # finite parts whose modulus overflows; numpy gives inf
+        return math.inf
+
+
+def _newton_polish(c: list, dc: list, r, steps: int = 6):
+    """Damped Newton from ``r`` on ascending coefficients: the best point and its ``|q|``.
+
+    The point is ``r`` itself when no step helps.  Python complex products,
+    sums and ``abs`` round like numpy's scalars; its division does not, so
+    the step divides in numpy.
+    """
+    x = complex(r)
+    best, best_res = r, _abs(_horner(c, x))
     for _ in range(steps):
-        d = dq(r)
-        if abs(d) == 0.0:
+        d = _horner(dc, x)
+        if _abs(d) == 0.0:
             break
-        step = q(r) / d
-        damp = 1.0
-        for _ in range(4):
-            cand = r - damp * step
-            res = abs(q(cand))
+        step = complex(np.complex128(_horner(c, x)) / d)
+        for damp in (1.0, 0.5, 0.25, 0.125):
+            cand = x - damp * step
+            res = _abs(_horner(c, cand))
             if res < best_res:
-                r, best, best_res = cand, cand, res
+                x, best, best_res = cand, cand, res
                 break
-            damp /= 2
         else:
             break
-    return best
+    return best, best_res
 
 
 # Gauss-Newton polish of candidate roots: steps per candidate and step

@@ -87,19 +87,14 @@ class ProductVector:
 
     @classmethod
     def from_alpha(cls, alpha: complex | None, f) -> "ProductVector":
-        if alpha is None:
-            e = np.array([1.0, 0.0], dtype=complex)
-        else:
-            e = _phase_normalize(np.array([alpha, 1.0], dtype=complex))
+        e = (np.array([1.0, 0.0], dtype=complex) if alpha is None
+             else _phase_normalize(np.array([alpha, 1.0], dtype=complex)))
         return cls(e=e, f=_phase_normalize(f), alpha=alpha)
 
     @classmethod
     def from_e_f(cls, e, f) -> "ProductVector":
         e = _phase_normalize(e)
-        if abs(e[1]) <= 1e-12:
-            alpha = None
-        else:
-            alpha = complex(e[0] / e[1])
+        alpha = None if abs(e[1]) <= 1e-12 else complex(e[0] / e[1])
         return cls(e=e, f=_phase_normalize(f), alpha=alpha)
 
     @cached_property
@@ -152,12 +147,14 @@ class ConstraintSystem:
         # the constraint rows at alpha are alpha * A* + B*
         self.conj_blocks = tuple(np.conj(x) for x in (self.a1, self.b1, self.a2, self.b2))
 
-    def stacked(self, alpha: complex) -> np.ndarray:
+    def stacked(self, alphas: np.ndarray, conj_alphas: np.ndarray | None = None) -> np.ndarray:
+        """The (K, rows, N) stack of constraint matrices; conj_alphas defaults to conj(alphas)."""
         ac1, bc1, ac2, bc2 = self.conj_blocks
-        top = alpha * ac1 + bc1
+        top = alphas[:, None, None] * ac1 + bc1
         if not ac2.shape[0]:
             return top
-        return np.vstack([top, np.conj(alpha) * ac2 + bc2])
+        conj = np.conj(alphas) if conj_alphas is None else conj_alphas
+        return np.concatenate([top, conj[:, None, None] * ac2 + bc2], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +194,6 @@ def in_range(basis: np.ndarray, vec: np.ndarray, tol: ToleranceConfig) -> bool:
     return residual <= 10.0 * tol.root_residual_tol
 
 
-def _smallest_null_vector(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right singular vector of the smallest singular value, plus all sigmas."""
-    _u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return vh[-1].conj(), s
-
-
 def _sort_key(v: ProductVector):
     if v.alpha is None:
         return (1, 0.0, 0.0)
@@ -221,10 +212,8 @@ def _inv_dft(deg: int) -> tuple[np.ndarray, np.ndarray]:
 
 def det_poly_univariate(ac: np.ndarray, bc: np.ndarray) -> UnivariatePoly:
     """Coefficients of det(alpha*ac + bc) from evaluations at roots of unity."""
-    n = ac.shape[0]
-    nodes, inv = _inv_dft(n)
-    vals = np.array([np.linalg.det(x * ac + bc) for x in nodes])
-    return UnivariatePoly(inv @ vals)
+    nodes, inv = _inv_dft(ac.shape[0])
+    return UnivariatePoly(inv @ np.linalg.det(nodes[:, None, None] * ac + bc))
 
 
 def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
@@ -234,13 +223,12 @@ def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
     db = rows_conj[0].shape[0]
     nodes_a, inv_a = _inv_dft(da)
     nodes_b, inv_b = _inv_dft(db)
-    grid = np.zeros((da + 1, db + 1), dtype=complex)
-    for i, x in enumerate(nodes_a):
-        for j, y in enumerate(nodes_b):
-            m = np.vstack([x * rows_alpha[0] + rows_alpha[1],
-                           y * rows_conj[0] + rows_conj[1]])
-            grid[i, j] = np.linalg.det(m)
-    return BivariatePoly(inv_a @ grid @ inv_b.T)
+    top = nodes_a[:, None, None] * rows_alpha[0] + rows_alpha[1]
+    bottom = nodes_b[:, None, None] * rows_conj[0] + rows_conj[1]
+    grid = (da + 1, db + 1)
+    m = np.concatenate([np.broadcast_to(top[:, None], grid + top.shape[1:]),
+                        np.broadcast_to(bottom[None], grid + bottom.shape[1:])], axis=2)
+    return BivariatePoly(inv_a @ np.linalg.det(m) @ inv_b.T)
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +247,35 @@ def _has_null(s: np.ndarray, k: int, alpha: complex) -> bool:
     return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), 1.0 + abs(alpha))
 
 
-def _refine_alpha_f(cs: ConstraintSystem, alpha: complex, rounds: int = 3):
-    """Alternate between the best alpha for f and the best f for alpha.
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each pair of (K, r, 1) column stacks, shape (K,)."""
+    return (x.conj().swapaxes(1, 2) @ y)[:, 0, 0]
+
+
+def _refine_alpha_f(cs: ConstraintSystem, alphas, rounds: int = 3):
+    """Alternate between the best alpha for f and the best f for alpha, for every alpha.
 
     The joint least-squares alpha given f is closed-form; this repairs the
     sqrt-of-epsilon splitting that companion eigenvalues suffer at repeated
-    roots.
+    roots.  Each round is one SVD over the alphas still moving.  Returns the
+    alphas, their f's as rows and the singular values at the new alphas.
     """
-    ac1, bc1, ac2, bc2 = cs.conj_blocks
-    f = None
+    alphas = np.array(alphas, dtype=complex)
+    fs = np.empty((alphas.size, cs.n), dtype=complex)
+    live = np.arange(alphas.size)
     for _ in range(rounds):
-        f, _s = _smallest_null_vector(cs.stacked(alpha))
-        x1, y1 = ac1 @ f, bc1 @ f
-        x2, y2 = ac2 @ f, bc2 @ f
-        denom = float(np.real(np.vdot(x1, x1) + np.vdot(x2, x2)))
-        if denom <= 1e-14:
+        if not live.size:
             break
-        alpha = complex(-(np.vdot(x1, y1) + np.conj(np.vdot(x2, y2))) / denom)
-    return alpha, f
+        f = np.linalg.svd(cs.stacked(alphas[live]), full_matrices=True)[2][:, -1].conj()
+        fs[live] = f
+        # stacked matmul with a unit column gives the bits of ``ac @ f`` and
+        # of ``np.vdot``; einsum would not
+        x1, y1, x2, y2 = (block @ f[..., None] for block in cs.conj_blocks)
+        denom = (_inner(x1, x1) + _inner(x2, x2)).real
+        moving = ~(denom <= 1e-14)
+        live, x1, y1, x2, y2 = (a[moving] for a in (live, x1, y1, x2, y2))
+        alphas[live] = -(_inner(x1, y1) + np.conj(_inner(x2, y2))) / denom[moving]
+    return alphas, fs, np.linalg.svd(cs.stacked(alphas), compute_uv=False)
 
 
 def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray | None,
@@ -285,12 +284,21 @@ def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray
 
     A vector is kept when |e,f> lies in H1 and, unless ``h2`` is None,
     |e*,f> lies in H2.  At finite alpha f is the smallest right singular
-    vector of the stacked constraints, kept only where they drop rank; at
-    None (e = |0>) it is the first kernel vector of the alpha-coefficient
-    rows.  With no constraint rows f is the first basis vector.  A paired
-    chart point whose f is not unique is outside the generic case.
+    vector of the stacked constraints (one SVD for all), kept only where
+    they drop rank; at None (e = |0>) it is the first kernel vector of the
+    alpha-coefficient rows.  With no constraint rows f is the first basis
+    vector.  A paired chart point whose f is not unique is outside the
+    generic case.
     """
     first = np.eye(cs.n, 1, dtype=complex)
+    finite = [a for a in alphas if a is not None]
+    solves = iter(())
+    if finite and sum(b.shape[0] for b in cs.conj_blocks[::2]):
+        # np.conj of a real sample keeps its zero imaginary part positive
+        conj = np.array([np.conj(a) for a in finite], dtype=complex)
+        _u, sigmas, vh = np.linalg.svd(cs.stacked(np.array(finite, dtype=complex), conj),
+                                       full_matrices=True)
+        solves = zip(sigmas, vh[:, -1].conj())
     found = []
     for alpha in alphas:
         if alpha is None:
@@ -302,16 +310,39 @@ def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray
                 raise NonGenericInput("alpha-infinity solution space has dimension > 1")
             f = kernel[:, 0]
         else:
-            m = cs.stacked(alpha)
-            f = first[:, 0]
-            if m.shape[0]:
-                f, s = _smallest_null_vector(m)
-                if not _has_null(s, cs.n, alpha):
-                    continue
+            s, f = next(solves, (None, first[:, 0]))
+            if s is not None and not _has_null(s, cs.n, alpha):
+                continue
         v = ProductVector.from_alpha(alpha, f)
         if in_range(h1, v.vector, tol) and (
                 h2 is None or in_range(h2, v.conjugate_partner.vector, tol)):
             found.append(v)
+    return found
+
+
+def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray | None,
+                   tol: ToleranceConfig) -> list[ProductVector]:
+    """Product vectors at candidate roots, refined together, then kept in order.
+
+    The range tests are those of ``_chart_products``.  A single search skips a
+    root within 1e-6 of a kept one, before or after refinement; in a paired
+    search the first root whose solution space has dimension > 1 raises.
+    """
+    starts = [complex(a) for a in roots]
+    alphas, fs, sigmas = _refine_alpha_f(cs, starts)
+    found, seen = [], []
+    for start, alpha, f, s in zip(starts, alphas.tolist(), fs, sigmas):
+        if h2 is None and any(abs(start - x) <= 1e-6 or abs(alpha - x) <= 1e-6 for x in seen):
+            continue
+        if not _has_null(s, cs.n, alpha):
+            continue
+        if h2 is not None and cs.n >= 2 and _has_null(s, cs.n - 1, alpha):
+            raise NonGenericInput(f"solution space at alpha={alpha:.6g} has dimension > 1")
+        v = ProductVector.from_alpha(alpha, f)
+        if in_range(h1, v.vector, tol) and (
+                h2 is None or in_range(h2, v.conjugate_partner.vector, tol)):
+            found.append(v)
+            seen.append(alpha)
     return found
 
 
@@ -352,29 +383,10 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
         if m == n:
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                                   note="determinant vanishes identically")
-    found = _collect_single(candidates, cs, h, tol)
+    found = _root_products(candidates, cs, h, None, tol)
     if m == n or np.linalg.matrix_rank(ac) < n:
         found += _chart_products(cs, (None,), h, None, tol)
     return sorted(found, key=_sort_key)
-
-
-def _collect_single(candidates, cs: ConstraintSystem, h, tol) -> list[ProductVector]:
-    found = []
-    seen: list[complex] = []
-    for alpha in candidates:
-        alpha = complex(alpha)
-        if any(abs(alpha - s) <= 1e-6 for s in seen):
-            continue
-        alpha, f = _refine_alpha_f(cs, alpha)
-        if f is None or any(abs(alpha - s) <= 1e-6 for s in seen):
-            continue
-        if not _has_null(np.linalg.svd(cs.stacked(alpha), compute_uv=False), cs.n, alpha):
-            continue
-        v = ProductVector.from_alpha(alpha, f)
-        if in_range(h, v.vector, tol):
-            found.append(v)
-            seen.append(alpha)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +410,16 @@ def _row_selections(r1: int, r2: int, n: int) -> list[tuple[tuple[int, ...], tup
     if r1 > r2 and r1 <= n:
         return [(all1, c) for c in combinations(all2, n - r1)]
     # neither block fits whole: enumerate mixed splits (capped)
+    return _mixed_selections(r1, r2, n, cap=100)
+
+
+def _mixed_selections(r1: int, r2: int, n: int, cap: int | None = None):
     sels = []
     for k1 in range(max(0, n - r2), min(r1, n) + 1):
-        for c1 in combinations(all1, k1):
-            for c2 in combinations(all2, n - k1):
+        for c1 in combinations(range(r1), k1):
+            for c2 in combinations(range(r2), n - k1):
                 sels.append((c1, c2))
-                if len(sels) >= 100:
+                if len(sels) == cap:
                     return sels
     return sels
 
@@ -439,11 +455,7 @@ def build_paired_system(h1, h2, tol: ToleranceConfig | None = None) -> Constrain
             elif fixed_alpha and r1:
                 ok = _block_rows_independent(ac1, bc1, probe)
             if not ok:
-                sels = []
-                for k1 in range(max(0, n - r2), min(r1, n) + 1):
-                    for c1 in combinations(range(r1), k1):
-                        for c2 in combinations(range(r2), n - k1):
-                            sels.append((c1, c2))
+                sels = _mixed_selections(r1, r2, n)
         for sel1, sel2 in sels:
             det = det_poly_bivariate((ac1[list(sel1)], bc1[list(sel1)]),
                                      (ac2[list(sel2)], bc2[list(sel2)]))
@@ -522,27 +534,9 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     candidates = list(univariate_roots(q, tol)) if q.degree >= 1 else []
     rootset = verify_roots(candidates, cs.dets, tol, bound_used=diag.get("bound"))
 
-    found: list[ProductVector] = []
-    for alpha in rootset.roots:
-        v = _vector_at_root(cs, alpha, tol)
-        if (v is not None and in_range(h1, v.vector, tol)
-                and in_range(h2, v.conjugate_partner.vector, tol)):
-            found.append(v)
+    found = _root_products(rootset.roots, cs, h1, h2, tol)
     found += _chart_products(cs, (None,), h1, h2, tol)
     return sorted(found, key=_sort_key)
-
-
-def _vector_at_root(cs: ConstraintSystem, alpha: complex, tol) -> ProductVector | None:
-    alpha, f = _refine_alpha_f(cs, alpha)
-    if f is None:
-        return None
-    s = np.linalg.svd(cs.stacked(alpha), compute_uv=False)
-    if not _has_null(s, cs.n, alpha):
-        return None
-    if cs.n >= 2 and _has_null(s, cs.n - 1, alpha):
-        raise NonGenericInput(
-            f"solution space at alpha={alpha:.6g} has dimension > 1")
-    return ProductVector.from_alpha(alpha, f)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +570,7 @@ def kernel_product_vector(state, tol: ToleranceConfig | None = None) -> ProductV
     if kernel.shape[1] == 0:
         return None
     res = products_in_subspace(kernel, tol)
-    if isinstance(res, InfiniteFamily):
-        vectors = res.samples
-    else:
-        vectors = res
+    vectors = res.samples if isinstance(res, InfiniteFamily) else res
     pt_norm = max(state.norm, 1e-300)
     for v in vectors:
         partner = v.conjugate_partner.vector

@@ -230,19 +230,19 @@ def reduce_by_kernel(state: DensityState, v: ProductVector,
         raise ValueError("vector is not in the kernel of the state")
     e = v.e
     ehat = np.array([-np.conj(e[1]), np.conj(e[0])], dtype=complex)
-    probe = np.kron(ehat, v.f)
-    w = state.matrix @ probe
+    # the products of np.kron, without its reshaping overhead
+    w = state.matrix @ (ehat[:, None] * v.f[None, :]).ravel()
     wn = np.linalg.norm(w)
     if wn <= 1e-9 * max(state.norm, 1e-300):
         raise SupportViolation("state annihilates |e_hat, f>; strip the support first")
     g = np.conj(ehat[0]) * w[:n] + np.conj(ehat[1]) * w[n:]
-    if np.linalg.norm(w - np.kron(ehat, g)) > 1e-7 * wn:
+    sub_vec = (ehat[:, None] * g[None, :]).ravel()
+    if np.linalg.norm(w - sub_vec) > 1e-7 * wn:
         raise NonGenericInput("kernel image is not a product line")
     gf = float(np.real(np.vdot(g, v.f)))
     if gf <= 0:
         raise NonGenericInput("nonpositive overlap between g and f")
     lam = 1.0 / gf
-    sub_vec = np.kron(ehat, g)
     m2 = hermitize(state.matrix - lam * np.outer(sub_vec, sub_vec.conj()))
     weight = lam * float(np.vdot(g, g).real)
     pv = ProductVector.from_e_f(ehat, g)

@@ -5,14 +5,18 @@ ranks are counted from eigenvalues, norms come from power iteration, PSD
 ordering from the spectrum of the difference, and bivariate roots from a
 dense grid scan with finite-difference Newton refinement.  Root
 verification also has a scalar reference, one ``polyval2d`` call per
-candidate and polynomial, for the batched one in the library.
+candidate and polynomial, for the batched one in the library; the
+fixed-alpha solves, the determinant interpolation and the Newton polish of
+univariate roots have one-alpha, one-node, ``polyval`` references for the
+stacked calls that replaced them.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from sep2n.matrixcore import hermitize, partial_transpose_matrix
-from sep2n.productfinder import ProductVector
+from sep2n.polyelim import NonFinite
+from sep2n.productfinder import NULL_ACCEPT, NonGenericInput, ProductVector, _inv_dft, in_range
 
 
 # ---------------------------------------------------------------------------
@@ -372,3 +376,156 @@ def sets_match(a, b, radius=1e-6):
             return False
         used[hit] = True
     return True
+
+
+# ---------------------------------------------------------------------------
+# scalar fixed-alpha solves, determinant interpolation and Newton polish: the
+# one-alpha, one-node loops that the stacked numpy calls in ``productfinder``
+# and ``polyelim.univariate_roots`` replaced, kept as their bitwise references
+# ---------------------------------------------------------------------------
+
+def scalar_stacked(cs, alpha):
+    """Constraint matrix of a ``ConstraintSystem`` at one alpha."""
+    ac1, bc1, ac2, bc2 = cs.conj_blocks
+    top = alpha * ac1 + bc1
+    if not ac2.shape[0]:
+        return top
+    return np.vstack([top, np.conj(alpha) * ac2 + bc2])
+
+
+def _scalar_has_null(s, k, alpha):
+    return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), 1.0 + abs(alpha))
+
+
+def scalar_refine_alpha_f(cs, alpha, rounds=3):
+    """Alternating alpha/f refinement of one alpha; returns (alpha, f, SVDs taken)."""
+    ac1, bc1, ac2, bc2 = cs.conj_blocks
+    f = None
+    done = 0
+    for _ in range(rounds):
+        _u, _s, vh = np.linalg.svd(scalar_stacked(cs, alpha), full_matrices=True)
+        f = vh[-1].conj()
+        done += 1
+        x1, y1 = ac1 @ f, bc1 @ f
+        x2, y2 = ac2 @ f, bc2 @ f
+        denom = float(np.real(np.vdot(x1, x1) + np.vdot(x2, x2)))
+        if denom <= 1e-14:
+            break
+        alpha = complex(-(np.vdot(x1, y1) + np.conj(np.vdot(x2, y2))) / denom)
+    return alpha, f, done
+
+
+def scalar_collect_single(candidates, cs, h, tol):
+    """Single-subspace root loop: refine, skip repeats within 1e-6, gate, range test."""
+    found, seen = [], []
+    for alpha in candidates:
+        alpha = complex(alpha)
+        if any(abs(alpha - s) <= 1e-6 for s in seen):
+            continue
+        alpha, f, _ = scalar_refine_alpha_f(cs, alpha)
+        if any(abs(alpha - s) <= 1e-6 for s in seen):
+            continue
+        if not _scalar_has_null(np.linalg.svd(scalar_stacked(cs, alpha), compute_uv=False),
+                                cs.n, alpha):
+            continue
+        v = ProductVector.from_alpha(alpha, f)
+        if in_range(h, v.vector, tol):
+            found.append(v)
+            seen.append(alpha)
+    return found
+
+
+def scalar_vector_at_root(cs, alpha):
+    """Refined product vector at one paired root, None past the rank gate."""
+    alpha, f, _ = scalar_refine_alpha_f(cs, alpha)
+    s = np.linalg.svd(scalar_stacked(cs, alpha), compute_uv=False)
+    if not _scalar_has_null(s, cs.n, alpha):
+        return None
+    if cs.n >= 2 and _scalar_has_null(s, cs.n - 1, alpha):
+        raise NonGenericInput(f"solution space at alpha={alpha:.6g} has dimension > 1")
+    return ProductVector.from_alpha(alpha, f)
+
+
+def scalar_root_products(roots, cs, h1, h2, tol):
+    """Paired root loop: one vector per root, kept when both range tests pass."""
+    found = []
+    for alpha in roots:
+        v = scalar_vector_at_root(cs, alpha)
+        if (v is not None and in_range(h1, v.vector, tol)
+                and in_range(h2, v.conjugate_partner.vector, tol)):
+            found.append(v)
+    return found
+
+
+def scalar_chart_products(cs, alphas, h1, h2, tol):
+    """Fixed-alpha sample search at finite alphas, one SVD per alpha."""
+    found = []
+    for alpha in alphas:
+        m = scalar_stacked(cs, alpha)
+        f = np.eye(cs.n, 1, dtype=complex)[:, 0]
+        if m.shape[0]:
+            _u, s, vh = np.linalg.svd(m, full_matrices=True)
+            f = vh[-1].conj()
+            if not _scalar_has_null(s, cs.n, alpha):
+                continue
+        v = ProductVector.from_alpha(alpha, f)
+        if in_range(h1, v.vector, tol) and (
+                h2 is None or in_range(h2, v.conjugate_partner.vector, tol)):
+            found.append(v)
+    return found
+
+
+def scalar_det_poly_univariate(ac, bc):
+    """Coefficients of det(alpha*ac + bc), one ``det`` per interpolation node."""
+    nodes, inv = _inv_dft(ac.shape[0])
+    return inv @ np.array([np.linalg.det(x * ac + bc) for x in nodes])
+
+
+def scalar_det_poly_bivariate(rows_alpha, rows_conj):
+    """Bivariate determinant coefficients, one ``det`` per node pair."""
+    da = rows_alpha[0].shape[0]
+    db = rows_conj[0].shape[0]
+    nodes_a, inv_a = _inv_dft(da)
+    nodes_b, inv_b = _inv_dft(db)
+    grid = np.zeros((da + 1, db + 1), dtype=complex)
+    for i, x in enumerate(nodes_a):
+        for j, y in enumerate(nodes_b):
+            m = np.vstack([x * rows_alpha[0] + rows_alpha[1],
+                           y * rows_conj[0] + rows_conj[1]])
+            grid[i, j] = np.linalg.det(m)
+    return inv_a @ grid @ inv_b.T
+
+
+def scalar_newton_polish(q, dq, r, steps=6):
+    """Damped Newton on a ``UnivariatePoly`` with numpy-scalar ``polyval``."""
+    best, best_res = r, abs(q(r))
+    for _ in range(steps):
+        d = dq(r)
+        if abs(d) == 0.0:
+            break
+        step = q(r) / d
+        damp = 1.0
+        for _ in range(4):
+            cand = r - damp * step
+            res = abs(q(cand))
+            if res < best_res:
+                r, best, best_res = cand, cand, res
+                break
+            damp /= 2
+        else:
+            break
+    return best
+
+
+def scalar_univariate_roots(q):
+    """Companion-matrix roots of a ``UnivariatePoly``, each polished on its own."""
+    c = q.coeffs
+    if q.degree < 1:
+        return np.zeros(0, dtype=complex)
+    roots = np.roots(c[::-1])
+    dq = q.derivative()
+    for i, r in enumerate(roots):
+        roots[i] = scalar_newton_polish(q, dq, r)
+    if np.any(~np.isfinite(roots)):
+        raise NonFinite("root finding produced non-finite values")
+    return roots

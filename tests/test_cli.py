@@ -271,7 +271,9 @@ class TestStateFileRoundTrip:
         rec2 = cert.reconstruct(6)
         assert np.allclose(rec1, rec2, atol=1e-14)
 
-    @pytest.mark.parametrize("bad_n", [None, "two", [2]], ids=["null", "string", "list"])
+    @pytest.mark.parametrize("bad_n", [None, "two", [2], 2.7, "3", True],
+                             ids=["null", "string", "list", "fraction", "numeric-string",
+                                  "bool"])
     def test_bad_n_is_input_error(self, tmp_path, capsys, bad_n):
         p = tmp_path / "s.json"
         write_state(p, np.eye(4, dtype=complex) / 4, 2)
@@ -279,7 +281,19 @@ class TestStateFileRoundTrip:
         doc["n"] = bad_n
         p.write_text(json.dumps(doc))
         assert main(["analyze", str(p)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bad 'n' field" in err
+
+    def test_integral_float_n_is_accepted(self, tmp_path):
+        p = tmp_path / "s.json"
+        write_state(p, np.eye(8, dtype=complex) / 8, 4)
+        doc = json.loads(p.read_text())
+        doc["n"] = 4.0
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(p), "--report", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["n"] == 4
 
     def test_generator_parameter_validation(self):
         with pytest.raises(Exception):

@@ -1,0 +1,55 @@
+"""``tools/record_digest.py``: exact record text and a repeatable digest."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "record_digest.py"
+_spec = importlib.util.spec_from_file_location("record_digest", TOOL)
+record_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_digest)
+
+canonical = record_digest.canonical
+record = record_digest.record
+corpus = record_digest.corpus
+
+
+class TestCanonical:
+    def test_signed_zeros_differ(self):
+        assert canonical(0.0) != canonical(-0.0)
+        assert canonical(complex(0.0, 0.0)) != canonical(complex(0.0, -0.0))
+        assert canonical(np.array([0.0])) != canonical(np.array([-0.0]))
+
+    def test_arrays_one_ulp_apart_differ(self):
+        a = np.array([1.0 + 2.0j, 0.3 - 0.1j])
+        b = a.copy()
+        b[1] = complex(np.nextafter(b[1].real, 1.0), b[1].imag)
+        assert canonical(a) != canonical(b)
+        assert canonical(a) == canonical(a.copy())
+        assert canonical(float(a[1].real)) != canonical(float(b[1].real))
+
+    def test_real_and_imaginary_parts_differ(self):
+        assert canonical(complex(1.0, 2.0)) != canonical(complex(2.0, 1.0))
+        assert canonical(np.complex128(1.0)) != canonical(np.complex128(1.0j))
+        assert canonical(np.array([1.0 + 0.0j])) != canonical(np.array([1.0j]))
+
+
+def test_raising_input_is_recorded_by_its_exception():
+    line = record(np.ones((3, 3), dtype=complex))
+    assert line == "raised ValueError: density matrix must be 2N x 2N, got shape (3, 3)"
+
+
+def test_digest_over_corpus_items_repeats():
+    items = [item for item in corpus.build("constructive", 301, scale=0.05) if item.n <= 4]
+    assert items
+
+    def digest():
+        h = hashlib.sha256()
+        for item in items:
+            h.update(record(item.matrix).encode())
+            h.update(b"\n")
+        return h.hexdigest()
+
+    assert digest() == digest()
