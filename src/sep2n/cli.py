@@ -22,6 +22,7 @@ import numpy as np
 from .matrixcore import DensityState, ToleranceConfig, hermitize, partial_transpose_matrix
 from .productfinder import ProductVector
 from .sepengine import (
+    REASON_REDUCTION_STALLED,
     ReductionTrace,
     SeparabilityCertificate,
     Verdict,
@@ -253,7 +254,7 @@ def run_analysis(path, flag_overrides: dict | None = None) -> tuple[dict, int]:
         rt = certificate_from_json(certificate_to_json(verdict.certificate))
         reverified = verify_certificate(state, rt)
         if not reverified:
-            verdict = Verdict(VerdictKind.INCONCLUSIVE, reason="ReductionStalled")
+            verdict = Verdict(VerdictKind.INCONCLUSIVE, reason=REASON_REDUCTION_STALLED)
             trace.notes.append("serialized certificate failed re-verification")
     report = build_report(state, verdict, trace, doc.get("label", ""), elapsed, reverified)
     return report, EXIT_CODES[VerdictKind(report["report"]["verdict"])]

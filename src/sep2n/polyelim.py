@@ -66,6 +66,8 @@ def _trim(grid: np.ndarray) -> np.ndarray:
     if g.ndim != 2:
         g = np.atleast_2d(g)
     top = np.max(np.abs(g)) if g.size else 0.0
+    if not np.isfinite(top):  # a non-finite entry, or a modulus overflowing from finite parts
+        raise NonFinite("non-finite coefficients")
     if top <= 0.0:
         return np.zeros((1, 1), dtype=complex)
     mask = np.abs(g) > TRIM_REL_TOL * top
@@ -134,9 +136,7 @@ class BivariatePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = _trim(np.asarray(self.coeffs, dtype=complex))
-        if not np.all(np.isfinite(self.coeffs)):
-            raise NonFinite("non-finite coefficients")
+        self.coeffs = _trim(self.coeffs)
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int], complex]) -> "BivariatePoly":
@@ -180,17 +180,7 @@ class UnivariatePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if not np.all(np.isfinite(c)):
-            raise NonFinite("non-finite coefficients")
-        top = np.max(np.abs(c)) if c.size else 0.0
-        if top <= 0.0:
-            c = np.zeros(1, dtype=complex)
-        else:
-            mask = np.abs(c) > TRIM_REL_TOL * top
-            c = np.where(mask, c, 0.0)
-            c = c[: np.nonzero(mask)[0][-1] + 1]
-        self.coeffs = c
+        self.coeffs = _trim(self.coeffs)[0]  # one row: trailing zeros trimmed
 
     @property
     def degree(self) -> int:

@@ -141,7 +141,6 @@ class ConstraintSystem:
     m1: int
     m2: int
     dets: list[BivariatePoly]
-    selections: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
     def __post_init__(self):
         # the constraint rows at alpha are alpha * A* + B*
@@ -185,7 +184,7 @@ def _single_system(h: np.ndarray, n: int) -> ConstraintSystem:
     a, b = _blocks(orthonormal_complement(h), n)
     empty = np.zeros((0, n), dtype=complex)
     return ConstraintSystem(a1=a, b1=b, a2=empty, b2=empty, n=n, m1=h.shape[1], m2=2 * n,
-                            dets=[], selections=[])
+                            dets=[])
 
 
 def in_range(basis: np.ndarray, vec: np.ndarray, tol: ToleranceConfig) -> bool:
@@ -438,8 +437,7 @@ def build_paired_system(h1, h2, tol: ToleranceConfig | None = None) -> Constrain
     a1, b1 = _blocks(comp1, n)
     a2, b2 = _blocks(comp2, n)
     r1, r2 = a1.shape[0], a2.shape[0]
-    cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=m1, m2=m2,
-                          dets=[], selections=[])
+    cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=m1, m2=m2, dets=[])
     if r1 + r2 >= n:
         ac1, bc1, ac2, bc2 = cs.conj_blocks
         sels = _row_selections(r1, r2, n)
@@ -462,7 +460,6 @@ def build_paired_system(h1, h2, tol: ToleranceConfig | None = None) -> Constrain
             if np.max(np.abs(det.coeffs)) <= DET_ZERO_TOL:
                 continue
             cs.dets.append(det)
-            cs.selections.append((sel1, sel2))
     return cs
 
 

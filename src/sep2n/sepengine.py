@@ -1,12 +1,13 @@
 """Separability decision pipeline for PPT states on C2 x CN.
 
-The pipeline subtracts product projectors while keeping the state and its
-partial transpose positive, reduces through kernel product vectors (which
-drop both ranks and the second-factor dimension by one), decomposes
-rank-equals-dimension states constructively, and settles the remaining
-finite cases by expanding the state over the exhaustively enumerated
-product vectors of its ranges.  Every "separable" verdict carries a
-certificate that is re-verified against the input before being emitted.
+``analyze`` answers a negative partial transpose at once.  Otherwise each
+pass runs these stages in order: zero remainder, support stripping, the
+base case N = 1, PT-invariance, kernel reduction (both ranks and N drop by
+one), transpose-side rank-N, and the paired search, which subtracts a
+sampled product vector above rank sum 3N and otherwise expands the state
+over the enumerated product vectors.  A stop leads to sufficient fallback
+checks.  Every "separable" verdict carries a certificate that is
+re-verified against the input before being emitted.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ class DependentProjectors(Exception):
 TIE_REL_TOL = 1e-8
 # Relative closeness under which a state counts as equal to its partial transpose.
 PT_INVARIANCE_REL_TOL = 1e-8
+# Relative size, against the state it came from, under which a remainder is zero.
+_ZERO_REL_TOL = 1e-12
 
 REASON_NON_GENERIC = "NonGenericInput"
 REASON_INFINITE_FAMILY = "InfiniteFamilyUnresolved"
 REASON_REDUCTION_STALLED = "ReductionStalled"
+_NO_KERNEL_VECTOR = "kernel product vector not found despite guaranteed existence"
 
 
 class VerdictKind(str, Enum):
@@ -95,9 +99,6 @@ class SeparabilityCertificate:
     """Weighted product projectors claimed to sum to the analyzed state."""
 
     terms: list[tuple[float, ProductVector]] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.terms)
 
     def reconstruct(self, dim: int) -> np.ndarray:
         out = np.zeros((dim, dim), dtype=complex)
@@ -141,6 +142,13 @@ class ReductionTrace:
 # subtraction primitives
 # ---------------------------------------------------------------------------
 
+def _negligible(x, ref: DensityState) -> bool:
+    """Whether ``||x|| <= _ZERO_REL_TOL * ||ref||``; a state's cached norm needs no SVD."""
+    if isinstance(x, DensityState):
+        return x.norm <= _ZERO_REL_TOL * max(ref.norm, 1e-300)
+    return operator_norm_at_most(x, _ZERO_REL_TOL, floor=max(ref.norm, 1e-300))
+
+
 def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
     """Maximal subtraction weights keeping the state and its transpose positive.
 
@@ -176,8 +184,7 @@ def subtract(state: DensityState, v: ProductVector) -> tuple[DensityState, float
         case = "ii"
     lam = min(lam0, lamb0)
     m2 = hermitize(state.matrix - lam * v.projector())
-    tiny = operator_norm_at_most(m2, 1e-12, floor=max(state.norm, 1e-300))
-    new_state = DensityState(m2, n=state.n, tol=state.tol, require_psd=not tiny)
+    new_state = DensityState(m2, n=state.n, tol=state.tol, require_psd=not _negligible(m2, state))
     return new_state, lam, case
 
 
@@ -223,7 +230,6 @@ def reduce_by_kernel(state: DensityState, v: ProductVector,
     Returns ``(reduced_state, (weight, subtracted_vector), isometry)``, the
     vector expressed in the pre-reduction basis.
     """
-    tol = tol or state.tol
     n = state.n
     vec = v.vector
     if np.linalg.norm(state.matrix @ vec) > 1e-6 * max(state.norm, 1e-300):
@@ -246,8 +252,7 @@ def reduce_by_kernel(state: DensityState, v: ProductVector,
     m2 = hermitize(state.matrix - lam * np.outer(sub_vec, sub_vec.conj()))
     weight = lam * float(np.vdot(g, g).real)
     pv = ProductVector.from_e_f(ehat, g)
-    tiny = operator_norm_at_most(m2, 1e-12, floor=max(state.norm, 1e-300))
-    intermediate = DensityState(m2, n=n, tol=state.tol, require_psd=not tiny)
+    intermediate = DensityState(m2, n=n, tol=state.tol, require_psd=not _negligible(m2, state))
     reduced, iso = strip_support(intermediate)
     return reduced, (weight, pv), iso
 
@@ -281,21 +286,18 @@ def decompose_rank_n(state: DensityState, tol: ToleranceConfig | None = None) ->
     certificate has exactly N terms, expressed in the input basis.
     """
     tol = tol or state.tol
-    cur, iso0 = strip_support(state)
+    cur, lift = strip_support(state)
     if cur.rank != cur.n:
         raise ValueError(f"rank {cur.rank} does not match support dimension {cur.n}")
-    lift = iso0
     terms: list[tuple[float, ProductVector]] = []
-    while True:
-        if cur.n == 1:
-            terms.extend(_base_terms(cur, lift))
-            break
+    while cur.n != 1:
         v = kernel_product_vector(cur, tol)
         if v is None:
-            raise NonGenericInput("kernel product vector not found despite guaranteed existence")
+            raise NonGenericInput(_NO_KERNEL_VECTOR)
         cur, (weight, pv), iso = reduce_by_kernel(cur, v, tol)
         terms.append((weight, _lift_pv(pv, lift)))
         lift = lift @ iso
+    terms.extend(_base_terms(cur, lift))
     return SeparabilityCertificate(terms)
 
 
@@ -310,12 +312,11 @@ def pt_invariant_decompose(state: DensityState, tol: ToleranceConfig | None = No
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=max(state.norm, 1e-300)):
         raise ValueError("state is not invariant under partial transposition")
-    t0 = max(state.trace, 1e-300)
     cur = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), n=state.n, tol=state.tol)
     lift = np.eye(state.n, dtype=complex)
     terms: list[tuple[float, ProductVector]] = []
     for _ in range(4 * state.n + 16):
-        if cur.norm <= 1e-12 * max(state.norm, 1e-300):
+        if _negligible(cur, state):
             return SeparabilityCertificate(terms)
         cur, iso = strip_support(cur)
         lift = lift @ iso
@@ -334,8 +335,7 @@ def pt_invariant_decompose(state: DensityState, tol: ToleranceConfig | None = No
         terms.append((lam, _lift_pv(best, lift)))
         # re-symmetrize to cancel floating-point drift of the invariance
         symm = hermitize((new_state.matrix + new_state.pt_matrix) / 2)
-        tiny = operator_norm_at_most(symm, 1e-12, floor=max(state.norm, 1e-300))
-        cur = DensityState(symm, n=cur.n, tol=state.tol, require_psd=not tiny)
+        cur = DensityState(symm, n=cur.n, tol=state.tol, require_psd=not _negligible(symm, state))
     raise NonGenericInput("invariant reduction failed to terminate")
 
 
@@ -456,7 +456,7 @@ def symmetric_split_check(state: DensityState, a=None,
 
     remainder = hermitize(rho_s - comp)
     terms: list[tuple[float, ProductVector]] = []
-    if not operator_norm_at_most(remainder, 1e-12, floor=max(state.norm, 1e-300)):
+    if not _negligible(remainder, state):
         try:
             rem_state = DensityState(remainder, n=n, tol=state.tol)
             sub = pt_invariant_decompose(rem_state, tol)
@@ -570,218 +570,217 @@ def verify_certificate(state, cert: SeparabilityCertificate,
 
 
 MAX_PIPELINE_PASSES = 200
+# A stage's other outcomes: next pass, or stop (on to the fallbacks); None falls through.
+_NEXT_PASS, _STOP = "next pass", "stop"
+
+
+def _step(op: str, before: DensityState, after: DensityState | None = None, **kw) -> TraceStep:
+    """A trace step with the ranks and N of ``before`` and, if given, of ``after``."""
+    if after is not None:
+        kw.update(ranks_after=(after.rank, after.pt_rank), n_after=after.n)
+    return TraceStep(op=op, n_before=before.n, ranks_before=(before.rank, before.pt_rank), **kw)
+
+
+@dataclass
+class _Run:
+    """What the stages of one ``analyze`` call share."""
+
+    state0: DensityState
+    tol: ToleranceConfig
+    trace: ReductionTrace
+    cur: DensityState
+    lift: np.ndarray  # support coordinates of cur -> input basis
+    terms: list[tuple[float, ProductVector]] = field(default_factory=list)
+    reason: str = REASON_REDUCTION_STALLED
+    # entangled claims must not rest on fragile integer-rank decisions;
+    # any borderline spectrum seen along the way poisons exhaustiveness
+    borderline: bool = False
+    base: tuple[DensityState, np.ndarray] | None = None  # first stripped state and lift
+
+    def flag(self, reason: str):
+        """Keep the stronger reason: NonGeneric > InfiniteFamily > Stalled."""
+        order = (REASON_REDUCTION_STALLED, REASON_INFINITE_FAMILY, REASON_NON_GENERIC)
+        self.reason = max(self.reason, reason, key=order.index)
+
+    def stop(self, note: str, reason: str = REASON_NON_GENERIC) -> str:
+        self.trace.notes.append(note)
+        self.flag(reason)
+        return _STOP
+
+    def assemble(self, extra_terms) -> Verdict:
+        """Collected terms plus ``extra_terms`` on the current support, re-verified."""
+        lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
+        cert = SeparabilityCertificate(self.terms + lifted)
+        if not verify_certificate(self.state0, cert, self.tol):
+            self.trace.notes.append("certificate failed re-verification; downgrading")
+            return Verdict(VerdictKind.INCONCLUSIVE, reason=REASON_REDUCTION_STALLED)
+        return Verdict(VerdictKind.SEPARABLE, certificate=cert)
+
+
+def _zero_remainder(run: _Run, cur: DensityState):
+    if _negligible(cur, run.state0):
+        return run.assemble([])
+
+
+def _strip(run: _Run, cur: DensityState):
+    run.borderline |= _support_borderline(cur)
+    stripped, iso = strip_support(cur)
+    if stripped.n != cur.n:
+        run.trace.steps.append(_step("strip", cur, stripped))
+        run.cur, run.lift = stripped, run.lift @ iso
+    run.borderline |= bool(run.cur.warnings)
+    if run.base is None:
+        run.base = (run.cur, run.lift.copy())
+
+
+def _base_case(run: _Run, cur: DensityState):
+    if cur.n == 1:
+        run.trace.steps.append(_step("base-case", cur))
+        return run.assemble(_base_terms(cur, np.eye(1, dtype=complex)))
+
+
+def _pt_invariant(run: _Run, cur: DensityState):
+    if operator_norm_at_most(cur.matrix - cur.pt_matrix, PT_INVARIANCE_REL_TOL,
+                             floor=max(cur.norm, 1e-300)):
+        try:
+            sub_cert = pt_invariant_decompose(cur, run.tol)
+            run.trace.steps.append(_step("pt-invariant", cur))
+            return run.assemble(sub_cert.terms)
+        except (NonGenericInput, ValueError):
+            run.flag(REASON_NON_GENERIC)
+
+
+def _kernel_reduction(run: _Run, cur: DensityState):
+    """Reduce through a kernel product vector; a rank-N state without one stops."""
+    failure = _NO_KERNEL_VECTOR
+    try:
+        v = kernel_product_vector(cur, run.tol)
+        if v is not None:
+            new, (weight, pv), iso = reduce_by_kernel(cur, v, run.tol)
+            run.terms.append((weight, _lift_pv(pv, run.lift)))
+            run.trace.steps.append(_step(
+                "kernel-reduce", cur, new, lam=weight, case="iii", alpha=pv.alpha,
+                norm_before=cur.norm, min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
+            run.cur, run.lift = new, run.lift @ iso
+            return _NEXT_PASS
+    except SupportViolation:
+        # the kernel line is annihilated though the support looked full: a borderline
+        # rank decision, so do not loop on it
+        return run.stop("support violation during kernel reduction")
+    except NonGenericInput as exc:
+        run.flag(REASON_NON_GENERIC)
+        failure = exc
+    if cur.rank == cur.n:
+        # a constructive decomposition would only repeat the failed search
+        if cur.pt_rank != cur.n:
+            run.trace.notes.append(
+                f"rank {cur.rank} equals support but transpose rank is {cur.pt_rank}")
+        return run.stop(f"constructive decomposition degenerated: {failure}")
+
+
+def _transpose_rank_n(run: _Run, cur: DensityState):
+    if cur.pt_rank == cur.n:
+        try:
+            sub_cert = decompose_rank_n(DensityState(cur.pt_matrix, n=cur.n, tol=run.tol), run.tol)
+        except (NonGenericInput, ValueError) as exc:
+            return run.stop(f"transpose-side decomposition degenerated: {exc}")
+        # |e*,f> in the decomposition of the transpose is |e,f> in the state's
+        flipped = [(w, ProductVector.from_e_f(np.conj(pv.e), pv.f)) for w, pv in sub_cert.terms]
+        run.trace.steps.append(_step("rank-n-decompose-pt", cur))
+        return run.assemble(flipped)
+
+
+def _paired_search(run: _Run, cur: DensityState):
+    """Subtract a sample of an infinite family, or expand over a finite one."""
+    try:
+        res = paired_products(cur.range_basis, cur.pt_range_basis, run.tol)
+    except NonGenericInput as exc:
+        return run.stop(f"paired search degenerated: {exc}")
+    if isinstance(res, InfiniteFamily):
+        if cur.rank + cur.pt_rank <= 3 * cur.n:
+            run.trace.notes.append("infinite family below the 3N threshold (non-generic)")
+        best = _best_subtraction(cur, res.samples)
+        if best is None:
+            run.flag(REASON_INFINITE_FAMILY)
+            return _STOP
+        try:
+            new, lam, case = subtract(cur, best)
+        except (VectorOutsideRange, ValueError) as exc:
+            return run.stop(f"sample subtraction failed: {exc}", REASON_INFINITE_FAMILY)
+        run.terms.append((lam, _lift_pv(best, run.lift)))
+        run.trace.nonexhaustive_subtraction = True
+        run.trace.steps.append(_step(
+            "subtract-sample", cur, new, lam=lam, case=case, alpha=best.alpha,
+            norm_before=cur.norm, min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
+        run.cur = new
+        return _NEXT_PASS
+    if res:
+        try:
+            bio = biorthogonal_check(cur, res, run.tol)
+        except DependentProjectors as exc:
+            return run.stop(f"dependent projectors: {exc}")
+        step = _step("biorthogonal", cur, detail=f"vectors={len(res)}")
+        if bio.kind is VerdictKind.SEPARABLE:
+            run.trace.exhaustive_enumeration = not run.trace.nonexhaustive_subtraction
+            run.trace.steps.append(step)
+            return run.assemble(bio.certificate.terms)
+        outcome, witness = "negative expansion", bio.witness
+    else:
+        step = _step("enumeration-empty", cur)
+        outcome, witness = "empty enumeration", {"enumerated_vectors": 0}
+    # an entangled reading needs no earlier sample and no borderline rank decision
+    if run.trace.nonexhaustive_subtraction:
+        if res:  # an empty enumeration after sampling stops without a note
+            run.trace.notes.append(f"{outcome} after non-exhaustive subtraction")
+        return _STOP
+    if run.borderline:
+        return run.stop(f"{outcome} discarded: borderline rank decisions")
+    run.trace.exhaustive_enumeration = True
+    run.trace.steps.append(step)
+    return Verdict(VerdictKind.ENTANGLED_PPT, witness=witness)
+
+
+_STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _kernel_reduction,
+           _transpose_rank_n, _paired_search)
 
 
 def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, ReductionTrace]:
     """Full separability analysis of a Hermitian PSD operator on C2 x CN.
 
-    Order of attack: the partial-transpose positivity test, support
-    stripping, kernel-vector reductions, the rank-equals-dimension
-    construction, sample subtractions while the rank sum exceeds 3N, the
-    finite range enumeration with the biorthogonal expansion, and finally
-    the sufficient fallback checks on the original (stripped) state.
+    After the partial-transpose test, passes of ``_STAGES`` (zero remainder,
+    strip, base case, PT-invariant, kernel reduction, transpose-side rank-N,
+    paired search) run until a stage gives a verdict or stops.  After a stop,
+    or ``MAX_PIPELINE_PASSES`` passes, the sufficient fallbacks run on the
+    first stripped state.
     """
     tol = tol or (rho_in.tol if isinstance(rho_in, DensityState) else ToleranceConfig())
     state0 = rho_in if isinstance(rho_in, DensityState) else DensityState(rho_in, tol=tol)
-    trace = ReductionTrace()
-    trace.notes.extend(state0.warnings)
+    trace = ReductionTrace(notes=list(state0.warnings))
 
     if not state0.is_ppt:
-        trace.steps.append(TraceStep(op="peres", detail=f"pt_min_eig={state0.pt_min_eigenvalue:.3e}",
-                                     ranks_before=(state0.rank, state0.pt_rank),
-                                     n_before=state0.n))
+        detail = f"pt_min_eig={state0.pt_min_eigenvalue:.3e}"
+        trace.steps.append(_step("peres", state0, detail=detail))
         witness = {"pt_min_eigenvalue": state0.pt_min_eigenvalue}
         return Verdict(VerdictKind.ENTANGLED_NPT, witness=witness), trace
 
-    terms: list[tuple[float, ProductVector]] = []
-    cur = state0
-    lift = np.eye(state0.n, dtype=complex)
-    base = None
-    base_lift = None
-    # why an inconclusive answer is given; NonGenericInput outranks an
-    # unresolved infinite family, and ReductionStalled is the default
-    reason = None
-    # entangled claims must not rest on fragile integer-rank decisions;
-    # any borderline spectrum seen along the way poisons exhaustiveness
-    borderline_seen = bool(state0.warnings)
-
-    def assemble(extra_terms, extra_lift) -> Verdict:
-        all_terms = list(terms)
-        all_terms.extend((w, _lift_pv(pv, extra_lift)) for w, pv in extra_terms)
-        cert = SeparabilityCertificate(all_terms)
-        if not verify_certificate(state0, cert, tol):
-            trace.notes.append("certificate failed re-verification; downgrading")
-            return Verdict(VerdictKind.INCONCLUSIVE, reason=REASON_REDUCTION_STALLED)
-        return Verdict(VerdictKind.SEPARABLE, certificate=cert)
-
+    run = _Run(state0, tol, trace, cur=state0, lift=np.eye(state0.n, dtype=complex),
+               borderline=bool(state0.warnings))
     for _ in range(MAX_PIPELINE_PASSES):
-        if cur.norm <= 1e-12 * max(state0.norm, 1e-300):
-            return assemble([], lift), trace
-
-        if _support_borderline(cur):
-            borderline_seen = True
-        stripped, iso = strip_support(cur)
-        if stripped.n != cur.n:
-            trace.steps.append(TraceStep(op="strip", n_before=cur.n, n_after=stripped.n,
-                                         ranks_before=(cur.rank, cur.pt_rank),
-                                         ranks_after=(stripped.rank, stripped.pt_rank)))
-            cur = stripped
-            lift = lift @ iso
-        if cur.warnings:
-            borderline_seen = True
-        if base is None:
-            base, base_lift = cur, lift.copy()
-        m_dim = cur.n
-
-        if m_dim == 1:
-            trace.steps.append(TraceStep(op="base-case", n_before=1,
-                                         ranks_before=(cur.rank, cur.pt_rank)))
-            return assemble(_base_terms(cur, np.eye(1, dtype=complex)), lift), trace
-
-        if operator_norm_at_most(cur.matrix - cur.pt_matrix, PT_INVARIANCE_REL_TOL,
-                                 floor=max(cur.norm, 1e-300)):
-            try:
-                sub_cert = pt_invariant_decompose(cur, tol)
-                trace.steps.append(TraceStep(op="pt-invariant", n_before=m_dim,
-                                             ranks_before=(cur.rank, cur.pt_rank)))
-                return assemble(sub_cert.terms, lift), trace
-            except (NonGenericInput, ValueError):
-                reason = REASON_NON_GENERIC
-
-        try:
-            v = kernel_product_vector(cur, tol)
-        except NonGenericInput:
-            v = None
-            reason = REASON_NON_GENERIC
-        if v is not None:
-            try:
-                rb = (cur.rank, cur.pt_rank)
-                nb = cur.n
-                new_cur, (weight, pv), iso2 = reduce_by_kernel(cur, v, tol)
-                terms.append((weight, _lift_pv(pv, lift)))
-                trace.steps.append(TraceStep(
-                    op="kernel-reduce", lam=weight, case="iii", alpha=pv.alpha,
-                    ranks_before=rb, ranks_after=(new_cur.rank, new_cur.pt_rank),
-                    n_before=nb, n_after=new_cur.n, norm_before=cur.norm,
-                    min_eig_after=(new_cur.min_eigenvalue, new_cur.pt_min_eigenvalue)))
-                cur = new_cur
-                lift = lift @ iso2
-                continue
-            except SupportViolation:
-                # support looked full but the kernel line is annihilated:
-                # borderline rank decision, do not loop on it
-                trace.notes.append("support violation during kernel reduction")
-                reason = REASON_NON_GENERIC
+        for stage in _STAGES:
+            outcome = stage(run, run.cur)
+            if outcome is not None:
                 break
-            except NonGenericInput:
-                reason = REASON_NON_GENERIC
-
-        if cur.rank == m_dim:
-            if cur.pt_rank != m_dim:
-                trace.notes.append(
-                    f"rank {cur.rank} equals support but transpose rank is {cur.pt_rank}")
-            try:
-                sub_cert = decompose_rank_n(cur, tol)
-            except NonGenericInput as exc:
-                trace.notes.append(f"constructive decomposition degenerated: {exc}")
-                reason = REASON_NON_GENERIC
-                break
-            trace.steps.append(TraceStep(op="rank-n-decompose", n_before=m_dim,
-                                         ranks_before=(cur.rank, cur.pt_rank)))
-            return assemble(sub_cert.terms, lift), trace
-
-        if cur.pt_rank == m_dim:
-            try:
-                pt_state = DensityState(cur.pt_matrix, n=m_dim, tol=tol)
-                sub_cert = decompose_rank_n(pt_state, tol)
-            except (NonGenericInput, ValueError) as exc:
-                trace.notes.append(f"transpose-side decomposition degenerated: {exc}")
-                reason = REASON_NON_GENERIC
-                break
-            flipped = [(w, ProductVector.from_e_f(np.conj(pv.e), pv.f)) for w, pv in sub_cert.terms]
-            trace.steps.append(TraceStep(op="rank-n-decompose-pt", n_before=m_dim,
-                                         ranks_before=(cur.rank, cur.pt_rank)))
-            return assemble(flipped, lift), trace
-
-        try:
-            res = paired_products(cur.range_basis, cur.pt_range_basis, tol)
-        except NonGenericInput as exc:
-            trace.notes.append(f"paired search degenerated: {exc}")
-            reason = REASON_NON_GENERIC
+        if outcome is _STOP:
             break
-
-        if isinstance(res, InfiniteFamily):
-            if cur.rank + cur.pt_rank <= 3 * m_dim:
-                trace.notes.append("infinite family below the 3N threshold (non-generic)")
-            best = _best_subtraction(cur, res.samples)
-            if best is None:
-                reason = reason or REASON_INFINITE_FAMILY
-                break
-            rb = (cur.rank, cur.pt_rank)
-            try:
-                new_cur, lam, case = subtract(cur, best)
-            except (VectorOutsideRange, ValueError) as exc:
-                trace.notes.append(f"sample subtraction failed: {exc}")
-                reason = reason or REASON_INFINITE_FAMILY
-                break
-            terms.append((lam, _lift_pv(best, lift)))
-            trace.nonexhaustive_subtraction = True
-            trace.steps.append(TraceStep(
-                op="subtract-sample", lam=lam, case=case, alpha=best.alpha,
-                ranks_before=rb, ranks_after=(new_cur.rank, new_cur.pt_rank),
-                n_before=m_dim, n_after=new_cur.n, norm_before=cur.norm,
-                min_eig_after=(new_cur.min_eigenvalue, new_cur.pt_min_eigenvalue)))
-            cur = new_cur
-            continue
-
-        if len(res) == 0:
-            if trace.nonexhaustive_subtraction:
-                break
-            if borderline_seen:
-                trace.notes.append("empty enumeration discarded: borderline rank decisions")
-                reason = REASON_NON_GENERIC
-                break
-            trace.exhaustive_enumeration = True
-            trace.steps.append(TraceStep(op="enumeration-empty", n_before=m_dim,
-                                         ranks_before=(cur.rank, cur.pt_rank)))
-            witness = {"enumerated_vectors": 0}
-            return Verdict(VerdictKind.ENTANGLED_PPT, witness=witness), trace
-
-        try:
-            bio = biorthogonal_check(cur, res, tol)
-        except DependentProjectors as exc:
-            trace.notes.append(f"dependent projectors: {exc}")
-            reason = REASON_NON_GENERIC
-            break
-        if bio.kind is VerdictKind.SEPARABLE:
-            trace.exhaustive_enumeration = not trace.nonexhaustive_subtraction
-            trace.steps.append(TraceStep(op="biorthogonal", n_before=m_dim,
-                                         ranks_before=(cur.rank, cur.pt_rank),
-                                         detail=f"vectors={len(res)}"))
-            return assemble(bio.certificate.terms, lift), trace
-        if trace.nonexhaustive_subtraction:
-            trace.notes.append("negative expansion after non-exhaustive subtraction")
-            break
-        if borderline_seen:
-            trace.notes.append("negative expansion discarded: borderline rank decisions")
-            reason = REASON_NON_GENERIC
-            break
-        trace.exhaustive_enumeration = True
-        trace.steps.append(TraceStep(op="biorthogonal", n_before=m_dim,
-                                     ranks_before=(cur.rank, cur.pt_rank),
-                                     detail=f"vectors={len(res)}"))
-        return Verdict(VerdictKind.ENTANGLED_PPT, witness=bio.witness), trace
+        if outcome is not _NEXT_PASS:
+            return outcome, trace
 
     # sufficient fallbacks on the first stripped state, before any subtraction
-    if base is not None:
-        fb = symmetric_split_check(base, tol=tol)
-        if fb is None:
-            fb = pt_symmetrizing_search(base, tol=tol)
-        if fb is not None and fb.kind is VerdictKind.SEPARABLE:
-            lifted = [(w, _lift_pv(pv, base_lift)) for w, pv in fb.certificate.terms]
-            cert = SeparabilityCertificate(lifted)
-            if verify_certificate(state0, cert, tol):
-                trace.steps.append(TraceStep(op="fallback-sufficient"))
-                return Verdict(VerdictKind.SEPARABLE, certificate=cert), trace
-
-    return Verdict(VerdictKind.INCONCLUSIVE, reason=reason or REASON_REDUCTION_STALLED), trace
+    base, lift = run.base
+    fb = symmetric_split_check(base, tol=tol) or pt_symmetrizing_search(base, tol=tol)
+    if fb is not None and fb.kind is VerdictKind.SEPARABLE:
+        cert = SeparabilityCertificate([(w, _lift_pv(pv, lift)) for w, pv in fb.certificate.terms])
+        if verify_certificate(state0, cert, tol):
+            trace.steps.append(TraceStep(op="fallback-sufficient"))
+            return Verdict(VerdictKind.SEPARABLE, certificate=cert), trace
+    return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace

@@ -115,7 +115,7 @@ def test_base_case():
 def test_rank_n():
     verdict, _ = check(analyze(rank_n()), SEP, None, ["kernel-reduce", "kernel-reduce", "base-case"],
                        [])
-    assert len(verdict.certificate) == 3
+    assert len(verdict.certificate.terms) == 3
 
 
 def test_pt_invariant():
@@ -196,7 +196,7 @@ def test_transpose_side_rank_n(monkeypatch):
     monkeypatch.setattr(sepengine, "kernel_product_vector",
                         lambda st, tol=None: None if st.rank != st.n else real(st, tol))
     verdict, _ = check(analyze(state), SEP, None, ["rank-n-decompose-pt"], [])
-    assert len(verdict.certificate) == 3
+    assert len(verdict.certificate.terms) == 3
     assert verify_certificate(m, verdict.certificate)
 
 
@@ -300,4 +300,4 @@ def test_zero_remainder(monkeypatch):
     monkeypatch.setattr(sepengine, "subtract", to_zero)
     monkeypatch.setattr(sepengine, "verify_certificate", lambda *a, **k: True)
     verdict, _ = check(analyze(sampled()), SEP, None, ["subtract-sample"], [], nonexhaustive=True)
-    assert len(verdict.certificate) == 1
+    assert len(verdict.certificate.terms) == 1

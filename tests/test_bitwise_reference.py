@@ -270,8 +270,7 @@ class TestChartSamples:
             shapes = [(r, n) for r in (int(rng.integers(0, n)),) * 2 + (int(rng.integers(1, n)),) * 2]
             a1, b1, a2, b2 = (rng.choice(entries, sh) + 1j * rng.choice(entries[:4], sh)
                               for sh in shapes)
-            cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=0, m2=0,
-                                  dets=[], selections=[])
+            cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=0, m2=0, dets=[])
             eye = np.eye(2 * n, dtype=complex)
             ours = _chart_products(cs, SAMPLE_ALPHAS, eye, eye, TOL)
             assert_same_vectors(ours, scalar_chart_products(cs, SAMPLE_ALPHAS, eye, eye, TOL))

@@ -177,6 +177,13 @@ class TestUnivariateRoots:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
             UnivariatePoly(np.array([1.0, np.inf]))
+        # finite coefficients whose modulus overflows
+        big = 1.3e308 * (1 + 1j)
+        with pytest.raises(NonFinite):
+            UnivariatePoly([big, 1e297])
+        for coeffs in ([[big, 1e297]], [[1.0, np.nan]]):
+            with pytest.raises(NonFinite):
+                BivariatePoly(coeffs)
 
     def test_constant_has_no_roots(self):
         assert univariate_roots(UnivariatePoly([3.0])).size == 0
