@@ -484,13 +484,38 @@ def _eval_stack(stack: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w
 
 
+def _min_norm_steps(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of a ``(P, R, 2)`` stack, as ``x + iy``.
+
+    One SVD over the stack; singular values at or below ``eps * max(R, 2)``
+    times the largest are dropped, the cutoff of ``lstsq(rcond=None)``.  A
+    point with a non-finite entry gets NaN without entering the SVD; every
+    point does when the SVD fails.
+    """
+    step = np.full(m.shape[0], np.nan, dtype=complex)
+    ok = np.isfinite(m).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    if not ok.any():
+        return step
+    try:
+        u, s, vt = np.linalg.svd(m[ok], full_matrices=False)
+    except np.linalg.LinAlgError:
+        return step
+    cut = np.finfo(float).eps * max(m.shape[1:]) * s[:, :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+    coef = (rhs[ok, None, :] @ u)[:, 0] * inv
+    delta = (coef[:, None, :] @ vt)[:, 0]
+    step[ok] = delta[:, 0] + 1j * delta[:, 1]
+    return step
+
+
 def _polish(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Gauss-Newton on the genuine-root residuals of every point at once.
 
     ``values`` is the ``(A, B, K)`` stack of the system's grids.  Each point
-    takes the least-squares step in (re, im), halved until the residual norm
-    drops strictly below its best so far; a point whose step is not finite,
-    or that no halving improves, stops there.
+    takes the minimum-norm least-squares step in (re, im), from one SVD of
+    the Jacobians of every moving point (``_min_norm_steps``), halved until
+    the residual norm drops strictly below its best so far; a point whose
+    step is not finite, or that no halving improves, stops there.
     """
     rows, cols, k = values.shape
     d_alpha = np.zeros_like(values)
@@ -516,17 +541,7 @@ def _polish(points: np.ndarray, values: np.ndarray) -> np.ndarray:
         m[:, 0::2, 0], m[:, 0::2, 1] = jx.real, jy.real
         m[:, 1::2, 0], m[:, 1::2, 1] = jx.imag, jy.imag
         rhs[:, 0::2], rhs[:, 1::2] = -r.real, -r.imag
-        # lstsq per point, not one batched SVD: on the rank-deficient
-        # Jacobians of self-conjugate polynomials the rounding of the
-        # minimum-norm step decides where the polish stops on a curve of
-        # roots, and a batched solve moved accepted roots there
-        step = np.full(x.size, np.nan, dtype=complex)
-        for i in range(x.size):
-            try:
-                delta, *_ = np.linalg.lstsq(m[i], rhs[i], rcond=None)
-            except np.linalg.LinAlgError:
-                continue
-            step[i] = delta[0] + 1j * delta[1]
+        step = _min_norm_steps(m, rhs)
         finite = np.isfinite(step)
         live, x, step = live[finite], x[finite], step[finite]
         trial = x[:, None] + damps * step[:, None]
@@ -549,17 +564,21 @@ def verify_roots(candidates, system: list[BivariatePoly], tol=None,
     on the system's residuals (8 steps, 5 step halvings each).  The K grids
     and their derivative grids are zero-padded into one stack, and each step
     evaluates residuals, Jacobians and all line-search points for every
-    candidate at once, by Horner over an array of points; candidates keep
-    their own state (current point, best residual, still moving or not) and
-    only the 2-unknown least-squares step is solved per candidate.  A
-    candidate survives when every polynomial evaluates below the residual
-    tolerance, scaled by that polynomial's absolute-coefficient value at
-    ``|alpha|``.  Survivors within MERGE_RADIUS of each other are merged and
-    the result is sorted by (re, im).
+    candidate at once, by Horner over an array of points, and solves every
+    candidate's 2-unknown least-squares step with one stacked SVD that drops
+    singular values at or below ``eps * max(2K, 2)`` times the largest, as
+    ``lstsq(rcond=None)`` does.  Candidates keep their own state (current
+    point, best residual, still moving or not).  A candidate survives when
+    every polynomial evaluates below the residual tolerance, scaled by that
+    polynomial's absolute-coefficient value at ``|alpha|``.  Survivors within
+    MERGE_RADIUS of each other are merged and the result is sorted by
+    (re, im).
 
     Array products may round differently from the scalar ones of
     ``polyval2d``, so roots can differ from a one-candidate-at-a-time polish
-    in the last bits.
+    in the last bits.  On the rank-one Jacobians of a self-conjugate system
+    rounding decides whether the second singular value is kept, so there a
+    root can move along its curve of roots and the accepted set can change.
     """
     from .matrixcore import ToleranceConfig
 

@@ -730,9 +730,7 @@ def _paired_search(run: _Run, cur: DensityState):
         outcome, witness = "empty enumeration", {"enumerated_vectors": 0}
     # an entangled reading needs no earlier sample and no borderline rank decision
     if run.trace.nonexhaustive_subtraction:
-        if res:  # an empty enumeration after sampling stops without a note
-            run.trace.notes.append(f"{outcome} after non-exhaustive subtraction")
-        return _STOP
+        return run.stop(f"{outcome} after non-exhaustive subtraction", REASON_REDUCTION_STALLED)
     if run.borderline:
         return run.stop(f"{outcome} discarded: borderline rank decisions")
     run.trace.exhaustive_enumeration = True

@@ -244,8 +244,8 @@ def test_empty_enumeration_after_sampling(monkeypatch, no_fallbacks):
         return real(h1, h2, tol) if h1.shape[1] + h2.shape[1] > 12 else []
 
     monkeypatch.setattr(sepengine, "paired_products", paired)
-    check(analyze(sampled()), INC, REASON_REDUCTION_STALLED, ["subtract-sample"] * 4, [],
-          nonexhaustive=True)
+    check(analyze(sampled()), INC, REASON_REDUCTION_STALLED, ["subtract-sample"] * 4,
+          ["empty enumeration after non-exhaustive subtraction"], nonexhaustive=True)
 
 
 def test_infinite_family_without_subtractable_sample(monkeypatch, no_fallbacks):

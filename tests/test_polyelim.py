@@ -15,6 +15,7 @@ from sep2n.polyelim import (
     single_elimination_bound,
     univariate_roots,
     verify_roots,
+    _min_norm_steps,
 )
 
 from helpers import grid_root_oracle, plant_common_roots, scalar_verify_roots, sets_match
@@ -259,6 +260,60 @@ class TestVerifyRoots:
             assert all(abs(a - b) <= 1e-10 * (1 + abs(b)) for a, b in zip(ours, ref))
             accepted += len(ours)
         assert accepted >= 120
+
+
+def lstsq_steps(m, rhs):
+    """Per-point ``lstsq(rcond=None)`` steps ``x + iy``, the loop the stacked solve replaced."""
+    out = []
+    for mi, ri in zip(m, rhs):
+        delta = np.linalg.lstsq(mi, ri, rcond=None)[0]
+        out.append(delta[0] + 1j * delta[1])
+    return np.array(out)
+
+
+class TestMinNormSteps:
+    @pytest.mark.parametrize("rows", [2, 4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("kind", ["full", "rank1", "zero"])
+    def test_matches_per_point_lstsq(self, rows, kind):
+        rng = np.random.default_rng(rows)
+        m = rng.standard_normal((40, rows, 2)) * 10.0 ** rng.uniform(-3, 3, (40, 1, 1))
+        rhs = rng.standard_normal((40, rows))
+        if kind == "rank1":
+            # second column a multiple of the first, as on self-conjugate determinants
+            m[:, :, 1] = m[:, :, 0] * rng.standard_normal((40, 1))
+        elif kind == "zero":
+            m[:] = 0.0
+        ours, ref = _min_norm_steps(m, rhs), lstsq_steps(m, rhs)
+        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0.0)
+        if kind == "zero":
+            assert np.all(ours == 0)
+
+    def test_nonfinite_rows_get_nan_alone(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((6, 4, 2))
+        rhs = rng.standard_normal((6, 4))
+        m[1, 2, 0] = np.nan
+        rhs[4, 3] = np.inf
+        ours = _min_norm_steps(m, rhs)
+        assert np.isnan(ours[1]) and np.isnan(ours[4])
+        rest = [0, 2, 3, 5]
+        np.testing.assert_allclose(ours[rest], lstsq_steps(m[rest], rhs[rest]),
+                                   rtol=1e-12, atol=0.0)
+        assert np.all(np.isnan(_min_norm_steps(np.full((2, 4, 2), np.inf), rhs[:2])))
+
+    def test_failed_svd_stops_every_point(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        rng = np.random.default_rng(4)
+        assert np.all(np.isnan(_min_norm_steps(rng.standard_normal((5, 4, 2)),
+                                               rng.standard_normal((5, 4)))))
+        # no point moves: exact roots are kept, a near one is not polished onto its root
+        system = [poly({(2, 0): 1.0, (0, 1): -1.0})]
+        assert verify_roots(CUBE_ROOTS, system).roots == CUBE_ROOTS
+        assert verify_roots([1.0001], system).roots == []
+
 
 class TestReduceUnivariatePair:
     def test_degree_drops_and_common_root_kept(self):

@@ -1,5 +1,6 @@
 """``tools/record_digest.py``: exact record text and a repeatable digest."""
 
+import dataclasses
 import hashlib
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,25 @@ def test_digest_over_corpus_items_repeats():
         return h.hexdigest()
 
     assert digest() == digest()
+
+
+def test_verdict_digest_moves_only_with_a_verdict(monkeypatch):
+    items = [item for item in corpus.build("constructive", 301, scale=0.05) if item.n <= 4]
+    outcomes = [record_digest.sepengine.analyze(item.matrix) for item in items]
+    i = next(i for i, (v, _) in enumerate(outcomes) if v.certificate and v.certificate.terms)
+    verdict, trace = outcomes[i]
+
+    def digests(changed):
+        calls = iter(outcomes[:i] + [(changed, trace)] + outcomes[i + 1:])
+        monkeypatch.setattr(record_digest.sepengine, "analyze", lambda matrix: next(calls))
+        return record_digest.digests([item.matrix for item in items])
+
+    full, verdicts = digests(verdict)
+    (w, pv), *rest = verdict.certificate.terms
+    one_ulp = dataclasses.replace(verdict, certificate=dataclasses.replace(
+        verdict.certificate, terms=[(float(np.nextafter(w, 2 * w)), pv)] + rest))
+    full_cert, verdicts_cert = digests(one_ulp)
+    assert full_cert != full and verdicts_cert == verdicts
+    kind = dataclasses.replace(verdict, kind=record_digest.sepengine.VerdictKind.INCONCLUSIVE)
+    full_kind, verdicts_kind = digests(kind)
+    assert full_kind != full and verdicts_kind != verdicts

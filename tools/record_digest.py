@@ -1,4 +1,4 @@
-"""One SHA-256 per benchmark workload over full ``analyze`` records.
+"""Two SHA-256 digests per benchmark workload over ``analyze`` records.
 
 Run from the repository root:
 
@@ -10,10 +10,15 @@ The record of a call holds the verdict kind, the reason, every certificate
 term (weight as a float hex string, the exact bytes of e and f, alpha), the
 witness and the whole reduction trace (every step field and note), with
 every float written exactly.  A call that raises is recorded by its
-exception type and message.  Two checkouts print the same digest for a
-workload exactly when every record of it is bit-identical, so comparing
+exception type and message.  Two checkouts print the same full digest for
+a workload exactly when every record of it is bit-identical, so comparing
 the output of this script in both checkouts checks that a change keeps
 every result.
+
+The second digest hashes, in the same order, only each call's verdict kind
+and reason (or its exception type).  It is equal in two checkouts exactly
+when no input's verdict moved; equal verdict counts are not enough, since
+moves in opposite directions cancel.
 """
 
 from __future__ import annotations
@@ -60,12 +65,27 @@ def canonical(x) -> str:
     raise TypeError(f"no canonical form for {type(x).__name__}")
 
 
-def record(matrix: np.ndarray) -> str:
+def records(matrix: np.ndarray) -> tuple[str, str]:
+    """The full record of one ``analyze`` call and its verdict record."""
     try:
         verdict, trace = sepengine.analyze(matrix)
     except Exception as exc:  # a raising call is part of the record
-        return f"raised {type(exc).__name__}: {exc}"
-    return canonical((verdict, trace))
+        return f"raised {type(exc).__name__}: {exc}", f"raised {type(exc).__name__}"
+    return canonical((verdict, trace)), canonical((verdict.kind, verdict.reason))
+
+
+def record(matrix: np.ndarray) -> str:
+    return records(matrix)[0]
+
+
+def digests(matrices) -> tuple[str, str]:
+    """Full-record and verdict digests over ``matrices``, in order."""
+    full, verdicts = hashlib.sha256(), hashlib.sha256()
+    for matrix in matrices:
+        line, verdict = records(matrix)
+        full.update(line.encode() + b"\n")
+        verdicts.update(verdict.encode() + b"\n")
+    return full.hexdigest(), verdicts.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -74,16 +94,12 @@ def main(argv=None) -> int:
     parser.add_argument("--scales", type=float, nargs="+", default=[1.0])
     args = parser.parse_args(argv)
     for workload in sorted(corpus.CORPORA):
-        digest = hashlib.sha256()
-        count = 0
+        matrices = []
         for seed in args.seeds:
             items = corpus.build(workload, seed)
-            for scale in args.scales:
-                for item in items:
-                    digest.update(record(item.matrix * scale).encode())
-                    digest.update(b"\n")
-                    count += 1
-        print(f"{workload:<18} {count:>5} {digest.hexdigest()}")
+            matrices += [item.matrix * scale for scale in args.scales for item in items]
+        full, verdicts = digests(matrices)
+        print(f"{workload:<18} {len(matrices):>5} {full} {verdicts}")
     return 0
 
 
