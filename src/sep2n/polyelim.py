@@ -12,7 +12,6 @@ back-substitution.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,11 +190,6 @@ class UnivariatePoly:
 
     def __call__(self, alpha):
         return npoly.polyval(alpha, self.coeffs)
-
-    def derivative(self) -> "UnivariatePoly":
-        if self.degree == 0:
-            return UnivariatePoly(np.zeros(1, dtype=complex))
-        return UnivariatePoly(npoly.polyder(self.coeffs))
 
 
 @dataclass
@@ -387,70 +381,26 @@ def reduce_univariate_pair(q1: UnivariatePoly, q2: UnivariatePoly) -> Univariate
 
 
 # ---------------------------------------------------------------------------
-# univariate roots, polishing and verification
+# univariate roots and their verification
 # ---------------------------------------------------------------------------
 
-def univariate_roots(q: UnivariatePoly, tol=None) -> np.ndarray:
-    """All complex roots via companion-matrix eigenvalues, Newton-polished."""
-    from .matrixcore import ToleranceConfig
+def univariate_roots(q: UnivariatePoly) -> np.ndarray:
+    """All complex roots, as companion-matrix eigenvalues (``np.roots``).
 
-    tol = tol or ToleranceConfig()
+    The roots are not refined here.  They are only a superset of the
+    genuine roots, so each caller refines them once on the system they came
+    from: ``verify_roots`` on the determinants, or the fixed-alpha refinement
+    of ``productfinder`` on the constraint matrices.
+    """
     c = q.coeffs
     if not np.all(np.isfinite(c)):
         raise NonFinite("non-finite polynomial coefficients")
     if q.degree < 1:
         return np.zeros(0, dtype=complex)
     roots = np.roots(c[::-1])
-    coeffs, dcoeffs = c.tolist(), q.derivative().coeffs.tolist()
-    resid = np.empty(roots.size)
-    for i, r in enumerate(roots):
-        roots[i], resid[i] = _newton_polish(coeffs, dcoeffs, r)
     if np.any(~np.isfinite(roots)):
         raise NonFinite("root finding produced non-finite values")
-    bound = tol.root_residual_tol * (1.0 + np.abs(roots)) ** q.degree * np.linalg.norm(c)
-    if np.any(resid > bound):
-        logger.debug("root residuals above bound by factor %.3g", float(np.max(resid / bound)))
     return roots
-
-
-def _horner(c: list, x: complex) -> complex:
-    """``npoly.polyval(x, c)`` in Python complex arithmetic, with the same bits."""
-    v = c[-1] + x * 0
-    for a in reversed(c[:-1]):
-        v = a + v * x
-    return v
-
-
-def _abs(v: complex) -> float:
-    try:
-        return abs(v)
-    except OverflowError:  # finite parts whose modulus overflows; numpy gives inf
-        return math.inf
-
-
-def _newton_polish(c: list, dc: list, r, steps: int = 6):
-    """Damped Newton from ``r`` on ascending coefficients: the best point and its ``|q|``.
-
-    The point is ``r`` itself when no step helps.  Python complex products,
-    sums and ``abs`` round like numpy's scalars; its division does not, so
-    the step divides in numpy.
-    """
-    x = complex(r)
-    best, best_res = r, _abs(_horner(c, x))
-    for _ in range(steps):
-        d = _horner(dc, x)
-        if _abs(d) == 0.0:
-            break
-        step = complex(np.complex128(_horner(c, x)) / d)
-        for damp in (1.0, 0.5, 0.25, 0.125):
-            cand = x - damp * step
-            res = _abs(_horner(c, cand))
-            if res < best_res:
-                x, best, best_res = cand, cand, res
-                break
-        else:
-            break
-    return best, best_res
 
 
 # Gauss-Newton polish of candidate roots: steps per candidate and step
@@ -557,12 +507,14 @@ def _polish(points: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def verify_roots(candidates, system: list[BivariatePoly], tol=None,
-                 polish: bool = True, bound_used: int | None = None) -> RootSet:
-    """Back-substitute candidates into the originating system.
+                 bound_used: int | None = None) -> RootSet:
+    """Polish candidates on the originating system and keep its genuine roots.
 
-    With ``polish`` every finite candidate is first refined by Gauss-Newton
-    on the system's residuals (8 steps, 5 step halvings each).  The K grids
-    and their derivative grids are zero-padded into one stack, and each step
+    The candidates are usually the unrefined companion roots of the
+    eliminated polynomial (``univariate_roots``).  Every finite one is first
+    refined by Gauss-Newton on the system's residuals (8 steps, 5 step
+    halvings each).  The K grids and
+    their derivative grids are zero-padded into one stack, and each step
     evaluates residuals, Jacobians and all line-search points for every
     candidate at once, by Horner over an array of points, and solves every
     candidate's 2-unknown least-squares step with one stacked SVD that drops
@@ -589,16 +541,13 @@ def verify_roots(candidates, system: list[BivariatePoly], tol=None,
     points = points[np.isfinite(points)]
     grids = [p.coeffs for p in system]
     values = _stack_grids(grids)
-    if polish:
-        points = _polish(points, values)
+    points = _polish(points, values)
     resid = np.abs(_eval_stack(values, points, points.conj()))
     mag = np.abs(points)
     scale = np.maximum(1.0, _eval_stack(_stack_grids([np.abs(g) for g in grids]), mag, mag))
     kept = points[np.all(resid <= tol.root_residual_tol * scale, axis=1)]
     merged: list[complex] = []
     for a in sorted(kept.tolist(), key=lambda z: (z.real, z.imag)):
-        if merged and abs(a - merged[-1]) <= MERGE_RADIUS:
-            continue
         if any(abs(a - m) <= MERGE_RADIUS for m in merged):
             continue
         merged.append(a)

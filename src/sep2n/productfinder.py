@@ -377,7 +377,7 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
     for sel in combinations(range(ac.shape[0]), n):
         det = det_poly_univariate(ac[list(sel)], bc[list(sel)])
         if np.max(np.abs(det.coeffs)) > DET_ZERO_TOL:
-            candidates = list(univariate_roots(det, tol)) if det.degree >= 1 else []
+            candidates = list(univariate_roots(det)) if det.degree >= 1 else []
             break
         if m == n:
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
@@ -423,9 +423,8 @@ def _mixed_selections(r1: int, r2: int, n: int, cap: int | None = None):
     return sels
 
 
-def build_paired_system(h1, h2, tol: ToleranceConfig | None = None) -> ConstraintSystem:
+def build_paired_system(h1, h2) -> ConstraintSystem:
     """Constraint blocks and determinant polynomials for the paired search."""
-    tol = tol or ToleranceConfig()
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)
     if h1.shape[0] != h2.shape[0]:
@@ -463,13 +462,12 @@ def build_paired_system(h1, h2, tol: ToleranceConfig | None = None) -> Constrain
     return cs
 
 
-def eliminate_paired(cs: ConstraintSystem, tol: ToleranceConfig | None = None):
+def eliminate_paired(cs: ConstraintSystem):
     """Reduce the determinant system to one univariate polynomial.
 
     Returns ``(poly, diagnostics)``; the polynomial is None when every
     determinant vanished identically (rank deficiency for all alpha).
     """
-    tol = tol or ToleranceConfig()
     if not cs.dets:
         return None, {"all_determinants_zero": True, "final_degree": None, "bound": None}
     det_degrees = [(d.deg_alpha, d.deg_conj) for d in cs.dets]
@@ -517,7 +515,7 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)
     n = h1.shape[0] // 2
-    cs = build_paired_system(h1, h2, tol)
+    cs = build_paired_system(h1, h2)
     if cs.m1 + cs.m2 > 3 * n:
         return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="dimension count exceeds 3N")
@@ -525,10 +523,10 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
         return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="all determinants vanish identically")
     try:
-        q, diag = eliminate_paired(cs, tol)
+        q, diag = eliminate_paired(cs)
     except DegenerateElimination as exc:
         raise NonGenericInput(f"degenerate elimination: {exc}") from exc
-    candidates = list(univariate_roots(q, tol)) if q.degree >= 1 else []
+    candidates = list(univariate_roots(q)) if q.degree >= 1 else []
     rootset = verify_roots(candidates, cs.dets, tol, bound_used=diag.get("bound"))
 
     found = _root_products(rootset.roots, cs, h1, h2, tol)

@@ -218,8 +218,7 @@ def _support_borderline(state: DensityState) -> bool:
     return bool(np.any((w > cutoff / 10) & (w < 10 * cutoff)))
 
 
-def reduce_by_kernel(state: DensityState, v: ProductVector,
-                     tol: ToleranceConfig | None = None):
+def reduce_by_kernel(state: DensityState, v: ProductVector):
     """Turn a kernel product vector into a rank-and-dimension reduction.
 
     Rotating e to its orthogonal complement maps the state onto a product
@@ -294,7 +293,7 @@ def decompose_rank_n(state: DensityState, tol: ToleranceConfig | None = None) ->
         v = kernel_product_vector(cur, tol)
         if v is None:
             raise NonGenericInput(_NO_KERNEL_VECTOR)
-        cur, (weight, pv), iso = reduce_by_kernel(cur, v, tol)
+        cur, (weight, pv), iso = reduce_by_kernel(cur, v)
         terms.append((weight, _lift_pv(pv, lift)))
         lift = lift @ iso
     terms.extend(_base_terms(cur, lift))
@@ -656,7 +655,7 @@ def _kernel_reduction(run: _Run, cur: DensityState):
     try:
         v = kernel_product_vector(cur, run.tol)
         if v is not None:
-            new, (weight, pv), iso = reduce_by_kernel(cur, v, run.tol)
+            new, (weight, pv), iso = reduce_by_kernel(cur, v)
             run.terms.append((weight, _lift_pv(pv, run.lift)))
             run.trace.steps.append(_step(
                 "kernel-reduce", cur, new, lam=weight, case="iii", alpha=pv.alpha,

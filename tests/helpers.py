@@ -6,16 +6,14 @@ ordering from the spectrum of the difference, and bivariate roots from a
 dense grid scan with finite-difference Newton refinement.  Root
 verification also has a scalar reference, one ``polyval2d`` call per
 candidate and polynomial, for the batched one in the library; the
-fixed-alpha solves, the determinant interpolation and the Newton polish of
-univariate roots have one-alpha, one-node, ``polyval`` references for the
-stacked calls that replaced them.
+fixed-alpha solves and the determinant interpolation have one-alpha,
+one-node references for the stacked calls that replaced them.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from sep2n.matrixcore import hermitize, partial_transpose_matrix
-from sep2n.polyelim import NonFinite
 from sep2n.productfinder import NULL_ACCEPT, NonGenericInput, ProductVector, _inv_dft, in_range
 
 
@@ -379,9 +377,9 @@ def sets_match(a, b, radius=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# scalar fixed-alpha solves, determinant interpolation and Newton polish: the
-# one-alpha, one-node loops that the stacked numpy calls in ``productfinder``
-# and ``polyelim.univariate_roots`` replaced, kept as their bitwise references
+# scalar fixed-alpha solves and determinant interpolation: the one-alpha,
+# one-node loops that the stacked numpy calls in ``productfinder`` replaced,
+# kept as their bitwise references
 # ---------------------------------------------------------------------------
 
 def scalar_stacked(cs, alpha):
@@ -494,38 +492,3 @@ def scalar_det_poly_bivariate(rows_alpha, rows_conj):
                            y * rows_conj[0] + rows_conj[1]])
             grid[i, j] = np.linalg.det(m)
     return inv_a @ grid @ inv_b.T
-
-
-def scalar_newton_polish(q, dq, r, steps=6):
-    """Damped Newton on a ``UnivariatePoly`` with numpy-scalar ``polyval``."""
-    best, best_res = r, abs(q(r))
-    for _ in range(steps):
-        d = dq(r)
-        if abs(d) == 0.0:
-            break
-        step = q(r) / d
-        damp = 1.0
-        for _ in range(4):
-            cand = r - damp * step
-            res = abs(q(cand))
-            if res < best_res:
-                r, best, best_res = cand, cand, res
-                break
-            damp /= 2
-        else:
-            break
-    return best
-
-
-def scalar_univariate_roots(q):
-    """Companion-matrix roots of a ``UnivariatePoly``, each polished on its own."""
-    c = q.coeffs
-    if q.degree < 1:
-        return np.zeros(0, dtype=complex)
-    roots = np.roots(c[::-1])
-    dq = q.derivative()
-    for i, r in enumerate(roots):
-        roots[i] = scalar_newton_polish(q, dq, r)
-    if np.any(~np.isfinite(roots)):
-        raise NonFinite("root finding produced non-finite values")
-    return roots

@@ -1,9 +1,9 @@
 """The stacked numpy calls of the fixed-alpha search give the scalar loops' bits.
 
-Each test runs a library function that solves many alphas, interpolation
-nodes or roots in one stacked call, and the one-at-a-time loop it replaced
-(kept in ``helpers``), on seeded systems, and requires exact equality:
-alphas compared by their float hex, arrays by their bytes.
+Each test runs a library function that solves many alphas or interpolation
+nodes in one stacked call, and the one-at-a-time loop it replaced (kept in
+``helpers``), on seeded systems, and requires exact equality: alphas
+compared by their float hex, arrays by their bytes.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from sep2n.matrixcore import ToleranceConfig
 from sep2n.polyelim import (
     BivariatePoly,
     UnivariatePoly,
-    _newton_polish,
     univariate_roots,
     verify_roots,
 )
@@ -39,11 +38,9 @@ from helpers import (
     scalar_collect_single,
     scalar_det_poly_bivariate,
     scalar_det_poly_univariate,
-    scalar_newton_polish,
     scalar_refine_alpha_f,
     scalar_root_products,
     scalar_stacked,
-    scalar_univariate_roots,
     scalar_vector_at_root,
 )
 
@@ -93,7 +90,7 @@ def single_case(rng, n, m):
     h = span(*[g.vector for g in gens], cvec(rng, 2 * n))
     cs = _single_system(h, n)
     ac, bc = cs.conj_blocks[:2]
-    roots = univariate_roots(det_poly_univariate(ac[:n], bc[:n]), TOL)
+    roots = univariate_roots(det_poly_univariate(ac[:n], bc[:n]))
     near = [g.alpha + 1e-4 * complex(*rng.standard_normal(2)) for g in gens if g.alpha is not None]
     far = list(2.0 * rng.standard_normal(3) + 2j * rng.standard_normal(3))
     return h, cs, list(roots) + near + far
@@ -105,9 +102,9 @@ def paired_case(rng, n, m1, m2, planted):
     h1 = span(*[g.vector for g in gens], *[cvec(rng, 2 * n) for _ in range(m1 - planted)])
     h2 = span(*[g.conjugate_partner.vector for g in gens],
               *[cvec(rng, 2 * n) for _ in range(m2 - planted)])
-    cs = build_paired_system(h1, h2, TOL)
-    q, diag = eliminate_paired(cs, TOL)
-    roots = verify_roots(list(univariate_roots(q, TOL)), cs.dets, TOL,
+    cs = build_paired_system(h1, h2)
+    q, diag = eliminate_paired(cs)
+    roots = verify_roots(list(univariate_roots(q)), cs.dets, TOL,
                          bound_used=diag["bound"]).roots
     return h1, h2, cs, roots
 
@@ -198,7 +195,7 @@ class TestRefinement:
             h = span(*[cvec(rng, 2 * n) for _ in range(n - 1)])
             cs = _single_system(h, n)
             ac, bc = cs.conj_blocks[:2]
-            starts = list(univariate_roots(det_poly_univariate(ac[:n], bc[:n]), TOL))
+            starts = list(univariate_roots(det_poly_univariate(ac[:n], bc[:n])))
             _alphas, _fs, sigmas = _refine_alpha_f(cs, starts)
             assert all(s[n - 1] > 1e-3 for s in sigmas)
             assert _root_products(starts, cs, h, None, loose) == []
@@ -227,7 +224,7 @@ class TestNonUniqueRoot:
             cols1 += list(np.kron(e[:, None], f_basis).T)
             cols2 += list(np.kron(np.conj(e)[:, None], f_basis).T)
         h1, h2 = span(*cols1), span(*cols2)
-        return h1, h2, build_paired_system(h1, h2, TOL), good.alpha, bad
+        return h1, h2, build_paired_system(h1, h2), good.alpha, bad
 
     def test_first_offending_root_raises_after_valid_roots(self):
         h1, h2, cs, good, bad = self._system(np.random.default_rng(40))
@@ -253,7 +250,7 @@ class TestChartSamples:
         eye = np.eye(2 * n, dtype=complex)
         for c1 in ([0, 1, 3], [0, 3, 4], [1, 2, 4, 5], [0, 1, 2, 3]):
             for c2 in ([0, 3], [1, 4, 5], [0, 1, 3, 4], [2, 5]):
-                cs = build_paired_system(eye[:, c1], eye[:, c2], TOL)
+                cs = build_paired_system(eye[:, c1], eye[:, c2])
                 h1, h2 = eye[:, c1], eye[:, c2]
                 assert_same_vectors(_chart_products(cs, SAMPLE_ALPHAS, h1, h2, TOL),
                                     scalar_chart_products(cs, SAMPLE_ALPHAS, h1, h2, TOL))
@@ -294,7 +291,7 @@ class TestChartSamples:
         g = random_product_vector(rng, n)
         h1 = span(g.vector, *[cvec(rng, 2 * n) for _ in range(2 * n - 2)])
         h2 = span(g.conjugate_partner.vector, *[cvec(rng, 2 * n) for _ in range(n + 1)])
-        cs = build_paired_system(h1, h2, TOL)
+        cs = build_paired_system(h1, h2)
         assert_same_vectors(_chart_products(cs, SAMPLE_ALPHAS, h1, h2, TOL),
                             scalar_chart_products(cs, SAMPLE_ALPHAS, h1, h2, TOL))
 
@@ -320,53 +317,3 @@ class TestDeterminantInterpolation:
                 ours = det_poly_bivariate(blocks[:2], blocks[2:]).coeffs
                 ref = BivariatePoly(scalar_det_poly_bivariate(blocks[:2], blocks[2:])).coeffs
                 assert ours.tobytes() == ref.tobytes()
-
-
-class TestNewtonPolish:
-    def test_roots_of_random_polynomials(self):
-        rng = np.random.default_rng(60)
-        for _ in range(150):
-            deg = int(rng.integers(1, 16))
-            q = UnivariatePoly(cvec(rng, deg + 1) * 10.0 ** rng.uniform(-3, 3))
-            ours, ref = univariate_roots(q, TOL), scalar_univariate_roots(q)
-            assert ours.dtype == ref.dtype
-            assert ours.tobytes() == ref.tobytes()
-
-    def test_perturbed_starts(self):
-        # starts well off the roots, so the damped steps and their halvings run
-        rng = np.random.default_rng(61)
-        moved = 0
-        for _ in range(150):
-            deg = int(rng.integers(1, 12))
-            q = UnivariatePoly(cvec(rng, deg + 1))
-            dq = q.derivative()
-            for r in np.roots(q.coeffs[::-1]) + 0.3 * cvec(rng, deg):
-                ours, res = _newton_polish(q.coeffs.tolist(), dq.coeffs.tolist(), r)
-                assert res == abs(q(ours))
-                ref = scalar_newton_polish(q, dq, r)
-                assert bits(complex(ours)) == bits(complex(ref))
-                moved += ref != r
-        assert moved > 500
-
-    def test_modulus_past_the_float_range(self):
-        # |q(1.5e11j)| = 1.92e308 from finite parts: Python's abs raises
-        # there, numpy's gives inf, and the polish goes on as numpy's did
-        q = UnivariatePoly(np.array([1.2e308, 1e297], dtype=complex))
-        dq = q.derivative()
-        start = np.complex128(1.5e11j)
-        with pytest.raises(OverflowError):
-            abs(complex(q(start)))
-        with np.errstate(over="ignore"):
-            ref = scalar_newton_polish(q, dq, start)
-        ours, res = _newton_polish(q.coeffs.tolist(), dq.coeffs.tolist(), start)
-        assert ours != start and np.isfinite(res)
-        assert bits(complex(ours)) == bits(complex(ref))
-
-    @pytest.mark.parametrize("coeffs", [[0, 0, 0, 2 + 1j], [0, 3j], [0, 0, -1.5]])
-    def test_monomial_keeps_real_dtype(self, coeffs):
-        q = UnivariatePoly(np.array(coeffs, dtype=complex))
-        assert np.roots(q.coeffs[::-1]).dtype == np.float64
-        ours, ref = univariate_roots(q, TOL), scalar_univariate_roots(q)
-        assert ours.dtype == ref.dtype == np.float64
-        assert ours.tobytes() == ref.tobytes()
-        assert np.array_equal(ours, np.zeros(q.degree))

@@ -222,9 +222,13 @@ class TestVerifyRoots:
         assert verify_roots(nonfinite, system).roots == []
 
     def test_merges_close_candidates(self):
-        system = [poly({(1, 0): 1.0, (0, 0): -1.0})]
-        kept = verify_roots([1.0, 1.0 + 1e-9], system, polish=False)
+        # (a - 1)(a - 1 - 5e-7): two genuine roots, each a fixed point of the
+        # polish, closer than MERGE_RADIUS
+        gap = 5e-7
+        system = [poly({(2, 0): 1.0, (1, 0): -(2.0 + gap), (0, 0): 1.0 + gap})]
+        kept = verify_roots([1.0, 1.0 + gap], system)
         assert len(kept.roots) == 1
+        assert abs(kept.roots[0] - 1.0) < 1e-12
         kept = verify_roots(CUBE_ROOTS + [c + 1e-7 for c in CUBE_ROOTS],
                             [poly({(2, 0): 1.0, (0, 1): -1.0})])
         assert len(kept.roots) == 4

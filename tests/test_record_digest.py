@@ -65,14 +65,36 @@ def test_verdict_digest_moves_only_with_a_verdict(monkeypatch):
     def digests(changed):
         calls = iter(outcomes[:i] + [(changed, trace)] + outcomes[i + 1:])
         monkeypatch.setattr(record_digest.sepengine, "analyze", lambda matrix: next(calls))
-        return record_digest.digests([item.matrix for item in items])
+        return record_digest.digests([(item.name, item.label, item.matrix) for item in items])
 
-    full, verdicts = digests(verdict)
+    full, verdicts, _ = digests(verdict)
     (w, pv), *rest = verdict.certificate.terms
     one_ulp = dataclasses.replace(verdict, certificate=dataclasses.replace(
         verdict.certificate, terms=[(float(np.nextafter(w, 2 * w)), pv)] + rest))
-    full_cert, verdicts_cert = digests(one_ulp)
+    full_cert, verdicts_cert, _ = digests(one_ulp)
     assert full_cert != full and verdicts_cert == verdicts
     kind = dataclasses.replace(verdict, kind=record_digest.sepengine.VerdictKind.INCONCLUSIVE)
-    full_kind, verdicts_kind = digests(kind)
+    full_kind, verdicts_kind, _ = digests(kind)
     assert full_kind != full and verdicts_kind != verdicts
+
+
+def test_names_separable_inputs_called_entangled_ppt(monkeypatch, capsys):
+    items = [item for item in corpus.build("constructive", 301, scale=0.05) if item.n <= 4][:3]
+    items[1] = dataclasses.replace(items[1], label=corpus.NPT)
+    verdict, trace = record_digest.sepengine.analyze(items[0].matrix)
+    kinds = record_digest.sepengine.VerdictKind
+
+    def analyze(matrix):
+        # entangled_ppt at scale 1 only, whatever the label
+        kind = kinds.ENTANGLED_PPT if np.trace(matrix).real < 2.0 else kinds.SEPARABLE
+        return dataclasses.replace(verdict, kind=kind), trace
+
+    monkeypatch.setattr(record_digest.sepengine, "analyze", analyze)
+    monkeypatch.setattr(corpus, "CORPORA", {"constructive": corpus.CORPORA["constructive"]})
+    monkeypatch.setattr(corpus, "build", lambda workload, seed: items)
+    assert record_digest.main(["--seeds", "301", "302", "--scales", "1", "1e150"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["constructive", "12"]
+    prefix = "constructive       entangled_ppt on separable: "
+    assert lines[1:] == [f"{prefix}seed {seed} scale 1 {items[i].name}"
+                         for seed in (301, 302) for i in (0, 2)]

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -429,7 +433,34 @@ class TestVerifyCertificate:
             verify_certificate(pv.projector(), SeparabilityCertificate([(-1.0, pv)]))
 
 
+@pytest.fixture(scope="module")
+def range_enum_302_item_102():
+    """Item ``102_sep_r12_n8`` of the benchmark's range_enum corpus at seed 302.
+
+    A separable mixture of 12 product projectors on C2 x C8, so its rank sum
+    is 24 = 3N and the paired search runs once, finite.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # the dataclass decorator looks its module up
+    spec.loader.exec_module(corpus)
+    return next(item for item in corpus.build("range_enum", 302) if item.name == "102_sep_r12_n8")
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_benchmark_separable_item_at_every_scale(self, range_enum_302_item_102, scale):
+        # the paired search must return this input's 16 product vectors at
+        # every scale; a spurious 17th makes the expansion go negative, a
+        # false entangled_ppt
+        item = range_enum_302_item_102
+        assert item.label == "separable"
+        m = item.matrix * scale
+        verdict, _ = analyze(m)
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert verify_certificate(m, verdict.certificate)
+
     def test_maximally_entangled_is_npt(self):
         verdict, trace = analyze(embedded_max_entangled(2))
         assert verdict.kind is VerdictKind.ENTANGLED_NPT

@@ -19,6 +19,11 @@ The second digest hashes, in the same order, only each call's verdict kind
 and reason (or its exception type).  It is equal in two checkouts exactly
 when no input's verdict moved; equal verdict counts are not enough, since
 moves in opposite directions cancel.
+
+Below each workload's digests follows one line per input labelled
+``separable`` that ``analyze`` calls ``entangled_ppt``, naming its seed,
+scale and corpus item, so two checkouts' outputs also say which known false
+verdicts a change added or removed.
 """
 
 from __future__ import annotations
@@ -65,27 +70,37 @@ def canonical(x) -> str:
     raise TypeError(f"no canonical form for {type(x).__name__}")
 
 
-def records(matrix: np.ndarray) -> tuple[str, str]:
-    """The full record of one ``analyze`` call and its verdict record."""
+def records(matrix: np.ndarray) -> tuple[str, str, sepengine.VerdictKind | None]:
+    """The full record of one ``analyze`` call, its verdict record and verdict kind.
+
+    The kind is None for a call that raised.
+    """
     try:
         verdict, trace = sepengine.analyze(matrix)
     except Exception as exc:  # a raising call is part of the record
-        return f"raised {type(exc).__name__}: {exc}", f"raised {type(exc).__name__}"
-    return canonical((verdict, trace)), canonical((verdict.kind, verdict.reason))
+        return f"raised {type(exc).__name__}: {exc}", f"raised {type(exc).__name__}", None
+    return canonical((verdict, trace)), canonical((verdict.kind, verdict.reason)), verdict.kind
 
 
 def record(matrix: np.ndarray) -> str:
     return records(matrix)[0]
 
 
-def digests(matrices) -> tuple[str, str]:
-    """Full-record and verdict digests over ``matrices``, in order."""
+def digests(inputs) -> tuple[str, str, list[str]]:
+    """Full-record and verdict digests over ``(name, label, matrix)`` inputs, in order.
+
+    The third value lists the names of the inputs labelled separable that
+    ``analyze`` calls entangled_ppt.
+    """
     full, verdicts = hashlib.sha256(), hashlib.sha256()
-    for matrix in matrices:
-        line, verdict = records(matrix)
+    false_ppt = []
+    for name, label, matrix in inputs:
+        line, verdict, kind = records(matrix)
         full.update(line.encode() + b"\n")
         verdicts.update(verdict.encode() + b"\n")
-    return full.hexdigest(), verdicts.hexdigest()
+        if label == corpus.SEPARABLE and kind is sepengine.VerdictKind.ENTANGLED_PPT:
+            false_ppt.append(name)
+    return full.hexdigest(), verdicts.hexdigest(), false_ppt
 
 
 def main(argv=None) -> int:
@@ -94,12 +109,15 @@ def main(argv=None) -> int:
     parser.add_argument("--scales", type=float, nargs="+", default=[1.0])
     args = parser.parse_args(argv)
     for workload in sorted(corpus.CORPORA):
-        matrices = []
+        inputs = []
         for seed in args.seeds:
             items = corpus.build(workload, seed)
-            matrices += [item.matrix * scale for scale in args.scales for item in items]
-        full, verdicts = digests(matrices)
-        print(f"{workload:<18} {len(matrices):>5} {full} {verdicts}")
+            inputs += [(f"seed {seed} scale {scale:g} {item.name}", item.label, item.matrix * scale)
+                       for scale in args.scales for item in items]
+        full, verdicts, false_ppt = digests(inputs)
+        print(f"{workload:<18} {len(inputs):>5} {full} {verdicts}")
+        for name in false_ppt:
+            print(f"{workload:<18} entangled_ppt on separable: {name}")
     return 0
 
 
