@@ -12,7 +12,6 @@ re-verified against the input before being emitted.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -416,16 +415,15 @@ def antisymmetric_block(state: DensityState) -> np.ndarray:
     return hermitize(-0.5j * (m[:n, n:] - m[n:, :n]))
 
 
-def symmetric_split_check(state: DensityState, a=None,
+def symmetric_split_check(state: DensityState,
                           tol: ToleranceConfig | None = None) -> Verdict | None:
     """Sufficient separability check via the symmetric/antisymmetric split.
 
     Splits the state into its partial-transpose-invariant part plus
-    ``sy (x) B``, subtracts a diagonal compensator C built from the spectral
-    decomposition of B (weighted by the free positive parameters a_i), and
-    certifies the invariant remainder.  Returns None when the compensator
-    does not fit under the invariant part; the criterion is only
-    sufficient.
+    ``sy (x) B``, subtracts the compensator ``C = sum_i |b_i| I (x) P_i``
+    built from the spectral decomposition of B, and certifies the invariant
+    remainder.  Returns None when the compensator does not fit under the
+    invariant part; the criterion is only sufficient.
     """
     tol = tol or state.tol
     n = state.n
@@ -434,21 +432,11 @@ def symmetric_split_check(state: DensityState, a=None,
     lam_b, vec_b = np.linalg.eigh(b)
     scale = max(float(np.max(np.abs(lam_b))), 0.0)
     keep = [i for i in range(lam_b.size) if abs(lam_b[i]) > 1e-14 * max(scale, state.norm, 1e-300)]
-    if a is None:
-        a = np.ones(len(keep))
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.size != len(keep):
-            raise ValueError(f"need {len(keep)} weights, got {a.size}")
-        if np.any(a == 0):
-            raise ValueError("weights must be nonzero")
 
     comp = np.zeros_like(state.matrix)
-    for idx, i in enumerate(keep):
-        ai = float(a[idx])
-        qubit = np.diag([ai ** 2, ai ** -2]).astype(complex)
+    for i in keep:
         proj = np.outer(vec_b[:, i], vec_b[:, i].conj())
-        comp += abs(lam_b[i]) * np.kron(qubit, proj)
+        comp += abs(lam_b[i]) * np.kron(np.eye(2, dtype=complex), proj)
 
     if not psd_difference_check(rho_s, comp, tol):
         return None
@@ -462,92 +450,66 @@ def symmetric_split_check(state: DensityState, a=None,
         except (ValueError, NonGenericInput):
             return None
         terms.extend(sub.terms)
-    for idx, i in enumerate(keep):
-        ai = float(a[idx])
+    for i in keep:
         sign = 1.0 if lam_b[i] >= 0 else -1.0
-        w_e = np.array([ai, -1j * sign / ai], dtype=complex)
-        weight = abs(lam_b[i]) * (ai ** 2 + ai ** -2)
-        terms.append((float(weight), ProductVector.from_e_f(w_e, vec_b[:, i])))
+        w_e = np.array([1.0, -1j * sign], dtype=complex)
+        terms.append((float(2 * abs(lam_b[i])), ProductVector.from_e_f(w_e, vec_b[:, i])))
     cert = SeparabilityCertificate(terms)
     if not verify_certificate(state, cert, tol):
         return None
     return Verdict(VerdictKind.SEPARABLE, certificate=cert)
 
 
-@functools.cache
-def _default_transforms() -> np.ndarray:
-    """The default candidates of ``pt_symmetrizing_search``, stacked and read-only."""
-    rng = np.random.default_rng(20260810)
-    cands = [np.eye(2, dtype=complex)]
-    for s in (2.0, 0.5, 3.0, 1.0 / 3.0):
-        cands.append(np.diag([s, 1.0]).astype(complex))
-    while len(cands) < 55:
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        if abs(np.linalg.det(a)) >= 0.1:
-            cands.append(a)
-    stacked = np.array(cands)
-    stacked.flags.writeable = False
-    return stacked
+# Pauli basis of the Hermitian 2 x 2 matrices: identity, x, y, z.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _symmetrizing_screen(state: DensityState, cands: np.ndarray) -> np.ndarray:
-    """Mask of the candidates A whose sigma = (A x I) rho (A x I)^dag may be PT-invariant.
-
-    sigma - sigma^TA is nonzero only in the off-diagonal blocks, where it is
-    +-(sigma_01 - sigma_10), so ``||sigma - sigma^TA|| >= max|sigma_01 -
-    sigma_10|`` while ``||sigma|| <= 2N max|sigma_ij|``.  A candidate whose
-    block gap exceeds twice ``PT_INVARIANCE_REL_TOL * max(2N max|sigma_ij|,
-    1e-300)`` therefore fails the invariance test of the search; the factor
-    two absorbs rounding.  Non-finite values are never screened out.
-    """
-    n = state.n
-    blocks = state.matrix.reshape(2, n, 2, n)
-    sigma = np.einsum("kac,cidj,kbd->kaibj", cands, blocks, cands.conj())
-    gap = np.max(np.abs(sigma[:, 0, :, 1, :] - sigma[:, 1, :, 0, :]), axis=(1, 2))
-    size = np.max(np.abs(sigma).reshape(len(cands), -1), axis=1)
-    limit = 2.0 * PT_INVARIANCE_REL_TOL * np.maximum(2 * n * size, 1e-300)
-    return ~(np.isfinite(gap) & np.isfinite(limit) & (gap > limit))
-
-
-def pt_symmetrizing_search(state: DensityState, candidates=None,
+def pt_symmetrizing_search(state: DensityState,
                            tol: ToleranceConfig | None = None) -> Verdict | None:
-    """Look for an invertible qubit-side transform making the state PT-invariant.
+    """Solve for an invertible qubit-side transform A making the state PT-invariant.
 
-    Separability is unchanged by invertible local transforms, so a hit is
+    With rho_kl the N x N blocks of the state and u, v the rows of A, the
+    state (A x I) rho (A x I)^dag is PT-invariant exactly when
+    ``sum_kl H_kl rho_kl = 0`` for the Hermitian, indefinite
+    ``H = -i(u v^dag - v u^dag)``, and every indefinite H arises this way.
+    H is the least-residual solution of that linear system, read off a thin
+    SVD in the Pauli basis.  Separability is unchanged by A, so a hit is
     certified on the transformed state and the certificate pulled back.
-    The candidate list is a heuristic; None just means no candidate hit.
+    None means no such A exists within ``PT_INVARIANCE_REL_TOL`` or its
+    certificate failed.
     """
     tol = tol or state.tol
     n = state.n
-    if candidates is None:
-        candidates = _default_transforms()
-    else:
-        candidates = [np.asarray(a, dtype=complex) for a in candidates]
-        if any(a.shape != (2, 2) for a in candidates):
-            raise ValueError("candidate transforms must be 2 x 2")
-        candidates = np.array(candidates).reshape(-1, 2, 2)
-    for a, possible in zip(candidates, _symmetrizing_screen(state, candidates)):
-        if not possible or abs(np.linalg.det(a)) < 1e-12:
-            continue
-        w = np.kron(a, np.eye(n, dtype=complex))
-        sigma = hermitize(w @ state.matrix @ w.conj().T)
-        sig_pt = hermitize(w.conj() @ state.pt_matrix @ w.T)
-        if not operator_norm_at_most(sigma - sig_pt, PT_INVARIANCE_REL_TOL, sigma, 1e-300):
-            continue
-        try:
-            sig_state = DensityState(sigma, n=n, tol=state.tol)
-            cert_sigma = pt_invariant_decompose(sig_state, tol)
-        except (ValueError, NonGenericInput):
-            continue
-        a_inv = np.linalg.inv(a)
-        terms = []
-        for lam, pv in cert_sigma.terms:
-            e_back = a_inv @ pv.e
-            terms.append((lam * float(np.vdot(e_back, e_back).real),
-                          ProductVector.from_e_f(e_back, pv.f)))
-        cert = SeparabilityCertificate(terms)
-        if verify_certificate(state, cert, tol):
-            return Verdict(VerdictKind.SEPARABLE, certificate=cert)
+    images = np.einsum("hkl,kalb->hab", _PAULIS, state.matrix.reshape(2, n, 2, n))
+    system = np.concatenate((images.real, images.imag), axis=1).reshape(4, -1)
+    left, _, _ = np.linalg.svd(system, full_matrices=False)
+    h = np.einsum("h,hkl->kl", left[:, -1], _PAULIS)
+    (lam_q, lam_p), vecs = np.linalg.eigh(h)
+    q, p = vecs.T  # H = lam_p p p^dag + lam_q q q^dag
+    # |det A|^2 = -lam_q lam_p, so this also skips an H whose A is (nearly) singular
+    if lam_q * lam_p > -1e-24:
+        return None
+    ap, bq = np.sqrt(lam_p / 2) * p, np.sqrt(-lam_q / 2) * q
+    a = np.array([ap + bq, -1j * (ap - bq)])
+    w = np.kron(a, np.eye(n, dtype=complex))
+    sigma = hermitize(w @ state.matrix @ w.conj().T)
+    sig_pt = hermitize(w.conj() @ state.pt_matrix @ w.T)
+    if not operator_norm_at_most(sigma - sig_pt, PT_INVARIANCE_REL_TOL, sigma, 1e-300):
+        return None
+    try:
+        sig_state = DensityState(sigma, n=n, tol=state.tol)
+        cert_sigma = pt_invariant_decompose(sig_state, tol)
+    except (ValueError, NonGenericInput):
+        return None
+    a_inv = np.linalg.inv(a)
+    terms = []
+    for lam, pv in cert_sigma.terms:
+        e_back = a_inv @ pv.e
+        terms.append((lam * float(np.vdot(e_back, e_back).real),
+                      ProductVector.from_e_f(e_back, pv.f)))
+    cert = SeparabilityCertificate(terms)
+    if verify_certificate(state, cert, tol):
+        return Verdict(VerdictKind.SEPARABLE, certificate=cert)
     return None
 
 
@@ -557,12 +519,20 @@ def pt_symmetrizing_search(state: DensityState, candidates=None,
 
 def verify_certificate(state, cert: SeparabilityCertificate,
                        tol: ToleranceConfig | None = None) -> bool:
-    """Check the weighted projector sum reconstructs the state in operator norm."""
+    """Check the weighted projector sum reconstructs the state in operator norm.
+
+    Raises ``ValueError`` unless every weight is positive and every term is
+    a product of an e with 2 entries and an f with N entries.
+    """
     matrix = state.matrix if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
     tol = tol or (state.tol if isinstance(state, DensityState) else ToleranceConfig())
-    for weight, _pv in cert.terms:
+    n = matrix.shape[0] // 2
+    for weight, pv in cert.terms:
         if not (weight > 0):
             raise ValueError(f"certificate weights must be positive, got {weight!r}")
+        if pv.e.shape != (2,) or pv.f.shape != (n,):
+            raise ValueError(f"certificate terms need e of shape (2,) and f of shape ({n},), "
+                             f"got {pv.e.shape} and {pv.f.shape}")
     recon = cert.reconstruct(matrix.shape[0])
     floor = 0.0 if np.any(matrix) else 1.0  # a zero state gets an absolute bound
     return operator_norm_at_most(matrix - recon, tol.cert_recon_tol, matrix, floor)

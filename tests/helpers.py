@@ -63,6 +63,36 @@ def embedded_max_entangled(n):
     return m / np.real(np.trace(m))
 
 
+def horodecki_2x4(b):
+    """P. Horodecki's PPT-entangled state on C2 x C4, 0 < b < 1."""
+    m = np.zeros((8, 8))
+    for k in range(4):
+        m[k, k] = b
+    for k in range(3):
+        m[k, 5 + k] = m[5 + k, k] = b
+        m[5 + k, 5 + k] = b
+    s = np.sqrt(1 - b * b) / 2
+    m[4, 4] = m[7, 7] = (1 + b) / 2
+    m[4, 7] = m[7, 4] = s
+    return m.astype(complex) / (7 * b + 1)
+
+
+def transformed_pt_invariant(rng, n, defect=0.0):
+    """(A^-1 x I) sigma (A^-1 x I)^dag for a random PT-invariant sigma and random A.
+
+    ``defect`` adds an off-diagonal block of that relative size, breaking
+    the invariance of sigma.
+    """
+    sigma = random_pt_invariant(rng, n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    sigma[:n, n:] += defect * np.linalg.norm(sigma, 2) * x / np.linalg.norm(x, 2)
+    sigma[n:, :n] = sigma[:n, n:].conj().T
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    w = np.kron(np.linalg.inv(a), np.eye(n))
+    m = w @ sigma @ w.conj().T
+    return m / np.real(np.trace(m))
+
+
 def random_psd(rng, dim, rank=None):
     rank = rank or dim
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))

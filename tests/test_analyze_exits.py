@@ -25,27 +25,19 @@ from sep2n.sepengine import (
     verify_certificate,
 )
 
-from helpers import build_separable, embedded_max_entangled, random_ppt_mixture, random_pt_invariant
+from helpers import (
+    build_separable,
+    embedded_max_entangled,
+    horodecki_2x4,
+    random_ppt_mixture,
+    random_pt_invariant,
+)
 
 SEP = VerdictKind.SEPARABLE
 PPT = VerdictKind.ENTANGLED_PPT
 INC = VerdictKind.INCONCLUSIVE
 NOT_FOUND = "kernel product vector not found despite guaranteed existence"
 NEG_AFTER_SAMPLING = "negative expansion after non-exhaustive subtraction"
-
-
-def horodecki_2x4(b):
-    """P. Horodecki's PPT-entangled state on C2 x C4, 0 < b < 1."""
-    m = np.zeros((8, 8))
-    for k in range(4):
-        m[k, k] = b
-    for k in range(3):
-        m[k, 5 + k] = m[5 + k, k] = b
-        m[5 + k, 5 + k] = b
-    s = np.sqrt(1 - b * b) / 2
-    m[4, 4] = m[7, 7] = (1 + b) / 2
-    m[4, 7] = m[7, 4] = s
-    return m.astype(complex) / (7 * b + 1)
 
 
 def rank_n(n=3):

@@ -14,7 +14,7 @@ from sep2n.cli import (
 from sep2n.matrixcore import partial_transpose_matrix
 from sep2n.sepengine import analyze
 
-from helpers import build_separable, eig_rank
+from helpers import build_separable, eig_rank, horodecki_2x4
 
 
 def write_state(path, matrix, n, **kwargs):
@@ -159,6 +159,19 @@ class TestVerifyCommand:
         r.write_text(json.dumps(doc))
         assert main(["verify", str(s), str(r)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_product_terms_rejected(self, tmp_path, capsys):
+        # eigenvectors of a PPT-entangled state, each posing as e (x) [1]
+        m = horodecki_2x4(0.5)
+        s = tmp_path / "s.json"
+        write_state(s, m, 4)
+        w, u = np.linalg.eigh(m)
+        terms = [{"weight": float(w[i]), "e": [[x.real, x.imag] for x in u[:, i]],
+                  "f": [[1.0, 0.0]]} for i in range(w.size) if w[i] > 1e-12]
+        r = tmp_path / "r.json"
+        r.write_text(json.dumps({"certificate": {"terms": terms}}))
+        assert main(["verify", str(s), str(r)]) == 1
+        assert capsys.readouterr().err.startswith("invalid certificate:")
 
     @staticmethod
     def _analyzed_pair(tmp_path):

@@ -26,17 +26,18 @@ from sep2n.sepengine import (
     symmetric_split_check,
     verify_certificate,
 )
-from sep2n.sepengine import _default_transforms, _symmetrizing_screen
 
 from helpers import (
     build_separable,
     eig_rank,
     embedded_max_entangled,
+    horodecki_2x4,
     min_eig,
     random_product_vector,
     random_pt_invariant,
     random_ppt_mixture,
     split_premise_state,
+    transformed_pt_invariant,
 )
 
 
@@ -352,59 +353,41 @@ class TestSymmetricSplit:
             assert verdict is not None
             assert verify_certificate(state, verdict.certificate)
 
-    def test_explicit_weights_accepted(self):
-        rng = np.random.default_rng(24)
-        m = split_premise_state(rng, 2, target=0.5)
-        state = DensityState(m)
-        from sep2n.sepengine import antisymmetric_block
-        b = antisymmetric_block(state)
-        k = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(b)) > 1e-14 * state.norm))
-        verdict = symmetric_split_check(state, a=np.ones(k))
-        assert verdict is not None
-
 
 class TestPtSymmetrizingSearch:
-    def test_identity_candidate_matches_invariant(self):
+    def test_pt_invariant_state_needs_no_transform(self):
         rng = np.random.default_rng(25)
-        m = random_pt_invariant(rng, 2)
-        state = DensityState(m)
-        verdict = pt_symmetrizing_search(state, candidates=[np.eye(2)])
+        state = DensityState(random_pt_invariant(rng, 2))
+        verdict = pt_symmetrizing_search(state)
         assert verdict is not None and verdict.kind is VerdictKind.SEPARABLE
+        assert verify_certificate(state, verdict.certificate)
 
     def test_constructed_transform_recovered(self):
+        # a 1e-9 relative invariance defect still passes the search's 1e-8 test
         rng = np.random.default_rng(26)
-        n = 2
-        sigma = random_pt_invariant(rng, n)
-        a = np.array([[2.0, 0.3], [0.0, 0.8]], dtype=complex)
-        w = np.kron(np.linalg.inv(a), np.eye(n))
-        m = w @ sigma @ w.conj().T
-        state = DensityState(m)
-        verdict = pt_symmetrizing_search(state, candidates=[np.eye(2), a])
-        assert verdict is not None
-        assert verify_certificate(state, verdict.certificate)
-        # a singular candidate is skipped, not fatal
-        verdict = pt_symmetrizing_search(state, candidates=[np.ones((2, 2)), np.zeros((2, 2)), a])
-        assert verdict is not None
-        assert verify_certificate(state, verdict.certificate)
-        # the default list, with the state built from one of its transforms; a
-        # 1e-9 relative invariance defect still passes the search's 1e-8 test
-        defaults = _default_transforms()
-        for n, k in ((2, 17), (3, 40), (4, 54)):
-            sigma = random_pt_invariant(rng, n)
-            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            sigma[:n, n:] += 1e-9 * np.linalg.norm(sigma, 2) * x / np.linalg.norm(x, 2)
-            sigma[n:, :n] = sigma[:n, n:].conj().T
-            w = np.kron(np.linalg.inv(defaults[k]), np.eye(n))
-            state = DensityState(w @ sigma @ w.conj().T)
-            assert _symmetrizing_screen(state, defaults)[k]
-            verdict = pt_symmetrizing_search(state)
-            assert verdict is not None
-            assert verify_certificate(state, verdict.certificate)
+        for n in range(2, 9):
+            for defect in (0.0, 1e-9) * 8:
+                state = DensityState(transformed_pt_invariant(rng, n, defect))
+                verdict = pt_symmetrizing_search(state)
+                assert verdict is not None and verdict.kind is VerdictKind.SEPARABLE
+                assert verify_certificate(state, verdict.certificate)
 
-    def test_exhausted_candidates_return_none(self):
-        state = DensityState(embedded_max_entangled(2), require_psd=True)
-        # NPT state can never be made PT-invariant by a local transform
-        assert pt_symmetrizing_search(state, candidates=[np.eye(2)]) is None
+    def test_unsymmetrizable_states_return_none(self):
+        # an NPT state can never be made PT-invariant by a local transform
+        assert pt_symmetrizing_search(DensityState(embedded_max_entangled(2))) is None
+        # nor can a generic full-rank PPT state: 2N^2 real equations, 4 unknowns
+        m, _, _ = build_separable(np.random.default_rng(30), 3, 12)
+        state = DensityState(m)
+        assert state.rank == 6 and state.is_ppt
+        assert pt_symmetrizing_search(state) is None
+
+    def test_transformed_state_analyzed_separable(self):
+        # the paired search stalls on this state; the solve-based fallback certifies it
+        m = transformed_pt_invariant(np.random.default_rng(0), 4)
+        verdict, trace = analyze(m)
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert trace.steps[-1].op == "fallback-sufficient"
+        assert verify_certificate(m, verdict.certificate)
 
 
 class TestVerifyCertificate:
@@ -431,6 +414,17 @@ class TestVerifyCertificate:
         pv = random_product_vector(rng, 2)
         with pytest.raises(ValueError):
             verify_certificate(pv.projector(), SeparabilityCertificate([(-1.0, pv)]))
+
+    def test_non_product_terms_rejected(self):
+        # the spectral decomposition of an entangled state reconstructs it,
+        # but its eigenvectors are not products of a qubit e and an f in C4
+        m = horodecki_2x4(0.5)
+        assert analyze(m)[0].kind is VerdictKind.ENTANGLED_PPT
+        w, u = np.linalg.eigh(m)
+        terms = [(float(w[i]), ProductVector.from_e_f(u[:, i], np.ones(1)))
+                 for i in range(w.size) if w[i] > 1e-12]
+        with pytest.raises(ValueError, match="shape"):
+            verify_certificate(m, SeparabilityCertificate(terms))
 
 
 @pytest.fixture(scope="module")
