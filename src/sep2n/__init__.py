@@ -34,6 +34,7 @@ from .productfinder import (
     NonGenericInput,
     ProductVector,
     kernel_product_vector,
+    kernel_product_vectors,
     paired_products,
     products_in_subspace,
     real_e_products,

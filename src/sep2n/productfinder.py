@@ -39,6 +39,7 @@ __all__ = [
     "paired_products",
     "real_e_products",
     "kernel_product_vector",
+    "kernel_product_vectors",
     "build_paired_system",
     "eliminate_paired",
 ]
@@ -553,22 +554,30 @@ def real_e_products(h, tol: ToleranceConfig | None = None) -> list[ProductVector
     return _chart_products(_single_system(h, n), REAL_ALPHA_GRID + (None,), h, None, tol)
 
 
-def kernel_product_vector(state, tol: ToleranceConfig | None = None) -> ProductVector | None:
-    """First product vector found in the kernel of a PPT state, if any.
+def kernel_product_vectors(state, tol: ToleranceConfig | None = None):
+    """Every product vector found in the kernel of a PPT state, in the search's order.
 
-    Guaranteed to exist when the kernel dimension reaches N.  Any returned
-    vector is cross-checked to be annihilated by the partial transpose via
-    its conjugate partner.
+    Only vectors whose conjugate partner the partial transpose annihilates
+    are kept.  An infinite kernel family comes back as an InfiniteFamily
+    holding the samples that pass.
     """
     tol = tol or state.tol
     kernel = state.kernel_basis
     if kernel.shape[1] == 0:
-        return None
+        return []
     res = products_in_subspace(kernel, tol)
     vectors = res.samples if isinstance(res, InfiniteFamily) else res
     pt_norm = max(state.norm, 1e-300)
-    for v in vectors:
-        partner = v.conjugate_partner.vector
-        if np.linalg.norm(state.pt_matrix @ partner) <= 1e-6 * pt_norm:
-            return v
-    return None
+    kept = [v for v in vectors
+            if np.linalg.norm(state.pt_matrix @ v.conjugate_partner.vector) <= 1e-6 * pt_norm]
+    return InfiniteFamily(samples=kept, note=res.note) if isinstance(res, InfiniteFamily) else kept
+
+
+def kernel_product_vector(state, tol: ToleranceConfig | None = None) -> ProductVector | None:
+    """First product vector of ``kernel_product_vectors``, if any.
+
+    Guaranteed to exist when the kernel dimension reaches N.
+    """
+    found = kernel_product_vectors(state, tol)
+    vectors = found.samples if isinstance(found, InfiniteFamily) else found
+    return vectors[0] if vectors else None

@@ -30,7 +30,7 @@ from .productfinder import (
     NonGenericInput,
     ProductVector,
     in_range,
-    kernel_product_vector,
+    kernel_product_vectors,
     paired_products,
     real_e_products,
 )
@@ -192,7 +192,9 @@ def strip_support(state: DensityState) -> tuple[DensityState, np.ndarray]:
 
     Returns the state re-expressed on its support C2 x CM together with the
     N x M isometry lifting support coordinates back to the input basis.  The
-    isometry is the identity when the support is already full.
+    isometry is the identity when the support is already full.  Raises
+    ``ValueError`` when no weight clears the rank cutoff, which is relative
+    but floored at 1e-300, so only a state of subnormal scale has none.
     """
     n = state.n
     reduced = hermitize(partial_trace_second(state.matrix, n))
@@ -200,6 +202,8 @@ def strip_support(state: DensityState) -> tuple[DensityState, np.ndarray]:
     wmax = float(np.max(np.abs(w)))
     keep = np.abs(w) > state.tol.rank_rel_tol * max(wmax, 1e-300)
     m_dim = int(np.count_nonzero(keep))
+    if m_dim == 0:
+        raise ValueError(f"no support above the rank cutoff (largest weight {wmax:.3e})")
     if m_dim == n:
         return state, np.eye(n, dtype=complex)
     iso = u[:, keep]
@@ -217,20 +221,19 @@ def _support_borderline(state: DensityState) -> bool:
     return bool(np.any((w > cutoff / 10) & (w < 10 * cutoff)))
 
 
-def reduce_by_kernel(state: DensityState, v: ProductVector):
-    """Turn a kernel product vector into a rank-and-dimension reduction.
+def _kernel_term(state: DensityState, v: ProductVector):
+    """The product term of the state that the kernel product vector ``v`` picks out.
 
-    Rotating e to its orthogonal complement maps the state onto a product
-    line |e_hat, g>, whose subtraction at the tied weight drops both ranks
-    by one and shrinks the support to C2 x C(N-1).  Separability of the
-    result is equivalent to separability of the input.
+    With e_hat orthogonal to e, the image ``rho|e_hat, f>`` must be a product
+    line ``|e_hat> (x) g``; the term is ``lam |e_hat, g><e_hat, g|`` with
+    ``lam = 1 / <g|f>``.  For a state that is a sum of N product terms, the
+    kernel vector orthogonal to all but one of them picks out that one.
 
-    Returns ``(reduced_state, (weight, subtracted_vector), isometry)``, the
-    vector expressed in the pre-reduction basis.
+    Returns ``(lam, sub_vec, (weight, pv))``: ``sub_vec`` is the unnormalized
+    |e_hat, g> and ``weight`` times the projector of ``pv`` is the term.
     """
     n = state.n
-    vec = v.vector
-    if np.linalg.norm(state.matrix @ vec) > 1e-6 * max(state.norm, 1e-300):
+    if np.linalg.norm(state.matrix @ v.vector) > 1e-6 * max(state.norm, 1e-300):
         raise ValueError("vector is not in the kernel of the state")
     e = v.e
     ehat = np.array([-np.conj(e[1]), np.conj(e[0])], dtype=complex)
@@ -247,12 +250,26 @@ def reduce_by_kernel(state: DensityState, v: ProductVector):
     if gf <= 0:
         raise NonGenericInput("nonpositive overlap between g and f")
     lam = 1.0 / gf
+    return lam, sub_vec, (lam * float(np.vdot(g, g).real), ProductVector.from_e_f(ehat, g))
+
+
+def reduce_by_kernel(state: DensityState, v: ProductVector):
+    """Turn a kernel product vector into a rank-and-dimension reduction.
+
+    Rotating e to its orthogonal complement maps the state onto a product
+    line |e_hat, g>, whose subtraction at the tied weight drops both ranks
+    by one and shrinks the support to C2 x C(N-1).  Separability of the
+    result is equivalent to separability of the input.
+
+    Returns ``(reduced_state, (weight, subtracted_vector), isometry)``, the
+    vector expressed in the pre-reduction basis.
+    """
+    lam, sub_vec, term = _kernel_term(state, v)
     m2 = hermitize(state.matrix - lam * np.outer(sub_vec, sub_vec.conj()))
-    weight = lam * float(np.vdot(g, g).real)
-    pv = ProductVector.from_e_f(ehat, g)
-    intermediate = DensityState(m2, n=n, tol=state.tol, require_psd=not _negligible(m2, state))
+    intermediate = DensityState(m2, n=state.n, tol=state.tol,
+                                require_psd=not _negligible(m2, state))
     reduced, iso = strip_support(intermediate)
-    return reduced, (weight, pv), iso
+    return reduced, term, iso
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +293,56 @@ def _lift_pv(pv: ProductVector, lift: np.ndarray) -> ProductVector:
     return ProductVector.from_e_f(pv.e, lift @ pv.f)
 
 
+def _listed(found) -> list[ProductVector]:
+    """The vectors of a search result, a list or an InfiniteFamily's samples."""
+    return found.samples if isinstance(found, InfiniteFamily) else found
+
+
+def _all_kernel_terms(state: DensityState, found, tol: ToleranceConfig):
+    """The N terms that N kernel product vectors pick out of the state, or None.
+
+    None unless the search found a finite list of exactly N vectors, every
+    vector passes the checks of ``_kernel_term`` and the terms reconstruct
+    the state within ``cert_recon_tol``.
+    """
+    if isinstance(found, InfiniteFamily) or len(found) != state.n:
+        return None
+    try:
+        terms = [_kernel_term(state, v)[2] for v in found]
+    except (ValueError, SupportViolation, NonGenericInput):
+        return None
+    recon = SeparabilityCertificate(terms).reconstruct(state.dim)
+    return terms if operator_norm_at_most(state.matrix - recon, tol.cert_recon_tol,
+                                          state.matrix) else None
+
+
 def decompose_rank_n(state: DensityState, tol: ToleranceConfig | None = None) -> SeparabilityCertificate:
     """Constructive decomposition of a state whose rank equals its support dimension.
 
-    Peels off one kernel-induced product projector per step, shrinking the
-    problem to C2 x C(N-1), and finishes with the spectral base case.  The
+    A generic such state has exactly N kernel product vectors, one per
+    term, and each picks out its term from the state itself, so one kernel
+    search gives all N terms.  Otherwise, starting from that same search,
+    one kernel-induced product projector is peeled off per step, shrinking
+    the problem to C2 x C(N-1), and the spectral base case finishes.  The
     certificate has exactly N terms, expressed in the input basis.
     """
     tol = tol or state.tol
     cur, lift = strip_support(state)
     if cur.rank != cur.n:
         raise ValueError(f"rank {cur.rank} does not match support dimension {cur.n}")
-    terms: list[tuple[float, ProductVector]] = []
+    found = kernel_product_vectors(cur, tol) if cur.n != 1 else []
+    terms = _all_kernel_terms(cur, found, tol)
+    if terms is not None:
+        return SeparabilityCertificate([(w, _lift_pv(pv, lift)) for w, pv in terms])
+    terms = []
     while cur.n != 1:
-        v = kernel_product_vector(cur, tol)
-        if v is None:
+        vectors = _listed(found)
+        if not vectors:
             raise NonGenericInput(_NO_KERNEL_VECTOR)
-        cur, (weight, pv), iso = reduce_by_kernel(cur, v)
+        cur, (weight, pv), iso = reduce_by_kernel(cur, vectors[0])
         terms.append((weight, _lift_pv(pv, lift)))
         lift = lift @ iso
+        found = kernel_product_vectors(cur, tol) if cur.n != 1 else []
     terms.extend(_base_terms(cur, lift))
     return SeparabilityCertificate(terms)
 
@@ -593,7 +641,10 @@ def _zero_remainder(run: _Run, cur: DensityState):
 
 def _strip(run: _Run, cur: DensityState):
     run.borderline |= _support_borderline(cur)
-    stripped, iso = strip_support(cur)
+    try:
+        stripped, iso = strip_support(cur)
+    except ValueError as exc:
+        return run.stop(f"support stripping failed: {exc}")
     if stripped.n != cur.n:
         run.trace.steps.append(_step("strip", cur, stripped))
         run.cur, run.lift = stripped, run.lift @ iso
@@ -620,12 +671,22 @@ def _pt_invariant(run: _Run, cur: DensityState):
 
 
 def _kernel_reduction(run: _Run, cur: DensityState):
-    """Reduce through a kernel product vector; a rank-N state without one stops."""
+    """Decompose a rank-N state from one kernel search, or reduce through a kernel product vector.
+
+    When the kernel product vectors do not give all N terms at once, the
+    first of them lowers both ranks and N by one and the next pass goes on;
+    a rank-N state without one stops the passes.
+    """
     failure = _NO_KERNEL_VECTOR
     try:
-        v = kernel_product_vector(cur, run.tol)
-        if v is not None:
-            new, (weight, pv), iso = reduce_by_kernel(cur, v)
+        found = kernel_product_vectors(cur, run.tol)
+        terms = _all_kernel_terms(cur, found, run.tol) if cur.rank == cur.n else None
+        if terms is not None:
+            run.trace.steps.append(_step("rank-n-decompose", cur, detail=f"terms={len(terms)}"))
+            return run.assemble(terms)
+        vectors = _listed(found)
+        if vectors:
+            new, (weight, pv), iso = reduce_by_kernel(cur, vectors[0])
             run.terms.append((weight, _lift_pv(pv, run.lift)))
             run.trace.steps.append(_step(
                 "kernel-reduce", cur, new, lam=weight, case="iii", alpha=pv.alpha,
@@ -742,6 +803,8 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
         if outcome is not _NEXT_PASS:
             return outcome, trace
 
+    if run.base is None:  # stopped before the first stripped state existed
+        return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace
     # sufficient fallbacks on the first stripped state, before any subtraction
     base, lift = run.base
     fb = symmetric_split_check(base, tol=tol) or pt_symmetrizing_search(base, tol=tol)

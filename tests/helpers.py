@@ -522,3 +522,37 @@ def scalar_det_poly_bivariate(rows_alpha, rows_conj):
                            y * rows_conj[0] + rows_conj[1]])
             grid[i, j] = np.linalg.det(m)
     return inv_a @ grid @ inv_b.T
+
+
+def shared_e_rank_n(rng, n):
+    """Rank-N mixture of N product projectors whose first two share one e.
+
+    The kernel then holds |e_perp, f> for every f orthogonal to the f's of
+    the other N - 2 terms: a curve of product vectors, not N isolated ones.
+    Returns (matrix, product vectors).
+    """
+    vecs = [random_product_vector(rng, n) for _ in range(n - 1)]
+    vecs.insert(1, ProductVector.from_e_f(vecs[0].e, rng.standard_normal(n)
+                                          + 1j * rng.standard_normal(n)))
+    m = sum(rng.uniform(0.5, 1.5) * v.projector() for v in vecs)
+    return m / np.real(np.trace(m)), vecs
+
+
+def random_local_unitary(rng, n):
+    """U (x) V with U on C2 and V on CN from QR of complex Gaussian matrices."""
+    u, v = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            for d in (2, n))
+    return np.kron(u, v)
+
+
+def failing_once(fn, exc):
+    """``fn`` that raises ``exc`` on its first call and then behaves as ``fn``."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped

@@ -252,6 +252,13 @@ def test_criterion_10_grid_search_completeness():
     report(10, f"verified roots equal the grid-search oracle on {checked} random systems")
 
 
+def _assert_safe(label, norm_before, min_eigs, drop, case):
+    floor = -1e-9 * norm_before
+    assert min(min_eigs) >= floor, f"{label}: eigen floor violated"
+    expected = {"i": (1, 0), "ii": (0, 1), "iii": (1, 1)}[case]
+    assert drop == expected, f"{label}: declared {case}, observed {drop}"
+
+
 def test_criterion_11_subtraction_safety(mixed_pipeline_runs, suite_one):
     steps_checked = 0
     traces = [(m, trace) for m, _v, trace in mixed_pipeline_runs]
@@ -260,14 +267,20 @@ def test_criterion_11_subtraction_safety(mixed_pipeline_runs, suite_one):
         for step in trace.steps:
             if step.op not in SUBTRACTION_OPS:
                 continue
-            lo, hi = step.min_eig_after
-            floor = -1e-9 * step.norm_before
-            assert lo >= floor and hi >= floor, f"{step.op}: eigen floor violated"
             drop = (step.ranks_before[0] - step.ranks_after[0],
                     step.ranks_before[1] - step.ranks_after[1])
-            expected = {"i": (1, 0), "ii": (0, 1), "iii": (1, 1)}[step.case]
-            assert drop == expected, f"{step.op}: declared {step.case}, observed {drop}"
+            _assert_safe(step.op, step.norm_before, step.min_eig_after, drop, step.case)
             steps_checked += 1
+    # a rank-N certificate is N tied subtractions: each term alone leaves the
+    # state and its transpose positive, with both ranks one lower
+    for per in suite_one.values():
+        for m, state, verdict, _trace in per:
+            for weight, pv in verdict.certificate.terms:
+                after = DensityState(m - weight * pv.projector(), require_psd=False)
+                drop = (state.rank - after.rank, state.pt_rank - after.pt_rank)
+                _assert_safe("certificate term", state.norm,
+                             (after.min_eigenvalue, after.pt_min_eigenvalue), drop, "iii")
+                steps_checked += 1
     assert steps_checked >= 400
     report(11, f"positivity floor and rank trichotomy hold on {steps_checked} subtractions")
 

@@ -28,9 +28,11 @@ from sep2n.sepengine import (
 from helpers import (
     build_separable,
     embedded_max_entangled,
+    failing_once,
     horodecki_2x4,
     random_ppt_mixture,
     random_pt_invariant,
+    shared_e_rank_n,
 )
 
 SEP = VerdictKind.SEPARABLE
@@ -105,9 +107,27 @@ def test_base_case():
 
 
 def test_rank_n():
-    verdict, _ = check(analyze(rank_n()), SEP, None, ["kernel-reduce", "kernel-reduce", "base-case"],
-                       [])
+    verdict, trace = check(analyze(rank_n()), SEP, None, ["rank-n-decompose"], [])
     assert len(verdict.certificate.terms) == 3
+    assert trace.steps[0].detail == "terms=3"
+
+
+def test_shared_e_kernel_reduce():
+    # two terms share one e, so the kernel holds a curve and the one-shot declines
+    m, _ = shared_e_rank_n(np.random.default_rng([3, 1]), 3)
+    verdict, trace = check(analyze(m), SEP, None, ["kernel-reduce", "rank-n-decompose"], [])
+    assert (trace.steps[0].case, trace.steps[0].n_after) == ("iii", 2)
+    assert verify_certificate(m, verdict.certificate)
+
+
+def test_subnormal_scale(monkeypatch):
+    # the support cutoff is floored at 1e-300, so nothing of this state clears it
+    monkeypatch.setattr(sepengine, "symmetric_split_check", raising(AssertionError("fallback ran")))
+    verdict, trace = analyze(rank_n() * 1e-310)
+    assert (verdict.kind, verdict.reason) == (INC, REASON_NON_GENERIC)
+    assert trace.steps == [] and len(trace.notes) == 1
+    assert trace.notes[0].startswith(
+        "support stripping failed: no support above the rank cutoff (largest weight ")
 
 
 def test_pt_invariant():
@@ -141,25 +161,26 @@ def test_sampled_then_fallback():
 # ---------------------------------------------------------------------------
 
 def test_support_violation(monkeypatch, no_fallbacks):
-    monkeypatch.setattr(sepengine, "reduce_by_kernel", raising(SupportViolation("planted")))
+    # the one-shot decomposition declines, and the reduction meets the same failure
+    monkeypatch.setattr(sepengine, "_kernel_term", raising(SupportViolation("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["support violation during kernel reduction"])
 
 
 def test_kernel_search_misses_rank_n(monkeypatch, no_fallbacks):
-    monkeypatch.setattr(sepengine, "kernel_product_vector", lambda *a, **k: None)
+    monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           [f"constructive decomposition degenerated: {NOT_FOUND}"])
 
 
 def test_kernel_search_raises_on_rank_n(monkeypatch, no_fallbacks):
-    monkeypatch.setattr(sepengine, "kernel_product_vector", raising(NonGenericInput("planted")))
+    monkeypatch.setattr(sepengine, "kernel_product_vectors", raising(NonGenericInput("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["constructive decomposition degenerated: planted"])
 
 
 def test_kernel_reduction_raises_on_rank_n(monkeypatch, no_fallbacks):
-    monkeypatch.setattr(sepengine, "reduce_by_kernel", raising(NonGenericInput("planted")))
+    monkeypatch.setattr(sepengine, "_kernel_term", raising(NonGenericInput("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["constructive decomposition degenerated: planted"])
 
@@ -167,7 +188,7 @@ def test_kernel_reduction_raises_on_rank_n(monkeypatch, no_fallbacks):
 def test_kernel_search_misses_with_transpose_rank_mismatch(monkeypatch, no_fallbacks):
     state = DensityState(rank_n())
     monkeypatch.setattr(state, "pt_rank", 4)
-    monkeypatch.setattr(sepengine, "kernel_product_vector", lambda *a, **k: None)
+    monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
     check(analyze(state), INC, REASON_NON_GENERIC, [],
           ["rank 3 equals support but transpose rank is 4",
            f"constructive decomposition degenerated: {NOT_FOUND}"])
@@ -183,10 +204,10 @@ def _transpose_side_state(monkeypatch):
 
 def test_transpose_side_rank_n(monkeypatch):
     m, state = _transpose_side_state(monkeypatch)
-    real = sepengine.kernel_product_vector
+    real = sepengine.kernel_product_vectors
     # the search misses on the mislabelled state and works on its transpose
-    monkeypatch.setattr(sepengine, "kernel_product_vector",
-                        lambda st, tol=None: None if st.rank != st.n else real(st, tol))
+    monkeypatch.setattr(sepengine, "kernel_product_vectors",
+                        lambda st, tol=None: [] if st.rank != st.n else real(st, tol))
     verdict, _ = check(analyze(state), SEP, None, ["rank-n-decompose-pt"], [])
     assert len(verdict.certificate.terms) == 3
     assert verify_certificate(m, verdict.certificate)
@@ -194,7 +215,7 @@ def test_transpose_side_rank_n(monkeypatch):
 
 def test_transpose_side_rank_n_fails(monkeypatch, no_fallbacks):
     _, state = _transpose_side_state(monkeypatch)
-    monkeypatch.setattr(sepengine, "kernel_product_vector", lambda *a, **k: None)
+    monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
     check(analyze(state), INC, REASON_NON_GENERIC, [],
           [f"transpose-side decomposition degenerated: {NOT_FOUND}"])
 
@@ -259,16 +280,23 @@ def test_sample_subtraction_fails(monkeypatch, no_fallbacks):
 
 def test_nongeneric_outranks_infinite_family(monkeypatch, no_fallbacks):
     # rank 4 > N = 3, so a failed kernel search only records its reason
-    monkeypatch.setattr(sepengine, "kernel_product_vector", raising(NonGenericInput("planted")))
+    monkeypatch.setattr(sepengine, "kernel_product_vectors", raising(NonGenericInput("planted")))
     monkeypatch.setattr(sepengine, "paired_products", lambda *a, **k: InfiniteFamily([]))
     check(analyze(finite()), INC, REASON_NON_GENERIC, [],
           ["infinite family below the 3N threshold (non-generic)"])
 
 
+def test_term_check_fails_once(monkeypatch):
+    # the one-shot declines; the first vector reduces, and the next pass decomposes at once
+    monkeypatch.setattr(sepengine, "_kernel_term",
+                        failing_once(sepengine._kernel_term, NonGenericInput("planted")))
+    verdict, _ = check(analyze(rank_n()), SEP, None, ["kernel-reduce", "rank-n-decompose"], [])
+    assert len(verdict.certificate.terms) == 3
+
+
 def test_failed_certificate_reverification(monkeypatch):
     monkeypatch.setattr(sepengine, "verify_certificate", lambda *a, **k: False)
-    check(analyze(rank_n()), INC, REASON_REDUCTION_STALLED,
-          ["kernel-reduce", "kernel-reduce", "base-case"],
+    check(analyze(rank_n()), INC, REASON_REDUCTION_STALLED, ["rank-n-decompose"],
           ["certificate failed re-verification; downgrading"])
 
 

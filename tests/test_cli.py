@@ -218,6 +218,21 @@ class TestBatchCommand:
         assert not (d / "bad.report.json").exists()
         assert not (d / "badn.report.json").exists()
 
+    def test_subnormal_state_beside_normal_one(self, tmp_path, capsys):
+        d = tmp_path / "states"
+        d.mkdir()
+        m = build_separable(np.random.default_rng(2), 3, 3)[0]
+        write_state(d / "normal.json", m, 3)
+        write_state(d / "tiny.json", m * 1e-310, 3)
+        assert main(["batch", str(d), "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        rows = {parts[0]: parts[1] for parts in map(str.split, out.splitlines())
+                if parts and parts[0].endswith(".json")}
+        assert rows == {"normal.json": "separable", "tiny.json": "inconclusive"}
+        tiny = json.loads((d / "tiny.report.json").read_text())["report"]
+        assert tiny["trace"]["notes"][0].startswith("support stripping failed:")
+        assert (d / "normal.report.json").exists()
+
     def test_aggregate_counts_match_generator_manifest(self, tmp_path):
         # generator labels are ground truth for the npt / separable kinds
         d = tmp_path / "states"

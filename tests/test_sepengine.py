@@ -5,9 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sep2n import matrixcore
+from sep2n import matrixcore, sepengine
 from sep2n.matrixcore import DensityState, ToleranceConfig, hermitize, partial_transpose_matrix
-from sep2n.productfinder import ProductVector, paired_products
+from sep2n.productfinder import (
+    NonGenericInput,
+    ProductVector,
+    kernel_product_vectors,
+    paired_products,
+)
 from sep2n.sepengine import (
     DependentProjectors,
     SeparabilityCertificate,
@@ -31,11 +36,14 @@ from helpers import (
     build_separable,
     eig_rank,
     embedded_max_entangled,
+    failing_once,
     horodecki_2x4,
     min_eig,
     random_product_vector,
     random_pt_invariant,
+    random_local_unitary,
     random_ppt_mixture,
+    shared_e_rank_n,
     split_premise_state,
     transformed_pt_invariant,
 )
@@ -246,6 +254,97 @@ class TestDecomposeRankN:
             state = DensityState(m)
             assert state.rank == n
             assert state.pt_rank == n
+
+
+def counting(monkeypatch, name):
+    """Wrap ``sepengine.<name>`` so that the returned list collects one entry per call."""
+    real, calls = getattr(sepengine, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sepengine, name, counted)
+    return calls
+
+
+class TestOneShotRankN:
+    """All N terms from one kernel search, against the step-by-step loop."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_loop_term_by_term(self, n, monkeypatch):
+        states = [DensityState(build_separable(np.random.default_rng([n, i]), n, n)[0])
+                  for i in range(20)]
+        reductions = counting(monkeypatch, "reduce_by_kernel")
+        one_shot = [decompose_rank_n(state) for state in states]
+        assert reductions == []
+        monkeypatch.setattr(sepengine, "_all_kernel_terms", lambda *a: None)
+        for state, cert in zip(states, one_shot):
+            loop = decompose_rank_n(state)
+            assert len(cert.terms) == len(loop.terms) == n
+            for (w1, pv1), (w2, pv2) in zip(cert.terms, loop.terms):
+                assert abs(w1 - w2) <= 1e-9 * max(w1, w2)
+                assert abs(np.vdot(pv1.vector, pv2.vector)) >= 1 - 1e-9
+        assert len(reductions) == 20 * (n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_local_unitary_keeps_one_shot(self, n):
+        for i in range(20):
+            m = build_separable(np.random.default_rng([n, i]), n, n)[0]
+            w = random_local_unitary(np.random.default_rng([n, i, 1]), n)
+            rotated = w @ m @ w.conj().T
+            verdict, trace = analyze(rotated)
+            assert verdict.kind is VerdictKind.SEPARABLE
+            assert len(verdict.certificate.terms) == n
+            assert [s.op for s in trace.steps] == ["rank-n-decompose"]
+            assert verify_certificate(rotated, verdict.certificate)
+
+
+class TestRankNFallback:
+    """Where the one-shot declines, the loop decomposes from the same search."""
+
+    # the loop itself raises on some shared-e states (a reduction that is not
+    # PSD within psd_tol), so these seeds are ones the loop certifies
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_shared_e_curve(self, n, monkeypatch):
+        m, vecs = shared_e_rank_n(np.random.default_rng([n, 1]), n)
+        state = DensityState(m)
+        assert state.rank == n
+        # |e_perp, f> is in the kernel for a plane of f's: a curve of product vectors
+        e = vecs[0].e
+        others = np.array([v.f for v in vecs[2:]]).reshape(n - 2, n)
+        plane = np.linalg.svd(others.conj())[2][n - 2:].conj()
+        assert plane.shape == (2, n)
+        for f in plane:
+            assert np.linalg.norm(m @ np.kron([-np.conj(e[1]), np.conj(e[0])], f)) < 1e-12
+        found = kernel_product_vectors(state)
+        assert sepengine._all_kernel_terms(state, found, state.tol) is None
+        searches = counting(monkeypatch, "kernel_product_vectors")
+        reductions = counting(monkeypatch, "reduce_by_kernel")
+        cert = decompose_rank_n(state)
+        # one search per reduction: the first reduction reuses the one-shot's search
+        assert len(reductions) == len(searches) == n - 1
+        assert len(cert.terms) == n
+        assert verify_certificate(m, cert)
+
+    def test_terms_must_sum_to_the_state(self):
+        state = DensityState(build_separable(np.random.default_rng(22), 4, 4)[0])
+        found = kernel_product_vectors(state)
+        assert sepengine._all_kernel_terms(state, found, state.tol) is not None
+        # every term is genuine, but one is counted twice and one is missing
+        doubled = [found[0]] + found[:3]
+        assert sepengine._all_kernel_terms(state, doubled, state.tol) is None
+
+    def test_term_check_failure_runs_loop(self, monkeypatch):
+        m = build_separable(np.random.default_rng(21), 4, 4)[0]
+        monkeypatch.setattr(sepengine, "_kernel_term",
+                            failing_once(sepengine._kernel_term, NonGenericInput("planted")))
+        searches = counting(monkeypatch, "kernel_product_vectors")
+        reductions = counting(monkeypatch, "reduce_by_kernel")
+        cert = decompose_rank_n(DensityState(m))
+        assert len(reductions) == len(searches) == 3
+        assert len(cert.terms) == 4
+        assert verify_certificate(m, cert)
 
 
 class TestBiorthogonal:
