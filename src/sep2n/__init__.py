@@ -57,6 +57,7 @@ from .sepengine import (
     strip_support,
     subtract,
     symmetric_split_check,
+    two_qubit_decompose,
     verify_certificate,
 )
 

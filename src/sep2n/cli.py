@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -398,6 +399,9 @@ def cmd_batch(args) -> int:
             return path.name, report["report"]["verdict"], report["timings"]["seconds"], None
         except InputError as exc:
             return path.name, "error", 0.0, str(exc)
+        except Exception as exc:  # one failing file must not abort the directory
+            print(f"{path.name}:\n{traceback.format_exc()}", file=sys.stderr, end="")
+            return path.name, "error", 0.0, f"{type(exc).__name__}: {exc}"
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(work, inputs))

@@ -21,6 +21,7 @@ from .polyelim import (
     BivariatePoly,
     DegenerateElimination,
     UnivariatePoly,
+    curve_points,
     eliminate_pair,
     eliminate_single,
     pair_elimination_bound,
@@ -503,8 +504,10 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     """Product vectors with |e,f> in H1 and the conjugate partner in H2.
 
     Returns an InfiniteFamily (with deterministic samples) when the
-    dimension count guarantees solutions for every e, otherwise the finite
-    verified list sorted by alpha.
+    dimension count guarantees solutions for every e, or when a single
+    self-conjugate determinant changes sign and so vanishes on a curve (its
+    samples then lie on the curve); otherwise the finite verified list
+    sorted by alpha.
 
     Raises
     ------
@@ -523,6 +526,11 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     if not cs.dets:
         return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="all determinants vanish identically")
+    # a single self-conjugate determinant that changes sign vanishes on a curve
+    curve = curve_points(cs.dets[0]) if len(cs.dets) == 1 else []
+    if curve:
+        return InfiniteFamily(samples=_chart_products(cs, curve, h1, h2, tol),
+                              note="determinant vanishes on a curve")
     try:
         q, diag = eliminate_paired(cs)
     except DegenerateElimination as exc:

@@ -3,11 +3,12 @@
 ``analyze`` answers a negative partial transpose at once.  Otherwise each
 pass runs these stages in order: zero remainder, support stripping, the
 base case N = 1, PT-invariance, kernel reduction (both ranks and N drop by
-one), transpose-side rank-N, and the paired search, which subtracts a
-sampled product vector above rank sum 3N and otherwise expands the state
-over the enumerated product vectors.  A stop leads to sufficient fallback
-checks.  Every "separable" verdict carries a certificate that is
-re-verified against the input before being emitted.
+one), transpose-side rank-N, the closed-form two-qubit decomposition at
+N = 2, and the paired search, which subtracts a sampled product vector
+above rank sum 3N and otherwise expands the state over the enumerated
+product vectors.  A stop leads to sufficient fallback checks.  Every
+"separable" verdict carries a certificate that is re-verified against the
+input before being emitted.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "strip_support",
     "reduce_by_kernel",
     "decompose_rank_n",
+    "two_qubit_decompose",
     "biorthogonal_check",
     "pt_invariant_decompose",
     "symmetric_split_check",
@@ -345,6 +347,81 @@ def decompose_rank_n(state: DensityState, tol: ToleranceConfig | None = None) ->
         found = kernel_product_vectors(cur, tol) if cur.n != 1 else []
     terms.extend(_base_terms(cur, lift))
     return SeparabilityCertificate(terms)
+
+
+# Relative slack, against the trace, by which the largest Wootters value may
+# exceed the sum of the other three for a two-qubit state to count as separable.
+TWO_QUBIT_SLACK = 1e-9
+# Takagi values below this share of the largest Takagi-matrix entry count as zero.
+_TAKAGI_ZERO = 1e-12
+# sigma_y (x) sigma_y in the product basis; it is real.
+_SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+# The 4 x 4 Hadamard matrix with entries +-1.
+_HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
+
+
+def _triangle(a: float, b: float, d: float) -> tuple[complex, complex]:
+    """Unit za, zb with ``a za + b zb = d``, for a >= b >= 0 and a - b <= d <= a + b."""
+    if d == 0:
+        return 1.0, -1.0
+    if b == 0:
+        return 1.0, 1.0
+    # the angle at the smaller side by the law of cosines, then za along
+    # d - b zb: the closure then errs only to second order, also when the
+    # triangle is flat; the clip absorbs the slack
+    zb = np.exp(-1j * np.arccos(np.clip((b * b + d * d - a * a) / (2 * b * d), -1, 1)))
+    return (d - b * zb) / abs(d - b * zb), zb
+
+
+def two_qubit_decompose(state, tol: ToleranceConfig | None = None) -> SeparabilityCertificate | None:
+    """Wootters' decomposition of a two-qubit state into at most 4 product terms.
+
+    With rho = V V^dag, the Takagi factorization of the complex symmetric
+    ``tau = V^dag (sy x sy) conj(V) = W diag(lam) W^T`` gives vectors
+    ``x = V W`` whose spin-flip overlaps are ``lam``.  Phases z with
+    ``sum_j lam_j z_j = 0`` exist exactly when the concurrence
+    ``lam_1 - lam_2 - lam_3 - lam_4`` is not positive; then the four
+    vectors ``y = x diag(sqrt z) H^T / 2`` reconstruct rho and each is a
+    product.  ``state`` is a DensityState or a 4 x 4 matrix.  Returns None
+    when the concurrence exceeds ``TWO_QUBIT_SLACK`` times the trace, i.e.
+    the state is entangled.
+    """
+    matrix = state.matrix if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
+    tol = tol or (state.tol if isinstance(state, DensityState) else ToleranceConfig())
+    if matrix.shape != (4, 4):
+        raise ValueError(f"two-qubit decomposition needs a 4 x 4 matrix, got {matrix.shape}")
+    w, u = np.linalg.eigh(hermitize(matrix))
+    keep = w > tol.rank_rel_tol * max(float(np.max(np.abs(w))), 1e-300)
+    v = u[:, keep] * np.sqrt(w[keep])
+    tau = v.conj().T @ _SPIN_FLIP @ v.conj()
+    # Takagi vectors from the real symmetric embedding: [a; b] at eigenvalue
+    # lam > 0 gives the column a + ib (its partner at -lam is i(a + ib)); the
+    # QR completes them to a unitary, with the zero Takagi values last
+    r = v.shape[1]
+    lam, vecs = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    pos = vecs[:, lam > _TAKAGI_ZERO * max(float(np.max(np.abs(tau))), 1e-300)]
+    wt = np.linalg.qr(pos[:r] + 1j * pos[r:], mode="complete")[0]
+    # rotate each column so that its Takagi value is real and nonnegative
+    diag = np.einsum("ij,ik,kj->j", wt.conj(), tau, wt.conj())
+    wt = wt * np.exp(0.5j * np.angle(diag))
+    order = np.argsort(-np.abs(diag))
+    x = np.zeros((4, 4), dtype=complex)
+    x[:, :r] = (v @ wt)[:, order]
+    lam4 = np.zeros(4)
+    lam4[:r] = np.abs(diag)[order]
+    trace = float(np.sum(w[keep]))
+    if lam4[0] - lam4[1:].sum() > TWO_QUBIT_SLACK * trace:
+        return None
+    lam4 /= max(lam4[0], 1e-300)
+    d = max(lam4[0] - lam4[1], lam4[2] - lam4[3])
+    z12, z34 = _triangle(lam4[0], lam4[1], d), _triangle(lam4[2], lam4[3], d)
+    z = np.array([z12[0], z12[1], -z34[0], -z34[1]], dtype=complex)
+    y = 0.5 * (x * np.sqrt(z)) @ _HADAMARD.T
+    # column i as a 2 x 2 matrix (rows the qubit index) has rank one: e f^T
+    uu, _s, vh = np.linalg.svd(y.T.reshape(4, 2, 2))
+    weights = np.sum(np.abs(y) ** 2, axis=0)
+    return SeparabilityCertificate([(float(weights[i]), ProductVector.from_e_f(uu[i, :, 0], vh[i, 0]))
+                                    for i in range(4)])
 
 
 def pt_invariant_decompose(state: DensityState, tol: ToleranceConfig | None = None) -> SeparabilityCertificate:
@@ -675,7 +752,8 @@ def _kernel_reduction(run: _Run, cur: DensityState):
 
     When the kernel product vectors do not give all N terms at once, the
     first of them lowers both ranks and N by one and the next pass goes on;
-    a rank-N state without one stops the passes.
+    a rank-N state without one, or a reduction whose result is not PSD,
+    stops the passes.
     """
     failure = _NO_KERNEL_VECTOR
     try:
@@ -700,6 +778,10 @@ def _kernel_reduction(run: _Run, cur: DensityState):
     except NonGenericInput as exc:
         run.flag(REASON_NON_GENERIC)
         failure = exc
+    except ValueError as exc:
+        # the reduced state left the PSD cone: a kernel vector on a curve is
+        # only about sqrt(eps) accurate
+        return run.stop(f"kernel reduction failed: {exc}")
     if cur.rank == cur.n:
         # a constructive decomposition would only repeat the failed search
         if cur.pt_rank != cur.n:
@@ -718,6 +800,15 @@ def _transpose_rank_n(run: _Run, cur: DensityState):
         flipped = [(w, ProductVector.from_e_f(np.conj(pv.e), pv.f)) for w, pv in sub_cert.terms]
         run.trace.steps.append(_step("rank-n-decompose-pt", cur))
         return run.assemble(flipped)
+
+
+def _two_qubit(run: _Run, cur: DensityState):
+    """Decompose a state on C2 x C2 in closed form; an entangled one falls through."""
+    if cur.n == 2:
+        cert = two_qubit_decompose(cur, run.tol)
+        if cert is not None:
+            run.trace.steps.append(_step("two-qubit", cur, detail=f"terms={len(cert.terms)}"))
+            return run.assemble(cert.terms)
 
 
 def _paired_search(run: _Run, cur: DensityState):
@@ -769,7 +860,7 @@ def _paired_search(run: _Run, cur: DensityState):
 
 
 _STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _kernel_reduction,
-           _transpose_rank_n, _paired_search)
+           _transpose_rank_n, _two_qubit, _paired_search)
 
 
 def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, ReductionTrace]:
@@ -777,9 +868,9 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
 
     After the partial-transpose test, passes of ``_STAGES`` (zero remainder,
     strip, base case, PT-invariant, kernel reduction, transpose-side rank-N,
-    paired search) run until a stage gives a verdict or stops.  After a stop,
-    or ``MAX_PIPELINE_PASSES`` passes, the sufficient fallbacks run on the
-    first stripped state.
+    two-qubit, paired search) run until a stage gives a verdict or stops.
+    After a stop, or ``MAX_PIPELINE_PASSES`` passes, the sufficient
+    fallbacks run on the first stripped state.
     """
     tol = tol or (rho_in.tol if isinstance(rho_in, DensityState) else ToleranceConfig())
     state0 = rho_in if isinstance(rho_in, DensityState) else DensityState(rho_in, tol=tol)

@@ -54,6 +54,12 @@ def random_pt_invariant(rng, n, margin=0.1):
     return m / np.real(np.trace(m))
 
 
+def werner(p):
+    """Two-qubit Werner state p |psi-><psi-| + (1 - p) I / 4; separable iff p <= 1/3."""
+    psi = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+    return p * np.outer(psi, psi.conj()) + (1 - p) * np.eye(4) / 4
+
+
 def embedded_max_entangled(n):
     """|0>|1st> + |1>|2nd> projector on C2 x CN, unit trace."""
     vec = np.zeros(2 * n, dtype=complex)

@@ -40,6 +40,7 @@ PPT = VerdictKind.ENTANGLED_PPT
 INC = VerdictKind.INCONCLUSIVE
 NOT_FOUND = "kernel product vector not found despite guaranteed existence"
 NEG_AFTER_SAMPLING = "negative expansion after non-exhaustive subtraction"
+KERNEL_NOT_PSD = "kernel reduction failed: matrix is not PSD (min eigenvalue "
 
 
 def rank_n(n=3):
@@ -118,6 +119,37 @@ def test_shared_e_kernel_reduce():
     verdict, trace = check(analyze(m), SEP, None, ["kernel-reduce", "rank-n-decompose"], [])
     assert (trace.steps[0].case, trace.steps[0].n_after) == ("iii", 2)
     assert verify_certificate(m, verdict.certificate)
+
+
+def test_two_qubit():
+    m = random_ppt_mixture(np.random.default_rng(6), 2)
+    verdict, trace = check(analyze(m), SEP, None, ["two-qubit"], [])
+    assert trace.steps[0].detail == f"terms={len(verdict.certificate.terms)}" == "terms=4"
+    assert verify_certificate(m, verdict.certificate)
+
+
+def kernel_reduction_not_psd():
+    """Shared-e rank 3 on C2 x C3 whose kernel reduction leaves a state that is not PSD.
+
+    The kernel vector on the curve is only about sqrt(eps) accurate.
+    Returns the matrix and its ``analyze`` result, whose one note is checked.
+    """
+    m, _ = shared_e_rank_n(np.random.default_rng([3, 20]), 3)
+    result = analyze(m)
+    notes = result[1].notes
+    assert len(notes) == 1 and notes[0].startswith(KERNEL_NOT_PSD)
+    return m, result
+
+
+def test_kernel_reduction_not_psd():
+    m, result = kernel_reduction_not_psd()
+    verdict, _ = check(result, SEP, None, ["fallback-sufficient"], result[1].notes)
+    assert verify_certificate(m, verdict.certificate)
+
+
+def test_kernel_reduction_not_psd_without_fallbacks(no_fallbacks):
+    _, result = kernel_reduction_not_psd()
+    check(result, INC, REASON_NON_GENERIC, [], result[1].notes)
 
 
 def test_subnormal_scale(monkeypatch):
@@ -218,6 +250,17 @@ def test_transpose_side_rank_n_fails(monkeypatch, no_fallbacks):
     monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
     check(analyze(state), INC, REASON_NON_GENERIC, [],
           [f"transpose-side decomposition degenerated: {NOT_FOUND}"])
+
+
+def test_two_qubit_declines(monkeypatch):
+    # the paired search takes over; the rank-3 determinant is self-conjugate
+    # and changes sign, so its zero set is a curve that is sampled
+    monkeypatch.setattr(sepengine, "two_qubit_decompose", lambda *a, **k: None)
+    m = build_separable(np.random.default_rng(0), 2, 3)[0]
+    verdict, _ = check(analyze(m), SEP, None, ["subtract-sample", "rank-n-decompose"],
+                       ["infinite family below the 3N threshold (non-generic)"],
+                       nonexhaustive=True)
+    assert verify_certificate(m, verdict.certificate)
 
 
 def test_paired_search_nongeneric(monkeypatch, no_fallbacks):

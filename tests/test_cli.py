@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sep2n import cli
 from sep2n.cli import (
     certificate_from_json,
     certificate_to_json,
@@ -232,6 +233,30 @@ class TestBatchCommand:
         tiny = json.loads((d / "tiny.report.json").read_text())["report"]
         assert tiny["trace"]["notes"][0].startswith("support stripping failed:")
         assert (d / "normal.report.json").exists()
+
+    def test_raising_analysis_recorded(self, tmp_path, capsys, monkeypatch):
+        d = tmp_path / "states"
+        d.mkdir()
+        m = build_separable(np.random.default_rng(2), 3, 3)[0]
+        write_state(d / "good.json", m, 3)
+        write_state(d / "raises.json", 2 * m, 3)
+
+        def analyze_or_raise(state, tol=None):
+            if state.trace > 1.5:
+                raise ValueError("planted")
+            return analyze(state, tol)
+
+        monkeypatch.setattr(cli, "analyze", analyze_or_raise)
+        assert main(["batch", str(d), "--jobs", "2"]) == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("raises.json:\nTraceback") and "ValueError: planted" in err
+        rows = {parts[0]: parts[1:] for parts in map(str.split, out.splitlines())
+                if parts and parts[0].endswith(".json")}
+        assert rows["good.json"][0] == "separable"
+        assert rows["raises.json"] == ["error", "0.000", "(ValueError:", "planted)"]
+        assert "error                1" in out and "separable            1" in out
+        assert (d / "good.report.json").exists()
+        assert not (d / "raises.report.json").exists()
 
     def test_aggregate_counts_match_generator_manifest(self, tmp_path):
         # generator labels are ground truth for the npt / separable kinds

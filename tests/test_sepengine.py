@@ -29,6 +29,7 @@ from sep2n.sepengine import (
     strip_support,
     subtract,
     symmetric_split_check,
+    two_qubit_decompose,
     verify_certificate,
 )
 
@@ -46,6 +47,7 @@ from helpers import (
     shared_e_rank_n,
     split_premise_state,
     transformed_pt_invariant,
+    werner,
 )
 
 
@@ -526,19 +528,84 @@ class TestVerifyCertificate:
             verify_certificate(m, SeparabilityCertificate(terms))
 
 
-@pytest.fixture(scope="module")
-def range_enum_302_item_102():
-    """Item ``102_sep_r12_n8`` of the benchmark's range_enum corpus at seed 302.
+class TestTwoQubitDecompose:
+    @staticmethod
+    def certified(m):
+        cert = two_qubit_decompose(m)
+        assert cert is not None
+        assert len(cert.terms) <= 4
+        assert verify_certificate(m, cert)
+        # far inside the certificate bound: the phases close the quadrilateral
+        # to rounding also when a triangle of it is flat, as at rank 3
+        err = np.linalg.norm(cert.reconstruct(4) - m, 2)
+        assert err <= 1e-13 * np.linalg.norm(m, 2)
+        return cert
 
-    A separable mixture of 12 product projectors on C2 x C8, so its rank sum
-    is 24 = 3N and the paired search runs once, finite.
-    """
+    @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3])
+    def test_separable_werner(self, p):
+        self.certified(werner(p))
+
+    def test_entangled_werner_declines(self):
+        # just past the boundary p = 1/3 the state is NPT, hence entangled
+        assert two_qubit_decompose(werner(0.34)) is None
+        assert analyze(werner(0.34))[0].kind is VerdictKind.ENTANGLED_NPT
+
+    def test_bell_state_declines(self):
+        assert two_qubit_decompose(embedded_max_entangled(2)) is None
+
+    @pytest.mark.parametrize("m", [np.eye(4), np.diag([1.0, 0, 0, 1])],
+                             ids=["identity", "diag1001"])
+    def test_repeated_takagi_values(self, m):
+        # every Takagi value of the identity is 1/2 after the square roots,
+        # and both of diag(1,0,0,1) are 1: an SVD-based Takagi fails on these
+        self.certified(m.astype(complex))
+
+    def test_pure_product(self):
+        pv = random_product_vector(np.random.default_rng(40), 2)
+        self.certified(pv.projector())
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_seeded_mixtures(self, rank):
+        for seed in range(20):
+            self.certified(build_separable(np.random.default_rng([41, rank, seed]), 2, rank)[0])
+
+    def test_random_ppt_states(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            self.certified(random_ppt_mixture(rng, 2))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_scales(self, scale):
+        rng = np.random.default_rng(43)
+        for m in (werner(1 / 3), np.eye(4), random_ppt_mixture(rng, 2),
+                  build_separable(rng, 2, 3)[0]):
+            self.certified(m * scale)
+
+    def test_rejects_other_sizes(self):
+        with pytest.raises(ValueError, match="4 x 4"):
+            two_qubit_decompose(np.eye(6))
+
+
+@pytest.fixture(scope="module")
+def benchmark_corpus():
+    """The module ``perfbench/corpus.py``, which builds the benchmark's labelled inputs."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("_benchmark_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = corpus  # the dataclass decorator looks its module up
     spec.loader.exec_module(corpus)
-    return next(item for item in corpus.build("range_enum", 302) if item.name == "102_sep_r12_n8")
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def range_enum_302_item_102(benchmark_corpus):
+    """Item ``102_sep_r12_n8`` of the benchmark's range_enum corpus at seed 302.
+
+    A separable mixture of 12 product projectors on C2 x C8, so its rank sum
+    is 24 = 3N and the paired search runs once, finite.
+    """
+    return next(item for item in benchmark_corpus.build("range_enum", 302)
+                if item.name == "102_sep_r12_n8")
 
 
 class TestAnalyze:
@@ -553,6 +620,33 @@ class TestAnalyze:
         verdict, _ = analyze(m)
         assert verdict.kind is VerdictKind.SEPARABLE
         assert verify_certificate(m, verdict.certificate)
+
+    @pytest.mark.parametrize("seed", [4242, 5150])
+    def test_benchmark_two_qubit_items_separable(self, benchmark_corpus, seed):
+        # every PPT state on C2 x C2 is separable (Horodecki 1996): the 16
+        # range_enum (N, rank) = (2, 3) inputs and the 68 sampled_reduction
+        # N = 2 inputs
+        items = [item for workload in ("range_enum", "sampled_reduction")
+                 for item in benchmark_corpus.build(workload, seed) if item.n == 2]
+        assert len(items) == 16 + 68
+        for item in items:
+            assert item.label == "separable"
+            verdict, _ = analyze(item.matrix)
+            assert verdict.kind is VerdictKind.SEPARABLE, item.name
+            assert verify_certificate(item.matrix, verdict.certificate)
+
+    def test_two_qubit_verdict_survives_local_maps(self):
+        # local unitaries, positive scaling and swapping the two basis vectors
+        # of the second factor keep a separable state separable
+        rng = np.random.default_rng(44)
+        swap = np.kron(np.eye(2), [[0, 1], [1, 0]])
+        for i in range(12):
+            m = random_ppt_mixture(rng, 2) if i % 2 else build_separable(rng, 2, 2 + i % 3)[0]
+            u = random_local_unitary(rng, 2)
+            for variant in (u @ m @ u.conj().T, rng.uniform(1e-3, 1e3) * m, swap @ m @ swap):
+                verdict, _ = analyze(variant)
+                assert verdict.kind is VerdictKind.SEPARABLE
+                assert verify_certificate(variant, verdict.certificate)
 
     def test_maximally_entangled_is_npt(self):
         verdict, trace = analyze(embedded_max_entangled(2))
