@@ -134,18 +134,25 @@ def _trace_to_json(trace: ReductionTrace) -> dict:
 def load_tolerances(flag_overrides: dict | None = None,
                     file_overrides: dict | None = None) -> ToleranceConfig:
     """Resolve tolerances: CLI flags > state-file overrides > env file > defaults."""
-    data: dict = {}
+    sources = []  # (where the overrides come from, the parsed JSON), lowest priority first
     env_path = os.environ.get(TOL_ENV_VAR)
     if env_path:
         try:
             with open(env_path) as fh:
-                data.update(json.load(fh))
+                sources.append((f"tolerance config {env_path}", json.load(fh)))
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read tolerance config {env_path}: {exc}") from exc
-    if file_overrides:
-        data.update(file_overrides)
-    if flag_overrides:
-        data.update(flag_overrides)
+    if file_overrides is not None:
+        sources.append(("'tolerances' field of the state file", file_overrides))
+    data: dict = {}
+    for source, overrides in sources:
+        if not isinstance(overrides, dict):
+            raise InputError(f"{source} must be a JSON object, got {json.dumps(overrides)}")
+        for key, value in overrides.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputError(f"{source}: {key!r} must be a number, got {json.dumps(value)}")
+        data.update(overrides)
+    data.update(flag_overrides or {})
     known = {f.name for f in fields(ToleranceConfig)}
     unknown = set(data) - known
     if unknown:

@@ -25,7 +25,6 @@ __all__ = [
     "NonFinite",
     "conjugate_poly",
     "eliminate_single",
-    "curve_points",
     "eliminate_pair",
     "reduce_univariate_pair",
     "univariate_roots",
@@ -337,52 +336,6 @@ def eliminate_single(p: BivariatePoly) -> UnivariatePoly:
         g = _normalize(g)
     row, zero_candidate = _pair_reduce(f, g)
     return _finish(row, zero_candidate)
-
-
-# Rays alpha = t e^{i theta}, and radii t along each, on which ``curve_points``
-# samples a self-conjugate polynomial for a sign change.
-CURVE_RAYS = 9
-_CURVE_RADII = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 31)])
-# Relative size, against the moduli of the terms, a sample needs for its sign to count.
-_SIGN_REL_TOL = 1e-9
-_BISECTIONS = 60
-
-
-def curve_points(p: BivariatePoly) -> list[complex]:
-    """Points of a zero curve of a self-conjugate ``p``, one per ray where it changes sign.
-
-    A polynomial equal to its conjugate twin up to a scalar is real on the
-    whole plane after one phase rotation, so its zero set is where that real
-    function changes sign, or touches zero.  A sign change along one of
-    ``CURVE_RAYS`` rays alpha = t e^{i theta} proves a curve; bisection puts
-    a point on it.  Empty for any other polynomial and for a self-conjugate
-    one that keeps its sign on every ray, such as |alpha|^2 + 1, whose
-    real-line slice ``eliminate_single`` then keeps answering for.
-    """
-    if p.is_zero() or not _scalar_proportional(p.coeffs, conjugate_poly(p).coeffs):
-        return []
-    directions = np.exp(2j * np.pi * np.arange(CURVE_RAYS) / CURVE_RAYS)
-    values = p(directions[:, None] * _CURVE_RADII[None, :])
-    top = np.unravel_index(np.argmax(np.abs(values)), values.shape)
-    phase = np.conj(values[top]) / abs(values[top])
-    real = (phase * values).real
-    moduli = npoly.polyval2d(_CURVE_RADII, _CURVE_RADII, np.abs(p.coeffs))
-    signs = np.where(np.abs(real) > _SIGN_REL_TOL * moduli, np.sign(real), 0.0)
-    brackets = []  # (direction, radius of one sign, radius of the other, the first sign)
-    for direction, ray in zip(directions, signs):
-        nz = np.flatnonzero(ray)
-        change = np.flatnonzero(ray[nz[:-1]] != ray[nz[1:]])
-        if change.size:
-            i, j = nz[change[0]], nz[change[0] + 1]
-            brackets.append((direction, _CURVE_RADII[i], _CURVE_RADII[j], ray[i]))
-    if not brackets:
-        return []
-    rays, lo, hi, lo_sign = (np.array(x) for x in zip(*brackets))
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        same = np.sign((phase * p(mid * rays)).real) == lo_sign
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return [complex(a) for a in 0.5 * (lo + hi) * rays]
 
 
 def eliminate_pair(p1: BivariatePoly, p2: BivariatePoly) -> UnivariatePoly:

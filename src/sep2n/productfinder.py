@@ -21,7 +21,8 @@ from .polyelim import (
     BivariatePoly,
     DegenerateElimination,
     UnivariatePoly,
-    curve_points,
+    _scalar_proportional,
+    conjugate_poly,
     eliminate_pair,
     eliminate_single,
     pair_elimination_bound,
@@ -504,16 +505,16 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     """Product vectors with |e,f> in H1 and the conjugate partner in H2.
 
     Returns an InfiniteFamily (with deterministic samples) when the
-    dimension count guarantees solutions for every e, or when a single
-    self-conjugate determinant changes sign and so vanishes on a curve (its
-    samples then lie on the curve); otherwise the finite verified list
-    sorted by alpha.
+    dimension count guarantees solutions for every e, otherwise the finite
+    verified list sorted by alpha.
 
     Raises
     ------
     NonGenericInput
-        When the elimination degenerates or a root carries a solution space
-        of dimension > 1, i.e. the instance is outside the generic case.
+        When the only determinant equals its conjugate twin up to a scalar
+        (its zeros form a curve, touching points or nothing, which no
+        finite enumeration covers), the elimination degenerates, or a root
+        carries a solution space of dimension > 1: a non-generic instance.
     """
     tol = tol or ToleranceConfig()
     h1 = _orthonormalize(h1)
@@ -526,11 +527,9 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     if not cs.dets:
         return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="all determinants vanish identically")
-    # a single self-conjugate determinant that changes sign vanishes on a curve
-    curve = curve_points(cs.dets[0]) if len(cs.dets) == 1 else []
-    if curve:
-        return InfiniteFamily(samples=_chart_products(cs, curve, h1, h2, tol),
-                              note="determinant vanishes on a curve")
+    d = cs.dets[0]  # a self-conjugate one may vanish on a curve, which no finite list covers
+    if len(cs.dets) == 1 and _scalar_proportional(d.coeffs, conjugate_poly(d).coeffs):
+        raise NonGenericInput("the only determinant is self-conjugate")
     try:
         q, diag = eliminate_paired(cs)
     except DegenerateElimination as exc:

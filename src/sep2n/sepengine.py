@@ -4,11 +4,11 @@
 pass runs these stages in order: zero remainder, support stripping, the
 base case N = 1, PT-invariance, kernel reduction (both ranks and N drop by
 one), transpose-side rank-N, the closed-form two-qubit decomposition at
-N = 2, and the paired search, which subtracts a sampled product vector
-above rank sum 3N and otherwise expands the state over the enumerated
-product vectors.  A stop leads to sufficient fallback checks.  Every
-"separable" verdict carries a certificate that is re-verified against the
-input before being emitted.
+N = 2, whose decline stops the passes, and for N >= 3 the paired search,
+which subtracts a sampled product vector above rank sum 3N and otherwise
+expands the state over the enumerated product vectors.  A stop leads to
+sufficient fallback checks.  Every "separable" verdict carries a
+certificate that is re-verified against the input before being emitted.
 """
 
 from __future__ import annotations
@@ -803,12 +803,13 @@ def _transpose_rank_n(run: _Run, cur: DensityState):
 
 
 def _two_qubit(run: _Run, cur: DensityState):
-    """Decompose a state on C2 x C2 in closed form; an entangled one falls through."""
+    """Decompose a state on C2 x C2 in closed form; a decline (PPT only within tolerance) stops."""
     if cur.n == 2:
         cert = two_qubit_decompose(cur, run.tol)
-        if cert is not None:
-            run.trace.steps.append(_step("two-qubit", cur, detail=f"terms={len(cert.terms)}"))
-            return run.assemble(cert.terms)
+        if cert is None:
+            return run.stop(f"two-qubit declined: concurrence > {TWO_QUBIT_SLACK:g} x trace")
+        run.trace.steps.append(_step("two-qubit", cur, detail=f"terms={len(cert.terms)}"))
+        return run.assemble(cert.terms)
 
 
 def _paired_search(run: _Run, cur: DensityState):

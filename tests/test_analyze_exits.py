@@ -41,6 +41,7 @@ INC = VerdictKind.INCONCLUSIVE
 NOT_FOUND = "kernel product vector not found despite guaranteed existence"
 NEG_AFTER_SAMPLING = "negative expansion after non-exhaustive subtraction"
 KERNEL_NOT_PSD = "kernel reduction failed: matrix is not PSD (min eigenvalue "
+TWO_QUBIT_DECLINED = "two-qubit declined: concurrence > 1e-09 x trace"
 
 
 def rank_n(n=3):
@@ -126,6 +127,24 @@ def test_two_qubit():
     verdict, trace = check(analyze(m), SEP, None, ["two-qubit"], [])
     assert trace.steps[0].detail == f"terms={len(verdict.certificate.terms)}" == "terms=4"
     assert verify_certificate(m, verdict.certificate)
+
+
+def near_bell(p):
+    """p |Phi+><Phi+| + (1 - p)(0.6 |01><01| + 0.4 |00><00|): rank 3, concurrence p.
+
+    The partial transpose is negative only to second order in p, so for a
+    small p the state passes the PPT test within tolerance.
+    """
+    phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    return p * np.outer(phi, phi) + (1 - p) * np.diag([0.4, 0.6, 0.0, 0.0])
+
+
+def test_two_qubit_natural_decline():
+    # the passes stop at the decline, and nothing else may call the state entangled
+    state = DensityState(near_bell(1e-5))
+    assert state.is_ppt and -1e-10 < state.pt_min_eigenvalue < 0
+    check(analyze(state), INC, REASON_NON_GENERIC, [], [TWO_QUBIT_DECLINED])
+    assert analyze(near_bell(3e-5))[0].kind is not PPT
 
 
 def kernel_reduction_not_psd():
@@ -252,15 +271,12 @@ def test_transpose_side_rank_n_fails(monkeypatch, no_fallbacks):
           [f"transpose-side decomposition degenerated: {NOT_FOUND}"])
 
 
-def test_two_qubit_declines(monkeypatch):
-    # the paired search takes over; the rank-3 determinant is self-conjugate
-    # and changes sign, so its zero set is a curve that is sampled
+def test_two_qubit_declines(monkeypatch, no_fallbacks):
+    # a decline ends the passes: the paired search never sees N = 2
     monkeypatch.setattr(sepengine, "two_qubit_decompose", lambda *a, **k: None)
+    monkeypatch.setattr(sepengine, "paired_products", raising(AssertionError("paired search ran")))
     m = build_separable(np.random.default_rng(0), 2, 3)[0]
-    verdict, _ = check(analyze(m), SEP, None, ["subtract-sample", "rank-n-decompose"],
-                       ["infinite family below the 3N threshold (non-generic)"],
-                       nonexhaustive=True)
-    assert verify_certificate(m, verdict.certificate)
+    check(analyze(m), INC, REASON_NON_GENERIC, [], [TWO_QUBIT_DECLINED])
 
 
 def test_paired_search_nongeneric(monkeypatch, no_fallbacks):

@@ -113,6 +113,29 @@ class TestAnalyzeCommand:
         report = json.loads(r.read_text())
         assert report["report"]["tolerances"]["cert_recon_tol"] == 1e-7
 
+    @pytest.mark.parametrize("tolerances", ["abc", [1, 2], {"psd_tol": True}],
+                             ids=["string", "list", "bool-value"])
+    def test_malformed_state_file_tolerances(self, tmp_path, capsys, tolerances):
+        s = tmp_path / "s.json"
+        write_state(s, np.eye(4, dtype=complex) / 4, 2, tolerances=tolerances)
+        assert main(["analyze", str(s)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'tolerances' field of the state file")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", ['"abc"', "[1, 2]", '{"psd_tol": true}'],
+                             ids=["string", "list", "bool-value"])
+    def test_malformed_env_tolerance_file(self, tmp_path, capsys, monkeypatch, content):
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(content)
+        monkeypatch.setenv("SEP2N_TOL_FILE", str(cfg))
+        s = tmp_path / "s.json"
+        write_state(s, np.eye(4, dtype=complex) / 4, 2)
+        assert main(["analyze", str(s)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tolerance config {cfg}")
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_matched_pair(self, tmp_path):
@@ -218,6 +241,20 @@ class TestBatchCommand:
         assert (d / "good.report.json").exists()
         assert not (d / "bad.report.json").exists()
         assert not (d / "badn.report.json").exists()
+
+    def test_malformed_tolerances_recorded(self, tmp_path, capsys):
+        d = tmp_path / "states"
+        d.mkdir()
+        write_state(d / "good.json", np.eye(4, dtype=complex) / 4, 2)
+        write_state(d / "badtol.json", np.eye(4, dtype=complex) / 4, 2, tolerances=[1, 2])
+        assert main(["batch", str(d), "--jobs", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = {parts[0]: parts[1] for parts in map(str.split, out.splitlines())
+                if parts and parts[0].endswith(".json")}
+        assert rows == {"badtol.json": "error", "good.json": "separable"}
+        assert "must be a JSON object" in out
+        assert not (d / "badtol.report.json").exists()
 
     def test_subnormal_state_beside_normal_one(self, tmp_path, capsys):
         d = tmp_path / "states"

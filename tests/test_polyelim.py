@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from sep2n.polyelim import (
-    CURVE_RAYS,
     MERGE_RADIUS,
     BivariatePoly,
     DegenerateElimination,
     NonFinite,
     UnivariatePoly,
     conjugate_poly,
-    curve_points,
     eliminate_pair,
     eliminate_single,
     pair_elimination_bound,
@@ -72,20 +70,6 @@ class TestEliminateSingle:
         q = eliminate_single(p)
         kept = verify_roots(univariate_roots(q), [p])
         assert kept.roots == []
-
-    def test_curve_points_on_sign_change(self):
-        # |alpha|^2 - 1, also after a phase rotation: one point per ray, on the circle
-        for phase in (1.0, 1j, np.exp(0.3j)):
-            pts = curve_points(poly({(1, 1): phase, (0, 0): -phase}))
-            assert len(pts) == CURVE_RAYS
-            assert all(abs(abs(a) - 1) < 1e-14 for a in pts)
-
-    def test_curve_points_without_sign_change(self):
-        # |alpha|^2 + 1 keeps its sign, |alpha - 1|^2 only touches zero, and
-        # alpha^2 - conj(alpha) is not self-conjugate
-        assert curve_points(poly({(1, 1): 1.0, (0, 0): 1.0})) == []
-        assert curve_points(poly({(1, 1): 1.0, (1, 0): -1.0, (0, 1): -1.0, (0, 0): 1.0})) == []
-        assert curve_points(poly({(2, 0): 1.0, (0, 1): -1.0})) == []
 
     def test_degenerate_difference_of_squares(self):
         with pytest.raises(DegenerateElimination):

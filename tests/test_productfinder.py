@@ -197,20 +197,14 @@ class TestPairedProducts:
 
     def test_self_conjugate_determinant_with_sign_change_is_a_curve(self):
         # kernel lines (1,0,0,1) and (0,1,1,0): the one 2 x 2 determinant is
-        # (|alpha|^2 - 1) / 2, which vanishes on the unit circle, while its
-        # real-line slice alpha^2 - 1 has only the roots +-1
+        # (|alpha|^2 - 1) / 2, which vanishes on the whole unit circle, so no
+        # finite enumeration is exhaustive and the search refuses
         h1 = orthonormal_complement(np.array([[1, 0, 0, 1]], dtype=complex).T)
         h2 = orthonormal_complement(np.array([[0, 1, 1, 0]], dtype=complex).T)
         (det,) = build_paired_system(h1, h2).dets
         assert np.allclose(det.coeffs, [[-0.5, 0], [0, 0.5]])
-        res = paired_products(h1, h2)
-        assert isinstance(res, InfiniteFamily)
-        assert res.note == "determinant vanishes on a curve"
-        assert len(res.samples) == 9
-        for v in res.samples:
-            assert abs(abs(v.alpha) - 1) < 1e-12
-            assert membership_residual(h1, v.vector) < 1e-7
-            assert membership_residual(h2, v.conjugate_partner.vector) < 1e-7
+        with pytest.raises(NonGenericInput, match="self-conjugate"):
+            paired_products(h1, h2)
 
     def test_rank_six_six_degree_bound(self):
         rng = np.random.default_rng(5)
