@@ -8,13 +8,13 @@ PPT-entangled, 4 inconclusive, 1 input/usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 import traceback
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -207,9 +207,7 @@ def load_state(path, flag_overrides: dict | None = None) -> tuple[DensityState, 
 
 
 def _write_json(path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +388,21 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _batch_row(path: Path, out_dir: Path) -> tuple[str, str, float, str | None]:
+    """Analyze one file of ``batch`` and write its report; returns its table row."""
+    try:
+        report, _code = run_analysis(path)
+        _write_json(out_dir / (path.stem + ".report.json"), report)
+        return path.name, report["report"]["verdict"], report["timings"]["seconds"], None
+    except InputError as exc:
+        return path.name, "error", 0.0, str(exc)
+    except Exception as exc:  # one failing file must not abort the directory
+        print(f"{path.name}:\n{traceback.format_exc()}", file=sys.stderr, end="")
+        return path.name, "error", 0.0, f"{type(exc).__name__}: {exc}"
+
+
 def cmd_batch(args) -> int:
+    """Analyze a directory's state files in turn, so each file's seconds are its own."""
     directory = Path(args.directory)
     if not directory.is_dir():
         raise InputError(f"{directory} is not a directory")
@@ -398,20 +410,7 @@ def cmd_batch(args) -> int:
                     if not p.name.endswith(".report.json"))
     out_dir = Path(args.out_dir) if args.out_dir else directory
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def work(path):
-        try:
-            report, _code = run_analysis(path)
-            _write_json(out_dir / (path.stem + ".report.json"), report)
-            return path.name, report["report"]["verdict"], report["timings"]["seconds"], None
-        except InputError as exc:
-            return path.name, "error", 0.0, str(exc)
-        except Exception as exc:  # one failing file must not abort the directory
-            print(f"{path.name}:\n{traceback.format_exc()}", file=sys.stderr, end="")
-            return path.name, "error", 0.0, f"{type(exc).__name__}: {exc}"
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(work, inputs))
+    results = [_batch_row(path, out_dir) for path in inputs]
 
     counts = Counter(verdict for _name, verdict, _s, _err in results)
     times = [seconds for _name, _verdict, seconds, err in results if err is None]
@@ -430,6 +429,7 @@ def cmd_batch(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sep2n",
                                      description="Separability analysis on C2 x CN")
@@ -440,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", action="append", metavar="KEY=VALUE",
                    help="tolerance override (repeatable)")
     p.add_argument("--report", help="report output path (default: <input>.report.json)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="write a test state")
     p.add_argument("--kind", required=True,
@@ -449,26 +448,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="verify a certificate against a state")
     p.add_argument("state")
     p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("batch", help="analyze every *.json state in a directory")
     p.add_argument("directory")
-    p.add_argument("--jobs", type=int, default=4)
+    # accepted so that existing command lines keep working; it has no effect
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_batch)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call: the parser is cached, and a command patched later must run
+    commands = {"analyze": cmd_analyze, "generate": cmd_generate,
+                "verify": cmd_verify, "batch": cmd_batch}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

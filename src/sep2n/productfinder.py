@@ -62,6 +62,9 @@ REAL_ALPHA_GRID = (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 / 3.0)
 DET_ZERO_TOL = 1e-10
 # Relative smallest-singular-value threshold accepting a rank drop at a root.
 NULL_ACCEPT = 1e-6
+# Relative residual under which the partial transpose annihilates a kernel vector's
+# partner; as loose as NULL_ACCEPT, the rank-drop test that accepted the vector.
+KERNEL_PARTNER_REL_TOL = 1e-6
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -576,7 +579,8 @@ def kernel_product_vectors(state, tol: ToleranceConfig | None = None):
     vectors = res.samples if isinstance(res, InfiniteFamily) else res
     pt_norm = max(state.norm, 1e-300)
     kept = [v for v in vectors
-            if np.linalg.norm(state.pt_matrix @ v.conjugate_partner.vector) <= 1e-6 * pt_norm]
+            if np.linalg.norm(state.pt_matrix @ v.conjugate_partner.vector)
+            <= KERNEL_PARTNER_REL_TOL * pt_norm]
     return InfiniteFamily(samples=kept, note=res.note) if isinstance(res, InfiniteFamily) else kept
 
 

@@ -81,6 +81,15 @@ TIE_REL_TOL = 1e-8
 PT_INVARIANCE_REL_TOL = 1e-8
 # Relative size, against the state it came from, under which a remainder is zero.
 _ZERO_REL_TOL = 1e-12
+# Relative residual of rho|v> under which v is a kernel vector; as loose as the
+# rank-drop test (productfinder.NULL_ACCEPT) that accepted v.
+KERNEL_RESIDUAL_REL_TOL = 1e-6
+# Relative size under which rho annihilates |e_hat, f>: the rank cutoff's scale, where
+# the support is not full and must be stripped first.
+KERNEL_IMAGE_ZERO_REL_TOL = 1e-9
+# Relative distance of rho|e_hat, f> from |e_hat> (x) g under which the image is one
+# product line, so that subtracting it drops both ranks.
+PRODUCT_LINE_REL_TOL = 1e-7
 
 REASON_NON_GENERIC = "NonGenericInput"
 REASON_INFINITE_FAMILY = "InfiniteFamilyUnresolved"
@@ -234,19 +243,19 @@ def _kernel_term(state: DensityState, v: ProductVector):
     Returns ``(lam, sub_vec, (weight, pv))``: ``sub_vec`` is the unnormalized
     |e_hat, g> and ``weight`` times the projector of ``pv`` is the term.
     """
-    n = state.n
-    if np.linalg.norm(state.matrix @ v.vector) > 1e-6 * max(state.norm, 1e-300):
+    n, norm = state.n, max(state.norm, 1e-300)
+    if np.linalg.norm(state.matrix @ v.vector) > KERNEL_RESIDUAL_REL_TOL * norm:
         raise ValueError("vector is not in the kernel of the state")
     e = v.e
     ehat = np.array([-np.conj(e[1]), np.conj(e[0])], dtype=complex)
     # the products of np.kron, without its reshaping overhead
     w = state.matrix @ (ehat[:, None] * v.f[None, :]).ravel()
     wn = np.linalg.norm(w)
-    if wn <= 1e-9 * max(state.norm, 1e-300):
+    if wn <= KERNEL_IMAGE_ZERO_REL_TOL * norm:
         raise SupportViolation("state annihilates |e_hat, f>; strip the support first")
     g = np.conj(ehat[0]) * w[:n] + np.conj(ehat[1]) * w[n:]
     sub_vec = (ehat[:, None] * g[None, :]).ravel()
-    if np.linalg.norm(w - sub_vec) > 1e-7 * wn:
+    if np.linalg.norm(w - sub_vec) > PRODUCT_LINE_REL_TOL * wn:
         raise NonGenericInput("kernel image is not a product line")
     gf = float(np.real(np.vdot(g, v.f)))
     if gf <= 0:
@@ -703,7 +712,12 @@ class _Run:
 
     def assemble(self, extra_terms) -> Verdict:
         """Collected terms plus ``extra_terms`` on the current support, re-verified."""
-        lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
+        # the lift is multiplied only by strips, each the identity or N x M with
+        # M < N, so a square lift is the identity and the terms need no rebuild
+        if self.lift.shape[0] == self.lift.shape[1]:
+            lifted = list(extra_terms)
+        else:
+            lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
         cert = SeparabilityCertificate(self.terms + lifted)
         if not verify_certificate(self.state0, cert, self.tol):
             self.trace.notes.append("certificate failed re-verification; downgrading")

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +92,7 @@ class TestAnalyzeCommand:
         d1 = json.loads(r1.read_text())
         d2 = json.loads(r2.read_text())
         assert d1["report"] == d2["report"]  # timings live outside this key
+        assert r1.read_text() == json.dumps(d1, sort_keys=True, indent=2) + "\n"
 
     def test_tolerance_flag_recorded(self, tmp_path):
         s = tmp_path / "s.json"
@@ -324,19 +326,69 @@ class TestBatchCommand:
         report = json.loads(r.read_text())
         assert len(report["report"]["certificate"]["terms"]) == 8
 
-    def test_parallelism_independent_results(self, tmp_path):
+    def test_parallelism_independent_results(self, tmp_path, capsys):
         d1, d2 = tmp_path / "d1", tmp_path / "d2"
         for d in (d1, d2):
             d.mkdir()
             for i in range(4):
                 main(["generate", "--kind", "rank-n-separable", "--n", "3",
                       "--seed", str(i), "--out", str(d / f"s{i}.json")])
-        main(["batch", str(d1), "--jobs", "1"])
-        main(["batch", str(d2), "--jobs", "4"])
+        capsys.readouterr()
+        rows = []
+        for d, jobs in ((d1, "1"), (d2, "4")):
+            main(["batch", str(d), "--jobs", jobs])
+            out = capsys.readouterr().out
+            rows.append({parts[0]: parts[1] for parts in map(str.split, out.splitlines())
+                         if parts and parts[0].endswith(".json")})
+        assert rows[0] == rows[1] == {f"s{i}.json": "separable" for i in range(4)}
         for i in range(4):
             a = json.loads((d1 / f"s{i}.report.json").read_text())["report"]
             b = json.loads((d2 / f"s{i}.report.json").read_text())["report"]
             assert a == b
+
+    def test_files_analyzed_on_calling_thread(self, tmp_path, monkeypatch):
+        d = tmp_path / "states"
+        d.mkdir()
+        for i in range(3):
+            main(["generate", "--kind", "rank-n-separable", "--n", "2", "--seed", str(i),
+                  "--out", str(d / f"s{i}.json")])
+        threads = []
+
+        def recording_analyze(state, tol=None):
+            threads.append(threading.get_ident())
+            return analyze(state, tol)
+
+        monkeypatch.setattr(cli, "analyze", recording_analyze)
+        assert main(["batch", str(d), "--jobs", "2"]) == 0
+        assert threads == [threading.get_ident()] * 3
+
+    def test_jobs_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["batch", "--help"])
+        assert "--jobs" not in capsys.readouterr().out
+
+
+class TestDispatch:
+    def test_parser_built_once(self, tmp_path):
+        d = tmp_path / "empty"
+        d.mkdir()
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["batch", str(d)]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("command", ["verify", "batch"])
+    def test_command_patched_after_first_call_runs(self, tmp_path, monkeypatch, command):
+        if command == "verify":
+            s, r = TestVerifyCommand._analyzed_pair(tmp_path)
+            argv = ["verify", str(s), str(r)]
+        else:
+            argv = ["batch", str(tmp_path)]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args.command) or 7)
+        assert main(argv) == 7
+        assert seen == [command]
 
 
 class TestStateFileRoundTrip:
