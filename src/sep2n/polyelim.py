@@ -11,11 +11,12 @@ back-substitution.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+
+from .matrixcore import ToleranceConfig
 
 __all__ = [
     "BivariatePoly",
@@ -33,8 +34,6 @@ __all__ = [
     "pair_elimination_bound",
     "MERGE_RADIUS",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Relative threshold below which coefficients are trimmed away.
 TRIM_REL_TOL = 1e-12
@@ -194,10 +193,9 @@ class UnivariatePoly:
 
 @dataclass
 class RootSet:
-    """Verified roots plus bookkeeping about the bound they were tested against."""
+    """Verified roots of a polynomial system, merged and sorted by (re, im)."""
 
     roots: list[complex] = field(default_factory=list)
-    bound_used: int | None = None
 
 
 def conjugate_poly(p: BivariatePoly) -> BivariatePoly:
@@ -506,8 +504,8 @@ def _polish(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     return a
 
 
-def verify_roots(candidates, system: list[BivariatePoly], tol=None,
-                 bound_used: int | None = None) -> RootSet:
+def verify_roots(candidates, system: list[BivariatePoly],
+                 tol: ToleranceConfig | None = None) -> RootSet:
     """Polish candidates on the originating system and keep its genuine roots.
 
     The candidates are usually the unrefined companion roots of the
@@ -532,8 +530,6 @@ def verify_roots(candidates, system: list[BivariatePoly], tol=None,
     rounding decides whether the second singular value is kept, so there a
     root can move along its curve of roots and the accepted set can change.
     """
-    from .matrixcore import ToleranceConfig
-
     tol = tol or ToleranceConfig()
     if not system:
         raise ValueError("verify_roots needs a nonempty system")
@@ -551,7 +547,4 @@ def verify_roots(candidates, system: list[BivariatePoly], tol=None,
         if any(abs(a - m) <= MERGE_RADIUS for m in merged):
             continue
         merged.append(a)
-    if bound_used is not None and len(merged) > bound_used:
-        logger.debug("verified roots (%d) exceed the nominal bound (%d)",
-                     len(merged), bound_used)
-    return RootSet(roots=merged, bound_used=bound_used)
+    return RootSet(roots=merged)

@@ -25,9 +25,7 @@ from .polyelim import (
     conjugate_poly,
     eliminate_pair,
     eliminate_single,
-    pair_elimination_bound,
     reduce_univariate_pair,
-    single_elimination_bound,
     univariate_roots,
     verify_roots,
 )
@@ -65,6 +63,8 @@ NULL_ACCEPT = 1e-6
 # Relative residual under which the partial transpose annihilates a kernel vector's
 # partner; as loose as NULL_ACCEPT, the rank-drop test that accepted the vector.
 KERNEL_PARTNER_REL_TOL = 1e-6
+# Alternation rounds of the fixed-alpha refinement (``_refine_alpha_f``).
+REFINE_ROUNDS = 3
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -257,18 +257,19 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj().swapaxes(1, 2) @ y)[:, 0, 0]
 
 
-def _refine_alpha_f(cs: ConstraintSystem, alphas, rounds: int = 3):
+def _refine_alpha_f(cs: ConstraintSystem, alphas):
     """Alternate between the best alpha for f and the best f for alpha, for every alpha.
 
     The joint least-squares alpha given f is closed-form; this repairs the
     sqrt-of-epsilon splitting that companion eigenvalues suffer at repeated
-    roots.  Each round is one SVD over the alphas still moving.  Returns the
-    alphas, their f's as rows and the singular values at the new alphas.
+    roots.  Each of the ``REFINE_ROUNDS`` rounds is one SVD over the alphas
+    still moving.  Returns the alphas, their f's as rows and the singular
+    values at the new alphas.
     """
     alphas = np.array(alphas, dtype=complex)
     fs = np.empty((alphas.size, cs.n), dtype=complex)
     live = np.arange(alphas.size)
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         if not live.size:
             break
         f = np.linalg.svd(cs.stacked(alphas[live]), full_matrices=True)[2][:, -1].conj()
@@ -468,40 +469,27 @@ def build_paired_system(h1, h2) -> ConstraintSystem:
     return cs
 
 
-def eliminate_paired(cs: ConstraintSystem):
+def eliminate_paired(cs: ConstraintSystem) -> UnivariatePoly | None:
     """Reduce the determinant system to one univariate polynomial.
 
-    Returns ``(poly, diagnostics)``; the polynomial is None when every
-    determinant vanished identically (rank deficiency for all alpha).
+    Returns None when every determinant vanished identically (rank
+    deficiency for all alpha).
     """
     if not cs.dets:
-        return None, {"all_determinants_zero": True, "final_degree": None, "bound": None}
-    det_degrees = [(d.deg_alpha, d.deg_conj) for d in cs.dets]
+        return None
     if len(cs.dets) == 1:
         d = cs.dets[0]
-        x, y = d.deg_alpha, d.deg_conj
-        if x == 0:
-            q = UnivariatePoly(np.conj(d.coeffs[0]))
-            bound = y
-        elif y == 0:
-            q = UnivariatePoly(d.coeffs[:, 0])
-            bound = x
-        else:
-            q = eliminate_single(d)
-            bound = single_elimination_bound(x, y)
-    else:
-        base = cs.dets[0]
-        reduced = [eliminate_pair(base, dj) for dj in cs.dets[1:]]
-        q = reduced[0]
-        for u in reduced[1:]:
-            q = reduce_univariate_pair(q, u)
-        x = max(min(dd) for dd in det_degrees)
-        y = max(max(dd) for dd in det_degrees)
-        bound = max(1, pair_elimination_bound(x, y) - (len(cs.dets) - 2))
-    return q, {"all_determinants_zero": False,
-               "final_degree": q.degree,
-               "det_degrees": det_degrees,
-               "bound": bound}
+        if d.deg_alpha == 0:
+            return UnivariatePoly(np.conj(d.coeffs[0]))
+        if d.deg_conj == 0:
+            return UnivariatePoly(d.coeffs[:, 0])
+        return eliminate_single(d)
+    base = cs.dets[0]
+    reduced = [eliminate_pair(base, dj) for dj in cs.dets[1:]]
+    q = reduced[0]
+    for u in reduced[1:]:
+        q = reduce_univariate_pair(q, u)
+    return q
 
 
 def paired_products(h1, h2, tol: ToleranceConfig | None = None):
@@ -534,11 +522,11 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     if len(cs.dets) == 1 and _scalar_proportional(d.coeffs, conjugate_poly(d).coeffs):
         raise NonGenericInput("the only determinant is self-conjugate")
     try:
-        q, diag = eliminate_paired(cs)
+        q = eliminate_paired(cs)
     except DegenerateElimination as exc:
         raise NonGenericInput(f"degenerate elimination: {exc}") from exc
     candidates = list(univariate_roots(q)) if q.degree >= 1 else []
-    rootset = verify_roots(candidates, cs.dets, tol, bound_used=diag.get("bound"))
+    rootset = verify_roots(candidates, cs.dets, tol)
 
     found = _root_products(rootset.roots, cs, h1, h2, tol)
     found += _chart_products(cs, (None,), h1, h2, tol)
@@ -564,18 +552,17 @@ def real_e_products(h, tol: ToleranceConfig | None = None) -> list[ProductVector
     return _chart_products(_single_system(h, n), REAL_ALPHA_GRID + (None,), h, None, tol)
 
 
-def kernel_product_vectors(state, tol: ToleranceConfig | None = None):
+def kernel_product_vectors(state):
     """Every product vector found in the kernel of a PPT state, in the search's order.
 
     Only vectors whose conjugate partner the partial transpose annihilates
     are kept.  An infinite kernel family comes back as an InfiniteFamily
-    holding the samples that pass.
+    holding the samples that pass.  The search uses the state's tolerances.
     """
-    tol = tol or state.tol
     kernel = state.kernel_basis
     if kernel.shape[1] == 0:
         return []
-    res = products_in_subspace(kernel, tol)
+    res = products_in_subspace(kernel, state.tol)
     vectors = res.samples if isinstance(res, InfiniteFamily) else res
     pt_norm = max(state.norm, 1e-300)
     kept = [v for v in vectors
@@ -584,11 +571,11 @@ def kernel_product_vectors(state, tol: ToleranceConfig | None = None):
     return InfiniteFamily(samples=kept, note=res.note) if isinstance(res, InfiniteFamily) else kept
 
 
-def kernel_product_vector(state, tol: ToleranceConfig | None = None) -> ProductVector | None:
+def kernel_product_vector(state) -> ProductVector | None:
     """First product vector of ``kernel_product_vectors``, if any.
 
     Guaranteed to exist when the kernel dimension reaches N.
     """
-    found = kernel_product_vectors(state, tol)
+    found = kernel_product_vectors(state)
     vectors = found.samples if isinstance(found, InfiniteFamily) else found
     return vectors[0] if vectors else None

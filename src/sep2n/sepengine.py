@@ -159,6 +159,13 @@ def _negligible(x, ref: DensityState) -> bool:
     return operator_norm_at_most(x, _ZERO_REL_TOL, floor=max(ref.norm, 1e-300))
 
 
+def _matrix_and_tol(state) -> tuple[np.ndarray, ToleranceConfig]:
+    """A DensityState's matrix and tolerances, or a raw matrix with the default ones."""
+    if isinstance(state, DensityState):
+        return state.matrix, state.tol
+    return np.asarray(state, dtype=complex), ToleranceConfig()
+
+
 def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
     """Maximal subtraction weights keeping the state and its transpose positive.
 
@@ -309,12 +316,12 @@ def _listed(found) -> list[ProductVector]:
     return found.samples if isinstance(found, InfiniteFamily) else found
 
 
-def _all_kernel_terms(state: DensityState, found, tol: ToleranceConfig):
+def _all_kernel_terms(state: DensityState, found):
     """The N terms that N kernel product vectors pick out of the state, or None.
 
     None unless the search found a finite list of exactly N vectors, every
     vector passes the checks of ``_kernel_term`` and the terms reconstruct
-    the state within ``cert_recon_tol``.
+    the state within the state's ``cert_recon_tol``.
     """
     if isinstance(found, InfiniteFamily) or len(found) != state.n:
         return None
@@ -323,11 +330,11 @@ def _all_kernel_terms(state: DensityState, found, tol: ToleranceConfig):
     except (ValueError, SupportViolation, NonGenericInput):
         return None
     recon = SeparabilityCertificate(terms).reconstruct(state.dim)
-    return terms if operator_norm_at_most(state.matrix - recon, tol.cert_recon_tol,
+    return terms if operator_norm_at_most(state.matrix - recon, state.tol.cert_recon_tol,
                                           state.matrix) else None
 
 
-def decompose_rank_n(state: DensityState, tol: ToleranceConfig | None = None) -> SeparabilityCertificate:
+def decompose_rank_n(state: DensityState) -> SeparabilityCertificate:
     """Constructive decomposition of a state whose rank equals its support dimension.
 
     A generic such state has exactly N kernel product vectors, one per
@@ -337,12 +344,11 @@ def decompose_rank_n(state: DensityState, tol: ToleranceConfig | None = None) ->
     the problem to C2 x C(N-1), and the spectral base case finishes.  The
     certificate has exactly N terms, expressed in the input basis.
     """
-    tol = tol or state.tol
     cur, lift = strip_support(state)
     if cur.rank != cur.n:
         raise ValueError(f"rank {cur.rank} does not match support dimension {cur.n}")
-    found = kernel_product_vectors(cur, tol) if cur.n != 1 else []
-    terms = _all_kernel_terms(cur, found, tol)
+    found = kernel_product_vectors(cur) if cur.n != 1 else []
+    terms = _all_kernel_terms(cur, found)
     if terms is not None:
         return SeparabilityCertificate([(w, _lift_pv(pv, lift)) for w, pv in terms])
     terms = []
@@ -353,7 +359,7 @@ def decompose_rank_n(state: DensityState, tol: ToleranceConfig | None = None) ->
         cur, (weight, pv), iso = reduce_by_kernel(cur, vectors[0])
         terms.append((weight, _lift_pv(pv, lift)))
         lift = lift @ iso
-        found = kernel_product_vectors(cur, tol) if cur.n != 1 else []
+        found = kernel_product_vectors(cur) if cur.n != 1 else []
     terms.extend(_base_terms(cur, lift))
     return SeparabilityCertificate(terms)
 
@@ -382,7 +388,7 @@ def _triangle(a: float, b: float, d: float) -> tuple[complex, complex]:
     return (d - b * zb) / abs(d - b * zb), zb
 
 
-def two_qubit_decompose(state, tol: ToleranceConfig | None = None) -> SeparabilityCertificate | None:
+def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     """Wootters' decomposition of a two-qubit state into at most 4 product terms.
 
     With rho = V V^dag, the Takagi factorization of the complex symmetric
@@ -391,12 +397,12 @@ def two_qubit_decompose(state, tol: ToleranceConfig | None = None) -> Separabili
     ``sum_j lam_j z_j = 0`` exist exactly when the concurrence
     ``lam_1 - lam_2 - lam_3 - lam_4`` is not positive; then the four
     vectors ``y = x diag(sqrt z) H^T / 2`` reconstruct rho and each is a
-    product.  ``state`` is a DensityState or a 4 x 4 matrix.  Returns None
+    product.  ``state`` is a DensityState, whose tolerances apply, or a
+    4 x 4 matrix, which gets the default ones.  Returns None
     when the concurrence exceeds ``TWO_QUBIT_SLACK`` times the trace, i.e.
     the state is entangled.
     """
-    matrix = state.matrix if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
-    tol = tol or (state.tol if isinstance(state, DensityState) else ToleranceConfig())
+    matrix, tol = _matrix_and_tol(state)
     if matrix.shape != (4, 4):
         raise ValueError(f"two-qubit decomposition needs a 4 x 4 matrix, got {matrix.shape}")
     w, u = np.linalg.eigh(hermitize(matrix))
@@ -433,14 +439,13 @@ def two_qubit_decompose(state, tol: ToleranceConfig | None = None) -> Separabili
                                     for i in range(4)])
 
 
-def pt_invariant_decompose(state: DensityState, tol: ToleranceConfig | None = None) -> SeparabilityCertificate:
+def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     """Decompose a state equal to its partial transpose.
 
     While the rank exceeds the support dimension, subtract a real-e product
     vector (which preserves the invariance and drops both ranks); finish
     with the rank-equals-dimension construction.
     """
-    tol = tol or state.tol
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=max(state.norm, 1e-300)):
         raise ValueError("state is not invariant under partial transposition")
@@ -456,10 +461,10 @@ def pt_invariant_decompose(state: DensityState, tol: ToleranceConfig | None = No
             terms.extend(_base_terms(cur, lift))
             return SeparabilityCertificate(terms)
         if cur.rank == cur.n:
-            sub = decompose_rank_n(cur, tol)
+            sub = decompose_rank_n(cur)
             terms.extend((w, _lift_pv(pv, lift)) for w, pv in sub.terms)
             return SeparabilityCertificate(terms)
-        candidates = real_e_products(cur.range_basis, tol)
+        candidates = real_e_products(cur.range_basis, cur.tol)
         best = _best_subtraction(cur, candidates)
         if best is None:
             raise NonGenericInput("no subtractable real-e product vector found")
@@ -488,8 +493,7 @@ def _best_subtraction(state: DensityState, candidates) -> ProductVector | None:
 # finite-set expansion
 # ---------------------------------------------------------------------------
 
-def biorthogonal_check(state: DensityState, vectors: list[ProductVector],
-                       tol: ToleranceConfig | None = None) -> Verdict:
+def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Verdict:
     """Expand the state over the candidate product projectors.
 
     The projectors are completed to a basis of the operators on the range,
@@ -500,7 +504,6 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector],
     the entangled answer requires the caller to pass an exhaustive vector
     list.
     """
-    tol = tol or state.tol
     if not vectors:
         raise ValueError("needs at least one candidate vector")
     r = state.rank
@@ -521,12 +524,12 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector],
     residual = float(np.linalg.norm(rho_hat - s_mat @ c))
     rho_scale = float(np.linalg.norm(rho_hat))
     coeff_scale = max(state.trace, 1e-300)
-    neg_thr = tol.cert_recon_tol * coeff_scale
+    neg_thr = state.tol.cert_recon_tol * coeff_scale
     drop_thr = 1e-12 * coeff_scale
 
     bad_imag = float(np.max(np.abs(c.imag))) if c.size else 0.0
     negatives = [i for i in range(L) if c[i].real < -neg_thr]
-    if residual <= tol.cert_recon_tol * rho_scale and not negatives and bad_imag <= neg_thr:
+    if residual <= state.tol.cert_recon_tol * rho_scale and not negatives and bad_imag <= neg_thr:
         terms = [(float(c[i].real), vectors[i]) for i in range(L) if c[i].real > drop_thr]
         return Verdict(VerdictKind.SEPARABLE, certificate=SeparabilityCertificate(terms))
     witness = {
@@ -549,8 +552,7 @@ def antisymmetric_block(state: DensityState) -> np.ndarray:
     return hermitize(-0.5j * (m[:n, n:] - m[n:, :n]))
 
 
-def symmetric_split_check(state: DensityState,
-                          tol: ToleranceConfig | None = None) -> Verdict | None:
+def symmetric_split_check(state: DensityState) -> Verdict | None:
     """Sufficient separability check via the symmetric/antisymmetric split.
 
     Splits the state into its partial-transpose-invariant part plus
@@ -559,7 +561,6 @@ def symmetric_split_check(state: DensityState,
     remainder.  Returns None when the compensator does not fit under the
     invariant part; the criterion is only sufficient.
     """
-    tol = tol or state.tol
     n = state.n
     rho_s = hermitize((state.matrix + state.pt_matrix) / 2)
     b = antisymmetric_block(state)
@@ -572,7 +573,7 @@ def symmetric_split_check(state: DensityState,
         proj = np.outer(vec_b[:, i], vec_b[:, i].conj())
         comp += abs(lam_b[i]) * np.kron(np.eye(2, dtype=complex), proj)
 
-    if not psd_difference_check(rho_s, comp, tol):
+    if not psd_difference_check(rho_s, comp, state.tol):
         return None
 
     remainder = hermitize(rho_s - comp)
@@ -580,7 +581,7 @@ def symmetric_split_check(state: DensityState,
     if not _negligible(remainder, state):
         try:
             rem_state = DensityState(remainder, n=n, tol=state.tol)
-            sub = pt_invariant_decompose(rem_state, tol)
+            sub = pt_invariant_decompose(rem_state)
         except (ValueError, NonGenericInput):
             return None
         terms.extend(sub.terms)
@@ -589,7 +590,7 @@ def symmetric_split_check(state: DensityState,
         w_e = np.array([1.0, -1j * sign], dtype=complex)
         terms.append((float(2 * abs(lam_b[i])), ProductVector.from_e_f(w_e, vec_b[:, i])))
     cert = SeparabilityCertificate(terms)
-    if not verify_certificate(state, cert, tol):
+    if not verify_certificate(state, cert):
         return None
     return Verdict(VerdictKind.SEPARABLE, certificate=cert)
 
@@ -598,8 +599,7 @@ def symmetric_split_check(state: DensityState,
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def pt_symmetrizing_search(state: DensityState,
-                           tol: ToleranceConfig | None = None) -> Verdict | None:
+def pt_symmetrizing_search(state: DensityState) -> Verdict | None:
     """Solve for an invertible qubit-side transform A making the state PT-invariant.
 
     With rho_kl the N x N blocks of the state and u, v the rows of A, the
@@ -612,7 +612,6 @@ def pt_symmetrizing_search(state: DensityState,
     None means no such A exists within ``PT_INVARIANCE_REL_TOL`` or its
     certificate failed.
     """
-    tol = tol or state.tol
     n = state.n
     images = np.einsum("hkl,kalb->hab", _PAULIS, state.matrix.reshape(2, n, 2, n))
     system = np.concatenate((images.real, images.imag), axis=1).reshape(4, -1)
@@ -632,7 +631,7 @@ def pt_symmetrizing_search(state: DensityState,
         return None
     try:
         sig_state = DensityState(sigma, n=n, tol=state.tol)
-        cert_sigma = pt_invariant_decompose(sig_state, tol)
+        cert_sigma = pt_invariant_decompose(sig_state)
     except (ValueError, NonGenericInput):
         return None
     a_inv = np.linalg.inv(a)
@@ -642,7 +641,7 @@ def pt_symmetrizing_search(state: DensityState,
         terms.append((lam * float(np.vdot(e_back, e_back).real),
                       ProductVector.from_e_f(e_back, pv.f)))
     cert = SeparabilityCertificate(terms)
-    if verify_certificate(state, cert, tol):
+    if verify_certificate(state, cert):
         return Verdict(VerdictKind.SEPARABLE, certificate=cert)
     return None
 
@@ -651,15 +650,14 @@ def pt_symmetrizing_search(state: DensityState,
 # certificate verification and the full pipeline
 # ---------------------------------------------------------------------------
 
-def verify_certificate(state, cert: SeparabilityCertificate,
-                       tol: ToleranceConfig | None = None) -> bool:
+def verify_certificate(state, cert: SeparabilityCertificate) -> bool:
     """Check the weighted projector sum reconstructs the state in operator norm.
 
-    Raises ``ValueError`` unless every weight is positive and every term is
+    ``state`` is a DensityState, whose ``cert_recon_tol`` applies, or a
+    matrix, which gets the default one.  Raises ``ValueError`` unless every weight is positive and every term is
     a product of an e with 2 entries and an f with N entries.
     """
-    matrix = state.matrix if isinstance(state, DensityState) else np.asarray(state, dtype=complex)
-    tol = tol or (state.tol if isinstance(state, DensityState) else ToleranceConfig())
+    matrix, tol = _matrix_and_tol(state)
     n = matrix.shape[0] // 2
     for weight, pv in cert.terms:
         if not (weight > 0):
@@ -689,7 +687,6 @@ class _Run:
     """What the stages of one ``analyze`` call share."""
 
     state0: DensityState
-    tol: ToleranceConfig
     trace: ReductionTrace
     cur: DensityState
     lift: np.ndarray  # support coordinates of cur -> input basis
@@ -719,7 +716,7 @@ class _Run:
         else:
             lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
         cert = SeparabilityCertificate(self.terms + lifted)
-        if not verify_certificate(self.state0, cert, self.tol):
+        if not verify_certificate(self.state0, cert):
             self.trace.notes.append("certificate failed re-verification; downgrading")
             return Verdict(VerdictKind.INCONCLUSIVE, reason=REASON_REDUCTION_STALLED)
         return Verdict(VerdictKind.SEPARABLE, certificate=cert)
@@ -754,7 +751,7 @@ def _pt_invariant(run: _Run, cur: DensityState):
     if operator_norm_at_most(cur.matrix - cur.pt_matrix, PT_INVARIANCE_REL_TOL,
                              floor=max(cur.norm, 1e-300)):
         try:
-            sub_cert = pt_invariant_decompose(cur, run.tol)
+            sub_cert = pt_invariant_decompose(cur)
             run.trace.steps.append(_step("pt-invariant", cur))
             return run.assemble(sub_cert.terms)
         except (NonGenericInput, ValueError):
@@ -771,8 +768,8 @@ def _kernel_reduction(run: _Run, cur: DensityState):
     """
     failure = _NO_KERNEL_VECTOR
     try:
-        found = kernel_product_vectors(cur, run.tol)
-        terms = _all_kernel_terms(cur, found, run.tol) if cur.rank == cur.n else None
+        found = kernel_product_vectors(cur)
+        terms = _all_kernel_terms(cur, found) if cur.rank == cur.n else None
         if terms is not None:
             run.trace.steps.append(_step("rank-n-decompose", cur, detail=f"terms={len(terms)}"))
             return run.assemble(terms)
@@ -807,7 +804,7 @@ def _kernel_reduction(run: _Run, cur: DensityState):
 def _transpose_rank_n(run: _Run, cur: DensityState):
     if cur.pt_rank == cur.n:
         try:
-            sub_cert = decompose_rank_n(DensityState(cur.pt_matrix, n=cur.n, tol=run.tol), run.tol)
+            sub_cert = decompose_rank_n(DensityState(cur.pt_matrix, n=cur.n, tol=cur.tol))
         except (NonGenericInput, ValueError) as exc:
             return run.stop(f"transpose-side decomposition degenerated: {exc}")
         # |e*,f> in the decomposition of the transpose is |e,f> in the state's
@@ -819,7 +816,7 @@ def _transpose_rank_n(run: _Run, cur: DensityState):
 def _two_qubit(run: _Run, cur: DensityState):
     """Decompose a state on C2 x C2 in closed form; a decline (PPT only within tolerance) stops."""
     if cur.n == 2:
-        cert = two_qubit_decompose(cur, run.tol)
+        cert = two_qubit_decompose(cur)
         if cert is None:
             return run.stop(f"two-qubit declined: concurrence > {TWO_QUBIT_SLACK:g} x trace")
         run.trace.steps.append(_step("two-qubit", cur, detail=f"terms={len(cert.terms)}"))
@@ -829,7 +826,7 @@ def _two_qubit(run: _Run, cur: DensityState):
 def _paired_search(run: _Run, cur: DensityState):
     """Subtract a sample of an infinite family, or expand over a finite one."""
     try:
-        res = paired_products(cur.range_basis, cur.pt_range_basis, run.tol)
+        res = paired_products(cur.range_basis, cur.pt_range_basis, cur.tol)
     except NonGenericInput as exc:
         return run.stop(f"paired search degenerated: {exc}")
     if isinstance(res, InfiniteFamily):
@@ -852,7 +849,7 @@ def _paired_search(run: _Run, cur: DensityState):
         return _NEXT_PASS
     if res:
         try:
-            bio = biorthogonal_check(cur, res, run.tol)
+            bio = biorthogonal_check(cur, res)
         except DependentProjectors as exc:
             return run.stop(f"dependent projectors: {exc}")
         step = _step("biorthogonal", cur, detail=f"vectors={len(res)}")
@@ -878,17 +875,17 @@ _STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _kernel_reduction
            _transpose_rank_n, _two_qubit, _paired_search)
 
 
-def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, ReductionTrace]:
+def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     """Full separability analysis of a Hermitian PSD operator on C2 x CN.
 
     After the partial-transpose test, passes of ``_STAGES`` (zero remainder,
     strip, base case, PT-invariant, kernel reduction, transpose-side rank-N,
     two-qubit, paired search) run until a stage gives a verdict or stops.
     After a stop, or ``MAX_PIPELINE_PASSES`` passes, the sufficient
-    fallbacks run on the first stripped state.
+    fallbacks run on the first stripped state.  Every tolerance comes from
+    ``rho_in`` when it is a DensityState; a raw matrix gets the defaults.
     """
-    tol = tol or (rho_in.tol if isinstance(rho_in, DensityState) else ToleranceConfig())
-    state0 = rho_in if isinstance(rho_in, DensityState) else DensityState(rho_in, tol=tol)
+    state0 = rho_in if isinstance(rho_in, DensityState) else DensityState(rho_in)
     trace = ReductionTrace(notes=list(state0.warnings))
 
     if not state0.is_ppt:
@@ -897,7 +894,7 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
         witness = {"pt_min_eigenvalue": state0.pt_min_eigenvalue}
         return Verdict(VerdictKind.ENTANGLED_NPT, witness=witness), trace
 
-    run = _Run(state0, tol, trace, cur=state0, lift=np.eye(state0.n, dtype=complex),
+    run = _Run(state0, trace, cur=state0, lift=np.eye(state0.n, dtype=complex),
                borderline=bool(state0.warnings))
     for _ in range(MAX_PIPELINE_PASSES):
         for stage in _STAGES:
@@ -913,10 +910,10 @@ def analyze(rho_in, tol: ToleranceConfig | None = None) -> tuple[Verdict, Reduct
         return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace
     # sufficient fallbacks on the first stripped state, before any subtraction
     base, lift = run.base
-    fb = symmetric_split_check(base, tol=tol) or pt_symmetrizing_search(base, tol=tol)
+    fb = symmetric_split_check(base) or pt_symmetrizing_search(base)
     if fb is not None and fb.kind is VerdictKind.SEPARABLE:
         cert = SeparabilityCertificate([(w, _lift_pv(pv, lift)) for w, pv in fb.certificate.terms])
-        if verify_certificate(state0, cert, tol):
+        if verify_certificate(state0, cert):
             trace.steps.append(TraceStep(op="fallback-sufficient"))
             return Verdict(VerdictKind.SEPARABLE, certificate=cert), trace
     return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace

@@ -166,8 +166,7 @@ def test_criterion_07_rank_five_enumeration():
         state = DensityState(m)
         assert (state.rank, state.pt_rank) == (5, 5)
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
-        _q, diag = eliminate_paired(cs)
-        assert diag["final_degree"] <= 5
+        assert eliminate_paired(cs).degree <= 5
         found = paired_products(state.range_basis, state.pt_range_basis)
         assert isinstance(found, list) and len(found) <= 5
         for v in found:
@@ -190,8 +189,7 @@ def test_criterion_08_rank_six_degree_bound():
         state = DensityState(m)
         assert (state.rank, state.pt_rank) == (6, 6)
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
-        _q, diag = eliminate_paired(cs)
-        assert diag["final_degree"] <= 8
+        assert eliminate_paired(cs).degree <= 8
     report(8, "rank-(6,6) instances: elimination polynomial degree <= 8 (30 runs)")
 
 

@@ -82,7 +82,7 @@ def no_fallbacks(monkeypatch):
     monkeypatch.setattr(sepengine, "pt_symmetrizing_search", lambda *a, **k: None)
 
 
-def negative_expansion(state, vectors, tol=None):
+def negative_expansion(state, vectors):
     return Verdict(PPT, witness={"planted": len(vectors)})
 
 
@@ -258,7 +258,7 @@ def test_transpose_side_rank_n(monkeypatch):
     real = sepengine.kernel_product_vectors
     # the search misses on the mislabelled state and works on its transpose
     monkeypatch.setattr(sepengine, "kernel_product_vectors",
-                        lambda st, tol=None: [] if st.rank != st.n else real(st, tol))
+                        lambda st: [] if st.rank != st.n else real(st))
     verdict, _ = check(analyze(state), SEP, None, ["rank-n-decompose-pt"], [])
     assert len(verdict.certificate.terms) == 3
     assert verify_certificate(m, verdict.certificate)

@@ -103,9 +103,8 @@ def paired_case(rng, n, m1, m2, planted):
     h2 = span(*[g.conjugate_partner.vector for g in gens],
               *[cvec(rng, 2 * n) for _ in range(m2 - planted)])
     cs = build_paired_system(h1, h2)
-    q, diag = eliminate_paired(cs)
-    roots = verify_roots(list(univariate_roots(q)), cs.dets, TOL,
-                         bound_used=diag["bound"]).roots
+    q = eliminate_paired(cs)
+    roots = verify_roots(list(univariate_roots(q)), cs.dets, TOL).roots
     return h1, h2, cs, roots
 
 

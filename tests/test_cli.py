@@ -280,10 +280,10 @@ class TestBatchCommand:
         write_state(d / "good.json", m, 3)
         write_state(d / "raises.json", 2 * m, 3)
 
-        def analyze_or_raise(state, tol=None):
+        def analyze_or_raise(state):
             if state.trace > 1.5:
                 raise ValueError("planted")
-            return analyze(state, tol)
+            return analyze(state)
 
         monkeypatch.setattr(cli, "analyze", analyze_or_raise)
         assert main(["batch", str(d), "--jobs", "2"]) == 0
@@ -354,9 +354,9 @@ class TestBatchCommand:
                   "--out", str(d / f"s{i}.json")])
         threads = []
 
-        def recording_analyze(state, tol=None):
+        def recording_analyze(state):
             threads.append(threading.get_ident())
-            return analyze(state, tol)
+            return analyze(state)
 
         monkeypatch.setattr(cli, "analyze", recording_analyze)
         assert main(["batch", str(d), "--jobs", "2"]) == 0

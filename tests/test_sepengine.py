@@ -320,7 +320,7 @@ class TestRankNFallback:
         for f in plane:
             assert np.linalg.norm(m @ np.kron([-np.conj(e[1]), np.conj(e[0])], f)) < 1e-12
         found = kernel_product_vectors(state)
-        assert sepengine._all_kernel_terms(state, found, state.tol) is None
+        assert sepengine._all_kernel_terms(state, found) is None
         searches = counting(monkeypatch, "kernel_product_vectors")
         reductions = counting(monkeypatch, "reduce_by_kernel")
         cert = decompose_rank_n(state)
@@ -332,10 +332,10 @@ class TestRankNFallback:
     def test_terms_must_sum_to_the_state(self):
         state = DensityState(build_separable(np.random.default_rng(22), 4, 4)[0])
         found = kernel_product_vectors(state)
-        assert sepengine._all_kernel_terms(state, found, state.tol) is not None
+        assert sepengine._all_kernel_terms(state, found) is not None
         # every term is genuine, but one is counted twice and one is missing
         doubled = [found[0]] + found[:3]
-        assert sepengine._all_kernel_terms(state, doubled, state.tol) is None
+        assert sepengine._all_kernel_terms(state, doubled) is None
 
     def test_term_check_failure_runs_loop(self, monkeypatch):
         m = build_separable(np.random.default_rng(21), 4, 4)[0]
