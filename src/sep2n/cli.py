@@ -207,7 +207,10 @@ def load_state(path, flag_overrides: dict | None = None) -> tuple[DensityState, 
 
 
 def _write_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,10 @@ def cmd_batch(args) -> int:
     inputs = sorted(p for p in directory.glob("*.json")
                     if not p.name.endswith(".report.json"))
     out_dir = Path(args.out_dir) if args.out_dir else directory
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}") from exc
     results = [_batch_row(path, out_dir) for path in inputs]
 
     counts = Counter(verdict for _name, verdict, _s, _err in results)

@@ -308,6 +308,10 @@ def _base_terms(state: DensityState, lift: np.ndarray) -> list[tuple[float, Prod
 
 
 def _lift_pv(pv: ProductVector, lift: np.ndarray) -> ProductVector:
+    # a lift is a product of strips, each the identity or N x M with M < N,
+    # so a square lift is the identity and the vector needs no rebuild
+    if lift.shape[0] == lift.shape[1]:
+        return pv
     return ProductVector.from_e_f(pv.e, lift @ pv.f)
 
 
@@ -398,9 +402,9 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     ``lam_1 - lam_2 - lam_3 - lam_4`` is not positive; then the four
     vectors ``y = x diag(sqrt z) H^T / 2`` reconstruct rho and each is a
     product.  ``state`` is a DensityState, whose tolerances apply, or a
-    4 x 4 matrix, which gets the default ones.  Returns None
-    when the concurrence exceeds ``TWO_QUBIT_SLACK`` times the trace, i.e.
-    the state is entangled.
+    4 x 4 matrix, which gets the default ones.  Returns None when the
+    concurrence exceeds ``TWO_QUBIT_SLACK`` times the trace, i.e. the state
+    is entangled.
     """
     matrix, tol = _matrix_and_tol(state)
     if matrix.shape != (4, 4):
@@ -654,8 +658,9 @@ def verify_certificate(state, cert: SeparabilityCertificate) -> bool:
     """Check the weighted projector sum reconstructs the state in operator norm.
 
     ``state`` is a DensityState, whose ``cert_recon_tol`` applies, or a
-    matrix, which gets the default one.  Raises ``ValueError`` unless every weight is positive and every term is
-    a product of an e with 2 entries and an f with N entries.
+    matrix, which gets the default one.  Raises ``ValueError`` unless every
+    weight is positive and every term is a product of an e with 2 entries
+    and an f with N entries.
     """
     matrix, tol = _matrix_and_tol(state)
     n = matrix.shape[0] // 2
@@ -709,12 +714,7 @@ class _Run:
 
     def assemble(self, extra_terms) -> Verdict:
         """Collected terms plus ``extra_terms`` on the current support, re-verified."""
-        # the lift is multiplied only by strips, each the identity or N x M with
-        # M < N, so a square lift is the identity and the terms need no rebuild
-        if self.lift.shape[0] == self.lift.shape[1]:
-            lifted = list(extra_terms)
-        else:
-            lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
+        lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
         cert = SeparabilityCertificate(self.terms + lifted)
         if not verify_certificate(self.state0, cert):
             self.trace.notes.append("certificate failed re-verification; downgrading")

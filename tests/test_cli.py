@@ -52,6 +52,13 @@ class TestGenerate:
         main(["generate", "--kind", "separable", "--n", "3", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["generate", "--kind", "npt", "--n", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}:") and "Traceback" not in err
+        assert not out.parent.exists()
+
 
 class TestAnalyzeCommand:
     def test_npt_exit_code(self, tmp_path):
@@ -69,6 +76,15 @@ class TestAnalyzeCommand:
         assert report["report"]["verdict"] == "separable"
         assert report["report"]["reverified"] is True
         assert len(report["report"]["certificate"]["terms"]) == 3
+
+    def test_unwritable_report_is_input_error(self, tmp_path, capsys):
+        s = tmp_path / "s.json"
+        main(["generate", "--kind", "npt", "--n", "2", "--out", str(s)])
+        capsys.readouterr()
+        report_path = tmp_path / "missing" / "r.json"
+        assert main(["analyze", str(s), "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {report_path}:") and "Traceback" not in err
 
     def test_non_hermitian_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -224,6 +240,18 @@ class TestBatchCommand:
         d = tmp_path / "empty"
         d.mkdir()
         assert main(["batch", str(d)]) == 0
+
+    def test_out_dir_on_existing_file_is_input_error(self, tmp_path, capsys):
+        d = tmp_path / "states"
+        d.mkdir()
+        main(["generate", "--kind", "npt", "--n", "2", "--out", str(d / "s.json")])
+        capsys.readouterr()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["batch", str(d), "--out-dir", str(blocker)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot write {blocker}:") and "Traceback" not in err
+        assert out == "" and blocker.read_text() == ""
 
     def test_corrupt_file_recorded(self, tmp_path, capsys):
         d = tmp_path / "states"

@@ -1,11 +1,12 @@
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sep2n import matrixcore, sepengine
+from sep2n import matrixcore, productfinder, sepengine
 from sep2n.matrixcore import DensityState, ToleranceConfig, hermitize, partial_transpose_matrix
 from sep2n.productfinder import (
     NonGenericInput,
@@ -750,3 +751,109 @@ class TestAnalyze:
             assert verdict.kind in (VerdictKind.SEPARABLE, VerdictKind.INCONCLUSIVE)
             if verdict.kind is VerdictKind.SEPARABLE:
                 assert verify_certificate(m, verdict.certificate)
+
+
+# A configuration near the defaults but equal to none of them, so that every
+# stage still takes its usual route and a default built anywhere shows.
+OWN_TOL = ToleranceConfig(rank_rel_tol=2e-9, psd_tol=2e-9, root_residual_tol=2e-8,
+                          cert_recon_tol=2e-8)
+
+
+def _transpose_side(monkeypatch):
+    """Rank N on C2 x C3 with its own rank reading N + 1: only the transpose is rank N."""
+    real = sepengine.kernel_product_vectors
+    monkeypatch.setattr(sepengine, "kernel_product_vectors",
+                        lambda st: [] if st.rank != st.n else real(st))
+    state = DensityState(build_separable(np.random.default_rng(2), 3, 3)[0], tol=OWN_TOL)
+    monkeypatch.setattr(state, "rank", 4)
+    return state
+
+
+def _both_fallbacks(monkeypatch):
+    """A locally transformed PT-invariant state that only the symmetrizing search certifies.
+
+    The split check still runs, but its verdict is dropped.
+    """
+    real = sepengine.symmetric_split_check
+    monkeypatch.setattr(sepengine, "symmetric_split_check", lambda st: real(st) and None)
+    return DensityState(transformed_pt_invariant(np.random.default_rng(0), 4), tol=OWN_TOL)
+
+
+@pytest.fixture
+def built_tols(monkeypatch):
+    """The tolerances of every DensityState built while the test runs."""
+    built = []
+    real_init = DensityState.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.tol)
+    monkeypatch.setattr(DensityState, "__init__", init)
+    return built
+
+
+class TestToleranceOwnership:
+    """A state's ToleranceConfig is the only tolerance on every path that has a state."""
+
+    @pytest.mark.parametrize("build, ops, stages", [
+        (lambda mp: DensityState(random_pt_invariant(np.random.default_rng(3), 3), tol=OWN_TOL),
+         ["pt-invariant"], {"pt_invariant_decompose", "decompose_rank_n", "real_e_products"}),
+        (_transpose_side, ["rank-n-decompose-pt"], {"decompose_rank_n"}),
+        (lambda mp: DensityState(build_separable(np.random.default_rng(5), 3, 4)[0], tol=OWN_TOL),
+         ["biorthogonal"], {"paired_products", "biorthogonal_check"}),
+        (lambda mp: DensityState(random_ppt_mixture(np.random.default_rng(1), 4), tol=OWN_TOL),
+         ["subtract-sample"] * 4 + ["fallback-sufficient"],
+         {"paired_products", "symmetric_split_check", "psd_difference_check"}),
+        (_both_fallbacks, ["subtract-sample"] * 4 + ["fallback-sufficient"],
+         {"symmetric_split_check", "pt_symmetrizing_search", "pt_invariant_decompose"}),
+    ], ids=["pt-invariant", "transpose-rank-n", "paired-finite", "sampled-fallback",
+            "both-fallbacks"])
+    def test_every_built_state_and_search_carries_the_state_tol(self, monkeypatch, built_tols,
+                                                                 build, ops, stages):
+        state = build(monkeypatch)
+        passed, called = [], set()
+
+        def recording(module, name, tol_at):
+            """Record the tolerance argument at ``tol_at``, or the tolerances of the state."""
+            real = getattr(module, name)
+
+            def fn(*args, **kwargs):
+                called.add(name)
+                passed.append((name, args[0].tol if tol_at is None else
+                               args[tol_at] if len(args) > tol_at else kwargs["tol"]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, fn)
+
+        recording(productfinder, "products_in_subspace", 1)
+        for name, tol_at in [("paired_products", 2), ("real_e_products", 1),
+                             ("psd_difference_check", 2), ("pt_invariant_decompose", None),
+                             ("decompose_rank_n", None), ("biorthogonal_check", None),
+                             ("symmetric_split_check", None), ("pt_symmetrizing_search", None)]:
+            recording(sepengine, name, tol_at)
+
+        _verdict, trace = analyze(state)
+        assert [s.op for s in trace.steps] == ops
+        assert stages <= called
+        assert all(t is OWN_TOL for t in built_tols)
+        assert passed and all(t is OWN_TOL for _name, t in passed), passed
+
+    def test_raw_matrix_gets_the_defaults(self, built_tols):
+        verdict, _ = analyze(random_pt_invariant(np.random.default_rng(3), 3))
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert built_tols and all(t == ToleranceConfig() for t in built_tols)
+
+    def test_no_public_function_taking_a_state_has_tol(self):
+        checked = []
+        for module in (sepengine, productfinder):
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if not inspect.isfunction(fn):
+                    continue
+                params = inspect.signature(fn).parameters
+                if {"state", "rho_in"} & set(params):
+                    checked.append(name)
+                    assert "tol" not in params, name
+        assert {"analyze", "verify_certificate", "two_qubit_decompose", "decompose_rank_n",
+                "pt_invariant_decompose", "biorthogonal_check", "symmetric_split_check",
+                "pt_symmetrizing_search", "kernel_product_vectors",
+                "kernel_product_vector"} <= set(checked)
