@@ -252,7 +252,11 @@ def _witness_to_json(witness: dict | None):
 
 
 def run_analysis(path, flag_overrides: dict | None = None) -> tuple[dict, int]:
-    state, doc = load_state(path, flag_overrides)
+    return _analysis_report(*load_state(path, flag_overrides))
+
+
+def _analysis_report(state: DensityState, doc: dict) -> tuple[dict, int]:
+    """Analyze a loaded state; returns its report and exit code."""
     start = time.perf_counter()
     verdict, trace = analyze(state)
     elapsed = time.perf_counter() - start
@@ -352,9 +356,12 @@ def _parse_tol_flags(pairs) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    overrides = _parse_tol_flags(args.tol)
-    report, code = run_analysis(args.input, overrides)
+    state, doc = load_state(args.input, _parse_tol_flags(args.tol))
     out = args.report or (str(args.input) + ".report.json")
+    # a report that cannot be written is refused before the analysis runs
+    if not Path(out).parent.is_dir():
+        raise InputError(f"cannot write {out}: directory {Path(out).parent} does not exist")
+    report, code = _analysis_report(state, doc)
     _write_json(out, report)
     r = report["report"]
     print(f"{args.input}: {r['verdict']}"

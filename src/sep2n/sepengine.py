@@ -3,12 +3,14 @@
 ``analyze`` answers a negative partial transpose at once.  Otherwise each
 pass runs these stages in order: zero remainder, support stripping, the
 base case N = 1, PT-invariance, kernel reduction (both ranks and N drop by
-one), transpose-side rank-N, the closed-form two-qubit decomposition at
-N = 2, whose decline stops the passes, and for N >= 3 the paired search,
-which subtracts a sampled product vector above rank sum 3N and otherwise
-expands the state over the enumerated product vectors.  A stop leads to
-sufficient fallback checks.  Every "separable" verdict carries a
-certificate that is re-verified against the input before being emitted.
+one), the closed-form two-qubit decomposition at N = 2, whose decline
+stops the passes, and for N >= 3 the paired search, which subtracts a
+sampled product vector above rank sum 3N and otherwise expands the state
+over the enumerated product vectors.  A stop leads to sufficient fallback
+checks.  ``decompose_rank_n`` and ``pt_invariant_decompose`` run stage
+tuples of their own on the same pass loop, ``_passes``.  Every "separable"
+verdict carries a certificate that is re-verified against the input before
+being emitted.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ def reduce_by_kernel(state: DensityState, v: ProductVector):
 # constructive decompositions
 # ---------------------------------------------------------------------------
 
-def _base_terms(state: DensityState, lift: np.ndarray) -> list[tuple[float, ProductVector]]:
+def _base_terms(state: DensityState) -> list[tuple[float, ProductVector]]:
     """Spectral terms of a state on C2 x C1; every vector there is product."""
     w, u = np.linalg.eigh(state.matrix)
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
@@ -302,8 +304,7 @@ def _base_terms(state: DensityState, lift: np.ndarray) -> list[tuple[float, Prod
     for i in range(w.size):
         if w[i] > state.tol.rank_rel_tol * max(wmax, 1e-300):
             e = u[:, i]
-            f = lift @ np.ones(1, dtype=complex)
-            terms.append((float(w[i]), ProductVector.from_e_f(e, f)))
+            terms.append((float(w[i]), ProductVector.from_e_f(e, np.ones(1, dtype=complex))))
     return terms
 
 
@@ -313,11 +314,6 @@ def _lift_pv(pv: ProductVector, lift: np.ndarray) -> ProductVector:
     if lift.shape[0] == lift.shape[1]:
         return pv
     return ProductVector.from_e_f(pv.e, lift @ pv.f)
-
-
-def _listed(found) -> list[ProductVector]:
-    """The vectors of a search result, a list or an InfiniteFamily's samples."""
-    return found.samples if isinstance(found, InfiniteFamily) else found
 
 
 def _all_kernel_terms(state: DensityState, found):
@@ -343,29 +339,15 @@ def decompose_rank_n(state: DensityState) -> SeparabilityCertificate:
 
     A generic such state has exactly N kernel product vectors, one per
     term, and each picks out its term from the state itself, so one kernel
-    search gives all N terms.  Otherwise, starting from that same search,
-    one kernel-induced product projector is peeled off per step, shrinking
-    the problem to C2 x C(N-1), and the spectral base case finishes.  The
-    certificate has exactly N terms, expressed in the input basis.
+    search gives all N terms.  Otherwise each pass of ``(_base_case,
+    _kernel_reduction)`` peels off one term and searches again, down to the
+    spectral base case; a stop raises ``NonGenericInput``.  The certificate
+    is expressed in the input basis.
     """
     cur, lift = strip_support(state)
     if cur.rank != cur.n:
         raise ValueError(f"rank {cur.rank} does not match support dimension {cur.n}")
-    found = kernel_product_vectors(cur) if cur.n != 1 else []
-    terms = _all_kernel_terms(cur, found)
-    if terms is not None:
-        return SeparabilityCertificate([(w, _lift_pv(pv, lift)) for w, pv in terms])
-    terms = []
-    while cur.n != 1:
-        vectors = _listed(found)
-        if not vectors:
-            raise NonGenericInput(_NO_KERNEL_VECTOR)
-        cur, (weight, pv), iso = reduce_by_kernel(cur, vectors[0])
-        terms.append((weight, _lift_pv(pv, lift)))
-        lift = lift @ iso
-        found = kernel_product_vectors(cur) if cur.n != 1 else []
-    terms.extend(_base_terms(cur, lift))
-    return SeparabilityCertificate(terms)
+    return _certify(_Run(state, ReductionTrace(), cur, lift), (_base_case, _kernel_reduction))
 
 
 # Relative slack, against the trace, by which the largest Wootters value may
@@ -446,38 +428,18 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
 def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     """Decompose a state equal to its partial transpose.
 
-    While the rank exceeds the support dimension, subtract a real-e product
-    vector (which preserves the invariance and drops both ranks); finish
-    with the rank-equals-dimension construction.
+    Passes of ``(_zero_remainder, _strip, _base_case, _rank_n_kernel,
+    _real_e_subtraction)`` on the symmetrized state subtract real-e product
+    vectors (which keep the invariance and drop both ranks) down to rank N,
+    where the kernel search finishes.  A stop raises ``NonGenericInput``.
     """
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=max(state.norm, 1e-300)):
         raise ValueError("state is not invariant under partial transposition")
-    cur = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), n=state.n, tol=state.tol)
-    lift = np.eye(state.n, dtype=complex)
-    terms: list[tuple[float, ProductVector]] = []
-    for _ in range(4 * state.n + 16):
-        if _negligible(cur, state):
-            return SeparabilityCertificate(terms)
-        cur, iso = strip_support(cur)
-        lift = lift @ iso
-        if cur.n == 1:
-            terms.extend(_base_terms(cur, lift))
-            return SeparabilityCertificate(terms)
-        if cur.rank == cur.n:
-            sub = decompose_rank_n(cur)
-            terms.extend((w, _lift_pv(pv, lift)) for w, pv in sub.terms)
-            return SeparabilityCertificate(terms)
-        candidates = real_e_products(cur.range_basis, cur.tol)
-        best = _best_subtraction(cur, candidates)
-        if best is None:
-            raise NonGenericInput("no subtractable real-e product vector found")
-        new_state, lam, _case = subtract(cur, best)
-        terms.append((lam, _lift_pv(best, lift)))
-        # re-symmetrize to cancel floating-point drift of the invariance
-        symm = hermitize((new_state.matrix + new_state.pt_matrix) / 2)
-        cur = DensityState(symm, n=cur.n, tol=state.tol, require_psd=not _negligible(symm, state))
-    raise NonGenericInput("invariant reduction failed to terminate")
+    sym = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), n=state.n, tol=state.tol)
+    run = _Run(sym, ReductionTrace(), sym, np.eye(state.n, dtype=complex))
+    return _certify(run, (_zero_remainder, _strip, _base_case, _rank_n_kernel,
+                          _real_e_subtraction))
 
 
 def _best_subtraction(state: DensityState, candidates) -> ProductVector | None:
@@ -689,7 +651,7 @@ def _step(op: str, before: DensityState, after: DensityState | None = None, **kw
 
 @dataclass
 class _Run:
-    """What the stages of one ``analyze`` call share."""
+    """What the stages of one run of ``_passes`` share."""
 
     state0: DensityState
     trace: ReductionTrace
@@ -744,7 +706,7 @@ def _strip(run: _Run, cur: DensityState):
 def _base_case(run: _Run, cur: DensityState):
     if cur.n == 1:
         run.trace.steps.append(_step("base-case", cur))
-        return run.assemble(_base_terms(cur, np.eye(1, dtype=complex)))
+        return run.assemble(_base_terms(cur))
 
 
 def _pt_invariant(run: _Run, cur: DensityState):
@@ -773,7 +735,7 @@ def _kernel_reduction(run: _Run, cur: DensityState):
         if terms is not None:
             run.trace.steps.append(_step("rank-n-decompose", cur, detail=f"terms={len(terms)}"))
             return run.assemble(terms)
-        vectors = _listed(found)
+        vectors = found.samples if isinstance(found, InfiniteFamily) else found
         if vectors:
             new, (weight, pv), iso = reduce_by_kernel(cur, vectors[0])
             run.terms.append((weight, _lift_pv(pv, run.lift)))
@@ -801,16 +763,24 @@ def _kernel_reduction(run: _Run, cur: DensityState):
         return run.stop(f"constructive decomposition degenerated: {failure}")
 
 
-def _transpose_rank_n(run: _Run, cur: DensityState):
-    if cur.pt_rank == cur.n:
-        try:
-            sub_cert = decompose_rank_n(DensityState(cur.pt_matrix, n=cur.n, tol=cur.tol))
-        except (NonGenericInput, ValueError) as exc:
-            return run.stop(f"transpose-side decomposition degenerated: {exc}")
-        # |e*,f> in the decomposition of the transpose is |e,f> in the state's
-        flipped = [(w, ProductVector.from_e_f(np.conj(pv.e), pv.f)) for w, pv in sub_cert.terms]
-        run.trace.steps.append(_step("rank-n-decompose-pt", cur))
-        return run.assemble(flipped)
+def _rank_n_kernel(run: _Run, cur: DensityState):
+    """The kernel reduction at rank N only; above it the real-e subtraction runs."""
+    if cur.rank == cur.n:
+        return _kernel_reduction(run, cur)
+
+
+def _real_e_subtraction(run: _Run, cur: DensityState):
+    """Subtract the real-e product vector of largest weight and re-symmetrize."""
+    best = _best_subtraction(cur, real_e_products(cur.range_basis, cur.tol))
+    if best is None:
+        return run.stop("no subtractable real-e product vector found")
+    new, lam, _case = subtract(cur, best)
+    run.terms.append((lam, _lift_pv(best, run.lift)))
+    # re-symmetrize to cancel floating-point drift of the invariance
+    symm = hermitize((new.matrix + new.pt_matrix) / 2)
+    run.cur = DensityState(symm, n=cur.n, tol=cur.tol,
+                           require_psd=not _negligible(symm, run.state0))
+    return _NEXT_PASS
 
 
 def _two_qubit(run: _Run, cur: DensityState):
@@ -872,15 +842,37 @@ def _paired_search(run: _Run, cur: DensityState):
 
 
 _STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _kernel_reduction,
-           _transpose_rank_n, _two_qubit, _paired_search)
+           _two_qubit, _paired_search)
+
+
+def _passes(run: _Run, stages) -> Verdict | str:
+    """Passes of ``stages`` until a verdict; a pass with no answer, or the pass limit, stops."""
+    for _ in range(MAX_PIPELINE_PASSES):
+        for stage in stages:
+            outcome = stage(run, run.cur)
+            if outcome is not None:
+                break
+        else:
+            return _STOP
+        if outcome is not _NEXT_PASS:
+            return outcome
+    return _STOP
+
+
+def _certify(run: _Run, stages) -> SeparabilityCertificate:
+    """The certificate of a nested run of ``stages``; anything short of one raises."""
+    outcome = _passes(run, stages)
+    if outcome is _STOP or outcome.kind is not VerdictKind.SEPARABLE:
+        raise NonGenericInput("; ".join(run.trace.notes) or "no stage applies")
+    return outcome.certificate
 
 
 def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     """Full separability analysis of a Hermitian PSD operator on C2 x CN.
 
     After the partial-transpose test, passes of ``_STAGES`` (zero remainder,
-    strip, base case, PT-invariant, kernel reduction, transpose-side rank-N,
-    two-qubit, paired search) run until a stage gives a verdict or stops.
+    strip, base case, PT-invariant, kernel reduction, two-qubit, paired
+    search) run until a stage gives a verdict or stops.
     After a stop, or ``MAX_PIPELINE_PASSES`` passes, the sufficient
     fallbacks run on the first stripped state.  Every tolerance comes from
     ``rho_in`` when it is a DensityState; a raw matrix gets the defaults.
@@ -896,15 +888,9 @@ def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
 
     run = _Run(state0, trace, cur=state0, lift=np.eye(state0.n, dtype=complex),
                borderline=bool(state0.warnings))
-    for _ in range(MAX_PIPELINE_PASSES):
-        for stage in _STAGES:
-            outcome = stage(run, run.cur)
-            if outcome is not None:
-                break
-        if outcome is _STOP:
-            break
-        if outcome is not _NEXT_PASS:
-            return outcome, trace
+    outcome = _passes(run, _STAGES)
+    if outcome is not _STOP:
+        return outcome, trace
 
     if run.base is None:  # stopped before the first stripped state existed
         return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace

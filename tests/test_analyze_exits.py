@@ -218,6 +218,14 @@ def test_support_violation(monkeypatch, no_fallbacks):
           ["support violation during kernel reduction"])
 
 
+def test_support_violation_on_pt_invariant_route(monkeypatch):
+    # the nested kernel reductions of the PT-invariant stage and of both
+    # fallbacks stop on the violation; none of them lets it escape analyze
+    monkeypatch.setattr(sepengine, "_kernel_term", raising(SupportViolation("planted")))
+    check(analyze(random_pt_invariant(np.random.default_rng(3), 3)), INC, REASON_NON_GENERIC,
+          ["subtract-sample"] * 2, [NEG_AFTER_SAMPLING], nonexhaustive=True)
+
+
 def test_kernel_search_misses_rank_n(monkeypatch, no_fallbacks):
     monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
@@ -243,32 +251,6 @@ def test_kernel_search_misses_with_transpose_rank_mismatch(monkeypatch, no_fallb
     check(analyze(state), INC, REASON_NON_GENERIC, [],
           ["rank 3 equals support but transpose rank is 4",
            f"constructive decomposition degenerated: {NOT_FOUND}"])
-
-
-def _transpose_side_state(monkeypatch):
-    """A rank-3 state on C2 x C3 whose own rank reads 4: only its transpose is rank N."""
-    m = rank_n()
-    state = DensityState(m)
-    monkeypatch.setattr(state, "rank", 4)
-    return m, state
-
-
-def test_transpose_side_rank_n(monkeypatch):
-    m, state = _transpose_side_state(monkeypatch)
-    real = sepengine.kernel_product_vectors
-    # the search misses on the mislabelled state and works on its transpose
-    monkeypatch.setattr(sepengine, "kernel_product_vectors",
-                        lambda st: [] if st.rank != st.n else real(st))
-    verdict, _ = check(analyze(state), SEP, None, ["rank-n-decompose-pt"], [])
-    assert len(verdict.certificate.terms) == 3
-    assert verify_certificate(m, verdict.certificate)
-
-
-def test_transpose_side_rank_n_fails(monkeypatch, no_fallbacks):
-    _, state = _transpose_side_state(monkeypatch)
-    monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
-    check(analyze(state), INC, REASON_NON_GENERIC, [],
-          [f"transpose-side decomposition degenerated: {NOT_FOUND}"])
 
 
 def test_two_qubit_declines(monkeypatch, no_fallbacks):

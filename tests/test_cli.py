@@ -86,6 +86,23 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {report_path}:") and "Traceback" not in err
 
+    def test_unwritable_report_refused_before_analysis(self, tmp_path, capsys, monkeypatch):
+        s = tmp_path / "s.json"
+        main(["generate", "--kind", "separable", "--n", "3", "--out", str(s)])
+        capsys.readouterr()
+
+        def analyze_not_called(*args, **kwargs):
+            raise AssertionError("analyze ran before the report path was checked")
+        monkeypatch.setattr(cli, "analyze", analyze_not_called)
+        report_path = tmp_path / "missing" / "r.json"
+        assert main(["analyze", str(s), "--report", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {report_path}: directory ")
+        # the state is loaded first, so an unreadable input is the error reported
+        missing_input = tmp_path / "absent.json"
+        assert main(["analyze", str(missing_input), "--report", str(report_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing_input}:")
+
     def test_non_hermitian_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         m = np.zeros((4, 4), dtype=complex)
