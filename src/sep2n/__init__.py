@@ -41,6 +41,7 @@ from .productfinder import (
 )
 from .sepengine import (
     DependentProjectors,
+    NotPTInvariant,
     ReductionTrace,
     SeparabilityCertificate,
     SupportViolation,

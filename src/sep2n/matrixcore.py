@@ -256,14 +256,43 @@ def psd_difference_check(x, y, tol: ToleranceConfig | None = None) -> bool:
     return operator_norm(contraction) ** 2 <= 1.0 + tol.psd_tol
 
 
+class _PTField:
+    """A field of the partial transpose's spectral data, filled in on first read.
+
+    A non-data descriptor: the first read of any such field fills all of them
+    into the instance dictionary, which later reads hit directly, and an
+    assignment shadows the field like a plain attribute.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        obj._fill_pt_spectrum()
+        return obj.__dict__[self.name]
+
+
 class DensityState:
     """Hermitian PSD operator on C2 x CN with cached rank/kernel data.
 
-    The matrix is symmetrized at construction and all spectral data for the
-    state and its partial transpose are computed once; instances are treated
-    as immutable afterwards.  Trace does not have to be 1, only positive.
-    Both pseudoinverses are built from the cached eigendecompositions.
+    The matrix is symmetrized and its spectral data computed at construction.
+    The partial transpose's spectral data (``pt_rank``, its bases,
+    ``pt_min_eigenvalue`` and the ``warnings`` they add to) are computed on
+    first read, and are the state's own when ``pt_matrix`` equals ``matrix``
+    byte for byte.  Instances are treated as immutable afterwards.  Trace
+    does not have to be 1, only positive.  Both pseudoinverses are built
+    from the cached eigendecompositions.
     """
+
+    _pt_eigvals = _PTField()
+    _pt_eigvecs = _PTField()
+    pt_min_eigenvalue = _PTField()
+    pt_rank = _PTField()
+    pt_kernel_basis = _PTField()
+    pt_range_basis = _PTField()
+    warnings = _PTField()
 
     def __init__(self, matrix, n: int | None = None, tol: ToleranceConfig | None = None,
                  require_psd: bool = True):
@@ -288,12 +317,10 @@ class DensityState:
         self.pt_matrix = partial_transpose_matrix(self.matrix, self.n)
 
         self._eigvals, self._eigvecs = np.linalg.eigh(self.matrix)
-        self._pt_eigvals, self._pt_eigvecs = np.linalg.eigh(self.pt_matrix)
 
         self.trace = float(np.real(np.trace(self.matrix)))
         self.norm = float(np.max(np.abs(self._eigvals))) if dim else 0.0
         self.min_eigenvalue = float(self._eigvals[0])
-        self.pt_min_eigenvalue = float(self._pt_eigvals[0])
 
         if require_psd:
             if self.min_eigenvalue < -tol.psd_tol * max(self.norm, 1e-300):
@@ -303,15 +330,13 @@ class DensityState:
             if self.trace <= 0:
                 raise ValueError(f"trace must be positive, got {self.trace:.3e}")
 
-        self.warnings: list[str] = []
-        self.rank, self.kernel_basis, self.range_basis = self._split(
-            self._eigvals, self._eigvecs, "rho")
-        self.pt_rank, self.pt_kernel_basis, self.pt_range_basis = self._split(
-            self._pt_eigvals, self._pt_eigvecs, "rho_pt")
+        self.rank, self.kernel_basis, self.range_basis, self._borderline = self._split(
+            self._eigvals, self._eigvecs)
         self._pinv = None
         self._pt_pinv = None
 
-    def _split(self, w, v, label):
+    def _split(self, w, v):
+        """Rank, kernel and range bases, and the count of eigenvalues near the cutoff."""
         mags = np.abs(w)
         wmax = float(np.max(mags)) if mags.size else 0.0
         cutoff = self.tol.rank_rel_tol * wmax
@@ -319,13 +344,27 @@ class DensityState:
         # both sides of the cutoff are suspect: kept values barely above it
         # and dropped values barely below it make the integer rank fragile
         borderline = np.count_nonzero((mags > cutoff / 10) & (mags < 10 * cutoff))
-        if borderline:
-            self.warnings.append(
-                f"{label}: {borderline} eigenvalue(s) within 10x of the rank cutoff")
         order = np.argsort(-mags)
         kept = [i for i in order if keep[i]]
         dropped = [i for i in order if not keep[i]]
-        return len(kept), v[:, dropped], v[:, kept]
+        return len(kept), v[:, dropped], v[:, kept], borderline
+
+    def _fill_pt_spectrum(self):
+        """Compute every ``_PTField``; a field assigned before keeps its value."""
+        if self.pt_matrix.tobytes() == self.matrix.tobytes():
+            w, v = self._eigvals, self._eigvecs
+            split = self.rank, self.kernel_basis, self.range_basis, self._borderline
+        else:
+            w, v = np.linalg.eigh(self.pt_matrix)
+            split = self._split(w, v)
+        warnings = [f"{label}: {count} eigenvalue(s) within 10x of the rank cutoff"
+                    for label, count in (("rho", self._borderline), ("rho_pt", split[3]))
+                    if count]
+        fields = dict(zip(("pt_rank", "pt_kernel_basis", "pt_range_basis"), split),
+                      _pt_eigvals=w, _pt_eigvecs=v, pt_min_eigenvalue=float(w[0]),
+                      warnings=warnings)
+        for name, value in fields.items():
+            self.__dict__.setdefault(name, value)
 
     @property
     def is_ppt(self) -> bool:
@@ -338,8 +377,9 @@ class DensityState:
 
     def pt_pseudoinverse(self) -> np.ndarray:
         if self._pt_pinv is None:
-            self._pt_pinv = _spectral_pinv(self.pt_matrix, self._pt_eigvals, self._pt_eigvecs,
-                                           self.tol)
+            self._pt_pinv = (self.pseudoinverse() if self._pt_eigvecs is self._eigvecs else
+                             _spectral_pinv(self.pt_matrix, self._pt_eigvals, self._pt_eigvecs,
+                                            self.tol))
         return self._pt_pinv
 
     def __repr__(self):

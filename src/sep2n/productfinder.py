@@ -6,12 +6,19 @@ components of an orthonormal basis of the orthogonal complement of H.  The
 paired search additionally constrains the conjugate partner ``|e*, f>`` to a
 second subspace, which brings in the conjugate variable and leads to the
 bivariate determinant systems handled by :mod:`sep2n.polyelim`.
+
+Candidates are screened as stacks, and each stacked numpy form used here
+gives the bits of the single-vector call it replaces: a mat-vec as a matmul
+with a unit column (``M @ V[:, :, None]``), row norms and ``np.vdot``s as
+``(K, 1, d) @ (K, d, 1)`` matmuls, and plain elementwise broadcasting;
+``einsum`` row norms and gemm mat-vecs (``M @ V.T``) do not, nor does
+array complex division against numpy's scalar one, so phases are taken
+one scalar at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -67,15 +74,78 @@ KERNEL_PARTNER_REL_TOL = 1e-6
 REFINE_ROUNDS = 3
 
 
-def _phase_normalize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
+# Modulus of the second entry of a unit e at or below which e is the chart
+# point e = |0>, alpha = infinity.
+CHART_INFINITY_TOL = 1e-12
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a (K, d) stack, to the bit."""
+    re, im = x.real, x.imag
+    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each pair of (K, r, 1) column stacks, shape (K,)."""
+    return (x.conj().swapaxes(1, 2) @ y)[:, 0, 0]
+
+
+def _phase_normalize(rows) -> np.ndarray:
+    """Each row of a (K, d) stack unit-normalized, its largest entry made real positive."""
+    v = np.ascontiguousarray(rows, dtype=complex)
+    nrm = _row_norms(v)
+    if np.any(nrm == 0):
         raise ValueError("zero vector")
-    v = v / nrm
-    i = int(np.argmax(np.abs(v)))
-    phase = v[i] / abs(v[i])
-    return v / phase
+    v = v / nrm[:, None]
+    # numpy's scalar complex division rounds unlike its array division
+    phases = np.array([row[i] / abs(row[i]) for row, i in zip(v, np.argmax(np.abs(v), axis=1))],
+                      dtype=complex)
+    return v / phases[:, None]
+
+
+def _kron_rows(es: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """``np.kron(e, f)`` of each pair of rows, without its reshaping overhead."""
+    return (es[:, :, None] * fs[:, None, :]).reshape(len(es), es.shape[1] * fs.shape[1])
+
+
+def _partner_rows(es: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """The stack of the partners |e*, f> of rows of e and f."""
+    return _kron_rows(np.conj(es), fs)
+
+
+def _assemble(es: np.ndarray, fs: np.ndarray, alphas) -> tuple[list["ProductVector"], np.ndarray]:
+    """ProductVectors from normalized rows of e and f, and the stack of their vectors.
+
+    The vectors' e, f and vector are rows of shared stacks, so all are read-only.
+    """
+    vecs = _kron_rows(es, fs)
+    for stack in (es, fs, vecs):
+        stack.flags.writeable = False
+    return [ProductVector(e, f, a, v) for e, f, a, v in zip(es, fs, alphas, vecs)], vecs
+
+
+def _products_at(alphas, fs) -> tuple[list["ProductVector"], np.ndarray, np.ndarray]:
+    """Product vectors at K >= 1 rows of (alpha, f), with the stacks of vectors and partners."""
+    es = np.array([[1.0, 0.0] if a is None else [a, 1.0] for a in alphas], dtype=complex)
+    finite = [k for k, a in enumerate(alphas) if a is not None]
+    es[finite] = _phase_normalize(es[finite])
+    fs = _phase_normalize(fs)
+    vectors, vecs = _assemble(es, fs, alphas)
+    return vectors, vecs, _partner_rows(es, fs)
+
+
+def products_of(es, fs) -> list["ProductVector"]:
+    """The product vectors of rows of e and f, normalized with fixed phases."""
+    es, fs = _phase_normalize(es), _phase_normalize(fs)
+    alphas = [None if abs(e[1]) <= CHART_INFINITY_TOL else complex(e[0] / e[1]) for e in es]
+    return _assemble(es, fs, alphas)[0]
+
+
+def vector_stacks(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, 2N) stacks of |e,f> and of the partners |e*,f> of K >= 1 product vectors."""
+    es = np.array([v.e for v in vectors])
+    fs = np.array([v.f for v in vectors])
+    return np.array([v.vector for v in vectors]), _partner_rows(es, fs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,37 +153,37 @@ class ProductVector:
     """Pair (e in C2, f in CN), stored unit-normalized with fixed phases.
 
     ``alpha`` parametrizes ``e = (alpha|0> + |1>)/norm``; ``None`` marks the
-    chart point e = |0> that the affine parametrization misses.  ``vector``
-    and ``conjugate_partner`` are built once; the cached vector is read-only.
+    chart point e = |0> that the affine parametrization misses.  The
+    read-only ``vector`` e (x) f is built at construction unless given; the
+    ``conjugate_partner`` is built once, on first read.
     """
 
     e: np.ndarray
     f: np.ndarray
     alpha: complex | None
+    vector: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, vector):
+        if vector is None:
+            vector = (self.e[:, None] * self.f[None, :]).ravel()
+            vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "_partner", None)
 
     @classmethod
     def from_alpha(cls, alpha: complex | None, f) -> "ProductVector":
-        e = (np.array([1.0, 0.0], dtype=complex) if alpha is None
-             else _phase_normalize(np.array([alpha, 1.0], dtype=complex)))
-        return cls(e=e, f=_phase_normalize(f), alpha=alpha)
+        return _products_at([alpha], [f])[0][0]
 
     @classmethod
     def from_e_f(cls, e, f) -> "ProductVector":
-        e = _phase_normalize(e)
-        alpha = None if abs(e[1]) <= 1e-12 else complex(e[0] / e[1])
-        return cls(e=e, f=_phase_normalize(f), alpha=alpha)
+        return products_of([e], [f])[0]
 
-    @cached_property
-    def vector(self) -> np.ndarray:
-        # the products of np.kron(e, f), without its reshaping overhead
-        v = (self.e[:, None] * self.f[None, :]).ravel()
-        v.flags.writeable = False
-        return v
-
-    @cached_property
+    @property
     def conjugate_partner(self) -> "ProductVector":
-        alpha = None if self.alpha is None else np.conj(self.alpha)
-        return ProductVector(e=np.conj(self.e), f=self.f, alpha=alpha)
+        if self._partner is None:
+            alpha = None if self.alpha is None else np.conj(self.alpha)
+            object.__setattr__(self, "_partner", ProductVector(np.conj(self.e), self.f, alpha))
+        return self._partner
 
     def projector(self) -> np.ndarray:
         v = self.vector
@@ -193,10 +263,10 @@ def _single_system(h: np.ndarray, n: int) -> ConstraintSystem:
                             dets=[])
 
 
-def in_range(basis: np.ndarray, vec: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Whether vec lies in the span of the orthonormal columns of basis."""
-    residual = float(np.linalg.norm(vec - basis @ (basis.conj().T @ vec)))
-    return residual <= 10.0 * tol.root_residual_tol
+def in_range(basis: np.ndarray, vecs: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Which rows of the (K, 2N) stack ``vecs`` lie in the span of basis's orthonormal columns."""
+    projected = (basis @ (basis.conj().T @ vecs[:, :, None]))[:, :, 0]
+    return _row_norms(vecs - projected) <= 10.0 * tol.root_residual_tol
 
 
 def _sort_key(v: ProductVector):
@@ -252,11 +322,6 @@ def _has_null(s: np.ndarray, k: int, alpha: complex) -> bool:
     return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), 1.0 + abs(alpha))
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.vdot`` of each pair of (K, r, 1) column stacks, shape (K,)."""
-    return (x.conj().swapaxes(1, 2) @ y)[:, 0, 0]
-
-
 def _refine_alpha_f(cs: ConstraintSystem, alphas):
     """Alternate between the best alpha for f and the best f for alpha, for every alpha.
 
@@ -284,6 +349,20 @@ def _refine_alpha_f(cs: ConstraintSystem, alphas):
     return alphas, fs, np.linalg.svd(cs.stacked(alphas), compute_uv=False)
 
 
+def _in_subspaces(alphas, fs, h1: np.ndarray, h2: np.ndarray | None,
+                  tol: ToleranceConfig) -> tuple[list[ProductVector], np.ndarray]:
+    """Product vectors at rows of (alpha, f), and which of them lie in the subspaces.
+
+    A vector passes when |e,f> lies in H1 and, unless ``h2`` is None, |e*,f>
+    lies in H2: one range test per subspace over the whole stack.
+    """
+    vectors, vecs, partners = _products_at(alphas, fs)
+    inside = in_range(h1, vecs, tol)
+    if h2 is not None:
+        inside &= in_range(h2, partners, tol)
+    return vectors, inside
+
+
 def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray | None,
                     tol: ToleranceConfig) -> list[ProductVector]:
     """Product vectors at e = e(alpha), one solve for each alpha in ``alphas``.
@@ -305,7 +384,7 @@ def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray
         _u, sigmas, vh = np.linalg.svd(cs.stacked(np.array(finite, dtype=complex), conj),
                                        full_matrices=True)
         solves = zip(sigmas, vh[:, -1].conj())
-    found = []
+    picked, fs = [], []
     for alpha in alphas:
         if alpha is None:
             rows = np.vstack(cs.conj_blocks[::2])
@@ -319,11 +398,12 @@ def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray
             s, f = next(solves, (None, first[:, 0]))
             if s is not None and not _has_null(s, cs.n, alpha):
                 continue
-        v = ProductVector.from_alpha(alpha, f)
-        if in_range(h1, v.vector, tol) and (
-                h2 is None or in_range(h2, v.conjugate_partner.vector, tol)):
-            found.append(v)
-    return found
+        picked.append(alpha)
+        fs.append(f)
+    if not picked:
+        return []
+    vectors, inside = _in_subspaces(picked, fs, h1, h2, tol)
+    return [v for v, ok in zip(vectors, inside) if ok]
 
 
 def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray | None,
@@ -336,17 +416,23 @@ def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray |
     """
     starts = [complex(a) for a in roots]
     alphas, fs, sigmas = _refine_alpha_f(cs, starts)
-    found, seen = [], []
-    for start, alpha, f, s in zip(starts, alphas.tolist(), fs, sigmas):
-        if h2 is None and any(abs(start - x) <= 1e-6 or abs(alpha - x) <= 1e-6 for x in seen):
-            continue
+    alphas = alphas.tolist()
+    gated = []
+    for k, (alpha, s) in enumerate(zip(alphas, sigmas)):
         if not _has_null(s, cs.n, alpha):
             continue
         if h2 is not None and cs.n >= 2 and _has_null(s, cs.n - 1, alpha):
             raise NonGenericInput(f"solution space at alpha={alpha:.6g} has dimension > 1")
-        v = ProductVector.from_alpha(alpha, f)
-        if in_range(h1, v.vector, tol) and (
-                h2 is None or in_range(h2, v.conjugate_partner.vector, tol)):
+        gated.append(k)
+    if not gated:
+        return []
+    vectors, inside = _in_subspaces([alphas[k] for k in gated], fs[gated], h1, h2, tol)
+    found, seen = [], []
+    for k, v, ok in zip(gated, vectors, inside):
+        start, alpha = starts[k], alphas[k]
+        if h2 is None and any(abs(start - x) <= 1e-6 or abs(alpha - x) <= 1e-6 for x in seen):
+            continue
+        if ok:
             found.append(v)
             seen.append(alpha)
     return found
@@ -564,10 +650,11 @@ def kernel_product_vectors(state):
         return []
     res = products_in_subspace(kernel, state.tol)
     vectors = res.samples if isinstance(res, InfiniteFamily) else res
-    pt_norm = max(state.norm, 1e-300)
-    kept = [v for v in vectors
-            if np.linalg.norm(state.pt_matrix @ v.conjugate_partner.vector)
-            <= KERNEL_PARTNER_REL_TOL * pt_norm]
+    kept = []
+    if vectors:
+        images = (state.pt_matrix @ vector_stacks(vectors)[1][:, :, None])[:, :, 0]
+        passing = _row_norms(images) <= KERNEL_PARTNER_REL_TOL * max(state.norm, 1e-300)
+        kept = [v for v, ok in zip(vectors, passing) if ok]
     return InfiniteFamily(samples=kept, note=res.note) if isinstance(res, InfiniteFamily) else kept
 
 

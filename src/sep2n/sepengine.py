@@ -32,10 +32,15 @@ from .productfinder import (
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
+    _inner,
+    _kron_rows,
+    _row_norms,
     in_range,
     kernel_product_vectors,
     paired_products,
+    products_of,
     real_e_products,
+    vector_stacks,
 )
 
 __all__ = [
@@ -47,6 +52,7 @@ __all__ = [
     "VectorOutsideRange",
     "SupportViolation",
     "DependentProjectors",
+    "NotPTInvariant",
     "REASON_NON_GENERIC",
     "REASON_INFINITE_FAMILY",
     "REASON_REDUCTION_STALLED",
@@ -75,6 +81,10 @@ class SupportViolation(Exception):
 
 class DependentProjectors(Exception):
     """The candidate projectors are linearly dependent; the expansion is not unique."""
+
+
+class NotPTInvariant(ValueError):
+    """The state is not invariant under partial transposition."""
 
 
 # Relative tie threshold for declaring the two subtraction weights equal.
@@ -168,6 +178,20 @@ def _matrix_and_tol(state) -> tuple[np.ndarray, ToleranceConfig]:
     return np.asarray(state, dtype=complex), ToleranceConfig()
 
 
+def _bound_stacks(state: DensityState, vecs: np.ndarray, partners: np.ndarray):
+    """Range tests and pseudoinverse quadratic forms of (K, 2N) stacks of vectors and partners.
+
+    Returns ``(in_range, pt_in_range, q, qbar)``, each of shape (K,): whether
+    |e,f> lies in the range of the state and |e*,f> in that of the partial
+    transpose, and the forms <e,f|rho^+|e,f> and <e*,f|(rho^T_A)^+|e*,f>.
+    """
+    cols, pcols = vecs[:, :, None], partners[:, :, None]
+    return (in_range(state.range_basis, vecs, state.tol),
+            in_range(state.pt_range_basis, partners, state.tol),
+            _inner(cols, state.pseudoinverse() @ cols).real,
+            _inner(pcols, state.pt_pseudoinverse() @ pcols).real)
+
+
 def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
     """Maximal subtraction weights keeping the state and its transpose positive.
 
@@ -175,17 +199,15 @@ def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
     partial transpose; the weights are the inverse quadratic forms of the
     pseudoinverses along those vectors.
     """
-    vec = v.vector
-    partner = v.conjugate_partner.vector
-    if not in_range(state.range_basis, vec, state.tol):
+    inside, pt_inside, q, qbar = (x[0] for x in _bound_stacks(
+        state, v.vector[None], v.conjugate_partner.vector[None]))
+    if not inside:
         raise VectorOutsideRange("|e,f> is not in the range of the state")
-    if not in_range(state.pt_range_basis, partner, state.tol):
+    if not pt_inside:
         raise VectorOutsideRange("|e*,f> is not in the range of the partial transpose")
-    q = float(np.real(np.vdot(vec, state.pseudoinverse() @ vec)))
-    qbar = float(np.real(np.vdot(partner, state.pt_pseudoinverse() @ partner)))
     if q <= 0 or qbar <= 0:
         raise VectorOutsideRange("nonpositive pseudoinverse quadratic form")
-    return 1.0 / q, 1.0 / qbar
+    return 1.0 / float(q), 1.0 / float(qbar)
 
 
 def subtract(state: DensityState, v: ProductVector) -> tuple[DensityState, float, str]:
@@ -241,36 +263,50 @@ def _support_borderline(state: DensityState) -> bool:
     return bool(np.any((w > cutoff / 10) & (w < 10 * cutoff)))
 
 
-def _kernel_term(state: DensityState, v: ProductVector):
-    """The product term of the state that the kernel product vector ``v`` picks out.
+def _kernel_terms(state: DensityState, vectors) -> list:
+    """The product terms of the state that the kernel product vectors pick out, in order.
 
     With e_hat orthogonal to e, the image ``rho|e_hat, f>`` must be a product
     line ``|e_hat> (x) g``; the term is ``lam |e_hat, g><e_hat, g|`` with
     ``lam = 1 / <g|f>``.  For a state that is a sum of N product terms, the
     kernel vector orthogonal to all but one of them picks out that one.
+    Every check runs on the stack of all vectors; the first vector that fails
+    one raises, with the first check it fails, as a loop over them would.
 
-    Returns ``(lam, sub_vec, (weight, pv))``: ``sub_vec`` is the unnormalized
-    |e_hat, g> and ``weight`` times the projector of ``pv`` is the term.
+    Returns one ``(lam, sub_vec, (weight, pv))`` per vector: ``sub_vec`` is
+    the unnormalized |e_hat, g> and ``weight`` times the projector of ``pv``
+    is the term.
     """
-    n, norm = state.n, max(state.norm, 1e-300)
-    if np.linalg.norm(state.matrix @ v.vector) > KERNEL_RESIDUAL_REL_TOL * norm:
-        raise ValueError("vector is not in the kernel of the state")
-    e = v.e
-    ehat = np.array([-np.conj(e[1]), np.conj(e[0])], dtype=complex)
-    # the products of np.kron, without its reshaping overhead
-    w = state.matrix @ (ehat[:, None] * v.f[None, :]).ravel()
-    wn = np.linalg.norm(w)
-    if wn <= KERNEL_IMAGE_ZERO_REL_TOL * norm:
-        raise SupportViolation("state annihilates |e_hat, f>; strip the support first")
-    g = np.conj(ehat[0]) * w[:n] + np.conj(ehat[1]) * w[n:]
-    sub_vec = (ehat[:, None] * g[None, :]).ravel()
-    if np.linalg.norm(w - sub_vec) > PRODUCT_LINE_REL_TOL * wn:
-        raise NonGenericInput("kernel image is not a product line")
-    gf = float(np.real(np.vdot(g, v.f)))
-    if gf <= 0:
-        raise NonGenericInput("nonpositive overlap between g and f")
-    lam = 1.0 / gf
-    return lam, sub_vec, (lam * float(np.vdot(g, g).real), ProductVector.from_e_f(ehat, g))
+    if not vectors:
+        return []
+    n, norm, m = state.n, max(state.norm, 1e-300), state.matrix
+    es = np.array([v.e for v in vectors])
+    fs = np.array([v.f for v in vectors])
+    ehat = np.stack([-np.conj(es[:, 1]), np.conj(es[:, 0])], axis=1)
+    residual = _row_norms((m @ np.array([v.vector for v in vectors])[:, :, None])[:, :, 0])
+    w = (m @ _kron_rows(ehat, fs)[:, :, None])[:, :, 0]
+    wn = _row_norms(w)
+    g = np.conj(ehat[:, :1]) * w[:, :n] + np.conj(ehat[:, 1:]) * w[:, n:]
+    sub_vecs = _kron_rows(ehat, g)
+    gf = _inner(g[:, :, None], fs[:, :, None]).real
+    checks = (
+        (residual > KERNEL_RESIDUAL_REL_TOL * norm,
+         ValueError("vector is not in the kernel of the state")),
+        (wn <= KERNEL_IMAGE_ZERO_REL_TOL * norm,
+         SupportViolation("state annihilates |e_hat, f>; strip the support first")),
+        (_row_norms(w - sub_vecs) > PRODUCT_LINE_REL_TOL * wn,
+         NonGenericInput("kernel image is not a product line")),
+        (gf <= 0, NonGenericInput("nonpositive overlap between g and f")),
+    )
+    failed = np.any([bad for bad, _exc in checks], axis=0)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise next(exc for bad, exc in checks if bad[k])
+    with np.errstate(over="ignore", invalid="ignore"):  # as quiet as Python float arithmetic
+        lams = 1.0 / gf
+        weights = lams * _inner(g[:, :, None], g[:, :, None]).real
+    return [(lam, sub, (weight, pv)) for lam, sub, weight, pv
+            in zip(lams.tolist(), sub_vecs, weights.tolist(), products_of(ehat, g))]
 
 
 def reduce_by_kernel(state: DensityState, v: ProductVector):
@@ -284,7 +320,7 @@ def reduce_by_kernel(state: DensityState, v: ProductVector):
     Returns ``(reduced_state, (weight, subtracted_vector), isometry)``, the
     vector expressed in the pre-reduction basis.
     """
-    lam, sub_vec, term = _kernel_term(state, v)
+    lam, sub_vec, term = _kernel_terms(state, [v])[0]
     m2 = hermitize(state.matrix - lam * np.outer(sub_vec, sub_vec.conj()))
     intermediate = DensityState(m2, n=state.n, tol=state.tol,
                                 require_psd=not _negligible(m2, state))
@@ -300,12 +336,9 @@ def _base_terms(state: DensityState) -> list[tuple[float, ProductVector]]:
     """Spectral terms of a state on C2 x C1; every vector there is product."""
     w, u = np.linalg.eigh(state.matrix)
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    terms = []
-    for i in range(w.size):
-        if w[i] > state.tol.rank_rel_tol * max(wmax, 1e-300):
-            e = u[:, i]
-            terms.append((float(w[i]), ProductVector.from_e_f(e, np.ones(1, dtype=complex))))
-    return terms
+    keep = w > state.tol.rank_rel_tol * max(wmax, 1e-300)
+    f = np.ones((np.count_nonzero(keep), 1))
+    return list(zip(w[keep].tolist(), products_of(u[:, keep].T, f)))
 
 
 def _lift_pv(pv: ProductVector, lift: np.ndarray) -> ProductVector:
@@ -320,13 +353,13 @@ def _all_kernel_terms(state: DensityState, found):
     """The N terms that N kernel product vectors pick out of the state, or None.
 
     None unless the search found a finite list of exactly N vectors, every
-    vector passes the checks of ``_kernel_term`` and the terms reconstruct
+    vector passes the checks of ``_kernel_terms`` and the terms reconstruct
     the state within the state's ``cert_recon_tol``.
     """
     if isinstance(found, InfiniteFamily) or len(found) != state.n:
         return None
     try:
-        terms = [_kernel_term(state, v)[2] for v in found]
+        terms = [term for _lam, _sub_vec, term in _kernel_terms(state, found)]
     except (ValueError, SupportViolation, NonGenericInput):
         return None
     recon = SeparabilityCertificate(terms).reconstruct(state.dim)
@@ -421,8 +454,7 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     # column i as a 2 x 2 matrix (rows the qubit index) has rank one: e f^T
     uu, _s, vh = np.linalg.svd(y.T.reshape(4, 2, 2))
     weights = np.sum(np.abs(y) ** 2, axis=0)
-    return SeparabilityCertificate([(float(weights[i]), ProductVector.from_e_f(uu[i, :, 0], vh[i, 0]))
-                                    for i in range(4)])
+    return SeparabilityCertificate(list(zip(weights.tolist(), products_of(uu[:, :, 0], vh[:, 0]))))
 
 
 def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
@@ -431,11 +463,13 @@ def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     Passes of ``(_zero_remainder, _strip, _base_case, _rank_n_kernel,
     _real_e_subtraction)`` on the symmetrized state subtract real-e product
     vectors (which keep the invariance and drop both ranks) down to rank N,
-    where the kernel search finishes.  A stop raises ``NonGenericInput``.
+    where the kernel search finishes.  A stop raises ``NonGenericInput``; a
+    state farther than ``PT_INVARIANCE_REL_TOL`` from its partial transpose
+    raises ``NotPTInvariant``.
     """
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=max(state.norm, 1e-300)):
-        raise ValueError("state is not invariant under partial transposition")
+        raise NotPTInvariant("state is not invariant under partial transposition")
     sym = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), n=state.n, tol=state.tol)
     run = _Run(sym, ReductionTrace(), sym, np.eye(state.n, dtype=complex))
     return _certify(run, (_zero_remainder, _strip, _base_case, _rank_n_kernel,
@@ -443,16 +477,18 @@ def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
 
 
 def _best_subtraction(state: DensityState, candidates) -> ProductVector | None:
-    best, best_lam = None, -1.0
-    for v in candidates:
-        try:
-            lam0, lamb0 = lambda_bounds(state, v)
-        except VectorOutsideRange:
-            continue
-        lam = min(lam0, lamb0)
-        if lam > best_lam:
-            best, best_lam = v, lam
-    return best
+    """The first candidate of largest ``min(lambda_bounds)``; None when no candidate has bounds."""
+    if not candidates:
+        return None
+    inside, pt_inside, q, qbar = _bound_stacks(state, *vector_stacks(candidates))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam0, lamb0 = 1.0 / q, 1.0 / qbar
+    # Python's min(lam0, lamb0): lam0 unless lamb0 is smaller, also when one is NaN
+    lam = np.where(lamb0 < lam0, lamb0, lam0)
+    usable = inside & pt_inside & ~((q <= 0) | (qbar <= 0)) & ~np.isnan(lam)
+    if not usable.any():
+        return None
+    return candidates[int(np.argmax(np.where(usable, lam, -np.inf)))]
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +726,6 @@ def _zero_remainder(run: _Run, cur: DensityState):
 
 
 def _strip(run: _Run, cur: DensityState):
-    run.borderline |= _support_borderline(cur)
     try:
         stripped, iso = strip_support(cur)
     except ValueError as exc:
@@ -698,9 +733,20 @@ def _strip(run: _Run, cur: DensityState):
     if stripped.n != cur.n:
         run.trace.steps.append(_step("strip", cur, stripped))
         run.cur, run.lift = stripped, run.lift @ iso
-    run.borderline |= bool(run.cur.warnings)
-    if run.base is None:
-        run.base = (run.cur, run.lift.copy())
+
+
+def _strip_watched(run: _Run, cur: DensityState):
+    """``_strip`` on the run of ``analyze``: also reads borderline spectra and keeps the base.
+
+    Nested runs read neither, so they strip without this bookkeeping.
+    """
+    run.borderline |= _support_borderline(cur)
+    outcome = _strip(run, cur)
+    if outcome is None:
+        run.borderline |= bool(run.cur.warnings)
+        if run.base is None:
+            run.base = (run.cur, run.lift.copy())
+    return outcome
 
 
 def _base_case(run: _Run, cur: DensityState):
@@ -710,14 +756,15 @@ def _base_case(run: _Run, cur: DensityState):
 
 
 def _pt_invariant(run: _Run, cur: DensityState):
-    if operator_norm_at_most(cur.matrix - cur.pt_matrix, PT_INVARIANCE_REL_TOL,
-                             floor=max(cur.norm, 1e-300)):
-        try:
-            sub_cert = pt_invariant_decompose(cur)
-            run.trace.steps.append(_step("pt-invariant", cur))
-            return run.assemble(sub_cert.terms)
-        except (NonGenericInput, ValueError):
-            run.flag(REASON_NON_GENERIC)
+    """Decompose a PT-invariant state; ``pt_invariant_decompose`` alone tests the invariance."""
+    try:
+        sub_cert = pt_invariant_decompose(cur)
+        run.trace.steps.append(_step("pt-invariant", cur))
+        return run.assemble(sub_cert.terms)
+    except NotPTInvariant:
+        return None
+    except (NonGenericInput, ValueError):
+        run.flag(REASON_NON_GENERIC)
 
 
 def _kernel_reduction(run: _Run, cur: DensityState):
@@ -841,7 +888,7 @@ def _paired_search(run: _Run, cur: DensityState):
     return Verdict(VerdictKind.ENTANGLED_PPT, witness=witness)
 
 
-_STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _kernel_reduction,
+_STAGES = (_zero_remainder, _strip_watched, _base_case, _pt_invariant, _kernel_reduction,
            _two_qubit, _paired_search)
 
 

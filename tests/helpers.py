@@ -7,14 +7,30 @@ dense grid scan with finite-difference Newton refinement.  Root
 verification also has a scalar reference, one ``polyval2d`` call per
 candidate and polynomial, for the batched one in the library; the
 fixed-alpha solves and the determinant interpolation have one-alpha,
-one-node references for the stacked calls that replaced them.
+one-node references for the stacked calls that replaced them, and the
+candidate screens (phase normalization, range tests, the partner filter,
+the subtraction bounds and the kernel terms) one-vector references.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from sep2n.matrixcore import hermitize, partial_transpose_matrix
-from sep2n.productfinder import NULL_ACCEPT, NonGenericInput, ProductVector, _inv_dft, in_range
+from sep2n.productfinder import (
+    CHART_INFINITY_TOL,
+    KERNEL_PARTNER_REL_TOL,
+    NULL_ACCEPT,
+    NonGenericInput,
+    ProductVector,
+    _inv_dft,
+)
+from sep2n.sepengine import (
+    KERNEL_IMAGE_ZERO_REL_TOL,
+    KERNEL_RESIDUAL_REL_TOL,
+    PRODUCT_LINE_REL_TOL,
+    SupportViolation,
+    VectorOutsideRange,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +429,98 @@ def sets_match(a, b, radius=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# one-vector candidate screens: the loops that the stacked screens in
+# ``productfinder`` and ``sepengine`` replaced, kept as their bitwise references
+# ---------------------------------------------------------------------------
+
+def scalar_phase_normalize(v):
+    """Unit-normalize one vector and divide out the phase of its largest entry."""
+    v = np.asarray(v, dtype=complex)
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise ValueError("zero vector")
+    v = v / nrm
+    i = int(np.argmax(np.abs(v)))
+    phase = v[i] / abs(v[i])
+    return v / phase
+
+
+def scalar_from_alpha(alpha, f):
+    e = (np.array([1.0, 0.0], dtype=complex) if alpha is None
+         else scalar_phase_normalize(np.array([alpha, 1.0], dtype=complex)))
+    return ProductVector(e=e, f=scalar_phase_normalize(f), alpha=alpha)
+
+
+def scalar_from_e_f(e, f):
+    e = scalar_phase_normalize(e)
+    alpha = None if abs(e[1]) <= CHART_INFINITY_TOL else complex(e[0] / e[1])
+    return ProductVector(e=e, f=scalar_phase_normalize(f), alpha=alpha)
+
+
+def scalar_in_range(basis, vec, tol):
+    """Whether one vector lies in the span of the orthonormal columns of basis."""
+    residual = float(np.linalg.norm(vec - basis @ (basis.conj().T @ vec)))
+    return residual <= 10.0 * tol.root_residual_tol
+
+
+def scalar_partner_filter(state, vectors):
+    """The vectors whose partner the partial transpose annihilates, one norm each."""
+    pt_norm = max(state.norm, 1e-300)
+    return [v for v in vectors
+            if np.linalg.norm(state.pt_matrix @ v.conjugate_partner.vector)
+            <= KERNEL_PARTNER_REL_TOL * pt_norm]
+
+
+def scalar_lambda_bounds(state, v):
+    vec = v.vector
+    partner = v.conjugate_partner.vector
+    if not scalar_in_range(state.range_basis, vec, state.tol):
+        raise VectorOutsideRange("|e,f> is not in the range of the state")
+    if not scalar_in_range(state.pt_range_basis, partner, state.tol):
+        raise VectorOutsideRange("|e*,f> is not in the range of the partial transpose")
+    q = float(np.real(np.vdot(vec, state.pseudoinverse() @ vec)))
+    qbar = float(np.real(np.vdot(partner, state.pt_pseudoinverse() @ partner)))
+    if q <= 0 or qbar <= 0:
+        raise VectorOutsideRange("nonpositive pseudoinverse quadratic form")
+    return 1.0 / q, 1.0 / qbar
+
+
+def scalar_best_subtraction(state, candidates):
+    best, best_lam = None, -1.0
+    for v in candidates:
+        try:
+            lam0, lamb0 = scalar_lambda_bounds(state, v)
+        except VectorOutsideRange:
+            continue
+        lam = min(lam0, lamb0)
+        if lam > best_lam:
+            best, best_lam = v, lam
+    return best
+
+
+def scalar_kernel_term(state, v):
+    """``(lam, sub_vec, (weight, pv))`` of one kernel product vector, or the first failed check."""
+    n, norm = state.n, max(state.norm, 1e-300)
+    if np.linalg.norm(state.matrix @ v.vector) > KERNEL_RESIDUAL_REL_TOL * norm:
+        raise ValueError("vector is not in the kernel of the state")
+    e = v.e
+    ehat = np.array([-np.conj(e[1]), np.conj(e[0])], dtype=complex)
+    w = state.matrix @ (ehat[:, None] * v.f[None, :]).ravel()
+    wn = np.linalg.norm(w)
+    if wn <= KERNEL_IMAGE_ZERO_REL_TOL * norm:
+        raise SupportViolation("state annihilates |e_hat, f>; strip the support first")
+    g = np.conj(ehat[0]) * w[:n] + np.conj(ehat[1]) * w[n:]
+    sub_vec = (ehat[:, None] * g[None, :]).ravel()
+    if np.linalg.norm(w - sub_vec) > PRODUCT_LINE_REL_TOL * wn:
+        raise NonGenericInput("kernel image is not a product line")
+    gf = float(np.real(np.vdot(g, v.f)))
+    if gf <= 0:
+        raise NonGenericInput("nonpositive overlap between g and f")
+    lam = 1.0 / gf
+    return lam, sub_vec, (lam * float(np.vdot(g, g).real), scalar_from_e_f(ehat, g))
+
+
+# ---------------------------------------------------------------------------
 # scalar fixed-alpha solves and determinant interpolation: the one-alpha,
 # one-node loops that the stacked numpy calls in ``productfinder`` replaced,
 # kept as their bitwise references
@@ -462,8 +570,8 @@ def scalar_collect_single(candidates, cs, h, tol):
         if not _scalar_has_null(np.linalg.svd(scalar_stacked(cs, alpha), compute_uv=False),
                                 cs.n, alpha):
             continue
-        v = ProductVector.from_alpha(alpha, f)
-        if in_range(h, v.vector, tol):
+        v = scalar_from_alpha(alpha, f)
+        if scalar_in_range(h, v.vector, tol):
             found.append(v)
             seen.append(alpha)
     return found
@@ -477,7 +585,7 @@ def scalar_vector_at_root(cs, alpha):
         return None
     if cs.n >= 2 and _scalar_has_null(s, cs.n - 1, alpha):
         raise NonGenericInput(f"solution space at alpha={alpha:.6g} has dimension > 1")
-    return ProductVector.from_alpha(alpha, f)
+    return scalar_from_alpha(alpha, f)
 
 
 def scalar_root_products(roots, cs, h1, h2, tol):
@@ -485,8 +593,8 @@ def scalar_root_products(roots, cs, h1, h2, tol):
     found = []
     for alpha in roots:
         v = scalar_vector_at_root(cs, alpha)
-        if (v is not None and in_range(h1, v.vector, tol)
-                and in_range(h2, v.conjugate_partner.vector, tol)):
+        if (v is not None and scalar_in_range(h1, v.vector, tol)
+                and scalar_in_range(h2, v.conjugate_partner.vector, tol)):
             found.append(v)
     return found
 
@@ -502,9 +610,9 @@ def scalar_chart_products(cs, alphas, h1, h2, tol):
             f = vh[-1].conj()
             if not _scalar_has_null(s, cs.n, alpha):
                 continue
-        v = ProductVector.from_alpha(alpha, f)
-        if in_range(h1, v.vector, tol) and (
-                h2 is None or in_range(h2, v.conjugate_partner.vector, tol)):
+        v = scalar_from_alpha(alpha, f)
+        if scalar_in_range(h1, v.vector, tol) and (
+                h2 is None or scalar_in_range(h2, v.conjugate_partner.vector, tol)):
             found.append(v)
     return found
 

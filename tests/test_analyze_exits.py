@@ -213,7 +213,7 @@ def test_sampled_then_fallback():
 
 def test_support_violation(monkeypatch, no_fallbacks):
     # the one-shot decomposition declines, and the reduction meets the same failure
-    monkeypatch.setattr(sepengine, "_kernel_term", raising(SupportViolation("planted")))
+    monkeypatch.setattr(sepengine, "_kernel_terms", raising(SupportViolation("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["support violation during kernel reduction"])
 
@@ -221,7 +221,7 @@ def test_support_violation(monkeypatch, no_fallbacks):
 def test_support_violation_on_pt_invariant_route(monkeypatch):
     # the nested kernel reductions of the PT-invariant stage and of both
     # fallbacks stop on the violation; none of them lets it escape analyze
-    monkeypatch.setattr(sepengine, "_kernel_term", raising(SupportViolation("planted")))
+    monkeypatch.setattr(sepengine, "_kernel_terms", raising(SupportViolation("planted")))
     check(analyze(random_pt_invariant(np.random.default_rng(3), 3)), INC, REASON_NON_GENERIC,
           ["subtract-sample"] * 2, [NEG_AFTER_SAMPLING], nonexhaustive=True)
 
@@ -239,7 +239,7 @@ def test_kernel_search_raises_on_rank_n(monkeypatch, no_fallbacks):
 
 
 def test_kernel_reduction_raises_on_rank_n(monkeypatch, no_fallbacks):
-    monkeypatch.setattr(sepengine, "_kernel_term", raising(NonGenericInput("planted")))
+    monkeypatch.setattr(sepengine, "_kernel_terms", raising(NonGenericInput("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["constructive decomposition degenerated: planted"])
 
@@ -329,8 +329,8 @@ def test_nongeneric_outranks_infinite_family(monkeypatch, no_fallbacks):
 
 def test_term_check_fails_once(monkeypatch):
     # the one-shot declines; the first vector reduces, and the next pass decomposes at once
-    monkeypatch.setattr(sepengine, "_kernel_term",
-                        failing_once(sepengine._kernel_term, NonGenericInput("planted")))
+    monkeypatch.setattr(sepengine, "_kernel_terms",
+                        failing_once(sepengine._kernel_terms, NonGenericInput("planted")))
     verdict, _ = check(analyze(rank_n()), SEP, None, ["kernel-reduce", "rank-n-decompose"], [])
     assert len(verdict.certificate.terms) == 3
 

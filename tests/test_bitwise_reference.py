@@ -1,15 +1,18 @@
-"""The stacked numpy calls of the fixed-alpha search give the scalar loops' bits.
+"""The stacked numpy calls of the product-vector search give the scalar loops' bits.
 
 Each test runs a library function that solves many alphas or interpolation
-nodes in one stacked call, and the one-at-a-time loop it replaced (kept in
-``helpers``), on seeded systems, and requires exact equality: alphas
-compared by their float hex, arrays by their bytes.
+nodes, or screens many candidate vectors, in one stacked call, and the
+one-at-a-time loop it replaced (kept in ``helpers``), on seeded systems, and
+requires exact equality: alphas compared by their float hex, arrays by
+their bytes.  ``TestNumpyForms`` pins the numpy forms that this rests on,
+so a numpy or BLAS upgrade that breaks them fails there by name.
 """
 
 import numpy as np
 import pytest
 
-from sep2n.matrixcore import ToleranceConfig
+from sep2n import productfinder, sepengine
+from sep2n.matrixcore import DensityState, ToleranceConfig
 from sep2n.polyelim import (
     BivariatePoly,
     UnivariatePoly,
@@ -20,24 +23,46 @@ from sep2n.productfinder import (
     REAL_ALPHA_GRID,
     SAMPLE_ALPHAS,
     ConstraintSystem,
+    InfiniteFamily,
     NonGenericInput,
+    ProductVector,
     _chart_products,
+    _inner,
     _orthonormalize,
+    _phase_normalize,
     _refine_alpha_f,
     _root_products,
+    _row_norms,
     _single_system,
     build_paired_system,
     det_poly_bivariate,
     det_poly_univariate,
     eliminate_paired,
+    in_range,
+    kernel_product_vectors,
+    paired_products,
+    products_of,
+    real_e_products,
 )
+from sep2n.sepengine import SupportViolation, VectorOutsideRange, lambda_bounds
 
 from helpers import (
+    build_separable,
+    random_ppt_mixture,
     random_product_vector,
+    random_pt_invariant,
+    scalar_best_subtraction,
     scalar_chart_products,
     scalar_collect_single,
     scalar_det_poly_bivariate,
     scalar_det_poly_univariate,
+    scalar_from_alpha,
+    scalar_from_e_f,
+    scalar_in_range,
+    scalar_kernel_term,
+    scalar_lambda_bounds,
+    scalar_partner_filter,
+    scalar_phase_normalize,
     scalar_refine_alpha_f,
     scalar_root_products,
     scalar_stacked,
@@ -60,6 +85,15 @@ def assert_same_vectors(ours, ref):
         assert bits(a.alpha) == bits(b.alpha)
         assert a.e.tobytes() == b.e.tobytes()
         assert a.f.tobytes() == b.f.tobytes()
+        assert a.vector.tobytes() == b.vector.tobytes()
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, SupportViolation, NonGenericInput, VectorOutsideRange) as exc:
+        return type(exc), str(exc)
 
 
 def assert_refine_matches(cs, starts):
@@ -316,3 +350,224 @@ class TestDeterminantInterpolation:
                 ours = det_poly_bivariate(blocks[:2], blocks[2:]).coeffs
                 ref = BivariatePoly(scalar_det_poly_bivariate(blocks[:2], blocks[2:])).coeffs
                 assert ours.tobytes() == ref.tobytes()
+
+
+def sizes(rng):
+    """A dimension in 2..16 and a row count in 1..11."""
+    return int(rng.integers(2, 17)), int(rng.integers(1, 12))
+
+
+def crand(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestNumpyForms:
+    """The stacked numpy forms of the candidate screens keep the single-vector bits."""
+
+    TRIALS = 300
+
+    def test_unit_column_matmul_gives_mat_vec_bits(self):
+        rng = np.random.default_rng(900)
+        for _ in range(self.TRIALS):
+            d, k = sizes(rng)
+            m, v = crand(rng, d, d), crand(rng, k, d)
+            rect = _orthonormalize(crand(rng, d, int(rng.integers(1, d + 1))))
+            assert (m @ v[:, :, None])[:, :, 0].tobytes() == np.array([m @ x for x in v]).tobytes()
+            ours = (rect.conj().T @ v[:, :, None])[:, :, 0]
+            assert ours.tobytes() == np.array([rect.conj().T @ x for x in v]).tobytes()
+
+    def test_matmul_row_norms_give_norm_bits(self):
+        rng = np.random.default_rng(901)
+        for _ in range(self.TRIALS):
+            d, k = sizes(rng)
+            v = crand(rng, k, d) * 10.0 ** rng.uniform(-150, 150, (k, 1))
+            assert _row_norms(v).tobytes() == np.array([np.linalg.norm(x) for x in v]).tobytes()
+
+    def test_matmul_inner_products_give_vdot_bits(self):
+        rng = np.random.default_rng(902)
+        for _ in range(self.TRIALS):
+            d, k = sizes(rng)
+            x, y = crand(rng, k, d), crand(rng, k, d)
+            ours = _inner(x[:, :, None], y[:, :, None])
+            assert ours.tobytes() == np.array([np.vdot(a, b) for a, b in zip(x, y)]).tobytes()
+
+
+class TestCandidateScreens:
+    def test_phase_normalization_of_rows(self):
+        rng = np.random.default_rng(910)
+        real_alphas = [[a, 1.0] for a in REAL_ALPHA_GRID + (-0.0, complex(0.5, -0.0))]
+        largest_real = [[5.0, 1 + 1j, -2j], [-7.0, 0.5, 3 + 3j], [1e-300, 0.0, 2.0]]
+        cases = [np.array(real_alphas, dtype=complex), np.array(largest_real, dtype=complex)]
+        cases += [crand(rng, k, d) for d, k in (sizes(rng) for _ in range(200))]
+        for rows in cases:
+            ref = np.array([scalar_phase_normalize(r) for r in rows])
+            assert _phase_normalize(rows).tobytes() == ref.tobytes()
+        with pytest.raises(ValueError, match="zero vector"):
+            _phase_normalize(np.array([[1.0, 2.0], [0.0, 0.0]]))
+
+    def test_product_vectors_from_rows(self):
+        rng = np.random.default_rng(911)
+        alphas = list(REAL_ALPHA_GRID) + [None, -0.0, complex(2.0, -0.0)] + list(SAMPLE_ALPHAS)
+        for n in (1, 2, 5):
+            fs = crand(rng, len(alphas), n)
+            assert_same_vectors(productfinder._products_at(alphas, fs)[0],
+                                [scalar_from_alpha(a, f) for a, f in zip(alphas, fs)])
+            es = np.concatenate([crand(rng, 6, 2), [[1.0, 1e-13], [1.0, 0.0], [0.0, 1.0]]])
+            fs = crand(rng, len(es), n)
+            assert_same_vectors(products_of(es, fs),
+                                [scalar_from_e_f(e, f) for e, f in zip(es, fs)])
+            assert [v.alpha for v in products_of(es, fs)][-3:-1] == [None, None]
+
+    def test_range_mask(self):
+        rng = np.random.default_rng(912)
+        seen = set()
+        for _ in range(200):
+            d, k = sizes(rng)
+            basis = _orthonormalize(crand(rng, d, int(rng.integers(1, d))))
+            out = crand(rng, k, d)
+            out -= (basis @ (basis.conj().T @ out.T)).T
+            out /= np.linalg.norm(out, axis=1, keepdims=True)
+            inside = (basis @ crand(rng, basis.shape[1], k)).T
+            # residuals straddle the threshold 10 * root_residual_tol = 1e-7
+            vecs = inside + rng.uniform(0.5e-7, 1.5e-7, (k, 1)) * out
+            mask = in_range(basis, vecs, TOL)
+            assert mask.tolist() == [scalar_in_range(basis, v, TOL) for v in vecs]
+            seen.update(mask.tolist())
+        assert seen == {True, False}
+
+    def test_partner_filter(self, monkeypatch):
+        # N genuine kernel vectors of a rank-N state pass; random product
+        # vectors and rescaled partners near the threshold test the cut
+        rng = np.random.default_rng(913)
+        kept = dropped = 0
+        for n in (3, 4, 5):
+            state = DensityState(build_separable(rng, n, n)[0])
+            found = kernel_product_vectors(state)
+            assert len(found) == n
+            vectors = found + [random_product_vector(rng, n) for _ in range(4)]
+            vectors = [vectors[i] for i in rng.permutation(len(vectors))]
+            for res in (vectors, InfiniteFamily(samples=vectors, note="planted")):
+                with monkeypatch.context() as mp:
+                    mp.setattr(productfinder, "products_in_subspace", lambda h, tol: res)
+                    ours = kernel_product_vectors(state)
+                ours = ours.samples if isinstance(res, InfiniteFamily) else ours
+                ref = scalar_partner_filter(state, vectors)
+                assert [id(v) for v in ours] == [id(v) for v in ref]
+                kept += len(ours)
+                dropped += len(vectors) - len(ours)
+        assert kept and dropped
+
+    def test_best_subtraction_on_sampled_candidates(self):
+        rng = np.random.default_rng(914)
+        chosen = 0
+        for n in (3, 4):
+            for m in (random_ppt_mixture(rng, n), random_pt_invariant(rng, n)):
+                state = DensityState(m)
+                res = paired_products(state.range_basis, state.pt_range_basis, state.tol)
+                for cands in (getattr(res, "samples", res),
+                              real_e_products(state.range_basis, state.tol)):
+                    cands = cands + [random_product_vector(rng, n)]
+                    best = sepengine._best_subtraction(state, cands)
+                    assert best is scalar_best_subtraction(state, cands)
+                    chosen += best is not None
+                    for v in cands:
+                        assert (bits_or_exc(outcome(lambda_bounds, state, v))
+                                == bits_or_exc(outcome(scalar_lambda_bounds, state, v)))
+        assert chosen >= 6
+
+    def test_best_subtraction_tie_and_nonpositive_form(self):
+        # a diagonal state on C2 x C3 whose product basis vectors are: outside
+        # the range, with a negative quadratic form, of weight 1, and tied at weight 2
+        m = np.diag([1.0, 0.0, -0.5, 2.0, 1.0, 2.0]).astype(complex)
+        state = DensityState(m, require_psd=False)
+        basis = np.eye(3)
+        cands = [ProductVector.from_e_f(e, f) for e, f in
+                 [([1, 0], basis[1]), ([1, 0], basis[2]), ([0, 1], basis[1]),
+                  ([0, 1], basis[0]), ([1, 0], basis[0]), ([0, 1], basis[2])]]
+        outcomes = [outcome(lambda_bounds, state, v) for v in cands]
+        assert outcomes == [outcome(scalar_lambda_bounds, state, v) for v in cands]
+        assert outcomes[:3] == [(VectorOutsideRange, "|e,f> is not in the range of the state"),
+                                (VectorOutsideRange, "nonpositive pseudoinverse quadratic form"),
+                                (1.0, 1.0)]
+        assert outcomes[3] == outcomes[5] == (2.0, 2.0) and outcomes[4] == (1.0, 1.0)
+        for order in (cands, cands[::-1], cands[:3]):
+            best = sepengine._best_subtraction(state, order)
+            assert best is scalar_best_subtraction(state, order)
+        assert sepengine._best_subtraction(state, cands) is cands[3]
+        assert sepengine._best_subtraction(state, cands[::-1]) is cands[5]
+        assert sepengine._best_subtraction(state, cands[:2]) is None
+        assert sepengine._best_subtraction(state, []) is None
+
+    def test_kernel_terms(self):
+        rng = np.random.default_rng(915)
+        for n in (2, 3, 5):
+            state = DensityState(build_separable(rng, n, n)[0])
+            found = kernel_product_vectors(state)
+            ours = sepengine._kernel_terms(state, found)
+            ref = [scalar_kernel_term(state, v) for v in found]
+            assert len(ours) == len(ref) == n
+            for (lam, sub, (w, pv)), (lam_r, sub_r, (w_r, pv_r)) in zip(ours, ref):
+                assert (lam.hex(), w.hex()) == (lam_r.hex(), w_r.hex())
+                assert sub.tobytes() == sub_r.tobytes()
+                assert_same_vectors([pv], [pv_r])
+
+    def test_kernel_term_declines(self):
+        rng = np.random.default_rng(916)
+        n = 3
+        e, f = crand(rng, 2), crand(rng, n)
+        e, f = e / np.linalg.norm(e), f / np.linalg.norm(f)
+        ehat = np.array([-np.conj(e[1]), np.conj(e[0])])
+        v = ProductVector.from_e_f(e, f)
+        b, c = crand(rng, n), crand(rng, n)
+        b_perp, c_perp = b - np.vdot(f, b) * f, c - np.vdot(f, c) * f
+
+        def state_of(*terms, psd=True):
+            m = sum(w * np.outer(x, x.conj()) for w, x in terms)
+            return DensityState(m, require_psd=psd)
+
+        good = state_of((1.0, np.kron(ehat, b)), (0.5, np.kron(crand(rng, 2), b_perp)))
+        not_kernel = state_of((1.0, np.kron(e, b)), (1.0, np.kron(ehat, b)))
+        # every f' in the support is orthogonal to f: rho annihilates |e_hat, f>
+        annihilated = state_of((1.0, np.kron(crand(rng, 2), b_perp)), (1.0, np.kron(ehat, c_perp)))
+        psi = np.kron(ehat, b) + np.kron(e, b_perp)  # orthogonal to |e,f>, entangled
+        not_line = state_of((1.0, psi))
+        negative = state_of((-1.0, np.kron(ehat, b)), psd=False)
+        expected = {
+            "good": None,
+            "not_kernel": (ValueError, "vector is not in the kernel of the state"),
+            "annihilated": (SupportViolation,
+                            "state annihilates |e_hat, f>; strip the support first"),
+            "not_line": (NonGenericInput, "kernel image is not a product line"),
+            "negative": (NonGenericInput, "nonpositive overlap between g and f"),
+        }
+        states = dict(good=good, not_kernel=not_kernel, annihilated=annihilated,
+                      not_line=not_line, negative=negative)
+        for name, state in states.items():
+            ref = outcome(scalar_kernel_term, state, v)
+            got = outcome(sepengine._kernel_terms, state, [v])
+            if expected[name] is None:
+                assert bits_or_exc(got[0]) == bits_or_exc(ref)
+            else:
+                assert got == ref == expected[name]
+            # a failing vector behind a passing one, and ahead of one failing otherwise
+            others = [ProductVector.from_e_f(e, f + 1e-3 * crand(rng, n)),
+                      ProductVector.from_e_f(ehat, b)]
+            for vectors in ([v] + others, others + [v], [others[1], v, others[0]]):
+                ref_all = outcome(lambda: [scalar_kernel_term(state, x) for x in vectors])
+                got_all = outcome(sepengine._kernel_terms, state, vectors)
+                assert bits_or_exc(got_all) == bits_or_exc(ref_all)
+
+
+def bits_or_exc(x):
+    """Exact text of bounds, kernel terms or a raised outcome."""
+    if isinstance(x, tuple) and x and isinstance(x[0], type):
+        return x
+    if isinstance(x, (list, tuple)):
+        return [bits_or_exc(y) for y in x]
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, ProductVector):
+        return (bits(x.alpha), x.e.tobytes(), x.f.tobytes(), x.vector.tobytes())
+    raise TypeError(type(x).__name__)

@@ -22,6 +22,7 @@ from helpers import (
     psd_difference_oracle,
     random_product_vector,
     random_psd,
+    random_pt_invariant,
 )
 
 
@@ -103,6 +104,97 @@ class TestRankKernel:
         perturbed = DensityState(m + noise)
         assert perturbed.rank == state.rank
         assert perturbed.pt_rank == state.pt_rank
+
+
+def pt_invariant_bytes(rng, n):
+    """A state whose symmetrized matrix equals its partial transpose byte for byte."""
+    m = random_pt_invariant(rng, n)
+    return hermitize((m + partial_transpose_matrix(m, n)) / 2)
+
+
+def assert_eager_pt_fields(state):
+    """The lazy PT fields equal those of an ``eigh`` of ``pt_matrix`` taken now."""
+    w, v = np.linalg.eigh(state.pt_matrix)
+    assert state._pt_eigvals.tobytes() == w.tobytes()
+    assert state._pt_eigvecs.tobytes() == v.tobytes()
+    assert state.pt_min_eigenvalue == float(w[0])
+    mags = np.abs(w)
+    keep = mags > state.tol.rank_rel_tol * np.max(mags)
+    order = np.argsort(-mags)
+    assert state.pt_rank == int(np.count_nonzero(keep))
+    assert state.pt_range_basis.tobytes() == v[:, [i for i in order if keep[i]]].tobytes()
+    assert state.pt_kernel_basis.tobytes() == v[:, [i for i in order if not keep[i]]].tobytes()
+
+
+class TestLazyTransposeSpectrum:
+    """The partial transpose's spectrum is computed on first read, and shared when equal."""
+
+    def test_bytewise_invariant_state_shares_the_spectrum(self):
+        rng = np.random.default_rng(70)
+        for n in (1, 2, 3, 5):
+            state = DensityState(pt_invariant_bytes(rng, n))
+            assert state.pt_matrix.tobytes() == state.matrix.tobytes()
+            assert state._pt_eigvecs is state._eigvecs
+            assert (state.pt_rank, state.pt_range_basis) == (state.rank, state.range_basis)
+            assert state.pt_pseudoinverse().tobytes() == state.pseudoinverse().tobytes()
+            assert_eager_pt_fields(state)
+
+    def test_signed_zero_difference_does_not_share(self):
+        # the transpose's off-diagonal block differs only in the sign of an
+        # imaginary zero, so it compares equal but not byte for byte
+        m = np.eye(4, dtype=complex)
+        m[0, 2], m[2, 0] = 0.2 + 0.0j, complex(0.2, -0.0)
+        state = DensityState(m)
+        assert np.array_equal(state.pt_matrix, state.matrix)
+        assert state.pt_matrix.tobytes() != state.matrix.tobytes()
+        assert state._pt_eigvecs is not state._eigvecs
+        assert_eager_pt_fields(state)
+
+    def test_lazy_fields_equal_an_eager_eigh(self):
+        rng = np.random.default_rng(71)
+        npt = np.zeros((4, 4), dtype=complex)
+        npt[[0, 0, 3, 3], [0, 3, 0, 3]] = 0.5
+        inputs = [build_separable(rng, 3, 4)[0], random_psd(rng, 6), random_psd(rng, 8, rank=3),
+                  npt, random_pt_invariant(rng, 4), pt_invariant_bytes(rng, 4),
+                  np.zeros((4, 4), dtype=complex)]
+        for m in inputs:
+            state = DensityState(m, require_psd=False)
+            assert "pt_rank" not in vars(state)
+            assert_eager_pt_fields(state)
+
+    def test_psd_error_at_construction(self):
+        with pytest.raises(ValueError) as exc:
+            DensityState(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))
+        assert str(exc.value) == "matrix is not PSD (min eigenvalue -5.000e-01, norm 1.000e+00)"
+
+    def test_warnings_list_rho_before_rho_pt(self):
+        line = "{}: 1 eigenvalue(s) within 10x of the rank cutoff"
+        shared = DensityState(np.diag([1.0, 2e-9, 1.0, 1.0]).astype(complex))
+        assert shared.warnings == [line.format("rho"), line.format("rho_pt")]
+        # the transpose alone has an eigenvalue near the cutoff: 1 - c = 2e-9
+        m = np.diag([1.0, 3.0, 3.0, 1.0]).astype(complex)
+        m[1, 2] = m[2, 1] = 1.0 - 2e-9
+        only_pt = DensityState(m)
+        assert "warnings" not in vars(only_pt) and only_pt.rank == 4
+        assert only_pt.warnings == [line.format("rho_pt")]
+        # on C2 x C3 the same coupling, plus a small weight on both spectra
+        m = np.diag([1.0, 3.0, 6e-9, 3.0, 1.0, 1.0]).astype(complex)
+        m[1, 3] = m[3, 1] = 1.0 - 2e-9
+        both = DensityState(m)
+        assert both.warnings == [line.format("rho"),
+                                 "rho_pt: 2 eigenvalue(s) within 10x of the rank cutoff"]
+
+    def test_fields_stay_assignable(self, monkeypatch):
+        m = build_separable(np.random.default_rng(72), 3, 3)[0]
+        state = DensityState(m)
+        state.pt_rank = 4  # before the first read
+        assert state.pt_range_basis.shape[1] == 3
+        assert state.pt_rank == 4
+        other = DensityState(m)
+        monkeypatch.setattr(other, "pt_min_eigenvalue", -1.0)
+        assert not other.is_ppt
+        monkeypatch.undo()
+        assert other.is_ppt and other.pt_rank == 3
 
 
 class TestPseudoinverse:

@@ -17,6 +17,7 @@ from sep2n.productfinder import (
 )
 from sep2n.sepengine import (
     DependentProjectors,
+    NotPTInvariant,
     SeparabilityCertificate,
     VectorOutsideRange,
     Verdict,
@@ -369,8 +370,8 @@ class TestRankNFallback:
 
     def test_term_check_failure_runs_loop(self, monkeypatch):
         m = build_separable(np.random.default_rng(21), 4, 4)[0]
-        monkeypatch.setattr(sepengine, "_kernel_term",
-                            failing_once(sepengine._kernel_term, NonGenericInput("planted")))
+        monkeypatch.setattr(sepengine, "_kernel_terms",
+                            failing_once(sepengine._kernel_terms, NonGenericInput("planted")))
         searches = counting(monkeypatch, "kernel_product_vectors")
         reductions = counting(monkeypatch, "reduce_by_kernel")
         cert = decompose_rank_n(DensityState(m))
@@ -463,8 +464,30 @@ class TestPtInvariantDecompose:
         m, _, _ = build_separable(rng, 2, 4)
         state = DensityState(m)
         if np.linalg.norm(state.matrix - state.pt_matrix) > 1e-6:
-            with pytest.raises(ValueError):
+            with pytest.raises(NotPTInvariant):
                 pt_invariant_decompose(state)
+
+    def test_nested_run_skips_the_analyze_bookkeeping(self, monkeypatch):
+        # only analyze's own passes read borderline support spectra, and its
+        # PT-invariant stage leaves the invariance test to the decomposition
+        borderline = counting(monkeypatch, "_support_borderline")
+        tests = []
+        real_test = sepengine.operator_norm_at_most
+
+        def counted(m, *args, **kwargs):
+            tests.append(m.shape)
+            return real_test(m, *args, **kwargs)
+
+        monkeypatch.setattr(sepengine, "operator_norm_at_most", counted)
+        state = DensityState(random_pt_invariant(np.random.default_rng(3), 3))
+        pt_invariant_decompose(state)
+        assert borderline == []
+        nested = len(tests)
+        _verdict, trace = analyze(state)
+        assert [s.op for s in trace.steps] == ["pt-invariant"]
+        assert len(borderline) == 1
+        # the nested run's norm tests and analyze's re-verification, no other test
+        assert len(tests) - nested == nested + 1
 
 
 class TestSymmetricSplit:
