@@ -10,6 +10,7 @@ all downstream branching.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "ToleranceConfig",
+    "DEFAULT_TOL",
     "DensityState",
     "RankInfo",
     "as_complex_matrix",
@@ -55,7 +57,15 @@ class ToleranceConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (np.isfinite(value) and value > 0):
+            # bools are Integral, and numpy's bool is not Real; the value is
+            # stored as given, so a report shows the type it was given
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            try:
+                finite_positive = value > 0 and math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite_positive = False
+            if not finite_positive:
                 raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
         if self.rank_rel_tol >= 1:
             raise ValueError("rank_rel_tol must be < 1")
@@ -64,12 +74,16 @@ class ToleranceConfig:
         return asdict(self)
 
 
+# The tolerances of every call that is given none; frozen, so safely shared.
+DEFAULT_TOL = ToleranceConfig()
+
+
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a finite 2-D complex array."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -84,7 +98,8 @@ def operator_norm(m) -> float:
     m = as_complex_matrix(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    # what ``np.linalg.norm(m, 2)`` computes, without its dispatch
+    return float(np.linalg.svd(m, compute_uv=False).max(initial=0))
 
 
 # Relative margin by which the entry bracket must clear a bound before it
@@ -92,6 +107,8 @@ def operator_norm(m) -> float:
 BRACKET_MARGIN = 1e-6
 # Below this, products and entries lose relative precision to subnormals.
 _BRACKET_SAFE = np.finfo(float).tiny / BRACKET_MARGIN
+# Floor of the Hermiticity test's relative tolerance.
+_HERMITIAN_FLOOR = 1e3 * np.finfo(float).eps
 
 
 def _entry_bracket(m) -> tuple[float, float] | None:
@@ -140,7 +157,7 @@ def _is_hermitian(m: np.ndarray, tol: "ToleranceConfig") -> bool:
     """``||M - M^dag|| <= max(psd_tol, 1e3 eps) * ||M||``; exact Hermitian input skips the norms."""
     skew = m - m.conj().T
     return not np.any(skew) or operator_norm_at_most(
-        skew, max(tol.psd_tol, 1e3 * np.finfo(float).eps), m)
+        skew, max(tol.psd_tol, _HERMITIAN_FLOOR), m)
 
 
 def partial_transpose_matrix(m: np.ndarray, n: int) -> np.ndarray:
@@ -172,7 +189,7 @@ def numerical_rank_kernel(m, tol: ToleranceConfig | None = None) -> RankInfo:
     basis the corresponding left-singular space.  Both are orthonormal and
     ``rank + kernel columns == cols`` always holds.
     """
-    tol = tol or ToleranceConfig()
+    tol = tol or DEFAULT_TOL
     m = as_complex_matrix(m)
     u, s, vh = np.linalg.svd(m)
     if s.size == 0 or s[0] <= 0.0:
@@ -190,7 +207,7 @@ def pseudoinverse(m, tol: ToleranceConfig | None = None) -> np.ndarray:
     Eigenvalues below the rank cutoff are dropped, not inverted, so the
     product ``M @ pinv(M)`` is the orthogonal projector onto the range of M.
     """
-    tol = tol or ToleranceConfig()
+    tol = tol or DEFAULT_TOL
     m = as_complex_matrix(m)
     if not _is_hermitian(m, tol):
         raise ValueError("pseudoinverse requires a Hermitian matrix")
@@ -238,7 +255,7 @@ def psd_difference_check(x, y, tol: ToleranceConfig | None = None) -> bool:
     Equivalent to the two conditions: the kernel of X is annihilated by Y,
     and ``||Y^{1/2} X^{-1/2}||^2 <= 1`` with the pseudoinverse square root.
     """
-    tol = tol or ToleranceConfig()
+    tol = tol or DEFAULT_TOL
     x = as_complex_matrix(x, "X")
     y = as_complex_matrix(y, "Y")
     _require_psd(x, tol, "X")
@@ -296,7 +313,7 @@ class DensityState:
 
     def __init__(self, matrix, n: int | None = None, tol: ToleranceConfig | None = None,
                  require_psd: bool = True):
-        tol = tol or ToleranceConfig()
+        tol = tol or DEFAULT_TOL
         m = as_complex_matrix(matrix, "density matrix")
         dim = m.shape[0]
         if m.shape[1] != dim or dim % 2 != 0 or dim == 0:
@@ -338,16 +355,15 @@ class DensityState:
     def _split(self, w, v):
         """Rank, kernel and range bases, and the count of eigenvalues near the cutoff."""
         mags = np.abs(w)
-        wmax = float(np.max(mags)) if mags.size else 0.0
+        wmax = float(mags.max()) if mags.size else 0.0
         cutoff = self.tol.rank_rel_tol * wmax
         keep = mags > cutoff
         # both sides of the cutoff are suspect: kept values barely above it
         # and dropped values barely below it make the integer rank fragile
         borderline = np.count_nonzero((mags > cutoff / 10) & (mags < 10 * cutoff))
         order = np.argsort(-mags)
-        kept = [i for i in order if keep[i]]
-        dropped = [i for i in order if not keep[i]]
-        return len(kept), v[:, dropped], v[:, kept], borderline
+        kept = keep[order]
+        return int(np.count_nonzero(kept)), v[:, order[~kept]], v[:, order[kept]], borderline
 
     def _fill_pt_spectrum(self):
         """Compute every ``_PTField``; a field assigned before keeps its value."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .matrixcore import ToleranceConfig
+from .matrixcore import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "BivariatePoly",
@@ -63,24 +63,25 @@ def _trim(grid: np.ndarray) -> np.ndarray:
     g = np.asarray(grid, dtype=complex)
     if g.ndim != 2:
         g = np.atleast_2d(g)
-    top = np.max(np.abs(g)) if g.size else 0.0
+    mags = np.abs(g)
+    top = mags.max() if g.size else 0.0
     if not np.isfinite(top):  # a non-finite entry, or a modulus overflowing from finite parts
         raise NonFinite("non-finite coefficients")
     if top <= 0.0:
         return np.zeros((1, 1), dtype=complex)
-    mask = np.abs(g) > TRIM_REL_TOL * top
-    g = np.where(mask, g, 0.0)
-    rows = np.nonzero(mask.any(axis=1))[0]
-    cols = np.nonzero(mask.any(axis=0))[0]
-    return g[: rows[-1] + 1, : cols[-1] + 1]
+    mask = mags > TRIM_REL_TOL * top
+    rows = np.nonzero(mask.any(axis=1))[0][-1] + 1
+    cols = np.nonzero(mask.any(axis=0))[0][-1] + 1
+    return np.where(mask[:rows, :cols], g[:rows, :cols], 0.0)
 
 
 def _is_zero(grid: np.ndarray) -> bool:
-    return grid.size == 0 or np.max(np.abs(grid)) <= 0.0
+    # NaN counts as nonzero and -0.0 as zero, as under ``max|c| <= 0``
+    return not grid.any()
 
 
 def _normalize(grid: np.ndarray) -> np.ndarray:
-    top = np.max(np.abs(grid)) if grid.size else 0.0
+    top = np.abs(grid).max() if grid.size else 0.0
     if not np.isfinite(top):
         raise NonFinite("coefficient overflow during elimination")
     if top <= 0.0:
@@ -116,11 +117,12 @@ def _scalar_proportional(g1: np.ndarray, g2: np.ndarray) -> bool:
     a, b = _trim(g1), _trim(g2)
     if a.shape != b.shape:
         return False
-    i = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    mags = np.abs(a)
+    i = np.unravel_index(mags.argmax(), a.shape)
     if abs(b[i]) <= 0.0:
         return False
-    c = a[i] / b[i]
-    return np.max(np.abs(a - c * b)) <= 1e-9 * max(np.max(np.abs(a)), np.max(np.abs(c * b)))
+    cb = a[i] / b[i] * b
+    return np.abs(a - cb).max() <= 1e-9 * max(mags.max(), np.abs(cb).max())
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,8 @@ def pair_elimination_bound(deg_alpha: int, deg_conj: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _alpha_divisible(grid: np.ndarray) -> bool:
-    top = np.max(np.abs(grid))
-    return bool(np.all(np.abs(grid[0]) <= TRIM_REL_TOL * top))
+    mags = np.abs(grid)
+    return bool((mags[0] <= TRIM_REL_TOL * mags.max()).all())
 
 
 def _divide_alpha(grid: np.ndarray) -> np.ndarray:
@@ -423,12 +425,16 @@ def _eval_stack(stack: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Horner over the alpha rows, then over the conjugate columns, in the
     order ``polyval2d`` uses; returns shape ``(len(x), K)``.
     """
-    v = np.broadcast_to(stack[-1], (x.size,) + stack.shape[1:])
-    for row in stack[-2::-1]:
-        v = row + v * x[:, None, None]
+    xs, ys = x[:, None, None], y[:, None]
+    if stack.shape[0] == 1:
+        v = np.broadcast_to(stack[-1], (x.size,) + stack.shape[1:])
+    else:
+        v = stack[-2] + stack[-1] * xs
+    for row in stack[-3::-1]:
+        v = row + v * xs
     w = v[:, -1]
     for j in range(stack.shape[1] - 2, -1, -1):
-        w = v[:, j] + w * y[:, None]
+        w = v[:, j] + w * ys
     return w
 
 
@@ -530,7 +536,7 @@ def verify_roots(candidates, system: list[BivariatePoly],
     rounding decides whether the second singular value is kept, so there a
     root can move along its curve of roots and the accepted set can change.
     """
-    tol = tol or ToleranceConfig()
+    tol = tol or DEFAULT_TOL
     if not system:
         raise ValueError("verify_roots needs a nonempty system")
     points = np.asarray(candidates, dtype=complex).ravel()

@@ -19,11 +19,12 @@ one scalar at a time.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .matrixcore import ToleranceConfig, numerical_rank_kernel
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, numerical_rank_kernel
 from .polyelim import (
     BivariatePoly,
     DegenerateElimination,
@@ -279,10 +280,14 @@ def _sort_key(v: ProductVector):
 # determinant-polynomial extraction by interpolation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _inv_dft(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deg + 1 roots of unity and the inverse of their Vandermonde matrix, read-only."""
     nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
     vand = nodes[:, None] ** np.arange(deg + 1)[None, :]
-    return nodes, vand.conj().T / (deg + 1)
+    inv = vand.conj().T / (deg + 1)
+    nodes.flags.writeable = inv.flags.writeable = False
+    return nodes, inv
 
 
 def det_poly_univariate(ac: np.ndarray, bc: np.ndarray) -> UnivariatePoly:
@@ -300,9 +305,9 @@ def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
     nodes_b, inv_b = _inv_dft(db)
     top = nodes_a[:, None, None] * rows_alpha[0] + rows_alpha[1]
     bottom = nodes_b[:, None, None] * rows_conj[0] + rows_conj[1]
-    grid = (da + 1, db + 1)
-    m = np.concatenate([np.broadcast_to(top[:, None], grid + top.shape[1:]),
-                        np.broadcast_to(bottom[None], grid + bottom.shape[1:])], axis=2)
+    m = np.empty((da + 1, db + 1, da + db, top.shape[2]), dtype=complex)
+    m[:, :, :da] = top[:, None]
+    m[:, :, da:] = bottom[None]
     return BivariatePoly(inv_a @ np.linalg.det(m) @ inv_b.T)
 
 
@@ -450,7 +455,7 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
     polynomial whose roots give the finitely many solutions; below N the
     system is overdetermined and the verified solution set may be empty.
     """
-    tol = tol or ToleranceConfig()
+    tol = tol or DEFAULT_TOL
     h = _orthonormalize(h)
     two_n, m = h.shape
     n = two_n // 2
@@ -488,8 +493,10 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
 def _block_rows_independent(ac, bc, probe: complex) -> bool:
     if ac.shape[0] == 0:
         return True
-    m = probe * ac + bc
-    return np.linalg.matrix_rank(m, tol=1e-10 * max(1.0, float(np.linalg.norm(m, 2)))) == ac.shape[0]
+    # one SVD gives both the 2-norm and the rank that ``matrix_rank`` would count
+    s = np.linalg.svd(probe * ac + bc, compute_uv=False)
+    tol = 1e-10 * max(1.0, float(s.max(initial=0)))
+    return np.count_nonzero(s > tol) == ac.shape[0]
 
 
 def _row_selections(r1: int, r2: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -593,7 +600,7 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
         finite enumeration covers), the elimination degenerates, or a root
         carries a solution space of dimension > 1: a non-generic instance.
     """
-    tol = tol or ToleranceConfig()
+    tol = tol or DEFAULT_TOL
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)
     n = h1.shape[0] // 2
@@ -629,7 +636,7 @@ def real_e_products(h, tol: ToleranceConfig | None = None) -> list[ProductVector
     For each real alpha the constraint rows number fewer than N, so a
     nontrivial f always exists; the result is never empty.
     """
-    tol = tol or ToleranceConfig()
+    tol = tol or DEFAULT_TOL
     h = _orthonormalize(h)
     two_n, m = h.shape
     n = two_n // 2

@@ -21,6 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .matrixcore import (
+    DEFAULT_TOL,
     DensityState,
     ToleranceConfig,
     hermitize,
@@ -175,7 +176,7 @@ def _matrix_and_tol(state) -> tuple[np.ndarray, ToleranceConfig]:
     """A DensityState's matrix and tolerances, or a raw matrix with the default ones."""
     if isinstance(state, DensityState):
         return state.matrix, state.tol
-    return np.asarray(state, dtype=complex), ToleranceConfig()
+    return np.asarray(state, dtype=complex), DEFAULT_TOL
 
 
 def _bound_stacks(state: DensityState, vecs: np.ndarray, partners: np.ndarray):
@@ -210,13 +211,15 @@ def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
     return 1.0 / float(q), 1.0 / float(qbar)
 
 
-def subtract(state: DensityState, v: ProductVector) -> tuple[DensityState, float, str]:
+def subtract(state: DensityState, v: ProductVector, *,
+             _bounds: tuple[float, float] | None = None) -> tuple[DensityState, float, str]:
     """Remove ``min(lam0, lam0bar)`` times the product projector.
 
     The returned case tag records which rank drops: "i" the state's, "ii"
-    the partial transpose's, "iii" both (tied weights).
+    the partial transpose's, "iii" both (tied weights).  ``_bounds`` is
+    ``lambda_bounds(state, v)`` when the caller has already screened v.
     """
-    lam0, lamb0 = lambda_bounds(state, v)
+    lam0, lamb0 = lambda_bounds(state, v) if _bounds is None else _bounds
     if abs(lam0 - lamb0) <= TIE_REL_TOL * max(lam0, lamb0):
         case = "iii"
     elif lam0 < lamb0:
@@ -476,8 +479,13 @@ def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
                           _real_e_subtraction))
 
 
-def _best_subtraction(state: DensityState, candidates) -> ProductVector | None:
-    """The first candidate of largest ``min(lambda_bounds)``; None when no candidate has bounds."""
+def _best_subtraction(state: DensityState, candidates):
+    """The first candidate of largest ``min(lambda_bounds)``, and its ``lambda_bounds``.
+
+    None when no candidate has bounds.  The bounds are, to the bit, those
+    that ``lambda_bounds`` computes for the candidate alone: a one-row stack
+    gives the same row.
+    """
     if not candidates:
         return None
     inside, pt_inside, q, qbar = _bound_stacks(state, *vector_stacks(candidates))
@@ -488,7 +496,8 @@ def _best_subtraction(state: DensityState, candidates) -> ProductVector | None:
     usable = inside & pt_inside & ~((q <= 0) | (qbar <= 0)) & ~np.isnan(lam)
     if not usable.any():
         return None
-    return candidates[int(np.argmax(np.where(usable, lam, -np.inf)))]
+    k = int(np.argmax(np.where(usable, lam, -np.inf)))
+    return candidates[k], (float(lam0[k]), float(lamb0[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -818,10 +827,11 @@ def _rank_n_kernel(run: _Run, cur: DensityState):
 
 def _real_e_subtraction(run: _Run, cur: DensityState):
     """Subtract the real-e product vector of largest weight and re-symmetrize."""
-    best = _best_subtraction(cur, real_e_products(cur.range_basis, cur.tol))
-    if best is None:
+    screened = _best_subtraction(cur, real_e_products(cur.range_basis, cur.tol))
+    if screened is None:
         return run.stop("no subtractable real-e product vector found")
-    new, lam, _case = subtract(cur, best)
+    best, bounds = screened
+    new, lam, _case = subtract(cur, best, _bounds=bounds)
     run.terms.append((lam, _lift_pv(best, run.lift)))
     # re-symmetrize to cancel floating-point drift of the invariance
     symm = hermitize((new.matrix + new.pt_matrix) / 2)
@@ -849,12 +859,13 @@ def _paired_search(run: _Run, cur: DensityState):
     if isinstance(res, InfiniteFamily):
         if cur.rank + cur.pt_rank <= 3 * cur.n:
             run.trace.notes.append("infinite family below the 3N threshold (non-generic)")
-        best = _best_subtraction(cur, res.samples)
-        if best is None:
+        screened = _best_subtraction(cur, res.samples)
+        if screened is None:
             run.flag(REASON_INFINITE_FAMILY)
             return _STOP
+        best, bounds = screened
         try:
-            new, lam, case = subtract(cur, best)
+            new, lam, case = subtract(cur, best, _bounds=bounds)
         except (VectorOutsideRange, ValueError) as exc:
             return run.stop(f"sample subtraction failed: {exc}", REASON_INFINITE_FAMILY)
         run.terms.append((lam, _lift_pv(best, run.lift)))

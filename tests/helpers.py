@@ -9,13 +9,18 @@ candidate and polynomial, for the batched one in the library; the
 fixed-alpha solves and the determinant interpolation have one-alpha,
 one-node references for the stacked calls that replaced them, and the
 candidate screens (phase normalization, range tests, the partner filter,
-the subtraction bounds and the kernel terms) one-vector references.
+the subtraction bounds and the kernel terms) one-vector references.  The
+per-call primitives whose validation, allocation and Python loops were cut
+(input checks, the rank split, coefficient-grid helpers, Horner evaluation,
+the interpolation matrices and the block rank test) keep their former forms
+here, as bitwise references.
 """
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from sep2n.matrixcore import hermitize, partial_transpose_matrix
+from sep2n.polyelim import TRIM_REL_TOL, NonFinite
 from sep2n.productfinder import (
     CHART_INFINITY_TOL,
     KERNEL_PARTNER_REL_TOL,
@@ -636,6 +641,96 @@ def scalar_det_poly_bivariate(rows_alpha, rows_conj):
                            y * rows_conj[0] + rows_conj[1]])
             grid[i, j] = np.linalg.det(m)
     return inv_a @ grid @ inv_b.T
+
+
+# ---------------------------------------------------------------------------
+# per-call primitives: the forms that the overhead cuts in ``matrixcore``,
+# ``polyelim`` and ``productfinder`` replaced, kept as their bitwise references
+# ---------------------------------------------------------------------------
+
+def reference_as_complex_matrix(a, name="matrix"):
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def reference_split(tol, w, v):
+    """``DensityState._split`` choosing its columns by list comprehensions."""
+    mags = np.abs(w)
+    wmax = float(np.max(mags)) if mags.size else 0.0
+    cutoff = tol.rank_rel_tol * wmax
+    keep = mags > cutoff
+    borderline = np.count_nonzero((mags > cutoff / 10) & (mags < 10 * cutoff))
+    order = np.argsort(-mags)
+    kept = [i for i in order if keep[i]]
+    dropped = [i for i in order if not keep[i]]
+    return len(kept), v[:, dropped], v[:, kept], borderline
+
+
+def reference_trim(grid):
+    """``polyelim._trim`` masking the whole grid before it slices."""
+    g = np.asarray(grid, dtype=complex)
+    if g.ndim != 2:
+        g = np.atleast_2d(g)
+    top = np.max(np.abs(g)) if g.size else 0.0
+    if not np.isfinite(top):
+        raise NonFinite("non-finite coefficients")
+    if top <= 0.0:
+        return np.zeros((1, 1), dtype=complex)
+    mask = np.abs(g) > TRIM_REL_TOL * top
+    g = np.where(mask, g, 0.0)
+    rows = np.nonzero(mask.any(axis=1))[0]
+    cols = np.nonzero(mask.any(axis=0))[0]
+    return g[: rows[-1] + 1, : cols[-1] + 1]
+
+
+def reference_is_zero(grid):
+    return grid.size == 0 or np.max(np.abs(grid)) <= 0.0
+
+
+def reference_alpha_divisible(grid):
+    top = np.max(np.abs(grid))
+    return bool(np.all(np.abs(grid[0]) <= TRIM_REL_TOL * top))
+
+
+def reference_scalar_proportional(g1, g2):
+    a, b = reference_trim(g1), reference_trim(g2)
+    if a.shape != b.shape:
+        return False
+    i = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    if abs(b[i]) <= 0.0:
+        return False
+    c = a[i] / b[i]
+    return np.max(np.abs(a - c * b)) <= 1e-9 * max(np.max(np.abs(a)), np.max(np.abs(c * b)))
+
+
+def reference_eval_stack(stack, x, y):
+    """Horner over a ``(A, B, K)`` stack, starting from the broadcast last row."""
+    v = np.broadcast_to(stack[-1], (x.size,) + stack.shape[1:])
+    for row in stack[-2::-1]:
+        v = row + v * x[:, None, None]
+    w = v[:, -1]
+    for j in range(stack.shape[1] - 2, -1, -1):
+        w = v[:, j] + w * y[:, None]
+    return w
+
+
+def reference_inv_dft(deg):
+    """Interpolation nodes and inverse Vandermonde matrix, computed afresh."""
+    nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
+    vand = nodes[:, None] ** np.arange(deg + 1)[None, :]
+    return nodes, vand.conj().T / (deg + 1)
+
+
+def reference_block_rows_independent(ac, bc, probe):
+    """Rank test from ``matrix_rank`` with a cutoff from ``norm(., 2)``: two SVDs."""
+    if ac.shape[0] == 0:
+        return True
+    m = probe * ac + bc
+    return np.linalg.matrix_rank(m, tol=1e-10 * max(1.0, float(np.linalg.norm(m, 2)))) == ac.shape[0]
 
 
 def shared_e_rank_n(rng, n):

@@ -355,7 +355,7 @@ def test_pt_invariant_failure_records_reason(monkeypatch, no_fallbacks):
 
 
 def test_zero_remainder(monkeypatch):
-    def to_zero(state, v):
+    def to_zero(state, v, **_):
         return DensityState(np.zeros_like(state.matrix), n=state.n, require_psd=False), 1.0, "iii"
 
     monkeypatch.setattr(sepengine, "subtract", to_zero)

@@ -6,16 +6,24 @@ one-at-a-time loop it replaced (kept in ``helpers``), on seeded systems, and
 requires exact equality: alphas compared by their float hex, arrays by
 their bytes.  ``TestNumpyForms`` pins the numpy forms that this rests on,
 so a numpy or BLAS upgrade that breaks them fails there by name.
+``TestPerCallPrimitives`` holds each primitive that was cut to fewer numpy
+calls to its former form, by bytes, and by memory layout where it was kept.
 """
 
 import numpy as np
 import pytest
 
 from sep2n import productfinder, sepengine
-from sep2n.matrixcore import DensityState, ToleranceConfig
+from sep2n.matrixcore import DensityState, ToleranceConfig, as_complex_matrix
 from sep2n.polyelim import (
     BivariatePoly,
+    NonFinite,
     UnivariatePoly,
+    _alpha_divisible,
+    _eval_stack,
+    _is_zero,
+    _scalar_proportional,
+    _trim,
     univariate_roots,
     verify_roots,
 )
@@ -26,8 +34,10 @@ from sep2n.productfinder import (
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
+    _block_rows_independent,
     _chart_products,
     _inner,
+    _inv_dft,
     _orthonormalize,
     _phase_normalize,
     _refine_alpha_f,
@@ -51,6 +61,15 @@ from helpers import (
     random_ppt_mixture,
     random_product_vector,
     random_pt_invariant,
+    reference_alpha_divisible,
+    reference_as_complex_matrix,
+    reference_block_rows_independent,
+    reference_eval_stack,
+    reference_inv_dft,
+    reference_is_zero,
+    reference_scalar_proportional,
+    reference_split,
+    reference_trim,
     scalar_best_subtraction,
     scalar_chart_products,
     scalar_collect_single,
@@ -467,7 +486,7 @@ class TestCandidateScreens:
                 for cands in (getattr(res, "samples", res),
                               real_e_products(state.range_basis, state.tol)):
                     cands = cands + [random_product_vector(rng, n)]
-                    best = sepengine._best_subtraction(state, cands)
+                    best = best_subtraction(state, cands)
                     assert best is scalar_best_subtraction(state, cands)
                     chosen += best is not None
                     for v in cands:
@@ -491,12 +510,12 @@ class TestCandidateScreens:
                                 (1.0, 1.0)]
         assert outcomes[3] == outcomes[5] == (2.0, 2.0) and outcomes[4] == (1.0, 1.0)
         for order in (cands, cands[::-1], cands[:3]):
-            best = sepengine._best_subtraction(state, order)
+            best = best_subtraction(state, order)
             assert best is scalar_best_subtraction(state, order)
-        assert sepengine._best_subtraction(state, cands) is cands[3]
-        assert sepengine._best_subtraction(state, cands[::-1]) is cands[5]
-        assert sepengine._best_subtraction(state, cands[:2]) is None
-        assert sepengine._best_subtraction(state, []) is None
+        assert best_subtraction(state, cands) is cands[3]
+        assert best_subtraction(state, cands[::-1]) is cands[5]
+        assert best_subtraction(state, cands[:2]) is None
+        assert best_subtraction(state, []) is None
 
     def test_kernel_terms(self):
         rng = np.random.default_rng(915)
@@ -558,6 +577,20 @@ class TestCandidateScreens:
                 assert bits_or_exc(got_all) == bits_or_exc(ref_all)
 
 
+def best_subtraction(state, candidates):
+    """The vector ``_best_subtraction`` picks, after checking the bounds it passes on.
+
+    They must be the one-vector ``lambda_bounds`` of that vector, to the bit.
+    """
+    screened = sepengine._best_subtraction(state, candidates)
+    if screened is None:
+        return None
+    v, bounds = screened
+    assert bits_or_exc(bounds) == bits_or_exc(lambda_bounds(state, v))
+    assert bits_or_exc(bounds) == bits_or_exc(scalar_lambda_bounds(state, v))
+    return v
+
+
 def bits_or_exc(x):
     """Exact text of bounds, kernel terms or a raised outcome."""
     if isinstance(x, tuple) and x and isinstance(x[0], type):
@@ -571,3 +604,157 @@ def bits_or_exc(x):
     if isinstance(x, ProductVector):
         return (bits(x.alpha), x.e.tobytes(), x.f.tobytes(), x.vector.tobytes())
     raise TypeError(type(x).__name__)
+
+
+def same_array(ours, ref, layout=True):
+    """Equal dtype, shape and bytes, and unless ``layout`` is false, memory layout."""
+    return (ours.dtype == ref.dtype and ours.shape == ref.shape
+            and ours.tobytes() == ref.tobytes()
+            and (not layout or (ours.flags.c_contiguous == ref.flags.c_contiguous
+                                and ours.flags.f_contiguous == ref.flags.f_contiguous)))
+
+
+def signed_zero_grids(rng):
+    """Coefficient grids with signed zeros, entries at the trim cutoff and zero borders."""
+    nz, pz = complex(-0.0, -0.0), complex(0.0, -0.0)
+    grids = [np.array([[nz]]), np.array([[nz, pz], [-0.0, 0.0]]), np.zeros((0, 3)),
+             np.array([1.0, -0.0, nz]), np.array([[1e-13, 1.0], [1e-12, nz]]),
+             np.array([[2.0, -0.0], [nz, 1e-12 * 2.0 * (1 + 2 ** -52)]])]
+    for _ in range(40):
+        a, b = (int(k) for k in rng.integers(1, 6, 2))
+        g = crand(rng, a, b) * 10.0 ** rng.integers(-12, 1, (a, b))
+        g[rng.random((a, b)) < 0.3] = nz
+        g[rng.random((a, b)) < 0.2] = pz
+        if rng.random() < 0.5:
+            g[-1] = -0.0
+        grids.append(g)
+    return grids
+
+
+class TestPerCallPrimitives:
+    """The primitives cut to fewer numpy calls give the bits of their former forms."""
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_as_complex_matrix_non_finite(self, part, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+        message = "^density matrix contains non-finite entries$"
+        for fn in (as_complex_matrix, reference_as_complex_matrix):
+            with pytest.raises(ValueError, match=message):
+                fn(m, "density matrix")
+        with pytest.raises(ValueError, match=message):
+            DensityState(m)
+
+    def test_as_complex_matrix_accepts_what_it_accepted(self):
+        rng = np.random.default_rng(930)
+        for a in ([[1, 2], [3, 4]], np.eye(3, dtype=np.float32), crand(rng, 3, 5),
+                  np.array([[-0.0, complex(0.0, -0.0)]]), np.zeros((0, 2))):
+            assert same_array(as_complex_matrix(a), reference_as_complex_matrix(a))
+        for a in (np.ones(3), np.ones((2, 2, 2))):
+            assert outcome(as_complex_matrix, a) == outcome(reference_as_complex_matrix, a)
+
+    def test_split(self):
+        rng = np.random.default_rng(931)
+        cutoff = TOL.rank_rel_tol
+        splits = 0
+        for n in range(1, 9):
+            for _ in range(6):
+                dim = 2 * n
+                u = np.linalg.qr(crand(rng, dim, dim))[0]
+                w = rng.uniform(0.1, 1.0, dim)
+                w[rng.random(dim) < 0.4] = 0.0
+                w[rng.random(dim) < 0.2] = cutoff * rng.choice([0.5, 0.99, 1.01, 3.0])
+                w[rng.random(dim) < 0.2] *= -1e-12
+                m = (u * w) @ u.conj().T
+                state = DensityState(m, require_psd=False)
+                for matrix in (state.matrix, state.pt_matrix):
+                    vals, vecs = np.linalg.eigh(matrix)
+                    ours = state._split(vals, vecs)
+                    ref = reference_split(state.tol, vals, vecs)
+                    assert type(ours[0]) is int and ours[0] == ref[0]
+                    assert same_array(ours[1], ref[1]) and same_array(ours[2], ref[2])
+                    assert ours[3] == ref[3]
+                    splits += 1
+        zero = DensityState(np.zeros((4, 4)), require_psd=False)
+        ours = zero._split(zero._eigvals, zero._eigvecs)
+        ref = reference_split(zero.tol, zero._eigvals, zero._eigvecs)
+        assert ours[0] == ref[0] == 0 and same_array(ours[1], ref[1])
+        assert same_array(ours[2], ref[2]) and ours[2].shape == (4, 0)
+        assert splits == 96
+
+    def test_eval_stack(self):
+        rng = np.random.default_rng(932)
+        for rows in range(1, 6):
+            for cols in range(1, 5):
+                for points in (0, 1, 4):
+                    stack = crand(rng, rows, cols, int(rng.integers(1, 4)))
+                    x = crand(rng, points)
+                    y = x.conj() if rng.random() < 0.5 else crand(rng, points)
+                    assert same_array(_eval_stack(stack, x, y), reference_eval_stack(stack, x, y))
+
+    def test_trim_and_grid_tests_on_signed_zeros(self):
+        rng = np.random.default_rng(933)
+        grids = signed_zero_grids(rng)
+        for g in grids:
+            # the trimmed grid is now a fresh C-ordered array, not a view of the mask
+            ours, ref = outcome(_trim, g), outcome(reference_trim, g)
+            assert same_array(ours, ref, layout=False) and ours.flags.c_contiguous
+            assert _is_zero(ours) == reference_is_zero(ref)
+            if ours.size:
+                assert _alpha_divisible(ours) == reference_alpha_divisible(ref)
+        for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(1.5e308, 1.5e308)):
+            g = np.array([[1.0, bad]])
+            with pytest.raises(NonFinite):
+                _trim(g)
+            with pytest.raises(NonFinite):
+                reference_trim(g)
+        for g in grids + [np.array([[0.0, 2j]]), np.array([[complex(-0.0, 1e-300)]])]:
+            assert _is_zero(np.asarray(g, dtype=complex)) == reference_is_zero(
+                np.asarray(g, dtype=complex))
+        nan = np.array([[np.nan, 0.0]], dtype=complex)
+        assert not _is_zero(nan) and not reference_is_zero(nan)
+        assert _alpha_divisible(nan) == reference_alpha_divisible(nan)
+
+    def test_scalar_proportional(self):
+        rng = np.random.default_rng(934)
+        grids = [g for g in signed_zero_grids(rng) if g.size]
+        hits = 0
+        for g in grids:
+            c = complex(*rng.standard_normal(2))
+            for h in (c * g, c * g + 1e-12 * crand(rng, *np.atleast_2d(g).shape),
+                      crand(rng, *np.atleast_2d(g).shape), np.zeros_like(g), g[..., :1]):
+                ours = _scalar_proportional(g, h)
+                assert ours == reference_scalar_proportional(g, h)
+                hits += bool(ours)
+        assert hits >= 40
+
+    def test_inv_dft_is_cached_read_only(self):
+        for deg in range(12):
+            nodes, inv = _inv_dft(deg)
+            ref_nodes, ref_inv = reference_inv_dft(deg)
+            assert same_array(nodes, ref_nodes) and same_array(inv, ref_inv)
+            assert not nodes.flags.writeable and not inv.flags.writeable
+            again = _inv_dft(deg)
+            assert again[0] is nodes and again[1] is inv
+            with pytest.raises(ValueError):
+                inv[0, 0] = 0.0
+
+    def test_block_rows_independent(self):
+        rng = np.random.default_rng(936)
+        probe = 0.6180339887 + 0.7548776662j
+        seen = set()
+        for n in range(1, 9):
+            for r in range(n + 1):
+                for _ in range(4):
+                    ac, bc = crand(rng, r, n), crand(rng, r, n)
+                    if r >= 2 and rng.random() < 0.5:  # a dependent row
+                        mix = crand(rng, r - 1)
+                        ac[-1], bc[-1] = mix @ ac[:-1], mix @ bc[:-1]
+                        ac[-1] += 1e-10 * rng.choice([0.0, 0.5, 2.0]) * crand(rng, n)
+                    for scale in (1.0, 1e-12, 1e12):
+                        ours = _block_rows_independent(scale * ac, scale * bc, probe)
+                        ref = reference_block_rows_independent(scale * ac, scale * bc, probe)
+                        assert ours == ref
+                        seen.add(ours)
+        assert seen == {True, False}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sep2n.matrixcore import (
+    DEFAULT_TOL,
     DensityState,
     ToleranceConfig,
     hermitize,
@@ -34,6 +35,27 @@ def test_tolerance_config_validation():
         ToleranceConfig(rank_rel_tol=2.0)
     with pytest.raises(ValueError):
         ToleranceConfig(psd_tol=-1e-9)
+    for value in (np.nan, np.inf, np.float32(np.inf), 10 ** 400):
+        with pytest.raises(ValueError, match="psd_tol must be finite and > 0"):
+            ToleranceConfig(psd_tol=value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1e-9", 1e-9 + 0j, None, [1e-9]])
+def test_tolerance_config_rejects_non_real_values(value):
+    with pytest.raises(ValueError, match="psd_tol must be a real number"):
+        ToleranceConfig(psd_tol=value)
+
+
+@pytest.mark.parametrize("value", [1, np.float64(1e-9), np.float32(1e-9), np.int64(1)])
+def test_tolerance_config_keeps_the_type_of_a_real_value(value):
+    tol = ToleranceConfig(psd_tol=value)
+    assert type(tol.as_dict()["psd_tol"]) is type(value)
+    assert DensityState(np.eye(4), tol=tol).tol.psd_tol == value
+
+
+def test_default_tolerances_are_shared():
+    m = np.eye(4)
+    assert DensityState(m).tol is DensityState(m).tol is DEFAULT_TOL == ToleranceConfig()
 
 
 class TestPartialTranspose:

@@ -141,6 +141,33 @@ class TestSubtract:
         assert (min_eig(over) < -1e-9 * state.norm
                 or min_eig(partial_transpose_matrix(over, 4)) < -1e-9 * state.norm)
 
+    @pytest.mark.parametrize("make, caller", [
+        (lambda: random_ppt_mixture(np.random.default_rng(2), 4), "_paired_search"),
+        (lambda: random_pt_invariant(np.random.default_rng(0), 3), "_real_e_subtraction"),
+    ], ids=["sampled", "real-e"])
+    def test_screened_bounds_are_passed_on(self, monkeypatch, make, caller):
+        # the sampled and real-e subtractions reuse the bounds of their screen,
+        # so analyze reaches the same certificate without lambda_bounds
+        m = make()
+        expected, _ = sepengine.analyze(m)
+        callers = []
+        subtract_ = sepengine.subtract
+
+        def counted(*args, **kwargs):
+            callers.append(inspect.stack()[1].function)
+            return subtract_(*args, **kwargs)
+
+        def refused(*args):
+            raise AssertionError("lambda_bounds recomputed")
+
+        monkeypatch.setattr(sepengine, "subtract", counted)
+        monkeypatch.setattr(sepengine, "lambda_bounds", refused)
+        verdict, _ = sepengine.analyze(m)
+        assert callers and set(callers) == {caller}
+        assert verdict.kind is expected.kind is VerdictKind.SEPARABLE
+        assert [(w.hex(), pv.vector.tobytes()) for w, pv in verdict.certificate.terms] == [
+            (w.hex(), pv.vector.tobytes()) for w, pv in expected.certificate.terms]
+
 
 class TestStripSupport:
     def test_restricted_second_factor(self):
