@@ -45,13 +45,11 @@ from .sepengine import (
     ReductionTrace,
     SeparabilityCertificate,
     SupportViolation,
-    VectorOutsideRange,
     Verdict,
     VerdictKind,
     analyze,
     biorthogonal_check,
     decompose_rank_n,
-    lambda_bounds,
     pt_invariant_decompose,
     pt_symmetrizing_search,
     reduce_by_kernel,

@@ -230,7 +230,7 @@ def build_report(state: DensityState, verdict: Verdict, trace: ReductionTrace,
         if verdict.certificate is not None else None,
         "witness": _witness_to_json(verdict.witness),
         "trace": _trace_to_json(trace),
-        "warnings": list(state.warnings) + list(trace.notes),
+        "warnings": list(trace.notes),
         "tolerances": state.tol.as_dict(),
         "reverified": reverified,
     }
@@ -251,8 +251,8 @@ def _witness_to_json(witness: dict | None):
     return out
 
 
-def run_analysis(path, flag_overrides: dict | None = None) -> tuple[dict, int]:
-    return _analysis_report(*load_state(path, flag_overrides))
+def run_analysis(path) -> tuple[dict, int]:
+    return _analysis_report(*load_state(path))
 
 
 def _analysis_report(state: DensityState, doc: dict) -> tuple[dict, int]:

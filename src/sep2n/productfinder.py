@@ -26,6 +26,7 @@ import numpy as np
 
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, numerical_rank_kernel
 from .polyelim import (
+    MERGE_RADIUS,
     BivariatePoly,
     DegenerateElimination,
     UnivariatePoly,
@@ -416,8 +417,9 @@ def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray |
     """Product vectors at candidate roots, refined together, then kept in order.
 
     The range tests are those of ``_chart_products``.  A single search skips a
-    root within 1e-6 of a kept one, before or after refinement; in a paired
-    search the first root whose solution space has dimension > 1 raises.
+    root within ``MERGE_RADIUS`` of a kept one, before or after refinement, as
+    ``verify_roots`` merges roots; in a paired search the first root whose
+    solution space has dimension > 1 raises.
     """
     starts = [complex(a) for a in roots]
     alphas, fs, sigmas = _refine_alpha_f(cs, starts)
@@ -435,7 +437,8 @@ def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray |
     found, seen = [], []
     for k, v, ok in zip(gated, vectors, inside):
         start, alpha = starts[k], alphas[k]
-        if h2 is None and any(abs(start - x) <= 1e-6 or abs(alpha - x) <= 1e-6 for x in seen):
+        if h2 is None and any(abs(start - x) <= MERGE_RADIUS or abs(alpha - x) <= MERGE_RADIUS
+                               for x in seen):
             continue
         if ok:
             found.append(v)

@@ -50,14 +50,12 @@ __all__ = [
     "SeparabilityCertificate",
     "TraceStep",
     "ReductionTrace",
-    "VectorOutsideRange",
     "SupportViolation",
     "DependentProjectors",
     "NotPTInvariant",
     "REASON_NON_GENERIC",
     "REASON_INFINITE_FAMILY",
     "REASON_REDUCTION_STALLED",
-    "lambda_bounds",
     "subtract",
     "strip_support",
     "reduce_by_kernel",
@@ -70,10 +68,6 @@ __all__ = [
     "analyze",
     "verify_certificate",
 ]
-
-
-class VectorOutsideRange(Exception):
-    """The product vector (or its partner) is not inside the required range."""
 
 
 class SupportViolation(Exception):
@@ -193,43 +187,37 @@ def _bound_stacks(state: DensityState, vecs: np.ndarray, partners: np.ndarray):
             _inner(pcols, state.pt_pseudoinverse() @ pcols).real)
 
 
-def lambda_bounds(state: DensityState, v: ProductVector) -> tuple[float, float]:
-    """Maximal subtraction weights keeping the state and its transpose positive.
+def _successor(m: np.ndarray, ref: DensityState) -> DensityState:
+    """The state after a reduction step: ``m`` hermitized, PSD unless negligible against ``ref``."""
+    m = hermitize(m)
+    return DensityState(m, tol=ref.tol, require_psd=not _negligible(m, ref))
 
-    Requires |e,f> in the range of the state and |e*,f> in the range of the
-    partial transpose; the weights are the inverse quadratic forms of the
-    pseudoinverses along those vectors.
+
+def subtract(state: DensityState, candidates):
+    """Remove the first candidate projector of largest weight ``min(lam0, lam0bar)``.
+
+    lam0 and lam0bar, the largest weights keeping the state and its partial
+    transpose positive, are the inverse pseudoinverse quadratic forms along
+    |e,f> and |e*,f>, screened for all candidates as one stack.  Returns
+    ``(new_state, lam, case, v)``, the case tag recording which rank drops:
+    "i" the state's, "ii" the transpose's, "iii" both (tied weights).  None
+    when no candidate lies in both ranges with positive forms.
     """
-    inside, pt_inside, q, qbar = (x[0] for x in _bound_stacks(
-        state, v.vector[None], v.conjugate_partner.vector[None]))
-    if not inside:
-        raise VectorOutsideRange("|e,f> is not in the range of the state")
-    if not pt_inside:
-        raise VectorOutsideRange("|e*,f> is not in the range of the partial transpose")
-    if q <= 0 or qbar <= 0:
-        raise VectorOutsideRange("nonpositive pseudoinverse quadratic form")
-    return 1.0 / float(q), 1.0 / float(qbar)
-
-
-def subtract(state: DensityState, v: ProductVector, *,
-             _bounds: tuple[float, float] | None = None) -> tuple[DensityState, float, str]:
-    """Remove ``min(lam0, lam0bar)`` times the product projector.
-
-    The returned case tag records which rank drops: "i" the state's, "ii"
-    the partial transpose's, "iii" both (tied weights).  ``_bounds`` is
-    ``lambda_bounds(state, v)`` when the caller has already screened v.
-    """
-    lam0, lamb0 = lambda_bounds(state, v) if _bounds is None else _bounds
-    if abs(lam0 - lamb0) <= TIE_REL_TOL * max(lam0, lamb0):
-        case = "iii"
-    elif lam0 < lamb0:
-        case = "i"
-    else:
-        case = "ii"
-    lam = min(lam0, lamb0)
-    m2 = hermitize(state.matrix - lam * v.projector())
-    new_state = DensityState(m2, n=state.n, tol=state.tol, require_psd=not _negligible(m2, state))
-    return new_state, lam, case
+    if not candidates:
+        return None
+    inside, pt_inside, q, qbar = _bound_stacks(state, *vector_stacks(candidates))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam0s, lamb0s = 1.0 / q, 1.0 / qbar
+    # Python's min(lam0, lamb0): lam0 unless lamb0 is smaller, also when one is NaN
+    lams = np.where(lamb0s < lam0s, lamb0s, lam0s)
+    usable = inside & pt_inside & ~((q <= 0) | (qbar <= 0)) & ~np.isnan(lams)
+    if not usable.any():
+        return None
+    k = int(np.argmax(np.where(usable, lams, -np.inf)))
+    lam0, lamb0, lam, v = float(lam0s[k]), float(lamb0s[k]), float(lams[k]), candidates[k]
+    tied = abs(lam0 - lamb0) <= TIE_REL_TOL * max(lam0, lamb0)
+    case = "iii" if tied else "i" if lam0 < lamb0 else "ii"
+    return _successor(state.matrix - lam * v.projector(), state), lam, case, v
 
 
 def strip_support(state: DensityState) -> tuple[DensityState, np.ndarray]:
@@ -324,10 +312,8 @@ def reduce_by_kernel(state: DensityState, v: ProductVector):
     vector expressed in the pre-reduction basis.
     """
     lam, sub_vec, term = _kernel_terms(state, [v])[0]
-    m2 = hermitize(state.matrix - lam * np.outer(sub_vec, sub_vec.conj()))
-    intermediate = DensityState(m2, n=state.n, tol=state.tol,
-                                require_psd=not _negligible(m2, state))
-    reduced, iso = strip_support(intermediate)
+    m = state.matrix - lam * np.outer(sub_vec, sub_vec.conj())
+    reduced, iso = strip_support(_successor(m, state))
     return reduced, term, iso
 
 
@@ -477,27 +463,6 @@ def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     run = _Run(sym, ReductionTrace(), sym, np.eye(state.n, dtype=complex))
     return _certify(run, (_zero_remainder, _strip, _base_case, _rank_n_kernel,
                           _real_e_subtraction))
-
-
-def _best_subtraction(state: DensityState, candidates):
-    """The first candidate of largest ``min(lambda_bounds)``, and its ``lambda_bounds``.
-
-    None when no candidate has bounds.  The bounds are, to the bit, those
-    that ``lambda_bounds`` computes for the candidate alone: a one-row stack
-    gives the same row.
-    """
-    if not candidates:
-        return None
-    inside, pt_inside, q, qbar = _bound_stacks(state, *vector_stacks(candidates))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lam0, lamb0 = 1.0 / q, 1.0 / qbar
-    # Python's min(lam0, lamb0): lam0 unless lamb0 is smaller, also when one is NaN
-    lam = np.where(lamb0 < lam0, lamb0, lam0)
-    usable = inside & pt_inside & ~((q <= 0) | (qbar <= 0)) & ~np.isnan(lam)
-    if not usable.any():
-        return None
-    k = int(np.argmax(np.where(usable, lam, -np.inf)))
-    return candidates[k], (float(lam0[k]), float(lamb0[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +684,14 @@ class _Run:
         self.flag(reason)
         return _STOP
 
+    def advance(self, weight: float, pv: ProductVector, new: DensityState,
+                iso: np.ndarray | None = None):
+        """Keep a term of ``cur``, lifted; go on from ``new``, which ``iso`` lifts to ``cur``."""
+        self.terms.append((weight, _lift_pv(pv, self.lift)))
+        self.cur = new
+        if iso is not None:
+            self.lift = self.lift @ iso
+
     def assemble(self, extra_terms) -> Verdict:
         """Collected terms plus ``extra_terms`` on the current support, re-verified."""
         lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
@@ -794,11 +767,10 @@ def _kernel_reduction(run: _Run, cur: DensityState):
         vectors = found.samples if isinstance(found, InfiniteFamily) else found
         if vectors:
             new, (weight, pv), iso = reduce_by_kernel(cur, vectors[0])
-            run.terms.append((weight, _lift_pv(pv, run.lift)))
             run.trace.steps.append(_step(
                 "kernel-reduce", cur, new, lam=weight, case="iii", alpha=pv.alpha,
                 norm_before=cur.norm, min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
-            run.cur, run.lift = new, run.lift @ iso
+            run.advance(weight, pv, new, iso)
             return _NEXT_PASS
     except SupportViolation:
         # the kernel line is annihilated though the support looked full: a borderline
@@ -827,16 +799,12 @@ def _rank_n_kernel(run: _Run, cur: DensityState):
 
 def _real_e_subtraction(run: _Run, cur: DensityState):
     """Subtract the real-e product vector of largest weight and re-symmetrize."""
-    screened = _best_subtraction(cur, real_e_products(cur.range_basis, cur.tol))
-    if screened is None:
+    done = subtract(cur, real_e_products(cur.range_basis, cur.tol))
+    if done is None:
         return run.stop("no subtractable real-e product vector found")
-    best, bounds = screened
-    new, lam, _case = subtract(cur, best, _bounds=bounds)
-    run.terms.append((lam, _lift_pv(best, run.lift)))
+    new, lam, _case, best = done
     # re-symmetrize to cancel floating-point drift of the invariance
-    symm = hermitize((new.matrix + new.pt_matrix) / 2)
-    run.cur = DensityState(symm, n=cur.n, tol=cur.tol,
-                           require_psd=not _negligible(symm, run.state0))
+    run.advance(lam, best, _successor((new.matrix + new.pt_matrix) / 2, run.state0))
     return _NEXT_PASS
 
 
@@ -859,21 +827,19 @@ def _paired_search(run: _Run, cur: DensityState):
     if isinstance(res, InfiniteFamily):
         if cur.rank + cur.pt_rank <= 3 * cur.n:
             run.trace.notes.append("infinite family below the 3N threshold (non-generic)")
-        screened = _best_subtraction(cur, res.samples)
-        if screened is None:
+        try:
+            done = subtract(cur, res.samples)
+        except ValueError as exc:
+            return run.stop(f"sample subtraction failed: {exc}", REASON_INFINITE_FAMILY)
+        if done is None:
             run.flag(REASON_INFINITE_FAMILY)
             return _STOP
-        best, bounds = screened
-        try:
-            new, lam, case = subtract(cur, best, _bounds=bounds)
-        except (VectorOutsideRange, ValueError) as exc:
-            return run.stop(f"sample subtraction failed: {exc}", REASON_INFINITE_FAMILY)
-        run.terms.append((lam, _lift_pv(best, run.lift)))
+        new, lam, case, best = done
         run.trace.nonexhaustive_subtraction = True
         run.trace.steps.append(_step(
             "subtract-sample", cur, new, lam=lam, case=case, alpha=best.alpha,
             norm_before=cur.norm, min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
-        run.cur = new
+        run.advance(lam, best, new)
         return _NEXT_PASS
     if res:
         try:

@@ -34,7 +34,6 @@ from sep2n.sepengine import (
     KERNEL_RESIDUAL_REL_TOL,
     PRODUCT_LINE_REL_TOL,
     SupportViolation,
-    VectorOutsideRange,
 )
 
 
@@ -476,7 +475,12 @@ def scalar_partner_filter(state, vectors):
             <= KERNEL_PARTNER_REL_TOL * pt_norm]
 
 
+class VectorOutsideRange(Exception):
+    """``scalar_lambda_bounds`` has no weights for this vector."""
+
+
 def scalar_lambda_bounds(state, v):
+    """The weights ``(lam0, lam0bar)`` of one vector, the bounds that ``subtract`` screens."""
     vec = v.vector
     partner = v.conjugate_partner.vector
     if not scalar_in_range(state.range_basis, vec, state.tol):

@@ -54,9 +54,10 @@ from sep2n.productfinder import (
     products_of,
     real_e_products,
 )
-from sep2n.sepengine import SupportViolation, VectorOutsideRange, lambda_bounds
+from sep2n.sepengine import TIE_REL_TOL, SupportViolation
 
 from helpers import (
+    VectorOutsideRange,
     build_separable,
     random_ppt_mixture,
     random_product_vector,
@@ -486,36 +487,33 @@ class TestCandidateScreens:
                 for cands in (getattr(res, "samples", res),
                               real_e_products(state.range_basis, state.tol)):
                     cands = cands + [random_product_vector(rng, n)]
-                    best = best_subtraction(state, cands)
-                    assert best is scalar_best_subtraction(state, cands)
-                    chosen += best is not None
+                    chosen += checked_subtraction(state, cands) is not None
                     for v in cands:
-                        assert (bits_or_exc(outcome(lambda_bounds, state, v))
-                                == bits_or_exc(outcome(scalar_lambda_bounds, state, v)))
+                        checked_subtraction(state, [v])
         assert chosen >= 6
 
-    def test_best_subtraction_tie_and_nonpositive_form(self):
+    def test_best_subtraction_tie_and_nonpositive_form(self, monkeypatch):
         # a diagonal state on C2 x C3 whose product basis vectors are: outside
-        # the range, with a negative quadratic form, of weight 1, and tied at weight 2
+        # the range, with a negative quadratic form, of weight 1, and tied at weight 2;
+        # the state is not PSD, so no state is built from what is left
+        monkeypatch.setattr(sepengine, "_successor", lambda m, ref: m)
         m = np.diag([1.0, 0.0, -0.5, 2.0, 1.0, 2.0]).astype(complex)
         state = DensityState(m, require_psd=False)
         basis = np.eye(3)
         cands = [ProductVector.from_e_f(e, f) for e, f in
                  [([1, 0], basis[1]), ([1, 0], basis[2]), ([0, 1], basis[1]),
                   ([0, 1], basis[0]), ([1, 0], basis[0]), ([0, 1], basis[2])]]
-        outcomes = [outcome(lambda_bounds, state, v) for v in cands]
-        assert outcomes == [outcome(scalar_lambda_bounds, state, v) for v in cands]
+        outcomes = [outcome(scalar_lambda_bounds, state, v) for v in cands]
         assert outcomes[:3] == [(VectorOutsideRange, "|e,f> is not in the range of the state"),
                                 (VectorOutsideRange, "nonpositive pseudoinverse quadratic form"),
                                 (1.0, 1.0)]
         assert outcomes[3] == outcomes[5] == (2.0, 2.0) and outcomes[4] == (1.0, 1.0)
-        for order in (cands, cands[::-1], cands[:3]):
-            best = best_subtraction(state, order)
-            assert best is scalar_best_subtraction(state, order)
-        assert best_subtraction(state, cands) is cands[3]
-        assert best_subtraction(state, cands[::-1]) is cands[5]
-        assert best_subtraction(state, cands[:2]) is None
-        assert best_subtraction(state, []) is None
+        assert [checked_subtraction(state, [v]) for v in cands] == [None, None, *cands[2:]]
+        assert checked_subtraction(state, cands) is cands[3]
+        assert checked_subtraction(state, cands[::-1]) is cands[5]
+        assert checked_subtraction(state, cands[:3]) is cands[2]
+        assert checked_subtraction(state, cands[:2]) is None
+        assert checked_subtraction(state, []) is None
 
     def test_kernel_terms(self):
         rng = np.random.default_rng(915)
@@ -577,17 +575,24 @@ class TestCandidateScreens:
                 assert bits_or_exc(got_all) == bits_or_exc(ref_all)
 
 
-def best_subtraction(state, candidates):
-    """The vector ``_best_subtraction`` picks, after checking the bounds it passes on.
+def checked_subtraction(state, candidates):
+    """The vector ``subtract`` picks, checked to the bit against the scalar reference.
 
-    They must be the one-vector ``lambda_bounds`` of that vector, to the bit.
+    It must be the one of ``scalar_best_subtraction``, subtracted at the
+    smaller of its ``scalar_lambda_bounds`` with the case tag they give;
+    ``subtract`` declines exactly when the reference finds no vector.
     """
-    screened = sepengine._best_subtraction(state, candidates)
-    if screened is None:
+    done = sepengine.subtract(state, candidates)
+    best = scalar_best_subtraction(state, candidates)
+    if done is None:
+        assert best is None
         return None
-    v, bounds = screened
-    assert bits_or_exc(bounds) == bits_or_exc(lambda_bounds(state, v))
-    assert bits_or_exc(bounds) == bits_or_exc(scalar_lambda_bounds(state, v))
+    _new, lam, case, v = done
+    assert v is best
+    lam0, lamb0 = scalar_lambda_bounds(state, v)
+    assert lam.hex() == min(lam0, lamb0).hex()
+    tied = abs(lam0 - lamb0) <= TIE_REL_TOL * max(lam0, lamb0)
+    assert case == ("iii" if tied else "i" if lam0 < lamb0 else "ii")
     return v
 
 

@@ -16,7 +16,7 @@ from sep2n.cli import (
 from sep2n.matrixcore import partial_transpose_matrix
 from sep2n.sepengine import analyze
 
-from helpers import build_separable, eig_rank, horodecki_2x4
+from helpers import build_separable, eig_rank, horodecki_2x4, random_product_vector
 
 
 def write_state(path, matrix, n, **kwargs):
@@ -102,6 +102,18 @@ class TestAnalyzeCommand:
         missing_input = tmp_path / "absent.json"
         assert main(["analyze", str(missing_input), "--report", str(report_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read {missing_input}:")
+
+    def test_state_warnings_listed_once(self, tmp_path):
+        # four product terms plus 3e-9 times a fifth: one eigenvalue of rho and
+        # one of its partial transpose sit within 10x of the rank cutoff
+        rng = np.random.default_rng(0)
+        m, _, _ = build_separable(rng, 3, 4)
+        s, r = tmp_path / "s.json", tmp_path / "r.json"
+        write_state(s, m + 3e-9 * random_product_vector(rng, 3).projector(), 3)
+        assert main(["analyze", str(s), "--report", str(r)]) == 0
+        assert json.loads(r.read_text())["report"]["warnings"] == [
+            "rho: 1 eigenvalue(s) within 10x of the rank cutoff",
+            "rho_pt: 1 eigenvalue(s) within 10x of the rank cutoff"]
 
     def test_non_hermitian_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

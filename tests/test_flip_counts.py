@@ -18,11 +18,12 @@ def test_output_shape(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["workload", "seed", "inputs", *flip_counts.TRANSFORMS]
     assert [row.split()[:2] for row in rows] == [[w, "11"] for w in workloads]
+    columns = len(flip_counts.TRANSFORMS)
     for row in rows:
         inputs, *counts = (int(x) for x in row.split()[2:])
         assert inputs == len(flip_counts.corpus.CORPORA[row.split()[0]])
-        assert len(counts) == 6 and all(0 <= c <= inputs for c in counts)
-        assert re.fullmatch(r"\S+ +\d+ +\d+( +\d+){6}", row)
+        assert len(counts) == columns and all(0 <= c <= inputs for c in counts)
+        assert re.fullmatch(rf"\S+ +\d+ +\d+( +\d+){{{columns}}}", row)
 
 
 def test_transforms_keep_the_spectrum():

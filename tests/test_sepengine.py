@@ -19,13 +19,11 @@ from sep2n.sepengine import (
     DependentProjectors,
     NotPTInvariant,
     SeparabilityCertificate,
-    VectorOutsideRange,
     Verdict,
     VerdictKind,
     analyze,
     biorthogonal_check,
     decompose_rank_n,
-    lambda_bounds,
     pt_invariant_decompose,
     pt_symmetrizing_search,
     reduce_by_kernel,
@@ -54,34 +52,43 @@ from helpers import (
 )
 
 
+def oracle_weight(matrix, v):
+    """1 / <v|x> for the solution x of matrix x = v on the range, from the spectrum."""
+    w, u = np.linalg.eigh(matrix)
+    keep = w > 1e-12 * w.max()
+    x = u[:, keep] @ ((u[:, keep].conj().T @ v) / w[keep])
+    return 1.0 / np.real(np.vdot(v, x))
+
+
 class TestLambdaBounds:
+    """The weight ``subtract`` takes for one candidate: the smaller of its two bounds."""
+
     def test_own_projector_gives_one(self):
         rng = np.random.default_rng(0)
         pv = random_product_vector(rng, 3)
         state = DensityState(pv.projector())
-        lam0, lamb0 = lambda_bounds(state, pv)
-        assert lam0 == pytest.approx(1.0, rel=1e-10)
-        assert lamb0 == pytest.approx(1.0, rel=1e-10)
+        _new, lam, case, v = subtract(state, [pv])
+        assert v is pv
+        assert lam == pytest.approx(1.0, rel=1e-10)
+        assert case == "iii"
 
     def test_matches_linear_solve_oracle(self):
         rng = np.random.default_rng(1)
         m, gens, _ = build_separable(rng, 3, 2)
         state = DensityState(m)
         v = gens[0]
-        lam0, _ = lambda_bounds(state, v)
-        # independent oracle: solve rho x = v restricted to the range
-        w, u = np.linalg.eigh(state.matrix)
-        keep = w > 1e-12 * w.max()
-        x = u[:, keep] @ ((u[:, keep].conj().T @ v.vector) / w[keep])
-        assert lam0 == pytest.approx(1.0 / np.real(np.vdot(v.vector, x)), rel=1e-9)
+        _new, lam, _case, _v = subtract(state, [v])
+        # independent oracles: solve rho x = |e,f> and rho^T_A x = |e*,f> on the ranges
+        lam0 = oracle_weight(state.matrix, v.vector)
+        lamb0 = oracle_weight(state.pt_matrix, v.conjugate_partner.vector)
+        assert lam == pytest.approx(min(lam0, lamb0), rel=1e-9)
 
     def test_rejects_vector_outside_range(self):
         rng = np.random.default_rng(2)
         m, _, _ = build_separable(rng, 3, 2)
         state = DensityState(m)
         outside = random_product_vector(rng, 3)
-        with pytest.raises(VectorOutsideRange):
-            lambda_bounds(state, outside)
+        assert subtract(state, [outside]) is None
 
     def test_kernel_induced_weights_tie(self):
         rng = np.random.default_rng(3)
@@ -95,11 +102,11 @@ class TestLambdaBounds:
             w = state.matrix @ np.kron(ehat, v.f)
             g = np.conj(ehat[0]) * w[:n] + np.conj(ehat[1]) * w[n:]
             induced = ProductVector.from_e_f(ehat, g)
-            lam0, lamb0 = lambda_bounds(state, induced)
-            assert abs(lam0 - lamb0) < 1e-8 * max(lam0, lamb0)
+            _new, lam, case, _v = subtract(state, [induced])
+            assert case == "iii"
             # closed form: 1 / <g|f> rescaled to the unit-normalized vector
             lam_closed = float(np.vdot(g, g).real) / float(np.real(np.vdot(g, v.f)))
-            assert lam0 == pytest.approx(lam_closed, rel=1e-8)
+            assert lam == pytest.approx(lam_closed, rel=1e-8)
 
 
 class TestSubtract:
@@ -107,7 +114,7 @@ class TestSubtract:
         rng = np.random.default_rng(4)
         pv = random_product_vector(rng, 2)
         state = DensityState(pv.projector())
-        new_state, lam, case = subtract(state, pv)
+        new_state, lam, case, _v = subtract(state, [pv])
         assert lam == pytest.approx(1.0, rel=1e-10)
         assert case == "iii"
         assert new_state.norm < 1e-12
@@ -117,7 +124,7 @@ class TestSubtract:
         m, gens, _ = build_separable(rng, 3, 2)
         state = DensityState(m)
         assert (state.rank, state.pt_rank) == (2, 2)
-        new_state, lam, case = subtract(state, gens[0])
+        new_state, lam, case, _v = subtract(state, gens[:1])
         assert new_state.rank == eig_rank(new_state.matrix)
         assert new_state.rank in (1, 2)
         if case == "i":
@@ -133,40 +140,12 @@ class TestSubtract:
         state = DensityState(m)
         vectors = paired_products(state.range_basis, state.pt_range_basis)
         assert vectors
-        v = vectors[0]
-        new_state, lam, _ = subtract(state, v)
+        new_state, lam, _, v = subtract(state, vectors[:1])
         assert min_eig(new_state.matrix) >= -1e-9 * state.norm
         assert min_eig(new_state.pt_matrix) >= -1e-9 * state.norm
         over = state.matrix - 1.01 * lam * v.projector()
         assert (min_eig(over) < -1e-9 * state.norm
                 or min_eig(partial_transpose_matrix(over, 4)) < -1e-9 * state.norm)
-
-    @pytest.mark.parametrize("make, caller", [
-        (lambda: random_ppt_mixture(np.random.default_rng(2), 4), "_paired_search"),
-        (lambda: random_pt_invariant(np.random.default_rng(0), 3), "_real_e_subtraction"),
-    ], ids=["sampled", "real-e"])
-    def test_screened_bounds_are_passed_on(self, monkeypatch, make, caller):
-        # the sampled and real-e subtractions reuse the bounds of their screen,
-        # so analyze reaches the same certificate without lambda_bounds
-        m = make()
-        expected, _ = sepengine.analyze(m)
-        callers = []
-        subtract_ = sepengine.subtract
-
-        def counted(*args, **kwargs):
-            callers.append(inspect.stack()[1].function)
-            return subtract_(*args, **kwargs)
-
-        def refused(*args):
-            raise AssertionError("lambda_bounds recomputed")
-
-        monkeypatch.setattr(sepengine, "subtract", counted)
-        monkeypatch.setattr(sepengine, "lambda_bounds", refused)
-        verdict, _ = sepengine.analyze(m)
-        assert callers and set(callers) == {caller}
-        assert verdict.kind is expected.kind is VerdictKind.SEPARABLE
-        assert [(w.hex(), pv.vector.tobytes()) for w, pv in verdict.certificate.terms] == [
-            (w.hex(), pv.vector.tobytes()) for w, pv in expected.certificate.terms]
 
 
 class TestStripSupport:

@@ -11,8 +11,8 @@ one it gets as built (a call that raises counts as its own kind).  None of
 the transforms changes whether a state is separable, so every count should
 be 0.
 
-- ``x2``, ``x(1+2^-52)``, ``x1e150``, ``x1e-150``: positive scalings, the
-  second by one ulp;
+- ``x2``, ``x(1+2^-52)``, ``x1e150``, ``x1e-150``, ``x1e300``, ``x1e-300``:
+  positive scalings, the second by one ulp;
 - ``perm``: a random permutation of the C^N basis, (I2 (x) P) rho (I2 (x) P)^T;
 - ``unitary``: a random local unitary U (x) V, with U and V from QR of complex
   Gaussian matrices.
@@ -39,7 +39,8 @@ import corpus  # noqa: E402
 from sep2n import sepengine  # noqa: E402
 
 
-SCALINGS = {"x2": 2.0, "x(1+2^-52)": 1.0 + 2.0 ** -52, "x1e150": 1e150, "x1e-150": 1e-150}
+SCALINGS = {"x2": 2.0, "x(1+2^-52)": 1.0 + 2.0 ** -52, "x1e150": 1e150, "x1e-150": 1e-150,
+            "x1e300": 1e300, "x1e-300": 1e-300}
 TRANSFORMS = (*SCALINGS, "perm", "unitary")
 
 
