@@ -475,7 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error exits 1, as 2 means NPT
+        if not exc.code:
+            raise
+        return 1
     # looked up per call: the parser is cached, and a command patched later must run
     commands = {"analyze": cmd_analyze, "generate": cmd_generate,
                 "verify": cmd_verify, "batch": cmd_batch}

@@ -26,6 +26,8 @@ __all__ = [
     "partial_transpose_matrix",
     "partial_trace_second",
     "numerical_rank_kernel",
+    "split_at_cutoff",
+    "within_psd_tol",
     "pseudoinverse",
     "psd_difference_check",
     "operator_norm",
@@ -38,11 +40,11 @@ class ToleranceConfig:
     """Numerical cutoffs shared by the whole analysis pipeline.
 
     rank_rel_tol
-        Singular values below ``rank_rel_tol * sigma_max`` are treated as
-        zero.  All rank decisions use this one value.
+        Magnitudes at most ``rank_rel_tol`` times the largest count as zero;
+        every rank decision goes through ``split_at_cutoff``.
     psd_tol
         Relative eigenvalue floor: X is accepted as PSD when
-        ``lambda_min(X) >= -psd_tol * ||X||``.
+        ``lambda_min(X) >= -psd_tol * ||X||``, the test of ``within_psd_tol``.
     root_residual_tol
         Back-substitution residual bound for polynomial roots.
     cert_recon_tol
@@ -181,10 +183,24 @@ class RankInfo(NamedTuple):
     range_basis: np.ndarray   # columns, orthonormal
 
 
+def split_at_cutoff(w: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, int]:
+    """Which |w| clear ``rank_rel_tol`` times the top; how many are within 10x (a fragile rank)."""
+    mags = np.abs(w)
+    values = mags.tolist()  # Python floats count a few values faster than numpy calls
+    cutoff = tol.rank_rel_tol * max(values, default=0.0)
+    lo, hi = cutoff / 10, 10 * cutoff
+    return mags > cutoff, len([x for x in values if lo < x < hi])
+
+
+def within_psd_tol(w_min: float, scale: float, tol: ToleranceConfig) -> bool:
+    """Whether a least eigenvalue counts as nonnegative against ``scale``, floored at 1e-300."""
+    return w_min >= -tol.psd_tol * max(scale, 1e-300)
+
+
 def numerical_rank_kernel(m, tol: ToleranceConfig | None = None) -> RankInfo:
     """Rank, kernel and range of a matrix from its SVD.
 
-    The rank counts singular values above ``rank_rel_tol * sigma_max``; the
+    The rank counts the singular values that clear ``split_at_cutoff``; the
     kernel basis spans the complementary right-singular space and the range
     basis the corresponding left-singular space.  Both are orthonormal and
     ``rank + kernel columns == cols`` always holds.
@@ -192,13 +208,8 @@ def numerical_rank_kernel(m, tol: ToleranceConfig | None = None) -> RankInfo:
     tol = tol or DEFAULT_TOL
     m = as_complex_matrix(m)
     u, s, vh = np.linalg.svd(m)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-    kernel = vh[rank:].conj().T
-    range_ = u[:, :rank]
-    return RankInfo(rank, kernel, range_)
+    rank = int(np.count_nonzero(split_at_cutoff(s, tol)[0]))
+    return RankInfo(rank, vh[rank:].conj().T, u[:, :rank])
 
 
 def pseudoinverse(m, tol: ToleranceConfig | None = None) -> np.ndarray:
@@ -217,60 +228,30 @@ def pseudoinverse(m, tol: ToleranceConfig | None = None) -> np.ndarray:
 
 def _spectral_pinv(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Pseudoinverse of the Hermitian ``m`` from its eigendecomposition ``(w, v)``."""
-    if not np.any(m):
-        return np.zeros_like(m)
-    keep = np.abs(w) > tol.rank_rel_tol * np.max(np.abs(w))
+    keep = split_at_cutoff(w, tol)[0]
     winv = np.zeros_like(w)
     winv[keep] = 1.0 / w[keep]
     return (v * winv) @ v.conj().T
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(m))
-    w = np.where(w > 0, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def _psd_inv_sqrt(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(m))
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if wmax <= 0.0:
-        return np.zeros_like(m)
-    keep = w > tol.rank_rel_tol * wmax
-    winv = np.zeros_like(w)
-    winv[keep] = 1.0 / np.sqrt(w[keep])
-    return (v * winv) @ v.conj().T
-
-
-def _require_psd(m: np.ndarray, tol: ToleranceConfig, name: str) -> None:
+def _require_psd(m: np.ndarray, tol: ToleranceConfig, name: str) -> float:
+    """The norm of the Hermitian part of ``m``; raises ``ValueError`` unless it is PSD."""
     w = np.linalg.eigvalsh(hermitize(m))
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -tol.psd_tol * max(scale, 1.0e-300):
+    norm = float(np.max(np.abs(w), initial=0.0))
+    if w.size and not within_psd_tol(float(w[0]), norm, tol):
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
+    return norm
 
 
 def psd_difference_check(x, y, tol: ToleranceConfig | None = None) -> bool:
-    """Decide X - Y >= 0 for PSD X, Y without forming the difference spectrum.
-
-    Equivalent to the two conditions: the kernel of X is annihilated by Y,
-    and ``||Y^{1/2} X^{-1/2}||^2 <= 1`` with the pseudoinverse square root.
-    """
+    """Decide ``lambda_min(X - Y) >= -psd_tol * ||X||``; ``ValueError`` unless X and Y are PSD."""
     tol = tol or DEFAULT_TOL
     x = as_complex_matrix(x, "X")
     y = as_complex_matrix(y, "Y")
-    _require_psd(x, tol, "X")
+    norm = _require_psd(x, tol, "X")
     _require_psd(y, tol, "Y")
-    ny = operator_norm(y)
-    if ny == 0.0:
-        return True
-    kernel = numerical_rank_kernel(x, tol).kernel_basis
-    if kernel.shape[1]:
-        # quadratic forms <k|Y|k> catch any kernel leakage
-        quad = np.real(np.einsum("ij,ik,kj->j", kernel.conj(), hermitize(y), kernel))
-        if np.any(quad > tol.psd_tol * ny):
-            return False
-    contraction = _psd_sqrt(y) @ _psd_inv_sqrt(x, tol)
-    return operator_norm(contraction) ** 2 <= 1.0 + tol.psd_tol
+    w = np.linalg.eigvalsh(hermitize(x - y))
+    return not w.size or within_psd_tol(float(w[0]), norm, tol)
 
 
 class _PTField:
@@ -338,9 +319,11 @@ class DensityState:
         self.trace = float(np.real(np.trace(self.matrix)))
         self.norm = float(np.max(np.abs(self._eigvals))) if dim else 0.0
         self.min_eigenvalue = float(self._eigvals[0])
+        if not (math.isfinite(self.trace) and math.isfinite(self.norm)):  # entries near 1e308
+            raise ValueError(f"trace {self.trace:.3e} or norm {self.norm:.3e} is not finite")
 
         if require_psd:
-            if self.min_eigenvalue < -tol.psd_tol * max(self.norm, 1e-300):
+            if not within_psd_tol(self.min_eigenvalue, self.norm, tol):
                 raise ValueError(
                     f"matrix is not PSD (min eigenvalue {self.min_eigenvalue:.3e}, "
                     f"norm {self.norm:.3e})")
@@ -354,14 +337,8 @@ class DensityState:
 
     def _split(self, w, v):
         """Rank, kernel and range bases, and the count of eigenvalues near the cutoff."""
-        mags = np.abs(w)
-        wmax = float(mags.max()) if mags.size else 0.0
-        cutoff = self.tol.rank_rel_tol * wmax
-        keep = mags > cutoff
-        # both sides of the cutoff are suspect: kept values barely above it
-        # and dropped values barely below it make the integer rank fragile
-        borderline = np.count_nonzero((mags > cutoff / 10) & (mags < 10 * cutoff))
-        order = np.argsort(-mags)
+        keep, borderline = split_at_cutoff(w, self.tol)
+        order = np.argsort(-np.abs(w))
         kept = keep[order]
         return int(np.count_nonzero(kept)), v[:, order[~kept]], v[:, order[kept]], borderline
 
@@ -384,7 +361,7 @@ class DensityState:
 
     @property
     def is_ppt(self) -> bool:
-        return self.pt_min_eigenvalue >= -self.tol.psd_tol * max(self.norm, 1e-300)
+        return within_psd_tol(self.pt_min_eigenvalue, self.norm, self.tol)
 
     def pseudoinverse(self) -> np.ndarray:
         if self._pinv is None:

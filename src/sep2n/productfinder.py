@@ -663,7 +663,7 @@ def kernel_product_vectors(state):
     kept = []
     if vectors:
         images = (state.pt_matrix @ vector_stacks(vectors)[1][:, :, None])[:, :, 0]
-        passing = _row_norms(images) <= KERNEL_PARTNER_REL_TOL * max(state.norm, 1e-300)
+        passing = _row_norms(images) <= KERNEL_PARTNER_REL_TOL * state.norm
         kept = [v for v, ok in zip(vectors, passing) if ok]
     return InfiniteFamily(samples=kept, note=res.note) if isinstance(res, InfiniteFamily) else kept
 

@@ -15,6 +15,7 @@ being emitted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +29,7 @@ from .matrixcore import (
     operator_norm_at_most,
     partial_trace_second,
     psd_difference_check,
+    split_at_cutoff,
 )
 from .productfinder import (
     InfiniteFamily,
@@ -162,8 +164,8 @@ class ReductionTrace:
 def _negligible(x, ref: DensityState) -> bool:
     """Whether ``||x|| <= _ZERO_REL_TOL * ||ref||``; a state's cached norm needs no SVD."""
     if isinstance(x, DensityState):
-        return x.norm <= _ZERO_REL_TOL * max(ref.norm, 1e-300)
-    return operator_norm_at_most(x, _ZERO_REL_TOL, floor=max(ref.norm, 1e-300))
+        return x.norm <= _ZERO_REL_TOL * ref.norm
+    return operator_norm_at_most(x, _ZERO_REL_TOL, floor=ref.norm)
 
 
 def _matrix_and_tol(state) -> tuple[np.ndarray, ToleranceConfig]:
@@ -226,17 +228,15 @@ def strip_support(state: DensityState) -> tuple[DensityState, np.ndarray]:
     Returns the state re-expressed on its support C2 x CM together with the
     N x M isometry lifting support coordinates back to the input basis.  The
     isometry is the identity when the support is already full.  Raises
-    ``ValueError`` when no weight clears the rank cutoff, which is relative
-    but floored at 1e-300, so only a state of subnormal scale has none.
+    ``ValueError`` when the partial trace is zero.
     """
     n = state.n
     reduced = hermitize(partial_trace_second(state.matrix, n))
     w, u = np.linalg.eigh(reduced)
-    wmax = float(np.max(np.abs(w)))
-    keep = np.abs(w) > state.tol.rank_rel_tol * max(wmax, 1e-300)
+    keep = split_at_cutoff(w, state.tol)[0]
     m_dim = int(np.count_nonzero(keep))
     if m_dim == 0:
-        raise ValueError(f"no support above the rank cutoff (largest weight {wmax:.3e})")
+        raise ValueError("no support above the rank cutoff: the partial trace is zero")
     if m_dim == n:
         return state, np.eye(n, dtype=complex)
     iso = u[:, keep]
@@ -248,10 +248,8 @@ def strip_support(state: DensityState) -> tuple[DensityState, np.ndarray]:
 
 def _support_borderline(state: DensityState) -> bool:
     """True when the support spectrum sits near the rank cutoff on either side."""
-    w = np.abs(np.linalg.eigvalsh(hermitize(partial_trace_second(state.matrix, state.n))))
-    wmax = float(np.max(w)) if w.size else 0.0
-    cutoff = state.tol.rank_rel_tol * max(wmax, 1e-300)
-    return bool(np.any((w > cutoff / 10) & (w < 10 * cutoff)))
+    w = np.linalg.eigvalsh(hermitize(partial_trace_second(state.matrix, state.n)))
+    return split_at_cutoff(w, state.tol)[1] > 0
 
 
 def _kernel_terms(state: DensityState, vectors) -> list:
@@ -270,7 +268,7 @@ def _kernel_terms(state: DensityState, vectors) -> list:
     """
     if not vectors:
         return []
-    n, norm, m = state.n, max(state.norm, 1e-300), state.matrix
+    n, norm, m = state.n, state.norm, state.matrix
     es = np.array([v.e for v in vectors])
     fs = np.array([v.f for v in vectors])
     ehat = np.stack([-np.conj(es[:, 1]), np.conj(es[:, 0])], axis=1)
@@ -324,8 +322,7 @@ def reduce_by_kernel(state: DensityState, v: ProductVector):
 def _base_terms(state: DensityState) -> list[tuple[float, ProductVector]]:
     """Spectral terms of a state on C2 x C1; every vector there is product."""
     w, u = np.linalg.eigh(state.matrix)
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    keep = w > state.tol.rank_rel_tol * max(wmax, 1e-300)
+    keep = split_at_cutoff(w, state.tol)[0] & (w > 0)
     f = np.ones((np.count_nonzero(keep), 1))
     return list(zip(w[keep].tolist(), products_of(u[:, keep].T, f)))
 
@@ -414,7 +411,7 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     if matrix.shape != (4, 4):
         raise ValueError(f"two-qubit decomposition needs a 4 x 4 matrix, got {matrix.shape}")
     w, u = np.linalg.eigh(hermitize(matrix))
-    keep = w > tol.rank_rel_tol * max(float(np.max(np.abs(w))), 1e-300)
+    keep = split_at_cutoff(w, tol)[0] & (w > 0)
     v = u[:, keep] * np.sqrt(w[keep])
     tau = v.conj().T @ _SPIN_FLIP @ v.conj()
     # Takagi vectors from the real symmetric embedding: [a; b] at eigenvalue
@@ -422,7 +419,7 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     # QR completes them to a unitary, with the zero Takagi values last
     r = v.shape[1]
     lam, vecs = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
-    pos = vecs[:, lam > _TAKAGI_ZERO * max(float(np.max(np.abs(tau))), 1e-300)]
+    pos = vecs[:, lam > _TAKAGI_ZERO * float(np.max(np.abs(tau)))]
     wt = np.linalg.qr(pos[:r] + 1j * pos[r:], mode="complete")[0]
     # rotate each column so that its Takagi value is real and nonnegative
     diag = np.einsum("ij,ik,kj->j", wt.conj(), tau, wt.conj())
@@ -457,7 +454,7 @@ def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     raises ``NotPTInvariant``.
     """
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
-                                 floor=max(state.norm, 1e-300)):
+                                 floor=state.norm):
         raise NotPTInvariant("state is not invariant under partial transposition")
     sym = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), n=state.n, tol=state.tol)
     run = _Run(sym, ReductionTrace(), sym, np.eye(state.n, dtype=complex))
@@ -499,9 +496,8 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
     c, *_ = np.linalg.lstsq(s_mat, rho_hat, rcond=None)
     residual = float(np.linalg.norm(rho_hat - s_mat @ c))
     rho_scale = float(np.linalg.norm(rho_hat))
-    coeff_scale = max(state.trace, 1e-300)
-    neg_thr = state.tol.cert_recon_tol * coeff_scale
-    drop_thr = 1e-12 * coeff_scale
+    neg_thr = state.tol.cert_recon_tol * state.trace
+    drop_thr = 1e-12 * state.trace
 
     bad_imag = float(np.max(np.abs(c.imag))) if c.size else 0.0
     negatives = [i for i in range(L) if c[i].real < -neg_thr]
@@ -511,7 +507,7 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
     witness = {
         "coefficients": [complex(x) for x in c],
         "negative_indices": negatives,
-        "residual_outside_span": residual / max(rho_scale, 1e-300),
+        "residual_outside_span": residual / rho_scale,
         "max_imaginary_part": bad_imag,
     }
     return Verdict(VerdictKind.ENTANGLED_PPT, witness=witness)
@@ -542,7 +538,7 @@ def symmetric_split_check(state: DensityState) -> Verdict | None:
     b = antisymmetric_block(state)
     lam_b, vec_b = np.linalg.eigh(b)
     scale = max(float(np.max(np.abs(lam_b))), 0.0)
-    keep = [i for i in range(lam_b.size) if abs(lam_b[i]) > 1e-14 * max(scale, state.norm, 1e-300)]
+    keep = [i for i in range(lam_b.size) if abs(lam_b[i]) > 1e-14 * max(scale, state.norm)]
 
     comp = np.zeros_like(state.matrix)
     for i in keep:
@@ -603,7 +599,7 @@ def pt_symmetrizing_search(state: DensityState) -> Verdict | None:
     w = np.kron(a, np.eye(n, dtype=complex))
     sigma = hermitize(w @ state.matrix @ w.conj().T)
     sig_pt = hermitize(w.conj() @ state.pt_matrix @ w.T)
-    if not operator_norm_at_most(sigma - sig_pt, PT_INVARIANCE_REL_TOL, sigma, 1e-300):
+    if not operator_norm_at_most(sigma - sig_pt, PT_INVARIANCE_REL_TOL, sigma):
         return None
     try:
         sig_state = DensityState(sigma, n=n, tol=state.tol)
@@ -891,9 +887,16 @@ def _certify(run: _Run, stages) -> SeparabilityCertificate:
     return outcome.certificate
 
 
+# Inside this range, squares and products of the largest entry parts stay normal floats.
+_SAFE_TOP = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
+
+
 def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     """Full separability analysis of a Hermitian PSD operator on C2 x CN.
 
+    An input whose largest real or imaginary entry part lies outside
+    ``_SAFE_TOP`` is analyzed times an exact 2**k, which the trace notes; the
+    certificate weights are scaled back and re-verified against the input.
     After the partial-transpose test, passes of ``_STAGES`` (zero remainder,
     strip, base case, PT-invariant, kernel reduction, two-qubit, paired
     search) run until a stage gives a verdict or stops.
@@ -902,6 +905,20 @@ def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     ``rho_in`` when it is a DensityState; a raw matrix gets the defaults.
     """
     state0 = rho_in if isinstance(rho_in, DensityState) else DensityState(rho_in)
+    top = float(np.max(np.abs(state0.matrix.view(float))))
+    if top and not _SAFE_TOP[0] <= top <= _SAFE_TOP[1]:
+        # even k with top * 2**k in [1/4, 1) keeps square roots exact, ldexp on the float
+        # view keeps signed zeros, and positivity was judged when state0 was built
+        k = 2 * (-math.frexp(top)[1] // 2)
+        scaled = np.ldexp(state0.matrix.view(float), k).view(complex)
+        verdict, trace = analyze(DensityState(scaled, n=state0.n, tol=state0.tol,
+                                              require_psd=False))
+        trace.notes.append(f"input rescaled by 2**{k}")
+        if verdict.certificate is not None:
+            terms = [(float(np.ldexp(w, -k)), pv) for w, pv in verdict.certificate.terms]
+            verdict = _Run(state0, trace, state0, np.eye(state0.n, dtype=complex)).assemble(terms)
+        return verdict, trace
+
     trace = ReductionTrace(notes=list(state0.warnings))
 
     if not state0.is_ppt:

@@ -172,13 +172,11 @@ def test_kernel_reduction_not_psd_without_fallbacks(no_fallbacks):
 
 
 def test_subnormal_scale(monkeypatch):
-    # the support cutoff is floored at 1e-300, so nothing of this state clears it
+    # entries of about 1e-311 are brought into [1/4, 1) by an even power of two first
     monkeypatch.setattr(sepengine, "symmetric_split_check", raising(AssertionError("fallback ran")))
-    verdict, trace = analyze(rank_n() * 1e-310)
-    assert (verdict.kind, verdict.reason) == (INC, REASON_NON_GENERIC)
-    assert trace.steps == [] and len(trace.notes) == 1
-    assert trace.notes[0].startswith(
-        "support stripping failed: no support above the rank cutoff (largest weight ")
+    m = rank_n() * 1e-310
+    verdict, _ = check(analyze(m), SEP, None, ["rank-n-decompose"], ["input rescaled by 2**1030"])
+    assert verify_certificate(m, verdict.certificate)
 
 
 def test_pt_invariant():

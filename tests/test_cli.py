@@ -325,9 +325,13 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         rows = {parts[0]: parts[1] for parts in map(str.split, out.splitlines())
                 if parts and parts[0].endswith(".json")}
-        assert rows == {"normal.json": "separable", "tiny.json": "inconclusive"}
+        assert rows == {"normal.json": "separable", "tiny.json": "separable"}
         tiny = json.loads((d / "tiny.report.json").read_text())["report"]
-        assert tiny["trace"]["notes"][0].startswith("support stripping failed:")
+        # rescaled by an even power of two, decomposed without a fallback, re-verified
+        assert tiny["trace"]["notes"] == ["input rescaled by 2**1030"]
+        assert [step["op"] for step in tiny["trace"]["steps"]] == ["rank-n-decompose"]
+        assert tiny["reverified"] is True
+        assert main(["verify", str(d / "tiny.json"), str(d / "tiny.report.json")]) == 0
         assert (d / "normal.report.json").exists()
 
     def test_raising_analysis_recorded(self, tmp_path, capsys, monkeypatch):
@@ -446,6 +450,89 @@ class TestDispatch:
         monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args.command) or 7)
         assert main(argv) == 7
         assert seen == [command]
+
+
+class TestUsageAndInputErrors:
+    """Every documented usage and input error exits 1 with its message on stderr."""
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["frobnicate"],
+                                      ["generate", "--kind", "npt", "--n", "abc", "--out", "x"]],
+                             ids=["missing-input", "unknown-command", "non-integer-n"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # argparse's own exit code, 2, is the code of an NPT verdict
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trace_is_input_error(self, tmp_path, capsys):
+        # a mixture of product projectors whose finite entries overflow the trace
+        s = tmp_path / "s.json"
+        write_state(s, np.diag([1.5e308, 1.5e308, 1e308, 5e307]).astype(complex), 2)
+        assert main(["analyze", str(s)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {s}: trace inf or norm ") and "is not finite" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "{state}", "--tol", "psd_tol"], "--tol expects KEY=VALUE"),
+        (["analyze", "{state}", "--tol", "psd_tol=abc"], "could not convert"),
+        (["analyze", "{state}", "--tol", "foo=1"], "unknown tolerance keys"),
+        (["analyze", "{state}", "--tol", "rank_rel_tol=2"], "invalid tolerance config"),
+        (["analyze", "{state}"], "cannot read tolerance config"),
+        (["analyze", "{no_n}"], "needs 'n' and 'matrix' fields"),
+        (["analyze", "{no_matrix}"], "needs 'n' and 'matrix' fields"),
+        (["analyze", "{triple}"], "expected [re, im] pair"),
+        (["analyze", "{wrong_n}"], "inconsistent with n=3"),
+        (["verify", "{state}", "{absent}"], "cannot read certificate"),
+        (["verify", "{state}", "{no_terms}"], "no certificate terms found"),
+        (["batch", "{state}"], "is not a directory"),
+        (["generate", "--kind", "npt", "--n", "0", "--out", "{absent}"], "n must be >= 1"),
+        (["generate", "--kind", "separable", "--n", "2", "--rank", "0", "--out", "{absent}"],
+         "rank 0 out of range"),
+    ], ids=["tol-without-value", "tol-not-a-number", "tol-unknown-key", "tol-out-of-range",
+            "unreadable-tol-file", "no-n", "no-matrix", "entry-not-a-pair", "n-against-shape",
+            "missing-certificate", "certificate-without-terms", "batch-on-a-file",
+            "generate-n-0", "generate-rank-0"])
+    def test_input_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        state = state_to_json(np.eye(4, dtype=complex) / 4, 2)
+        docs = {"state": state,
+                "no_n": {k: v for k, v in state.items() if k != "n"},
+                "no_matrix": {k: v for k, v in state.items() if k != "matrix"},
+                "triple": {**state, "matrix": [[[1, 0, 0]] + row[1:] for row in state["matrix"]]},
+                "wrong_n": {**state, "n": 3},
+                "no_terms": {"format_version": 1}}
+        paths = {name: tmp_path / f"{name}.json" for name in [*docs, "absent"]}
+        for name, doc in docs.items():
+            paths[name].write_text(json.dumps(doc))
+        if message == "cannot read tolerance config":
+            monkeypatch.setenv(cli.TOL_ENV_VAR, str(paths["absent"]))
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not paths["absent"].exists()
+
+
+class TestVerdictExits:
+    def test_ppt_entangled_exit(self, tmp_path):
+        s, r = tmp_path / "h.json", tmp_path / "h.report.json"
+        write_state(s, horodecki_2x4(0.5), 4)
+        assert main(["analyze", str(s), "--report", str(r)]) == 3
+        report = json.loads(r.read_text())["report"]
+        assert report["verdict"] == "entangled_ppt"
+        assert report["certificate"] is None and report["witness"]
+        assert main(["verify", str(s), str(r)]) == 1
+
+    def test_generate_random_ppt(self, tmp_path):
+        s = tmp_path / "p.json"
+        assert main(["generate", "--kind", "random-ppt", "--n", "4", "--out", str(s)]) == 0
+        state, _doc = load_state(s)
+        assert state.is_ppt and abs(state.trace - 1.0) < 1e-12
+        assert main(["analyze", str(s)]) in (0, 3, 4)
 
 
 class TestStateFileRoundTrip:

@@ -5,6 +5,9 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from sep2n.sepengine import analyze
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "flip_counts.py"
 _spec = importlib.util.spec_from_file_location("flip_counts", TOOL)
@@ -35,3 +38,36 @@ def test_transforms_keep_the_spectrum():
     assert len(images) == len(flip_counts.TRANSFORMS)
     for image, scale in zip(images, scales):
         assert np.allclose(np.linalg.eigvalsh(image) / scale, w, atol=1e-12)
+
+
+def _record(verdict, trace, j=0):
+    """A record of one analysis with every trace number in units of 2**j, exactly."""
+    def scaled(x):
+        return None if x is None else np.ldexp(x, j).tolist()
+    steps = [(s.op, s.case, s.alpha, s.ranks_before, s.ranks_after, s.n_before, s.n_after,
+              s.detail, scaled(s.lam), scaled(s.norm_before), scaled(s.min_eig_after))
+             for s in trace.steps]
+    return (verdict.kind, verdict.reason, steps, trace.notes, trace.exhaustive_enumeration,
+            trace.nonexhaustive_subtraction)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("workload", sorted(flip_counts.corpus.CORPORA))
+def test_power_of_two_scaling_is_exact(workload):
+    """``analyze(rho * 2**k)`` is the exact image of ``analyze(rho)`` for k = +-1000."""
+    for item in flip_counts.corpus.build(workload, 4242, scale=0.05):
+        verdict, trace = analyze(item.matrix)
+        for k in (1000, -1000):
+            image, image_trace = analyze(flip_counts.scaled(item.matrix, 2.0 ** k))
+            terms = verdict.certificate.terms if verdict.certificate else []
+            image_terms = image.certificate.terms if image.certificate else []
+            assert len(image_terms) == len(terms), (item.name, k)
+            for (w, pv), (w_image, pv_image) in zip(terms, image_terms):
+                assert w_image == np.ldexp(w, k), (item.name, k)
+                assert pv_image.e.tobytes() == pv.e.tobytes()
+                assert pv_image.f.tobytes() == pv.f.tobytes()
+            # the trace keeps the units of the rescaled state, rho * 2**(k + door)
+            door = re.fullmatch(r"input rescaled by 2\*\*(-?\d+)", image_trace.notes.pop())
+            assert door, (item.name, k)
+            j = k + int(door.group(1))
+            assert _record(image, image_trace) == _record(verdict, trace, j), (item.name, k)

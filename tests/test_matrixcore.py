@@ -12,6 +12,8 @@ from sep2n.matrixcore import (
     partial_transpose_matrix,
     pseudoinverse,
     psd_difference_check,
+    split_at_cutoff,
+    within_psd_tol,
 )
 from sep2n.productfinder import ProductVector
 
@@ -189,6 +191,12 @@ class TestLazyTransposeSpectrum:
             DensityState(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))
         assert str(exc.value) == "matrix is not PSD (min eigenvalue -5.000e-01, norm 1.000e+00)"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_trace_at_construction(self):
+        # finite entries, a mixture of product projectors, whose trace overflows
+        with pytest.raises(ValueError, match=r"^trace inf or norm .* is not finite$"):
+            DensityState(np.diag([1.5e308, 1.5e308, 1e308, 5e307]).astype(complex))
+
     def test_warnings_list_rho_before_rho_pt(self):
         line = "{}: 1 eigenvalue(s) within 10x of the rank cutoff"
         shared = DensityState(np.diag([1.0, 2e-9, 1.0, 1.0]).astype(complex))
@@ -254,7 +262,36 @@ class TestPseudoinverse:
         assert state.pseudoinverse() is state.pseudoinverse()
 
 
+def test_split_at_cutoff():
+    tol = ToleranceConfig(rank_rel_tol=1e-3)
+    w = np.array([-2.0, 1e-2, 2.1e-3, 1.9e-3, 1e-4, 1e-5, 0.0])
+    keep, borderline = split_at_cutoff(w, tol)
+    assert keep.tolist() == [True, True, True, False, False, False, False]
+    assert borderline == 3  # 1e-2, 2.1e-3 and 1.9e-3 lie within 10x of the cutoff 2e-3
+    keep, borderline = split_at_cutoff(np.zeros(3), tol)
+    assert not keep.any() and borderline == 0
+
+
+def test_within_psd_tol():
+    tol = ToleranceConfig(psd_tol=1e-6)
+    assert within_psd_tol(-1e-6, 1.0, tol) and not within_psd_tol(-1.1e-6, 1.0, tol)
+    assert within_psd_tol(-1e-306, 0.0, tol) and not within_psd_tol(-1e-305, 0.0, tol)
+
+
 class TestPsdDifference:
+    def test_rule_is_relative_to_x(self):
+        x = np.diag([2.0, 0.0]).astype(complex)
+        assert psd_difference_check(x, np.diag([0.0, 1.9e-9]))
+        assert not psd_difference_check(x, np.diag([0.0, 2.1e-9]))
+
+    def test_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rng = np.random.default_rng(9)
+        x = random_psd(rng, 4)
+        assert psd_difference_check(x, x / 2) and not psd_difference_check(x / 2, x)
+
     def test_scaled_identity(self):
         assert psd_difference_check(2 * np.eye(3), np.eye(3))
 

@@ -11,8 +11,9 @@ one it gets as built (a call that raises counts as its own kind).  None of
 the transforms changes whether a state is separable, so every count should
 be 0.
 
-- ``x2``, ``x(1+2^-52)``, ``x1e150``, ``x1e-150``, ``x1e300``, ``x1e-300``:
-  positive scalings, the second by one ulp;
+- ``x2``, ``x(1+2^-52)``, ``x1e150``, ``x1e-150``, ``x1e300``, ``x1e-300``,
+  ``x2^1000``, ``x2^-1000``: positive scalings, the second by one ulp; a power
+  of two scales the real and imaginary parts through ``np.ldexp``, exactly;
 - ``perm``: a random permutation of the C^N basis, (I2 (x) P) rho (I2 (x) P)^T;
 - ``unitary``: a random local unitary U (x) V, with U and V from QR of complex
   Gaussian matrices.
@@ -26,6 +27,7 @@ inputs and the flips per transform.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -40,8 +42,20 @@ from sep2n import sepengine  # noqa: E402
 
 
 SCALINGS = {"x2": 2.0, "x(1+2^-52)": 1.0 + 2.0 ** -52, "x1e150": 1e150, "x1e-150": 1e-150,
-            "x1e300": 1e300, "x1e-300": 1e-300}
+            "x1e300": 1e300, "x1e-300": 1e-300, "x2^1000": 2.0 ** 1000, "x2^-1000": 2.0 ** -1000}
 TRANSFORMS = (*SCALINGS, "perm", "unitary")
+
+
+def scaled(matrix: np.ndarray, factor: float) -> np.ndarray:
+    """``factor * matrix``; a power of two scales each real and imaginary part exactly.
+
+    ``np.ldexp`` has no complex loop, and a complex product can flip the
+    sign of a zero part, so a power of two goes through a float view.
+    """
+    mantissa, e = math.frexp(factor)
+    if mantissa != 0.5:
+        return factor * matrix
+    return np.ldexp(np.ascontiguousarray(matrix, dtype=complex).view(float), e - 1).view(complex)
 
 
 def transformed(rng, matrix: np.ndarray, n: int) -> list[np.ndarray]:
@@ -50,7 +64,7 @@ def transformed(rng, matrix: np.ndarray, n: int) -> list[np.ndarray]:
     u, v = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
             for d in (2, n))
     unitary = np.kron(u, v)
-    return ([scale * matrix for scale in SCALINGS.values()]
+    return ([scaled(matrix, factor) for factor in SCALINGS.values()]
             + [perm @ matrix @ perm.T, unitary @ matrix @ unitary.conj().T])
 
 
