@@ -91,8 +91,13 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dag) / 2."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (M + M^dag) / 2, halved first so that no entry overflows.
+
+    Halving is exact in the normal range, where this gives the bits of
+    ``(m + m.conj().T) / 2``; a subnormal entry may round, by at most half
+    the least subnormal.
+    """
+    return m / 2 + m.conj().T / 2
 
 
 def operator_norm(m) -> float:

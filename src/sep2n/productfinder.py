@@ -69,6 +69,14 @@ REAL_ALPHA_GRID = (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 / 3.0)
 DET_ZERO_TOL = 1e-10
 # Relative smallest-singular-value threshold accepting a rank drop at a root.
 NULL_ACCEPT = 1e-6
+# Distance below 1 that a subspace's largest overlap with product vectors must
+# keep on the whole Bloch sphere for ``_far_from_products`` to prove it holds
+# none: 50 times the 2 * NULL_ACCEPT**2 that the root gate can still accept.
+PRODUCT_FREE_MARGIN = 100 * NULL_ACCEPT ** 2
+# Subdivision levels of the icosahedral cover, and the most cells one level may
+# leave undecided, before ``_far_from_products`` gives up.
+PRODUCT_FREE_DEPTH = 6
+PRODUCT_FREE_MAX_CELLS = 256
 # Relative residual under which the partial transpose annihilates a kernel vector's
 # partner; as loose as NULL_ACCEPT, the rank-drop test that accepted the vector.
 KERNEL_PARTNER_REL_TOL = 1e-6
@@ -447,6 +455,131 @@ def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray |
 
 
 # ---------------------------------------------------------------------------
+# product-free proof on the Bloch sphere
+# ---------------------------------------------------------------------------
+
+def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
+    """The 12 unit corners of an icosahedron and its 20 faces as corner-index triples."""
+    t = (1 + 5 ** 0.5) / 2
+    corners = np.array([(s1, s2 * t, 0) for s1 in (-1, 1) for s2 in (-1, 1)], dtype=float)
+    corners = np.concatenate([np.roll(corners, k, axis=1) for k in range(3)])
+    # faces are the corner triples at pairwise distance 2, the edge length
+    faces = [f for f in combinations(range(12), 3)
+             if all(abs(np.linalg.norm(corners[i] - corners[j]) - 2) < 1e-9
+                    for i, j in combinations(f, 2))]
+    return corners / np.linalg.norm(corners, axis=1)[:, None], np.array(faces)
+
+
+# the four children of a cell whose corners 0, 1, 2 are followed by its edge
+# midpoints 3 = (0, 1), 4 = (1, 2) and 5 = (2, 0)
+_CHILDREN = ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))
+
+
+def _midpoints(cells: np.ndarray) -> np.ndarray:
+    """The normalized edge midpoints (0, 1), (1, 2), (2, 0) of a (K, 3, 3) corner stack."""
+    mids = cells + cells[:, (1, 2, 0)]
+    return mids / np.sqrt(np.sum(mids ** 2, axis=2))[:, :, None]
+
+
+def _children(parents: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Per-corner data of the 4K children from that of K parents' corners and midpoints."""
+    return np.concatenate([parents, mids], axis=1)[:, _CHILDREN].reshape(-1, 3, *parents.shape[2:])
+
+
+def _level_distances(face: np.ndarray) -> tuple[float, ...]:
+    """Per subdivision level, the least distance from 0 to the plane of a cell of ``face``.
+
+    The icosahedron's rotations carry each face and its subdivision onto every
+    other, so one face gives the bound for all.
+    """
+    cells, out = face[None], []
+    for _ in range(PRODUCT_FREE_DEPTH + 1):
+        normals = np.cross(cells[:, 1] - cells[:, 0], cells[:, 2] - cells[:, 0])
+        out.append(float(np.min(np.abs(np.sum(normals * cells[:, 0], axis=1))
+                                / np.linalg.norm(normals, axis=1))))
+        cells = _children(cells, _midpoints(cells))
+    return tuple(out)
+
+
+_ICO_CORNERS, _ICO_FACES = _icosahedron()
+_LEVEL_DISTANCES = _level_distances(_ICO_CORNERS[_ICO_FACES[0]])
+
+
+def _bloch_pencil(h: np.ndarray, n: int) -> np.ndarray:
+    """D_1, D_2, D_3 of ``_far_from_products`` as the rows of a (3, m*m) array."""
+    m = h.shape[1]
+    g00, g01 = h[:n].conj().T @ h.reshape(2, n, m)
+    g10 = g01.conj().T
+    pencil = np.empty((3, m, m), dtype=complex)
+    pencil[0] = (g01 + g10) / 2
+    pencil[1] = 0.5j * (g10 - g01)
+    pencil[2] = g00 - np.eye(m) / 2  # (G_00 - G_11) / 2, as G_00 + G_11 = I
+    return pencil.reshape(3, m * m)
+
+
+def _far_from_products(h: np.ndarray, n: int) -> bool:
+    """Whether the orthonormal 2N x m basis ``h`` provably spans no product vector.
+
+    For a unit e in C2 with Bloch vector x (e e^dag = (I + x.sigma)/2), the
+    largest |<e,f|v>|^2 over unit f and unit v in H is lambda_max(K(x)) with
+    K(x) = H^dag (e e^dag (x) I) H = I/2 + x_1 D_1 + x_2 D_2 + x_3 D_3, where
+    for the top and bottom N rows H_0, H_1 of h and G_ij = H_i^dag H_j,
+    D_1 = (G_01 + G_10)/2, D_2 = i (G_10 - G_01)/2 and D_3 = (G_00 - G_11)/2.
+
+    Why True means the full search returns []: with the complement blocks A,
+    B of ``_single_system`` and e proportional to (alpha, 1), the constraint
+    matrix M = alpha A* + B* has sigma_N(M)^2 = (1 + |alpha|^2)(1 - lambda_max(K)).
+    Since ||[A B]|| = 1, sigma_1(M) <= 1 + |alpha|, so the ``_has_null`` gate
+    that every refined root must pass accepts only where 1 - lambda_max(K) <=
+    2 NULL_ACCEPT^2.  At e = |0> the same identity gives sigma_N(A)^2 =
+    1 - lambda_max(K), so A has full column rank and the alpha = infinity
+    chart is not searched.  True is returned only when lambda_max(K) stays
+    below 1 - PRODUCT_FREE_MARGIN on the whole sphere, 50 times further than
+    the gate reaches, which also absorbs the rounding of both computations.
+
+    The cover: phi(x) = lambda_max(sum_k x_k D_k) is convex and positively
+    homogeneous, so on the spherical triangle over corners u_1, u_2, u_3 it
+    is at most max phi(u_i) / d when that is positive, for any d up to the
+    distance from 0 to the flat face; d is the least such distance over the
+    cells of the level.  A cell is decided when max phi(u_i) <
+    (1/2 - PRODUCT_FREE_MARGIN) d.  The cells start as the faces of an
+    icosahedron; each level splits the undecided ones into four at their
+    normalized edge midpoints, evaluating only the new corners in one stacked
+    ``eigvalsh``.  A corner at or above the bound, more than
+    PRODUCT_FREE_MAX_CELLS undecided cells, or undecided cells after
+    PRODUCT_FREE_DEPTH levels of splitting give False: the proof declines.
+    For m = 1, K is the scalar 1/2 + x.d, whose maximum 1/2 + |d| is exact.
+    """
+    m = h.shape[1]
+    pencil = _bloch_pencil(h, n)
+    limit = 0.5 - PRODUCT_FREE_MARGIN
+    if m == 1:
+        return float(np.linalg.norm(pencil)) < limit
+
+    def phi(points):
+        return np.linalg.eigvalsh((points @ pencil).reshape(-1, m, m))[:, -1]
+
+    cells = _ICO_CORNERS[_ICO_FACES]
+    values = phi(_ICO_CORNERS)[_ICO_FACES]
+    for level, distance in enumerate(_LEVEL_DISTANCES):
+        if level:
+            mids = _midpoints(cells)
+            cells = _children(cells, mids)
+            values = _children(values, phi(mids.reshape(-1, 3)).reshape(-1, 3))
+        top = values.max(axis=1)
+        if top.max() >= limit:
+            return False
+        undecided = ~(top < limit * distance)
+        count = np.count_nonzero(undecided)
+        if not count:
+            return True
+        if count > PRODUCT_FREE_MAX_CELLS:
+            return False
+        cells, values = cells[undecided], values[undecided]
+    return False
+
+
+# ---------------------------------------------------------------------------
 # single-subspace search
 # ---------------------------------------------------------------------------
 
@@ -456,13 +589,16 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
     For dim(H) > N every e admits a matching f (infinite family, sampled);
     for dim(H) = N the determinant of the constraint matrix is a degree-N
     polynomial whose roots give the finitely many solutions; below N the
-    system is overdetermined and the verified solution set may be empty.
+    system is overdetermined and a generic H holds no product vector.  There
+    ``_far_from_products`` first tries to prove H product-free from the
+    Bloch sphere; it succeeds only where no root could pass the search's
+    rank-drop gate, so returning [] then gives the search's own result.
     """
     tol = tol or DEFAULT_TOL
     h = _orthonormalize(h)
     two_n, m = h.shape
     n = two_n // 2
-    if m == 0:
+    if m == 0 or (m < n and _far_from_products(h, n)):
         return []
     cs = _single_system(h, n)
     samples = SAMPLE_ALPHAS + (None,)
@@ -470,9 +606,9 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
         return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                               note="subspace dimension exceeds N")
 
-    # m = n has one N-row determinant; m < n is overdetermined, with
-    # candidates from the first non-degenerate N-row determinant, verified
-    # against the full stack
+    # m = n has one N-row determinant; m < n is overdetermined and not proved
+    # product-free above, with candidates from the first non-degenerate N-row
+    # determinant, verified against the full stack
     ac, bc = cs.conj_blocks[:2]
     candidates: list[complex] = []
     for sel in combinations(range(ac.shape[0]), n):

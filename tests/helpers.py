@@ -737,6 +737,11 @@ def reference_block_rows_independent(ac, bc, probe):
     return np.linalg.matrix_rank(m, tol=1e-10 * max(1.0, float(np.linalg.norm(m, 2)))) == ac.shape[0]
 
 
+def reference_hermitize(m):
+    """``matrixcore.hermitize`` adding before it halves."""
+    return (m + m.conj().T) / 2
+
+
 def shared_e_rank_n(rng, n):
     """Rank-N mixture of N product projectors whose first two share one e.
 

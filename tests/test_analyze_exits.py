@@ -179,6 +179,16 @@ def test_subnormal_scale(monkeypatch):
     assert verify_certificate(m, verdict.certificate)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_near_overflow_scale():
+    # a product state whose entry is near the largest double: hermitizing halves
+    # before it adds, so nothing overflows before the door rescales it
+    m = np.diag([1e308, 0.0, 0.0, 0.0]).astype(complex)
+    verdict, _ = check(analyze(m), SEP, None, ["strip", "base-case"],
+                       ["input rescaled by 2**-1024"])
+    assert verify_certificate(m, verdict.certificate)
+
+
 def test_pt_invariant():
     check(analyze(random_pt_invariant(np.random.default_rng(3), 3)), SEP, None, ["pt-invariant"],
           [])

@@ -10,11 +10,15 @@ so a numpy or BLAS upgrade that breaks them fails there by name.
 calls to its former form, by bytes, and by memory layout where it was kept.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sep2n import productfinder, sepengine
-from sep2n.matrixcore import DensityState, ToleranceConfig, as_complex_matrix
+from sep2n.matrixcore import DensityState, ToleranceConfig, as_complex_matrix, hermitize
 from sep2n.polyelim import (
     BivariatePoly,
     NonFinite,
@@ -66,6 +70,7 @@ from helpers import (
     reference_as_complex_matrix,
     reference_block_rows_independent,
     reference_eval_stack,
+    reference_hermitize,
     reference_inv_dft,
     reference_is_zero,
     reference_scalar_proportional,
@@ -636,6 +641,41 @@ def signed_zero_grids(rng):
     return grids
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+_corpus_spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
+corpus = importlib.util.module_from_spec(_corpus_spec)
+sys.modules[_corpus_spec.name] = corpus  # its dataclass looks the module up there
+_corpus_spec.loader.exec_module(corpus)
+
+
+class TestProductFreeProof:
+    """Proving an overdetermined subspace product-free leaves its search's result as it was."""
+
+    @pytest.mark.parametrize("workload", ["range_enum", "sampled_reduction", "cli_batch"])
+    def test_corpus_kernel_searches(self, workload, monkeypatch):
+        searches = []
+        search = productfinder.products_in_subspace
+
+        def capture(h, tol=None):
+            if 0 < h.shape[1] < h.shape[0] // 2:
+                searches.append((h, tol))
+            return search(h, tol)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(productfinder, "products_in_subspace", capture)
+            for item in corpus.build(workload, 6607, scale=0.1):
+                sepengine.analyze(item.matrix)
+        proved = 0
+        for h, tol in searches:
+            ours = search(h, tol)
+            with monkeypatch.context() as patch:
+                patch.setattr(productfinder, "_far_from_products", lambda h, n: False)
+                assert_same_vectors(ours, search(h, tol))
+            proved += productfinder._far_from_products(_orthonormalize(h), h.shape[0] // 2)
+        # the proof decides most of them, so the comparison covers its exit
+        assert len(searches) >= 10 and proved >= 0.9 * len(searches)
+
+
 class TestPerCallPrimitives:
     """The primitives cut to fewer numpy calls give the bits of their former forms."""
 
@@ -658,6 +698,18 @@ class TestPerCallPrimitives:
             assert same_array(as_complex_matrix(a), reference_as_complex_matrix(a))
         for a in (np.ones(3), np.ones((2, 2, 2))):
             assert outcome(as_complex_matrix, a) == outcome(reference_as_complex_matrix, a)
+
+    def test_hermitize(self):
+        # halving before adding is exact in the normal range, so the bits agree
+        rng = np.random.default_rng(937)
+        for n in range(1, 9):
+            for scale in (1.0, 1e300, 1e-300, 1e150, 1e-150):
+                m = scale * crand(rng, 2 * n, 2 * n)
+                m[rng.random(m.shape) < 0.2] = 0.0
+                assert same_array(hermitize(m), reference_hermitize(m))
+        # where adding first would overflow, halving first does not
+        big = np.diag([1e308, 1e308]).astype(complex)
+        assert np.array_equal(hermitize(big), big)
 
     def test_split(self):
         rng = np.random.default_rng(931)

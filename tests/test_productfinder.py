@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from sep2n import productfinder
 from sep2n.matrixcore import DensityState, ToleranceConfig
 from sep2n.productfinder import (
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
+    _bloch_pencil,
     _chart_products,
+    _far_from_products,
+    _orthonormalize,
+    _single_system,
     build_paired_system,
     eliminate_paired,
     kernel_product_vector,
@@ -118,6 +123,89 @@ class TestProductsInSubspace:
             if isinstance(res, list) and len(res) >= 1:
                 found += 1
         assert found == 200
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _cvec(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _planted_subspace(rng, n, m, e, delta=0.0):
+    """An orthonormal basis of m dimensions holding |e,f> (moved by delta), and |e,f>."""
+    v = np.kron(e, _cvec(rng, n))
+    v /= np.linalg.norm(v)
+    w = _cvec(rng, 2 * n)
+    return _orthonormalize(np.column_stack([v + delta * w / np.linalg.norm(w),
+                                            _cvec(rng, 2 * n, m - 1)])), v
+
+
+def _planted_es(rng):
+    """A random complex e, a random real e and e = |0>, the alpha = infinity chart point."""
+    return _cvec(rng, 2), rng.standard_normal(2), np.array([1.0, 0.0])
+
+
+def _search_without_proof(monkeypatch, h):
+    with monkeypatch.context() as patch:
+        patch.setattr(productfinder, "_far_from_products", lambda h, n: False)
+        return products_in_subspace(h)
+
+
+class TestProductFreeProof:
+    """``_far_from_products`` succeeds only where the full search finds nothing."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_declines_on_a_planted_vector(self, n):
+        rng = np.random.default_rng([940, n])
+        for m in range(1, n):
+            for e in _planted_es(rng):
+                e = e / np.linalg.norm(e)
+                h, v = _planted_subspace(rng, n, m, e)
+                assert not _far_from_products(h, n)
+                found = products_in_subspace(h)
+                assert any(abs(np.vdot(pv.vector, v)) > 1 - 1e-8 for pv in found)
+                if e[1] == 0:
+                    assert any(pv.alpha is None for pv in found)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_proved_searches_find_nothing(self, n, monkeypatch):
+        rng = np.random.default_rng([941, n])
+        outcomes = []
+        for m in range(1, n):
+            cases = [_orthonormalize(_cvec(rng, 2 * n, m)) for _ in range(3)]
+            for delta in (1e-9, 1e-6, 1e-4, 1e-3, 1e-2):
+                cases += [_planted_subspace(rng, n, m, e / np.linalg.norm(e), delta)[0]
+                          for e in _planted_es(rng)]
+            for h in cases:
+                proved = _far_from_products(h, n)
+                if proved:
+                    assert _search_without_proof(monkeypatch, h) == []
+                outcomes.append(proved)
+        # both outcomes occur: a vector moved by 1e-9 is within the margin
+        assert any(outcomes) and not all(outcomes)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_overlap_matches_the_complement_blocks(self, n):
+        rng = np.random.default_rng([942, n])
+        for m in range(1, n):
+            h = _orthonormalize(_cvec(rng, 2 * n, m))
+            pencil = _bloch_pencil(h, n)
+            ac, bc = _single_system(h, n).conj_blocks[:2]
+            for e in (*_cvec(rng, 4, 2), [1.0, 0.0]):
+                e = np.asarray(e, dtype=complex) / np.linalg.norm(e)
+                x = np.real(np.conj(e) @ PAULI @ e)
+                k = np.eye(m) / 2 + (x @ pencil).reshape(m, m)
+                # K(x) is H^dag (e e^dag (x) I) H
+                direct = h.conj().T @ np.kron(np.outer(e, e.conj()), np.eye(n)) @ h
+                assert np.allclose(k, direct, atol=1e-14)
+                if e[1] == 0:
+                    sigma_n, scale = np.linalg.svd(ac, compute_uv=False)[n - 1], 1.0
+                else:
+                    alpha = e[0] / e[1]
+                    sigma_n = np.linalg.svd(alpha * ac + bc, compute_uv=False)[n - 1]
+                    scale = 1 + abs(alpha) ** 2
+                assert abs(np.linalg.eigvalsh(k)[-1] - (1 - sigma_n ** 2 / scale)) < 1e-12
 
 
 def _subspace_distance(h, alpha, n):
