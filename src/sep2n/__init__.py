@@ -2,7 +2,8 @@
 
 Decides whether a positive-partial-transpose state is separable by
 subtracting product vectors, reducing through kernel product vectors, and
-enumerating range product vectors via polynomial elimination.  Every
+enumerating range product vectors as eigenvalues of an operator-determinant
+pencil.  Every
 "separable" verdict comes with a machine-checkable product-state
 certificate.
 """

@@ -46,7 +46,10 @@ class ToleranceConfig:
         Relative eigenvalue floor: X is accepted as PSD when
         ``lambda_min(X) >= -psd_tol * ||X||``, the test of ``within_psd_tol``.
     root_residual_tol
-        Back-substitution residual bound for polynomial roots.
+        Range-membership bound: a candidate product vector lies in a
+        subspace when its residual off the subspace is at most 10 times
+        this.  It also bounds the back-substitution residual of
+        ``polyelim.verify_roots``, which no search of the library calls.
     cert_recon_tol
         Relative reconstruction bound for separability certificates.
     """
@@ -116,6 +119,7 @@ BRACKET_MARGIN = 1e-6
 _BRACKET_SAFE = np.finfo(float).tiny / BRACKET_MARGIN
 # Floor of the Hermiticity test's relative tolerance.
 _HERMITIAN_FLOOR = 1e3 * np.finfo(float).eps
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _entry_bracket(m) -> tuple[float, float] | None:
@@ -198,8 +202,13 @@ def split_at_cutoff(w: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, in
 
 
 def within_psd_tol(w_min: float, scale: float, tol: ToleranceConfig) -> bool:
-    """Whether a least eigenvalue counts as nonnegative against ``scale``, floored at 1e-300."""
-    return w_min >= -tol.psd_tol * max(scale, 1e-300)
+    """Whether a least eigenvalue counts as nonnegative against ``scale``.
+
+    The test is relative at every scale, subnormal ones included: a floor
+    under ``scale`` would make it absolute there and pass clearly negative
+    spectra of tiny matrices.
+    """
+    return w_min >= -tol.psd_tol * scale
 
 
 def numerical_rank_kernel(m, tol: ToleranceConfig | None = None) -> RankInfo:
@@ -321,8 +330,12 @@ class DensityState:
 
         self._eigvals, self._eigvecs = np.linalg.eigh(self.matrix)
 
-        self.trace = float(np.real(np.trace(self.matrix)))
         self.norm = float(np.max(np.abs(self._eigvals))) if dim else 0.0
+        if dim * self.norm <= _FLOAT_MAX:  # |trace| <= dim * norm, so the sum cannot overflow
+            self.trace = float(np.real(np.trace(self.matrix)))
+        else:
+            with np.errstate(over="ignore"):  # finite entries may sum past the largest double
+                self.trace = float(np.real(np.trace(self.matrix)))
         self.min_eigenvalue = float(self._eigvals[0])
         if not (math.isfinite(self.trace) and math.isfinite(self.norm)):  # entries near 1e308
             raise ValueError(f"trace {self.trace:.3e} or norm {self.norm:.3e} is not finite")

@@ -2,10 +2,16 @@
 
 A product vector ``(alpha|0> + |1>) (x) f`` lies in a subspace H exactly
 when ``(alpha A* + B*) f = 0``, where the rows of A and B collect the
-components of an orthonormal basis of the orthogonal complement of H.  The
-paired search additionally constrains the conjugate partner ``|e*, f>`` to a
-second subspace, which brings in the conjugate variable and leads to the
-bivariate determinant systems handled by :mod:`sep2n.polyelim`.
+components of an orthonormal basis of the orthogonal complement of H.  A
+single subspace of dimension N is searched through the roots of the
+determinant of these rows.  The paired search additionally constrains the
+conjugate partner ``|e*, f>`` to a second subspace, which brings in the
+conjugate variable; with beta standing for conj(alpha) the two constraint
+sets form a two-parameter eigenvalue problem, whose candidate roots are the
+eigenvalues of one operator-determinant pencil (``_pencil_roots``).  The
+bivariate determinant polynomials of a paired system
+(``ConstraintSystem.dets``) and their elimination (``eliminate_paired``)
+are built only on request; the search itself does not use them.
 
 Candidates are screened as stacks, and each stacked numpy form used here
 gives the bits of the single-vector call it replaces: a mat-vec as a matmul
@@ -19,7 +25,7 @@ one scalar at a time.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -28,15 +34,11 @@ from .matrixcore import DEFAULT_TOL, ToleranceConfig, numerical_rank_kernel
 from .polyelim import (
     MERGE_RADIUS,
     BivariatePoly,
-    DegenerateElimination,
     UnivariatePoly,
-    _scalar_proportional,
-    conjugate_poly,
     eliminate_pair,
     eliminate_single,
     reduce_univariate_pair,
     univariate_roots,
-    verify_roots,
 )
 
 __all__ = [
@@ -82,6 +84,22 @@ PRODUCT_FREE_MAX_CELLS = 256
 KERNEL_PARTNER_REL_TOL = 1e-6
 # Alternation rounds of the fixed-alpha refinement (``_refine_alpha_f``).
 REFINE_ROUNDS = 3
+# The paired root solve (``_pencil_roots``, ``_gate_and_polish``): the angle of
+# the real qubit rotation of its chart; the mixing coefficient gamma (|gamma|
+# != 1) of the pencil Delta_1 + gamma Delta_2 - eta Delta_0 and the two shifts
+# it is inverted at; the inverse growth of a probe column past which a shifted
+# matrix counts as singular (also the relative determinant below which a
+# polish step's normal equations count as singular); the modulus, relative to
+# the largest, below which an eigenvalue nu of the inverted pencil counts as 0
+# (an infinite eta); the relative sigma_N under which a candidate is polished;
+# and the Gauss-Newton steps of the polish.
+PENCIL_CHART_ANGLE = 0.5
+PENCIL_GAMMA = 0.4 + 0.3j
+PENCIL_SHIFTS = (0.3183 - 0.5772j, -0.7071 + 0.2718j)
+PENCIL_SINGULAR_TOL = 1e-12
+PENCIL_INFINITE_TOL = 1e-12
+PENCIL_GATE = 1e-4
+PENCIL_POLISH_STEPS = 3
 
 
 # Modulus of the second entry of a unit e at or below which e is the chart
@@ -212,25 +230,27 @@ class InfiniteFamily:
     note: str = ""
 
 
-@dataclass
 class ConstraintSystem:
-    """Orthocomplement blocks of a paired search plus its determinant polynomials.
+    """Orthocomplement blocks of a paired search, with its determinant polynomials on demand.
 
     A single-subspace search is the system whose partner block is empty.
+    ``dets``, the nonvanishing N-row determinant polynomials of a paired
+    system, is computed on first read unless given; the paired search itself
+    never reads it.
     """
 
-    a1: np.ndarray
-    b1: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
-    n: int
-    m1: int
-    m2: int
-    dets: list[BivariatePoly]
-
-    def __post_init__(self):
+    def __init__(self, a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray,
+                 n: int, m1: int, m2: int, dets: list[BivariatePoly] | None = None):
+        self.a1, self.b1, self.a2, self.b2 = a1, b1, a2, b2
+        self.n, self.m1, self.m2 = n, m1, m2
+        if dets is not None:
+            self.dets = dets
         # the constraint rows at alpha are alpha * A* + B*
-        self.conj_blocks = tuple(np.conj(x) for x in (self.a1, self.b1, self.a2, self.b2))
+        self.conj_blocks = tuple(np.conj(x) for x in (a1, b1, a2, b2))
+
+    @cached_property
+    def dets(self) -> list[BivariatePoly]:
+        return _paired_dets(self)
 
     def stacked(self, alphas: np.ndarray, conj_alphas: np.ndarray | None = None) -> np.ndarray:
         """The (K, rows, N) stack of constraint matrices; conj_alphas defaults to conj(alphas)."""
@@ -425,9 +445,9 @@ def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray |
     """Product vectors at candidate roots, refined together, then kept in order.
 
     The range tests are those of ``_chart_products``.  A single search skips a
-    root within ``MERGE_RADIUS`` of a kept one, before or after refinement, as
-    ``verify_roots`` merges roots; in a paired search the first root whose
-    solution space has dimension > 1 raises.
+    root within ``MERGE_RADIUS`` of a kept one, before or after refinement; a
+    paired search merges its roots before and after this call, and the
+    first root whose solution space has dimension > 1 raises.
     """
     starts = [complex(a) for a in roots]
     alphas, fs, sigmas = _refine_alpha_f(cs, starts)
@@ -663,19 +683,22 @@ def _mixed_selections(r1: int, r2: int, n: int, cap: int | None = None):
 
 
 def build_paired_system(h1, h2) -> ConstraintSystem:
-    """Constraint blocks and determinant polynomials for the paired search."""
+    """Constraint blocks of the paired search; the determinants come on first read of ``dets``."""
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)
     if h1.shape[0] != h2.shape[0]:
         raise ValueError("subspaces live in different ambient spaces")
     n = h1.shape[0] // 2
-    m1, m2 = h1.shape[1], h2.shape[1]
-    comp1 = orthonormal_complement(h1)
-    comp2 = orthonormal_complement(h2)
-    a1, b1 = _blocks(comp1, n)
-    a2, b2 = _blocks(comp2, n)
-    r1, r2 = a1.shape[0], a2.shape[0]
-    cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=m1, m2=m2, dets=[])
+    a1, b1 = _blocks(orthonormal_complement(h1), n)
+    a2, b2 = _blocks(orthonormal_complement(h2), n)
+    return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=h1.shape[1], m2=h2.shape[1])
+
+
+def _paired_dets(cs: ConstraintSystem) -> list[BivariatePoly]:
+    """The N-row determinant polynomials of a paired system that do not vanish identically."""
+    n = cs.n
+    r1, r2 = cs.a1.shape[0], cs.a2.shape[0]
+    dets: list[BivariatePoly] = []
     if r1 + r2 >= n:
         ac1, bc1, ac2, bc2 = cs.conj_blocks
         sels = _row_selections(r1, r2, n)
@@ -695,17 +718,18 @@ def build_paired_system(h1, h2) -> ConstraintSystem:
         for sel1, sel2 in sels:
             det = det_poly_bivariate((ac1[list(sel1)], bc1[list(sel1)]),
                                      (ac2[list(sel2)], bc2[list(sel2)]))
-            if np.max(np.abs(det.coeffs)) <= DET_ZERO_TOL:
-                continue
-            cs.dets.append(det)
-    return cs
+            if np.max(np.abs(det.coeffs)) > DET_ZERO_TOL:
+                dets.append(det)
+    return dets
 
 
 def eliminate_paired(cs: ConstraintSystem) -> UnivariatePoly | None:
     """Reduce the determinant system to one univariate polynomial.
 
     Returns None when every determinant vanished identically (rank
-    deficiency for all alpha).
+    deficiency for all alpha).  No search of the library calls it: the
+    paired search takes its roots from ``_pencil_roots``, and tests check
+    those against this elimination.
     """
     if not cs.dets:
         return None
@@ -724,20 +748,185 @@ def eliminate_paired(cs: ConstraintSystem) -> UnivariatePoly | None:
     return q
 
 
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two N x N matrices, without its reshaping overhead."""
+    n = x.shape[0]
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(n * n, n * n)
+
+
+@lru_cache(maxsize=None)
+def _compression(n: int, rows: int) -> np.ndarray:
+    """A fixed N x rows matrix with orthonormal rows, from the QR of a seeded Gaussian; read-only."""
+    rng = np.random.default_rng([n, rows])
+    q = np.linalg.qr(rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))[0]
+    q = q.conj().T.copy()
+    q.flags.writeable = False
+    return q
+
+
+@lru_cache(maxsize=None)
+def _seeded_columns(rows: int, cols: int) -> np.ndarray:
+    """A fixed seeded complex rows x cols matrix with unit columns, read-only."""
+    rng = np.random.default_rng([rows, cols])
+    v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    v /= np.linalg.norm(v, axis=0)
+    v.flags.writeable = False
+    return v
+
+
+def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
+    """Candidate roots alpha of a finite paired system, and whether its pencil is singular.
+
+    With beta standing for conj(alpha), the constraints are W1 f = 0 with
+    W1 = B + alpha A + beta C, where A stacks the A1* rows over zero rows, C
+    zero rows over the A2* rows and B the B1* rows over the B2* rows; their
+    conjugate reads W2 g = 0 with W2 = conj(B) + beta conj(A) + alpha conj(C)
+    and g = conj(f).  Beyond N rows, all three are compressed by one fixed
+    matrix with orthonormal rows (``_compression``), which keeps every root.
+    This is a two-parameter eigenvalue problem (Atkinson 1972): z = f (x) g
+    satisfies Delta_1 z = alpha Delta_0 z and Delta_2 z = beta Delta_0 z
+    for the N^2 x N^2 operator determinants
+
+        Delta_0 = A (x) conj(A) - C (x) conj(C),
+        Delta_1 = C (x) conj(B) - B (x) conj(A),
+        Delta_2 = B (x) conj(C) - A (x) conj(B).
+
+    With exactly N rows, Delta_0 has rank r1^2 + r2^2 < N^2 and
+    Delta_1 - s Delta_0 is singular for every s, so the mixed pencil
+    Delta_1 + gamma Delta_2 - eta Delta_0, eta = alpha + gamma beta, is
+    solved instead: eta = s + 1/nu for the eigenvalues nu != 0 of
+    (Delta_1 + gamma Delta_2 - s Delta_0)^-1 Delta_0.  A genuine root has
+    beta = conj(alpha), so alpha = (eta - gamma conj(eta)) / (1 - |gamma|^2);
+    other eigenvalues give candidates that the caller's rank gate drops.
+
+    A product vector at e = |0> with its partner (A f = C f = 0) makes the
+    pencil singular, so the pencil is set up in the chart e = R (alpha', 1)
+    of a fixed real rotation R, which keeps beta' = conj(alpha'), and its
+    roots are mapped back; e = |0> itself is left to the chart search.  The
+    shifted matrix counts as singular when its inverse blows a fixed probe
+    column up past 1 / PENCIL_SINGULAR_TOL relative to its norm.  When it is
+    at both shifts, the pencil is singular, and the candidates come from its
+    rank-completing perturbation (Hochstenbach, Mehl and Plestenjak, SIAM J.
+    Matrix Anal. Appl. 40, 2019): adding tau U V^dag to Delta_0, with U and
+    V fixed random N^2 x k matrices for the k singular values of the
+    shifted matrix below sqrt(PENCIL_SINGULAR_TOL) times the largest, keeps
+    every regular eigenvalue of the pencil as an eigenvalue.
+    """
+    n = cs.n
+    cos, sin = np.cos(PENCIL_CHART_ANGLE), np.sin(PENCIL_CHART_ANGLE)
+    ac1, bc1, ac2, bc2 = cs.conj_blocks
+    r1, rows = ac1.shape[0], ac1.shape[0] + ac2.shape[0]
+    a = np.zeros((rows, n), dtype=complex)
+    c = np.zeros((rows, n), dtype=complex)
+    a[:r1], c[r1:] = cos * ac1 + sin * bc1, cos * ac2 + sin * bc2
+    b = np.concatenate([cos * bc1 - sin * ac1, cos * bc2 - sin * ac2])
+    if rows > n:
+        q = _compression(n, rows)
+        a, b, c = q @ a, q @ b, q @ c
+    ca, cb, cc = a.conj(), b.conj(), c.conj()
+    delta0 = _kron(a, ca) - _kron(c, cc)
+    # Delta_1 + gamma Delta_2, the Kronecker products grouped by their left factor
+    mixed = _kron(c, cb) + _kron(b, PENCIL_GAMMA * cc - ca) - _kron(a, PENCIL_GAMMA * cb)
+    rhs = np.column_stack([delta0, _seeded_columns(n * n, 1)])
+    singular = True
+    for shift in PENCIL_SHIFTS:
+        shifted = mixed - shift * delta0
+        try:
+            x = np.linalg.solve(shifted, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.linalg.norm(x[:, -1]) * np.linalg.norm(shifted) * PENCIL_SINGULAR_TOL < 1.0:
+            singular = False
+            nu = np.linalg.eigvals(x[:, :-1])
+            break
+    if singular:
+        sv = np.linalg.svd(shifted, compute_uv=False)
+        k = max(1, int(np.count_nonzero(sv <= PENCIL_SINGULAR_TOL ** 0.5 * sv[0])))
+        uv = _seeded_columns(n * n, 2 * k)
+        delta0 = delta0 + max(float(sv[0]), 1.0) * (uv[:, :k] @ uv[:, k:].conj().T)
+        nu = np.linalg.eigvals(np.linalg.solve(mixed - shift * delta0, delta0))
+    nu = nu[np.abs(nu) > PENCIL_INFINITE_TOL * np.abs(nu).max(initial=0.0)]
+    eta = shift + 1.0 / nu
+    rotated = (eta - PENCIL_GAMMA * eta.conj()) / (1.0 - abs(PENCIL_GAMMA) ** 2)
+    # back to the chart e = (alpha, 1); e = |0> is left to the chart search
+    e1 = sin * rotated + cos
+    keep = np.abs(e1) > CHART_INFINITY_TOL * np.abs(rotated)
+    return (cos * rotated[keep] - sin) / e1[keep], singular
+
+
+def _gate_and_polish(cs: ConstraintSystem, alphas: np.ndarray) -> list[complex]:
+    """The candidates at a rank drop of the full stack, polished and merged, sorted by (re, im).
+
+    A candidate is kept when sigma_N of its stacked constraint matrix W is at
+    most PENCIL_GATE times max(sigma_1, 1 + |alpha|).  Each kept one then
+    takes PENCIL_POLISH_STEPS Gauss-Newton steps on alpha with f projected
+    out (variable projection): with v the last right singular vector of W
+    and L the left singular vectors past the first N - 1, the residual
+    r = L^dag W v moves to first order by delta L^dag A v + conj(delta)
+    L^dag C v, and the step delta solves the real 2-unknown least-squares
+    problem through its normal equations.  One stacked SVD per step serves
+    every candidate, the first also as the gate; a candidate whose normal
+    equations are singular (a double root) stays where it is.  Roots within
+    MERGE_RADIUS of a kept one are merged.
+    """
+    n, r1 = cs.n, cs.a1.shape[0]
+    ac1, ac2 = cs.conj_blocks[0], cs.conj_blocks[2]
+    for step in range(PENCIL_POLISH_STEPS):
+        if not alphas.size:
+            break
+        w = cs.stacked(alphas)
+        u, s, vh = np.linalg.svd(w, full_matrices=True)
+        if not step:
+            keep = s[:, n - 1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(alphas))
+            alphas, w, u, vh = alphas[keep], w[keep], u[keep], vh[keep]
+        v = vh[:, -1:].conj().swapaxes(1, 2)  # (K, N, 1)
+        left = u[:, :, n - 1:].conj().swapaxes(1, 2)  # (K, rows - N + 1, rows)
+        res = (left @ (w @ v))[:, :, 0]
+        da = (left[:, :, :r1] @ (ac1 @ v))[:, :, 0]
+        dc = (left[:, :, r1:] @ (ac2 @ v))[:, :, 0]
+        # the real and imaginary parts of r + x (da + dc) + y i (da - dc) = 0
+        jx, jy = da + dc, 1j * (da - dc)
+        g11 = np.sum(jx.real ** 2 + jx.imag ** 2, axis=1)
+        g22 = np.sum(jy.real ** 2 + jy.imag ** 2, axis=1)
+        g12 = np.sum(jx.real * jy.real + jx.imag * jy.imag, axis=1)
+        b1 = -np.sum(jx.real * res.real + jx.imag * res.imag, axis=1)
+        b2 = -np.sum(jy.real * res.real + jy.imag * res.imag, axis=1)
+        det = g11 * g22 - g12 ** 2
+        ok = det > PENCIL_SINGULAR_TOL * (g11 + g22) ** 2
+        det = np.where(ok, det, 1.0)
+        alphas = alphas + np.where(ok, (g22 * b1 - g12 * b2 + 1j * (g11 * b2 - g12 * b1)) / det, 0.0)
+    return _merged(sorted(alphas.tolist(), key=lambda z: (z.real, z.imag)))
+
+
+def _merged(items: list, alpha=lambda x: x) -> list:
+    """The items whose ``alpha`` lies beyond MERGE_RADIUS of that of every earlier kept one."""
+    kept: list = []
+    for x in items:
+        if not any(abs(alpha(x) - alpha(y)) <= MERGE_RADIUS for y in kept):
+            kept.append(x)
+    return kept
+
+
 def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     """Product vectors with |e,f> in H1 and the conjugate partner in H2.
 
     Returns an InfiniteFamily (with deterministic samples) when the
-    dimension count guarantees solutions for every e, otherwise the finite
-    verified list sorted by alpha.
+    dimension count guarantees solutions for every e, or when the
+    constraints drop rank at every alpha; otherwise the finite list of
+    roots, sorted by alpha.  The finite roots are the eigenvalues of an
+    operator-determinant pencil (``_pencil_roots``), kept where the full
+    constraint stack drops rank, polished and merged
+    (``_gate_and_polish``), then solved for f and range-tested by
+    ``_root_products`` and merged again; the chart point e = |0> is
+    searched apart.
 
     Raises
     ------
     NonGenericInput
-        When the only determinant equals its conjugate twin up to a scalar
-        (its zeros form a curve, touching points or nothing, which no
-        finite enumeration covers), the elimination degenerates, or a root
-        carries a solution space of dimension > 1: a non-generic instance.
+        When the pencil is singular although the constraints keep full rank
+        at generic alpha (the determinants share a self-conjugate factor,
+        whose zeros may form a curve, which no finite enumeration covers),
+        or a root carries a solution space of dimension > 1.
     """
     tol = tol or DEFAULT_TOL
     h1 = _orthonormalize(h1)
@@ -747,20 +936,18 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     if cs.m1 + cs.m2 > 3 * n:
         return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="dimension count exceeds 3N")
-    if not cs.dets:
-        return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
-                              note="all determinants vanish identically")
-    d = cs.dets[0]  # a self-conjugate one may vanish on a curve, which no finite list covers
-    if len(cs.dets) == 1 and _scalar_proportional(d.coeffs, conjugate_poly(d).coeffs):
-        raise NonGenericInput("the only determinant is self-conjugate")
-    try:
-        q = eliminate_paired(cs)
-    except DegenerateElimination as exc:
-        raise NonGenericInput(f"degenerate elimination: {exc}") from exc
-    candidates = list(univariate_roots(q)) if q.degree >= 1 else []
-    rootset = verify_roots(candidates, cs.dets, tol)
-
-    found = _root_products(rootset.roots, cs, h1, h2, tol)
+    candidates, singular = _pencil_roots(cs)
+    if singular:
+        probes = np.array(SAMPLE_ALPHAS[:2])
+        sigmas = np.linalg.svd(cs.stacked(probes), compute_uv=False)
+        if all(_has_null(s, n, a) for s, a in zip(sigmas, probes)):
+            return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
+                                  note="all determinants vanish identically")
+        if cs.a1.shape[0] + cs.a2.shape[0] == n:
+            raise NonGenericInput("singular pencil: the only determinant shares a factor "
+                                  "with its self-conjugate twin, so its zeros may form a curve")
+    found = _root_products(_gate_and_polish(cs, candidates), cs, h1, h2, tol)
+    found = _merged(found, lambda v: v.alpha)
     found += _chart_products(cs, (None,), h1, h2, tol)
     return sorted(found, key=_sort_key)
 

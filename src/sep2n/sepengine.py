@@ -473,8 +473,11 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
     so the expansion coefficients (read off through the biorthogonal duals,
     here computed as a least-squares solve) are unique.  All nonnegative
     coefficients with no residual outside the span means separable; a
-    negative coefficient or leftover residual is a witness.  Soundness of
-    the entangled answer requires the caller to pass an exhaustive vector
+    negative coefficient or leftover residual is a witness.  A negative
+    coefficient may be rounding on a nearly dependent pair of projectors
+    (two close roots), so the expansion is refitted once without the
+    negative ones, and a refit that certifies answers separable.  Soundness
+    of the entangled answer requires the caller to pass an exhaustive vector
     list.
     """
     if not vectors:
@@ -494,16 +497,32 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
         raise DependentProjectors("projector Gram matrix is rank deficient")
     rho_hat = (u.conj().T @ state.matrix @ u).ravel()
     c, *_ = np.linalg.lstsq(s_mat, rho_hat, rcond=None)
-    residual = float(np.linalg.norm(rho_hat - s_mat @ c))
     rho_scale = float(np.linalg.norm(rho_hat))
     neg_thr = state.tol.cert_recon_tol * state.trace
     drop_thr = 1e-12 * state.trace
 
-    bad_imag = float(np.max(np.abs(c.imag))) if c.size else 0.0
+    def certified(fit):
+        """The separable verdict of a fit with no residual, negative or imaginary part, or None."""
+        if (float(np.linalg.norm(rho_hat - s_mat @ fit)) <= state.tol.cert_recon_tol * rho_scale
+                and not np.any(fit.real < -neg_thr) and float(np.max(np.abs(fit.imag))) <= neg_thr):
+            terms = [(float(fit[i].real), vectors[i]) for i in range(L) if fit[i].real > drop_thr]
+            return Verdict(VerdictKind.SEPARABLE, certificate=SeparabilityCertificate(terms))
+        return None
+
     negatives = [i for i in range(L) if c[i].real < -neg_thr]
-    if residual <= state.tol.cert_recon_tol * rho_scale and not negatives and bad_imag <= neg_thr:
-        terms = [(float(c[i].real), vectors[i]) for i in range(L) if c[i].real > drop_thr]
-        return Verdict(VerdictKind.SEPARABLE, certificate=SeparabilityCertificate(terms))
+    verdict = certified(c)
+    rest = [i for i in range(L) if i not in negatives]
+    if verdict is None and negatives and rest:
+        # two close roots give nearly parallel projectors, whose coefficients
+        # rounding can push below zero; without the negative ones the fit may
+        # still certify (and the certificate is re-verified by the caller)
+        fit = np.zeros_like(c)
+        fit[rest] = np.linalg.lstsq(s_mat[:, rest], rho_hat, rcond=None)[0]
+        verdict = certified(fit)
+    if verdict is not None:
+        return verdict
+    residual = float(np.linalg.norm(rho_hat - s_mat @ c))
+    bad_imag = float(np.max(np.abs(c.imag)))
     witness = {
         "coefficients": [complex(x) for x in c],
         "negative_indices": negatives,

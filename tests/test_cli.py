@@ -469,7 +469,7 @@ class TestUsageAndInputErrors:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_trace_is_input_error(self, tmp_path, capsys):
         # a mixture of product projectors whose finite entries overflow the trace
         s = tmp_path / "s.json"

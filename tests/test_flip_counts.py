@@ -71,3 +71,27 @@ def test_power_of_two_scaling_is_exact(workload):
             assert door, (item.name, k)
             j = k + int(door.group(1))
             assert _record(image, image_trace) == _record(verdict, trace, j), (item.name, k)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_invertible_factor_is_not_unitary(real):
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 8):
+        a = flip_counts._invertible(rng, d, real)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert 0.5 <= s.min() and s.max() <= 2.0 and s.max() - s.min() > 1e-3
+        assert np.isrealobj(a) == real
+
+
+def test_invertible_transform_keeps_rank_and_ppt():
+    # (A (x) B) rho (A (x) B)^dag of a separable rank-4 mixture on C2 x C3 is
+    # again PSD and PPT of rank 4, but its spectrum moves
+    m = flip_counts.corpus.separable_mixture(np.random.default_rng(3), n=3, terms=4)
+    image = flip_counts.transformed(np.random.default_rng(4), m, 3)[
+        flip_counts.TRANSFORMS.index("invertible")]
+    assert np.allclose(image, image.conj().T, atol=1e-15)
+    for x in (image, flip_counts.corpus._pt(image, 3)):
+        w = np.linalg.eigvalsh(x)
+        assert w[0] > -1e-12 * w[-1]
+        assert np.count_nonzero(w > 1e-9 * w[-1]) == 4
+    assert not np.allclose(np.linalg.eigvalsh(image), np.linalg.eigvalsh(m), atol=1e-3)

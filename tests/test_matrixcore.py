@@ -191,11 +191,19 @@ class TestLazyTransposeSpectrum:
             DensityState(np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex))
         assert str(exc.value) == "matrix is not PSD (min eigenvalue -5.000e-01, norm 1.000e+00)"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_trace_at_construction(self):
         # finite entries, a mixture of product projectors, whose trace overflows
         with pytest.raises(ValueError, match=r"^trace inf or norm .* is not finite$"):
             DensityState(np.diag([1.5e308, 1.5e308, 1e308, 5e307]).astype(complex))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-300, 1e-310, 1e-320])
+    def test_psd_test_is_relative_at_every_scale(self, scale):
+        # the PSD test of a clearly negative spectrum does not become absolute
+        # at subnormal scales, and a PSD one still passes there
+        with pytest.raises(ValueError, match="^matrix is not PSD"):
+            DensityState(np.diag([1.0, 1.0, 1.0, -0.1]).astype(complex) * scale)
+        assert DensityState(np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex) * scale).rank == 3
 
     def test_warnings_list_rho_before_rho_pt(self):
         line = "{}: 1 eigenvalue(s) within 10x of the rank cutoff"
@@ -275,7 +283,9 @@ def test_split_at_cutoff():
 def test_within_psd_tol():
     tol = ToleranceConfig(psd_tol=1e-6)
     assert within_psd_tol(-1e-6, 1.0, tol) and not within_psd_tol(-1.1e-6, 1.0, tol)
-    assert within_psd_tol(-1e-306, 0.0, tol) and not within_psd_tol(-1e-305, 0.0, tol)
+    # relative at every scale: no absolute floor under a tiny or zero scale
+    assert within_psd_tol(-1e-316, 1e-310, tol) and not within_psd_tol(-1.1e-316, 1e-310, tol)
+    assert within_psd_tol(0.0, 0.0, tol) and not within_psd_tol(-1e-306, 0.0, tol)
 
 
 class TestPsdDifference:

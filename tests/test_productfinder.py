@@ -368,6 +368,26 @@ class TestPairedProducts:
         assert sets_match(alphas, oracle, radius=1e-5)
 
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_planted_roots_of_large_modulus(self, n):
+        # product pairs at |alpha| about 10 and 25 beside two at moderate
+        # alpha, in subspaces of dimension count 3N: every one comes back
+        rng = np.random.default_rng(60 + n)
+        alphas = [10.0 * np.exp(2j * np.pi * rng.random()), 25.0 * np.exp(2j * np.pi * rng.random()),
+                  complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))]
+        planted = [ProductVector.from_alpha(a, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                   for a in alphas]
+        m1 = (3 * n + 1) // 2
+        h1, h2 = (np.column_stack([*vecs, rng.standard_normal((2 * n, m - len(vecs)))
+                                   + 1j * rng.standard_normal((2 * n, m - len(vecs)))])
+                  for vecs, m in (([v.vector for v in planted], m1),
+                                  ([v.conjugate_partner.vector for v in planted], 3 * n - m1)))
+        found = paired_products(h1, h2)
+        assert isinstance(found, list)
+        for v in planted:
+            assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
+
+
 class TestUniqueFAtSharedE:
     """A product vector planted at one e: found when its f is unique, else non-generic.
 

@@ -426,6 +426,19 @@ class TestBiorthogonal:
         coeff = verdict.witness["coefficients"][2]
         assert coeff.real == pytest.approx(-0.1, abs=1e-8)
 
+    def test_negative_on_nearly_dependent_pair_is_refitted(self):
+        # v3 lies 1e-4 from v1, as two close roots do, so the projectors are
+        # nearly dependent and a coefficient of -5e-8 on v3 is below what a
+        # witness may rest on; the fit without v3 reconstructs the state
+        rng = np.random.default_rng(19)
+        v1, v2 = random_product_vector(rng, 2), random_product_vector(rng, 2)
+        v3 = ProductVector.from_alpha(v1.alpha + 1e-4, v1.f)
+        state = DensityState(v1.projector() + v2.projector() - 5e-8 * v3.projector())
+        verdict = biorthogonal_check(state, [v1, v2, v3])
+        assert verdict.kind is VerdictKind.SEPARABLE
+        assert [pv for _, pv in verdict.certificate.terms] == [v1, v2]
+        assert verify_certificate(state, verdict.certificate)
+
     def test_dependent_projectors_rejected(self):
         rng = np.random.default_rng(18)
         v1 = random_product_vector(rng, 2)

@@ -16,9 +16,14 @@ be 0.
   of two scales the real and imaginary parts through ``np.ldexp``, exactly;
 - ``perm``: a random permutation of the C^N basis, (I2 (x) P) rho (I2 (x) P)^T;
 - ``unitary``: a random local unitary U (x) V, with U and V from QR of complex
-  Gaussian matrices.
+  Gaussian matrices;
+- ``invertible``: a random local invertible map, (A (x) B) rho (A (x) B)^dag,
+  with A real and B complex, each an orthogonal or unitary factor from QR
+  times singular values drawn from [1/2, 2] times another such factor, so
+  neither is unitary and both have condition number at most 4.
 
-The permutation and the unitary of an input are drawn from its own
+The permutation, the unitary and the invertible map of an input are drawn
+from its own
 generator, ``default_rng([seed, workload index, item index])``, so every
 count repeats exactly.  One line per workload and seed gives the number of
 inputs and the flips per transform.
@@ -43,7 +48,7 @@ from sep2n import sepengine  # noqa: E402
 
 SCALINGS = {"x2": 2.0, "x(1+2^-52)": 1.0 + 2.0 ** -52, "x1e150": 1e150, "x1e-150": 1e-150,
             "x1e300": 1e300, "x1e-300": 1e-300, "x2^1000": 2.0 ** 1000, "x2^-1000": 2.0 ** -1000}
-TRANSFORMS = (*SCALINGS, "perm", "unitary")
+TRANSFORMS = (*SCALINGS, "perm", "unitary", "invertible")
 
 
 def scaled(matrix: np.ndarray, factor: float) -> np.ndarray:
@@ -58,14 +63,24 @@ def scaled(matrix: np.ndarray, factor: float) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(matrix, dtype=complex).view(float), e - 1).view(complex)
 
 
+def _invertible(rng, d: int, real: bool) -> np.ndarray:
+    """U diag(s) V with U, V orthogonal (``real``) or unitary and s in [1/2, 2]."""
+    u, v = (np.linalg.qr(rng.standard_normal((d, d))
+                         + (0 if real else 1j * rng.standard_normal((d, d))))[0]
+            for _ in range(2))
+    return (u * rng.uniform(0.5, 2.0, d)) @ v
+
+
 def transformed(rng, matrix: np.ndarray, n: int) -> list[np.ndarray]:
     """One input on C2 x CN under each transform, in the order of TRANSFORMS."""
     perm = np.kron(np.eye(2), np.eye(n)[rng.permutation(n)])
     u, v = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
             for d in (2, n))
     unitary = np.kron(u, v)
+    local = np.kron(_invertible(rng, 2, real=True), _invertible(rng, n, real=False))
     return ([scaled(matrix, factor) for factor in SCALINGS.values()]
-            + [perm @ matrix @ perm.T, unitary @ matrix @ unitary.conj().T])
+            + [perm @ matrix @ perm.T, unitary @ matrix @ unitary.conj().T,
+               local @ matrix @ local.conj().T])
 
 
 def kind(matrix: np.ndarray) -> str:
