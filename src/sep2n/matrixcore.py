@@ -119,7 +119,6 @@ BRACKET_MARGIN = 1e-6
 _BRACKET_SAFE = np.finfo(float).tiny / BRACKET_MARGIN
 # Floor of the Hermiticity test's relative tolerance.
 _HERMITIAN_FLOOR = 1e3 * np.finfo(float).eps
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _entry_bracket(m) -> tuple[float, float] | None:
@@ -330,12 +329,9 @@ class DensityState:
 
         self._eigvals, self._eigvecs = np.linalg.eigh(self.matrix)
 
-        self.norm = float(np.max(np.abs(self._eigvals))) if dim else 0.0
-        if dim * self.norm <= _FLOAT_MAX:  # |trace| <= dim * norm, so the sum cannot overflow
+        with np.errstate(over="ignore"):  # finite entries may sum past the largest double
             self.trace = float(np.real(np.trace(self.matrix)))
-        else:
-            with np.errstate(over="ignore"):  # finite entries may sum past the largest double
-                self.trace = float(np.real(np.trace(self.matrix)))
+        self.norm = float(np.max(np.abs(self._eigvals))) if dim else 0.0
         self.min_eigenvalue = float(self._eigvals[0])
         if not (math.isfinite(self.trace) and math.isfinite(self.norm)):  # entries near 1e308
             raise ValueError(f"trace {self.trace:.3e} or norm {self.norm:.3e} is not finite")

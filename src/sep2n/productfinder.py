@@ -84,16 +84,17 @@ PRODUCT_FREE_MAX_CELLS = 256
 KERNEL_PARTNER_REL_TOL = 1e-6
 # Alternation rounds of the fixed-alpha refinement (``_refine_alpha_f``).
 REFINE_ROUNDS = 3
-# The paired root solve (``_pencil_roots``, ``_gate_and_polish``): the angle of
-# the real qubit rotation of its chart; the mixing coefficient gamma (|gamma|
-# != 1) of the pencil Delta_1 + gamma Delta_2 - eta Delta_0 and the two shifts
-# it is inverted at; the inverse growth of a probe column past which a shifted
-# matrix counts as singular (also the relative determinant below which a
-# polish step's normal equations count as singular); the modulus, relative to
-# the largest, below which an eigenvalue nu of the inverted pencil counts as 0
-# (an infinite eta); the relative sigma_N under which a candidate is polished;
-# and the Gauss-Newton steps of the polish.
-PENCIL_CHART_ANGLE = 0.5
+# The paired root solve (``_pencil_roots``, ``_gate_and_polish``): the angles
+# of the real qubit rotations of its chart, tried in turn; the mixing
+# coefficient gamma (|gamma| != 1) of the pencil Delta_1 + gamma Delta_2 - eta
+# Delta_0 and the two shifts it is inverted at; the inverse growth of a probe
+# column past which a shifted matrix counts as singular (also the relative
+# determinant below which a polish step's normal equations count as
+# singular); the modulus, relative to the largest, below which an eigenvalue
+# nu of the inverted pencil counts as 0 (an infinite eta); the relative
+# sigma_N under which a candidate is polished; and the Gauss-Newton steps of
+# the polish.
+PENCIL_CHART_ANGLES = (0.5, 1.9, 2.8)
 PENCIL_GAMMA = 0.4 + 0.3j
 PENCIL_SHIFTS = (0.3183 - 0.5772j, -0.7071 + 0.2718j)
 PENCIL_SINGULAR_TOL = 1e-12
@@ -755,16 +756,6 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _compression(n: int, rows: int) -> np.ndarray:
-    """A fixed N x rows matrix with orthonormal rows, from the QR of a seeded Gaussian; read-only."""
-    rng = np.random.default_rng([n, rows])
-    q = np.linalg.qr(rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))[0]
-    q = q.conj().T.copy()
-    q.flags.writeable = False
-    return q
-
-
-@lru_cache(maxsize=None)
 def _seeded_columns(rows: int, cols: int) -> np.ndarray:
     """A fixed seeded complex rows x cols matrix with unit columns, read-only."""
     rng = np.random.default_rng([rows, cols])
@@ -782,10 +773,10 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
     zero rows over the A2* rows and B the B1* rows over the B2* rows; their
     conjugate reads W2 g = 0 with W2 = conj(B) + beta conj(A) + alpha conj(C)
     and g = conj(f).  Beyond N rows, all three are compressed by one fixed
-    matrix with orthonormal rows (``_compression``), which keeps every root.
-    This is a two-parameter eigenvalue problem (Atkinson 1972): z = f (x) g
-    satisfies Delta_1 z = alpha Delta_0 z and Delta_2 z = beta Delta_0 z
-    for the N^2 x N^2 operator determinants
+    seeded matrix with orthonormal rows, which keeps every root.  This is a
+    two-parameter eigenvalue problem (Atkinson 1972): z = f (x) g satisfies
+    Delta_1 z = alpha Delta_0 z and Delta_2 z = beta Delta_0 z for the
+    N^2 x N^2 operator determinants
 
         Delta_0 = A (x) conj(A) - C (x) conj(C),
         Delta_1 = C (x) conj(B) - B (x) conj(A),
@@ -799,21 +790,31 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
     beta = conj(alpha), so alpha = (eta - gamma conj(eta)) / (1 - |gamma|^2);
     other eigenvalues give candidates that the caller's rank gate drops.
 
-    A product vector at e = |0> with its partner (A f = C f = 0) makes the
-    pencil singular, so the pencil is set up in the chart e = R (alpha', 1)
-    of a fixed real rotation R, which keeps beta' = conj(alpha'), and its
-    roots are mapped back; e = |0> itself is left to the chart search.  The
-    shifted matrix counts as singular when its inverse blows a fixed probe
-    column up past 1 / PENCIL_SINGULAR_TOL relative to its norm.  When it is
-    at both shifts, the pencil is singular, and the candidates come from its
-    rank-completing perturbation (Hochstenbach, Mehl and Plestenjak, SIAM J.
-    Matrix Anal. Appl. 40, 2019): adding tau U V^dag to Delta_0, with U and
-    V fixed random N^2 x k matrices for the k singular values of the
-    shifted matrix below sqrt(PENCIL_SINGULAR_TOL) times the largest, keeps
-    every regular eigenvalue of the pencil as an eigenvalue.
+    A product pair at the chart's point at infinity (A f = C f = 0) makes
+    every Delta annihilate f (x) conj(f) and the pencil singular.  So the
+    pencil is set up in the chart e = R (alpha', 1) of a real rotation R by
+    the first of ``PENCIL_CHART_ANGLES`` whose point at infinity, e = (cos,
+    sin) or alpha = cot(angle), carries no solution by the rank-drop test of
+    ``_has_null``; this keeps beta' = conj(alpha'), and the roots are mapped
+    back.  The points passed over are candidates themselves, and e = |0> is
+    left to the chart search.  When every angle's point carries a solution,
+    pairs likely sit at every real e or the constraints drop rank
+    everywhere, and the pencil counts as singular.  The shifted matrix
+    counts as singular when its inverse blows a fixed probe column up past
+    1 / PENCIL_SINGULAR_TOL relative to its norm; when it is at both shifts,
+    the pencil is singular.  A singular pencil returns no candidates.
     """
     n = cs.n
-    cos, sin = np.cos(PENCIL_CHART_ANGLE), np.sin(PENCIL_CHART_ANGLE)
+    cots = np.array([np.cos(t) / np.sin(t) for t in PENCIL_CHART_ANGLES], dtype=complex)
+    passed = 0
+    for s, cot in zip(np.linalg.svd(cs.stacked(cots), compute_uv=False), cots):
+        if not _has_null(s, n, cot):
+            break
+        passed += 1
+    else:
+        return cots[:0], True
+    angle = PENCIL_CHART_ANGLES[passed]
+    cos, sin = np.cos(angle), np.sin(angle)
     ac1, bc1, ac2, bc2 = cs.conj_blocks
     r1, rows = ac1.shape[0], ac1.shape[0] + ac2.shape[0]
     a = np.zeros((rows, n), dtype=complex)
@@ -821,14 +822,13 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
     a[:r1], c[r1:] = cos * ac1 + sin * bc1, cos * ac2 + sin * bc2
     b = np.concatenate([cos * bc1 - sin * ac1, cos * bc2 - sin * ac2])
     if rows > n:
-        q = _compression(n, rows)
+        q = np.linalg.qr(_seeded_columns(rows, n))[0].conj().T
         a, b, c = q @ a, q @ b, q @ c
     ca, cb, cc = a.conj(), b.conj(), c.conj()
     delta0 = _kron(a, ca) - _kron(c, cc)
     # Delta_1 + gamma Delta_2, the Kronecker products grouped by their left factor
     mixed = _kron(c, cb) + _kron(b, PENCIL_GAMMA * cc - ca) - _kron(a, PENCIL_GAMMA * cb)
     rhs = np.column_stack([delta0, _seeded_columns(n * n, 1)])
-    singular = True
     for shift in PENCIL_SHIFTS:
         shifted = mixed - shift * delta0
         try:
@@ -836,22 +836,17 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
         except np.linalg.LinAlgError:
             continue
         if np.linalg.norm(x[:, -1]) * np.linalg.norm(shifted) * PENCIL_SINGULAR_TOL < 1.0:
-            singular = False
-            nu = np.linalg.eigvals(x[:, :-1])
             break
-    if singular:
-        sv = np.linalg.svd(shifted, compute_uv=False)
-        k = max(1, int(np.count_nonzero(sv <= PENCIL_SINGULAR_TOL ** 0.5 * sv[0])))
-        uv = _seeded_columns(n * n, 2 * k)
-        delta0 = delta0 + max(float(sv[0]), 1.0) * (uv[:, :k] @ uv[:, k:].conj().T)
-        nu = np.linalg.eigvals(np.linalg.solve(mixed - shift * delta0, delta0))
+    else:
+        return cots[:0], True
+    nu = np.linalg.eigvals(x[:, :-1])
     nu = nu[np.abs(nu) > PENCIL_INFINITE_TOL * np.abs(nu).max(initial=0.0)]
     eta = shift + 1.0 / nu
     rotated = (eta - PENCIL_GAMMA * eta.conj()) / (1.0 - abs(PENCIL_GAMMA) ** 2)
     # back to the chart e = (alpha, 1); e = |0> is left to the chart search
     e1 = sin * rotated + cos
     keep = np.abs(e1) > CHART_INFINITY_TOL * np.abs(rotated)
-    return (cos * rotated[keep] - sin) / e1[keep], singular
+    return np.concatenate([(cos * rotated[keep] - sin) / e1[keep], cots[:passed]]), False
 
 
 def _gate_and_polish(cs: ConstraintSystem, alphas: np.ndarray) -> list[complex]:
@@ -925,8 +920,9 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     NonGenericInput
         When the pencil is singular although the constraints keep full rank
         at generic alpha (the determinants share a self-conjugate factor,
-        whose zeros may form a curve, which no finite enumeration covers),
-        or a root carries a solution space of dimension > 1.
+        whose zeros may form a curve, which no finite enumeration covers;
+        a pair at every real e is one such curve), or a root carries a
+        solution space of dimension > 1.
     """
     tol = tol or DEFAULT_TOL
     h1 = _orthonormalize(h1)
@@ -943,9 +939,8 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
         if all(_has_null(s, n, a) for s, a in zip(sigmas, probes)):
             return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                                   note="all determinants vanish identically")
-        if cs.a1.shape[0] + cs.a2.shape[0] == n:
-            raise NonGenericInput("singular pencil: the only determinant shares a factor "
-                                  "with its self-conjugate twin, so its zeros may form a curve")
+        raise NonGenericInput("singular pencil: the determinants share a self-conjugate "
+                              "factor, whose zeros may form a curve")
     found = _root_products(_gate_and_polish(cs, candidates), cs, h1, h2, tol)
     found = _merged(found, lambda v: v.alpha)
     found += _chart_products(cs, (None,), h1, h2, tol)

@@ -294,6 +294,16 @@ class TestPairedProducts:
         with pytest.raises(NonGenericInput, match="self-conjugate"):
             paired_products(h1, h2)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_equal_spaces_above_n_are_a_curve(self, n):
+        # H1 = H2 of dimension N + 1: at real alpha both constraint blocks are
+        # the same N - 1 rows, so a pair sits at every real e; with more than
+        # N rows the search still refuses the curve
+        rng = np.random.default_rng(90 + n)
+        h = rng.standard_normal((2 * n, n + 1)) + 1j * rng.standard_normal((2 * n, n + 1))
+        with pytest.raises(NonGenericInput, match="self-conjugate"):
+            paired_products(h, h)
+
     def test_rank_six_six_degree_bound(self):
         rng = np.random.default_rng(5)
         m, _, _ = build_separable(rng, 4, 6)
@@ -368,6 +378,20 @@ class TestPairedProducts:
         assert sets_match(alphas, oracle, radius=1e-5)
 
 
+    @staticmethod
+    def planted_search(rng, n, alphas, m1, m2):
+        """The paired search on random spaces of dimensions m1 and m2 that hold pairs at alphas."""
+        planted = [ProductVector.from_alpha(a, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                   for a in alphas]
+        h1, h2 = (np.column_stack([*vecs, rng.standard_normal((2 * n, m - len(vecs)))
+                                   + 1j * rng.standard_normal((2 * n, m - len(vecs)))])
+                  for vecs, m in (([v.vector for v in planted], m1),
+                                  ([v.conjugate_partner.vector for v in planted], m2)))
+        found = paired_products(h1, h2)
+        assert isinstance(found, list)
+        for v in planted:
+            assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
+
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_planted_roots_of_large_modulus(self, n):
         # product pairs at |alpha| about 10 and 25 beside two at moderate
@@ -375,17 +399,21 @@ class TestPairedProducts:
         rng = np.random.default_rng(60 + n)
         alphas = [10.0 * np.exp(2j * np.pi * rng.random()), 25.0 * np.exp(2j * np.pi * rng.random()),
                   complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))]
-        planted = [ProductVector.from_alpha(a, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                   for a in alphas]
         m1 = (3 * n + 1) // 2
-        h1, h2 = (np.column_stack([*vecs, rng.standard_normal((2 * n, m - len(vecs)))
-                                   + 1j * rng.standard_normal((2 * n, m - len(vecs)))])
-                  for vecs, m in (([v.vector for v in planted], m1),
-                                  ([v.conjugate_partner.vector for v in planted], 3 * n - m1)))
-        found = paired_products(h1, h2)
-        assert isinstance(found, list)
-        for v in planted:
-            assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
+        self.planted_search(rng, n, alphas, m1, 3 * n - m1)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("extra_rows", [0, 1, 2])
+    def test_planted_root_at_the_pencil_chart_infinity(self, n, extra_rows):
+        # a pair at e = (cos, sin) of the first chart angle is that chart's
+        # point at infinity, where it makes the pencil singular; the search
+        # moves to the next chart and still returns it, with N constraint
+        # rows or more
+        rng = np.random.default_rng(80 + 10 * n + extra_rows)
+        angle = productfinder.PENCIL_CHART_ANGLES[0]
+        alphas = [np.cos(angle) / np.sin(angle), complex(*rng.standard_normal(2))]
+        m1 = (3 * n - extra_rows) // 2
+        self.planted_search(rng, n, alphas, m1, 3 * n - extra_rows - m1)
 
 
 class TestUniqueFAtSharedE:
