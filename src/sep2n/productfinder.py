@@ -3,15 +3,18 @@
 A product vector ``(alpha|0> + |1>) (x) f`` lies in a subspace H exactly
 when ``(alpha A* + B*) f = 0``, where the rows of A and B collect the
 components of an orthonormal basis of the orthogonal complement of H.  A
-single subspace of dimension N is searched through the roots of the
-determinant of these rows.  The paired search additionally constrains the
-conjugate partner ``|e*, f>`` to a second subspace, which brings in the
-conjugate variable; with beta standing for conj(alpha) the two constraint
-sets form a two-parameter eigenvalue problem, whose candidate roots are the
-eigenvalues of one operator-determinant pencil (``_pencil_roots``).  The
-bivariate determinant polynomials of a paired system
+single subspace of dimension at most N is searched through the eigenvalues
+of the N x N pencil of these rows.  The paired search additionally
+constrains the conjugate partner ``|e*, f>`` to a second subspace, which
+brings in the conjugate variable; with beta standing for conj(alpha) the
+two constraint sets form a two-parameter eigenvalue problem, whose
+candidate roots are the eigenvalues of one operator-determinant pencil
+(``_pencil_roots``).  Both searches solve their pencil by one shift-invert
+(``_shift_invert``), polish the candidates the same way
+(``_gate_and_polish``) and take each f from one SVD (``_root_products``).
+The bivariate determinant polynomials of a paired system
 (``ConstraintSystem.dets``) and their elimination (``eliminate_paired``)
-are built only on request; the search itself does not use them.
+are built only on request; no search uses them.
 
 Candidates are screened as stacks, and each stacked numpy form used here
 gives the bits of the single-vector call it replaces: a mat-vec as a matmul
@@ -38,7 +41,6 @@ from .polyelim import (
     eliminate_pair,
     eliminate_single,
     reduce_univariate_pair,
-    univariate_roots,
 )
 
 __all__ = [
@@ -82,18 +84,17 @@ PRODUCT_FREE_MAX_CELLS = 256
 # Relative residual under which the partial transpose annihilates a kernel vector's
 # partner; as loose as NULL_ACCEPT, the rank-drop test that accepted the vector.
 KERNEL_PARTNER_REL_TOL = 1e-6
-# Alternation rounds of the fixed-alpha refinement (``_refine_alpha_f``).
-REFINE_ROUNDS = 3
-# The paired root solve (``_pencil_roots``, ``_gate_and_polish``): the angles
-# of the real qubit rotations of its chart, tried in turn; the mixing
-# coefficient gamma (|gamma| != 1) of the pencil Delta_1 + gamma Delta_2 - eta
-# Delta_0 and the two shifts it is inverted at; the inverse growth of a probe
-# column past which a shifted matrix counts as singular (also the relative
-# determinant below which a polish step's normal equations count as
-# singular); the modulus, relative to the largest, below which an eigenvalue
-# nu of the inverted pencil counts as 0 (an infinite eta); the relative
-# sigma_N under which a candidate is polished; and the Gauss-Newton steps of
-# the polish.
+# The root solve of both finite searches (``_shift_invert``,
+# ``_gate_and_polish``; the paired one also ``_pencil_roots``): the angles of
+# the real qubit rotations of the paired chart, tried in turn; the mixing
+# coefficient gamma (|gamma| != 1) of the paired pencil Delta_1 + gamma
+# Delta_2 - eta Delta_0; the two shifts a pencil is inverted at; the inverse
+# growth of a probe column past which a shifted matrix counts as singular
+# (also the relative determinant below which a polish step's normal
+# equations count as singular); the modulus, relative to the largest, below
+# which an eigenvalue nu of the inverted pencil counts as 0 (an infinite
+# eigenvalue); the relative sigma_N under which a candidate is polished; and
+# the Gauss-Newton steps of the polish.
 PENCIL_CHART_ANGLES = (0.5, 1.9, 2.8)
 PENCIL_GAMMA = 0.4 + 0.3j
 PENCIL_SHIFTS = (0.3183 - 0.5772j, -0.7071 + 0.2718j)
@@ -269,8 +270,9 @@ class ConstraintSystem:
 
 def _orthonormalize(h) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise ValueError("subspace basis must be a 2-D array of column vectors")
+    if h.ndim != 2 or h.shape[0] % 2 or not h.shape[0]:
+        raise ValueError("subspace basis must be a 2-D array of column vectors in C2 x CN, "
+                         f"2N rows with N >= 1; got shape {h.shape}")
     return numerical_rank_kernel(h).range_basis
 
 
@@ -320,12 +322,6 @@ def _inv_dft(deg: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, inv
 
 
-def det_poly_univariate(ac: np.ndarray, bc: np.ndarray) -> UnivariatePoly:
-    """Coefficients of det(alpha*ac + bc) from evaluations at roots of unity."""
-    nodes, inv = _inv_dft(ac.shape[0])
-    return UnivariatePoly(inv @ np.linalg.det(nodes[:, None, None] * ac + bc))
-
-
 def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
                        rows_conj: tuple[np.ndarray, np.ndarray]) -> BivariatePoly:
     """Bivariate determinant of a stack of alpha-affine and conjugate-affine rows."""
@@ -355,33 +351,6 @@ def _has_null(s: np.ndarray, k: int, alpha: complex) -> bool:
     (e.g. at repeated roots).
     """
     return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), 1.0 + abs(alpha))
-
-
-def _refine_alpha_f(cs: ConstraintSystem, alphas):
-    """Alternate between the best alpha for f and the best f for alpha, for every alpha.
-
-    The joint least-squares alpha given f is closed-form; this repairs the
-    sqrt-of-epsilon splitting that companion eigenvalues suffer at repeated
-    roots.  Each of the ``REFINE_ROUNDS`` rounds is one SVD over the alphas
-    still moving.  Returns the alphas, their f's as rows and the singular
-    values at the new alphas.
-    """
-    alphas = np.array(alphas, dtype=complex)
-    fs = np.empty((alphas.size, cs.n), dtype=complex)
-    live = np.arange(alphas.size)
-    for _ in range(REFINE_ROUNDS):
-        if not live.size:
-            break
-        f = np.linalg.svd(cs.stacked(alphas[live]), full_matrices=True)[2][:, -1].conj()
-        fs[live] = f
-        # stacked matmul with a unit column gives the bits of ``ac @ f`` and
-        # of ``np.vdot``; einsum would not
-        x1, y1, x2, y2 = (block @ f[..., None] for block in cs.conj_blocks)
-        denom = (_inner(x1, x1) + _inner(x2, x2)).real
-        moving = ~(denom <= 1e-14)
-        live, x1, y1, x2, y2 = (a[moving] for a in (live, x1, y1, x2, y2))
-        alphas[live] = -(_inner(x1, y1) + np.conj(_inner(x2, y2))) / denom[moving]
-    return alphas, fs, np.linalg.svd(cs.stacked(alphas), compute_uv=False)
 
 
 def _in_subspaces(alphas, fs, h1: np.ndarray, h2: np.ndarray | None,
@@ -443,15 +412,17 @@ def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray
 
 def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray | None,
                    tol: ToleranceConfig) -> list[ProductVector]:
-    """Product vectors at candidate roots, refined together, then kept in order.
+    """Product vectors at polished, merged roots, kept in order.
 
-    The range tests are those of ``_chart_products``.  A single search skips a
-    root within ``MERGE_RADIUS`` of a kept one, before or after refinement; a
-    paired search merges its roots before and after this call, and the
-    first root whose solution space has dimension > 1 raises.
+    One stacked SVD at the roots gives each f (the last right singular
+    vector) and the singular values of the ``_has_null`` gate; the range
+    tests are those of ``_chart_products``.  In a paired search the first
+    root whose solution space has dimension > 1 raises.
     """
-    starts = [complex(a) for a in roots]
-    alphas, fs, sigmas = _refine_alpha_f(cs, starts)
+    alphas = np.array(roots, dtype=complex)
+    if not alphas.size:
+        return []
+    _u, sigmas, vh = np.linalg.svd(cs.stacked(alphas), full_matrices=False)
     alphas = alphas.tolist()
     gated = []
     for k, (alpha, s) in enumerate(zip(alphas, sigmas)):
@@ -462,17 +433,8 @@ def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray |
         gated.append(k)
     if not gated:
         return []
-    vectors, inside = _in_subspaces([alphas[k] for k in gated], fs[gated], h1, h2, tol)
-    found, seen = [], []
-    for k, v, ok in zip(gated, vectors, inside):
-        start, alpha = starts[k], alphas[k]
-        if h2 is None and any(abs(start - x) <= MERGE_RADIUS or abs(alpha - x) <= MERGE_RADIUS
-                               for x in seen):
-            continue
-        if ok:
-            found.append(v)
-            seen.append(alpha)
-    return found
+    vectors, inside = _in_subspaces([alphas[k] for k in gated], vh[gated, -1].conj(), h1, h2, tol)
+    return [v for v, ok in zip(vectors, inside) if ok]
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +563,133 @@ def _far_from_products(h: np.ndarray, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the root solve of both finite searches
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _seeded_columns(rows: int, cols: int) -> np.ndarray:
+    """A fixed seeded complex rows x cols matrix with unit columns, read-only."""
+    rng = np.random.default_rng([rows, cols])
+    v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    v /= np.linalg.norm(v, axis=0)
+    v.flags.writeable = False
+    return v
+
+
+@lru_cache(maxsize=None)
+def _compression(rows: int, n: int) -> np.ndarray:
+    """A fixed seeded n x rows matrix with orthonormal rows, read-only.
+
+    It compresses a pencil's rows to n and keeps every root.
+    """
+    q = np.linalg.qr(_seeded_columns(rows, n))[0].conj().T
+    q.flags.writeable = False
+    return q
+
+
+def _shift_invert(m: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """The finite eigenvalues eta of the square pencil M - eta D, or None if it is singular.
+
+    eta = s + 1/nu for the eigenvalues nu != 0 of (M - s D)^-1 D, at the
+    first of ``PENCIL_SHIFTS`` s where M - s D is regular: its inverse must
+    not blow a fixed probe column up past 1 / PENCIL_SINGULAR_TOL relative to
+    its norm.  A nu below PENCIL_INFINITE_TOL of the largest is an infinite
+    eta and is dropped.
+    """
+    rhs = np.column_stack([d, _seeded_columns(d.shape[0], 1)])
+    for shift in PENCIL_SHIFTS:
+        shifted = m - shift * d
+        try:
+            x = np.linalg.solve(shifted, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.linalg.norm(x[:, -1]) * np.linalg.norm(shifted) * PENCIL_SINGULAR_TOL < 1.0:
+            break
+    else:
+        return None
+    nu = np.linalg.eigvals(x[:, :-1])
+    nu = nu[np.abs(nu) > PENCIL_INFINITE_TOL * np.abs(nu).max(initial=0.0)]
+    return shift + 1.0 / nu
+
+
+def _gate_and_polish(cs: ConstraintSystem, alphas: np.ndarray) -> list[complex]:
+    """The candidates at a rank drop of the full stack, polished and merged, sorted by (re, im).
+
+    A candidate is kept when sigma_N of its stacked constraint matrix W is at
+    most PENCIL_GATE times max(sigma_1, 1 + |alpha|).  Each kept one then
+    takes PENCIL_POLISH_STEPS Gauss-Newton steps on alpha with f projected
+    out (variable projection): with v the last right singular vector of W
+    and L the left singular vectors past the first N - 1, the residual
+    r = L^dag W v moves to first order by delta L^dag A v + conj(delta)
+    L^dag C v (A the A1* rows over zeros, C zeros over the A2* rows, which
+    a single search has none of), and the step delta solves the real
+    2-unknown least-squares problem through its normal equations.  One
+    stacked SVD per step serves every candidate, the first also as the
+    gate; a candidate whose normal equations are singular (a double root)
+    stays where it is.  Roots within MERGE_RADIUS of a kept one are merged.
+    """
+    n, r1 = cs.n, cs.a1.shape[0]
+    ac1, ac2 = cs.conj_blocks[0], cs.conj_blocks[2]
+    for step in range(PENCIL_POLISH_STEPS):
+        if not alphas.size:
+            break
+        w = cs.stacked(alphas)
+        u, s, vh = np.linalg.svd(w, full_matrices=True)
+        if not step:
+            keep = s[:, n - 1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(alphas))
+            alphas, w, u, vh = alphas[keep], w[keep], u[keep], vh[keep]
+        v = vh[:, -1:].conj().swapaxes(1, 2)  # (K, N, 1)
+        left = u[:, :, n - 1:].conj().swapaxes(1, 2)  # (K, rows - N + 1, rows)
+        res = (left @ (w @ v))[:, :, 0]
+        da = (left[:, :, :r1] @ (ac1 @ v))[:, :, 0]
+        dc = (left[:, :, r1:] @ (ac2 @ v))[:, :, 0]
+        # the real and imaginary parts of r + x (da + dc) + y i (da - dc) = 0
+        jx, jy = da + dc, 1j * (da - dc)
+        g11 = np.sum(jx.real ** 2 + jx.imag ** 2, axis=1)
+        g22 = np.sum(jy.real ** 2 + jy.imag ** 2, axis=1)
+        g12 = np.sum(jx.real * jy.real + jx.imag * jy.imag, axis=1)
+        b1 = -np.sum(jx.real * res.real + jx.imag * res.imag, axis=1)
+        b2 = -np.sum(jy.real * res.real + jy.imag * res.imag, axis=1)
+        det = g11 * g22 - g12 ** 2
+        ok = det > PENCIL_SINGULAR_TOL * (g11 + g22) ** 2
+        det = np.where(ok, det, 1.0)
+        alphas = alphas + np.where(ok, (g22 * b1 - g12 * b2 + 1j * (g11 * b2 - g12 * b1)) / det, 0.0)
+    kept: list[complex] = []
+    for alpha in sorted(alphas.tolist(), key=lambda z: (z.real, z.imag)):
+        if not any(abs(alpha - x) <= MERGE_RADIUS for x in kept):
+            kept.append(alpha)
+    return kept
+
+
+# ---------------------------------------------------------------------------
 # single-subspace search
 # ---------------------------------------------------------------------------
+
+def _single_roots(cs: ConstraintSystem) -> np.ndarray | None:
+    """Candidate roots alpha of a single system, or None if its pencil is singular.
+
+    The roots of det(alpha A* + B*) are the eigenvalues of the pencil
+    B* - alpha (-A*), its rows beyond N compressed first by ``_compression``.
+    """
+    ac, bc = cs.conj_blocks[:2]
+    if ac.shape[0] > cs.n:
+        q = _compression(ac.shape[0], cs.n)
+        ac, bc = q @ ac, q @ bc
+    return _shift_invert(bc, -ac)
+
 
 def products_in_subspace(h, tol: ToleranceConfig | None = None):
     """All product vectors in a subspace, or an InfiniteFamily marker.
 
     For dim(H) > N every e admits a matching f (infinite family, sampled);
-    for dim(H) = N the determinant of the constraint matrix is a degree-N
-    polynomial whose roots give the finitely many solutions; below N the
-    system is overdetermined and a generic H holds no product vector.  There
-    ``_far_from_products`` first tries to prove H product-free from the
-    Bloch sphere; it succeeds only where no root could pass the search's
-    rank-drop gate, so returning [] then gives the search's own result.
+    for dim(H) = N the roots of det(alpha A* + B*) give the finitely many
+    solutions; below N the system is overdetermined and a generic H holds
+    no product vector.  There ``_far_from_products`` first tries to prove H
+    product-free from the Bloch sphere; it succeeds only where no root could
+    pass the search's rank-drop gate, so returning [] then gives the
+    search's own result.  Otherwise the candidates are the eigenvalues of
+    the constraint pencil, its rows compressed to N, kept where the full
+    stack drops rank and polished (``_gate_and_polish``).
     """
     tol = tol or DEFAULT_TOL
     h = _orthonormalize(h)
@@ -627,21 +703,16 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
         return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                               note="subspace dimension exceeds N")
 
-    # m = n has one N-row determinant; m < n is overdetermined and not proved
-    # product-free above, with candidates from the first non-degenerate N-row
-    # determinant, verified against the full stack
-    ac, bc = cs.conj_blocks[:2]
-    candidates: list[complex] = []
-    for sel in combinations(range(ac.shape[0]), n):
-        det = det_poly_univariate(ac[list(sel)], bc[list(sel)])
-        if np.max(np.abs(det.coeffs)) > DET_ZERO_TOL:
-            candidates = list(univariate_roots(det)) if det.degree >= 1 else []
-            break
+    # a singular pencil has a vanishing determinant, which for m < n leaves
+    # no candidates
+    candidates = _single_roots(cs)
+    if candidates is None:
         if m == n:
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                                   note="determinant vanishes identically")
-    found = _root_products(candidates, cs, h, None, tol)
-    if m == n or np.linalg.matrix_rank(ac) < n:
+        candidates = np.zeros(0, dtype=complex)
+    found = _root_products(_gate_and_polish(cs, candidates), cs, h, None, tol)
+    if m == n or np.linalg.matrix_rank(cs.conj_blocks[0]) < n:
         found += _chart_products(cs, (None,), h, None, tol)
     return sorted(found, key=_sort_key)
 
@@ -755,18 +826,8 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :, None] * y[None, :, None, :]).reshape(n * n, n * n)
 
 
-@lru_cache(maxsize=None)
-def _seeded_columns(rows: int, cols: int) -> np.ndarray:
-    """A fixed seeded complex rows x cols matrix with unit columns, read-only."""
-    rng = np.random.default_rng([rows, cols])
-    v = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    v /= np.linalg.norm(v, axis=0)
-    v.flags.writeable = False
-    return v
-
-
-def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
-    """Candidate roots alpha of a finite paired system, and whether its pencil is singular.
+def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
+    """Candidate roots alpha of a finite paired system, or None if its pencil is singular.
 
     With beta standing for conj(alpha), the constraints are W1 f = 0 with
     W1 = B + alpha A + beta C, where A stacks the A1* rows over zero rows, C
@@ -785,8 +846,7 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
     With exactly N rows, Delta_0 has rank r1^2 + r2^2 < N^2 and
     Delta_1 - s Delta_0 is singular for every s, so the mixed pencil
     Delta_1 + gamma Delta_2 - eta Delta_0, eta = alpha + gamma beta, is
-    solved instead: eta = s + 1/nu for the eigenvalues nu != 0 of
-    (Delta_1 + gamma Delta_2 - s Delta_0)^-1 Delta_0.  A genuine root has
+    solved instead, by ``_shift_invert``.  A genuine root has
     beta = conj(alpha), so alpha = (eta - gamma conj(eta)) / (1 - |gamma|^2);
     other eigenvalues give candidates that the caller's rank gate drops.
 
@@ -799,10 +859,8 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
     back.  The points passed over are candidates themselves, and e = |0> is
     left to the chart search.  When every angle's point carries a solution,
     pairs likely sit at every real e or the constraints drop rank
-    everywhere, and the pencil counts as singular.  The shifted matrix
-    counts as singular when its inverse blows a fixed probe column up past
-    1 / PENCIL_SINGULAR_TOL relative to its norm; when it is at both shifts,
-    the pencil is singular.  A singular pencil returns no candidates.
+    everywhere, and the pencil counts as singular, as it does when
+    ``_shift_invert`` finds it singular at both shifts.
     """
     n = cs.n
     cots = np.array([np.cos(t) / np.sin(t) for t in PENCIL_CHART_ANGLES], dtype=complex)
@@ -812,7 +870,7 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
             break
         passed += 1
     else:
-        return cots[:0], True
+        return None
     angle = PENCIL_CHART_ANGLES[passed]
     cos, sin = np.cos(angle), np.sin(angle)
     ac1, bc1, ac2, bc2 = cs.conj_blocks
@@ -822,84 +880,20 @@ def _pencil_roots(cs: ConstraintSystem) -> tuple[np.ndarray, bool]:
     a[:r1], c[r1:] = cos * ac1 + sin * bc1, cos * ac2 + sin * bc2
     b = np.concatenate([cos * bc1 - sin * ac1, cos * bc2 - sin * ac2])
     if rows > n:
-        q = np.linalg.qr(_seeded_columns(rows, n))[0].conj().T
+        q = _compression(rows, n)
         a, b, c = q @ a, q @ b, q @ c
     ca, cb, cc = a.conj(), b.conj(), c.conj()
     delta0 = _kron(a, ca) - _kron(c, cc)
     # Delta_1 + gamma Delta_2, the Kronecker products grouped by their left factor
     mixed = _kron(c, cb) + _kron(b, PENCIL_GAMMA * cc - ca) - _kron(a, PENCIL_GAMMA * cb)
-    rhs = np.column_stack([delta0, _seeded_columns(n * n, 1)])
-    for shift in PENCIL_SHIFTS:
-        shifted = mixed - shift * delta0
-        try:
-            x = np.linalg.solve(shifted, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if np.linalg.norm(x[:, -1]) * np.linalg.norm(shifted) * PENCIL_SINGULAR_TOL < 1.0:
-            break
-    else:
-        return cots[:0], True
-    nu = np.linalg.eigvals(x[:, :-1])
-    nu = nu[np.abs(nu) > PENCIL_INFINITE_TOL * np.abs(nu).max(initial=0.0)]
-    eta = shift + 1.0 / nu
+    eta = _shift_invert(mixed, delta0)
+    if eta is None:
+        return None
     rotated = (eta - PENCIL_GAMMA * eta.conj()) / (1.0 - abs(PENCIL_GAMMA) ** 2)
     # back to the chart e = (alpha, 1); e = |0> is left to the chart search
     e1 = sin * rotated + cos
     keep = np.abs(e1) > CHART_INFINITY_TOL * np.abs(rotated)
-    return np.concatenate([(cos * rotated[keep] - sin) / e1[keep], cots[:passed]]), False
-
-
-def _gate_and_polish(cs: ConstraintSystem, alphas: np.ndarray) -> list[complex]:
-    """The candidates at a rank drop of the full stack, polished and merged, sorted by (re, im).
-
-    A candidate is kept when sigma_N of its stacked constraint matrix W is at
-    most PENCIL_GATE times max(sigma_1, 1 + |alpha|).  Each kept one then
-    takes PENCIL_POLISH_STEPS Gauss-Newton steps on alpha with f projected
-    out (variable projection): with v the last right singular vector of W
-    and L the left singular vectors past the first N - 1, the residual
-    r = L^dag W v moves to first order by delta L^dag A v + conj(delta)
-    L^dag C v, and the step delta solves the real 2-unknown least-squares
-    problem through its normal equations.  One stacked SVD per step serves
-    every candidate, the first also as the gate; a candidate whose normal
-    equations are singular (a double root) stays where it is.  Roots within
-    MERGE_RADIUS of a kept one are merged.
-    """
-    n, r1 = cs.n, cs.a1.shape[0]
-    ac1, ac2 = cs.conj_blocks[0], cs.conj_blocks[2]
-    for step in range(PENCIL_POLISH_STEPS):
-        if not alphas.size:
-            break
-        w = cs.stacked(alphas)
-        u, s, vh = np.linalg.svd(w, full_matrices=True)
-        if not step:
-            keep = s[:, n - 1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(alphas))
-            alphas, w, u, vh = alphas[keep], w[keep], u[keep], vh[keep]
-        v = vh[:, -1:].conj().swapaxes(1, 2)  # (K, N, 1)
-        left = u[:, :, n - 1:].conj().swapaxes(1, 2)  # (K, rows - N + 1, rows)
-        res = (left @ (w @ v))[:, :, 0]
-        da = (left[:, :, :r1] @ (ac1 @ v))[:, :, 0]
-        dc = (left[:, :, r1:] @ (ac2 @ v))[:, :, 0]
-        # the real and imaginary parts of r + x (da + dc) + y i (da - dc) = 0
-        jx, jy = da + dc, 1j * (da - dc)
-        g11 = np.sum(jx.real ** 2 + jx.imag ** 2, axis=1)
-        g22 = np.sum(jy.real ** 2 + jy.imag ** 2, axis=1)
-        g12 = np.sum(jx.real * jy.real + jx.imag * jy.imag, axis=1)
-        b1 = -np.sum(jx.real * res.real + jx.imag * res.imag, axis=1)
-        b2 = -np.sum(jy.real * res.real + jy.imag * res.imag, axis=1)
-        det = g11 * g22 - g12 ** 2
-        ok = det > PENCIL_SINGULAR_TOL * (g11 + g22) ** 2
-        det = np.where(ok, det, 1.0)
-        alphas = alphas + np.where(ok, (g22 * b1 - g12 * b2 + 1j * (g11 * b2 - g12 * b1)) / det, 0.0)
-    return _merged(sorted(alphas.tolist(), key=lambda z: (z.real, z.imag)))
-
-
-def _merged(items: list, alpha=lambda x: x) -> list:
-    """The items whose ``alpha`` lies beyond MERGE_RADIUS of that of every earlier kept one."""
-    kept: list = []
-    for x in items:
-        if not any(abs(alpha(x) - alpha(y)) <= MERGE_RADIUS for y in kept):
-            kept.append(x)
-    return kept
+    return np.concatenate([(cos * rotated[keep] - sin) / e1[keep], cots[:passed]])
 
 
 def paired_products(h1, h2, tol: ToleranceConfig | None = None):
@@ -912,8 +906,7 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     operator-determinant pencil (``_pencil_roots``), kept where the full
     constraint stack drops rank, polished and merged
     (``_gate_and_polish``), then solved for f and range-tested by
-    ``_root_products`` and merged again; the chart point e = |0> is
-    searched apart.
+    ``_root_products``; the chart point e = |0> is searched apart.
 
     Raises
     ------
@@ -932,8 +925,8 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     if cs.m1 + cs.m2 > 3 * n:
         return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="dimension count exceeds 3N")
-    candidates, singular = _pencil_roots(cs)
-    if singular:
+    candidates = _pencil_roots(cs)
+    if candidates is None:
         probes = np.array(SAMPLE_ALPHAS[:2])
         sigmas = np.linalg.svd(cs.stacked(probes), compute_uv=False)
         if all(_has_null(s, n, a) for s, a in zip(sigmas, probes)):
@@ -942,7 +935,6 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
         raise NonGenericInput("singular pencil: the determinants share a self-conjugate "
                               "factor, whose zeros may form a curve")
     found = _root_products(_gate_and_polish(cs, candidates), cs, h1, h2, tol)
-    found = _merged(found, lambda v: v.alpha)
     found += _chart_products(cs, (None,), h1, h2, tol)
     return sorted(found, key=_sort_key)
 

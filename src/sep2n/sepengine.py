@@ -795,8 +795,8 @@ def _kernel_reduction(run: _Run, cur: DensityState):
         run.flag(REASON_NON_GENERIC)
         failure = exc
     except ValueError as exc:
-        # the reduced state left the PSD cone: a kernel vector on a curve is
-        # only about sqrt(eps) accurate
+        # a safety check: the reduced state left the PSD cone, as it does when
+        # an inaccurate kernel vector makes the tied subtraction overshoot
         return run.stop(f"kernel reduction failed: {exc}")
     if cur.rank == cur.n:
         # a constructive decomposition would only repeat the failed search

@@ -548,62 +548,23 @@ def _scalar_has_null(s, k, alpha):
     return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), 1.0 + abs(alpha))
 
 
-def scalar_refine_alpha_f(cs, alpha, rounds=3):
-    """Alternating alpha/f refinement of one alpha; returns (alpha, f, SVDs taken)."""
-    ac1, bc1, ac2, bc2 = cs.conj_blocks
-    f = None
-    done = 0
-    for _ in range(rounds):
-        _u, _s, vh = np.linalg.svd(scalar_stacked(cs, alpha), full_matrices=True)
-        f = vh[-1].conj()
-        done += 1
-        x1, y1 = ac1 @ f, bc1 @ f
-        x2, y2 = ac2 @ f, bc2 @ f
-        denom = float(np.real(np.vdot(x1, x1) + np.vdot(x2, x2)))
-        if denom <= 1e-14:
-            break
-        alpha = complex(-(np.vdot(x1, y1) + np.conj(np.vdot(x2, y2))) / denom)
-    return alpha, f, done
-
-
-def scalar_collect_single(candidates, cs, h, tol):
-    """Single-subspace root loop: refine, skip repeats within 1e-6, gate, range test."""
-    found, seen = [], []
-    for alpha in candidates:
-        alpha = complex(alpha)
-        if any(abs(alpha - s) <= 1e-6 for s in seen):
-            continue
-        alpha, f, _ = scalar_refine_alpha_f(cs, alpha)
-        if any(abs(alpha - s) <= 1e-6 for s in seen):
-            continue
-        if not _scalar_has_null(np.linalg.svd(scalar_stacked(cs, alpha), compute_uv=False),
-                                cs.n, alpha):
-            continue
-        v = scalar_from_alpha(alpha, f)
-        if scalar_in_range(h, v.vector, tol):
-            found.append(v)
-            seen.append(alpha)
-    return found
-
-
-def scalar_vector_at_root(cs, alpha):
-    """Refined product vector at one paired root, None past the rank gate."""
-    alpha, f, _ = scalar_refine_alpha_f(cs, alpha)
-    s = np.linalg.svd(scalar_stacked(cs, alpha), compute_uv=False)
+def scalar_vector_at_root(cs, alpha, paired=True):
+    """Product vector at one root from its own SVD, None past the rank gate."""
+    _u, s, vh = np.linalg.svd(scalar_stacked(cs, alpha), full_matrices=False)
     if not _scalar_has_null(s, cs.n, alpha):
         return None
-    if cs.n >= 2 and _scalar_has_null(s, cs.n - 1, alpha):
+    if paired and cs.n >= 2 and _scalar_has_null(s, cs.n - 1, alpha):
         raise NonGenericInput(f"solution space at alpha={alpha:.6g} has dimension > 1")
-    return scalar_from_alpha(alpha, f)
+    return scalar_from_alpha(alpha, vh[-1].conj())
 
 
 def scalar_root_products(roots, cs, h1, h2, tol):
-    """Paired root loop: one vector per root, kept when both range tests pass."""
+    """Root loop: one vector per root, kept when its range tests pass (H2 unless None)."""
     found = []
     for alpha in roots:
-        v = scalar_vector_at_root(cs, alpha)
+        v = scalar_vector_at_root(cs, complex(alpha), h2 is not None)
         if (v is not None and scalar_in_range(h1, v.vector, tol)
-                and scalar_in_range(h2, v.conjugate_partner.vector, tol)):
+                and (h2 is None or scalar_in_range(h2, v.conjugate_partner.vector, tol))):
             found.append(v)
     return found
 
@@ -624,12 +585,6 @@ def scalar_chart_products(cs, alphas, h1, h2, tol):
                 h2 is None or scalar_in_range(h2, v.conjugate_partner.vector, tol)):
             found.append(v)
     return found
-
-
-def scalar_det_poly_univariate(ac, bc):
-    """Coefficients of det(alpha*ac + bc), one ``det`` per interpolation node."""
-    nodes, inv = _inv_dft(ac.shape[0])
-    return inv @ np.array([np.linalg.det(x * ac + bc) for x in nodes])
 
 
 def scalar_det_poly_bivariate(rows_alpha, rows_conj):

@@ -12,7 +12,7 @@ import pytest
 
 from sep2n import sepengine
 from sep2n.matrixcore import DensityState
-from sep2n.productfinder import InfiniteFamily, NonGenericInput
+from sep2n.productfinder import InfiniteFamily, NonGenericInput, ProductVector
 from sep2n.sepengine import (
     REASON_INFINITE_FAMILY,
     REASON_NON_GENERIC,
@@ -149,27 +149,41 @@ def test_two_qubit_natural_decline():
     assert analyze(near_bell(3e-5))[0].kind is not PPT
 
 
-def kernel_reduction_not_psd():
-    """Shared-e rank 3 on C2 x C3 whose kernel reduction leaves a state that is not PSD.
+def kernel_reduction_not_psd(monkeypatch):
+    """Rank 3 on C2 x C3 whose kernel reduction leaves a state that is not PSD.
 
-    The kernel vector on the curve is only about sqrt(eps) accurate.
-    Returns the matrix and its ``analyze`` result, whose one note is checked.
+    The first kernel search returns only its first vector, with f moved by
+    1e-8 relative, so the tied subtraction overshoots; later searches, such
+    as the fallbacks' own, are left alone.  Returns the matrix and its
+    ``analyze`` result, whose one note is checked.
     """
-    m, _ = shared_e_rank_n(np.random.default_rng([3, 20]), 3)
+    search = sepengine.kernel_product_vectors
+
+    def perturbed(state):
+        if calls:
+            return search(state)
+        calls.append(state)
+        v = search(state)[0]
+        d = [1, 1j] @ np.random.default_rng(0).standard_normal((2, v.f.size))
+        return [ProductVector.from_e_f(v.e, v.f + 1e-8 * d / np.linalg.norm(d))]
+
+    calls = []
+    monkeypatch.setattr(sepengine, "kernel_product_vectors", perturbed)
+    m = rank_n()
     result = analyze(m)
     notes = result[1].notes
     assert len(notes) == 1 and notes[0].startswith(KERNEL_NOT_PSD)
     return m, result
 
 
-def test_kernel_reduction_not_psd():
-    m, result = kernel_reduction_not_psd()
+def test_kernel_reduction_not_psd(monkeypatch):
+    m, result = kernel_reduction_not_psd(monkeypatch)
     verdict, _ = check(result, SEP, None, ["fallback-sufficient"], result[1].notes)
     assert verify_certificate(m, verdict.certificate)
 
 
-def test_kernel_reduction_not_psd_without_fallbacks(no_fallbacks):
-    _, result = kernel_reduction_not_psd()
+def test_kernel_reduction_not_psd_without_fallbacks(monkeypatch, no_fallbacks):
+    _, result = kernel_reduction_not_psd(monkeypatch)
     check(result, INC, REASON_NON_GENERIC, [], result[1].notes)
 
 

@@ -18,18 +18,21 @@ import numpy as np
 import pytest
 
 from sep2n import productfinder, sepengine
-from sep2n.matrixcore import DensityState, ToleranceConfig, as_complex_matrix, hermitize
+from sep2n.matrixcore import (
+    DensityState,
+    ToleranceConfig,
+    as_complex_matrix,
+    hermitize,
+    numerical_rank_kernel,
+)
 from sep2n.polyelim import (
     BivariatePoly,
     NonFinite,
-    UnivariatePoly,
     _alpha_divisible,
     _eval_stack,
     _is_zero,
     _scalar_proportional,
     _trim,
-    univariate_roots,
-    verify_roots,
 )
 from sep2n.productfinder import (
     REAL_ALPHA_GRID,
@@ -40,18 +43,18 @@ from sep2n.productfinder import (
     ProductVector,
     _block_rows_independent,
     _chart_products,
+    _gate_and_polish,
     _inner,
     _inv_dft,
     _orthonormalize,
+    _pencil_roots,
     _phase_normalize,
-    _refine_alpha_f,
     _root_products,
     _row_norms,
+    _single_roots,
     _single_system,
     build_paired_system,
     det_poly_bivariate,
-    det_poly_univariate,
-    eliminate_paired,
     in_range,
     kernel_product_vectors,
     paired_products,
@@ -78,9 +81,7 @@ from helpers import (
     reference_trim,
     scalar_best_subtraction,
     scalar_chart_products,
-    scalar_collect_single,
     scalar_det_poly_bivariate,
-    scalar_det_poly_univariate,
     scalar_from_alpha,
     scalar_from_e_f,
     scalar_in_range,
@@ -88,7 +89,6 @@ from helpers import (
     scalar_lambda_bounds,
     scalar_partner_filter,
     scalar_phase_normalize,
-    scalar_refine_alpha_f,
     scalar_root_products,
     scalar_stacked,
     scalar_vector_at_root,
@@ -121,20 +121,6 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_refine_matches(cs, starts):
-    """Batched refinement equals the scalar one; returns the SVD counts taken."""
-    alphas, fs, sigmas = _refine_alpha_f(cs, starts)
-    rounds = []
-    for k, start in enumerate(starts):
-        alpha, f, done = scalar_refine_alpha_f(cs, complex(start))
-        assert bits(complex(alphas[k])) == bits(alpha)
-        assert fs[k].tobytes() == f.tobytes()
-        s = np.linalg.svd(scalar_stacked(cs, alpha), compute_uv=False)
-        assert sigmas[k].tobytes() == s.tobytes()
-        rounds.append(done)
-    return rounds
-
-
 def cvec(rng, k):
     return rng.standard_normal(k) + 1j * rng.standard_normal(k)
 
@@ -144,15 +130,17 @@ def span(*cols):
 
 
 def single_case(rng, n, m):
-    """A dimension-m subspace holding m-1 random product vectors, its system and alphas."""
+    """A dimension-m subspace holding m-1 random product vectors, its system and alphas.
+
+    The alphas are the polished pencil roots, points near the planted ones
+    and random points.
+    """
     gens = [random_product_vector(rng, n) for _ in range(m - 1)]
     h = span(*[g.vector for g in gens], cvec(rng, 2 * n))
     cs = _single_system(h, n)
-    ac, bc = cs.conj_blocks[:2]
-    roots = univariate_roots(det_poly_univariate(ac[:n], bc[:n]))
     near = [g.alpha + 1e-4 * complex(*rng.standard_normal(2)) for g in gens if g.alpha is not None]
     far = list(2.0 * rng.standard_normal(3) + 2j * rng.standard_normal(3))
-    return h, cs, list(roots) + near + far
+    return h, cs, _gate_and_polish(cs, _single_roots(cs)) + near + far
 
 
 def paired_case(rng, n, m1, m2, planted):
@@ -162,22 +150,24 @@ def paired_case(rng, n, m1, m2, planted):
     h2 = span(*[g.conjugate_partner.vector for g in gens],
               *[cvec(rng, 2 * n) for _ in range(m2 - planted)])
     cs = build_paired_system(h1, h2)
-    q = eliminate_paired(cs)
-    roots = verify_roots(list(univariate_roots(q)), cs.dets, TOL).roots
-    return h1, h2, cs, roots
+    return h1, h2, cs, _gate_and_polish(cs, _pencil_roots(cs))
 
 
 class TestRefinement:
+    """Polished roots give the bits of the scalar root loop, one SVD per root."""
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_single_systems(self, n):
         rng = np.random.default_rng(100 + n)
+        kept = 0
         for m in range(1, n + 1):
             for _ in range(3):
-                h, cs, starts = single_case(rng, n, m)
+                h, cs, alphas = single_case(rng, n, m)
                 assert cs.a2.shape[0] == 0
-                assert_refine_matches(cs, starts)
-                assert_same_vectors(_root_products(starts, cs, h, None, TOL),
-                                    scalar_collect_single(starts, cs, h, TOL))
+                ours = _root_products(alphas, cs, h, None, TOL)
+                assert_same_vectors(ours, scalar_root_products(alphas, cs, h, None, TOL))
+                kept += len(ours)
+        assert kept >= 3 * n * (n - 1) // 2
 
     @pytest.mark.parametrize("n, m1, m2, planted", [(2, 3, 3, 1), (3, 4, 4, 2), (3, 5, 4, 2),
                                                     (4, 6, 5, 2), (4, 5, 5, 3)])
@@ -186,29 +176,14 @@ class TestRefinement:
         kept = 0
         for _ in range(3):
             h1, h2, cs, roots = paired_case(rng, n, m1, m2, planted)
-            starts = list(roots) + list(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            assert_refine_matches(cs, starts)
-            ours = _root_products(roots, cs, h1, h2, TOL)
-            assert_same_vectors(ours, scalar_root_products(roots, cs, h1, h2, TOL))
+            alphas = roots + list(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            ours = _root_products(alphas, cs, h1, h2, TOL)
+            assert_same_vectors(ours, scalar_root_products(alphas, cs, h1, h2, TOL))
             kept += len(ours)
         assert kept >= 3 * planted
 
-    def test_candidate_stops_on_small_denominator(self):
-        # C2 x f0 lies in H, so f0 solves every alpha with A* f0 = 0: alphas
-        # away from the planted root stop after one SVD, the rest keep moving
-        rng = np.random.default_rng(5)
-        n = 3
-        f0, g = cvec(rng, n), cvec(rng, n)
-        a0 = 0.4 - 0.3j
-        h = span(np.kron([1, 0], f0), np.kron([0, 1], f0), np.kron([a0, 1], g))
-        cs = _single_system(h, n)
-        starts = [a0, 2.0 + 1j, a0 + 1e-12, -3.0, 10j, a0 + 1e-10j, 0.0]
-        rounds = assert_refine_matches(cs, starts)
-        assert 1 in rounds and 3 in rounds
-        assert_same_vectors(_root_products(starts, cs, h, None, TOL),
-                            scalar_collect_single(starts, cs, h, TOL))
-
     def test_duplicate_candidates(self):
+        # the polish merges candidates within MERGE_RADIUS before any vector is built
         rng = np.random.default_rng(11)
         n = 4
         gens = [random_product_vector(rng, n) for _ in range(3)]
@@ -216,54 +191,37 @@ class TestRefinement:
         cs = _single_system(h, n)
         a = [g.alpha for g in gens]
         starts = [a[0], a[0] + 1e-8, a[1], a[0] + 5e-7j, a[1] - 2e-7, a[2], a[0] + 2e-6, a[2]]
-        ours = _root_products(starts, cs, h, None, TOL)
-        assert_same_vectors(ours, scalar_collect_single(starts, cs, h, TOL))
+        alphas = _gate_and_polish(cs, np.array(starts))
+        assert len(alphas) == 3
+        ours = _root_products(alphas, cs, h, None, TOL)
+        assert_same_vectors(ours, scalar_root_products(alphas, cs, h, None, TOL))
         assert len(ours) == 3
-        assert_refine_matches(cs, starts)
-
-    def test_start_near_a_kept_root_is_skipped_before_refinement(self):
-        # two roots about 1e-6 apart with different f: a start within 1e-6 of
-        # the first may refine to beyond 1e-6 of it, a vector kept on its
-        # own, and is skipped all the same once the first root is kept
-        rng = np.random.default_rng(7)
-        n = 3
-        a1 = 0.3 + 0.2j
-        skipped = 0
-        for gap in (2e-6, 1.5e-6, 1.2e-6):
-            h = span(np.kron([a1, 1], cvec(rng, n)), np.kron([a1 + gap, 1], cvec(rng, n)),
-                     cvec(rng, 2 * n))
-            cs = _single_system(h, n)
-            for d in (0.5e-6, 0.7e-6, 0.9e-6, 0.99e-6):
-                starts = [a1, a1 + d]
-                assert_refine_matches(cs, starts)
-                ours = _root_products(starts, cs, h, None, TOL)
-                assert_same_vectors(ours, scalar_collect_single(starts, cs, h, TOL))
-                assert len(ours) == 1
-                moved = abs(_refine_alpha_f(cs, starts[1:])[0][0] - a1) > 1e-6
-                skipped += moved and len(_root_products(starts[1:], cs, h, None, TOL)) == 1
-        assert skipped >= 2
+        for v, x in zip(ours, sorted(a, key=lambda z: (z.real, z.imag))):
+            assert abs(v.alpha - x) < 1e-12
 
     def test_rank_gate_alone_rejects_under_loose_range_test(self):
         # with root_residual_tol 0.1 every unit vector passes the range test,
-        # so only the N-th singular value keeps the refined minima of an
+        # so only the N-th singular value keeps the pencil eigenvalues of an
         # overdetermined system without product vectors out
         loose = ToleranceConfig(root_residual_tol=0.1)
         rng = np.random.default_rng(8)
         for n in (3, 4, 5):
             h = span(*[cvec(rng, 2 * n) for _ in range(n - 1)])
             cs = _single_system(h, n)
-            ac, bc = cs.conj_blocks[:2]
-            starts = list(univariate_roots(det_poly_univariate(ac[:n], bc[:n])))
-            _alphas, _fs, sigmas = _refine_alpha_f(cs, starts)
+            alphas = _single_roots(cs)
+            assert alphas.size == n
+            sigmas = np.linalg.svd(cs.stacked(alphas), compute_uv=False)
             assert all(s[n - 1] > 1e-3 for s in sigmas)
-            assert _root_products(starts, cs, h, None, loose) == []
-            assert scalar_collect_single(starts, cs, h, loose) == []
+            assert _gate_and_polish(cs, alphas) == []
+            assert _root_products(alphas, cs, h, None, loose) == []
+            assert scalar_root_products(alphas, cs, h, None, loose) == []
 
     def test_no_candidates(self):
         rng = np.random.default_rng(12)
         h, cs, _ = single_case(rng, 3, 3)
         assert _root_products([], cs, h, None, TOL) == []
         assert _root_products(np.zeros(0, dtype=complex), cs, h, None, TOL) == []
+        assert _gate_and_polish(cs, np.zeros(0, dtype=complex)) == []
         h1, h2, pcs, _ = paired_case(rng, 3, 4, 4, 2)
         assert _root_products([], pcs, h1, h2, TOL) == []
 
@@ -286,7 +244,7 @@ class TestNonUniqueRoot:
 
     def test_first_offending_root_raises_after_valid_roots(self):
         h1, h2, cs, good, bad = self._system(np.random.default_rng(40))
-        # a paired search keeps repeated roots: verify_roots has merged them
+        # a paired search keeps repeated roots: the polish has merged them
         ours = _root_products([good, good + 1e-9], cs, h1, h2, TOL)
         assert len(ours) == 2
         assert_same_vectors(ours, scalar_root_products([good, good + 1e-9], cs, h1, h2, TOL))
@@ -355,16 +313,6 @@ class TestChartSamples:
 
 
 class TestDeterminantInterpolation:
-    def test_univariate(self):
-        rng = np.random.default_rng(50)
-        for n in range(1, 8):
-            for _ in range(4):
-                ac = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                bc = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                ours = det_poly_univariate(ac, bc).coeffs
-                ref = UnivariatePoly(scalar_det_poly_univariate(ac, bc)).coeffs
-                assert ours.tobytes() == ref.tobytes()
-
     def test_bivariate(self):
         rng = np.random.default_rng(51)
         for n in range(1, 7):
@@ -396,7 +344,7 @@ class TestNumpyForms:
         for _ in range(self.TRIALS):
             d, k = sizes(rng)
             m, v = crand(rng, d, d), crand(rng, k, d)
-            rect = _orthonormalize(crand(rng, d, int(rng.integers(1, d + 1))))
+            rect = numerical_rank_kernel(crand(rng, d, int(rng.integers(1, d + 1)))).range_basis
             assert (m @ v[:, :, None])[:, :, 0].tobytes() == np.array([m @ x for x in v]).tobytes()
             ours = (rect.conj().T @ v[:, :, None])[:, :, 0]
             assert ours.tobytes() == np.array([rect.conj().T @ x for x in v]).tobytes()
@@ -448,7 +396,7 @@ class TestCandidateScreens:
         seen = set()
         for _ in range(200):
             d, k = sizes(rng)
-            basis = _orthonormalize(crand(rng, d, int(rng.integers(1, d))))
+            basis = numerical_rank_kernel(crand(rng, d, int(rng.integers(1, d)))).range_basis
             out = crand(rng, k, d)
             out -= (basis @ (basis.conj().T @ out.T)).T
             out /= np.linalg.norm(out, axis=1, keepdims=True)

@@ -21,7 +21,7 @@ from sep2n.productfinder import (
     real_e_products,
 )
 
-from helpers import build_separable, eig_rank, random_product_vector
+from helpers import build_separable, eig_rank, random_product_vector, shared_e_rank_n
 
 
 def basis_vec(n, i, k):
@@ -38,6 +38,9 @@ def membership_residual(h, v):
 SAMPLES = [0.437 + 0.821j, -1.133 + 0.294j, 0.512 - 0.668j, -0.274 - 1.147j,
            0.0, 1.0, -1.0, 0.5]
 REAL_GRID = [0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 / 3.0]
+# bases whose row count is not 2N with N >= 1, and what every search says of them
+NOT_2N_ROWS = [(5, 2), (7, 5), (0, 1)]
+NOT_2N_MESSAGE = r"2N rows with N >= 1; got shape \("
 
 
 class TestProductVector:
@@ -86,6 +89,11 @@ class TestProductsInSubspace:
         for v in res:
             assert membership_residual(h, v.vector) < 1e-8
 
+    @pytest.mark.parametrize("shape", NOT_2N_ROWS)
+    def test_refuses_row_count_not_2n(self, shape):
+        with pytest.raises(ValueError, match=NOT_2N_MESSAGE):
+            products_in_subspace(np.ones(shape))
+
     def test_full_space_infinite(self):
         res = products_in_subspace(np.eye(6, dtype=complex))
         assert isinstance(res, InfiniteFamily)
@@ -111,6 +119,38 @@ class TestProductsInSubspace:
             refined = _refine_alpha(h, best, n)
             matched = any(v.alpha is not None and abs(v.alpha - refined) < 1e-5 for v in res)
             assert matched or _subspace_distance(h, refined, n) > 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vanishing_determinant(self, n):
+        # C2 x f0 inside H: f0 solves the constraints at every alpha, so the
+        # pencil is singular at both shifts; at dim(H) = N that is an
+        # infinite family, below N only e = |0> is searched apart
+        rng = np.random.default_rng(30 + n)
+        f0 = _cvec(rng, n)
+        cols = [np.kron([1, 0], f0), np.kron([0, 1], f0)] + list(_cvec(rng, n - 2, 2 * n))
+        res = products_in_subspace(np.column_stack(cols))
+        assert isinstance(res, InfiniteFamily) and res.note == "determinant vanishes identically"
+        assert [v.alpha for v in res.samples] == SAMPLES + [None]
+        h = _orthonormalize(np.column_stack(cols))
+        for v in res.samples:
+            assert membership_residual(h, v.vector) < 1e-10
+        if n > 2:
+            below = products_in_subspace(np.column_stack(cols[:-1]))
+            assert [v.alpha for v in below] == [None]
+
+    def test_double_root_vector_is_accurate(self):
+        # two terms sharing e put a double root at e_perp in the kernel search,
+        # whose vector must still be exact to rounding
+        for n in range(3, 7):
+            for i in range(8):
+                m, vecs = shared_e_rank_n(np.random.default_rng([n, i]), n)
+                state = DensityState(m)
+                found = products_in_subspace(state.kernel_basis, state.tol)
+                assert isinstance(found, list)
+                on_curve = [v for v in found if abs(np.vdot(v.e, vecs[0].e)) < 1e-6]
+                assert len(on_curve) == 1
+                for v in found:
+                    assert np.linalg.norm(m @ v.vector) < 1e-14 * np.linalg.norm(m, 2)
 
     def test_guaranteed_existence_dimension_n(self):
         rng = np.random.default_rng(3)
@@ -256,6 +296,13 @@ class TestPairedProducts:
         for g in gens:
             overlap = max(abs(np.vdot(g.vector, v.vector)) for v in res)
             assert overlap > 1 - 1e-8
+
+    @pytest.mark.parametrize("shape", NOT_2N_ROWS)
+    def test_refuses_row_count_not_2n(self, shape):
+        even = np.eye(6, dtype=complex)[:, :3]
+        for h1, h2 in ((np.ones(shape), even), (even, np.ones(shape))):
+            with pytest.raises(ValueError, match=NOT_2N_MESSAGE):
+                paired_products(h1, h2)
 
     def test_full_spaces_infinite(self):
         eye = np.eye(8, dtype=complex)
@@ -497,6 +544,11 @@ class TestRealEProducts:
     def test_refuses_dimension_n(self):
         with pytest.raises(ValueError):
             real_e_products(np.eye(4, dtype=complex)[:, :2])
+
+    @pytest.mark.parametrize("shape", NOT_2N_ROWS)
+    def test_refuses_row_count_not_2n(self, shape):
+        with pytest.raises(ValueError, match=NOT_2N_MESSAGE):
+            real_e_products(np.ones(shape))
 
 
 class TestKernelSearch:

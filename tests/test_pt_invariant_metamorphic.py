@@ -3,11 +3,12 @@
 A state sigma equal to its partial transpose is separable, and so is
 (A (x) B) sigma (A (x) B)^dag for any invertible A and B, scaled by any
 positive number.  With A real the transformed state is still equal to its
-partial transpose, so ``analyze`` takes the PT-invariant stage.  Only
-soundness is asserted: the verdict is never ``entangled_ppt``, and every
-certificate, whether from ``analyze`` or from ``pt_invariant_decompose``
-directly, re-verifies.  The examples are derandomized, so the run is the
-same every time.
+partial transpose, so ``analyze`` takes the PT-invariant stage.  The
+property test asserts soundness only: the verdict is never
+``entangled_ppt``, and every certificate, whether from ``analyze`` or from
+``pt_invariant_decompose`` directly, re-verifies.  Its examples are
+derandomized, so the run is the same every time.  A fixed set of 200 such
+states must moreover all end ``separable``.
 """
 
 import numpy as np
@@ -40,3 +41,17 @@ def test_mapped_pt_invariant_state_is_never_entangled_ppt(seed, n, log_scale):
     except (NonGenericInput, ValueError):
         return
     assert verify_certificate(m, cert)
+
+
+def test_mapped_pt_invariant_states_are_separable():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        sigma = random_pt_invariant(rng, n)
+        a = rng.standard_normal((2, 2))
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ab = np.kron(a, b)
+        m = 10.0 ** rng.uniform(-150, 150) * (ab @ sigma @ ab.conj().T)
+        verdict, _ = analyze(m)
+        assert verdict.kind is VerdictKind.SEPARABLE, (seed, verdict.reason)
+        assert verify_certificate(m, verdict.certificate)
