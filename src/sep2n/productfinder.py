@@ -367,6 +367,17 @@ def _in_subspaces(alphas, fs, h1: np.ndarray, h2: np.ndarray | None,
     return vectors, inside
 
 
+def _drops_rank_everywhere(cs: ConstraintSystem) -> bool:
+    """Whether the constraints drop rank at both of the first two ``SAMPLE_ALPHAS``.
+
+    A search whose pencil is singular reads this as a rank drop at every
+    alpha: an infinite family.
+    """
+    probes = np.array(SAMPLE_ALPHAS[:2])
+    sigmas = np.linalg.svd(cs.stacked(probes), compute_uv=False)
+    return all(_has_null(s, cs.n, a) for s, a in zip(sigmas, probes))
+
+
 def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray | None,
                     tol: ToleranceConfig) -> list[ProductVector]:
     """Product vectors at e = e(alpha), one solve for each alpha in ``alphas``.
@@ -587,16 +598,30 @@ def _compression(rows: int, n: int) -> np.ndarray:
     return q
 
 
-def _shift_invert(m: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+def _compressed(blocks, k: int):
+    """Row blocks of one height multiplied by ``_compression`` to k rows, unless already k."""
+    rows = blocks[0].shape[0]
+    if rows == k:
+        return blocks
+    q = _compression(rows, k)
+    return [q @ x for x in blocks]
+
+
+def _shift_invert(m: np.ndarray, d: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray | None:
     """The finite eigenvalues eta of the square pencil M - eta D, or None if it is singular.
 
     eta = s + 1/nu for the eigenvalues nu != 0 of (M - s D)^-1 D, at the
     first of ``PENCIL_SHIFTS`` s where M - s D is regular: its inverse must
     not blow a fixed probe column up past 1 / PENCIL_SINGULAR_TOL relative to
     its norm.  A nu below PENCIL_INFINITE_TOL of the largest is an infinite
-    eta and is dropped.
+    eta and is dropped.  When D is zero outside the k rows ``rows``, it is
+    E D[rows] with E the unit columns at those rows, and since XY and YX
+    share their nonzero spectrum the nu are taken from the k x k matrix
+    D[rows] (M - s D)^-1 E: only k unit columns and the probe are solved for.
     """
-    rhs = np.column_stack([d, _seeded_columns(d.shape[0], 1)])
+    cols = d if rows is None else np.eye(d.shape[0], dtype=complex)[:, rows]
+    rhs = np.column_stack([cols, _seeded_columns(d.shape[0], 1)])
     for shift in PENCIL_SHIFTS:
         shifted = m - shift * d
         try:
@@ -607,7 +632,7 @@ def _shift_invert(m: np.ndarray, d: np.ndarray) -> np.ndarray | None:
             break
     else:
         return None
-    nu = np.linalg.eigvals(x[:, :-1])
+    nu = np.linalg.eigvals(x[:, :-1] if rows is None else d[rows] @ x[:, :-1])
     nu = nu[np.abs(nu) > PENCIL_INFINITE_TOL * np.abs(nu).max(initial=0.0)]
     return shift + 1.0 / nu
 
@@ -671,10 +696,7 @@ def _single_roots(cs: ConstraintSystem) -> np.ndarray | None:
     The roots of det(alpha A* + B*) are the eigenvalues of the pencil
     B* - alpha (-A*), its rows beyond N compressed first by ``_compression``.
     """
-    ac, bc = cs.conj_blocks[:2]
-    if ac.shape[0] > cs.n:
-        q = _compression(ac.shape[0], cs.n)
-        ac, bc = q @ ac, q @ bc
+    ac, bc = _compressed(cs.conj_blocks[:2], cs.n)
     return _shift_invert(bc, -ac)
 
 
@@ -689,7 +711,10 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
     pass the search's rank-drop gate, so returning [] then gives the
     search's own result.  Otherwise the candidates are the eigenvalues of
     the constraint pencil, its rows compressed to N, kept where the full
-    stack drops rank and polished (``_gate_and_polish``).
+    stack drops rank and polished (``_gate_and_polish``).  A pencil singular
+    at both shifts means the determinant vanishes identically: an infinite
+    family at m = N, and below N one where the constraints drop rank at two
+    sample alphas (H holds C2 (x) f0), no candidates otherwise.
     """
     tol = tol or DEFAULT_TOL
     h = _orthonormalize(h)
@@ -703,13 +728,17 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
         return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                               note="subspace dimension exceeds N")
 
-    # a singular pencil has a vanishing determinant, which for m < n leaves
-    # no candidates
+    # a singular pencil has a vanishing determinant; for m < n that is a
+    # family only where the constraints drop rank at every alpha, and
+    # leaves no candidates otherwise
     candidates = _single_roots(cs)
     if candidates is None:
         if m == n:
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                                   note="determinant vanishes identically")
+        if _drops_rank_everywhere(cs):
+            return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
+                                  note="all determinants vanish identically")
         candidates = np.zeros(0, dtype=complex)
     found = _root_products(_gate_and_polish(cs, candidates), cs, h, None, tol)
     if m == n or np.linalg.matrix_rank(cs.conj_blocks[0]) < n:
@@ -826,6 +855,32 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :, None] * y[None, :, None, :]).reshape(n * n, n * n)
 
 
+def _chart_pencil(cs: ConstraintSystem, cos: float,
+                  sin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The mixed pencil of a paired system in the chart e = R (alpha', 1), and Delta_0's rows.
+
+    Returns Delta_1 + gamma Delta_2, Delta_0 and the indices of the rows
+    outside which Delta_0 vanishes (see ``_pencil_roots``), or None for
+    those when they are all N^2 rows.
+    """
+    n = cs.n
+    ac1, bc1, ac2, bc2 = cs.conj_blocks
+    k1 = min(ac1.shape[0], max(n - ac2.shape[0], n // 2))
+    a1, b1 = _compressed([cos * ac1 + sin * bc1, cos * bc1 - sin * ac1], k1)
+    a2, b2 = _compressed([cos * ac2 + sin * bc2, cos * bc2 - sin * ac2], n - k1)
+    a = np.zeros((n, n), dtype=complex)
+    c = np.zeros((n, n), dtype=complex)
+    a[:k1], c[k1:] = a1, a2
+    b = np.concatenate([b1, b2])
+    ca, cb, cc = a.conj(), b.conj(), c.conj()
+    delta0 = _kron(a, ca) - _kron(c, cc)
+    # Delta_1 + gamma Delta_2, the Kronecker products grouped by their left factor
+    mixed = _kron(c, cb) + _kron(b, PENCIL_GAMMA * cc - ca) - _kron(a, PENCIL_GAMMA * cb)
+    side = np.arange(n) >= k1
+    rows = np.flatnonzero(side[:, None] == side[None, :])
+    return mixed, delta0, (rows if rows.size < n * n else None)
+
+
 def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
     """Candidate roots alpha of a finite paired system, or None if its pencil is singular.
 
@@ -833,22 +888,26 @@ def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
     W1 = B + alpha A + beta C, where A stacks the A1* rows over zero rows, C
     zero rows over the A2* rows and B the B1* rows over the B2* rows; their
     conjugate reads W2 g = 0 with W2 = conj(B) + beta conj(A) + alpha conj(C)
-    and g = conj(f).  Beyond N rows, all three are compressed by one fixed
-    seeded matrix with orthonormal rows, which keeps every root.  This is a
-    two-parameter eigenvalue problem (Atkinson 1972): z = f (x) g satisfies
-    Delta_1 z = alpha Delta_0 z and Delta_2 z = beta Delta_0 z for the
-    N^2 x N^2 operator determinants
+    and g = conj(f).  The r1 alpha-rows are compressed to k1 and the r2
+    conjugate rows to k2 = N - k1, k1 = min(r1, max(N - r2, floor(N/2))),
+    each block by its own fixed seeded matrix with orthonormal rows (a block
+    of the right height is kept); Q W f = 0 wherever W f = 0, so every root
+    survives.  This is a two-parameter eigenvalue problem (Atkinson 1972):
+    z = f (x) g satisfies Delta_1 z = alpha Delta_0 z and Delta_2 z = beta
+    Delta_0 z for the N^2 x N^2 operator determinants
 
         Delta_0 = A (x) conj(A) - C (x) conj(C),
         Delta_1 = C (x) conj(B) - B (x) conj(A),
         Delta_2 = B (x) conj(C) - A (x) conj(B).
 
-    With exactly N rows, Delta_0 has rank r1^2 + r2^2 < N^2 and
-    Delta_1 - s Delta_0 is singular for every s, so the mixed pencil
-    Delta_1 + gamma Delta_2 - eta Delta_0, eta = alpha + gamma beta, is
-    solved instead, by ``_shift_invert``.  A genuine root has
-    beta = conj(alpha), so alpha = (eta - gamma conj(eta)) / (1 - |gamma|^2);
-    other eigenvalues give candidates that the caller's rank gate drops.
+    As A = [A~1; 0] and C = [0; A~2], Delta_0 vanishes outside the k =
+    k1^2 + k2^2 rows whose two indices lie on the same side of k1; k < N^2
+    unless one block is empty.  Delta_1 - s Delta_0 is singular for every
+    s, so the mixed pencil Delta_1 + gamma Delta_2 - eta Delta_0, eta =
+    alpha + gamma beta, is solved instead, by ``_shift_invert`` on those k
+    rows: at most k finite eta.  A genuine root has beta = conj(alpha), so
+    alpha = (eta - gamma conj(eta)) / (1 - |gamma|^2); other eigenvalues
+    give candidates that the caller's rank gate drops.
 
     A product pair at the chart's point at infinity (A f = C f = 0) makes
     every Delta annihilate f (x) conj(f) and the pencil singular.  So the
@@ -862,31 +921,17 @@ def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
     everywhere, and the pencil counts as singular, as it does when
     ``_shift_invert`` finds it singular at both shifts.
     """
-    n = cs.n
     cots = np.array([np.cos(t) / np.sin(t) for t in PENCIL_CHART_ANGLES], dtype=complex)
     passed = 0
     for s, cot in zip(np.linalg.svd(cs.stacked(cots), compute_uv=False), cots):
-        if not _has_null(s, n, cot):
+        if not _has_null(s, cs.n, cot):
             break
         passed += 1
     else:
         return None
     angle = PENCIL_CHART_ANGLES[passed]
     cos, sin = np.cos(angle), np.sin(angle)
-    ac1, bc1, ac2, bc2 = cs.conj_blocks
-    r1, rows = ac1.shape[0], ac1.shape[0] + ac2.shape[0]
-    a = np.zeros((rows, n), dtype=complex)
-    c = np.zeros((rows, n), dtype=complex)
-    a[:r1], c[r1:] = cos * ac1 + sin * bc1, cos * ac2 + sin * bc2
-    b = np.concatenate([cos * bc1 - sin * ac1, cos * bc2 - sin * ac2])
-    if rows > n:
-        q = _compression(rows, n)
-        a, b, c = q @ a, q @ b, q @ c
-    ca, cb, cc = a.conj(), b.conj(), c.conj()
-    delta0 = _kron(a, ca) - _kron(c, cc)
-    # Delta_1 + gamma Delta_2, the Kronecker products grouped by their left factor
-    mixed = _kron(c, cb) + _kron(b, PENCIL_GAMMA * cc - ca) - _kron(a, PENCIL_GAMMA * cb)
-    eta = _shift_invert(mixed, delta0)
+    eta = _shift_invert(*_chart_pencil(cs, cos, sin))
     if eta is None:
         return None
     rotated = (eta - PENCIL_GAMMA * eta.conj()) / (1.0 - abs(PENCIL_GAMMA) ** 2)
@@ -927,9 +972,7 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
                               note="dimension count exceeds 3N")
     candidates = _pencil_roots(cs)
     if candidates is None:
-        probes = np.array(SAMPLE_ALPHAS[:2])
-        sigmas = np.linalg.svd(cs.stacked(probes), compute_uv=False)
-        if all(_has_null(s, n, a) for s, a in zip(sigmas, probes)):
+        if _drops_rank_everywhere(cs):
             return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                                   note="all determinants vanish identically")
         raise NonGenericInput("singular pencil: the determinants share a self-conjugate "

@@ -487,11 +487,9 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
     if L > r * r:
         raise DependentProjectors(f"{L} projectors cannot be independent in dimension {r * r}")
     u = state.range_basis
-    cols = []
-    for v in vectors:
-        p = v.projector()
-        cols.append((u.conj().T @ p @ u).ravel())
-    s_mat = np.array(cols).T
+    # column l is vec(U^dag P_l U) = vec(w_l w_l^dag) for W = U^dag V
+    w = u.conj().T @ np.array([v.vector for v in vectors]).T
+    s_mat = (w[:, None, :] * w.conj()[None, :, :]).reshape(r * r, L)
     sing = np.linalg.svd(s_mat, compute_uv=False)
     if sing[0] <= 0 or sing[-1] <= 1e-10 * sing[0]:
         raise DependentProjectors("projector Gram matrix is rank deficient")

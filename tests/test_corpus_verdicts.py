@@ -3,6 +3,8 @@
 An ``entangled_ppt`` verdict claims that the paired enumeration was
 exhaustive, so it must never land on an input built as a separable mixture;
 and every Horodecki state, PPT and entangled by construction, must get it.
+Every input built as a separable mixture, at rank sum at most 3N, must
+moreover be certified ``separable``, unscaled and scaled far from 1.
 """
 
 import importlib.util
@@ -29,3 +31,15 @@ def test_range_enum_entangled_ppt_only_on_horodecki(seed):
         if claimed != (item.label == corpus.PPT_ENTANGLED):
             wrong.append((item.name, kind.value))
     assert wrong == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("seed", [4242, 5150, 6607])
+def test_range_enum_separable_inputs_are_certified(seed, scale):
+    missed = []
+    for item in corpus.build("range_enum", seed):
+        if item.label == corpus.SEPARABLE:
+            kind = analyze(item.matrix * scale)[0].kind
+            if kind is not VerdictKind.SEPARABLE:
+                missed.append((item.name, kind.value))
+    assert missed == []

@@ -21,7 +21,13 @@ from sep2n.productfinder import (
     real_e_products,
 )
 
-from helpers import build_separable, eig_rank, random_product_vector, shared_e_rank_n
+from helpers import (
+    build_separable,
+    eig_rank,
+    random_product_vector,
+    sets_match,
+    shared_e_rank_n,
+)
 
 
 def basis_vec(n, i, k):
@@ -123,20 +129,22 @@ class TestProductsInSubspace:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_vanishing_determinant(self, n):
         # C2 x f0 inside H: f0 solves the constraints at every alpha, so the
-        # pencil is singular at both shifts; at dim(H) = N that is an
-        # infinite family, below N only e = |0> is searched apart
+        # pencil is singular at both shifts; that is an infinite family at
+        # dim(H) = N, and below N too, where the constraints drop rank at
+        # every alpha
         rng = np.random.default_rng(30 + n)
         f0 = _cvec(rng, n)
         cols = [np.kron([1, 0], f0), np.kron([0, 1], f0)] + list(_cvec(rng, n - 2, 2 * n))
-        res = products_in_subspace(np.column_stack(cols))
-        assert isinstance(res, InfiniteFamily) and res.note == "determinant vanishes identically"
-        assert [v.alpha for v in res.samples] == SAMPLES + [None]
-        h = _orthonormalize(np.column_stack(cols))
-        for v in res.samples:
-            assert membership_residual(h, v.vector) < 1e-10
-        if n > 2:
-            below = products_in_subspace(np.column_stack(cols[:-1]))
-            assert [v.alpha for v in below] == [None]
+        notes = {n: "determinant vanishes identically",
+                 n - 1: "all determinants vanish identically"}
+        for m in (n, n - 1) if n > 2 else (n,):
+            res = products_in_subspace(np.column_stack(cols[:m]))
+            assert isinstance(res, InfiniteFamily) and res.note == notes[m]
+            assert [v.alpha for v in res.samples] == SAMPLES + [None]
+            h = _orthonormalize(np.column_stack(cols[:m]))
+            for v in res.samples:
+                assert membership_residual(h, v.vector) < 1e-10
+                assert abs(abs(np.vdot(v.f, f0)) - np.linalg.norm(f0)) < 1e-10 * np.linalg.norm(f0)
 
     def test_double_root_vector_is_accurate(self):
         # two terms sharing e put a double root at e_perp in the kernel search,
@@ -284,6 +292,19 @@ def _refine_alpha(h, alpha, n, steps=60):
     return a
 
 
+def _planted_paired_spaces(rng, n, alphas, m1, m2):
+    """Random spaces of dimensions m1 and m2 holding product pairs at alphas, and the pairs."""
+    planted = [ProductVector.from_alpha(a, _cvec(rng, n)) for a in alphas]
+    h1, h2 = (np.column_stack([*vecs, _cvec(rng, 2 * n, m - len(vecs))])
+              for vecs, m in (([v.vector for v in planted], m1),
+                              ([v.conjugate_partner.vector for v in planted], m2)))
+    return h1, h2, planted
+
+
+def _random_alphas(rng, count):
+    return [complex(*rng.standard_normal(2)) for _ in range(count)]
+
+
 class TestPairedProducts:
     def test_round_trip_rank_five(self):
         rng = np.random.default_rng(4)
@@ -428,12 +449,7 @@ class TestPairedProducts:
     @staticmethod
     def planted_search(rng, n, alphas, m1, m2):
         """The paired search on random spaces of dimensions m1 and m2 that hold pairs at alphas."""
-        planted = [ProductVector.from_alpha(a, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                   for a in alphas]
-        h1, h2 = (np.column_stack([*vecs, rng.standard_normal((2 * n, m - len(vecs)))
-                                   + 1j * rng.standard_normal((2 * n, m - len(vecs)))])
-                  for vecs, m in (([v.vector for v in planted], m1),
-                                  ([v.conjugate_partner.vector for v in planted], m2)))
+        h1, h2, planted = _planted_paired_spaces(rng, n, alphas, m1, m2)
         found = paired_products(h1, h2)
         assert isinstance(found, list)
         for v in planted:
@@ -461,6 +477,123 @@ class TestPairedProducts:
         alphas = [np.cos(angle) / np.sin(angle), complex(*rng.standard_normal(2))]
         m1 = (3 * n - extra_rows) // 2
         self.planted_search(rng, n, alphas, m1, 3 * n - extra_rows - m1)
+
+
+def _deflation_cases():
+    """(n, m1, m2): N, N+1 and N+2 constraint rows split unequally, and all rows alpha-rows."""
+    cases = []
+    for n in range(2, 7):
+        for extra in range(3):
+            t = 3 * n - extra
+            cases.append((n, t // 2 + 1, t - t // 2 - 1))
+            if n > extra:
+                cases.append((n, n - extra, 2 * n))
+    return cases
+
+
+class TestDeflatedPencil:
+    @pytest.mark.parametrize("n, m1, m2", _deflation_cases())
+    def test_matches_the_full_pencil(self, n, m1, m2):
+        # the k x k eigenproblem on Delta_0's rows gives the finite eigenvalues
+        # of the N^2 x N^2 pencil, at most k1^2 + k2^2 of them, and the
+        # search built on it recovers every planted pair
+        rng = np.random.default_rng([n, m1, m2])
+        h1, h2, planted = _planted_paired_spaces(rng, n, _random_alphas(rng, min(2, m1, m2)),
+                                                 m1, m2)
+        cs = build_paired_system(h1, h2)
+        r1, r2 = cs.a1.shape[0], cs.a2.shape[0]
+        assert r1 + r2 - n in (0, 1, 2) and r1 != r2
+        k1 = min(r1, max(n - r2, n // 2))
+        k = k1 ** 2 + (n - k1) ** 2
+        angle = productfinder.PENCIL_CHART_ANGLES[0]
+        mixed, delta0, rows = productfinder._chart_pencil(cs, np.cos(angle), np.sin(angle))
+        assert np.count_nonzero(np.abs(delta0).max(axis=1)) <= k
+        if r1 and r2:
+            assert rows.size == k < n * n
+            assert not np.any(np.delete(delta0, rows, axis=0))
+        else:
+            assert rows is None and k == n * n
+        deflated = productfinder._shift_invert(mixed, delta0, rows)
+        full = productfinder._shift_invert(mixed, delta0)
+        assert 0 < deflated.size <= k
+        scale = max(1.0, float(np.abs(full).max()))
+        assert sets_match(deflated, full, radius=1e-8 * scale)
+        assert productfinder._pencil_roots(cs).size <= k
+        found = paired_products(h1, h2)
+        assert isinstance(found, list)
+        for v in planted:
+            assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
+
+
+def _mp_paired_alphas(mp, cs, gamma, shift):
+    """The roots alpha of an N-row paired system from its mixed pencil, solved in mpmath.
+
+    The operator determinants of W1 = B + alpha A + beta C and its conjugate
+    twin are formed and shift-inverted at the working precision; alpha and
+    beta come from each eigenvector z as Rayleigh quotients against Delta_0
+    z, and a root is kept where beta = conj(alpha) and sigma_N of the
+    constraint stack at alpha vanishes.
+    """
+    n, r1 = cs.n, cs.a1.shape[0]
+    assert r1 + cs.a2.shape[0] == n
+    zero = np.zeros((n, n), dtype=complex)
+    a, c = zero.copy(), zero.copy()
+    a[:r1], c[r1:] = cs.conj_blocks[0], cs.conj_blocks[2]
+    b = np.concatenate([cs.conj_blocks[1], cs.conj_blocks[3]])
+    a, b, c = (mp.matrix(x.tolist()) for x in (a, b, c))
+
+    def kron(x, y):
+        out = mp.matrix(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    for l in range(n):
+                        out[i * n + k, j * n + l] = x[i, j] * y[k, l]
+        return out
+
+    def conj(x):
+        return x.apply(mp.conj)
+
+    delta0 = kron(a, conj(a)) - kron(c, conj(c))
+    delta1 = kron(c, conj(b)) - kron(b, conj(a))
+    delta2 = kron(b, conj(c)) - kron(a, conj(b))
+    nus, vecs = mp.eig(mp.inverse(delta1 + gamma * delta2 - shift * delta0) * delta0)
+    top = max(abs(nu) for nu in nus)
+    alphas = []
+    for i, nu in enumerate(nus):
+        if abs(nu) <= mp.mpf(10) ** -15 * top:
+            continue  # an infinite eigenvalue
+        z = vecs[:, i]
+        d0 = delta0 * z
+        norm = (d0.H * d0)[0]
+        alpha, beta = ((d0.H * (delta * z))[0] / norm for delta in (delta1, delta2))
+        if abs(beta - mp.conj(alpha)) > mp.mpf(10) ** -12 * (1 + abs(alpha)):
+            continue
+        alpha = complex(alpha)
+        sigma = np.linalg.svd(cs.stacked(np.array([alpha])), compute_uv=False)[0]
+        if sigma[-1] <= 1e-10 * (1 + abs(alpha)):
+            alphas.append(alpha)
+    return alphas
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("n, m1, m2, pairs", [(2, 3, 3, 2), (3, 5, 4, 3), (3, 4, 5, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_paired_roots_match_a_30_digit_pencil(self, n, m1, m2, pairs, seed):
+        # with exactly N constraint rows the 30-digit mixed pencil needs no
+        # compression, deflation or chart rotation; its roots with beta =
+        # conj(alpha) and a rank drop are the search's finite alphas
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng([n, m1, m2, seed])
+        h1, h2, planted = _planted_paired_spaces(rng, n, _random_alphas(rng, pairs), m1, m2)
+        with mpmath.workdps(30):
+            oracle = _mp_paired_alphas(mpmath.mp, build_paired_system(h1, h2),
+                                       mpmath.mpc(0.4, 0.3), mpmath.mpc(0.3183, -0.5772))
+        found = paired_products(h1, h2)
+        assert isinstance(found, list)
+        alphas = [v.alpha for v in found if v.alpha is not None]
+        assert len(oracle) >= pairs
+        assert sets_match(alphas, oracle, radius=1e-9)
 
 
 class TestUniqueFAtSharedE:
