@@ -17,18 +17,6 @@ from .matrixcore import (
     pseudoinverse,
     psd_difference_check,
 )
-from .polyelim import (
-    BivariatePoly,
-    DegenerateElimination,
-    NonFinite,
-    RootSet,
-    UnivariatePoly,
-    conjugate_poly,
-    eliminate_pair,
-    eliminate_single,
-    univariate_roots,
-    verify_roots,
-)
 from .productfinder import (
     ConstraintSystem,
     InfiniteFamily,

@@ -41,7 +41,9 @@ class ToleranceConfig:
 
     rank_rel_tol
         Magnitudes at most ``rank_rel_tol`` times the largest count as zero;
-        every rank decision goes through ``split_at_cutoff``.
+        every rank decision on a spectrum goes through ``split_at_cutoff``.
+        Rank drops at the chart points of the product-vector search follow
+        the one fixed rule of ``productfinder._has_null`` instead.
     psd_tol
         Relative eigenvalue floor: X is accepted as PSD when
         ``lambda_min(X) >= -psd_tol * ||X||``, the test of ``within_psd_tol``.

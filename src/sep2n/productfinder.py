@@ -10,11 +10,14 @@ brings in the conjugate variable; with beta standing for conj(alpha) the
 two constraint sets form a two-parameter eigenvalue problem, whose
 candidate roots are the eigenvalues of one operator-determinant pencil
 (``_pencil_roots``).  Both searches solve their pencil by one shift-invert
-(``_shift_invert``), polish the candidates the same way
-(``_gate_and_polish``) and take each f from one SVD (``_root_products``).
-The bivariate determinant polynomials of a paired system
-(``ConstraintSystem.dets``) and their elimination (``eliminate_paired``)
-are built only on request; no search uses them.
+(``_shift_invert``) and polish the candidates the same way
+(``_gate_and_polish``).  Every chart point, polished root or sample alike,
+turns into a product vector in ``_chart_products``: e = |0> (alpha None)
+joins the roots as one more point, one SVD serves them all and one
+rank-drop rule (``_has_null``) gates each.  The bivariate determinant
+polynomials of a paired system (``ConstraintSystem.dets``) and their
+elimination (``eliminate_paired``) are built only on request; no search
+uses them.
 
 Candidates are screened as stacks, and each stacked numpy form used here
 gives the bits of the single-vector call it replaces: a mat-vec as a matmul
@@ -341,16 +344,17 @@ def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
 # fixed-alpha solves
 # ---------------------------------------------------------------------------
 
-def _has_null(s: np.ndarray, k: int, alpha: complex) -> bool:
+def _has_null(s: np.ndarray, k: int, scale: float) -> bool:
     """Whether the k-th largest singular value of a constraint matrix is numerically zero.
 
-    ``s`` holds the singular values of the N-column matrix; those past
-    ``s.size`` (fewer rows than k) are zero.  Constraint rows come from
-    orthonormal complements, so the matrix scale is O(1 + |alpha|); anchoring
-    there keeps the test meaningful when the whole matrix nearly vanishes
-    (e.g. at repeated roots).
+    The one rank-drop rule at chart points.  ``s`` holds the singular values
+    of the N-column matrix; those past ``s.size`` (fewer rows than k) are
+    zero.  Constraint rows come from orthonormal complements, so ``scale``
+    is 1 + |alpha| at alpha and 1 at e = |0>; anchoring there keeps the test
+    meaningful when the whole matrix nearly vanishes (e.g. at repeated
+    roots).
     """
-    return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), 1.0 + abs(alpha))
+    return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), scale)
 
 
 def _in_subspaces(alphas, fs, h1: np.ndarray, h2: np.ndarray | None,
@@ -375,77 +379,57 @@ def _drops_rank_everywhere(cs: ConstraintSystem) -> bool:
     """
     probes = np.array(SAMPLE_ALPHAS[:2])
     sigmas = np.linalg.svd(cs.stacked(probes), compute_uv=False)
-    return all(_has_null(s, cs.n, a) for s, a in zip(sigmas, probes))
+    return all(_has_null(s, cs.n, 1.0 + abs(a)) for s, a in zip(sigmas, probes))
 
 
 def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray | None,
-                    tol: ToleranceConfig) -> list[ProductVector]:
-    """Product vectors at e = e(alpha), one solve for each alpha in ``alphas``.
+                    tol: ToleranceConfig, unique: bool = False) -> list[ProductVector]:
+    """Product vectors at the chart points ``alphas``, kept in order, from one SVD.
 
-    A vector is kept when |e,f> lies in H1 and, unless ``h2`` is None,
-    |e*,f> lies in H2.  At finite alpha f is the smallest right singular
-    vector of the stacked constraints (one SVD for all), kept only where
-    they drop rank; at None (e = |0>) it is the first kernel vector of the
-    alpha-coefficient rows.  With no constraint rows f is the first basis
-    vector.  A paired chart point whose f is not unique is outside the
-    generic case.
+    A point is a finite alpha, e = (alpha, 1), or None, e = |0>, where the
+    constraint matrix is the alpha-coefficient rows [A1*; A2*].  f is the
+    last right singular vector of the point's matrix, all matrices stacked
+    into one SVD, and the point is kept where its matrix drops rank
+    (``_has_null``); with no constraint rows f is the first basis vector.
+    The vector is kept when |e,f> lies in H1 and, unless ``h2`` is None,
+    |e*,f> lies in H2.  With ``unique`` the first kept point whose f is not
+    unique raises.  A kept root within MERGE_RADIUS of e = |0> (|alpha|
+    MERGE_RADIUS >= 1) is the more accurate vector there, so the one at
+    None is then dropped.
     """
-    first = np.eye(cs.n, 1, dtype=complex)
-    finite = [a for a in alphas if a is not None]
-    solves = iter(())
-    if finite and sum(b.shape[0] for b in cs.conj_blocks[::2]):
+    alphas = list(alphas)
+    n = cs.n
+    ac1, ac2 = cs.conj_blocks[::2]
+    fs = np.zeros((len(alphas), n), dtype=complex)
+    fs[:, 0] = 1.0
+    sigmas = np.zeros((len(alphas), 0))
+    if alphas and ac1.shape[0] + ac2.shape[0]:
+        finite = [k for k, a in enumerate(alphas) if a is not None]
+        at_zero = [k for k, a in enumerate(alphas) if a is None]
         # np.conj of a real sample keeps its zero imaginary part positive
-        conj = np.array([np.conj(a) for a in finite], dtype=complex)
-        _u, sigmas, vh = np.linalg.svd(cs.stacked(np.array(finite, dtype=complex), conj),
-                                       full_matrices=True)
-        solves = zip(sigmas, vh[:, -1].conj())
-    picked, fs = [], []
-    for alpha in alphas:
-        if alpha is None:
-            rows = np.vstack(cs.conj_blocks[::2])
-            kernel = numerical_rank_kernel(rows, tol).kernel_basis if rows.shape[0] else first
-            if kernel.shape[1] == 0:
-                continue
-            if h2 is not None and kernel.shape[1] > 1:
-                raise NonGenericInput("alpha-infinity solution space has dimension > 1")
-            f = kernel[:, 0]
-        else:
-            s, f = next(solves, (None, first[:, 0]))
-            if s is not None and not _has_null(s, cs.n, alpha):
-                continue
-        picked.append(alpha)
-        fs.append(f)
+        conj = np.array([np.conj(alphas[k]) for k in finite], dtype=complex)
+        mats = np.empty((len(alphas), ac1.shape[0] + ac2.shape[0], n), dtype=complex)
+        mats[finite] = cs.stacked(np.array([alphas[k] for k in finite], dtype=complex), conj)
+        mats[at_zero] = np.concatenate([ac1, ac2])
+        _u, sigmas, vh = np.linalg.svd(mats, full_matrices=True)
+        fs = vh[:, -1].conj()
+    picked = []
+    for k, (alpha, s) in enumerate(zip(alphas, sigmas)):
+        scale = 1.0 if alpha is None else 1.0 + abs(alpha)
+        if not _has_null(s, n, scale):
+            continue
+        if unique and n >= 2 and _has_null(s, n - 1, scale):
+            space = ("alpha-infinity solution space" if alpha is None
+                     else f"solution space at alpha={alpha:.6g}")
+            raise NonGenericInput(f"{space} has dimension > 1")
+        picked.append(k)
     if not picked:
         return []
-    vectors, inside = _in_subspaces(picked, fs, h1, h2, tol)
-    return [v for v, ok in zip(vectors, inside) if ok]
-
-
-def _root_products(roots, cs: ConstraintSystem, h1: np.ndarray, h2: np.ndarray | None,
-                   tol: ToleranceConfig) -> list[ProductVector]:
-    """Product vectors at polished, merged roots, kept in order.
-
-    One stacked SVD at the roots gives each f (the last right singular
-    vector) and the singular values of the ``_has_null`` gate; the range
-    tests are those of ``_chart_products``.  In a paired search the first
-    root whose solution space has dimension > 1 raises.
-    """
-    alphas = np.array(roots, dtype=complex)
-    if not alphas.size:
-        return []
-    _u, sigmas, vh = np.linalg.svd(cs.stacked(alphas), full_matrices=False)
-    alphas = alphas.tolist()
-    gated = []
-    for k, (alpha, s) in enumerate(zip(alphas, sigmas)):
-        if not _has_null(s, cs.n, alpha):
-            continue
-        if h2 is not None and cs.n >= 2 and _has_null(s, cs.n - 1, alpha):
-            raise NonGenericInput(f"solution space at alpha={alpha:.6g} has dimension > 1")
-        gated.append(k)
-    if not gated:
-        return []
-    vectors, inside = _in_subspaces([alphas[k] for k in gated], vh[gated, -1].conj(), h1, h2, tol)
-    return [v for v, ok in zip(vectors, inside) if ok]
+    vectors, inside = _in_subspaces([alphas[k] for k in picked], fs[picked], h1, h2, tol)
+    kept = [v for v, ok in zip(vectors, inside) if ok]
+    if any(v.alpha is not None and abs(v.alpha) * MERGE_RADIUS >= 1 for v in kept):
+        kept = [v for v in kept if v.alpha is not None]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +510,11 @@ def _far_from_products(h: np.ndarray, n: int) -> bool:
     Since ||[A B]|| = 1, sigma_1(M) <= 1 + |alpha|, so the ``_has_null`` gate
     that every refined root must pass accepts only where 1 - lambda_max(K) <=
     2 NULL_ACCEPT^2.  At e = |0> the same identity gives sigma_N(A)^2 =
-    1 - lambda_max(K), so A has full column rank and the alpha = infinity
-    chart is not searched.  True is returned only when lambda_max(K) stays
-    below 1 - PRODUCT_FREE_MARGIN on the whole sphere, 50 times further than
-    the gate reaches, which also absorbs the rounding of both computations.
+    1 - lambda_max(K), and with sigma_1(A) <= 1 the same gate accepts only
+    where 1 - lambda_max(K) <= NULL_ACCEPT^2.  True is returned only when
+    lambda_max(K) stays below 1 - PRODUCT_FREE_MARGIN on the whole sphere,
+    50 times further than the gate reaches, which also absorbs the rounding
+    of both computations.
 
     The cover: phi(x) = lambda_max(sum_k x_k D_k) is convex and positively
     homogeneous, so on the spherical triangle over corners u_1, u_2, u_3 it
@@ -711,10 +696,11 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
     pass the search's rank-drop gate, so returning [] then gives the
     search's own result.  Otherwise the candidates are the eigenvalues of
     the constraint pencil, its rows compressed to N, kept where the full
-    stack drops rank and polished (``_gate_and_polish``).  A pencil singular
-    at both shifts means the determinant vanishes identically: an infinite
-    family at m = N, and below N one where the constraints drop rank at two
-    sample alphas (H holds C2 (x) f0), no candidates otherwise.
+    stack drops rank and polished (``_gate_and_polish``), then turned into
+    vectors with the chart point e = |0> by ``_chart_products``.  A pencil
+    singular at both shifts means the determinant vanishes identically: an
+    infinite family at m = N, and below N one where the constraints drop
+    rank at two sample alphas (H holds C2 (x) f0), no candidates otherwise.
     """
     tol = tol or DEFAULT_TOL
     h = _orthonormalize(h)
@@ -740,9 +726,7 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                                   note="all determinants vanish identically")
         candidates = np.zeros(0, dtype=complex)
-    found = _root_products(_gate_and_polish(cs, candidates), cs, h, None, tol)
-    if m == n or np.linalg.matrix_rank(cs.conj_blocks[0]) < n:
-        found += _chart_products(cs, (None,), h, None, tol)
+    found = _chart_products(cs, _gate_and_polish(cs, candidates) + [None], h, None, tol)
     return sorted(found, key=_sort_key)
 
 
@@ -753,7 +737,7 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
 def _block_rows_independent(ac, bc, probe: complex) -> bool:
     if ac.shape[0] == 0:
         return True
-    # one SVD gives both the 2-norm and the rank that ``matrix_rank`` would count
+    # one SVD gives both the 2-norm and the rank
     s = np.linalg.svd(probe * ac + bc, compute_uv=False)
     tol = 1e-10 * max(1.0, float(s.max(initial=0)))
     return np.count_nonzero(s > tol) == ac.shape[0]
@@ -916,15 +900,15 @@ def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
     sin) or alpha = cot(angle), carries no solution by the rank-drop test of
     ``_has_null``; this keeps beta' = conj(alpha'), and the roots are mapped
     back.  The points passed over are candidates themselves, and e = |0> is
-    left to the chart search.  When every angle's point carries a solution,
-    pairs likely sit at every real e or the constraints drop rank
-    everywhere, and the pencil counts as singular, as it does when
-    ``_shift_invert`` finds it singular at both shifts.
+    left to the chart point None of ``_chart_products``.  When every angle's
+    point carries a solution, pairs likely sit at every real e or the
+    constraints drop rank everywhere, and the pencil counts as singular, as
+    it does when ``_shift_invert`` finds it singular at both shifts.
     """
     cots = np.array([np.cos(t) / np.sin(t) for t in PENCIL_CHART_ANGLES], dtype=complex)
     passed = 0
     for s, cot in zip(np.linalg.svd(cs.stacked(cots), compute_uv=False), cots):
-        if not _has_null(s, cs.n, cot):
+        if not _has_null(s, cs.n, 1.0 + abs(cot)):
             break
         passed += 1
     else:
@@ -935,7 +919,7 @@ def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
     if eta is None:
         return None
     rotated = (eta - PENCIL_GAMMA * eta.conj()) / (1.0 - abs(PENCIL_GAMMA) ** 2)
-    # back to the chart e = (alpha, 1); e = |0> is left to the chart search
+    # back to the chart e = (alpha, 1); e = |0> is left to the chart point None
     e1 = sin * rotated + cos
     keep = np.abs(e1) > CHART_INFINITY_TOL * np.abs(rotated)
     return np.concatenate([(cos * rotated[keep] - sin) / e1[keep], cots[:passed]])
@@ -951,7 +935,7 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     operator-determinant pencil (``_pencil_roots``), kept where the full
     constraint stack drops rank, polished and merged
     (``_gate_and_polish``), then solved for f and range-tested by
-    ``_root_products``; the chart point e = |0> is searched apart.
+    ``_chart_products``, where the chart point e = |0> joins the roots.
 
     Raises
     ------
@@ -959,8 +943,8 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
         When the pencil is singular although the constraints keep full rank
         at generic alpha (the determinants share a self-conjugate factor,
         whose zeros may form a curve, which no finite enumeration covers;
-        a pair at every real e is one such curve), or a root carries a
-        solution space of dimension > 1.
+        a pair at every real e is one such curve), or a root or e = |0>
+        carries a solution space of dimension > 1.
     """
     tol = tol or DEFAULT_TOL
     h1 = _orthonormalize(h1)
@@ -977,8 +961,8 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
                                   note="all determinants vanish identically")
         raise NonGenericInput("singular pencil: the determinants share a self-conjugate "
                               "factor, whose zeros may form a curve")
-    found = _root_products(_gate_and_polish(cs, candidates), cs, h1, h2, tol)
-    found += _chart_products(cs, (None,), h1, h2, tol)
+    found = _chart_products(cs, _gate_and_polish(cs, candidates) + [None], h1, h2, tol,
+                            unique=True)
     return sorted(found, key=_sort_key)
 
 

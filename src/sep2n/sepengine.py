@@ -230,26 +230,25 @@ def strip_support(state: DensityState) -> tuple[DensityState, np.ndarray]:
     isometry is the identity when the support is already full.  Raises
     ``ValueError`` when the partial trace is zero.
     """
+    return _stripped_support(state)[:2]
+
+
+def _stripped_support(state: DensityState) -> tuple[DensityState, np.ndarray, int]:
+    """``strip_support``'s result and how many support eigenvalues sit near the rank cutoff."""
     n = state.n
     reduced = hermitize(partial_trace_second(state.matrix, n))
     w, u = np.linalg.eigh(reduced)
-    keep = split_at_cutoff(w, state.tol)[0]
+    keep, borderline = split_at_cutoff(w, state.tol)
     m_dim = int(np.count_nonzero(keep))
     if m_dim == 0:
         raise ValueError("no support above the rank cutoff: the partial trace is zero")
     if m_dim == n:
-        return state, np.eye(n, dtype=complex)
+        return state, np.eye(n, dtype=complex), borderline
     iso = u[:, keep]
     w2 = np.kron(np.eye(2, dtype=complex), iso)
     stripped = DensityState(w2.conj().T @ state.matrix @ w2, n=m_dim, tol=state.tol,
                             require_psd=False)
-    return stripped, iso
-
-
-def _support_borderline(state: DensityState) -> bool:
-    """True when the support spectrum sits near the rank cutoff on either side."""
-    w = np.linalg.eigvalsh(hermitize(partial_trace_second(state.matrix, state.n)))
-    return split_at_cutoff(w, state.tol)[1] > 0
+    return stripped, iso, borderline
 
 
 def _kernel_terms(state: DensityState, vectors) -> list:
@@ -721,21 +720,22 @@ def _zero_remainder(run: _Run, cur: DensityState):
 
 
 def _strip(run: _Run, cur: DensityState):
+    """Strip the support; a borderline support spectrum marks the run."""
     try:
-        stripped, iso = strip_support(cur)
+        stripped, iso, borderline = _stripped_support(cur)
     except ValueError as exc:
         return run.stop(f"support stripping failed: {exc}")
+    run.borderline |= borderline > 0
     if stripped.n != cur.n:
         run.trace.steps.append(_step("strip", cur, stripped))
         run.cur, run.lift = stripped, run.lift @ iso
 
 
 def _strip_watched(run: _Run, cur: DensityState):
-    """``_strip`` on the run of ``analyze``: also reads borderline spectra and keeps the base.
+    """``_strip`` on the run of ``analyze``: also reads the state's warnings and keeps the base.
 
     Nested runs read neither, so they strip without this bookkeeping.
     """
-    run.borderline |= _support_borderline(cur)
     outcome = _strip(run, cur)
     if outcome is None:
         run.borderline |= bool(run.cur.warnings)

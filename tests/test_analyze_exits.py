@@ -303,14 +303,20 @@ def test_exhaustive_negative_expansion(monkeypatch):
     assert verdict.witness == {"planted": int(trace.steps[0].detail.split("=")[1])}
 
 
+def always_borderline(monkeypatch):
+    """Make every support spectrum read as borderline."""
+    real = sepengine._stripped_support
+    monkeypatch.setattr(sepengine, "_stripped_support", lambda state: (*real(state)[:2], 1))
+
+
 def test_borderline_empty_enumeration(monkeypatch, no_fallbacks):
-    monkeypatch.setattr(sepengine, "_support_borderline", lambda state: True)
+    always_borderline(monkeypatch)
     check(analyze(horodecki_2x4(0.5)), INC, REASON_NON_GENERIC, [],
           ["empty enumeration discarded: borderline rank decisions"])
 
 
 def test_borderline_negative_expansion(monkeypatch, no_fallbacks):
-    monkeypatch.setattr(sepengine, "_support_borderline", lambda state: True)
+    always_borderline(monkeypatch)
     monkeypatch.setattr(sepengine, "biorthogonal_check", negative_expansion)
     check(analyze(finite()), INC, REASON_NON_GENERIC, [],
           ["negative expansion discarded: borderline rank decisions"])

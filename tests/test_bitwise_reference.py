@@ -49,7 +49,6 @@ from sep2n.productfinder import (
     _orthonormalize,
     _pencil_roots,
     _phase_normalize,
-    _root_products,
     _row_norms,
     _single_roots,
     _single_system,
@@ -164,7 +163,7 @@ class TestRefinement:
             for _ in range(3):
                 h, cs, alphas = single_case(rng, n, m)
                 assert cs.a2.shape[0] == 0
-                ours = _root_products(alphas, cs, h, None, TOL)
+                ours = _chart_products(cs, alphas, h, None, TOL)
                 assert_same_vectors(ours, scalar_root_products(alphas, cs, h, None, TOL))
                 kept += len(ours)
         assert kept >= 3 * n * (n - 1) // 2
@@ -177,7 +176,7 @@ class TestRefinement:
         for _ in range(3):
             h1, h2, cs, roots = paired_case(rng, n, m1, m2, planted)
             alphas = roots + list(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            ours = _root_products(alphas, cs, h1, h2, TOL)
+            ours = _chart_products(cs, alphas, h1, h2, TOL, unique=True)
             assert_same_vectors(ours, scalar_root_products(alphas, cs, h1, h2, TOL))
             kept += len(ours)
         assert kept >= 3 * planted
@@ -193,7 +192,7 @@ class TestRefinement:
         starts = [a[0], a[0] + 1e-8, a[1], a[0] + 5e-7j, a[1] - 2e-7, a[2], a[0] + 2e-6, a[2]]
         alphas = _gate_and_polish(cs, np.array(starts))
         assert len(alphas) == 3
-        ours = _root_products(alphas, cs, h, None, TOL)
+        ours = _chart_products(cs, alphas, h, None, TOL)
         assert_same_vectors(ours, scalar_root_products(alphas, cs, h, None, TOL))
         assert len(ours) == 3
         for v, x in zip(ours, sorted(a, key=lambda z: (z.real, z.imag))):
@@ -213,17 +212,17 @@ class TestRefinement:
             sigmas = np.linalg.svd(cs.stacked(alphas), compute_uv=False)
             assert all(s[n - 1] > 1e-3 for s in sigmas)
             assert _gate_and_polish(cs, alphas) == []
-            assert _root_products(alphas, cs, h, None, loose) == []
+            assert _chart_products(cs, alphas, h, None, loose) == []
             assert scalar_root_products(alphas, cs, h, None, loose) == []
 
     def test_no_candidates(self):
         rng = np.random.default_rng(12)
         h, cs, _ = single_case(rng, 3, 3)
-        assert _root_products([], cs, h, None, TOL) == []
-        assert _root_products(np.zeros(0, dtype=complex), cs, h, None, TOL) == []
+        assert _chart_products(cs, [], h, None, TOL) == []
+        assert _chart_products(cs, np.zeros(0, dtype=complex), h, None, TOL) == []
         assert _gate_and_polish(cs, np.zeros(0, dtype=complex)) == []
         h1, h2, pcs, _ = paired_case(rng, 3, 4, 4, 2)
-        assert _root_products([], pcs, h1, h2, TOL) == []
+        assert _chart_products(pcs, [], h1, h2, TOL, unique=True) == []
 
 
 class TestNonUniqueRoot:
@@ -245,14 +244,14 @@ class TestNonUniqueRoot:
     def test_first_offending_root_raises_after_valid_roots(self):
         h1, h2, cs, good, bad = self._system(np.random.default_rng(40))
         # a paired search keeps repeated roots: the polish has merged them
-        ours = _root_products([good, good + 1e-9], cs, h1, h2, TOL)
+        ours = _chart_products(cs, [good, good + 1e-9], h1, h2, TOL, unique=True)
         assert len(ours) == 2
         assert_same_vectors(ours, scalar_root_products([good, good + 1e-9], cs, h1, h2, TOL))
         for roots in ([good, bad[0], bad[1]], [good, bad[1], good, bad[0]]):
             with pytest.raises(NonGenericInput) as ref:
                 scalar_root_products(roots, cs, h1, h2, TOL)
             with pytest.raises(NonGenericInput) as got:
-                _root_products(roots, cs, h1, h2, TOL)
+                _chart_products(cs, roots, h1, h2, TOL, unique=True)
             with pytest.raises(NonGenericInput) as first:
                 scalar_vector_at_root(cs, roots[1])
             assert str(got.value) == str(ref.value) == str(first.value)

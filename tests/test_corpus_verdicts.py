@@ -1,10 +1,11 @@
-"""Verdicts on the benchmark's range_enum corpus against the labels of its construction.
+"""Verdicts on the benchmark's range_enum and constructive corpora against their construction.
 
 An ``entangled_ppt`` verdict claims that the paired enumeration was
 exhaustive, so it must never land on an input built as a separable mixture;
 and every Horodecki state, PPT and entangled by construction, must get it.
-Every input built as a separable mixture, at rank sum at most 3N, must
-moreover be certified ``separable``, unscaled and scaled far from 1.
+Every range_enum input built as a separable mixture, at rank sum at most 3N,
+and every constructive input must moreover be certified ``separable``,
+unscaled and scaled far from 1.
 """
 
 import importlib.util
@@ -42,4 +43,16 @@ def test_range_enum_separable_inputs_are_certified(seed, scale):
             kind = analyze(item.matrix * scale)[0].kind
             if kind is not VerdictKind.SEPARABLE:
                 missed.append((item.name, kind.value))
+    assert missed == []
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+@pytest.mark.parametrize("seed", [4242, 5150, 6607])
+def test_constructive_inputs_are_certified(seed, scale):
+    # rank-N and PT-invariant states: the kernel reductions alone certify them
+    missed = []
+    for item in corpus.build("constructive", seed):
+        kind = analyze(item.matrix * scale)[0].kind
+        if kind is not VerdictKind.SEPARABLE:
+            missed.append((item.name, item.label, kind.value))
     assert missed == []

@@ -596,6 +596,41 @@ class TestHighPrecisionOracle:
         assert sets_match(alphas, oracle, radius=1e-9)
 
 
+class TestOneVectorNearEZero:
+    """N product vectors spanning the subspaces, one at e = (1, delta) near the chart point |0>.
+
+    e = |0> and a polished root near it are one point: both searches return
+    exactly the N planted vectors, each once.
+    """
+
+    DELTAS = [0.0, 1e-11, 1e-8, 1e-7, 1e-5]
+
+    @staticmethod
+    def _assert_planted(found, planted):
+        assert isinstance(found, list) and len(found) == len(planted)
+        for p in planted:
+            assert max(abs(np.vdot(p.vector, v.vector)) for v in found) > 1 - 1e-6
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_single_subspace(self, n, delta):
+        for seed in range(3):
+            rng = np.random.default_rng([n, seed])
+            es = [np.array([1.0, delta])] + [_cvec(rng, 2) for _ in range(n - 1)]
+            planted = [ProductVector.from_e_f(e, _cvec(rng, n)) for e in es]
+            self._assert_planted(products_in_subspace(np.column_stack([p.vector for p in planted])),
+                                 planted)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_paired(self, n, delta):
+        for seed in range(3):
+            rng = np.random.default_rng([n, seed])
+            alphas = [None if delta == 0 else 1 / delta] + _random_alphas(rng, n - 1)
+            h1, h2, planted = _planted_paired_spaces(rng, n, alphas, n, n)
+            self._assert_planted(paired_products(h1, h2), planted)
+
+
 class TestUniqueFAtSharedE:
     """A product vector planted at one e: found when its f is unique, else non-generic.
 

@@ -486,9 +486,10 @@ class TestPtInvariantDecompose:
                 pt_invariant_decompose(state)
 
     def test_nested_run_skips_the_analyze_bookkeeping(self, monkeypatch):
-        # only analyze's own passes read borderline support spectra, and its
-        # PT-invariant stage leaves the invariance test to the decomposition
-        borderline = counting(monkeypatch, "_support_borderline")
+        # analyze's own pass takes one support spectrum, which also gives the
+        # borderline count, and its PT-invariant stage leaves the invariance
+        # test to the decomposition
+        spectra = counting(monkeypatch, "_stripped_support")
         tests = []
         real_test = sepengine.operator_norm_at_most
 
@@ -499,11 +500,10 @@ class TestPtInvariantDecompose:
         monkeypatch.setattr(sepengine, "operator_norm_at_most", counted)
         state = DensityState(random_pt_invariant(np.random.default_rng(3), 3))
         pt_invariant_decompose(state)
-        assert borderline == []
-        nested = len(tests)
+        nested, nested_spectra = len(tests), len(spectra)
         _verdict, trace = analyze(state)
         assert [s.op for s in trace.steps] == ["pt-invariant"]
-        assert len(borderline) == 1
+        assert len(spectra) - nested_spectra == nested_spectra + 1
         # the nested run's norm tests and analyze's re-verification, no other test
         assert len(tests) - nested == nested + 1
 
