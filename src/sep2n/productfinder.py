@@ -11,13 +11,12 @@ two constraint sets form a two-parameter eigenvalue problem, whose
 candidate roots are the eigenvalues of one operator-determinant pencil
 (``_pencil_roots``).  Both searches solve their pencil by one shift-invert
 (``_shift_invert``) and polish the candidates the same way
-(``_gate_and_polish``).  Every chart point, polished root or sample alike,
-turns into a product vector in ``_chart_products``: e = |0> (alpha None)
-joins the roots as one more point, one SVD serves them all and one
-rank-drop rule (``_has_null``) gates each.  The bivariate determinant
-polynomials of a paired system (``ConstraintSystem.dets``) and their
-elimination (``eliminate_paired``) are built only on request; no search
-uses them.
+(``_gate_and_polish``), each until it converges.  Every chart point turns
+into a product vector in ``_chart_products`` under one rank-drop rule
+(``_has_null``), f from one stacked SVD: the samples' own, or the polish's
+for roots and e = |0> (alpha None).  The bivariate determinant polynomials
+of a paired system (``ConstraintSystem.dets``) and their elimination
+(``eliminate_paired``) are built only on request; no search uses them.
 
 Candidates are screened as stacks, and each stacked numpy form used here
 gives the bits of the single-vector call it replaces: a mat-vec as a matmul
@@ -96,14 +95,16 @@ KERNEL_PARTNER_REL_TOL = 1e-6
 # (also the relative determinant below which a polish step's normal
 # equations count as singular); the modulus, relative to the largest, below
 # which an eigenvalue nu of the inverted pencil counts as 0 (an infinite
-# eigenvalue); the relative sigma_N under which a candidate is polished; and
-# the Gauss-Newton steps of the polish.
+# eigenvalue); the relative sigma_N under which a candidate is polished, and
+# at or under which, at rounding level, it has converged; and the most
+# Gauss-Newton steps of the polish.
 PENCIL_CHART_ANGLES = (0.5, 1.9, 2.8)
 PENCIL_GAMMA = 0.4 + 0.3j
 PENCIL_SHIFTS = (0.3183 - 0.5772j, -0.7071 + 0.2718j)
 PENCIL_SINGULAR_TOL = 1e-12
 PENCIL_INFINITE_TOL = 1e-12
 PENCIL_GATE = 1e-4
+PENCIL_CONVERGED = 8 * np.finfo(float).eps
 PENCIL_POLISH_STEPS = 3
 
 
@@ -141,11 +142,6 @@ def _kron_rows(es: np.ndarray, fs: np.ndarray) -> np.ndarray:
     return (es[:, :, None] * fs[:, None, :]).reshape(len(es), es.shape[1] * fs.shape[1])
 
 
-def _partner_rows(es: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """The stack of the partners |e*, f> of rows of e and f."""
-    return _kron_rows(np.conj(es), fs)
-
-
 def _assemble(es: np.ndarray, fs: np.ndarray, alphas) -> tuple[list["ProductVector"], np.ndarray]:
     """ProductVectors from normalized rows of e and f, and the stack of their vectors.
 
@@ -164,7 +160,7 @@ def _products_at(alphas, fs) -> tuple[list["ProductVector"], np.ndarray, np.ndar
     es[finite] = _phase_normalize(es[finite])
     fs = _phase_normalize(fs)
     vectors, vecs = _assemble(es, fs, alphas)
-    return vectors, vecs, _partner_rows(es, fs)
+    return vectors, vecs, _kron_rows(np.conj(es), fs)
 
 
 def products_of(es, fs) -> list["ProductVector"]:
@@ -178,7 +174,7 @@ def vector_stacks(vectors) -> tuple[np.ndarray, np.ndarray]:
     """The (K, 2N) stacks of |e,f> and of the partners |e*,f> of K >= 1 product vectors."""
     es = np.array([v.e for v in vectors])
     fs = np.array([v.f for v in vectors])
-    return np.array([v.vector for v in vectors]), _partner_rows(es, fs)
+    return np.array([v.vector for v in vectors]), _kron_rows(np.conj(es), fs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,12 +301,6 @@ def in_range(basis: np.ndarray, vecs: np.ndarray, tol: ToleranceConfig) -> np.nd
     return _row_norms(vecs - projected) <= 10.0 * tol.root_residual_tol
 
 
-def _sort_key(v: ProductVector):
-    if v.alpha is None:
-        return (1, 0.0, 0.0)
-    return (0, v.alpha.real, v.alpha.imag)
-
-
 # ---------------------------------------------------------------------------
 # determinant-polynomial extraction by interpolation
 # ---------------------------------------------------------------------------
@@ -357,20 +347,6 @@ def _has_null(s: np.ndarray, k: int, scale: float) -> bool:
     return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), scale)
 
 
-def _in_subspaces(alphas, fs, h1: np.ndarray, h2: np.ndarray | None,
-                  tol: ToleranceConfig) -> tuple[list[ProductVector], np.ndarray]:
-    """Product vectors at rows of (alpha, f), and which of them lie in the subspaces.
-
-    A vector passes when |e,f> lies in H1 and, unless ``h2`` is None, |e*,f>
-    lies in H2: one range test per subspace over the whole stack.
-    """
-    vectors, vecs, partners = _products_at(alphas, fs)
-    inside = in_range(h1, vecs, tol)
-    if h2 is not None:
-        inside &= in_range(h2, partners, tol)
-    return vectors, inside
-
-
 def _drops_rank_everywhere(cs: ConstraintSystem) -> bool:
     """Whether the constraints drop rank at both of the first two ``SAMPLE_ALPHAS``.
 
@@ -382,37 +358,41 @@ def _drops_rank_everywhere(cs: ConstraintSystem) -> bool:
     return all(_has_null(s, cs.n, 1.0 + abs(a)) for s, a in zip(sigmas, probes))
 
 
-def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray | None,
-                    tol: ToleranceConfig, unique: bool = False) -> list[ProductVector]:
-    """Product vectors at the chart points ``alphas``, kept in order, from one SVD.
+def _chart_svd(cs: ConstraintSystem, alphas: list) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values and f of the constraint matrix at each chart point, from one SVD.
 
-    A point is a finite alpha, e = (alpha, 1), or None, e = |0>, where the
-    constraint matrix is the alpha-coefficient rows [A1*; A2*].  f is the
-    last right singular vector of the point's matrix, all matrices stacked
-    into one SVD, and the point is kept where its matrix drops rank
-    (``_has_null``); with no constraint rows f is the first basis vector.
-    The vector is kept when |e,f> lies in H1 and, unless ``h2`` is None,
-    |e*,f> lies in H2.  With ``unique`` the first kept point whose f is not
-    unique raises.  A kept root within MERGE_RADIUS of e = |0> (|alpha|
-    MERGE_RADIUS >= 1) is the more accurate vector there, so the one at
-    None is then dropped.
+    The matrix at None, e = |0>, is the alpha-coefficient rows [A1*; A2*];
+    f is its last right singular vector, or with no rows the first basis one.
+    """
+    ac1, ac2 = cs.conj_blocks[::2]
+    fs = np.zeros((len(alphas), cs.n), dtype=complex)
+    fs[:, 0] = 1.0
+    if not (alphas and ac1.shape[0] + ac2.shape[0]):
+        return np.zeros((len(alphas), 0)), fs
+    # np.conj of a real sample keeps its zero imaginary part positive
+    mats = cs.stacked(np.array([0 if a is None else a for a in alphas], dtype=complex),
+                      np.array([0 if a is None else np.conj(a) for a in alphas], dtype=complex))
+    mats[[a is None for a in alphas]] = np.concatenate([ac1, ac2])
+    _u, sigmas, vh = np.linalg.svd(mats, full_matrices=True)
+    return sigmas, vh[:, -1].conj()
+
+
+def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray | None,
+                    tol: ToleranceConfig, unique: bool = False,
+                    svd: tuple[np.ndarray, np.ndarray] | None = None) -> list[ProductVector]:
+    """Product vectors at the chart points ``alphas``, kept in order.
+
+    A point is a finite alpha, e = (alpha, 1), or None, e = |0>; ``svd`` is
+    ``_chart_svd``'s result at them, computed when None.  A point is kept
+    where its matrix drops rank (``_has_null``), |e,f> lies in H1 and, unless
+    ``h2`` is None, |e*,f> lies in H2.  With ``unique`` the first point past
+    the rank test whose f is not unique raises.  A kept root within
+    MERGE_RADIUS of e = |0> (|alpha| MERGE_RADIUS >= 1) is the more accurate
+    vector there, so the one at None is then dropped.
     """
     alphas = list(alphas)
     n = cs.n
-    ac1, ac2 = cs.conj_blocks[::2]
-    fs = np.zeros((len(alphas), n), dtype=complex)
-    fs[:, 0] = 1.0
-    sigmas = np.zeros((len(alphas), 0))
-    if alphas and ac1.shape[0] + ac2.shape[0]:
-        finite = [k for k, a in enumerate(alphas) if a is not None]
-        at_zero = [k for k, a in enumerate(alphas) if a is None]
-        # np.conj of a real sample keeps its zero imaginary part positive
-        conj = np.array([np.conj(alphas[k]) for k in finite], dtype=complex)
-        mats = np.empty((len(alphas), ac1.shape[0] + ac2.shape[0], n), dtype=complex)
-        mats[finite] = cs.stacked(np.array([alphas[k] for k in finite], dtype=complex), conj)
-        mats[at_zero] = np.concatenate([ac1, ac2])
-        _u, sigmas, vh = np.linalg.svd(mats, full_matrices=True)
-        fs = vh[:, -1].conj()
+    sigmas, fs = _chart_svd(cs, alphas) if svd is None else svd
     picked = []
     for k, (alpha, s) in enumerate(zip(alphas, sigmas)):
         scale = 1.0 if alpha is None else 1.0 + abs(alpha)
@@ -425,7 +405,10 @@ def _chart_products(cs: ConstraintSystem, alphas, h1: np.ndarray, h2: np.ndarray
         picked.append(k)
     if not picked:
         return []
-    vectors, inside = _in_subspaces([alphas[k] for k in picked], fs[picked], h1, h2, tol)
+    vectors, vecs, partners = _products_at([alphas[k] for k in picked], fs[picked])
+    inside = in_range(h1, vecs, tol)
+    if h2 is not None:
+        inside &= in_range(h2, partners, tol)
     kept = [v for v, ok in zip(vectors, inside) if ok]
     if any(v.alpha is not None and abs(v.alpha) * MERGE_RADIUS >= 1 for v in kept):
         kept = [v for v in kept if v.alpha is not None]
@@ -622,32 +605,44 @@ def _shift_invert(m: np.ndarray, d: np.ndarray,
     return shift + 1.0 / nu
 
 
-def _gate_and_polish(cs: ConstraintSystem, alphas: np.ndarray) -> list[complex]:
-    """The candidates at a rank drop of the full stack, polished and merged, sorted by (re, im).
+def _gate_and_polish(cs: ConstraintSystem, candidates: np.ndarray
+                     ) -> tuple[list, tuple[np.ndarray, np.ndarray]]:
+    """The candidates at a rank drop of the full stack, polished and merged, then e = |0>.
 
     A candidate is kept when sigma_N of its stacked constraint matrix W is at
-    most PENCIL_GATE times max(sigma_1, 1 + |alpha|).  Each kept one then
-    takes PENCIL_POLISH_STEPS Gauss-Newton steps on alpha with f projected
-    out (variable projection): with v the last right singular vector of W
-    and L the left singular vectors past the first N - 1, the residual
-    r = L^dag W v moves to first order by delta L^dag A v + conj(delta)
-    L^dag C v (A the A1* rows over zeros, C zeros over the A2* rows, which
-    a single search has none of), and the step delta solves the real
-    2-unknown least-squares problem through its normal equations.  One
-    stacked SVD per step serves every candidate, the first also as the
-    gate; a candidate whose normal equations are singular (a double root)
-    stays where it is.  Roots within MERGE_RADIUS of a kept one are merged.
+    most PENCIL_GATE times max(sigma_1, 1 + |alpha|), and takes Gauss-Newton
+    steps on alpha with f projected out until that ratio is at most
+    PENCIL_CONVERGED, or PENCIL_POLISH_STEPS steps and a final SVD.  With v
+    the last right singular vector of W and L the left singular vectors past
+    the first N - 1, the residual r = L^dag W v moves by delta L^dag A v +
+    conj(delta) L^dag C v (A the A1* rows over zeros, C zeros over the A2*
+    rows), and delta solves that real 2-unknown least-squares problem by its
+    normal equations, unless they are singular (a double root).  One stacked
+    SVD per step serves every moving candidate, the first also e = |0>.  Of
+    roots within MERGE_RADIUS of each other the most converged is kept.
+    Returns the roots sorted by (re, im), then None, and the singular values
+    and f of each point's last SVD.
     """
     n, r1 = cs.n, cs.a1.shape[0]
     ac1, ac2 = cs.conj_blocks[0], cs.conj_blocks[2]
-    for step in range(PENCIL_POLISH_STEPS):
-        if not alphas.size:
-            break
-        w = cs.stacked(alphas)
-        u, s, vh = np.linalg.svd(w, full_matrices=True)
+    w = np.concatenate([cs.stacked(candidates), np.concatenate([ac1, ac2])[None]])
+    u, s, vh = np.linalg.svd(w, full_matrices=True)
+    # e = |0>, the stack's last point, is neither gated nor polished
+    roots, sigmas, fs, resids = [], [s[-1:]], [vh[-1:, -1].conj()], []
+    alphas, w, u, s, vh = candidates, w[:-1], u[:-1], s[:-1], vh[:-1]
+    for step in range(PENCIL_POLISH_STEPS + 1):
+        resid = s[:, n - 1] / np.maximum(s[:, 0], 1.0 + np.abs(alphas))
         if not step:
-            keep = s[:, n - 1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(alphas))
-            alphas, w, u, vh = alphas[keep], w[keep], u[keep], vh[keep]
+            keep = resid <= PENCIL_GATE
+            alphas, w, u, s, vh, resid = (x[keep] for x in (alphas, w, u, s, vh, resid))
+        stop = (resid <= PENCIL_CONVERGED) | (step == PENCIL_POLISH_STEPS)
+        roots += alphas[stop].tolist()
+        resids += resid[stop].tolist()
+        sigmas.append(s[stop])
+        fs.append(vh[stop, -1].conj())
+        if stop.all():
+            break
+        alphas, w, u, vh = (x[~stop] for x in (alphas, w, u, vh))
         v = vh[:, -1:].conj().swapaxes(1, 2)  # (K, N, 1)
         left = u[:, :, n - 1:].conj().swapaxes(1, 2)  # (K, rows - N + 1, rows)
         res = (left @ (w @ v))[:, :, 0]
@@ -664,11 +659,17 @@ def _gate_and_polish(cs: ConstraintSystem, alphas: np.ndarray) -> list[complex]:
         ok = det > PENCIL_SINGULAR_TOL * (g11 + g22) ** 2
         det = np.where(ok, det, 1.0)
         alphas = alphas + np.where(ok, (g22 * b1 - g12 * b2 + 1j * (g11 * b2 - g12 * b1)) / det, 0.0)
-    kept: list[complex] = []
-    for alpha in sorted(alphas.tolist(), key=lambda z: (z.real, z.imag)):
-        if not any(abs(alpha - x) <= MERGE_RADIUS for x in kept):
-            kept.append(alpha)
-    return kept
+        w = cs.stacked(alphas)
+        u, s, vh = np.linalg.svd(w, full_matrices=True)
+    # the stacks' rows are e = |0>, then the roots in stopping order; of
+    # roots within MERGE_RADIUS of each other the most converged is kept
+    points = [None] + roots
+    kept = []
+    for k in sorted(range(1, len(points)), key=lambda k: resids[k - 1]):
+        if not any(abs(points[k] - points[j]) <= MERGE_RADIUS for j in kept):
+            kept.append(k)
+    kept = sorted(kept, key=lambda k: (points[k].real, points[k].imag)) + [0]
+    return [points[k] for k in kept], (np.concatenate(sigmas)[kept], np.concatenate(fs)[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +727,8 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                                   note="all determinants vanish identically")
         candidates = np.zeros(0, dtype=complex)
-    found = _chart_products(cs, _gate_and_polish(cs, candidates) + [None], h, None, tol)
-    return sorted(found, key=_sort_key)
+    points, svd = _gate_and_polish(cs, candidates)
+    return _chart_products(cs, points, h, None, tol, svd=svd)
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +935,8 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     roots, sorted by alpha.  The finite roots are the eigenvalues of an
     operator-determinant pencil (``_pencil_roots``), kept where the full
     constraint stack drops rank, polished and merged
-    (``_gate_and_polish``), then solved for f and range-tested by
-    ``_chart_products``, where the chart point e = |0> joins the roots.
+    (``_gate_and_polish``), then range-tested by ``_chart_products``, where
+    the chart point e = |0> joins the roots.
 
     Raises
     ------
@@ -961,9 +962,8 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
                                   note="all determinants vanish identically")
         raise NonGenericInput("singular pencil: the determinants share a self-conjugate "
                               "factor, whose zeros may form a curve")
-    found = _chart_products(cs, _gate_and_polish(cs, candidates) + [None], h1, h2, tol,
-                            unique=True)
-    return sorted(found, key=_sort_key)
+    points, svd = _gate_and_polish(cs, candidates)
+    return _chart_products(cs, points, h1, h2, tol, unique=True, svd=svd)
 
 
 # ---------------------------------------------------------------------------

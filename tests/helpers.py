@@ -157,6 +157,19 @@ def random_ppt_mixture(rng, n):
 # linear-algebra oracles
 # ---------------------------------------------------------------------------
 
+def count_svd_stacks(monkeypatch):
+    """A list that gains the shape of every stacked (3-D) ``np.linalg.svd`` input from now on."""
+    stacks, svd = [], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return stacks
+
+
 def partial_expectation(m, n, e_left, e_right):
     """N x N block <e_left| M |e_right>, contracting only the qubit factor."""
     el = np.conj(np.asarray(e_left, dtype=complex))

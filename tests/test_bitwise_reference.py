@@ -43,6 +43,7 @@ from sep2n.productfinder import (
     ProductVector,
     _block_rows_independent,
     _chart_products,
+    _chart_svd,
     _gate_and_polish,
     _inner,
     _inv_dft,
@@ -65,6 +66,7 @@ from sep2n.sepengine import TIE_REL_TOL, SupportViolation
 from helpers import (
     VectorOutsideRange,
     build_separable,
+    count_svd_stacks,
     random_ppt_mixture,
     random_product_vector,
     random_pt_invariant,
@@ -139,7 +141,7 @@ def single_case(rng, n, m):
     cs = _single_system(h, n)
     near = [g.alpha + 1e-4 * complex(*rng.standard_normal(2)) for g in gens if g.alpha is not None]
     far = list(2.0 * rng.standard_normal(3) + 2j * rng.standard_normal(3))
-    return h, cs, _gate_and_polish(cs, _single_roots(cs)) + near + far
+    return h, cs, _gate_and_polish(cs, _single_roots(cs))[0][:-1] + near + far
 
 
 def paired_case(rng, n, m1, m2, planted):
@@ -149,7 +151,7 @@ def paired_case(rng, n, m1, m2, planted):
     h2 = span(*[g.conjugate_partner.vector for g in gens],
               *[cvec(rng, 2 * n) for _ in range(m2 - planted)])
     cs = build_paired_system(h1, h2)
-    return h1, h2, cs, _gate_and_polish(cs, _pencil_roots(cs))
+    return h1, h2, cs, _gate_and_polish(cs, _pencil_roots(cs))[0][:-1]
 
 
 class TestRefinement:
@@ -190,13 +192,48 @@ class TestRefinement:
         cs = _single_system(h, n)
         a = [g.alpha for g in gens]
         starts = [a[0], a[0] + 1e-8, a[1], a[0] + 5e-7j, a[1] - 2e-7, a[2], a[0] + 2e-6, a[2]]
-        alphas = _gate_and_polish(cs, np.array(starts))
+        points, svd = _gate_and_polish(cs, np.array(starts))
+        assert points[-1] is None
+        alphas = points[:-1]
         assert len(alphas) == 3
         ours = _chart_products(cs, alphas, h, None, TOL)
         assert_same_vectors(ours, scalar_root_products(alphas, cs, h, None, TOL))
+        assert_same_vectors(_chart_products(cs, points, h, None, TOL, svd=svd), ours)
         assert len(ours) == 3
         for v, x in zip(ours, sorted(a, key=lambda z: (z.real, z.imag))):
             assert abs(v.alpha - x) < 1e-12
+
+    @pytest.mark.parametrize("steps", [0, 1, productfinder.PENCIL_POLISH_STEPS])
+    def test_polish_hands_over_the_svd_it_stopped_at(self, steps, monkeypatch):
+        # each root's sigma and f, and those of e = |0>, are the bits of a
+        # fresh chart SVD at the same point, whether the root stopped at the
+        # gate, after some steps or at the cap; so are the vectors
+        monkeypatch.setattr(productfinder, "PENCIL_POLISH_STEPS", steps)
+        rng = np.random.default_rng(500 + steps)
+        systems = []
+        for n, m in ((3, 3), (4, 4), (5, 3), (6, 6)):
+            h, cs, _ = single_case(rng, n, m)
+            systems.append((h, None, cs, _single_roots(cs)))
+        for n, m1, m2, planted in ((3, 4, 4, 2), (4, 6, 5, 2), (4, 5, 5, 3), (5, 8, 7, 3)):
+            h1, h2, cs, _ = paired_case(rng, n, m1, m2, planted)
+            systems.append((h1, h2, cs, _pencil_roots(cs)))
+        stacks = count_svd_stacks(monkeypatch)
+        most = kept = 0
+        for h1, h2, cs, candidates in systems:
+            before = len(stacks)
+            points, svd = _gate_and_polish(cs, candidates)
+            most = max(most, len(stacks) - before)
+            sigmas, fs = _chart_svd(cs, points)
+            assert points[-1] is None
+            assert svd[0].tobytes() == sigmas.tobytes()
+            assert svd[1].tobytes() == fs.tobytes()
+            unique = h2 is not None
+            ours = _chart_products(cs, points, h1, h2, TOL, unique=unique, svd=svd)
+            assert_same_vectors(ours, _chart_products(cs, points, h1, h2, TOL, unique=unique))
+            kept += len(ours)
+        # some root stopped after a step, at the cap when that is one step
+        assert most >= min(steps, 1) + 1
+        assert kept >= 20
 
     def test_rank_gate_alone_rejects_under_loose_range_test(self):
         # with root_residual_tol 0.1 every unit vector passes the range test,
@@ -211,7 +248,7 @@ class TestRefinement:
             assert alphas.size == n
             sigmas = np.linalg.svd(cs.stacked(alphas), compute_uv=False)
             assert all(s[n - 1] > 1e-3 for s in sigmas)
-            assert _gate_and_polish(cs, alphas) == []
+            assert _gate_and_polish(cs, alphas)[0] == [None]
             assert _chart_products(cs, alphas, h, None, loose) == []
             assert scalar_root_products(alphas, cs, h, None, loose) == []
 
@@ -220,7 +257,7 @@ class TestRefinement:
         h, cs, _ = single_case(rng, 3, 3)
         assert _chart_products(cs, [], h, None, TOL) == []
         assert _chart_products(cs, np.zeros(0, dtype=complex), h, None, TOL) == []
-        assert _gate_and_polish(cs, np.zeros(0, dtype=complex)) == []
+        assert _gate_and_polish(cs, np.zeros(0, dtype=complex))[0] == [None]
         h1, h2, pcs, _ = paired_case(rng, 3, 4, 4, 2)
         assert _chart_products(pcs, [], h1, h2, TOL, unique=True) == []
 

@@ -4,13 +4,18 @@ import pytest
 from sep2n import productfinder
 from sep2n.matrixcore import DensityState, ToleranceConfig
 from sep2n.productfinder import (
+    PENCIL_CONVERGED,
+    PENCIL_GATE,
+    PENCIL_POLISH_STEPS,
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
     _bloch_pencil,
     _chart_products,
+    _chart_svd,
     _far_from_products,
     _orthonormalize,
+    _single_roots,
     _single_system,
     build_paired_system,
     eliminate_paired,
@@ -21,8 +26,11 @@ from sep2n.productfinder import (
     real_e_products,
 )
 
+from sep2n.sepengine import VerdictKind, biorthogonal_check
+
 from helpers import (
     build_separable,
+    count_svd_stacks,
     eig_rank,
     random_product_vector,
     sets_match,
@@ -477,6 +485,80 @@ class TestPairedProducts:
         alphas = [np.cos(angle) / np.sin(angle), complex(*rng.standard_normal(2))]
         m1 = (3 * n - extra_rows) // 2
         self.planted_search(rng, n, alphas, m1, 3 * n - extra_rows - m1)
+
+
+def _close_pair_state(rng, n, terms, gap):
+    """A separable state of ``terms`` random product terms, two of them at alphas ``gap`` apart."""
+    first = complex(*rng.standard_normal(2))
+    second = first + gap * np.exp(2j * np.pi * rng.random())
+    alphas = [first, second, *_random_alphas(rng, terms - 2)]
+    planted = [ProductVector.from_alpha(a, _cvec(rng, n)) for a in alphas]
+    weights = rng.random(terms) + 0.5
+    rho = sum(w * np.outer(v.vector, v.vector.conj()) for w, v in zip(weights, planted))
+    return DensityState(rho / np.trace(rho).real)
+
+
+def _converged(cs, alpha):
+    """Whether sigma_N at alpha is within PENCIL_CONVERGED of max(sigma_1, 1 + |alpha|)."""
+    s = _chart_svd(cs, [alpha])[0][0]
+    return s[-1] <= PENCIL_CONVERGED * max(s[0], 1.0 + abs(alpha))
+
+
+class TestCloseRoots:
+    """Two planted product vectors 1e-2 to 1e-3 apart in alpha: every root comes back converged.
+
+    A spurious pencil eigenvalue near the pair can pass the gate and be
+    polished onto a genuine root; a polish stopped too early returns it
+    unconverged beside the root, or in its place, and the state's
+    expansion over the vectors can then break.
+    """
+
+    @pytest.mark.parametrize("paired", [False, True])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_root_converged_and_the_state_expands(self, n, paired):
+        for gap in (1e-2, 3e-3, 1e-3):
+            for rep in range(6):
+                rng = np.random.default_rng([int(paired), n, round(-10 * np.log10(gap)), rep])
+                # rank N for the single search, N + 1 for the paired one
+                state = _close_pair_state(rng, n, n + paired, gap)
+                h1 = _orthonormalize(state.range_basis)
+                if paired:
+                    found = paired_products(state.range_basis, state.pt_range_basis)
+                    cs = build_paired_system(h1, _orthonormalize(state.pt_range_basis))
+                else:
+                    found = products_in_subspace(state.range_basis)
+                    cs = _single_system(h1, n)
+                assert len(found) >= n + paired
+                for v in found:
+                    assert v.alpha is None or _converged(cs, v.alpha), (gap, rep, v.alpha)
+                assert biorthogonal_check(state, found).kind is VerdictKind.SEPARABLE, (gap, rep)
+
+
+class TestPolishStacks:
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_rank_n_kernel_search_takes_one_stack(self, n, monkeypatch):
+        # when every candidate past the gate has already converged there, the
+        # gate's SVD is the only stacked one of the search: no polish step
+        # and no second SVD for f
+        at_gate = 0
+        for seed in range(5):
+            state = DensityState(build_separable(np.random.default_rng([n, seed]), n, n)[0])
+            kernel = state.kernel_basis
+            cs = _single_system(_orthonormalize(kernel), n)
+            candidates = _single_roots(cs)
+            s = _chart_svd(cs, list(candidates))[0]
+            gated = s[:, -1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(candidates))
+            converged = all(_converged(cs, a) for a in candidates[gated])
+            with monkeypatch.context() as patch:
+                stacks = count_svd_stacks(patch)
+                found = products_in_subspace(kernel, state.tol)
+            assert len(found) == n
+            if converged:
+                assert stacks == [(n + 1, n, n)]
+            else:
+                assert 2 <= len(stacks) <= PENCIL_POLISH_STEPS + 1
+            at_gate += converged
+        assert at_gate >= 4
 
 
 def _deflation_cases():
