@@ -14,9 +14,7 @@ candidate roots are the eigenvalues of one operator-determinant pencil
 (``_gate_and_polish``), each until it converges.  Every chart point turns
 into a product vector in ``_chart_products`` under one rank-drop rule
 (``_has_null``), f from one stacked SVD: the samples' own, or the polish's
-for roots and e = |0> (alpha None).  The bivariate determinant polynomials
-of a paired system (``ConstraintSystem.dets``) and their elimination
-(``eliminate_paired``) are built only on request; no search uses them.
+for roots and e = |0> (alpha None).
 
 Candidates are screened as stacks, and each stacked numpy form used here
 gives the bits of the single-vector call it replaces: a mat-vec as a matmul
@@ -30,7 +28,7 @@ one scalar at a time.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -232,26 +230,12 @@ class InfiniteFamily:
 
 
 class ConstraintSystem:
-    """Orthocomplement blocks of a paired search, with its determinant polynomials on demand.
+    """Orthocomplement blocks of a paired search; a single-subspace one has no partner block."""
 
-    A single-subspace search is the system whose partner block is empty.
-    ``dets``, the nonvanishing N-row determinant polynomials of a paired
-    system, is computed on first read unless given; the paired search itself
-    never reads it.
-    """
-
-    def __init__(self, a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray,
-                 n: int, m1: int, m2: int, dets: list[BivariatePoly] | None = None):
-        self.a1, self.b1, self.a2, self.b2 = a1, b1, a2, b2
-        self.n, self.m1, self.m2 = n, m1, m2
-        if dets is not None:
-            self.dets = dets
+    def __init__(self, a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray, n: int):
+        self.a1, self.b1, self.a2, self.b2, self.n = a1, b1, a2, b2, n
         # the constraint rows at alpha are alpha * A* + B*
         self.conj_blocks = tuple(np.conj(x) for x in (a1, b1, a2, b2))
-
-    @cached_property
-    def dets(self) -> list[BivariatePoly]:
-        return _paired_dets(self)
 
     def stacked(self, alphas: np.ndarray, conj_alphas: np.ndarray | None = None) -> np.ndarray:
         """The (K, rows, N) stack of constraint matrices; conj_alphas defaults to conj(alphas)."""
@@ -267,12 +251,25 @@ class ConstraintSystem:
 # subspace plumbing
 # ---------------------------------------------------------------------------
 
-def _orthonormalize(h) -> np.ndarray:
+def _basis(h) -> np.ndarray:
+    """``h`` as a complex array of column vectors in C2 x CN."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] % 2 or not h.shape[0]:
         raise ValueError("subspace basis must be a 2-D array of column vectors in C2 x CN, "
                          f"2N rows with N >= 1; got shape {h.shape}")
-    return numerical_rank_kernel(h).range_basis
+    return h
+
+
+def _orthonormalize(h) -> np.ndarray:
+    return numerical_rank_kernel(_basis(h)).range_basis
+
+
+def _basis_and_complement(h, comp) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of a subspace and of its complement as complex arrays, only their shapes checked."""
+    h, comp = _basis(h), np.asarray(comp, dtype=complex)
+    if comp.shape != (h.shape[0], h.shape[0] - h.shape[1]):
+        raise ValueError(f"complement of shape {comp.shape} does not fit a basis of shape {h.shape}")
+    return h, comp
 
 
 def orthonormal_complement(h: np.ndarray) -> np.ndarray:
@@ -287,12 +284,11 @@ def _blocks(comp: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return comp[:n, :].T.copy(), comp[n:, :].T.copy()
 
 
-def _single_system(h: np.ndarray, n: int) -> ConstraintSystem:
-    """Constraints of |e,f> in H alone: a paired system with no partner rows."""
-    a, b = _blocks(orthonormal_complement(h), n)
-    empty = np.zeros((0, n), dtype=complex)
-    return ConstraintSystem(a1=a, b1=b, a2=empty, b2=empty, n=n, m1=h.shape[1], m2=2 * n,
-                            dets=[])
+def _single_system(comp: np.ndarray) -> ConstraintSystem:
+    """Constraints of |e,f> in H alone, from H's orthonormal complement: no partner rows."""
+    a, b = _blocks(comp, comp.shape[0] // 2)
+    empty = np.zeros((0, a.shape[1]), dtype=complex)
+    return ConstraintSystem(a1=a, b1=b, a2=empty, b2=empty, n=a.shape[1])
 
 
 def in_range(basis: np.ndarray, vecs: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -686,9 +682,11 @@ def _single_roots(cs: ConstraintSystem) -> np.ndarray | None:
     return _shift_invert(bc, -ac)
 
 
-def products_in_subspace(h, tol: ToleranceConfig | None = None):
+def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
     """All product vectors in a subspace, or an InfiniteFamily marker.
 
+    ``h`` is an orthonormal basis of H and ``comp`` one of its orthogonal
+    complement, both taken as given: only their shapes are checked.
     For dim(H) > N every e admits a matching f (infinite family, sampled);
     for dim(H) = N the roots of det(alpha A* + B*) give the finitely many
     solutions; below N the system is overdetermined and a generic H holds
@@ -704,12 +702,11 @@ def products_in_subspace(h, tol: ToleranceConfig | None = None):
     rank at two sample alphas (H holds C2 (x) f0), no candidates otherwise.
     """
     tol = tol or DEFAULT_TOL
-    h = _orthonormalize(h)
-    two_n, m = h.shape
-    n = two_n // 2
+    h, comp = _basis_and_complement(h, comp)
+    n, m = h.shape[0] // 2, h.shape[1]
     if m == 0 or (m < n and _far_from_products(h, n)):
         return []
-    cs = _single_system(h, n)
+    cs = _single_system(comp)
     samples = SAMPLE_ALPHAS + (None,)
     if m > n:
         return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
@@ -769,7 +766,7 @@ def _mixed_selections(r1: int, r2: int, n: int, cap: int | None = None):
 
 
 def build_paired_system(h1, h2) -> ConstraintSystem:
-    """Constraint blocks of the paired search; the determinants come on first read of ``dets``."""
+    """Constraint blocks of the paired search; ``_paired_dets`` gives its determinants."""
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)
     if h1.shape[0] != h2.shape[0]:
@@ -777,7 +774,7 @@ def build_paired_system(h1, h2) -> ConstraintSystem:
     n = h1.shape[0] // 2
     a1, b1 = _blocks(orthonormal_complement(h1), n)
     a2, b2 = _blocks(orthonormal_complement(h2), n)
-    return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=h1.shape[1], m2=h2.shape[1])
+    return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n)
 
 
 def _paired_dets(cs: ConstraintSystem) -> list[BivariatePoly]:
@@ -817,17 +814,17 @@ def eliminate_paired(cs: ConstraintSystem) -> UnivariatePoly | None:
     paired search takes its roots from ``_pencil_roots``, and tests check
     those against this elimination.
     """
-    if not cs.dets:
+    dets = _paired_dets(cs)
+    if not dets:
         return None
-    if len(cs.dets) == 1:
-        d = cs.dets[0]
+    if len(dets) == 1:
+        d = dets[0]
         if d.deg_alpha == 0:
             return UnivariatePoly(np.conj(d.coeffs[0]))
         if d.deg_conj == 0:
             return UnivariatePoly(d.coeffs[:, 0])
         return eliminate_single(d)
-    base = cs.dets[0]
-    reduced = [eliminate_pair(base, dj) for dj in cs.dets[1:]]
+    reduced = [eliminate_pair(dets[0], dj) for dj in dets[1:]]
     q = reduced[0]
     for u in reduced[1:]:
         q = reduce_univariate_pair(q, u)
@@ -952,7 +949,7 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
     h2 = _orthonormalize(h2)
     n = h1.shape[0] // 2
     cs = build_paired_system(h1, h2)
-    if cs.m1 + cs.m2 > 3 * n:
+    if h1.shape[1] + h2.shape[1] > 3 * n:
         return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                               note="dimension count exceeds 3N")
     candidates = _pencil_roots(cs)
@@ -970,32 +967,34 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
 # real-e and kernel searches
 # ---------------------------------------------------------------------------
 
-def real_e_products(h, tol: ToleranceConfig | None = None) -> list[ProductVector]:
+def real_e_products(h, comp, tol: ToleranceConfig | None = None) -> list[ProductVector]:
     """Product vectors with real e inside a subspace of dimension > N.
 
-    For each real alpha the constraint rows number fewer than N, so a
-    nontrivial f always exists; the result is never empty.
+    ``h`` and ``comp`` are taken as in ``products_in_subspace``.  For each
+    real alpha the constraint rows number fewer than N, so a nontrivial f
+    always exists; the result is never empty.
     """
     tol = tol or DEFAULT_TOL
-    h = _orthonormalize(h)
-    two_n, m = h.shape
-    n = two_n // 2
+    h, comp = _basis_and_complement(h, comp)
+    n, m = h.shape[0] // 2, h.shape[1]
     if m <= n:
         raise ValueError(f"real-e search needs dim(H) > N, got dim {m} with N={n}")
-    return _chart_products(_single_system(h, n), REAL_ALPHA_GRID + (None,), h, None, tol)
+    return _chart_products(_single_system(comp), REAL_ALPHA_GRID + (None,), h, None, tol)
 
 
 def kernel_product_vectors(state):
     """Every product vector found in the kernel of a PPT state, in the search's order.
 
-    Only vectors whose conjugate partner the partial transpose annihilates
-    are kept.  An infinite kernel family comes back as an InfiniteFamily
-    holding the samples that pass.  The search uses the state's tolerances.
+    The search runs on the state's own kernel and range bases, so the
+    state's rank decision is the only one.  Only vectors whose conjugate
+    partner the partial transpose annihilates are kept.  An infinite kernel
+    family comes back as an InfiniteFamily holding the samples that pass.
+    The search uses the state's tolerances.
     """
     kernel = state.kernel_basis
     if kernel.shape[1] == 0:
         return []
-    res = products_in_subspace(kernel, state.tol)
+    res = products_in_subspace(kernel, state.range_basis, state.tol)
     vectors = res.samples if isinstance(res, InfiniteFamily) else res
     kept = []
     if vectors:

@@ -812,7 +812,7 @@ def _rank_n_kernel(run: _Run, cur: DensityState):
 
 def _real_e_subtraction(run: _Run, cur: DensityState):
     """Subtract the real-e product vector of largest weight and re-symmetrize."""
-    done = subtract(cur, real_e_products(cur.range_basis, cur.tol))
+    done = subtract(cur, real_e_products(cur.range_basis, cur.kernel_basis, cur.tol))
     if done is None:
         return run.stop("no subtractable real-e product vector found")
     new, lam, _case, best = done

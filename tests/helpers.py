@@ -16,6 +16,10 @@ the interpolation matrices and the block rank test) keep their former forms
 here, as bitwise references.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -28,6 +32,8 @@ from sep2n.productfinder import (
     NonGenericInput,
     ProductVector,
     _inv_dft,
+    _orthonormalize,
+    orthonormal_complement,
 )
 from sep2n.sepengine import (
     KERNEL_IMAGE_ZERO_REL_TOL,
@@ -151,6 +157,27 @@ def random_ppt_mixture(rng, n):
     if pt_min < 0:
         mix = min(1.0, 1.05 * (-pt_min) / (-pt_min + 1.0 / dim))
     return (1 - mix) * raw + mix * np.eye(dim) / dim
+
+
+def basis_and_complement(h):
+    """The orthonormal basis of span(h) and of its complement that a raw basis is searched on.
+
+    The single-subspace searches take both bases as given; these are the ones
+    ``_orthonormalize`` and ``orthonormal_complement`` derive from ``h``.
+    """
+    h = _orthonormalize(h)
+    return h, orthonormal_complement(h)
+
+
+def perfbench_corpus():
+    """The benchmark's labelled corpus, ``perfbench/corpus.py``, as a module loaded once."""
+    name = "perfbench_corpus"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # its dataclass looks it up
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,6 @@ so a numpy or BLAS upgrade that breaks them fails there by name.
 calls to its former form, by bytes, and by memory layout where it was kept.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -65,8 +61,10 @@ from sep2n.sepengine import TIE_REL_TOL, SupportViolation
 
 from helpers import (
     VectorOutsideRange,
+    basis_and_complement,
     build_separable,
     count_svd_stacks,
+    perfbench_corpus,
     random_ppt_mixture,
     random_product_vector,
     random_pt_invariant,
@@ -137,8 +135,8 @@ def single_case(rng, n, m):
     and random points.
     """
     gens = [random_product_vector(rng, n) for _ in range(m - 1)]
-    h = span(*[g.vector for g in gens], cvec(rng, 2 * n))
-    cs = _single_system(h, n)
+    h, comp = basis_and_complement(np.column_stack([g.vector for g in gens] + [cvec(rng, 2 * n)]))
+    cs = _single_system(comp)
     near = [g.alpha + 1e-4 * complex(*rng.standard_normal(2)) for g in gens if g.alpha is not None]
     far = list(2.0 * rng.standard_normal(3) + 2j * rng.standard_normal(3))
     return h, cs, _gate_and_polish(cs, _single_roots(cs))[0][:-1] + near + far
@@ -188,8 +186,9 @@ class TestRefinement:
         rng = np.random.default_rng(11)
         n = 4
         gens = [random_product_vector(rng, n) for _ in range(3)]
-        h = span(*[g.vector for g in gens], cvec(rng, 2 * n))
-        cs = _single_system(h, n)
+        cols = [g.vector for g in gens] + [cvec(rng, 2 * n)]
+        h, comp = basis_and_complement(np.column_stack(cols))
+        cs = _single_system(comp)
         a = [g.alpha for g in gens]
         starts = [a[0], a[0] + 1e-8, a[1], a[0] + 5e-7j, a[1] - 2e-7, a[2], a[0] + 2e-6, a[2]]
         points, svd = _gate_and_polish(cs, np.array(starts))
@@ -242,8 +241,9 @@ class TestRefinement:
         loose = ToleranceConfig(root_residual_tol=0.1)
         rng = np.random.default_rng(8)
         for n in (3, 4, 5):
-            h = span(*[cvec(rng, 2 * n) for _ in range(n - 1)])
-            cs = _single_system(h, n)
+            cols = [cvec(rng, 2 * n) for _ in range(n - 1)]
+            h, comp = basis_and_complement(np.column_stack(cols))
+            cs = _single_system(comp)
             alphas = _single_roots(cs)
             assert alphas.size == n
             sigmas = np.linalg.svd(cs.stacked(alphas), compute_uv=False)
@@ -319,7 +319,7 @@ class TestChartSamples:
             shapes = [(r, n) for r in (int(rng.integers(0, n)),) * 2 + (int(rng.integers(1, n)),) * 2]
             a1, b1, a2, b2 = (rng.choice(entries, sh) + 1j * rng.choice(entries[:4], sh)
                               for sh in shapes)
-            cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n, m1=0, m2=0, dets=[])
+            cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n)
             eye = np.eye(2 * n, dtype=complex)
             ours = _chart_products(cs, SAMPLE_ALPHAS, eye, eye, TOL)
             assert_same_vectors(ours, scalar_chart_products(cs, SAMPLE_ALPHAS, eye, eye, TOL))
@@ -333,8 +333,8 @@ class TestChartSamples:
     def test_random_systems(self, n):
         rng = np.random.default_rng(300 + n)
         for m in (n + 1, 2 * n - 1):
-            h = span(*[cvec(rng, 2 * n) for _ in range(m)])
-            cs = _single_system(h, n)
+            h, comp = basis_and_complement(np.column_stack([cvec(rng, 2 * n) for _ in range(m)]))
+            cs = _single_system(comp)
             for alphas in (SAMPLE_ALPHAS, REAL_ALPHA_GRID):
                 ours = _chart_products(cs, alphas, h, None, TOL)
                 assert len(ours) == len(alphas)
@@ -457,7 +457,7 @@ class TestCandidateScreens:
             vectors = [vectors[i] for i in rng.permutation(len(vectors))]
             for res in (vectors, InfiniteFamily(samples=vectors, note="planted")):
                 with monkeypatch.context() as mp:
-                    mp.setattr(productfinder, "products_in_subspace", lambda h, tol: res)
+                    mp.setattr(productfinder, "products_in_subspace", lambda h, comp, tol: res)
                     ours = kernel_product_vectors(state)
                 ours = ours.samples if isinstance(res, InfiniteFamily) else ours
                 ref = scalar_partner_filter(state, vectors)
@@ -474,7 +474,8 @@ class TestCandidateScreens:
                 state = DensityState(m)
                 res = paired_products(state.range_basis, state.pt_range_basis, state.tol)
                 for cands in (getattr(res, "samples", res),
-                              real_e_products(state.range_basis, state.tol)):
+                              real_e_products(*basis_and_complement(state.range_basis),
+                                              state.tol)):
                     cands = cands + [random_product_vector(rng, n)]
                     chosen += checked_subtraction(state, cands) is not None
                     for v in cands:
@@ -625,11 +626,7 @@ def signed_zero_grids(rng):
     return grids
 
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-_corpus_spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
-corpus = importlib.util.module_from_spec(_corpus_spec)
-sys.modules[_corpus_spec.name] = corpus  # its dataclass looks the module up there
-_corpus_spec.loader.exec_module(corpus)
+corpus = perfbench_corpus()
 
 
 class TestProductFreeProof:
@@ -640,22 +637,22 @@ class TestProductFreeProof:
         searches = []
         search = productfinder.products_in_subspace
 
-        def capture(h, tol=None):
+        def capture(h, comp, tol=None):
             if 0 < h.shape[1] < h.shape[0] // 2:
-                searches.append((h, tol))
-            return search(h, tol)
+                searches.append((h, comp, tol))
+            return search(h, comp, tol)
 
         with monkeypatch.context() as patch:
             patch.setattr(productfinder, "products_in_subspace", capture)
             for item in corpus.build(workload, 6607, scale=0.1):
                 sepengine.analyze(item.matrix)
         proved = 0
-        for h, tol in searches:
-            ours = search(h, tol)
+        for h, comp, tol in searches:
+            ours = search(h, comp, tol)
             with monkeypatch.context() as patch:
                 patch.setattr(productfinder, "_far_from_products", lambda h, n: False)
-                assert_same_vectors(ours, search(h, tol))
-            proved += productfinder._far_from_products(_orthonormalize(h), h.shape[0] // 2)
+                assert_same_vectors(ours, search(h, comp, tol))
+            proved += productfinder._far_from_products(h, h.shape[0] // 2)
         # the proof decides most of them, so the comparison covers its exit
         assert len(searches) >= 10 and proved >= 0.9 * len(searches)
 

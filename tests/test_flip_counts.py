@@ -73,6 +73,17 @@ def test_power_of_two_scaling_is_exact(workload):
             assert _record(image, image_trace) == _record(verdict, trace, j), (item.name, k)
 
 
+@pytest.mark.parametrize("workload", ["constructive", "range_enum"])
+def test_no_transform_moves_a_verdict(workload):
+    """The invariance contract on the workloads where it holds: every flip count is 0.
+
+    The whole corpus of one seed, about 4 s per workload on 2 vCPUs.
+    """
+    inputs, counts = flip_counts.flips(workload, 4242, 1.0)
+    assert inputs >= 100
+    assert counts == dict.fromkeys(flip_counts.TRANSFORMS, 0)
+
+
 @pytest.mark.parametrize("real", [True, False])
 def test_invertible_factor_is_not_unitary(real):
     rng = np.random.default_rng(5)

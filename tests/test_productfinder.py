@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from sep2n import productfinder
+from sep2n import matrixcore, productfinder, sepengine
 from sep2n.matrixcore import DensityState, ToleranceConfig
 from sep2n.productfinder import (
     PENCIL_CONVERGED,
@@ -16,6 +18,7 @@ from sep2n.productfinder import (
     _far_from_products,
     _orthonormalize,
     _single_roots,
+    _paired_dets,
     _single_system,
     build_paired_system,
     eliminate_paired,
@@ -29,10 +32,13 @@ from sep2n.productfinder import (
 from sep2n.sepengine import VerdictKind, biorthogonal_check
 
 from helpers import (
+    basis_and_complement,
     build_separable,
     count_svd_stacks,
     eig_rank,
+    perfbench_corpus,
     random_product_vector,
+    random_pt_invariant,
     sets_match,
     shared_e_rank_n,
 )
@@ -96,7 +102,7 @@ class TestProductsInSubspace:
     def test_two_product_basis_vectors(self):
         # span{|0,1>, |1,2>} on C2 x C2: both basis vectors are the solutions
         h = np.column_stack([basis_vec(2, 0, 0), basis_vec(2, 1, 1)])
-        res = products_in_subspace(h)
+        res = products_in_subspace(*basis_and_complement(h))
         assert isinstance(res, list) and len(res) == 2
         alphas = [v.alpha for v in res]
         assert None in alphas and any(a is not None and abs(a) < 1e-10 for a in alphas)
@@ -106,10 +112,21 @@ class TestProductsInSubspace:
     @pytest.mark.parametrize("shape", NOT_2N_ROWS)
     def test_refuses_row_count_not_2n(self, shape):
         with pytest.raises(ValueError, match=NOT_2N_MESSAGE):
-            products_in_subspace(np.ones(shape))
+            products_in_subspace(np.ones(shape), np.ones((shape[0], 0)))
+
+    @pytest.mark.parametrize("search", [products_in_subspace, real_e_products])
+    def test_refuses_complement_of_wrong_shape(self, search):
+        # the complement must be 2-D with the basis's 2N rows and 2N columns between them
+        h = np.eye(6, dtype=complex)[:, :4]
+        for comp in (np.eye(6)[:, 4:5], np.eye(6), np.eye(4)[:, :2], np.eye(6)[:, 4:6].ravel(),
+                     np.eye(6)[None, :, 4:6]):
+            with pytest.raises(ValueError, match="does not fit a basis of shape"):
+                search(h, comp)
+        res = search(h, np.eye(6)[:, 4:6])
+        assert len(getattr(res, "samples", res)) == 9
 
     def test_full_space_infinite(self):
-        res = products_in_subspace(np.eye(6, dtype=complex))
+        res = products_in_subspace(*basis_and_complement(np.eye(6, dtype=complex)))
         assert isinstance(res, InfiniteFamily)
         assert [v.alpha for v in res.samples] == SAMPLES + [None]
         for v in res.samples:
@@ -121,7 +138,7 @@ class TestProductsInSubspace:
         for _ in range(5):
             h = np.linalg.qr(rng.standard_normal((2 * n, n))
                              + 1j * rng.standard_normal((2 * n, n)))[0]
-            res = products_in_subspace(h)
+            res = products_in_subspace(*basis_and_complement(h))
             assert isinstance(res, list) and len(res) >= 1
             # oracle: scan alpha on a grid, minimize the membership residual
             # of the induced product vector, refine the winners
@@ -146,7 +163,7 @@ class TestProductsInSubspace:
         notes = {n: "determinant vanishes identically",
                  n - 1: "all determinants vanish identically"}
         for m in (n, n - 1) if n > 2 else (n,):
-            res = products_in_subspace(np.column_stack(cols[:m]))
+            res = products_in_subspace(*basis_and_complement(np.column_stack(cols[:m])))
             assert isinstance(res, InfiniteFamily) and res.note == notes[m]
             assert [v.alpha for v in res.samples] == SAMPLES + [None]
             h = _orthonormalize(np.column_stack(cols[:m]))
@@ -161,7 +178,7 @@ class TestProductsInSubspace:
             for i in range(8):
                 m, vecs = shared_e_rank_n(np.random.default_rng([n, i]), n)
                 state = DensityState(m)
-                found = products_in_subspace(state.kernel_basis, state.tol)
+                found = products_in_subspace(*basis_and_complement(state.kernel_basis), state.tol)
                 assert isinstance(found, list)
                 on_curve = [v for v in found if abs(np.vdot(v.e, vecs[0].e)) < 1e-6]
                 assert len(on_curve) == 1
@@ -175,7 +192,7 @@ class TestProductsInSubspace:
             n = int(rng.integers(2, 5))
             h = np.linalg.qr(rng.standard_normal((2 * n, n))
                              + 1j * rng.standard_normal((2 * n, n)))[0]
-            res = products_in_subspace(h)
+            res = products_in_subspace(*basis_and_complement(h))
             if isinstance(res, list) and len(res) >= 1:
                 found += 1
         assert found == 200
@@ -205,7 +222,7 @@ def _planted_es(rng):
 def _search_without_proof(monkeypatch, h):
     with monkeypatch.context() as patch:
         patch.setattr(productfinder, "_far_from_products", lambda h, n: False)
-        return products_in_subspace(h)
+        return products_in_subspace(*basis_and_complement(h))
 
 
 class TestProductFreeProof:
@@ -219,7 +236,7 @@ class TestProductFreeProof:
                 e = e / np.linalg.norm(e)
                 h, v = _planted_subspace(rng, n, m, e)
                 assert not _far_from_products(h, n)
-                found = products_in_subspace(h)
+                found = products_in_subspace(*basis_and_complement(h))
                 assert any(abs(np.vdot(pv.vector, v)) > 1 - 1e-8 for pv in found)
                 if e[1] == 0:
                     assert any(pv.alpha is None for pv in found)
@@ -245,9 +262,9 @@ class TestProductFreeProof:
     def test_overlap_matches_the_complement_blocks(self, n):
         rng = np.random.default_rng([942, n])
         for m in range(1, n):
-            h = _orthonormalize(_cvec(rng, 2 * n, m))
+            h, comp = basis_and_complement(_cvec(rng, 2 * n, m))
             pencil = _bloch_pencil(h, n)
-            ac, bc = _single_system(h, n).conj_blocks[:2]
+            ac, bc = _single_system(comp).conj_blocks[:2]
             for e in (*_cvec(rng, 4, 2), [1.0, 0.0]):
                 e = np.asarray(e, dtype=complex) / np.linalg.norm(e)
                 x = np.real(np.conj(e) @ PAULI @ e)
@@ -365,7 +382,7 @@ class TestPairedProducts:
         # finite enumeration is exhaustive and the search refuses
         h1 = orthonormal_complement(np.array([[1, 0, 0, 1]], dtype=complex).T)
         h2 = orthonormal_complement(np.array([[0, 1, 1, 0]], dtype=complex).T)
-        (det,) = build_paired_system(h1, h2).dets
+        (det,) = _paired_dets(build_paired_system(h1, h2))
         assert np.allclose(det.coeffs, [[-0.5, 0], [0, 0.5]])
         with pytest.raises(NonGenericInput, match="self-conjugate"):
             paired_products(h1, h2)
@@ -386,7 +403,7 @@ class TestPairedProducts:
         state = DensityState(m)
         assert state.rank == 6 and state.pt_rank == 6
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
-        assert len(cs.dets) == 1
+        assert len(_paired_dets(cs)) == 1
         assert eliminate_paired(cs).degree <= 8
 
     def test_membership_of_every_returned_vector(self):
@@ -434,7 +451,7 @@ class TestPairedProducts:
         h1 = np.column_stack([v.vector, extra1])
         h2 = np.column_stack([v.conjugate_partner.vector, extra2])
         cs = build_paired_system(h1, h2)
-        assert len(cs.dets) == 2
+        assert len(_paired_dets(cs)) == 2
         found = paired_products(h1, h2)
         assert isinstance(found, list)
         assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-7 for w in found)
@@ -447,10 +464,10 @@ class TestPairedProducts:
         m, _, _ = build_separable(rng, 4, 5)
         state = DensityState(m)
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
-        assert len(cs.dets) == 3
+        assert len(_paired_dets(cs)) == 3
         found = paired_products(state.range_basis, state.pt_range_basis)
         alphas = [v.alpha for v in found if v.alpha is not None]
-        oracle = grid_root_oracle(cs.dets, box=4.0, step=0.02)
+        oracle = grid_root_oracle(_paired_dets(cs), box=4.0, step=0.02)
         assert sets_match(alphas, oracle, radius=1e-5)
 
 
@@ -521,13 +538,13 @@ class TestCloseRoots:
                 rng = np.random.default_rng([int(paired), n, round(-10 * np.log10(gap)), rep])
                 # rank N for the single search, N + 1 for the paired one
                 state = _close_pair_state(rng, n, n + paired, gap)
-                h1 = _orthonormalize(state.range_basis)
+                h1, comp = basis_and_complement(state.range_basis)
                 if paired:
                     found = paired_products(state.range_basis, state.pt_range_basis)
                     cs = build_paired_system(h1, _orthonormalize(state.pt_range_basis))
                 else:
-                    found = products_in_subspace(state.range_basis)
-                    cs = _single_system(h1, n)
+                    found = products_in_subspace(h1, comp)
+                    cs = _single_system(comp)
                 assert len(found) >= n + paired
                 for v in found:
                     assert v.alpha is None or _converged(cs, v.alpha), (gap, rep, v.alpha)
@@ -543,15 +560,15 @@ class TestPolishStacks:
         at_gate = 0
         for seed in range(5):
             state = DensityState(build_separable(np.random.default_rng([n, seed]), n, n)[0])
-            kernel = state.kernel_basis
-            cs = _single_system(_orthonormalize(kernel), n)
+            h, comp = basis_and_complement(state.kernel_basis)
+            cs = _single_system(comp)
             candidates = _single_roots(cs)
             s = _chart_svd(cs, list(candidates))[0]
             gated = s[:, -1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(candidates))
             converged = all(_converged(cs, a) for a in candidates[gated])
             with monkeypatch.context() as patch:
                 stacks = count_svd_stacks(patch)
-                found = products_in_subspace(kernel, state.tol)
+                found = products_in_subspace(h, comp, state.tol)
             assert len(found) == n
             if converged:
                 assert stacks == [(n + 1, n, n)]
@@ -700,8 +717,8 @@ class TestOneVectorNearEZero:
             rng = np.random.default_rng([n, seed])
             es = [np.array([1.0, delta])] + [_cvec(rng, 2) for _ in range(n - 1)]
             planted = [ProductVector.from_e_f(e, _cvec(rng, n)) for e in es]
-            self._assert_planted(products_in_subspace(np.column_stack([p.vector for p in planted])),
-                                 planted)
+            h = np.column_stack([p.vector for p in planted])
+            self._assert_planted(products_in_subspace(*basis_and_complement(h)), planted)
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("n", [3, 4])
@@ -767,7 +784,7 @@ class TestChartProducts:
 
 class TestRealEProducts:
     def test_full_two_by_two(self):
-        res = real_e_products(np.eye(4, dtype=complex))
+        res = real_e_products(*basis_and_complement(np.eye(4, dtype=complex)))
         assert [v.alpha for v in res] == REAL_GRID + [None]
         for v in res:
             assert np.allclose(v.e, np.conj(v.e), atol=1e-10)
@@ -785,7 +802,7 @@ class TestRealEProducts:
         state = DensityState(m)
         assert state.rank == 3
         assert np.linalg.norm(state.matrix - state.pt_matrix) < 1e-12
-        res = real_e_products(state.range_basis)
+        res = real_e_products(*basis_and_complement(state.range_basis))
         assert len(res) >= 1
         for v in res:
             assert np.linalg.norm(v.e - np.conj(v.e)) < 1e-10
@@ -793,12 +810,12 @@ class TestRealEProducts:
 
     def test_refuses_dimension_n(self):
         with pytest.raises(ValueError):
-            real_e_products(np.eye(4, dtype=complex)[:, :2])
+            real_e_products(*basis_and_complement(np.eye(4, dtype=complex)[:, :2]))
 
     @pytest.mark.parametrize("shape", NOT_2N_ROWS)
     def test_refuses_row_count_not_2n(self, shape):
         with pytest.raises(ValueError, match=NOT_2N_MESSAGE):
-            real_e_products(np.ones(shape))
+            real_e_products(np.ones(shape), np.ones((shape[0], 0)))
 
 
 class TestKernelSearch:
@@ -845,6 +862,86 @@ class TestKernelSearch:
             found = kernel_product_vector(state)
             assert found is not None
             assert abs(np.vdot(found.vector, pv.vector)) > 1 - 1e-6
+
+
+def _matched_overlaps(ours, ref):
+    """|<u|v>| of each vector u of ``ours`` and its closest v of ``ref``, matched one to one."""
+    if not ours:
+        return np.zeros(0)
+    overlaps = np.abs(np.array([u.vector for u in ours]).conj() @ np.array([v.vector for v in ref]).T)
+    best = overlaps.argmax(axis=1)
+    assert sorted(best) == list(range(len(ref)))
+    return overlaps[np.arange(len(ours)), best]
+
+
+class TestStateBases:
+    """The kernel and real-e searches run on the state's own kernel and range bases."""
+
+    def test_no_rank_decision_inside_the_searches_and_the_raw_basis_vectors(self, monkeypatch):
+        # on the analyze path of the constructive corpus neither search takes
+        # an SVD rank decision of its own
+        inside, decisions, searches = [], [], Counter()
+        rank_kernel = matrixcore.numerical_rank_kernel
+
+        def counted(*args, **kwargs):
+            decisions.append(bool(inside))
+            return rank_kernel(*args, **kwargs)
+
+        def entered(name, search):
+            def fn(*args, **kwargs):
+                searches[name] += 1
+                inside.append(name)
+                try:
+                    return search(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return fn
+
+        with monkeypatch.context() as patch:
+            for module in (matrixcore, productfinder):
+                patch.setattr(module, "numerical_rank_kernel", counted)
+            for name in ("kernel_product_vectors", "real_e_products"):
+                patch.setattr(sepengine, name, entered(name, getattr(sepengine, name)))
+            for item in perfbench_corpus().build("constructive", 4242):
+                sepengine.analyze(item.matrix)
+        assert searches["kernel_product_vectors"] >= 100 and searches["real_e_products"] >= 50
+        assert True not in decisions
+
+        # the state's bases span the subspaces that the raw-basis pair spans,
+        # so a search's vectors agree with that pair's wherever they are
+        # unique: every kernel vector, and real-e vectors at rank N + 1 and
+        # full rank; in between, f at a real e is one of a space of
+        # solutions, and only the grid points kept and the membership agree
+        compared = 0
+        for n in range(2, 9):
+            rng = np.random.default_rng([950, n])
+            real_e = [ProductVector.from_e_f(rng.standard_normal(2), _cvec(rng, n))
+                      for _ in range(n + 1)]
+            states = [build_separable(rng, n, n + k)[0] for k in (0, 1, 2, n)]
+            states += [sum(v.projector() for v in real_e), random_pt_invariant(rng, n)]
+            for m in states:
+                state = DensityState(m)
+                kernel, image = state.kernel_basis, state.range_basis
+                pairs = []
+                if kernel.shape[1]:
+                    pairs.append((products_in_subspace(kernel, image, state.tol),
+                                  products_in_subspace(*basis_and_complement(kernel), state.tol),
+                                  kernel, True))
+                if state.rank > n:
+                    ours, ref = (real_e_products(image, kernel, state.tol),
+                                 real_e_products(*basis_and_complement(image), state.tol))
+                    assert [v.alpha for v in ours] == [v.alpha for v in ref]
+                    pairs.append((ours, ref, image, state.rank in (n + 1, 2 * n)))
+                for ours, ref, h, unique in pairs:
+                    ours, ref = getattr(ours, "samples", ours), getattr(ref, "samples", ref)
+                    assert len(ours) == len(ref)
+                    for v in ours:
+                        assert membership_residual(h, v.vector) < 1e-10
+                    if unique:
+                        overlaps = _matched_overlaps(ours, ref)
+                        assert np.all(overlaps >= 1 - 1e-10), (n, state.rank, overlaps)
+                        compared += len(overlaps)
+        assert compared >= 100
 
 
 def _kernel_scan_residual(comp, alpha, n):

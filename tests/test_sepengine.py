@@ -884,8 +884,8 @@ class TestToleranceOwnership:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, fn)
 
-        recording(productfinder, "products_in_subspace", 1)
-        for name, tol_at in [("paired_products", 2), ("real_e_products", 1),
+        recording(productfinder, "products_in_subspace", 2)
+        for name, tol_at in [("paired_products", 2), ("real_e_products", 2),
                              ("psd_difference_check", 2), ("pt_invariant_decompose", None),
                              ("decompose_rank_n", None), ("biorthogonal_check", None),
                              ("symmetric_split_check", None), ("pt_symmetrizing_search", None)]:
