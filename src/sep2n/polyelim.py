@@ -7,11 +7,17 @@ second variable, repeated cross-multiplication of leading/trailing
 coefficients eliminates one variable and yields a univariate polynomial
 whose root set contains every genuine root; candidates are then filtered by
 back-substitution.
+
+All determinant and elimination code lives here, with the determinants of a
+paired search's constraints (``_paired_dets``); no search of the library
+calls any of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -28,6 +34,7 @@ __all__ = [
     "eliminate_single",
     "eliminate_pair",
     "reduce_univariate_pair",
+    "eliminate_paired",
     "univariate_roots",
     "verify_roots",
     "single_elimination_bound",
@@ -37,6 +44,9 @@ __all__ = [
 
 # Relative threshold below which coefficients are trimmed away.
 TRIM_REL_TOL = 1e-12
+# Identically-zero threshold for interpolated determinant coefficients
+# (complement bases are orthonormal, so coefficients are O(1)).
+DET_ZERO_TOL = 1e-10
 # Verified roots closer than this are merged; product vectors built from
 # closer roots are indistinguishable at rank tolerance.
 MERGE_RADIUS = 1e-6
@@ -378,6 +388,121 @@ def reduce_univariate_pair(q1: UnivariatePoly, q2: UnivariatePoly) -> Univariate
         return UnivariatePoly(b)
     top = np.max(np.abs(out.coeffs))
     return UnivariatePoly(out.coeffs / top)
+
+
+# ---------------------------------------------------------------------------
+# determinants of a paired constraint system and their elimination
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _inv_dft(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deg + 1 roots of unity and the inverse of their Vandermonde matrix, read-only."""
+    nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
+    vand = nodes[:, None] ** np.arange(deg + 1)[None, :]
+    inv = vand.conj().T / (deg + 1)
+    nodes.flags.writeable = inv.flags.writeable = False
+    return nodes, inv
+
+
+def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
+                       rows_conj: tuple[np.ndarray, np.ndarray]) -> BivariatePoly:
+    """Bivariate determinant of a stack of alpha-affine and conjugate-affine rows."""
+    da = rows_alpha[0].shape[0]
+    db = rows_conj[0].shape[0]
+    nodes_a, inv_a = _inv_dft(da)
+    nodes_b, inv_b = _inv_dft(db)
+    top = nodes_a[:, None, None] * rows_alpha[0] + rows_alpha[1]
+    bottom = nodes_b[:, None, None] * rows_conj[0] + rows_conj[1]
+    m = np.empty((da + 1, db + 1, da + db, top.shape[2]), dtype=complex)
+    m[:, :, :da] = top[:, None]
+    m[:, :, da:] = bottom[None]
+    return BivariatePoly(inv_a @ np.linalg.det(m) @ inv_b.T)
+
+
+def _block_rows_independent(ac, bc, probe: complex) -> bool:
+    if ac.shape[0] == 0:
+        return True
+    # one SVD gives both the 2-norm and the rank
+    s = np.linalg.svd(probe * ac + bc, compute_uv=False)
+    tol = 1e-10 * max(1.0, float(s.max(initial=0)))
+    return np.count_nonzero(s > tol) == ac.shape[0]
+
+
+def _row_selections(r1: int, r2: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    all1 = tuple(range(r1))
+    all2 = tuple(range(r2))
+    if r1 + r2 == n:
+        return [(all1, all2)]
+    if r2 >= r1 and r2 <= n:
+        return [(c, all2) for c in combinations(all1, n - r2)]
+    if r1 > r2 and r1 <= n:
+        return [(all1, c) for c in combinations(all2, n - r1)]
+    # neither block fits whole: enumerate mixed splits (capped)
+    return _mixed_selections(r1, r2, n, cap=100)
+
+
+def _mixed_selections(r1: int, r2: int, n: int, cap: int | None = None):
+    sels = []
+    for k1 in range(max(0, n - r2), min(r1, n) + 1):
+        for c1 in combinations(range(r1), k1):
+            for c2 in combinations(range(r2), n - k1):
+                sels.append((c1, c2))
+                if len(sels) == cap:
+                    return sels
+    return sels
+
+
+def _paired_dets(cs) -> list[BivariatePoly]:
+    """The N-row determinant polynomials of a paired system that do not vanish identically."""
+    n = cs.n
+    ac1, bc1, ac2, bc2 = cs.conj_blocks
+    r1, r2 = ac1.shape[0], ac2.shape[0]
+    dets: list[BivariatePoly] = []
+    if r1 + r2 >= n:
+        sels = _row_selections(r1, r2, n)
+        # the fixed whole block must stay independent for the shortcut to be
+        # exhaustive; fall back to a full mixed enumeration otherwise
+        if sels and r1 + r2 > n:
+            fixed_conj = all(s[1] == tuple(range(r2)) for s in sels)
+            fixed_alpha = all(s[0] == tuple(range(r1)) for s in sels)
+            probe = 0.6180339887 + 0.7548776662j
+            ok = True
+            if fixed_conj and r2:
+                ok = _block_rows_independent(ac2, bc2, np.conj(probe))
+            elif fixed_alpha and r1:
+                ok = _block_rows_independent(ac1, bc1, probe)
+            if not ok:
+                sels = _mixed_selections(r1, r2, n)
+        for sel1, sel2 in sels:
+            det = det_poly_bivariate((ac1[list(sel1)], bc1[list(sel1)]),
+                                     (ac2[list(sel2)], bc2[list(sel2)]))
+            if np.max(np.abs(det.coeffs)) > DET_ZERO_TOL:
+                dets.append(det)
+    return dets
+
+
+def eliminate_paired(cs) -> UnivariatePoly | None:
+    """Reduce the determinants of a paired search to one univariate polynomial.
+
+    Reads only ``n`` and ``conj_blocks`` of the ``productfinder.ConstraintSystem``
+    ``cs``.  Returns None when every determinant vanished identically (rank
+    deficiency for all alpha).  Tests check ``productfinder._pencil_roots`` against it.
+    """
+    dets = _paired_dets(cs)
+    if not dets:
+        return None
+    if len(dets) == 1:
+        d = dets[0]
+        if d.deg_alpha == 0:
+            return UnivariatePoly(np.conj(d.coeffs[0]))
+        if d.deg_conj == 0:
+            return UnivariatePoly(d.coeffs[:, 0])
+        return eliminate_single(d)
+    reduced = [eliminate_pair(dets[0], dj) for dj in dets[1:]]
+    q = reduced[0]
+    for u in reduced[1:]:
+        q = reduce_univariate_pair(q, u)
+    return q
 
 
 # ---------------------------------------------------------------------------

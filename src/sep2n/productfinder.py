@@ -34,14 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, numerical_rank_kernel
-from .polyelim import (
-    MERGE_RADIUS,
-    BivariatePoly,
-    UnivariatePoly,
-    eliminate_pair,
-    eliminate_single,
-    reduce_univariate_pair,
-)
+from .polyelim import MERGE_RADIUS, eliminate_paired  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "ProductVector",
@@ -54,7 +47,6 @@ __all__ = [
     "kernel_product_vector",
     "kernel_product_vectors",
     "build_paired_system",
-    "eliminate_paired",
 ]
 
 
@@ -68,10 +60,8 @@ SAMPLE_ALPHAS = (0.437 + 0.821j, -1.133 + 0.294j, 0.512 - 0.668j, -0.274 - 1.147
                  0.0, 1.0, -1.0, 0.5)
 REAL_ALPHA_GRID = (0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 1.0 / 3.0)
 
-# Identically-zero threshold for interpolated determinant coefficients
-# (complement bases are orthonormal, so coefficients are O(1)).
-DET_ZERO_TOL = 1e-10
-# Relative smallest-singular-value threshold accepting a rank drop at a root.
+# Relative smallest-singular-value threshold accepting a rank drop at a root; also
+# the relative residual under which a state (its transpose) annihilates a kernel vector (partner).
 NULL_ACCEPT = 1e-6
 # Distance below 1 that a subspace's largest overlap with product vectors must
 # keep on the whole Bloch sphere for ``_far_from_products`` to prove it holds
@@ -81,9 +71,6 @@ PRODUCT_FREE_MARGIN = 100 * NULL_ACCEPT ** 2
 # leave undecided, before ``_far_from_products`` gives up.
 PRODUCT_FREE_DEPTH = 6
 PRODUCT_FREE_MAX_CELLS = 256
-# Relative residual under which the partial transpose annihilates a kernel vector's
-# partner; as loose as NULL_ACCEPT, the rank-drop test that accepted the vector.
-KERNEL_PARTNER_REL_TOL = 1e-6
 # The root solve of both finite searches (``_shift_invert``,
 # ``_gate_and_polish``; the paired one also ``_pencil_roots``): the angles of
 # the real qubit rotations of the paired chart, tried in turn; the mixing
@@ -260,8 +247,8 @@ def _basis(h) -> np.ndarray:
     return h
 
 
-def _orthonormalize(h) -> np.ndarray:
-    return numerical_rank_kernel(_basis(h)).range_basis
+def _orthonormalize(h, tol: ToleranceConfig | None = None) -> np.ndarray:
+    return numerical_rank_kernel(_basis(h), tol).range_basis
 
 
 def _basis_and_complement(h, comp) -> tuple[np.ndarray, np.ndarray]:
@@ -298,35 +285,6 @@ def in_range(basis: np.ndarray, vecs: np.ndarray, tol: ToleranceConfig) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# determinant-polynomial extraction by interpolation
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _inv_dft(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """The deg + 1 roots of unity and the inverse of their Vandermonde matrix, read-only."""
-    nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
-    vand = nodes[:, None] ** np.arange(deg + 1)[None, :]
-    inv = vand.conj().T / (deg + 1)
-    nodes.flags.writeable = inv.flags.writeable = False
-    return nodes, inv
-
-
-def det_poly_bivariate(rows_alpha: tuple[np.ndarray, np.ndarray],
-                       rows_conj: tuple[np.ndarray, np.ndarray]) -> BivariatePoly:
-    """Bivariate determinant of a stack of alpha-affine and conjugate-affine rows."""
-    da = rows_alpha[0].shape[0]
-    db = rows_conj[0].shape[0]
-    nodes_a, inv_a = _inv_dft(da)
-    nodes_b, inv_b = _inv_dft(db)
-    top = nodes_a[:, None, None] * rows_alpha[0] + rows_alpha[1]
-    bottom = nodes_b[:, None, None] * rows_conj[0] + rows_conj[1]
-    m = np.empty((da + 1, db + 1, da + db, top.shape[2]), dtype=complex)
-    m[:, :, :da] = top[:, None]
-    m[:, :, da:] = bottom[None]
-    return BivariatePoly(inv_a @ np.linalg.det(m) @ inv_b.T)
-
-
-# ---------------------------------------------------------------------------
 # fixed-alpha solves
 # ---------------------------------------------------------------------------
 
@@ -343,15 +301,11 @@ def _has_null(s: np.ndarray, k: int, scale: float) -> bool:
     return k > s.size or not s[k - 1] > NULL_ACCEPT * max(float(s[0]), scale)
 
 
-def _drops_rank_everywhere(cs: ConstraintSystem) -> bool:
-    """Whether the constraints drop rank at both of the first two ``SAMPLE_ALPHAS``.
-
-    A search whose pencil is singular reads this as a rank drop at every
-    alpha: an infinite family.
-    """
-    probes = np.array(SAMPLE_ALPHAS[:2])
-    sigmas = np.linalg.svd(cs.stacked(probes), compute_uv=False)
-    return all(_has_null(s, cs.n, 1.0 + abs(a)) for s, a in zip(sigmas, probes))
+def _rank_drops(cs: ConstraintSystem, alphas) -> list[bool]:
+    """Whether the constraints drop rank (``_has_null``) at each finite alpha, from one SVD."""
+    alphas = np.array(alphas, dtype=complex)
+    sigmas = np.linalg.svd(cs.stacked(alphas), compute_uv=False)
+    return [_has_null(s, cs.n, 1.0 + abs(a)) for s, a in zip(sigmas, alphas)]
 
 
 def _chart_svd(cs: ConstraintSystem, alphas: list) -> tuple[np.ndarray, np.ndarray]:
@@ -720,7 +674,7 @@ def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
         if m == n:
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                                   note="determinant vanishes identically")
-        if _drops_rank_everywhere(cs):
+        if all(_rank_drops(cs, SAMPLE_ALPHAS[:2])):
             return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
                                   note="all determinants vanish identically")
         candidates = np.zeros(0, dtype=complex)
@@ -732,41 +686,8 @@ def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
 # paired search
 # ---------------------------------------------------------------------------
 
-def _block_rows_independent(ac, bc, probe: complex) -> bool:
-    if ac.shape[0] == 0:
-        return True
-    # one SVD gives both the 2-norm and the rank
-    s = np.linalg.svd(probe * ac + bc, compute_uv=False)
-    tol = 1e-10 * max(1.0, float(s.max(initial=0)))
-    return np.count_nonzero(s > tol) == ac.shape[0]
-
-
-def _row_selections(r1: int, r2: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    all1 = tuple(range(r1))
-    all2 = tuple(range(r2))
-    if r1 + r2 == n:
-        return [(all1, all2)]
-    if r2 >= r1 and r2 <= n:
-        return [(c, all2) for c in combinations(all1, n - r2)]
-    if r1 > r2 and r1 <= n:
-        return [(all1, c) for c in combinations(all2, n - r1)]
-    # neither block fits whole: enumerate mixed splits (capped)
-    return _mixed_selections(r1, r2, n, cap=100)
-
-
-def _mixed_selections(r1: int, r2: int, n: int, cap: int | None = None):
-    sels = []
-    for k1 in range(max(0, n - r2), min(r1, n) + 1):
-        for c1 in combinations(range(r1), k1):
-            for c2 in combinations(range(r2), n - k1):
-                sels.append((c1, c2))
-                if len(sels) == cap:
-                    return sels
-    return sels
-
-
 def build_paired_system(h1, h2) -> ConstraintSystem:
-    """Constraint blocks of the paired search; ``_paired_dets`` gives its determinants."""
+    """Constraint blocks of the paired search; ``polyelim`` holds their determinants."""
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)
     if h1.shape[0] != h2.shape[0]:
@@ -775,60 +696,6 @@ def build_paired_system(h1, h2) -> ConstraintSystem:
     a1, b1 = _blocks(orthonormal_complement(h1), n)
     a2, b2 = _blocks(orthonormal_complement(h2), n)
     return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n)
-
-
-def _paired_dets(cs: ConstraintSystem) -> list[BivariatePoly]:
-    """The N-row determinant polynomials of a paired system that do not vanish identically."""
-    n = cs.n
-    r1, r2 = cs.a1.shape[0], cs.a2.shape[0]
-    dets: list[BivariatePoly] = []
-    if r1 + r2 >= n:
-        ac1, bc1, ac2, bc2 = cs.conj_blocks
-        sels = _row_selections(r1, r2, n)
-        # the fixed whole block must stay independent for the shortcut to be
-        # exhaustive; fall back to a full mixed enumeration otherwise
-        if sels and r1 + r2 > n:
-            fixed_conj = all(s[1] == tuple(range(r2)) for s in sels)
-            fixed_alpha = all(s[0] == tuple(range(r1)) for s in sels)
-            probe = 0.6180339887 + 0.7548776662j
-            ok = True
-            if fixed_conj and r2:
-                ok = _block_rows_independent(ac2, bc2, np.conj(probe))
-            elif fixed_alpha and r1:
-                ok = _block_rows_independent(ac1, bc1, probe)
-            if not ok:
-                sels = _mixed_selections(r1, r2, n)
-        for sel1, sel2 in sels:
-            det = det_poly_bivariate((ac1[list(sel1)], bc1[list(sel1)]),
-                                     (ac2[list(sel2)], bc2[list(sel2)]))
-            if np.max(np.abs(det.coeffs)) > DET_ZERO_TOL:
-                dets.append(det)
-    return dets
-
-
-def eliminate_paired(cs: ConstraintSystem) -> UnivariatePoly | None:
-    """Reduce the determinant system to one univariate polynomial.
-
-    Returns None when every determinant vanished identically (rank
-    deficiency for all alpha).  No search of the library calls it: the
-    paired search takes its roots from ``_pencil_roots``, and tests check
-    those against this elimination.
-    """
-    dets = _paired_dets(cs)
-    if not dets:
-        return None
-    if len(dets) == 1:
-        d = dets[0]
-        if d.deg_alpha == 0:
-            return UnivariatePoly(np.conj(d.coeffs[0]))
-        if d.deg_conj == 0:
-            return UnivariatePoly(d.coeffs[:, 0])
-        return eliminate_single(d)
-    reduced = [eliminate_pair(dets[0], dj) for dj in dets[1:]]
-    q = reduced[0]
-    for u in reduced[1:]:
-        q = reduce_univariate_pair(q, u)
-    return q
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -904,13 +771,10 @@ def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
     it does when ``_shift_invert`` finds it singular at both shifts.
     """
     cots = np.array([np.cos(t) / np.sin(t) for t in PENCIL_CHART_ANGLES], dtype=complex)
-    passed = 0
-    for s, cot in zip(np.linalg.svd(cs.stacked(cots), compute_uv=False), cots):
-        if not _has_null(s, cs.n, 1.0 + abs(cot)):
-            break
-        passed += 1
-    else:
+    drops = _rank_drops(cs, cots)
+    if all(drops):
         return None
+    passed = drops.index(False)
     angle = PENCIL_CHART_ANGLES[passed]
     cos, sin = np.cos(angle), np.sin(angle)
     eta = _shift_invert(*_chart_pencil(cs, cos, sin))
@@ -945,8 +809,8 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
         carries a solution space of dimension > 1.
     """
     tol = tol or DEFAULT_TOL
-    h1 = _orthonormalize(h1)
-    h2 = _orthonormalize(h2)
+    h1 = _orthonormalize(h1, tol)
+    h2 = _orthonormalize(h2, tol)
     n = h1.shape[0] // 2
     cs = build_paired_system(h1, h2)
     if h1.shape[1] + h2.shape[1] > 3 * n:
@@ -954,7 +818,7 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
                               note="dimension count exceeds 3N")
     candidates = _pencil_roots(cs)
     if candidates is None:
-        if _drops_rank_everywhere(cs):
+        if all(_rank_drops(cs, SAMPLE_ALPHAS[:2])):
             return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
                                   note="all determinants vanish identically")
         raise NonGenericInput("singular pencil: the determinants share a self-conjugate "
@@ -999,7 +863,7 @@ def kernel_product_vectors(state):
     kept = []
     if vectors:
         images = (state.pt_matrix @ vector_stacks(vectors)[1][:, :, None])[:, :, 0]
-        passing = _row_norms(images) <= KERNEL_PARTNER_REL_TOL * state.norm
+        passing = _row_norms(images) <= NULL_ACCEPT * state.norm
         kept = [v for v, ok in zip(vectors, passing) if ok]
     return InfiniteFamily(samples=kept, note=res.note) if isinstance(res, InfiniteFamily) else kept
 

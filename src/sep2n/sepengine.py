@@ -32,6 +32,7 @@ from .matrixcore import (
     split_at_cutoff,
 )
 from .productfinder import (
+    NULL_ACCEPT,
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
@@ -90,9 +91,6 @@ TIE_REL_TOL = 1e-8
 PT_INVARIANCE_REL_TOL = 1e-8
 # Relative size, against the state it came from, under which a remainder is zero.
 _ZERO_REL_TOL = 1e-12
-# Relative residual of rho|v> under which v is a kernel vector; as loose as the
-# rank-drop test (productfinder.NULL_ACCEPT) that accepted v.
-KERNEL_RESIDUAL_REL_TOL = 1e-6
 # Relative size under which rho annihilates |e_hat, f>: the rank cutoff's scale, where
 # the support is not full and must be stripped first.
 KERNEL_IMAGE_ZERO_REL_TOL = 1e-9
@@ -278,7 +276,7 @@ def _kernel_terms(state: DensityState, vectors) -> list:
     sub_vecs = _kron_rows(ehat, g)
     gf = _inner(g[:, :, None], fs[:, :, None]).real
     checks = (
-        (residual > KERNEL_RESIDUAL_REL_TOL * norm,
+        (residual > NULL_ACCEPT * norm,
          ValueError("vector is not in the kernel of the state")),
         (wn <= KERNEL_IMAGE_ZERO_REL_TOL * norm,
          SupportViolation("state annihilates |e_hat, f>; strip the support first")),
@@ -684,7 +682,6 @@ class _Run:
     # entangled claims must not rest on fragile integer-rank decisions;
     # any borderline spectrum seen along the way poisons exhaustiveness
     borderline: bool = False
-    base: tuple[DensityState, np.ndarray] | None = None  # first stripped state and lift
 
     def flag(self, reason: str):
         """Keep the stronger reason: NonGeneric > InfiniteFamily > Stalled."""
@@ -720,28 +717,15 @@ def _zero_remainder(run: _Run, cur: DensityState):
 
 
 def _strip(run: _Run, cur: DensityState):
-    """Strip the support; a borderline support spectrum marks the run."""
+    """Strip the support; a borderline spectrum or warnings of the stripped state mark the run."""
     try:
         stripped, iso, borderline = _stripped_support(cur)
     except ValueError as exc:
         return run.stop(f"support stripping failed: {exc}")
-    run.borderline |= borderline > 0
+    run.borderline |= borderline > 0 or bool(stripped.warnings)
     if stripped.n != cur.n:
         run.trace.steps.append(_step("strip", cur, stripped))
         run.cur, run.lift = stripped, run.lift @ iso
-
-
-def _strip_watched(run: _Run, cur: DensityState):
-    """``_strip`` on the run of ``analyze``: also reads the state's warnings and keeps the base.
-
-    Nested runs read neither, so they strip without this bookkeeping.
-    """
-    outcome = _strip(run, cur)
-    if outcome is None:
-        run.borderline |= bool(run.cur.warnings)
-        if run.base is None:
-            run.base = (run.cur, run.lift.copy())
-    return outcome
 
 
 def _base_case(run: _Run, cur: DensityState):
@@ -878,7 +862,7 @@ def _paired_search(run: _Run, cur: DensityState):
     return Verdict(VerdictKind.ENTANGLED_PPT, witness=witness)
 
 
-_STAGES = (_zero_remainder, _strip_watched, _base_case, _pt_invariant, _kernel_reduction,
+_STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _kernel_reduction,
            _two_qubit, _paired_search)
 
 
@@ -918,7 +902,7 @@ def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     strip, base case, PT-invariant, kernel reduction, two-qubit, paired
     search) run until a stage gives a verdict or stops.
     After a stop, or ``MAX_PIPELINE_PASSES`` passes, the sufficient
-    fallbacks run on the first stripped state.  Every tolerance comes from
+    fallbacks run on the input's stripped support.  Every tolerance comes from
     ``rho_in`` when it is a DensityState; a raw matrix gets the defaults.
     """
     state0 = rho_in if isinstance(rho_in, DensityState) else DensityState(rho_in)
@@ -950,10 +934,10 @@ def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     if outcome is not _STOP:
         return outcome, trace
 
-    if run.base is None:  # stopped before the first stripped state existed
+    try:  # sufficient fallbacks on the input's stripped support
+        base, lift = strip_support(state0)
+    except ValueError:
         return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace
-    # sufficient fallbacks on the first stripped state, before any subtraction
-    base, lift = run.base
     fb = symmetric_split_check(base) or pt_symmetrizing_search(base)
     if fb is not None and fb.kind is VerdictKind.SEPARABLE:
         cert = SeparabilityCertificate([(w, _lift_pv(pv, lift)) for w, pv in fb.certificate.terms])

@@ -24,20 +24,17 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from sep2n.matrixcore import hermitize, partial_transpose_matrix
-from sep2n.polyelim import TRIM_REL_TOL, NonFinite
+from sep2n.polyelim import TRIM_REL_TOL, NonFinite, _inv_dft
 from sep2n.productfinder import (
     CHART_INFINITY_TOL,
-    KERNEL_PARTNER_REL_TOL,
     NULL_ACCEPT,
     NonGenericInput,
     ProductVector,
-    _inv_dft,
     _orthonormalize,
     orthonormal_complement,
 )
 from sep2n.sepengine import (
     KERNEL_IMAGE_ZERO_REL_TOL,
-    KERNEL_RESIDUAL_REL_TOL,
     PRODUCT_LINE_REL_TOL,
     SupportViolation,
 )
@@ -512,7 +509,7 @@ def scalar_partner_filter(state, vectors):
     pt_norm = max(state.norm, 1e-300)
     return [v for v in vectors
             if np.linalg.norm(state.pt_matrix @ v.conjugate_partner.vector)
-            <= KERNEL_PARTNER_REL_TOL * pt_norm]
+            <= NULL_ACCEPT * pt_norm]
 
 
 class VectorOutsideRange(Exception):
@@ -550,7 +547,7 @@ def scalar_best_subtraction(state, candidates):
 def scalar_kernel_term(state, v):
     """``(lam, sub_vec, (weight, pv))`` of one kernel product vector, or the first failed check."""
     n, norm = state.n, max(state.norm, 1e-300)
-    if np.linalg.norm(state.matrix @ v.vector) > KERNEL_RESIDUAL_REL_TOL * norm:
+    if np.linalg.norm(state.matrix @ v.vector) > NULL_ACCEPT * norm:
         raise ValueError("vector is not in the kernel of the state")
     e = v.e
     ehat = np.array([-np.conj(e[1]), np.conj(e[0])], dtype=complex)

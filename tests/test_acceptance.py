@@ -12,13 +12,14 @@ from sep2n.polyelim import (
     BivariatePoly,
     DegenerateElimination,
     eliminate_pair,
+    eliminate_paired,
     eliminate_single,
     pair_elimination_bound,
     single_elimination_bound,
     univariate_roots,
     verify_roots,
 )
-from sep2n.productfinder import build_paired_system, eliminate_paired, paired_products
+from sep2n.productfinder import build_paired_system, paired_products
 from sep2n.sepengine import VerdictKind, analyze, symmetric_split_check, verify_certificate
 
 from helpers import (

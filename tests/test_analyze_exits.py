@@ -231,6 +231,19 @@ def test_sampled_then_fallback():
     assert verify_certificate(m, verdict.certificate)
 
 
+def test_stripped_then_fallback():
+    # the input above on C2 x C5 with an empty fifth level: the fallbacks run on
+    # its stripped support and their terms are lifted back through the 5 x 4 isometry
+    m = np.zeros((10, 10), dtype=complex)
+    levels = [0, 1, 2, 3, 5, 6, 7, 8]
+    m[np.ix_(levels, levels)] = random_ppt_mixture(np.random.default_rng(1), 4)
+    verdict, _ = check(analyze(m), SEP, None,
+                       ["strip"] + ["subtract-sample"] * 4 + ["fallback-sufficient"],
+                       [NEG_AFTER_SAMPLING], nonexhaustive=True)
+    assert all(pv.f.shape == (5,) for _w, pv in verdict.certificate.terms)
+    assert verify_certificate(m, verdict.certificate)
+
+
 # ---------------------------------------------------------------------------
 # exits reached through replaced collaborators
 # ---------------------------------------------------------------------------

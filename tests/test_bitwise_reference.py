@@ -25,10 +25,13 @@ from sep2n.polyelim import (
     BivariatePoly,
     NonFinite,
     _alpha_divisible,
+    _block_rows_independent,
     _eval_stack,
+    _inv_dft,
     _is_zero,
     _scalar_proportional,
     _trim,
+    det_poly_bivariate,
 )
 from sep2n.productfinder import (
     REAL_ALPHA_GRID,
@@ -37,12 +40,10 @@ from sep2n.productfinder import (
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
-    _block_rows_independent,
     _chart_products,
     _chart_svd,
     _gate_and_polish,
     _inner,
-    _inv_dft,
     _orthonormalize,
     _pencil_roots,
     _phase_normalize,
@@ -50,7 +51,6 @@ from sep2n.productfinder import (
     _single_roots,
     _single_system,
     build_paired_system,
-    det_poly_bivariate,
     in_range,
     kernel_product_vectors,
     paired_products,

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from sep2n import polyelim, productfinder, sepengine
 from sep2n.polyelim import (
     MERGE_RADIUS,
     BivariatePoly,
@@ -18,7 +21,13 @@ from sep2n.polyelim import (
     _min_norm_steps,
 )
 
-from helpers import grid_root_oracle, plant_common_roots, scalar_verify_roots, sets_match
+from helpers import (
+    grid_root_oracle,
+    perfbench_corpus,
+    plant_common_roots,
+    scalar_verify_roots,
+    sets_match,
+)
 
 
 def poly(terms):
@@ -349,3 +358,35 @@ class TestGridOracleAgreement:
             assert sets_match(ours, oracle, radius=1e-6)
             checked += 1
         assert checked >= 20
+
+
+class TestLibraryNeverEliminates:
+    def test_analyze_on_the_corpora_calls_no_elimination(self, monkeypatch):
+        # every public function of polyelim, and the re-export of
+        # eliminate_paired in productfinder, records its calls
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        public = [name for name, fn in inspect.getmembers(polyelim, inspect.isfunction)
+                  if fn.__module__ == polyelim.__name__ and not name.startswith("_")]
+        assert {"eliminate_paired", "eliminate_pair", "eliminate_single", "univariate_roots",
+                "verify_roots"} <= set(public)
+        for name in public:
+            monkeypatch.setattr(polyelim, name, recorded(name, getattr(polyelim, name)))
+        monkeypatch.setattr(productfinder, "eliminate_paired",
+                            recorded("productfinder.eliminate_paired",
+                                     productfinder.eliminate_paired))
+        corpus = perfbench_corpus()
+        analyzed = 0
+        for workload in sorted(corpus.CORPORA):
+            for item in corpus.build(workload, 4242):
+                if item.n <= 4:
+                    sepengine.analyze(item.matrix)
+                    analyzed += 1
+        assert analyzed >= 400
+        assert calls == []

@@ -5,6 +5,7 @@ import pytest
 
 from sep2n import matrixcore, productfinder, sepengine
 from sep2n.matrixcore import DensityState, ToleranceConfig
+from sep2n.polyelim import _paired_dets, eliminate_paired
 from sep2n.productfinder import (
     PENCIL_CONVERGED,
     PENCIL_GATE,
@@ -18,10 +19,8 @@ from sep2n.productfinder import (
     _far_from_products,
     _orthonormalize,
     _single_roots,
-    _paired_dets,
     _single_system,
     build_paired_system,
-    eliminate_paired,
     kernel_product_vector,
     orthonormal_complement,
     paired_products,
@@ -357,6 +356,22 @@ class TestPairedProducts:
         assert res.note == "dimension count exceeds 3N"
         # the paired search samples no chart point
         assert [v.alpha for v in res.samples] == SAMPLES
+
+    def test_input_ranks_under_the_given_tol(self):
+        # each space: 4 orthonormal columns, one a planted vector, and a fifth
+        # orthogonal column of norm 1e-3, so rank 5 under the default cutoff,
+        # where the dimensions sum past 3N = 9, and rank 4 under rank_rel_tol 1e-2
+        def padded(h):
+            q = np.linalg.qr(h)[0]
+            return np.column_stack([q, 1e-3 * orthonormal_complement(q)[:, :1]])
+
+        h1, h2, (planted,) = _planted_paired_spaces(np.random.default_rng(12), 3, [0.7 - 0.4j],
+                                                    4, 4)
+        h1, h2 = padded(h1), padded(h2)
+        assert paired_products(h1, h2).note == "dimension count exceeds 3N"
+        res = paired_products(h1, h2, ToleranceConfig(rank_rel_tol=1e-2))
+        assert isinstance(res, list) and len(res) == 1
+        assert abs(np.vdot(planted.vector, res[0].vector)) > 1 - 1e-8
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("dim_f", [1, 2])
