@@ -217,8 +217,9 @@ def _write_json(path, doc: dict) -> None:
 # report assembly
 # ---------------------------------------------------------------------------
 
-def build_report(state: DensityState, verdict: Verdict, trace: ReductionTrace,
-                 label: str, elapsed: float, reverified: bool | None) -> dict:
+def build_report(state: DensityState, verdict: Verdict, trace: ReductionTrace, label: str,
+                 elapsed: float, reverified: bool | None, certificate: dict | None) -> dict:
+    """The report of an analysis; ``certificate`` is its certificate already serialized."""
     report = {
         "format_version": FORMAT_VERSION,
         "label": label,
@@ -226,8 +227,7 @@ def build_report(state: DensityState, verdict: Verdict, trace: ReductionTrace,
         "verdict": verdict.kind.value,
         "reason": verdict.reason,
         "ranks": {"rho": state.rank, "rho_ta": state.pt_rank},
-        "certificate": certificate_to_json(verdict.certificate)
-        if verdict.certificate is not None else None,
+        "certificate": certificate,
         "witness": _witness_to_json(verdict.witness),
         "trace": _trace_to_json(trace),
         "warnings": list(trace.notes),
@@ -261,15 +261,16 @@ def _analysis_report(state: DensityState, doc: dict) -> tuple[dict, int]:
     verdict, trace = analyze(state)
     elapsed = time.perf_counter() - start
     reverified = None
+    cert = None if verdict.certificate is None else certificate_to_json(verdict.certificate)
     if verdict.kind is VerdictKind.SEPARABLE:
         # round-trip the certificate through its serialized form before
         # trusting it in the report
-        rt = certificate_from_json(certificate_to_json(verdict.certificate))
-        reverified = verify_certificate(state, rt)
+        reverified = verify_certificate(state, certificate_from_json(cert))
         if not reverified:
             verdict = Verdict(VerdictKind.INCONCLUSIVE, reason=REASON_REDUCTION_STALLED)
+            cert = None
             trace.notes.append("serialized certificate failed re-verification")
-    report = build_report(state, verdict, trace, doc.get("label", ""), elapsed, reverified)
+    report = build_report(state, verdict, trace, doc.get("label", ""), elapsed, reverified, cert)
     return report, EXIT_CODES[VerdictKind(report["report"]["verdict"])]
 
 

@@ -27,6 +27,7 @@ one scalar at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -109,12 +110,48 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj().swapaxes(1, 2) @ y)[:, 0, 0]
 
 
+# ``_row_norms`` squares a row of d entries safely when its largest |re| or
+# |im| lies in [LO, HI / sqrt(2d)]: that square does not underflow, and the
+# sum of the 2d squares does not overflow.
+_SQUARE_SAFE_LO = math.sqrt(np.finfo(float).tiny)
+_SQUARE_SAFE_HI = math.sqrt(np.finfo(float).max)
+# Row norms at or above this come from no row with a component below LO.
+_NORM_SAFE_LO = 2.0 ** -500
+
+
+def _square_safe(v: np.ndarray) -> np.ndarray:
+    """``v`` with each row whose largest component lies outside the safe range rescaled.
+
+    The scale is a power of two that takes that component to [1/2, 1); the
+    other rows keep their bits.
+    """
+    top = np.abs(v.view(float)).max(axis=1)
+    far = (top < _SQUARE_SAFE_LO) | (top > _SQUARE_SAFE_HI / math.sqrt(2 * v.shape[1]))
+    if not far.any():
+        return v
+    v = v.copy()
+    v[far] = np.ldexp(v[far].view(float), -np.frexp(top[far])[1][:, None]).view(complex)
+    return v
+
+
 def _phase_normalize(rows) -> np.ndarray:
-    """Each row of a (K, d) stack unit-normalized, its largest entry made real positive."""
+    """Each row of a (K, d) stack unit-normalized, its largest entry made real positive.
+
+    A row whose squares would under- or overflow is first rescaled
+    (``_square_safe``); two cheap tests, on the components before the norm
+    and on the norms after, skip that for every other stack.
+    """
     v = np.ascontiguousarray(rows, dtype=complex)
+    parts = v.view(float)
+    hi = _SQUARE_SAFE_HI / math.sqrt(max(parts.shape[1], 1))
+    if parts.size and not (parts.max() <= hi and parts.min() >= -hi):
+        v = _square_safe(v)
     nrm = _row_norms(v)
-    if np.any(nrm == 0):
-        raise ValueError("zero vector")
+    if not nrm.min(initial=1.0) >= _NORM_SAFE_LO:
+        v = _square_safe(v)
+        nrm = _row_norms(v)
+        if np.any(nrm == 0):
+            raise ValueError("zero vector")
     v = v / nrm[:, None]
     # numpy's scalar complex division rounds unlike its array division
     phases = np.array([row[i] / abs(row[i]) for row, i in zip(v, np.argmax(np.abs(v), axis=1))],
@@ -569,7 +606,10 @@ def _gate_and_polish(cs: ConstraintSystem, candidates: np.ndarray
     rows), and delta solves that real 2-unknown least-squares problem by its
     normal equations, unless they are singular (a double root).  One stacked
     SVD per step serves every moving candidate, the first also e = |0>.  Of
-    roots within MERGE_RADIUS of each other the most converged is kept.
+    roots within MERGE_RADIUS of each other the most converged is kept, and
+    a root stopped unconverged at the step cap is dropped when a converged
+    root lies within its last step: the polish was carrying it there, as it
+    carries a spurious eigenvalue that passed the gate beside a close pair.
     Returns the roots sorted by (re, im), then None, and the singular values
     and f of each point's last SVD.
     """
@@ -579,13 +619,18 @@ def _gate_and_polish(cs: ConstraintSystem, candidates: np.ndarray
     u, s, vh = np.linalg.svd(w, full_matrices=True)
     # e = |0>, the stack's last point, is neither gated nor polished
     roots, sigmas, fs, resids = [], [s[-1:]], [vh[-1:, -1].conj()], []
+    reach = {}  # the last step of each root, by index, that the cap stopped unconverged
     alphas, w, u, s, vh = candidates, w[:-1], u[:-1], s[:-1], vh[:-1]
     for step in range(PENCIL_POLISH_STEPS + 1):
         resid = s[:, n - 1] / np.maximum(s[:, 0], 1.0 + np.abs(alphas))
         if not step:
             keep = resid <= PENCIL_GATE
             alphas, w, u, s, vh, resid = (x[keep] for x in (alphas, w, u, s, vh, resid))
-        stop = (resid <= PENCIL_CONVERGED) | (step == PENCIL_POLISH_STEPS)
+        converged = resid <= PENCIL_CONVERGED
+        stop = converged | (step == PENCIL_POLISH_STEPS)
+        if step and step == PENCIL_POLISH_STEPS:
+            reach = {len(roots) + i: d for i, d in enumerate(np.abs(delta).tolist())
+                     if not converged[i]}
         roots += alphas[stop].tolist()
         resids += resid[stop].tolist()
         sigmas.append(s[stop])
@@ -608,7 +653,8 @@ def _gate_and_polish(cs: ConstraintSystem, candidates: np.ndarray
         det = g11 * g22 - g12 ** 2
         ok = det > PENCIL_SINGULAR_TOL * (g11 + g22) ** 2
         det = np.where(ok, det, 1.0)
-        alphas = alphas + np.where(ok, (g22 * b1 - g12 * b2 + 1j * (g11 * b2 - g12 * b1)) / det, 0.0)
+        delta = np.where(ok, (g22 * b1 - g12 * b2 + 1j * (g11 * b2 - g12 * b1)) / det, 0.0)
+        alphas = alphas + delta
         w = cs.stacked(alphas)
         u, s, vh = np.linalg.svd(w, full_matrices=True)
     # the stacks' rows are e = |0>, then the roots in stopping order; of
@@ -618,6 +664,11 @@ def _gate_and_polish(cs: ConstraintSystem, candidates: np.ndarray
     for k in sorted(range(1, len(points)), key=lambda k: resids[k - 1]):
         if not any(abs(points[k] - points[j]) <= MERGE_RADIUS for j in kept):
             kept.append(k)
+    # a root still moving at the cap goes when a converged root lies within its last step
+    if reach:
+        anchors = [points[j] for j in kept if resids[j - 1] <= PENCIL_CONVERGED]
+        kept = [k for k in kept if k - 1 not in reach
+                or all(abs(points[k] - a) > reach[k - 1] for a in anchors)]
     kept = sorted(kept, key=lambda k: (points[k].real, points[k].imag)) + [0]
     return [points[k] for k in kept], (np.concatenate(sigmas)[kept], np.concatenate(fs)[kept])
 
@@ -686,16 +737,24 @@ def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
 # paired search
 # ---------------------------------------------------------------------------
 
+def _paired_system(c1: np.ndarray, c2: np.ndarray) -> ConstraintSystem:
+    """Constraints of |e,f> in H1 and |e*,f> in H2, from their orthonormal complements."""
+    n = c1.shape[0] // 2
+    a1, b1 = _blocks(c1, n)
+    a2, b2 = _blocks(c2, n)
+    return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n)
+
+
 def build_paired_system(h1, h2) -> ConstraintSystem:
-    """Constraint blocks of the paired search; ``polyelim`` holds their determinants."""
+    """Constraint blocks of the paired search on raw bases, each orthonormalized and complemented.
+
+    ``polyelim`` holds their determinants.
+    """
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)
     if h1.shape[0] != h2.shape[0]:
         raise ValueError("subspaces live in different ambient spaces")
-    n = h1.shape[0] // 2
-    a1, b1 = _blocks(orthonormal_complement(h1), n)
-    a2, b2 = _blocks(orthonormal_complement(h2), n)
-    return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n)
+    return _paired_system(orthonormal_complement(h1), orthonormal_complement(h2))
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -787,17 +846,20 @@ def _pencil_roots(cs: ConstraintSystem) -> np.ndarray | None:
     return np.concatenate([(cos * rotated[keep] - sin) / e1[keep], cots[:passed]])
 
 
-def paired_products(h1, h2, tol: ToleranceConfig | None = None):
+def paired_products(h1, c1, h2, c2, tol: ToleranceConfig | None = None):
     """Product vectors with |e,f> in H1 and the conjugate partner in H2.
 
-    Returns an InfiniteFamily (with deterministic samples) when the
-    dimension count guarantees solutions for every e, or when the
-    constraints drop rank at every alpha; otherwise the finite list of
-    roots, sorted by alpha.  The finite roots are the eigenvalues of an
-    operator-determinant pencil (``_pencil_roots``), kept where the full
-    constraint stack drops rank, polished and merged
-    (``_gate_and_polish``), then range-tested by ``_chart_products``, where
-    the chart point e = |0> joins the roots.
+    ``h1`` and ``h2`` are orthonormal bases of H1 and H2, and ``c1`` and
+    ``c2`` of their orthogonal complements, all taken as given as in
+    ``products_in_subspace``: only their shapes are checked.  Returns an
+    InfiniteFamily (with deterministic samples) when the dimension count
+    guarantees solutions for every e, or when the constraints drop rank at
+    every alpha; otherwise the finite list of roots, sorted by alpha.  The
+    finite roots are the eigenvalues of an operator-determinant pencil
+    (``_pencil_roots``) on the complements' blocks, kept where the full
+    constraint stack drops rank, polished and merged (``_gate_and_polish``),
+    then range-tested by ``_chart_products``, where the chart point e = |0>
+    joins the roots.
 
     Raises
     ------
@@ -809,13 +871,23 @@ def paired_products(h1, h2, tol: ToleranceConfig | None = None):
         carries a solution space of dimension > 1.
     """
     tol = tol or DEFAULT_TOL
-    h1 = _orthonormalize(h1, tol)
-    h2 = _orthonormalize(h2, tol)
+    h1, c1 = _basis_and_complement(h1, c1)
+    h2, c2 = _basis_and_complement(h2, c2)
+    if h1.shape[0] != h2.shape[0]:
+        raise ValueError("subspaces live in different ambient spaces")
     n = h1.shape[0] // 2
-    cs = build_paired_system(h1, h2)
     if h1.shape[1] + h2.shape[1] > 3 * n:
-        return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
+        # A sample's f is one vector of a solution space of dimension > 1, so
+        # which one comes back depends on the bases; on the stalling families
+        # the verdicts after a sampled subtraction moved with them (CHANGES.md).
+        # The samples are therefore still taken on re-orthonormalized bases and
+        # SVD complements, until the fit of ROADMAP item 2 makes those exits
+        # basis-independent.  The finite roots below are intrinsic.
+        h1, h2 = _orthonormalize(h1, tol), _orthonormalize(h2, tol)
+        return InfiniteFamily(samples=_chart_products(build_paired_system(h1, h2), SAMPLE_ALPHAS,
+                                                      h1, h2, tol),
                               note="dimension count exceeds 3N")
+    cs = _paired_system(c1, c2)
     candidates = _pencil_roots(cs)
     if candidates is None:
         if all(_rank_drops(cs, SAMPLE_ALPHAS[:2])):

@@ -818,7 +818,8 @@ def _two_qubit(run: _Run, cur: DensityState):
 def _paired_search(run: _Run, cur: DensityState):
     """Subtract a sample of an infinite family, or expand over a finite one."""
     try:
-        res = paired_products(cur.range_basis, cur.pt_range_basis, cur.tol)
+        res = paired_products(cur.range_basis, cur.kernel_basis, cur.pt_range_basis,
+                              cur.pt_kernel_basis, cur.tol)
     except NonGenericInput as exc:
         return run.stop(f"paired search degenerated: {exc}")
     if isinstance(res, InfiniteFamily):

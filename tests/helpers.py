@@ -23,13 +23,16 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from sep2n.matrixcore import hermitize, partial_transpose_matrix
+from sep2n.matrixcore import hermitize, numerical_rank_kernel, partial_transpose_matrix
 from sep2n.polyelim import TRIM_REL_TOL, NonFinite, _inv_dft
 from sep2n.productfinder import (
     CHART_INFINITY_TOL,
     NULL_ACCEPT,
+    SAMPLE_ALPHAS,
+    ConstraintSystem,
     NonGenericInput,
     ProductVector,
+    _chart_products,
     _orthonormalize,
     orthonormal_complement,
 )
@@ -156,14 +159,36 @@ def random_ppt_mixture(rng, n):
     return (1 - mix) * raw + mix * np.eye(dim) / dim
 
 
-def basis_and_complement(h):
+def basis_and_complement(h, tol=None):
     """The orthonormal basis of span(h) and of its complement that a raw basis is searched on.
 
-    The single-subspace searches take both bases as given; these are the ones
-    ``_orthonormalize`` and ``orthonormal_complement`` derive from ``h``.
+    The searches take both bases as given; these are the ones
+    ``_orthonormalize`` (under ``tol``'s rank cutoff) and
+    ``orthonormal_complement`` derive from ``h``.
     """
-    h = _orthonormalize(h)
+    h = _orthonormalize(h, tol)
     return h, orthonormal_complement(h)
+
+
+def paired_bases(h1, h2, tol=None):
+    """``paired_products``'s first four arguments for raw bases h1 and h2: each basis, then its complement."""
+    return (*basis_and_complement(h1, tol), *basis_and_complement(h2, tol))
+
+
+def reference_sampled_paired(h1, h2, tol):
+    """The samples of a paired search past 3N as the raw-basis search took them.
+
+    Each basis is orthonormalized by SVD under ``tol``'s cutoff, then again
+    under the default one, and each complement is the SVD kernel of that
+    basis's adjoint; the constraint rows are those complements' halves.
+    """
+    h1, h2 = (numerical_rank_kernel(h, tol).range_basis for h in (h1, h2))
+    n = h1.shape[0] // 2
+    blocks = []
+    for h in (h1, h2):
+        comp = numerical_rank_kernel(numerical_rank_kernel(h).range_basis.conj().T).kernel_basis
+        blocks += [comp[:n].T.copy(), comp[n:].T.copy()]
+    return _chart_products(ConstraintSystem(*blocks, n=n), SAMPLE_ALPHAS, h1, h2, tol)
 
 
 def perfbench_corpus():

@@ -27,6 +27,7 @@ from helpers import (
     eig_rank,
     embedded_max_entangled,
     grid_root_oracle,
+    paired_bases,
     plant_common_roots,
     random_ppt_mixture,
     random_pt_invariant,
@@ -168,7 +169,7 @@ def test_criterion_07_rank_five_enumeration():
         assert (state.rank, state.pt_rank) == (5, 5)
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
         assert eliminate_paired(cs).degree <= 5
-        found = paired_products(state.range_basis, state.pt_range_basis)
+        found = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
         assert isinstance(found, list) and len(found) <= 5
         for v in found:
             res1 = np.linalg.norm(v.vector - state.range_basis

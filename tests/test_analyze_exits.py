@@ -338,9 +338,9 @@ def test_borderline_negative_expansion(monkeypatch, no_fallbacks):
 def test_empty_enumeration_after_sampling(monkeypatch, no_fallbacks):
     real = sepengine.paired_products
 
-    def paired(h1, h2, tol=None):
+    def paired(h1, c1, h2, c2, tol=None):
         # empty once the rank sum has come down to 3N = 12
-        return real(h1, h2, tol) if h1.shape[1] + h2.shape[1] > 12 else []
+        return real(h1, c1, h2, c2, tol) if h1.shape[1] + h2.shape[1] > 12 else []
 
     monkeypatch.setattr(sepengine, "paired_products", paired)
     check(analyze(sampled()), INC, REASON_REDUCTION_STALLED, ["subtract-sample"] * 4,

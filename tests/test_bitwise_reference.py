@@ -64,6 +64,7 @@ from helpers import (
     basis_and_complement,
     build_separable,
     count_svd_stacks,
+    paired_bases,
     perfbench_corpus,
     random_ppt_mixture,
     random_product_vector,
@@ -472,7 +473,8 @@ class TestCandidateScreens:
         for n in (3, 4):
             for m in (random_ppt_mixture(rng, n), random_pt_invariant(rng, n)):
                 state = DensityState(m)
-                res = paired_products(state.range_basis, state.pt_range_basis, state.tol)
+                bases = paired_bases(state.range_basis, state.pt_range_basis, state.tol)
+                res = paired_products(*bases, state.tol)
                 for cands in (getattr(res, "samples", res),
                               real_e_products(*basis_and_complement(state.range_basis),
                                               state.tol)):

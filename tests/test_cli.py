@@ -1,5 +1,6 @@
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ class TestAnalyzeCommand:
         assert report["report"]["verdict"] == "separable"
         assert report["report"]["reverified"] is True
         assert len(report["report"]["certificate"]["terms"]) == 3
+
+    def test_certificate_serialized_once(self, tmp_path, monkeypatch):
+        # the report carries the dict that the round-trip check re-read; a
+        # non-separable analysis serializes nothing
+        s, npt = tmp_path / "sep.json", tmp_path / "npt.json"
+        main(["generate", "--kind", "rank-n-separable", "--n", "3", "--seed", "2",
+              "--out", str(s)])
+        main(["generate", "--kind", "npt", "--n", "2", "--out", str(npt)])
+        made = []
+        monkeypatch.setattr(cli, "certificate_to_json",
+                            lambda cert: made.append(certificate_to_json(cert)) or made[-1])
+        report, code = cli.run_analysis(s)
+        assert code == 0 and len(made) == 1
+        assert report["report"]["certificate"] is made[0]
+        state, _doc = load_state(s)
+        assert made[0] == certificate_to_json(analyze(state)[0].certificate)
+        assert cli.run_analysis(npt)[0]["report"]["certificate"] is None and len(made) == 1
 
     def test_unwritable_report_is_input_error(self, tmp_path, capsys):
         s = tmp_path / "s.json"
@@ -243,6 +261,22 @@ class TestVerifyCommand:
         r.write_text(json.dumps({"certificate": {"terms": terms}}))
         assert main(["verify", str(s), str(r)]) == 1
         assert capsys.readouterr().err.startswith("invalid certificate:")
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_e_far_from_unit_scale_fails_reconstruction(self, tmp_path, capsys, scale):
+        # squaring such an e under- or overflows unless it is first rescaled;
+        # it is |0> up to scale, which the state's first term does not hold
+        s, r = self._analyzed_pair(tmp_path)
+        doc = json.loads(r.read_text())
+        doc["report"]["certificate"]["terms"][0]["e"] = [[scale, 0.0], [0.0, 0.0]]
+        r.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(s), str(r)]) == 1
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == "certificate FAILS reconstruction\n" and err == ""
 
     @staticmethod
     def _analyzed_pair(tmp_path):

@@ -18,6 +18,7 @@ from sep2n.productfinder import (
     _chart_svd,
     _far_from_products,
     _orthonormalize,
+    _paired_system,
     _single_roots,
     _single_system,
     build_paired_system,
@@ -35,9 +36,12 @@ from helpers import (
     build_separable,
     count_svd_stacks,
     eig_rank,
+    horodecki_2x4,
+    paired_bases,
     perfbench_corpus,
     random_product_vector,
     random_pt_invariant,
+    reference_sampled_paired,
     sets_match,
     shared_e_rank_n,
 )
@@ -335,7 +339,7 @@ class TestPairedProducts:
         m, gens, _ = build_separable(rng, 4, 5)
         state = DensityState(m)
         assert state.rank == 5 and state.pt_rank == 5
-        res = paired_products(state.range_basis, state.pt_range_basis)
+        res = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
         assert isinstance(res, list)
         assert len(res) <= 5
         for g in gens:
@@ -344,14 +348,15 @@ class TestPairedProducts:
 
     @pytest.mark.parametrize("shape", NOT_2N_ROWS)
     def test_refuses_row_count_not_2n(self, shape):
-        even = np.eye(6, dtype=complex)[:, :3]
-        for h1, h2 in ((np.ones(shape), even), (even, np.ones(shape))):
+        even = (np.eye(6, dtype=complex)[:, :3], np.eye(6, dtype=complex)[:, 3:])
+        bad = (np.ones(shape), np.ones((shape[0], 0)))
+        for args in ((*bad, *even), (*even, *bad)):
             with pytest.raises(ValueError, match=NOT_2N_MESSAGE):
-                paired_products(h1, h2)
+                paired_products(*args)
 
     def test_full_spaces_infinite(self):
         eye = np.eye(8, dtype=complex)
-        res = paired_products(eye, eye)
+        res = paired_products(*paired_bases(eye, eye))
         assert isinstance(res, InfiniteFamily)
         assert res.note == "dimension count exceeds 3N"
         # the paired search samples no chart point
@@ -368,8 +373,9 @@ class TestPairedProducts:
         h1, h2, (planted,) = _planted_paired_spaces(np.random.default_rng(12), 3, [0.7 - 0.4j],
                                                     4, 4)
         h1, h2 = padded(h1), padded(h2)
-        assert paired_products(h1, h2).note == "dimension count exceeds 3N"
-        res = paired_products(h1, h2, ToleranceConfig(rank_rel_tol=1e-2))
+        assert paired_products(*paired_bases(h1, h2)).note == "dimension count exceeds 3N"
+        tol = ToleranceConfig(rank_rel_tol=1e-2)
+        res = paired_products(*paired_bases(h1, h2, tol), tol)
         assert isinstance(res, list) and len(res) == 1
         assert abs(np.vdot(planted.vector, res[0].vector)) > 1 - 1e-8
 
@@ -383,7 +389,7 @@ class TestPairedProducts:
                                + 1j * rng.standard_normal((n, dim_f)))[0]
         h = np.kron(np.eye(2), f_basis)
         assert 4 * (n - dim_f) >= n
-        res = paired_products(h, h)
+        res = paired_products(*paired_bases(h, h))
         assert isinstance(res, InfiniteFamily)
         assert res.note == "all determinants vanish identically"
         assert [v.alpha for v in res.samples] == SAMPLES
@@ -400,7 +406,7 @@ class TestPairedProducts:
         (det,) = _paired_dets(build_paired_system(h1, h2))
         assert np.allclose(det.coeffs, [[-0.5, 0], [0, 0.5]])
         with pytest.raises(NonGenericInput, match="self-conjugate"):
-            paired_products(h1, h2)
+            paired_products(*paired_bases(h1, h2))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_equal_spaces_above_n_are_a_curve(self, n):
@@ -410,7 +416,7 @@ class TestPairedProducts:
         rng = np.random.default_rng(90 + n)
         h = rng.standard_normal((2 * n, n + 1)) + 1j * rng.standard_normal((2 * n, n + 1))
         with pytest.raises(NonGenericInput, match="self-conjugate"):
-            paired_products(h, h)
+            paired_products(*paired_bases(h, h))
 
     def test_rank_six_six_degree_bound(self):
         rng = np.random.default_rng(5)
@@ -426,7 +432,7 @@ class TestPairedProducts:
         for count in (5, 6):
             m, _, _ = build_separable(rng, 4, count)
             state = DensityState(m)
-            res = paired_products(state.range_basis, state.pt_range_basis)
+            res = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
             assert isinstance(res, list)
             for v in res:
                 assert membership_residual(state.range_basis, v.vector) < 1e-7
@@ -441,10 +447,10 @@ class TestPairedProducts:
                                  + 1j * rng.standard_normal((2 * n, 2 * n)))[0]
             # m1 + m2 = 3n + 1 -> infinite; m1 + m2 = 3n -> finite generic
             h1, h2 = basis[:, :7], basis[:, :6]
-            assert isinstance(paired_products(h1, h2), InfiniteFamily)
+            assert isinstance(paired_products(*paired_bases(h1, h2)), InfiniteFamily)
             h1b = np.linalg.qr(rng.standard_normal((2 * n, 6))
                                + 1j * rng.standard_normal((2 * n, 6)))[0]
-            res = paired_products(h1b, h2)
+            res = paired_products(*paired_bases(h1b, h2))
             assert isinstance(res, list)
 
     def test_count_bound_rank_five(self):
@@ -452,7 +458,7 @@ class TestPairedProducts:
         for _ in range(5):
             m, _, _ = build_separable(rng, 4, 5)
             state = DensityState(m)
-            res = paired_products(state.range_basis, state.pt_range_basis)
+            res = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
             assert isinstance(res, list) and len(res) <= 5
 
     def test_asymmetric_dimensions_with_planted_pair(self):
@@ -467,7 +473,7 @@ class TestPairedProducts:
         h2 = np.column_stack([v.conjugate_partner.vector, extra2])
         cs = build_paired_system(h1, h2)
         assert len(_paired_dets(cs)) == 2
-        found = paired_products(h1, h2)
+        found = paired_products(*paired_bases(h1, h2))
         assert isinstance(found, list)
         assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-7 for w in found)
 
@@ -480,7 +486,7 @@ class TestPairedProducts:
         state = DensityState(m)
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
         assert len(_paired_dets(cs)) == 3
-        found = paired_products(state.range_basis, state.pt_range_basis)
+        found = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
         alphas = [v.alpha for v in found if v.alpha is not None]
         oracle = grid_root_oracle(_paired_dets(cs), box=4.0, step=0.02)
         assert sets_match(alphas, oracle, radius=1e-5)
@@ -490,7 +496,7 @@ class TestPairedProducts:
     def planted_search(rng, n, alphas, m1, m2):
         """The paired search on random spaces of dimensions m1 and m2 that hold pairs at alphas."""
         h1, h2, planted = _planted_paired_spaces(rng, n, alphas, m1, m2)
-        found = paired_products(h1, h2)
+        found = paired_products(*paired_bases(h1, h2))
         assert isinstance(found, list)
         for v in planted:
             assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
@@ -555,8 +561,9 @@ class TestCloseRoots:
                 state = _close_pair_state(rng, n, n + paired, gap)
                 h1, comp = basis_and_complement(state.range_basis)
                 if paired:
-                    found = paired_products(state.range_basis, state.pt_range_basis)
-                    cs = build_paired_system(h1, _orthonormalize(state.pt_range_basis))
+                    bases = paired_bases(state.range_basis, state.pt_range_basis)
+                    found = paired_products(*bases)
+                    cs = _paired_system(bases[1], bases[3])
                 else:
                     found = products_in_subspace(h1, comp)
                     cs = _single_system(comp)
@@ -633,7 +640,7 @@ class TestDeflatedPencil:
         scale = max(1.0, float(np.abs(full).max()))
         assert sets_match(deflated, full, radius=1e-8 * scale)
         assert productfinder._pencil_roots(cs).size <= k
-        found = paired_products(h1, h2)
+        found = paired_products(*paired_bases(h1, h2))
         assert isinstance(found, list)
         for v in planted:
             assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
@@ -703,7 +710,7 @@ class TestHighPrecisionOracle:
         with mpmath.workdps(30):
             oracle = _mp_paired_alphas(mpmath.mp, build_paired_system(h1, h2),
                                        mpmath.mpc(0.4, 0.3), mpmath.mpc(0.3183, -0.5772))
-        found = paired_products(h1, h2)
+        found = paired_products(*paired_bases(h1, h2))
         assert isinstance(found, list)
         alphas = [v.alpha for v in found if v.alpha is not None]
         assert len(oracle) >= pairs
@@ -742,7 +749,7 @@ class TestOneVectorNearEZero:
             rng = np.random.default_rng([n, seed])
             alphas = [None if delta == 0 else 1 / delta] + _random_alphas(rng, n - 1)
             h1, h2, planted = _planted_paired_spaces(rng, n, alphas, n, n)
-            self._assert_planted(paired_products(h1, h2), planted)
+            self._assert_planted(paired_products(*paired_bases(h1, h2)), planted)
 
 
 class TestUniqueFAtSharedE:
@@ -768,7 +775,7 @@ class TestUniqueFAtSharedE:
     @pytest.mark.parametrize("e, alpha, _msg", CASES)
     def test_unique_f_found(self, e, alpha, _msg):
         h1, h2 = self._planted(np.random.default_rng(30), e, 1, 3)
-        res = paired_products(h1, h2)
+        res = paired_products(*paired_bases(h1, h2))
         assert isinstance(res, list) and len(res) == 1
         if alpha is None:
             assert res[0].alpha is None
@@ -781,7 +788,7 @@ class TestUniqueFAtSharedE:
     def test_non_unique_f_is_non_generic(self, e, _alpha, msg):
         h1, h2 = self._planted(np.random.default_rng(31), e, 2, 2)
         with pytest.raises(NonGenericInput, match=msg):
-            paired_products(h1, h2)
+            paired_products(*paired_bases(h1, h2))
 
 
 class TestChartProducts:
@@ -957,6 +964,105 @@ class TestStateBases:
                         assert np.all(overlaps >= 1 - 1e-10), (n, state.rank, overlaps)
                         compared += len(overlaps)
         assert compared >= 100
+
+
+def _paired_calls(monkeypatch, workload):
+    """(arguments, result, rank-decision calls inside) of each paired search on a corpus."""
+    calls, inside = [], []
+    with monkeypatch.context() as patch:
+        for name in ("numerical_rank_kernel", "_orthonormalize", "orthonormal_complement"):
+            def counted(*args, real=getattr(productfinder, name), name=name, **kwargs):
+                if inside:
+                    inside[-1][name] += 1
+                return real(*args, **kwargs)
+            patch.setattr(productfinder, name, counted)
+            if name == "numerical_rank_kernel":
+                patch.setattr(matrixcore, name, counted)
+
+        def paired(*args, real=sepengine.paired_products):
+            counts, result = Counter(), None
+            inside.append(counts)
+            try:
+                result = real(*args)
+                return result
+            finally:
+                inside.pop()
+                calls.append((args, result, counts))
+
+        patch.setattr(sepengine, "paired_products", paired)
+        for item in perfbench_corpus().build(workload, 4242):
+            sepengine.analyze(item.matrix)
+    return calls
+
+
+def _same_bits(ours, ref):
+    return len(ours) == len(ref) and all(
+        a.e.tobytes() == b.e.tobytes() and a.f.tobytes() == b.f.tobytes()
+        and a.vector.tobytes() == b.vector.tobytes() and a.alpha == b.alpha
+        for a, b in zip(ours, ref))
+
+
+class TestPairedStateBases:
+    """The finite paired search runs on the state's bases; past 3N it samples as before."""
+
+    def test_no_rank_decision_inside_the_range_enum_searches(self, monkeypatch):
+        calls = _paired_calls(monkeypatch, "range_enum")
+        assert len(calls) >= 90
+        assert all(not counts for _args, _res, counts in calls)
+
+    def test_sampled_searches_keep_their_six_decisions_and_their_bits(self, monkeypatch):
+        # the finite searches after a subtraction take none; past 3N the two
+        # orthonormalizations, build_paired_system's two and its two
+        # complements stay, and the samples keep the raw-basis path's bits
+        sampled = finite = 0
+        for (h1, _c1, h2, _c2, tol), res, counts in _paired_calls(monkeypatch,
+                                                                  "sampled_reduction"):
+            if h1.shape[1] + h2.shape[1] <= 3 * (h1.shape[0] // 2):
+                assert not counts
+                finite += 1
+                continue
+            assert counts == {"numerical_rank_kernel": 6, "_orthonormalize": 4,
+                              "orthonormal_complement": 2}
+            assert res.note == "dimension count exceeds 3N"
+            assert _same_bits(res.samples, reference_sampled_paired(h1, h2, tol))
+            sampled += 1
+        assert sampled >= 100 and finite >= 40
+
+    def test_state_bases_find_the_raw_basis_vectors(self):
+        # separable mixtures with r + r^T <= 3N: the search on the state's
+        # eigenbases returns the vectors of the search on the raw-basis pair,
+        # or refuses alike (N = 2 at rank 3); on the Horodecki states both
+        # return none
+        def search(*args):
+            try:
+                return paired_products(*args)
+            except NonGenericInput as exc:
+                return str(exc)
+
+        compared = refused = 0
+        for n in range(2, 9):
+            rng = np.random.default_rng([951, n])
+            for terms in range(n, 3 * n // 2 + 1):
+                state = DensityState(build_separable(rng, n, terms)[0])
+                assert state.rank + state.pt_rank <= 3 * n
+                ours = search(state.range_basis, state.kernel_basis, state.pt_range_basis,
+                              state.pt_kernel_basis, state.tol)
+                ref = search(*paired_bases(state.range_basis, state.pt_range_basis, state.tol),
+                             state.tol)
+                if isinstance(ours, str):
+                    assert ours == ref
+                    refused += 1
+                    continue
+                assert isinstance(ours, list) and len(ours) == len(ref) >= terms
+                overlaps = _matched_overlaps(ours, ref)
+                assert np.all(overlaps >= 1 - 1e-10), (n, terms, overlaps)
+                compared += len(overlaps)
+        assert compared >= 100 and refused <= 1
+        for b in np.arange(1, 10) / 10:
+            state = DensityState(horodecki_2x4(b))
+            assert paired_products(state.range_basis, state.kernel_basis, state.pt_range_basis,
+                                   state.pt_kernel_basis, state.tol) == []
+            assert paired_products(*paired_bases(state.range_basis, state.pt_range_basis)) == []
 
 
 def _kernel_scan_residual(comp, alpha, n):

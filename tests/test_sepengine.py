@@ -41,6 +41,7 @@ from helpers import (
     failing_once,
     horodecki_2x4,
     min_eig,
+    paired_bases,
     random_product_vector,
     random_pt_invariant,
     random_local_unitary,
@@ -138,7 +139,7 @@ class TestSubtract:
         rng = np.random.default_rng(6)
         m, _, _ = build_separable(rng, 4, 6)
         state = DensityState(m)
-        vectors = paired_products(state.range_basis, state.pt_range_basis)
+        vectors = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
         assert vectors
         new_state, lam, _, v = subtract(state, vectors[:1])
         assert min_eig(new_state.matrix) >= -1e-9 * state.norm
@@ -402,7 +403,7 @@ class TestBiorthogonal:
         rng = np.random.default_rng(16)
         m, _, _ = build_separable(rng, 4, 5)
         state = DensityState(m)
-        vectors = paired_products(state.range_basis, state.pt_range_basis)
+        vectors = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
         verdict = biorthogonal_check(state, vectors)
         assert verdict.kind is VerdictKind.SEPARABLE
         assert verify_certificate(state, verdict.certificate)
@@ -885,7 +886,7 @@ class TestToleranceOwnership:
             monkeypatch.setattr(module, name, fn)
 
         recording(productfinder, "products_in_subspace", 2)
-        for name, tol_at in [("paired_products", 2), ("real_e_products", 2),
+        for name, tol_at in [("paired_products", 4), ("real_e_products", 2),
                              ("psd_difference_check", 2), ("pt_invariant_decompose", None),
                              ("decompose_rank_n", None), ("biorthogonal_check", None),
                              ("symmetric_split_check", None), ("pt_symmetrizing_search", None)]:
