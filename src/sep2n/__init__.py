@@ -14,7 +14,6 @@ from .matrixcore import (
     numerical_rank_kernel,
     operator_norm,
     partial_transpose_matrix,
-    pseudoinverse,
     psd_difference_check,
 )
 from .productfinder import (

@@ -51,8 +51,10 @@ class InputError(Exception):
 # JSON encoding helpers
 # ---------------------------------------------------------------------------
 
-def _c2j(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _complex_to_json(a) -> list:
+    """A complex scalar or array as [re, im] pairs, nested as the array is."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def _j2c(pair) -> complex:
@@ -61,16 +63,8 @@ def _j2c(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_c2j(z) for z in row] for row in m]
-
-
 def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[_j2c(z) for z in row] for row in rows], dtype=complex)
-
-
-def _vector_to_json(v: np.ndarray) -> list:
-    return [_c2j(z) for z in v]
 
 
 def _vector_from_json(entries) -> np.ndarray:
@@ -81,7 +75,7 @@ def certificate_to_json(cert: SeparabilityCertificate) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "terms": [
-            {"weight": float(w), "e": _vector_to_json(pv.e), "f": _vector_to_json(pv.f)}
+            {"weight": float(w), "e": _complex_to_json(pv.e), "f": _complex_to_json(pv.f)}
             for w, pv in cert.terms
         ],
     }
@@ -111,7 +105,7 @@ def _trace_to_json(trace: ReductionTrace) -> dict:
             "lam": s.lam,
             "case": s.case,
             "alpha": "inf" if (s.op.startswith(("kernel", "subtract")) and s.alpha is None)
-                     else (_c2j(s.alpha) if s.alpha is not None else None),
+                     else (_complex_to_json(s.alpha) if s.alpha is not None else None),
             "ranks_before": list(s.ranks_before) if s.ranks_before else None,
             "ranks_after": list(s.ranks_after) if s.ranks_after else None,
             "n_before": s.n_before,
@@ -168,7 +162,7 @@ def state_to_json(matrix: np.ndarray, n: int, label: str = "",
     doc = {
         "format_version": FORMAT_VERSION,
         "n": int(n),
-        "matrix": _matrix_to_json(matrix),
+        "matrix": _complex_to_json(matrix),
     }
     if label:
         doc["label"] = label
@@ -217,35 +211,15 @@ def _write_json(path, doc: dict) -> None:
 # report assembly
 # ---------------------------------------------------------------------------
 
-def build_report(state: DensityState, verdict: Verdict, trace: ReductionTrace, label: str,
-                 elapsed: float, reverified: bool | None, certificate: dict | None) -> dict:
-    """The report of an analysis; ``certificate`` is its certificate already serialized."""
-    report = {
-        "format_version": FORMAT_VERSION,
-        "label": label,
-        "n": state.n,
-        "verdict": verdict.kind.value,
-        "reason": verdict.reason,
-        "ranks": {"rho": state.rank, "rho_ta": state.pt_rank},
-        "certificate": certificate,
-        "witness": _witness_to_json(verdict.witness),
-        "trace": _trace_to_json(trace),
-        "warnings": list(trace.notes),
-        "tolerances": state.tol.as_dict(),
-        "reverified": reverified,
-    }
-    return {"report": report, "timings": {"seconds": elapsed}}
-
-
 def _witness_to_json(witness: dict | None):
     if witness is None:
         return None
     out = {}
     for k, v in witness.items():
         if isinstance(v, complex):
-            out[k] = _c2j(v)
+            out[k] = _complex_to_json(v)
         elif isinstance(v, (list, tuple)):
-            out[k] = [_c2j(x) if isinstance(x, complex) else x for x in v]
+            out[k] = [_complex_to_json(x) if isinstance(x, complex) else x for x in v]
         else:
             out[k] = v
     return out
@@ -270,8 +244,21 @@ def _analysis_report(state: DensityState, doc: dict) -> tuple[dict, int]:
             verdict = Verdict(VerdictKind.INCONCLUSIVE, reason=REASON_REDUCTION_STALLED)
             cert = None
             trace.notes.append("serialized certificate failed re-verification")
-    report = build_report(state, verdict, trace, doc.get("label", ""), elapsed, reverified, cert)
-    return report, EXIT_CODES[VerdictKind(report["report"]["verdict"])]
+    report = {
+        "format_version": FORMAT_VERSION,
+        "label": doc.get("label", ""),
+        "n": state.n,
+        "verdict": verdict.kind.value,
+        "reason": verdict.reason,
+        "ranks": {"rho": state.rank, "rho_ta": state.pt_rank},
+        "certificate": cert,
+        "witness": _witness_to_json(verdict.witness),
+        "trace": _trace_to_json(trace),
+        "warnings": list(trace.notes),
+        "tolerances": state.tol.as_dict(),
+        "reverified": reverified,
+    }
+    return {"report": report, "timings": {"seconds": elapsed}}, EXIT_CODES[verdict.kind]
 
 
 # ---------------------------------------------------------------------------

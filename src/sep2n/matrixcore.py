@@ -28,7 +28,6 @@ __all__ = [
     "numerical_rank_kernel",
     "split_at_cutoff",
     "within_psd_tol",
-    "pseudoinverse",
     "psd_difference_check",
     "operator_norm",
     "operator_norm_at_most",
@@ -227,22 +226,11 @@ def numerical_rank_kernel(m, tol: ToleranceConfig | None = None) -> RankInfo:
     return RankInfo(rank, vh[rank:].conj().T, u[:, :rank])
 
 
-def pseudoinverse(m, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Spectral pseudoinverse of a Hermitian matrix.
+def _spectral_pinv(w: np.ndarray, v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Pseudoinverse of a Hermitian matrix from its eigendecomposition ``(w, v)``.
 
-    Eigenvalues below the rank cutoff are dropped, not inverted, so the
-    product ``M @ pinv(M)`` is the orthogonal projector onto the range of M.
+    Eigenvalues below the rank cutoff are dropped, not inverted.
     """
-    tol = tol or DEFAULT_TOL
-    m = as_complex_matrix(m)
-    if not _is_hermitian(m, tol):
-        raise ValueError("pseudoinverse requires a Hermitian matrix")
-    w, v = np.linalg.eigh(hermitize(m))
-    return _spectral_pinv(m, w, v, tol)
-
-
-def _spectral_pinv(m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Pseudoinverse of the Hermitian ``m`` from its eigendecomposition ``(w, v)``."""
     keep = split_at_cutoff(w, tol)[0]
     winv = np.zeros_like(w)
     winv[keep] = 1.0 / w[keep]
@@ -381,14 +369,13 @@ class DensityState:
 
     def pseudoinverse(self) -> np.ndarray:
         if self._pinv is None:
-            self._pinv = _spectral_pinv(self.matrix, self._eigvals, self._eigvecs, self.tol)
+            self._pinv = _spectral_pinv(self._eigvals, self._eigvecs, self.tol)
         return self._pinv
 
     def pt_pseudoinverse(self) -> np.ndarray:
         if self._pt_pinv is None:
             self._pt_pinv = (self.pseudoinverse() if self._pt_eigvecs is self._eigvecs else
-                             _spectral_pinv(self.pt_matrix, self._pt_eigvals, self._pt_eigvecs,
-                                            self.tol))
+                             _spectral_pinv(self._pt_eigvals, self._pt_eigvecs, self.tol))
         return self._pt_pinv
 
     def __repr__(self):

@@ -205,8 +205,7 @@ class ProductVector:
 
     ``alpha`` parametrizes ``e = (alpha|0> + |1>)/norm``; ``None`` marks the
     chart point e = |0> that the affine parametrization misses.  The
-    read-only ``vector`` e (x) f is built at construction unless given; the
-    ``conjugate_partner`` is built once, on first read.
+    read-only ``vector`` e (x) f is built at construction unless given.
     """
 
     e: np.ndarray
@@ -219,7 +218,6 @@ class ProductVector:
             vector = (self.e[:, None] * self.f[None, :]).ravel()
             vector.flags.writeable = False
         object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "_partner", None)
 
     @classmethod
     def from_alpha(cls, alpha: complex | None, f) -> "ProductVector":
@@ -231,10 +229,8 @@ class ProductVector:
 
     @property
     def conjugate_partner(self) -> "ProductVector":
-        if self._partner is None:
-            alpha = None if self.alpha is None else np.conj(self.alpha)
-            object.__setattr__(self, "_partner", ProductVector(np.conj(self.e), self.f, alpha))
-        return self._partner
+        alpha = None if self.alpha is None else np.conj(self.alpha)
+        return ProductVector(np.conj(self.e), self.f, alpha)
 
     def projector(self) -> np.ndarray:
         v = self.vector
@@ -257,8 +253,8 @@ class ConstraintSystem:
     """Orthocomplement blocks of a paired search; a single-subspace one has no partner block."""
 
     def __init__(self, a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray, n: int):
-        self.a1, self.b1, self.a2, self.b2, self.n = a1, b1, a2, b2, n
-        # the constraint rows at alpha are alpha * A* + B*
+        self.n = n
+        # only the conjugates are kept: the constraint rows at alpha are alpha * A* + B*
         self.conj_blocks = tuple(np.conj(x) for x in (a1, b1, a2, b2))
 
     def stacked(self, alphas: np.ndarray, conj_alphas: np.ndarray | None = None) -> np.ndarray:
@@ -306,13 +302,6 @@ def orthonormal_complement(h: np.ndarray) -> np.ndarray:
 def _blocks(comp: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows A[i] and B[i] of each complement vector split by the qubit index."""
     return comp[:n, :].T.copy(), comp[n:, :].T.copy()
-
-
-def _single_system(comp: np.ndarray) -> ConstraintSystem:
-    """Constraints of |e,f> in H alone, from H's orthonormal complement: no partner rows."""
-    a, b = _blocks(comp, comp.shape[0] // 2)
-    empty = np.zeros((0, a.shape[1]), dtype=complex)
-    return ConstraintSystem(a1=a, b1=b, a2=empty, b2=empty, n=a.shape[1])
 
 
 def in_range(basis: np.ndarray, vecs: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -474,9 +463,10 @@ def _far_from_products(h: np.ndarray, n: int) -> bool:
     for the top and bottom N rows H_0, H_1 of h and G_ij = H_i^dag H_j,
     D_1 = (G_01 + G_10)/2, D_2 = i (G_10 - G_01)/2 and D_3 = (G_00 - G_11)/2.
 
-    Why True means the full search returns []: with the complement blocks A,
-    B of ``_single_system`` and e proportional to (alpha, 1), the constraint
-    matrix M = alpha A* + B* has sigma_N(M)^2 = (1 + |alpha|^2)(1 - lambda_max(K)).
+    Why True means the full search returns []: with the blocks A, B of H's
+    orthonormal complement (``_blocks``) and e proportional to (alpha, 1),
+    the constraint matrix M = alpha A* + B* has sigma_N(M)^2 = (1 +
+    |alpha|^2)(1 - lambda_max(K)).
     Since ||[A B]|| = 1, sigma_1(M) <= 1 + |alpha|, so the ``_has_null`` gate
     that every refined root must pass accepts only where 1 - lambda_max(K) <=
     2 NULL_ACCEPT^2.  At e = |0> the same identity gives sigma_N(A)^2 =
@@ -613,8 +603,8 @@ def _gate_and_polish(cs: ConstraintSystem, candidates: np.ndarray
     Returns the roots sorted by (re, im), then None, and the singular values
     and f of each point's last SVD.
     """
-    n, r1 = cs.n, cs.a1.shape[0]
-    ac1, ac2 = cs.conj_blocks[0], cs.conj_blocks[2]
+    n, (ac1, ac2) = cs.n, cs.conj_blocks[::2]
+    r1 = ac1.shape[0]
     w = np.concatenate([cs.stacked(candidates), np.concatenate([ac1, ac2])[None]])
     u, s, vh = np.linalg.svd(w, full_matrices=True)
     # e = |0>, the stack's last point, is neither gated nor polished
@@ -711,7 +701,7 @@ def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
     n, m = h.shape[0] // 2, h.shape[1]
     if m == 0 or (m < n and _far_from_products(h, n)):
         return []
-    cs = _single_system(comp)
+    cs = _paired_system(comp, comp[:, :0])  # no partner rows
     samples = SAMPLE_ALPHAS + (None,)
     if m > n:
         return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
@@ -915,7 +905,8 @@ def real_e_products(h, comp, tol: ToleranceConfig | None = None) -> list[Product
     n, m = h.shape[0] // 2, h.shape[1]
     if m <= n:
         raise ValueError(f"real-e search needs dim(H) > N, got dim {m} with N={n}")
-    return _chart_products(_single_system(comp), REAL_ALPHA_GRID + (None,), h, None, tol)
+    return _chart_products(_paired_system(comp, comp[:, :0]), REAL_ALPHA_GRID + (None,),
+                           h, None, tol)
 
 
 def kernel_product_vectors(state):

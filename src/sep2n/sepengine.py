@@ -91,9 +91,6 @@ TIE_REL_TOL = 1e-8
 PT_INVARIANCE_REL_TOL = 1e-8
 # Relative size, against the state it came from, under which a remainder is zero.
 _ZERO_REL_TOL = 1e-12
-# Relative size under which rho annihilates |e_hat, f>: the rank cutoff's scale, where
-# the support is not full and must be stripped first.
-KERNEL_IMAGE_ZERO_REL_TOL = 1e-9
 # Relative distance of rho|e_hat, f> from |e_hat> (x) g under which the image is one
 # product line, so that subtracting it drops both ranks.
 PRODUCT_LINE_REL_TOL = 1e-7
@@ -255,9 +252,12 @@ def _kernel_terms(state: DensityState, vectors) -> list:
     With e_hat orthogonal to e, the image ``rho|e_hat, f>`` must be a product
     line ``|e_hat> (x) g``; the term is ``lam |e_hat, g><e_hat, g|`` with
     ``lam = 1 / <g|f>``.  For a state that is a sum of N product terms, the
-    kernel vector orthogonal to all but one of them picks out that one.
-    Every check runs on the stack of all vectors; the first vector that fails
-    one raises, with the first check it fails, as a loop over them would.
+    kernel vector orthogonal to all but one of them picks out that one.  An
+    image no larger than the state's rank cutoff, ``rank_rel_tol`` times its
+    norm, means the state annihilates |e_hat, f>: the support is not full and
+    must be stripped first (``SupportViolation``).  Every check runs on the
+    stack of all vectors; the first vector that fails one raises, with the
+    first check it fails, as a loop over them would.
 
     Returns one ``(lam, sub_vec, (weight, pv))`` per vector: ``sub_vec`` is
     the unnormalized |e_hat, g> and ``weight`` times the projector of ``pv``
@@ -278,7 +278,7 @@ def _kernel_terms(state: DensityState, vectors) -> list:
     checks = (
         (residual > NULL_ACCEPT * norm,
          ValueError("vector is not in the kernel of the state")),
-        (wn <= KERNEL_IMAGE_ZERO_REL_TOL * norm,
+        (wn <= state.tol.rank_rel_tol * norm,
          SupportViolation("state annihilates |e_hat, f>; strip the support first")),
         (_row_norms(w - sub_vecs) > PRODUCT_LINE_REL_TOL * wn,
          NonGenericInput("kernel image is not a product line")),
@@ -531,13 +531,6 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
 # sufficient fallback checks
 # ---------------------------------------------------------------------------
 
-def antisymmetric_block(state: DensityState) -> np.ndarray:
-    """Hermitian B with rho = (rho + rho^TA)/2 + sy (x) B, sy the qubit y-rotation."""
-    n = state.n
-    m = state.matrix
-    return hermitize(-0.5j * (m[:n, n:] - m[n:, :n]))
-
-
 def symmetric_split_check(state: DensityState) -> Verdict | None:
     """Sufficient separability check via the symmetric/antisymmetric split.
 
@@ -547,9 +540,10 @@ def symmetric_split_check(state: DensityState) -> Verdict | None:
     remainder.  Returns None when the compensator does not fit under the
     invariant part; the criterion is only sufficient.
     """
-    n = state.n
-    rho_s = hermitize((state.matrix + state.pt_matrix) / 2)
-    b = antisymmetric_block(state)
+    n, m = state.n, state.matrix
+    rho_s = hermitize((m + state.pt_matrix) / 2)
+    # the Hermitian B with rho = rho_s + sy (x) B, sy the qubit y-rotation
+    b = hermitize(-0.5j * (m[:n, n:] - m[n:, :n]))
     lam_b, vec_b = np.linalg.eigh(b)
     scale = max(float(np.max(np.abs(lam_b))), 0.0)
     keep = [i for i in range(lam_b.size) if abs(lam_b[i]) > 1e-14 * max(scale, state.norm)]

@@ -37,7 +37,6 @@ from sep2n.productfinder import (
     orthonormal_complement,
 )
 from sep2n.sepengine import (
-    KERNEL_IMAGE_ZERO_REL_TOL,
     PRODUCT_LINE_REL_TOL,
     SupportViolation,
 )
@@ -578,7 +577,7 @@ def scalar_kernel_term(state, v):
     ehat = np.array([-np.conj(e[1]), np.conj(e[0])], dtype=complex)
     w = state.matrix @ (ehat[:, None] * v.f[None, :]).ravel()
     wn = np.linalg.norm(w)
-    if wn <= KERNEL_IMAGE_ZERO_REL_TOL * norm:
+    if wn <= state.tol.rank_rel_tol * norm:
         raise SupportViolation("state annihilates |e_hat, f>; strip the support first")
     g = np.conj(ehat[0]) * w[:n] + np.conj(ehat[1]) * w[n:]
     sub_vec = (ehat[:, None] * g[None, :]).ravel()

@@ -45,11 +45,11 @@ from sep2n.productfinder import (
     _gate_and_polish,
     _inner,
     _orthonormalize,
+    _paired_system,
     _pencil_roots,
     _phase_normalize,
     _row_norms,
     _single_roots,
-    _single_system,
     build_paired_system,
     in_range,
     kernel_product_vectors,
@@ -137,7 +137,7 @@ def single_case(rng, n, m):
     """
     gens = [random_product_vector(rng, n) for _ in range(m - 1)]
     h, comp = basis_and_complement(np.column_stack([g.vector for g in gens] + [cvec(rng, 2 * n)]))
-    cs = _single_system(comp)
+    cs = _paired_system(comp, comp[:, :0])
     near = [g.alpha + 1e-4 * complex(*rng.standard_normal(2)) for g in gens if g.alpha is not None]
     far = list(2.0 * rng.standard_normal(3) + 2j * rng.standard_normal(3))
     return h, cs, _gate_and_polish(cs, _single_roots(cs))[0][:-1] + near + far
@@ -163,7 +163,7 @@ class TestRefinement:
         for m in range(1, n + 1):
             for _ in range(3):
                 h, cs, alphas = single_case(rng, n, m)
-                assert cs.a2.shape[0] == 0
+                assert cs.conj_blocks[2].shape[0] == 0
                 ours = _chart_products(cs, alphas, h, None, TOL)
                 assert_same_vectors(ours, scalar_root_products(alphas, cs, h, None, TOL))
                 kept += len(ours)
@@ -189,7 +189,7 @@ class TestRefinement:
         gens = [random_product_vector(rng, n) for _ in range(3)]
         cols = [g.vector for g in gens] + [cvec(rng, 2 * n)]
         h, comp = basis_and_complement(np.column_stack(cols))
-        cs = _single_system(comp)
+        cs = _paired_system(comp, comp[:, :0])
         a = [g.alpha for g in gens]
         starts = [a[0], a[0] + 1e-8, a[1], a[0] + 5e-7j, a[1] - 2e-7, a[2], a[0] + 2e-6, a[2]]
         points, svd = _gate_and_polish(cs, np.array(starts))
@@ -244,7 +244,7 @@ class TestRefinement:
         for n in (3, 4, 5):
             cols = [cvec(rng, 2 * n) for _ in range(n - 1)]
             h, comp = basis_and_complement(np.column_stack(cols))
-            cs = _single_system(comp)
+            cs = _paired_system(comp, comp[:, :0])
             alphas = _single_roots(cs)
             assert alphas.size == n
             sigmas = np.linalg.svd(cs.stacked(alphas), compute_uv=False)
@@ -335,7 +335,7 @@ class TestChartSamples:
         rng = np.random.default_rng(300 + n)
         for m in (n + 1, 2 * n - 1):
             h, comp = basis_and_complement(np.column_stack([cvec(rng, 2 * n) for _ in range(m)]))
-            cs = _single_system(comp)
+            cs = _paired_system(comp, comp[:, :0])
             for alphas in (SAMPLE_ALPHAS, REAL_ALPHA_GRID):
                 ours = _chart_products(cs, alphas, h, None, TOL)
                 assert len(ours) == len(alphas)

@@ -20,7 +20,6 @@ from sep2n.productfinder import (
     _orthonormalize,
     _paired_system,
     _single_roots,
-    _single_system,
     build_paired_system,
     kernel_product_vector,
     orthonormal_complement,
@@ -86,7 +85,6 @@ class TestProductVector:
         partner = pv.conjugate_partner
         assert np.allclose(partner.e, np.conj(pv.e))
         assert np.allclose(partner.f, pv.f)
-        assert pv.conjugate_partner is partner
         for v in (pv, partner, random_product_vector(rng, 1), random_product_vector(rng, 8)):
             assert v.vector.tobytes() == np.kron(v.e, v.f).tobytes()
             assert v.vector is v.vector
@@ -267,7 +265,7 @@ class TestProductFreeProof:
         for m in range(1, n):
             h, comp = basis_and_complement(_cvec(rng, 2 * n, m))
             pencil = _bloch_pencil(h, n)
-            ac, bc = _single_system(comp).conj_blocks[:2]
+            ac, bc = _paired_system(comp, comp[:, :0]).conj_blocks[:2]
             for e in (*_cvec(rng, 4, 2), [1.0, 0.0]):
                 e = np.asarray(e, dtype=complex) / np.linalg.norm(e)
                 x = np.real(np.conj(e) @ PAULI @ e)
@@ -566,7 +564,7 @@ class TestCloseRoots:
                     cs = _paired_system(bases[1], bases[3])
                 else:
                     found = products_in_subspace(h1, comp)
-                    cs = _single_system(comp)
+                    cs = _paired_system(comp, comp[:, :0])
                 assert len(found) >= n + paired
                 for v in found:
                     assert v.alpha is None or _converged(cs, v.alpha), (gap, rep, v.alpha)
@@ -583,7 +581,7 @@ class TestPolishStacks:
         for seed in range(5):
             state = DensityState(build_separable(np.random.default_rng([n, seed]), n, n)[0])
             h, comp = basis_and_complement(state.kernel_basis)
-            cs = _single_system(comp)
+            cs = _paired_system(comp, comp[:, :0])
             candidates = _single_roots(cs)
             s = _chart_svd(cs, list(candidates))[0]
             gated = s[:, -1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(candidates))
@@ -622,7 +620,7 @@ class TestDeflatedPencil:
         h1, h2, planted = _planted_paired_spaces(rng, n, _random_alphas(rng, min(2, m1, m2)),
                                                  m1, m2)
         cs = build_paired_system(h1, h2)
-        r1, r2 = cs.a1.shape[0], cs.a2.shape[0]
+        r1, r2 = cs.conj_blocks[0].shape[0], cs.conj_blocks[2].shape[0]
         assert r1 + r2 - n in (0, 1, 2) and r1 != r2
         k1 = min(r1, max(n - r2, n // 2))
         k = k1 ** 2 + (n - k1) ** 2
@@ -655,8 +653,8 @@ def _mp_paired_alphas(mp, cs, gamma, shift):
     z, and a root is kept where beta = conj(alpha) and sigma_N of the
     constraint stack at alpha vanishes.
     """
-    n, r1 = cs.n, cs.a1.shape[0]
-    assert r1 + cs.a2.shape[0] == n
+    n, r1 = cs.n, cs.conj_blocks[0].shape[0]
+    assert r1 + cs.conj_blocks[2].shape[0] == n
     zero = np.zeros((n, n), dtype=complex)
     a, c = zero.copy(), zero.copy()
     a[:r1], c[r1:] = cs.conj_blocks[0], cs.conj_blocks[2]

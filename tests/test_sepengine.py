@@ -239,6 +239,25 @@ class TestReduceByKernel:
         reduced, _, _ = reduce_by_kernel(state, pv)
         assert np.linalg.norm(reduced.matrix - reduced.pt_matrix) < 1e-8 * reduced.norm
 
+    @pytest.mark.parametrize("rank_rel_tol, annihilated", [(1e-9, False), (1e-8, False),
+                                                           (1e-6, True), (1e-4, True)])
+    def test_support_violation_threshold_is_the_rank_cutoff(self, rank_rel_tol, annihilated):
+        # rho = diag(0, 1, eps, 1) on |00>, |01>, |10>, |11>: |0,0> is in the
+        # kernel and rho|1,0> = eps |1,0>, which the state annihilates exactly
+        # when eps lies at or below its rank cutoff
+        eps = 1e-7
+        state = DensityState(np.diag([0.0, 1.0, eps, 1.0]).astype(complex),
+                             tol=ToleranceConfig(rank_rel_tol=rank_rel_tol))
+        v = ProductVector.from_e_f(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        assert (eps <= rank_rel_tol) == annihilated
+        if annihilated:
+            with pytest.raises(sepengine.SupportViolation):
+                reduce_by_kernel(state, v)
+        else:
+            _reduced, (weight, pv), _iso = reduce_by_kernel(state, v)
+            assert abs(weight - eps) <= 1e-12 * eps
+            assert np.allclose(pv.vector, [0, 0, 1, 0])
+
 
 class TestDecomposeRankN:
     def test_base_case(self):

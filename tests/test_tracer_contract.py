@@ -1,0 +1,40 @@
+"""The names ``perfbench/tracing.py`` binds in sep2n.
+
+The benchmark's span tracer looks its functions up by name; a library
+change that deletes or renames one breaks ``perfbench/run.py --trace 1``.
+These checks name the missing binding at once, without running a workload.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from sep2n import cli, productfinder
+
+from helpers import embedded_max_entangled
+
+TOOL = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_spec = importlib.util.spec_from_file_location("tracing", TOOL)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+
+@pytest.mark.parametrize("span", tracing.SPAN_NAMES)
+def test_every_traced_name_resolves(span):
+    mod_name, fn_name = span.split(".")
+    assert callable(getattr(tracing.MODULES[mod_name], fn_name, None)), span
+
+
+def test_counted_result_types_exist():
+    assert isinstance(productfinder.InfiniteFamily, type)
+    assert issubclass(productfinder.NonGenericInput, Exception)
+
+
+def test_run_analysis_returns_report_and_code(tmp_path):
+    # the tracer's counter reads ``result[0]["timings"]["seconds"]``
+    path = tmp_path / "npt.json"
+    path.write_text(json.dumps(cli.state_to_json(embedded_max_entangled(2), 2)))
+    doc, code = cli.run_analysis(path)
+    assert isinstance(doc["timings"]["seconds"], float) and code == 2
