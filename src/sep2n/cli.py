@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -87,13 +88,19 @@ def certificate_from_json(data) -> SeparabilityCertificate:
     if not isinstance(data, dict) or "terms" not in data:
         raise InputError("no certificate terms found")
     terms = []
-    try:
-        for t in data["terms"]:
-            terms.append((float(t["weight"]),
-                          ProductVector.from_e_f(_vector_from_json(t["e"]),
-                                                 _vector_from_json(t["f"]))))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise InputError(f"bad certificate term: {exc!r}") from exc
+    for i, t in enumerate(data["terms"]):
+        bad = f"bad certificate term {i}"
+        try:
+            weight, e, f = t["weight"], _vector_from_json(t["e"]), _vector_from_json(t["f"])
+            # bools are ints; an int too large for a float overflows in isfinite
+            if isinstance(weight, bool) or not (isinstance(weight, (int, float))
+                                                and math.isfinite(weight)):
+                raise InputError(f"{bad}: weight must be a finite number, got {json.dumps(weight)}")
+            if not (e.size and f.size and np.isfinite(e).all() and np.isfinite(f).all()):
+                raise InputError(f"{bad}: e and f must be nonempty with finite entries")
+            terms.append((float(weight), ProductVector.from_e_f(e, f)))
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{bad}: {exc!r}") from exc
     return SeparabilityCertificate(terms)
 
 

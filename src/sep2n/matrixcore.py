@@ -257,43 +257,17 @@ def psd_difference_check(x, y, tol: ToleranceConfig | None = None) -> bool:
     return not w.size or within_psd_tol(float(w[0]), norm, tol)
 
 
-class _PTField:
-    """A field of the partial transpose's spectral data, filled in on first read.
-
-    A non-data descriptor: the first read of any such field fills all of them
-    into the instance dictionary, which later reads hit directly, and an
-    assignment shadows the field like a plain attribute.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        obj._fill_pt_spectrum()
-        return obj.__dict__[self.name]
-
-
 class DensityState:
     """Hermitian PSD operator on C2 x CN with cached rank/kernel data.
 
-    The matrix is symmetrized and its spectral data computed at construction.
-    The partial transpose's spectral data (``pt_rank``, its bases,
-    ``pt_min_eigenvalue`` and the ``warnings`` they add to) are computed on
-    first read, and are the state's own when ``pt_matrix`` equals ``matrix``
-    byte for byte.  Instances are treated as immutable afterwards.  Trace
-    does not have to be 1, only positive.  Both pseudoinverses are built
-    from the cached eigendecompositions.
+    The matrix is symmetrized, and the spectral data of it and of its partial
+    transpose (``pt_rank``, its bases, ``pt_min_eigenvalue`` and the
+    ``warnings`` both add to) are computed at construction; the transpose's
+    are the state's own when ``pt_matrix`` equals ``matrix`` byte for byte.
+    Instances are treated as immutable afterwards.  Trace does not have to
+    be 1, only positive.  Both pseudoinverses are built from the cached
+    eigendecompositions.
     """
-
-    _pt_eigvals = _PTField()
-    _pt_eigvecs = _PTField()
-    pt_min_eigenvalue = _PTField()
-    pt_rank = _PTField()
-    pt_kernel_basis = _PTField()
-    pt_range_basis = _PTField()
-    warnings = _PTField()
 
     def __init__(self, matrix, n: int | None = None, tol: ToleranceConfig | None = None,
                  require_psd: bool = True):
@@ -334,10 +308,19 @@ class DensityState:
             if self.trace <= 0:
                 raise ValueError(f"trace must be positive, got {self.trace:.3e}")
 
-        self.rank, self.kernel_basis, self.range_basis, self._borderline = self._split(
-            self._eigvals, self._eigvecs)
+        split = self._split(self._eigvals, self._eigvecs)
+        self.rank, self.kernel_basis, self.range_basis, borderline = split
+        if self.pt_matrix.tobytes() == self.matrix.tobytes():
+            self._pt_eigvals, self._pt_eigvecs = self._eigvals, self._eigvecs
+        else:
+            self._pt_eigvals, self._pt_eigvecs = np.linalg.eigh(self.pt_matrix)
+            split = self._split(self._pt_eigvals, self._pt_eigvecs)
+        self.pt_rank, self.pt_kernel_basis, self.pt_range_basis, pt_borderline = split
+        self.pt_min_eigenvalue = float(self._pt_eigvals[0])
+        self.warnings = [f"{label}: {count} eigenvalue(s) within 10x of the rank cutoff"
+                         for label, count in (("rho", borderline), ("rho_pt", pt_borderline))
+                         if count]
         self._pinv = None
-        self._pt_pinv = None
 
     def _split(self, w, v):
         """Rank, kernel and range bases, and the count of eigenvalues near the cutoff."""
@@ -345,23 +328,6 @@ class DensityState:
         order = np.argsort(-np.abs(w))
         kept = keep[order]
         return int(np.count_nonzero(kept)), v[:, order[~kept]], v[:, order[kept]], borderline
-
-    def _fill_pt_spectrum(self):
-        """Compute every ``_PTField``; a field assigned before keeps its value."""
-        if self.pt_matrix.tobytes() == self.matrix.tobytes():
-            w, v = self._eigvals, self._eigvecs
-            split = self.rank, self.kernel_basis, self.range_basis, self._borderline
-        else:
-            w, v = np.linalg.eigh(self.pt_matrix)
-            split = self._split(w, v)
-        warnings = [f"{label}: {count} eigenvalue(s) within 10x of the rank cutoff"
-                    for label, count in (("rho", self._borderline), ("rho_pt", split[3]))
-                    if count]
-        fields = dict(zip(("pt_rank", "pt_kernel_basis", "pt_range_basis"), split),
-                      _pt_eigvals=w, _pt_eigvecs=v, pt_min_eigenvalue=float(w[0]),
-                      warnings=warnings)
-        for name, value in fields.items():
-            self.__dict__.setdefault(name, value)
 
     @property
     def is_ppt(self) -> bool:
@@ -373,10 +339,9 @@ class DensityState:
         return self._pinv
 
     def pt_pseudoinverse(self) -> np.ndarray:
-        if self._pt_pinv is None:
-            self._pt_pinv = (self.pseudoinverse() if self._pt_eigvecs is self._eigvecs else
-                             _spectral_pinv(self._pt_eigvals, self._pt_eigvecs, self.tol))
-        return self._pt_pinv
+        if self._pt_eigvecs is self._eigvecs:
+            return self.pseudoinverse()
+        return _spectral_pinv(self._pt_eigvals, self._pt_eigvecs, self.tol)
 
     def __repr__(self):
         return (f"DensityState(n={self.n}, rank={self.rank}, pt_rank={self.pt_rank}, "

@@ -410,6 +410,8 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     w, u = np.linalg.eigh(hermitize(matrix))
     keep = split_at_cutoff(w, tol)[0] & (w > 0)
     v = u[:, keep] * np.sqrt(w[keep])
+    if not v.size:  # the zero matrix: the empty sum
+        return SeparabilityCertificate([])
     tau = v.conj().T @ _SPIN_FLIP @ v.conj()
     # Takagi vectors from the real symmetric embedding: [a; b] at eigenvalue
     # lam > 0 gives the column a + ib (its partner at -lam is i(a + ib)); the
@@ -635,14 +637,14 @@ def verify_certificate(state, cert: SeparabilityCertificate) -> bool:
 
     ``state`` is a DensityState, whose ``cert_recon_tol`` applies, or a
     matrix, which gets the default one.  Raises ``ValueError`` unless every
-    weight is positive and every term is a product of an e with 2 entries
-    and an f with N entries.
+    weight is positive and finite and every term is a product of an e with
+    2 entries and an f with N entries.
     """
     matrix, tol = _matrix_and_tol(state)
     n = matrix.shape[0] // 2
     for weight, pv in cert.terms:
-        if not (weight > 0):
-            raise ValueError(f"certificate weights must be positive, got {weight!r}")
+        if not (0 < weight < math.inf):
+            raise ValueError(f"certificate weights must be positive and finite, got {weight!r}")
         if pv.e.shape != (2,) or pv.f.shape != (n,):
             raise ValueError(f"certificate terms need e of shape (2,) and f of shape ({n},), "
                              f"got {pv.e.shape} and {pv.f.shape}")

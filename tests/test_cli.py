@@ -249,6 +249,23 @@ class TestVerifyCommand:
         assert main(["verify", str(s), str(r)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", float("inf")), ("e", [[float("nan"), 0.0], [1.0, 0.0]]),
+        ("f", []), ("weight", True), ("weight", 10**400),
+    ], ids=["infinite-weight", "nan-in-e", "empty-f", "bool-weight", "int-past-float-weight"])
+    def test_bad_term_named_before_numpy(self, tmp_path, capsys, field, value):
+        s, r = self._analyzed_pair(tmp_path)
+        doc = json.loads(r.read_text())
+        doc["report"]["certificate"]["terms"][1][field] = value
+        r.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(s), str(r)]) == 1
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad certificate term 1: ")
+
     def test_non_product_terms_rejected(self, tmp_path, capsys):
         # eigenvectors of a PPT-entangled state, each posing as e (x) [1]
         m = horodecki_2x4(0.5)

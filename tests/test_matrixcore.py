@@ -137,7 +137,7 @@ def pt_invariant_bytes(rng, n):
 
 
 def assert_eager_pt_fields(state):
-    """The lazy PT fields equal those of an ``eigh`` of ``pt_matrix`` taken now."""
+    """The PT fields equal those of an ``eigh`` of ``pt_matrix`` taken now."""
     w, v = np.linalg.eigh(state.pt_matrix)
     assert state._pt_eigvals.tobytes() == w.tobytes()
     assert state._pt_eigvecs.tobytes() == v.tobytes()
@@ -151,7 +151,11 @@ def assert_eager_pt_fields(state):
 
 
 class TestLazyTransposeSpectrum:
-    """The partial transpose's spectrum is computed on first read, and shared when equal."""
+    """The partial transpose's spectrum is computed at construction, and shared when equal.
+
+    The name predates eager construction; it stays so that the ids of these
+    tests stay stable.
+    """
 
     def test_bytewise_invariant_state_shares_the_spectrum(self):
         rng = np.random.default_rng(70)
@@ -174,7 +178,7 @@ class TestLazyTransposeSpectrum:
         assert state._pt_eigvecs is not state._eigvecs
         assert_eager_pt_fields(state)
 
-    def test_lazy_fields_equal_an_eager_eigh(self):
+    def test_fields_equal_an_eager_eigh(self):
         rng = np.random.default_rng(71)
         npt = np.zeros((4, 4), dtype=complex)
         npt[[0, 0, 3, 3], [0, 3, 0, 3]] = 0.5
@@ -183,8 +187,35 @@ class TestLazyTransposeSpectrum:
                   np.zeros((4, 4), dtype=complex)]
         for m in inputs:
             state = DensityState(m, require_psd=False)
-            assert "pt_rank" not in vars(state)
             assert_eager_pt_fields(state)
+
+    def test_construction_takes_every_eigh(self, monkeypatch):
+        # one eigh when the transpose shares rho's spectrum, two otherwise;
+        # no field or pseudoinverse read afterwards takes another
+        rng = np.random.default_rng(73)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        npt = np.zeros((4, 4), dtype=complex)
+        npt[[0, 0, 3, 3], [0, 3, 0, 3]] = 0.5
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for m, expected in ((pt_invariant_bytes(rng, 3), 1), (np.eye(4, dtype=complex), 1),
+                            (build_separable(rng, 3, 4)[0], 2), (random_psd(rng, 6), 2),
+                            (npt, 2)):
+            calls.clear()
+            state = DensityState(m)
+            assert len(calls) == expected
+            calls.clear()
+            for name in ("_pt_eigvals", "_pt_eigvecs", "pt_rank", "pt_kernel_basis",
+                         "pt_range_basis", "pt_min_eigenvalue", "warnings", "is_ppt"):
+                getattr(state, name)
+            state.pseudoinverse()
+            state.pt_pseudoinverse()
+            assert calls == []
 
     def test_psd_error_at_construction(self):
         with pytest.raises(ValueError) as exc:
@@ -213,7 +244,7 @@ class TestLazyTransposeSpectrum:
         m = np.diag([1.0, 3.0, 3.0, 1.0]).astype(complex)
         m[1, 2] = m[2, 1] = 1.0 - 2e-9
         only_pt = DensityState(m)
-        assert "warnings" not in vars(only_pt) and only_pt.rank == 4
+        assert only_pt.rank == 4
         assert only_pt.warnings == [line.format("rho_pt")]
         # on C2 x C3 the same coupling, plus a small weight on both spectra
         m = np.diag([1.0, 3.0, 6e-9, 3.0, 1.0, 1.0]).astype(complex)
@@ -225,7 +256,7 @@ class TestLazyTransposeSpectrum:
     def test_fields_stay_assignable(self, monkeypatch):
         m = build_separable(np.random.default_rng(72), 3, 3)[0]
         state = DensityState(m)
-        state.pt_rank = 4  # before the first read
+        state.pt_rank = 4
         assert state.pt_range_basis.shape[1] == 3
         assert state.pt_rank == 4
         other = DensityState(m)

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -608,6 +609,12 @@ class TestVerifyCertificate:
         with pytest.raises(ValueError):
             verify_certificate(pv.projector(), SeparabilityCertificate([(-1.0, pv)]))
 
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_nonfinite_weight_rejected(self, weight):
+        pv = random_product_vector(np.random.default_rng(30), 2)
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify_certificate(pv.projector(), SeparabilityCertificate([(weight, pv)]))
+
     def test_non_product_terms_rejected(self):
         # the spectral decomposition of an entangled state reconstructs it,
         # but its eigenvectors are not products of a qubit e and an f in C4
@@ -672,6 +679,12 @@ class TestTwoQubitDecompose:
         for m in (werner(1 / 3), np.eye(4), random_ppt_mixture(rng, 2),
                   build_separable(rng, 2, 3)[0]):
             self.certified(m * scale)
+
+    def test_rank_zero_gives_the_empty_certificate(self):
+        zero = np.zeros((4, 4))
+        for state in (zero, DensityState(zero, require_psd=False)):
+            cert = two_qubit_decompose(state)
+            assert cert.terms == [] and verify_certificate(state, cert)
 
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError, match="4 x 4"):
