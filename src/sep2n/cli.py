@@ -58,14 +58,33 @@ def _complex_to_json(a) -> list:
     return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
+# The types json.load gives numbers; bool, a subclass of int, is not among them.
+_JSON_NUMBERS = (int, float)
+
+
 def _j2c(pair) -> complex:
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise InputError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    """A JSON [re, im] pair of numbers as a complex; strings, booleans and huge ints are refused."""
+    if (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and type(pair[0]) in _JSON_NUMBERS and type(pair[1]) in _JSON_NUMBERS):
+        try:
+            return complex(pair[0], pair[1])
+        except OverflowError:  # an int too large for a float
+            pass
+    raise InputError(f"expected [re, im] pair of numbers in float range, got {pair!r}")
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[_j2c(z) for z in row] for row in rows], dtype=complex)
+    try:
+        return np.array([[_j2c(z) for z in row] for row in rows], dtype=complex)
+    except InputError:
+        # name the first bad entry; the scan runs only once an entry has failed
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                try:
+                    _j2c(z)
+                except InputError as exc:
+                    raise InputError(f"entry ({i}, {j}): {exc}") from None
+        raise
 
 
 def _vector_from_json(entries) -> np.ndarray:
@@ -95,10 +114,12 @@ def certificate_from_json(data) -> SeparabilityCertificate:
             # bools are ints; an int too large for a float overflows in isfinite
             if isinstance(weight, bool) or not (isinstance(weight, (int, float))
                                                 and math.isfinite(weight)):
-                raise InputError(f"{bad}: weight must be a finite number, got {json.dumps(weight)}")
+                raise InputError(f"weight must be a finite number, got {json.dumps(weight)}")
             if not (e.size and f.size and np.isfinite(e).all() and np.isfinite(f).all()):
-                raise InputError(f"{bad}: e and f must be nonempty with finite entries")
+                raise InputError("e and f must be nonempty with finite entries")
             terms.append((float(weight), ProductVector.from_e_f(e, f)))
+        except InputError as exc:
+            raise InputError(f"{bad}: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{bad}: {exc!r}") from exc
     return SeparabilityCertificate(terms)

@@ -25,9 +25,11 @@ from .matrixcore import (
     DEFAULT_TOL,
     DensityState,
     ToleranceConfig,
+    as_complex_matrix,
     hermitize,
     operator_norm_at_most,
     partial_trace_second,
+    partial_transpose_matrix,
     psd_difference_check,
     split_at_cutoff,
 )
@@ -115,10 +117,14 @@ class SeparabilityCertificate:
     terms: list[tuple[float, ProductVector]] = field(default_factory=list)
 
     def reconstruct(self, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for weight, pv in self.terms:
-            out += weight * pv.projector()
-        return out
+        """The weighted projector sum, one product of the stacked term vectors."""
+        if not self.terms:
+            return np.zeros((dim, dim), dtype=complex)
+        w = np.array([weight for weight, _pv in self.terms], dtype=float)
+        v = np.array([pv.vector for _w, pv in self.terms], dtype=complex)
+        if v.shape[1] != dim:
+            raise ValueError(f"term vectors of size {v.shape[1]} do not fit dimension {dim}")
+        return (v.T * w) @ v.conj()
 
 
 @dataclass
@@ -164,10 +170,18 @@ def _negligible(x, ref: DensityState) -> bool:
 
 
 def _matrix_and_tol(state) -> tuple[np.ndarray, ToleranceConfig]:
-    """A DensityState's matrix and tolerances, or a raw matrix with the default ones."""
+    """A DensityState's matrix and tolerances, or a raw matrix with the default ones.
+
+    A raw matrix must be finite and 2N x 2N with N >= 1; ``ValueError`` says
+    which of these fails, naming the shape.
+    """
     if isinstance(state, DensityState):
         return state.matrix, state.tol
-    return np.asarray(state, dtype=complex), DEFAULT_TOL
+    matrix = as_complex_matrix(state)
+    rows, cols = matrix.shape
+    if rows != cols or rows % 2 or not rows:
+        raise ValueError(f"matrix must be 2N x 2N with N >= 1, got shape {matrix.shape}")
+    return matrix, DEFAULT_TOL
 
 
 def _bound_stacks(state: DensityState, vecs: np.ndarray, partners: np.ndarray):
@@ -190,15 +204,15 @@ def _successor(m: np.ndarray, ref: DensityState) -> DensityState:
     return DensityState(m, tol=ref.tol, require_psd=not _negligible(m, ref))
 
 
-def subtract(state: DensityState, candidates):
-    """Remove the first candidate projector of largest weight ``min(lam0, lam0bar)``.
+def _best_candidate(state: DensityState, candidates):
+    """The first candidate of largest weight ``min(lam0, lam0bar)`` as ``(lam, case, v)``, or None.
 
     lam0 and lam0bar, the largest weights keeping the state and its partial
     transpose positive, are the inverse pseudoinverse quadratic forms along
-    |e,f> and |e*,f>, screened for all candidates as one stack.  Returns
-    ``(new_state, lam, case, v)``, the case tag recording which rank drops:
-    "i" the state's, "ii" the transpose's, "iii" both (tied weights).  None
-    when no candidate lies in both ranges with positive forms.
+    |e,f> and |e*,f>, screened for all candidates as one stack.  The case
+    tag records which rank a subtraction at ``lam`` drops: "i" the state's,
+    "ii" the transpose's, "iii" both (tied weights).  None when no candidate
+    lies in both ranges with positive forms.
     """
     if not candidates:
         return None
@@ -214,6 +228,20 @@ def subtract(state: DensityState, candidates):
     lam0, lamb0, lam, v = float(lam0s[k]), float(lamb0s[k]), float(lams[k]), candidates[k]
     tied = abs(lam0 - lamb0) <= TIE_REL_TOL * max(lam0, lamb0)
     case = "iii" if tied else "i" if lam0 < lamb0 else "ii"
+    return lam, case, v
+
+
+def subtract(state: DensityState, candidates):
+    """Remove the candidate projector that ``_best_candidate`` picks, as one new state.
+
+    Returns ``(new_state, lam, case, v)``: ``new_state`` is the state minus
+    ``lam`` times the projector of ``v``, PSD unless negligible.  None when
+    no candidate is usable.
+    """
+    best = _best_candidate(state, candidates)
+    if best is None:
+        return None
+    lam, case, v = best
     return _successor(state.matrix - lam * v.projector(), state), lam, case, v
 
 
@@ -400,7 +428,7 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     ``lam_1 - lam_2 - lam_3 - lam_4`` is not positive; then the four
     vectors ``y = x diag(sqrt z) H^T / 2`` reconstruct rho and each is a
     product.  ``state`` is a DensityState, whose tolerances apply, or a
-    4 x 4 matrix, which gets the default ones.  Returns None when the
+    finite 4 x 4 matrix, which gets the default ones.  Returns None when the
     concurrence exceeds ``TWO_QUBIT_SLACK`` times the trace, i.e. the state
     is entangled.
     """
@@ -448,9 +476,10 @@ def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     Passes of ``(_zero_remainder, _strip, _base_case, _rank_n_kernel,
     _real_e_subtraction)`` on the symmetrized state subtract real-e product
     vectors (which keep the invariance and drop both ranks) down to rank N,
-    where the kernel search finishes.  A stop raises ``NonGenericInput``; a
-    state farther than ``PT_INVARIANCE_REL_TOL`` from its partial transpose
-    raises ``NotPTInvariant``.
+    where the kernel search finishes; each subtraction builds one state.  A
+    stop raises ``NonGenericInput``; a state farther than
+    ``PT_INVARIANCE_REL_TOL`` from its partial transpose raises
+    ``NotPTInvariant``.
     """
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=state.norm):
@@ -636,9 +665,9 @@ def verify_certificate(state, cert: SeparabilityCertificate) -> bool:
     """Check the weighted projector sum reconstructs the state in operator norm.
 
     ``state`` is a DensityState, whose ``cert_recon_tol`` applies, or a
-    matrix, which gets the default one.  Raises ``ValueError`` unless every
-    weight is positive and finite and every term is a product of an e with
-    2 entries and an f with N entries.
+    finite 2N x 2N matrix, which gets the default one.  Raises ``ValueError``
+    on any other matrix, and unless every weight is positive and finite and
+    every term is a product of an e with 2 entries and an f with N entries.
     """
     matrix, tol = _matrix_and_tol(state)
     n = matrix.shape[0] // 2
@@ -791,13 +820,19 @@ def _rank_n_kernel(run: _Run, cur: DensityState):
 
 
 def _real_e_subtraction(run: _Run, cur: DensityState):
-    """Subtract the real-e product vector of largest weight and re-symmetrize."""
-    done = subtract(cur, real_e_products(cur.range_basis, cur.kernel_basis, cur.tol))
-    if done is None:
+    """Subtract the real-e product vector of largest weight and re-symmetrize.
+
+    Only the re-symmetrized difference becomes a state, with its PSD check;
+    the plain difference, whose transpose differs from it by rounding, is
+    never built as one.
+    """
+    best = _best_candidate(cur, real_e_products(cur.range_basis, cur.kernel_basis, cur.tol))
+    if best is None:
         return run.stop("no subtractable real-e product vector found")
-    new, lam, _case, best = done
+    lam, _case, v = best
+    m = hermitize(cur.matrix - lam * v.projector())
     # re-symmetrize to cancel floating-point drift of the invariance
-    run.advance(lam, best, _successor((new.matrix + new.pt_matrix) / 2, run.state0))
+    run.advance(lam, v, _successor((m + partial_transpose_matrix(m, cur.n)) / 2, run.state0))
     return _NEXT_PASS
 
 

@@ -568,6 +568,44 @@ class TestUsageAndInputErrors:
         assert not paths["absent"].exists()
 
 
+    @pytest.mark.parametrize("entry", ["0.5", True, 10**400, None, [1]],
+                             ids=["string", "bool", "int-past-float", "null", "list"])
+    def test_matrix_entry_must_be_a_number(self, tmp_path, capsys, entry):
+        # json.load gives these as str, bool, an int float() overflows on, None and a list
+        doc = state_to_json(np.eye(4, dtype=complex) / 4, 2)
+        doc["matrix"][1][2] = [entry, 0.0]
+        s = tmp_path / "s.json"
+        s.write_text(json.dumps(doc))
+        assert main(["analyze", str(s)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {s}: bad matrix encoding: entry (1, 2): ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["0.5", True, 10**400],
+                             ids=["string", "bool", "int-past-float"])
+    def test_certificate_entry_must_be_a_number(self, tmp_path, capsys, entry):
+        s = tmp_path / "s.json"
+        main(["generate", "--kind", "rank-n-separable", "--n", "2", "--seed", "4",
+              "--out", str(s)])
+        r = tmp_path / "r.json"
+        main(["analyze", str(s), "--report", str(r)])
+        doc = json.loads(r.read_text())
+        doc["report"]["certificate"]["terms"][1]["f"][0][1] = entry
+        r.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(s), str(r)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad certificate term 1: expected [re, im]")
+
+    def test_json_integer_entries_load_as_floats(self, tmp_path):
+        s = tmp_path / "s.json"
+        doc = state_to_json(np.eye(4, dtype=complex) / 4, 2)
+        doc["matrix"] = [[[int(i == j), 0] for j in range(4)] for i in range(4)]
+        s.write_text(json.dumps(doc))
+        state, _ = load_state(s)
+        assert np.array_equal(state.matrix, np.eye(4))
+
+
 class TestVerdictExits:
     def test_ppt_entangled_exit(self, tmp_path):
         s, r = tmp_path / "h.json", tmp_path / "h.report.json"

@@ -5,9 +5,9 @@ Each case writes a state file with ``state_to_json`` and analyzes it with
 report's JSON without its ``timings``, must equal the digests recorded
 here.  Between them the cases hold every complex value the CLI encodes: a
 state matrix with a signed zero and a subnormal entry, certificate terms,
-a witness of complex expansion coefficients, and ``subtract-sample`` steps
-at complex alpha.  A change to the JSON encoding, or to any bit of a
-report, changes a digest.
+a witness of complex expansion coefficients, ``subtract-sample`` steps at
+complex alpha, and the real-e subtractions of a PT-invariant state.  A
+change to the JSON encoding, or to any bit of a report, changes a digest.
 
 The digests were recorded with numpy 2.4 on x86-64; another LAPACK build
 may round the analysis differently.
@@ -19,6 +19,7 @@ import json
 import numpy as np
 import pytest
 
+from sep2n import sepengine
 from sep2n.cli import run_analysis, state_to_json
 
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     horodecki_2x4,
     random_ppt_mixture,
     random_product_vector,
+    random_pt_invariant,
 )
 
 
@@ -50,6 +52,7 @@ CASES = {
     "horodecki": lambda: horodecki_2x4(0.5),
     "negative_expansion": _horodecki_plus_product,
     "npt": _npt_with_edge_entries,
+    "pt_invariant": lambda: random_pt_invariant(np.random.default_rng(3), 4),
     "subtract_sample": lambda: random_ppt_mixture(np.random.default_rng(2), 4),
 }
 
@@ -63,6 +66,8 @@ DIGESTS = {
                            "4b29c4e4c06a7b8e95587d99ab5472a623a52ceef953eeabb5bbd572015a7c43"),
     "npt": ("dde8509c102458ec292542027ff9365c724dc6d70ac4cfb56134edb607c89dc1",
             "d0e8f6aa17b37b0ee383dac9afdf5f90d44f4debe12f1b71ffcd9f3051391de5"),
+    "pt_invariant": ("c3e2430e4148b65760ae72d2ac29553f158042757dc0ec94e43840ec85c98cc0",
+                     "a60f2c11eb41c5593d546192e4e72a11654dceec723e5b761f451923acc3c9b3"),
     "subtract_sample": ("167dcdf9171ad8b93d635f2edf4d76ac65a762d5cd7a8c90889d8247f0cb70b3",
                         "162eb2377badfd19134fe523f1e74c5e6575672297d5423909e5fec51e4c980b"),
 }
@@ -73,7 +78,11 @@ def _sha(text: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bits(tmp_path, name):
+def test_report_bits(tmp_path, monkeypatch, name):
+    real_e_steps = []
+    real_e = sepengine._real_e_subtraction
+    monkeypatch.setattr(sepengine, "_real_e_subtraction",
+                        lambda run, cur: real_e_steps.append(cur.rank) or real_e(run, cur))
     m = CASES[name]()
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(state_to_json(m, m.shape[0] // 2, label=name),
@@ -90,6 +99,10 @@ def test_report_bits(tmp_path, name):
         assert all(len(c) == 2 for c in report["witness"]["coefficients"])
     elif name == "npt":
         assert report["verdict"] == "entangled_npt"
+    elif name == "pt_invariant":
+        # rank 8 down to N = 4, one real-e subtraction per rank
+        assert report["verdict"] == "separable" and steps == ["pt-invariant"]
+        assert real_e_steps == [8, 7, 6, 5]
     else:
         alphas = [s["alpha"] for s in report["trace"]["steps"] if s["op"] == "subtract-sample"]
         assert any(isinstance(a, list) and a[1] != 0 for a in alphas)

@@ -506,6 +506,16 @@ class TestPtInvariantDecompose:
             with pytest.raises(NotPTInvariant):
                 pt_invariant_decompose(state)
 
+    def test_one_state_per_real_e_step(self, built_tols):
+        # full rank 8 at N = 4: the symmetrized input, then one state per real-e
+        # step down to rank N, where the kernel search builds none
+        state = DensityState(random_pt_invariant(np.random.default_rng(3), 4))
+        assert state.rank == 8
+        built_tols.clear()
+        cert = pt_invariant_decompose(state)
+        assert len(built_tols) == 5
+        assert verify_certificate(state, cert)
+
     def test_nested_run_skips_the_analyze_bookkeeping(self, monkeypatch):
         # analyze's own pass takes one support spectrum, which also gives the
         # borderline count, and its PT-invariant stage leaves the invariance
@@ -600,6 +610,31 @@ class TestVerifyCertificate:
         terms[0] = (terms[0][0] + 1e-3, terms[0][1])
         assert not verify_certificate(m, SeparabilityCertificate(terms))
 
+    def test_reconstruct_is_the_weighted_projector_sum(self):
+        rng = np.random.default_rng(31)
+        terms = [(float(w), random_product_vector(rng, 3)) for w in rng.uniform(0.1, 2, 7)]
+        explicit = sum(w * pv.projector() for w, pv in terms)
+        recon = SeparabilityCertificate(terms).reconstruct(6)
+        assert recon.dtype == complex and recon.shape == (6, 6)
+        assert np.linalg.norm(recon - explicit, 2) <= 1e-14 * np.linalg.norm(explicit, 2)
+
+    def test_reconstruct_without_terms_is_zero(self):
+        recon = SeparabilityCertificate([]).reconstruct(6)
+        assert recon.dtype == complex and np.array_equal(recon, np.zeros((6, 6)))
+
+    def test_reconstruct_refuses_vectors_of_another_size(self):
+        pv = random_product_vector(np.random.default_rng(32), 3)
+        with pytest.raises(ValueError, match="dimension 8"):
+            SeparabilityCertificate([(1.0, pv)]).reconstruct(8)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_reconstruct_at_extreme_weights(self, scale):
+        m, _, _ = build_separable(np.random.default_rng(33), 3, 4)
+        cert = analyze(m)[0].certificate
+        scaled = SeparabilityCertificate([(w * scale, pv) for w, pv in cert.terms])
+        assert np.isfinite(scaled.reconstruct(6)).all()
+        assert verify_certificate(m * scale, scaled)
+
     def test_empty_certificate_on_zero(self):
         assert verify_certificate(np.zeros((4, 4)), SeparabilityCertificate([]))
 
@@ -625,6 +660,24 @@ class TestVerifyCertificate:
                  for i in range(w.size) if w[i] > 1e-12]
         with pytest.raises(ValueError, match="shape"):
             verify_certificate(m, SeparabilityCertificate(terms))
+
+
+@pytest.mark.parametrize("check", [
+    lambda m: verify_certificate(m, SeparabilityCertificate([])),
+    two_qubit_decompose,
+], ids=["verify_certificate", "two_qubit_decompose"])
+@pytest.mark.parametrize("matrix, message", [
+    (np.zeros((0, 0)), "shape"),
+    (np.eye(3), "shape"),
+    (np.ones((4, 2)), "shape"),
+    (np.ones(4), "2-D"),
+    (np.diag([np.inf, 0, 0, 0]), "non-finite"),
+    (np.diag([np.nan, 1, 1, 1]), "non-finite"),
+    (np.diag([1, 1, 1, 1j * np.inf]), "non-finite"),
+], ids=["empty", "odd", "non-square", "one-dimensional", "inf", "nan", "complex-inf"])
+def test_raw_matrix_refused(check, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        check(matrix)
 
 
 class TestTwoQubitDecompose:
