@@ -21,8 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrixcore import DensityState, ToleranceConfig, hermitize, partial_transpose_matrix
-from .productfinder import ProductVector
+from .matrixcore import (
+    DEFAULT_TOL,
+    DensityState,
+    ToleranceConfig,
+    hermitize,
+    partial_transpose_matrix,
+)
+from .productfinder import products_of
 from .sepengine import (
     REASON_REDUCTION_STALLED,
     ReductionTrace,
@@ -92,21 +98,29 @@ def _vector_from_json(entries) -> np.ndarray:
 
 
 def certificate_to_json(cert: SeparabilityCertificate) -> dict:
+    """A certificate as JSON; its e's and f's are each encoded as one stack."""
+    weights = [float(w) for w, _pv in cert.terms]
+    es = _complex_to_json([pv.e for _w, pv in cert.terms])
+    fs = _complex_to_json([pv.f for _w, pv in cert.terms])
     return {
         "format_version": FORMAT_VERSION,
-        "terms": [
-            {"weight": float(w), "e": _complex_to_json(pv.e), "f": _complex_to_json(pv.f)}
-            for w, pv in cert.terms
-        ],
+        "terms": [{"weight": w, "e": e, "f": f} for w, e, f in zip(weights, es, fs)],
     }
 
 
 def certificate_from_json(data) -> SeparabilityCertificate:
+    """Decode a certificate; every term is checked alone, then all are built as one stack.
+
+    A bad term raises ``InputError`` naming it, also when its e or f is zero
+    or differs in size from term 0's, which one stack cannot hold.
+    """
     if isinstance(data, dict) and isinstance(data.get("certificate"), dict):
         data = data["certificate"]
     if not isinstance(data, dict) or "terms" not in data:
         raise InputError("no certificate terms found")
-    terms = []
+    if not isinstance(data["terms"], (list, tuple)):
+        raise InputError(f"certificate terms must be a list, got {type(data['terms']).__name__}")
+    weights, es, fs = [], [], []
     for i, t in enumerate(data["terms"]):
         bad = f"bad certificate term {i}"
         try:
@@ -117,12 +131,29 @@ def certificate_from_json(data) -> SeparabilityCertificate:
                 raise InputError(f"weight must be a finite number, got {json.dumps(weight)}")
             if not (e.size and f.size and np.isfinite(e).all() and np.isfinite(f).all()):
                 raise InputError("e and f must be nonempty with finite entries")
-            terms.append((float(weight), ProductVector.from_e_f(e, f)))
+            if e.size < 2:
+                raise InputError(f"e needs at least 2 entries, got {e.size}")
+            if es and (e.size, f.size) != (es[0].size, fs[0].size):
+                raise InputError(f"e and f have {e.size} and {f.size} entries, "
+                                 f"term 0's {es[0].size} and {fs[0].size}")
         except InputError as exc:
             raise InputError(f"{bad}: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{bad}: {exc!r}") from exc
-    return SeparabilityCertificate(terms)
+        weights.append(float(weight))
+        es.append(e)
+        fs.append(f)
+    if not weights:
+        return SeparabilityCertificate([])
+    es, fs = np.array(es), np.array(fs)
+    try:
+        pvs = products_of(es, fs)
+    except ValueError:
+        # a zero row is all the checked stacks can fail on; the scan that
+        # names its term runs only once the stack has failed
+        zero = int(np.argmin(es.any(axis=1) & fs.any(axis=1)))
+        raise InputError(f"bad certificate term {zero}: e and f must be nonzero") from None
+    return SeparabilityCertificate(list(zip(weights, pvs)))
 
 
 def _trace_to_json(trace: ReductionTrace) -> dict:
@@ -155,7 +186,10 @@ def _trace_to_json(trace: ReductionTrace) -> dict:
 
 def load_tolerances(flag_overrides: dict | None = None,
                     file_overrides: dict | None = None) -> ToleranceConfig:
-    """Resolve tolerances: CLI flags > state-file overrides > env file > defaults."""
+    """Resolve tolerances: CLI flags > state-file overrides > env file > defaults.
+
+    With nothing overridden this is the shared, frozen ``DEFAULT_TOL``.
+    """
     sources = []  # (where the overrides come from, the parsed JSON), lowest priority first
     env_path = os.environ.get(TOL_ENV_VAR)
     if env_path:
@@ -175,6 +209,8 @@ def load_tolerances(flag_overrides: dict | None = None,
                 raise InputError(f"{source}: {key!r} must be a number, got {json.dumps(value)}")
         data.update(overrides)
     data.update(flag_overrides or {})
+    if not data:
+        return DEFAULT_TOL
     known = {f.name for f in fields(ToleranceConfig)}
     unknown = set(data) - known
     if unknown:
@@ -304,9 +340,10 @@ def generate_state(kind: str, n: int, rank: int | None, seed: int) -> tuple[np.n
         if count < 1 or count > 4 * dim:
             raise InputError(f"rank {count} out of range")
         m = np.zeros((dim, dim), dtype=complex)
-        vecs = [ProductVector.from_e_f(rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                                       rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                for _ in range(count)]
+        es, fs = zip(*[(rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                        rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                       for _ in range(count)])
+        vecs = products_of(np.array(es), np.array(fs))
         for pv in vecs:
             m += rng.uniform(0.5, 1.5) * pv.projector()
         m /= np.real(np.trace(m))

@@ -428,13 +428,16 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     ``lam_1 - lam_2 - lam_3 - lam_4`` is not positive; then the four
     vectors ``y = x diag(sqrt z) H^T / 2`` reconstruct rho and each is a
     product.  ``state`` is a DensityState, whose tolerances apply, or a
-    finite 4 x 4 matrix, which gets the default ones.  Returns None when the
+    finite 4 x 4 matrix, which gets the default ones and, unless zero, must
+    pass a DensityState's Hermitian and PSD checks.  Returns None when the
     concurrence exceeds ``TWO_QUBIT_SLACK`` times the trace, i.e. the state
     is entangled.
     """
     matrix, tol = _matrix_and_tol(state)
     if matrix.shape != (4, 4):
         raise ValueError(f"two-qubit decomposition needs a 4 x 4 matrix, got {matrix.shape}")
+    if not isinstance(state, DensityState) and np.any(matrix):
+        DensityState(matrix, tol=tol)  # raises ValueError unless Hermitian PSD, as a state would
     w, u = np.linalg.eigh(hermitize(matrix))
     keep = split_at_cutoff(w, tol)[0] & (w > 0)
     v = u[:, keep] * np.sqrt(w[keep])
@@ -596,10 +599,11 @@ def symmetric_split_check(state: DensityState) -> Verdict | None:
         except (ValueError, NonGenericInput):
             return None
         terms.extend(sub.terms)
-    for i in keep:
-        sign = 1.0 if lam_b[i] >= 0 else -1.0
-        w_e = np.array([1.0, -1j * sign], dtype=complex)
-        terms.append((float(2 * abs(lam_b[i])), ProductVector.from_e_f(w_e, vec_b[:, i])))
+    if keep:
+        # the sigma_y eigenvector (1, -i sign(b_i)) with each eigenvector b_i of B
+        w_es = np.array([[1.0, -1j * (1.0 if lam_b[i] >= 0 else -1.0)] for i in keep],
+                        dtype=complex)
+        terms.extend(zip((2 * np.abs(lam_b[keep])).tolist(), products_of(w_es, vec_b[:, keep].T)))
     cert = SeparabilityCertificate(terms)
     if not verify_certificate(state, cert):
         return None

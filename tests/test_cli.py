@@ -1,3 +1,4 @@
+import inspect
 import json
 import threading
 import warnings
@@ -14,7 +15,8 @@ from sep2n.cli import (
     main,
     state_to_json,
 )
-from sep2n.matrixcore import partial_transpose_matrix
+from sep2n.matrixcore import DEFAULT_TOL, partial_transpose_matrix
+from sep2n.productfinder import ProductVector
 from sep2n.sepengine import analyze
 
 from helpers import build_separable, eig_rank, horodecki_2x4, random_product_vector
@@ -178,6 +180,18 @@ class TestAnalyzeCommand:
         report = json.loads(r.read_text())
         assert report["report"]["tolerances"]["cert_recon_tol"] == 1e-7
 
+    def test_no_override_shares_the_default_tolerances(self, tmp_path, monkeypatch):
+        s = tmp_path / "s.json"
+        write_state(s, np.eye(4, dtype=complex) / 4, 2)
+        assert load_state(s)[0].tol is DEFAULT_TOL
+        assert cli.load_tolerances({}, {}) is DEFAULT_TOL
+        cfg = tmp_path / "tol.json"
+        cfg.write_text("{}")
+        monkeypatch.setenv(cli.TOL_ENV_VAR, str(cfg))
+        assert cli.load_tolerances() is DEFAULT_TOL
+        tol = cli.load_tolerances(None, {"psd_tol": 1e-9})
+        assert tol == DEFAULT_TOL and tol is not DEFAULT_TOL
+
     @pytest.mark.parametrize("tolerances", ["abc", [1, 2], {"psd_tol": True}],
                              ids=["string", "list", "bool-value"])
     def test_malformed_state_file_tolerances(self, tmp_path, capsys, tolerances):
@@ -265,6 +279,37 @@ class TestVerifyCommand:
         assert caught == []
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: bad certificate term 1: ")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("e", [[0.0, 0.0], [-0.0, 0.0]], "e and f must be nonzero"),
+        ("f", [[0.0, -0.0], [0.0, 0.0]], "e and f must be nonzero"),
+        ("e", [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], "e and f have 3 and 2 entries, term 0's 2"),
+        ("f", [[1.0, 0.0]], "e and f have 2 and 1 entries, term 0's 2 and 2"),
+    ], ids=["zero-e", "zero-f", "longer-e", "shorter-f"])
+    def test_term_that_cannot_be_stacked_is_named(self, tmp_path, capsys, field, value, message):
+        s, r = self._analyzed_pair(tmp_path)
+        doc = json.loads(r.read_text())
+        assert len(doc["report"]["certificate"]["terms"]) == 2
+        doc["report"]["certificate"]["terms"][1][field] = value
+        r.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(s), str(r)]) == 1
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: bad certificate term 1: {message}")
+
+    def test_one_entry_e_in_every_term_is_named(self, tmp_path, capsys):
+        s, r = self._analyzed_pair(tmp_path)
+        doc = json.loads(r.read_text())
+        for term in doc["report"]["certificate"]["terms"]:
+            term["e"] = term["e"][:1]
+        r.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(s), str(r)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad certificate term 0: e needs at least 2")
 
     def test_non_product_terms_rejected(self, tmp_path, capsys):
         # eigenvectors of a PPT-entangled state, each posing as e (x) [1]
@@ -541,14 +586,15 @@ class TestUsageAndInputErrors:
         (["analyze", "{wrong_n}"], "inconsistent with n=3"),
         (["verify", "{state}", "{absent}"], "cannot read certificate"),
         (["verify", "{state}", "{no_terms}"], "no certificate terms found"),
+        (["verify", "{state}", "{scalar_terms}"], "certificate terms must be a list, got int"),
         (["batch", "{state}"], "is not a directory"),
         (["generate", "--kind", "npt", "--n", "0", "--out", "{absent}"], "n must be >= 1"),
         (["generate", "--kind", "separable", "--n", "2", "--rank", "0", "--out", "{absent}"],
          "rank 0 out of range"),
     ], ids=["tol-without-value", "tol-not-a-number", "tol-unknown-key", "tol-out-of-range",
             "unreadable-tol-file", "no-n", "no-matrix", "entry-not-a-pair", "n-against-shape",
-            "missing-certificate", "certificate-without-terms", "batch-on-a-file",
-            "generate-n-0", "generate-rank-0"])
+            "missing-certificate", "certificate-without-terms", "certificate-scalar-terms",
+            "batch-on-a-file", "generate-n-0", "generate-rank-0"])
     def test_input_error(self, tmp_path, capsys, monkeypatch, argv, message):
         state = state_to_json(np.eye(4, dtype=complex) / 4, 2)
         docs = {"state": state,
@@ -556,7 +602,8 @@ class TestUsageAndInputErrors:
                 "no_matrix": {k: v for k, v in state.items() if k != "matrix"},
                 "triple": {**state, "matrix": [[[1, 0, 0]] + row[1:] for row in state["matrix"]]},
                 "wrong_n": {**state, "n": 3},
-                "no_terms": {"format_version": 1}}
+                "no_terms": {"format_version": 1},
+                "scalar_terms": {"format_version": 1, "terms": 5}}
         paths = {name: tmp_path / f"{name}.json" for name in [*docs, "absent"]}
         for name, doc in docs.items():
             paths[name].write_text(json.dumps(doc))
@@ -645,6 +692,58 @@ class TestStateFileRoundTrip:
         rec1 = verdict.certificate.reconstruct(6)
         rec2 = cert.reconstruct(6)
         assert np.allclose(rec1, rec2, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_decode_matches_per_term_decode(self, seed):
+        # rows at 1e+-200, subnormal entries and signed zeros share a stack
+        # with ordinary rows: the range tests of the normalization run over
+        # the whole stack, and each row must still keep the bits it gets alone
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(4, 9)), int(rng.integers(1, 6))
+
+        def rows(d):
+            x = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+            x[0] *= 1e200
+            x[1] *= 1e-200
+            x[2, 0] = complex(5e-324, -0.0)
+            signed_zero = rng.random(d) < 0.5
+            signed_zero[0] = False  # the row stays nonzero
+            x[3] = np.where(signed_zero, complex(-0.0, 0.0), x[3] * 2.0 ** -1060)
+            return x[rng.permutation(k)]
+
+        es, fs = rows(2), rows(n)
+        es[rng.integers(k), 1] = complex(0.0, -0.0)  # the chart point alpha = infinity
+        doc = json.loads(json.dumps({"terms": [
+            {"weight": 1.0, "e": cli._complex_to_json(e), "f": cli._complex_to_json(f)}
+            for e, f in zip(es, fs)]}))
+        cert = certificate_from_json(doc)
+        assert len(cert.terms) == k
+        for (_w, pv), e, f in zip(cert.terms, es, fs):
+            ref = ProductVector.from_e_f(e, f)
+            for got, want in ((pv.e, ref.e), (pv.f, ref.f), (pv.vector, ref.vector)):
+                assert got.tobytes() == want.tobytes()
+            assert (pv.alpha is None) == (ref.alpha is None)
+            if ref.alpha is not None:
+                assert np.complex128(pv.alpha).tobytes() == np.complex128(ref.alpha).tobytes()
+        assert certificate_to_json(cert) == certificate_to_json(
+            cli.SeparabilityCertificate([(1.0, ProductVector.from_e_f(e, f))
+                                         for e, f in zip(es, fs)]))
+
+    def test_one_stack_per_certificate(self, tmp_path, monkeypatch):
+        assert "from_e_f" not in inspect.getsource(cli)
+        s = tmp_path / "s.json"
+        main(["generate", "--kind", "separable", "--n", "3", "--seed", "2", "--out", str(s)])
+        r = tmp_path / "r.json"
+        calls = []
+        real = cli.products_of
+        monkeypatch.setattr(cli, "products_of",
+                            lambda es, fs: calls.append(len(es)) or real(es, fs))
+        assert main(["analyze", str(s), "--report", str(r)]) == 0
+        terms = len(json.loads(r.read_text())["report"]["certificate"]["terms"])
+        assert calls == [terms] and terms > 1
+        assert main(["verify", str(s), str(r)]) == 0
+        assert calls == [terms, terms]
+        assert certificate_from_json({"terms": []}).terms == [] and len(calls) == 2
 
     @pytest.mark.parametrize("bad_n", [None, "two", [2], 2.7, "3", True],
                              ids=["null", "string", "list", "fraction", "numeric-string",

@@ -558,6 +558,25 @@ class TestSymmetricSplit:
             assert verify_certificate(state, verdict.certificate)
 
 
+    def test_spin_terms_keep_the_per_term_bits(self):
+        # the sigma_y terms, built as one stack, equal one from_e_f per eigenvector of B
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 4):
+            state = DensityState(split_premise_state(rng, n, target=0.8))
+            terms = symmetric_split_check(state).certificate.terms
+            m = state.matrix
+            lam_b, vec_b = np.linalg.eigh(hermitize(-0.5j * (m[:n, n:] - m[n:, :n])))
+            cut = 1e-14 * max(float(np.max(np.abs(lam_b))), state.norm)
+            keep = [i for i in range(n) if abs(lam_b[i]) > cut]
+            assert keep
+            for (w, pv), i in zip(terms[len(terms) - len(keep):], keep):
+                e = np.array([1.0, -1j * (1.0 if lam_b[i] >= 0 else -1.0)], dtype=complex)
+                ref = ProductVector.from_e_f(e, vec_b[:, i])
+                assert w == float(2 * abs(lam_b[i]))
+                assert pv.e.tobytes() == ref.e.tobytes() and pv.f.tobytes() == ref.f.tobytes()
+                assert pv.vector.tobytes() == ref.vector.tobytes() and pv.alpha == ref.alpha
+
+
 class TestPtSymmetrizingSearch:
     def test_pt_invariant_state_needs_no_transform(self):
         rng = np.random.default_rng(25)
@@ -742,6 +761,17 @@ class TestTwoQubitDecompose:
     def test_rejects_other_sizes(self):
         with pytest.raises(ValueError, match="4 x 4"):
             two_qubit_decompose(np.eye(6))
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.diag([1.0, 1, 1, -1]), "not PSD"),
+        (np.array([[0.0, 1, 0, 0]] + [[0.0] * 4] * 3), "not Hermitian"),
+    ], ids=["indefinite", "single-off-diagonal-entry"])
+    def test_raw_matrix_must_be_hermitian_psd(self, matrix, message):
+        # a certificate of its PSD part would not verify; a state refuses it alike
+        with pytest.raises(ValueError, match=message):
+            two_qubit_decompose(matrix)
+        with pytest.raises(ValueError, match=message):
+            DensityState(matrix)
 
 
 @pytest.fixture(scope="module")
