@@ -557,7 +557,6 @@ class TestSymmetricSplit:
             assert verdict is not None
             assert verify_certificate(state, verdict.certificate)
 
-
     def test_spin_terms_keep_the_per_term_bits(self):
         # the sigma_y terms, built as one stack, equal one from_e_f per eigenvector of B
         rng = np.random.default_rng(23)
@@ -574,7 +573,8 @@ class TestSymmetricSplit:
                 ref = ProductVector.from_e_f(e, vec_b[:, i])
                 assert w == float(2 * abs(lam_b[i]))
                 assert pv.e.tobytes() == ref.e.tobytes() and pv.f.tobytes() == ref.f.tobytes()
-                assert pv.vector.tobytes() == ref.vector.tobytes() and pv.alpha == ref.alpha
+                assert pv.vector.tobytes() == ref.vector.tobytes()
+                assert np.complex128(pv.alpha).tobytes() == np.complex128(ref.alpha).tobytes()
 
 
 class TestPtSymmetrizingSearch:
