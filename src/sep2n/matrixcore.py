@@ -49,8 +49,8 @@ class ToleranceConfig:
     root_residual_tol
         Range-membership bound: a candidate product vector lies in a
         subspace when its residual off the subspace is at most 10 times
-        this.  It also bounds the back-substitution residual of
-        ``polyelim.verify_roots``, which no search of the library calls.
+        this.  Roots themselves are accepted by the rank-drop rule of
+        ``productfinder._has_null``, not by this bound.
     cert_recon_tol
         Relative reconstruction bound for separability certificates.
     """

@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, numerical_rank_kernel
-from .polyelim import MERGE_RADIUS, eliminate_paired  # noqa: F401 (traced by perfbench)
+from .polyelim import eliminate_paired  # noqa: F401 (traced by perfbench)
 
 __all__ = [
     "ProductVector",
@@ -92,6 +92,9 @@ PENCIL_INFINITE_TOL = 1e-12
 PENCIL_GATE = 1e-4
 PENCIL_CONVERGED = 8 * np.finfo(float).eps
 PENCIL_POLISH_STEPS = 3
+# Polished roots closer than this are merged; product vectors built from
+# closer roots are indistinguishable at rank tolerance.
+MERGE_RADIUS = 1e-6
 
 
 # Modulus of the second entry of a unit e at or below which e is the chart
@@ -738,7 +741,8 @@ def _paired_system(c1: np.ndarray, c2: np.ndarray) -> ConstraintSystem:
 def build_paired_system(h1, h2) -> ConstraintSystem:
     """Constraint blocks of the paired search on raw bases, each orthonormalized and complemented.
 
-    ``polyelim`` holds their determinants.
+    The sampled branch of ``paired_products`` (dimension count above 3N)
+    builds its system here.
     """
     h1 = _orthonormalize(h1)
     h2 = _orthonormalize(h2)

@@ -30,7 +30,6 @@ from .matrixcore import (
     operator_norm_at_most,
     partial_trace_second,
     partial_transpose_matrix,
-    psd_difference_check,
     split_at_cutoff,
 )
 from .productfinder import (
@@ -346,7 +345,7 @@ def reduce_by_kernel(state: DensityState, v: ProductVector):
 
 def _base_terms(state: DensityState) -> list[tuple[float, ProductVector]]:
     """Spectral terms of a state on C2 x C1; every vector there is product."""
-    w, u = np.linalg.eigh(state.matrix)
+    w, u = state._eigvals, state._eigvecs
     keep = split_at_cutoff(w, state.tol)[0] & (w > 0)
     f = np.ones((np.count_nonzero(keep), 1))
     return list(zip(w[keep].tolist(), products_of(u[:, keep].T, f)))
@@ -436,9 +435,10 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     matrix, tol = _matrix_and_tol(state)
     if matrix.shape != (4, 4):
         raise ValueError(f"two-qubit decomposition needs a 4 x 4 matrix, got {matrix.shape}")
-    if not isinstance(state, DensityState) and np.any(matrix):
-        DensityState(matrix, tol=tol)  # raises ValueError unless Hermitian PSD, as a state would
-    w, u = np.linalg.eigh(hermitize(matrix))
+    if not isinstance(state, DensityState):
+        # raises ValueError unless Hermitian and, when nonzero, PSD
+        state = DensityState(matrix, tol=tol, require_psd=bool(np.any(matrix)))
+    w, u = state._eigvals, state._eigvecs
     keep = split_at_cutoff(w, tol)[0] & (w > 0)
     v = u[:, keep] * np.sqrt(w[keep])
     if not v.size:  # the zero matrix: the empty sum
@@ -587,9 +587,7 @@ def symmetric_split_check(state: DensityState) -> Verdict | None:
         proj = np.outer(vec_b[:, i], vec_b[:, i].conj())
         comp += abs(lam_b[i]) * np.kron(np.eye(2, dtype=complex), proj)
 
-    if not psd_difference_check(rho_s, comp, state.tol):
-        return None
-
+    # the remainder's own PSD check decides whether C fits under rho_s
     remainder = hermitize(rho_s - comp)
     terms: list[tuple[float, ProductVector]] = []
     if not _negligible(remainder, state):

@@ -1,19 +1,14 @@
 """Shared constructions and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library code paths they check:
-ranks are counted from eigenvalues, norms come from power iteration, PSD
-ordering from the spectrum of the difference, and bivariate roots from a
-dense grid scan with finite-difference Newton refinement.  Root
-verification also has a scalar reference, one ``polyval2d`` call per
-candidate and polynomial, for the batched one in the library; the
-fixed-alpha solves and the determinant interpolation have one-alpha,
-one-node references for the stacked calls that replaced them, and the
+ranks are counted from eigenvalues, norms come from power iteration, and
+PSD ordering from the spectrum of the difference.  The fixed-alpha solves
+have one-alpha references for the stacked calls that replaced them, and the
 candidate screens (phase normalization, range tests, the partner filter,
 the subtraction bounds and the kernel terms) one-vector references.  The
 per-call primitives whose validation, allocation and Python loops were cut
-(input checks, the rank split, coefficient-grid helpers, Horner evaluation,
-the interpolation matrices and the block rank test) keep their former forms
-here, as bitwise references.
+(input checks, the rank split and the Hermitian part) keep their former
+forms here, as bitwise references.
 """
 
 import importlib.util
@@ -21,10 +16,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from sep2n.matrixcore import hermitize, numerical_rank_kernel, partial_transpose_matrix
-from sep2n.polyelim import TRIM_REL_TOL, NonFinite, _inv_dft
 from sep2n.productfinder import (
     CHART_INFINITY_TOL,
     NULL_ACCEPT,
@@ -265,216 +258,6 @@ def min_eig(m):
     return float(np.min(np.linalg.eigvalsh(hermitize(np.asarray(m, dtype=complex)))))
 
 
-# ---------------------------------------------------------------------------
-# bivariate root oracle: dense grid scan plus finite-difference Newton
-# ---------------------------------------------------------------------------
-
-def eval_bivariate(coeffs, alpha):
-    """Horner evaluation of sum c[j,k] alpha^j conj(alpha)^k on an array."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    beta = np.conj(alpha)
-    acc = np.zeros_like(np.asarray(alpha, dtype=complex))
-    for j in range(coeffs.shape[0] - 1, -1, -1):
-        row = np.zeros_like(acc)
-        for k in range(coeffs.shape[1] - 1, -1, -1):
-            row = row * beta + coeffs[j, k]
-        acc = acc * alpha + row
-    return acc
-
-
-def _grid_residual(coeff_list, alpha):
-    res = None
-    for c in coeff_list:
-        r = np.abs(eval_bivariate(c, alpha))
-        res = r if res is None else np.maximum(res, r)
-    return res
-
-
-def _fd_newton(coeff_list, alpha, steps=30, h=1e-7):
-    """Gauss-Newton with finite-difference Jacobian on the stacked residuals."""
-    def f(a):
-        return np.concatenate([[eval_bivariate(c, a).real, eval_bivariate(c, a).imag]
-                               for c in coeff_list])
-
-    a = complex(alpha)
-    best, best_res = a, np.linalg.norm(f(a))
-    for _ in range(steps):
-        r = f(a)
-        jx = (f(a + h) - f(a - h)) / (2 * h)
-        jy = (f(a + 1j * h) - f(a - 1j * h)) / (2 * h)
-        jac = np.column_stack([jx, jy])
-        try:
-            delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        step = delta[0] + 1j * delta[1]
-        if not np.isfinite(step):
-            break
-        moved = False
-        damp = 1.0
-        for _ in range(6):
-            cand = a + damp * step
-            res = np.linalg.norm(f(cand))
-            if res < best_res:
-                a, best, best_res = cand, cand, res
-                moved = True
-                break
-            damp /= 2
-        if not moved:
-            break
-    return best
-
-
-def _residual_scale(coeff_list, alpha):
-    out = 1.0
-    for c in coeff_list:
-        out = max(out, float(np.real(eval_bivariate(np.abs(c), abs(alpha)))))
-    return out
-
-
-def grid_root_oracle(polys, box=5.0, step=0.01, residual_tol=1e-8, merge=1e-6):
-    """Independent genuine-root finder: scan a grid, refine local minima.
-
-    ``polys`` may be BivariatePoly instances or raw coefficient grids.
-    Returns roots sorted by (re, im), deduplicated within ``merge``.
-    """
-    coeff_list = [np.asarray(getattr(p, "coeffs", p), dtype=complex) for p in polys]
-    xs = np.arange(-box, box + step / 2, step)
-    grid = xs[None, :] + 1j * xs[:, None]
-    res = _grid_residual(coeff_list, grid)
-
-    inner = res[1:-1, 1:-1]
-    neighbors = [res[1 + di:res.shape[0] - 1 + di, 1 + dj:res.shape[1] - 1 + dj]
-                 for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-    is_min = np.ones_like(inner, dtype=bool)
-    for nb in neighbors:
-        is_min &= inner <= nb
-    # coarse cut relative to a cheap coefficient-scale bound: only minima
-    # that could plausibly reach zero after refinement
-    csum = max(float(np.sum(np.abs(c))) for c in coeff_list)
-    degsum = max(c.shape[0] + c.shape[1] - 2 for c in coeff_list)
-    bound = csum * np.maximum(1.0, np.abs(grid[1:-1, 1:-1])) ** degsum
-    candidates = grid[1:-1, 1:-1][is_min & (inner < 0.05 * np.maximum(1.0, bound))]
-
-    roots = []
-    for a in candidates:
-        refined = _fd_newton(coeff_list, a)
-        resid = float(_grid_residual(coeff_list, np.array(refined)))
-        if resid <= residual_tol * _residual_scale(coeff_list, refined):
-            if abs(refined.real) <= box and abs(refined.imag) <= box:
-                roots.append(complex(refined))
-    roots.sort(key=lambda z: (z.real, z.imag))
-    merged = []
-    for a in roots:
-        if any(abs(a - m) <= merge for m in merged):
-            continue
-        merged.append(a)
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# scalar root verification: the one-candidate, one-polynomial loop that the
-# batched ``verify_roots`` replaced, kept as its reference
-# ---------------------------------------------------------------------------
-
-def _scalar_derivs(c):
-    da = npoly.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, c.shape[1]), dtype=complex)
-    db = npoly.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((c.shape[0], 1), dtype=complex)
-    return da, db
-
-
-def _scalar_polish(alpha, coeff_list, steps=8):
-    """Gauss-Newton on the genuine-root residuals, treating re/im separately."""
-    def residual(a):
-        return np.array([npoly.polyval2d(a, np.conj(a), c) for c in coeff_list], dtype=complex)
-
-    derivs = [_scalar_derivs(c) for c in coeff_list]
-    best = alpha
-    best_res = np.linalg.norm(residual(alpha))
-    a = alpha
-    for _ in range(steps):
-        r = residual(a)
-        ja = np.array([npoly.polyval2d(a, np.conj(a), d[0]) for d in derivs])
-        jb = np.array([npoly.polyval2d(a, np.conj(a), d[1]) for d in derivs])
-        # d/dx and d/dy of each complex residual (alpha = x + iy)
-        jx = ja + jb
-        jy = 1j * (ja - jb)
-        m = np.zeros((2 * len(coeff_list), 2))
-        rhs = np.zeros(2 * len(coeff_list))
-        m[0::2, 0], m[0::2, 1] = jx.real, jy.real
-        m[1::2, 0], m[1::2, 1] = jx.imag, jy.imag
-        rhs[0::2], rhs[1::2] = -r.real, -r.imag
-        try:
-            delta, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        step = delta[0] + 1j * delta[1]
-        if not np.isfinite(step):
-            break
-        damp = 1.0
-        improved = False
-        for _ in range(5):
-            cand = a + damp * step
-            res = np.linalg.norm(residual(cand))
-            if res < best_res:
-                a, best, best_res = cand, cand, res
-                improved = True
-                break
-            damp /= 2
-        if not improved:
-            break
-    return best
-
-
-def _scalar_scale(c, alpha):
-    mag = npoly.polyval2d(abs(alpha), abs(alpha), np.abs(c))
-    return max(1.0, float(np.real(mag)))
-
-
-def scalar_verify_roots(candidates, polys, residual_tol=1e-8, merge=1e-6):
-    """Polish, accept and merge candidates one at a time with ``polyval2d``.
-
-    ``polys`` may be BivariatePoly instances or raw coefficient grids.
-    Returns roots sorted by (re, im), merged within ``merge``.
-    """
-    coeff_list = [np.asarray(getattr(p, "coeffs", p), dtype=complex) for p in polys]
-    kept = []
-    for alpha in candidates:
-        a = complex(alpha)
-        if not np.isfinite(a):
-            continue
-        a = _scalar_polish(a, coeff_list)
-        if all(abs(npoly.polyval2d(a, np.conj(a), c)) <= residual_tol * _scalar_scale(c, a)
-               for c in coeff_list):
-            kept.append(complex(a))
-    merged = []
-    for a in sorted(kept, key=lambda z: (z.real, z.imag)):
-        if any(abs(a - m) <= merge for m in merged):
-            continue
-        merged.append(a)
-    return merged
-
-
-def plant_common_roots(rng, deg_alpha, deg_conj, roots, npolys=1):
-    """Coefficient grids vanishing at the requested genuine roots.
-
-    Each root imposes one linear constraint on the coefficients; sampling
-    from the null space makes the roots exact by construction.
-    """
-    mono_rows = []
-    for a in roots:
-        mono_rows.append([(a ** j) * (np.conj(a) ** k)
-                          for j in range(deg_alpha + 1) for k in range(deg_conj + 1)])
-    constraints = np.array(mono_rows, dtype=complex)
-    _u, _s, vh = np.linalg.svd(constraints)
-    null = vh[len(roots):].conj().T
-    grids = []
-    for _ in range(npolys):
-        coeff = null @ (rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1]))
-        grids.append(coeff.reshape(deg_alpha + 1, deg_conj + 1))
-    return grids
-
-
 def sets_match(a, b, radius=1e-6):
     """Set equality of complex collections within a matching radius."""
     a, b = list(a), list(b)
@@ -591,9 +374,8 @@ def scalar_kernel_term(state, v):
 
 
 # ---------------------------------------------------------------------------
-# scalar fixed-alpha solves and determinant interpolation: the one-alpha,
-# one-node loops that the stacked numpy calls in ``productfinder`` replaced,
-# kept as their bitwise references
+# scalar fixed-alpha solves: the one-alpha loops that the stacked numpy
+# calls in ``productfinder`` replaced, kept as their bitwise references
 # ---------------------------------------------------------------------------
 
 def scalar_stacked(cs, alpha):
@@ -648,24 +430,9 @@ def scalar_chart_products(cs, alphas, h1, h2, tol):
     return found
 
 
-def scalar_det_poly_bivariate(rows_alpha, rows_conj):
-    """Bivariate determinant coefficients, one ``det`` per node pair."""
-    da = rows_alpha[0].shape[0]
-    db = rows_conj[0].shape[0]
-    nodes_a, inv_a = _inv_dft(da)
-    nodes_b, inv_b = _inv_dft(db)
-    grid = np.zeros((da + 1, db + 1), dtype=complex)
-    for i, x in enumerate(nodes_a):
-        for j, y in enumerate(nodes_b):
-            m = np.vstack([x * rows_alpha[0] + rows_alpha[1],
-                           y * rows_conj[0] + rows_conj[1]])
-            grid[i, j] = np.linalg.det(m)
-    return inv_a @ grid @ inv_b.T
-
-
 # ---------------------------------------------------------------------------
-# per-call primitives: the forms that the overhead cuts in ``matrixcore``,
-# ``polyelim`` and ``productfinder`` replaced, kept as their bitwise references
+# per-call primitives: the forms that the overhead cuts in ``matrixcore``
+# replaced, kept as their bitwise references
 # ---------------------------------------------------------------------------
 
 def reference_as_complex_matrix(a, name="matrix"):
@@ -688,69 +455,6 @@ def reference_split(tol, w, v):
     kept = [i for i in order if keep[i]]
     dropped = [i for i in order if not keep[i]]
     return len(kept), v[:, dropped], v[:, kept], borderline
-
-
-def reference_trim(grid):
-    """``polyelim._trim`` masking the whole grid before it slices."""
-    g = np.asarray(grid, dtype=complex)
-    if g.ndim != 2:
-        g = np.atleast_2d(g)
-    top = np.max(np.abs(g)) if g.size else 0.0
-    if not np.isfinite(top):
-        raise NonFinite("non-finite coefficients")
-    if top <= 0.0:
-        return np.zeros((1, 1), dtype=complex)
-    mask = np.abs(g) > TRIM_REL_TOL * top
-    g = np.where(mask, g, 0.0)
-    rows = np.nonzero(mask.any(axis=1))[0]
-    cols = np.nonzero(mask.any(axis=0))[0]
-    return g[: rows[-1] + 1, : cols[-1] + 1]
-
-
-def reference_is_zero(grid):
-    return grid.size == 0 or np.max(np.abs(grid)) <= 0.0
-
-
-def reference_alpha_divisible(grid):
-    top = np.max(np.abs(grid))
-    return bool(np.all(np.abs(grid[0]) <= TRIM_REL_TOL * top))
-
-
-def reference_scalar_proportional(g1, g2):
-    a, b = reference_trim(g1), reference_trim(g2)
-    if a.shape != b.shape:
-        return False
-    i = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    if abs(b[i]) <= 0.0:
-        return False
-    c = a[i] / b[i]
-    return np.max(np.abs(a - c * b)) <= 1e-9 * max(np.max(np.abs(a)), np.max(np.abs(c * b)))
-
-
-def reference_eval_stack(stack, x, y):
-    """Horner over a ``(A, B, K)`` stack, starting from the broadcast last row."""
-    v = np.broadcast_to(stack[-1], (x.size,) + stack.shape[1:])
-    for row in stack[-2::-1]:
-        v = row + v * x[:, None, None]
-    w = v[:, -1]
-    for j in range(stack.shape[1] - 2, -1, -1):
-        w = v[:, j] + w * y[:, None]
-    return w
-
-
-def reference_inv_dft(deg):
-    """Interpolation nodes and inverse Vandermonde matrix, computed afresh."""
-    nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
-    vand = nodes[:, None] ** np.arange(deg + 1)[None, :]
-    return nodes, vand.conj().T / (deg + 1)
-
-
-def reference_block_rows_independent(ac, bc, probe):
-    """Rank test from ``matrix_rank`` with a cutoff from ``norm(., 2)``: two SVDs."""
-    if ac.shape[0] == 0:
-        return True
-    m = probe * ac + bc
-    return np.linalg.matrix_rank(m, tol=1e-10 * max(1.0, float(np.linalg.norm(m, 2)))) == ac.shape[0]
 
 
 def reference_hermitize(m):

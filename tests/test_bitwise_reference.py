@@ -1,7 +1,7 @@
 """The stacked numpy calls of the product-vector search give the scalar loops' bits.
 
-Each test runs a library function that solves many alphas or interpolation
-nodes, or screens many candidate vectors, in one stacked call, and the
+Each test runs a library function that solves many alphas, or screens
+many candidate vectors, in one stacked call, and the
 one-at-a-time loop it replaced (kept in ``helpers``), on seeded systems, and
 requires exact equality: alphas compared by their float hex, arrays by
 their bytes.  ``TestNumpyForms`` pins the numpy forms that this rests on,
@@ -20,18 +20,6 @@ from sep2n.matrixcore import (
     as_complex_matrix,
     hermitize,
     numerical_rank_kernel,
-)
-from sep2n.polyelim import (
-    BivariatePoly,
-    NonFinite,
-    _alpha_divisible,
-    _block_rows_independent,
-    _eval_stack,
-    _inv_dft,
-    _is_zero,
-    _scalar_proportional,
-    _trim,
-    det_poly_bivariate,
 )
 from sep2n.productfinder import (
     REAL_ALPHA_GRID,
@@ -69,19 +57,11 @@ from helpers import (
     random_ppt_mixture,
     random_product_vector,
     random_pt_invariant,
-    reference_alpha_divisible,
     reference_as_complex_matrix,
-    reference_block_rows_independent,
-    reference_eval_stack,
     reference_hermitize,
-    reference_inv_dft,
-    reference_is_zero,
-    reference_scalar_proportional,
     reference_split,
-    reference_trim,
     scalar_best_subtraction,
     scalar_chart_products,
-    scalar_det_poly_bivariate,
     scalar_from_alpha,
     scalar_from_e_f,
     scalar_in_range,
@@ -349,19 +329,6 @@ class TestChartSamples:
                             scalar_chart_products(cs, SAMPLE_ALPHAS, h1, h2, TOL))
 
 
-class TestDeterminantInterpolation:
-    def test_bivariate(self):
-        rng = np.random.default_rng(51)
-        for n in range(1, 7):
-            for da in range(n + 1):
-                db = n - da
-                blocks = [rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-                          for k in (da, da, db, db)]
-                ours = det_poly_bivariate(blocks[:2], blocks[2:]).coeffs
-                ref = BivariatePoly(scalar_det_poly_bivariate(blocks[:2], blocks[2:])).coeffs
-                assert ours.tobytes() == ref.tobytes()
-
-
 def sizes(rng):
     """A dimension in 2..16 and a row count in 1..11."""
     return int(rng.integers(2, 17)), int(rng.integers(1, 12))
@@ -611,23 +578,6 @@ def same_array(ours, ref, layout=True):
                                 and ours.flags.f_contiguous == ref.flags.f_contiguous)))
 
 
-def signed_zero_grids(rng):
-    """Coefficient grids with signed zeros, entries at the trim cutoff and zero borders."""
-    nz, pz = complex(-0.0, -0.0), complex(0.0, -0.0)
-    grids = [np.array([[nz]]), np.array([[nz, pz], [-0.0, 0.0]]), np.zeros((0, 3)),
-             np.array([1.0, -0.0, nz]), np.array([[1e-13, 1.0], [1e-12, nz]]),
-             np.array([[2.0, -0.0], [nz, 1e-12 * 2.0 * (1 + 2 ** -52)]])]
-    for _ in range(40):
-        a, b = (int(k) for k in rng.integers(1, 6, 2))
-        g = crand(rng, a, b) * 10.0 ** rng.integers(-12, 1, (a, b))
-        g[rng.random((a, b)) < 0.3] = nz
-        g[rng.random((a, b)) < 0.2] = pz
-        if rng.random() < 0.5:
-            g[-1] = -0.0
-        grids.append(g)
-    return grids
-
-
 corpus = perfbench_corpus()
 
 
@@ -722,79 +672,3 @@ class TestPerCallPrimitives:
         assert ours[0] == ref[0] == 0 and same_array(ours[1], ref[1])
         assert same_array(ours[2], ref[2]) and ours[2].shape == (4, 0)
         assert splits == 96
-
-    def test_eval_stack(self):
-        rng = np.random.default_rng(932)
-        for rows in range(1, 6):
-            for cols in range(1, 5):
-                for points in (0, 1, 4):
-                    stack = crand(rng, rows, cols, int(rng.integers(1, 4)))
-                    x = crand(rng, points)
-                    y = x.conj() if rng.random() < 0.5 else crand(rng, points)
-                    assert same_array(_eval_stack(stack, x, y), reference_eval_stack(stack, x, y))
-
-    def test_trim_and_grid_tests_on_signed_zeros(self):
-        rng = np.random.default_rng(933)
-        grids = signed_zero_grids(rng)
-        for g in grids:
-            # the trimmed grid is now a fresh C-ordered array, not a view of the mask
-            ours, ref = outcome(_trim, g), outcome(reference_trim, g)
-            assert same_array(ours, ref, layout=False) and ours.flags.c_contiguous
-            assert _is_zero(ours) == reference_is_zero(ref)
-            if ours.size:
-                assert _alpha_divisible(ours) == reference_alpha_divisible(ref)
-        for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(1.5e308, 1.5e308)):
-            g = np.array([[1.0, bad]])
-            with pytest.raises(NonFinite):
-                _trim(g)
-            with pytest.raises(NonFinite):
-                reference_trim(g)
-        for g in grids + [np.array([[0.0, 2j]]), np.array([[complex(-0.0, 1e-300)]])]:
-            assert _is_zero(np.asarray(g, dtype=complex)) == reference_is_zero(
-                np.asarray(g, dtype=complex))
-        nan = np.array([[np.nan, 0.0]], dtype=complex)
-        assert not _is_zero(nan) and not reference_is_zero(nan)
-        assert _alpha_divisible(nan) == reference_alpha_divisible(nan)
-
-    def test_scalar_proportional(self):
-        rng = np.random.default_rng(934)
-        grids = [g for g in signed_zero_grids(rng) if g.size]
-        hits = 0
-        for g in grids:
-            c = complex(*rng.standard_normal(2))
-            for h in (c * g, c * g + 1e-12 * crand(rng, *np.atleast_2d(g).shape),
-                      crand(rng, *np.atleast_2d(g).shape), np.zeros_like(g), g[..., :1]):
-                ours = _scalar_proportional(g, h)
-                assert ours == reference_scalar_proportional(g, h)
-                hits += bool(ours)
-        assert hits >= 40
-
-    def test_inv_dft_is_cached_read_only(self):
-        for deg in range(12):
-            nodes, inv = _inv_dft(deg)
-            ref_nodes, ref_inv = reference_inv_dft(deg)
-            assert same_array(nodes, ref_nodes) and same_array(inv, ref_inv)
-            assert not nodes.flags.writeable and not inv.flags.writeable
-            again = _inv_dft(deg)
-            assert again[0] is nodes and again[1] is inv
-            with pytest.raises(ValueError):
-                inv[0, 0] = 0.0
-
-    def test_block_rows_independent(self):
-        rng = np.random.default_rng(936)
-        probe = 0.6180339887 + 0.7548776662j
-        seen = set()
-        for n in range(1, 9):
-            for r in range(n + 1):
-                for _ in range(4):
-                    ac, bc = crand(rng, r, n), crand(rng, r, n)
-                    if r >= 2 and rng.random() < 0.5:  # a dependent row
-                        mix = crand(rng, r - 1)
-                        ac[-1], bc[-1] = mix @ ac[:-1], mix @ bc[:-1]
-                        ac[-1] += 1e-10 * rng.choice([0.0, 0.5, 2.0]) * crand(rng, n)
-                    for scale in (1.0, 1e-12, 1e12):
-                        ours = _block_rows_independent(scale * ac, scale * bc, probe)
-                        ref = reference_block_rows_independent(scale * ac, scale * bc, probe)
-                        assert ours == ref
-                        seen.add(ours)
-        assert seen == {True, False}

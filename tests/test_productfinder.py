@@ -5,7 +5,6 @@ import pytest
 
 from sep2n import matrixcore, productfinder, sepengine
 from sep2n.matrixcore import DensityState, ToleranceConfig
-from sep2n.polyelim import _paired_dets, eliminate_paired
 from sep2n.productfinder import (
     PENCIL_CONVERGED,
     PENCIL_GATE,
@@ -19,6 +18,7 @@ from sep2n.productfinder import (
     _far_from_products,
     _orthonormalize,
     _paired_system,
+    _pencil_roots,
     _single_roots,
     build_paired_system,
     kernel_product_vector,
@@ -331,6 +331,50 @@ def _random_alphas(rng, count):
     return [complex(*rng.standard_normal(2)) for _ in range(count)]
 
 
+def _paired_sigma_scan(h1, h2, box, step):
+    """Alphas in the box [-box, box]^2 where a pair |e,f> in H1, |e*,f> in H2 exists.
+
+    With e = (alpha, 1) / |(alpha, 1)| and C1, C2 orthonormal complements
+    of H1 and H2 from a full SVD, sigma_N of the stack of C1^dag (e (x) I)
+    and C2^dag (e* (x) I) vanishes exactly there.  Local minima of a grid
+    scan under a coarse cut are refined by compass search and kept where
+    sigma_N <= 1e-10; roots closer than 1e-6 count once.
+    """
+    n = h1.shape[0] // 2
+    c1, c2 = (np.linalg.svd(h)[0][:, h.shape[1]:].conj().T for h in (h1, h2))
+
+    def sigma_n(alphas):
+        alphas = np.asarray(alphas, dtype=complex).ravel()
+        norm = np.sqrt(1 + np.abs(alphas) ** 2)[:, None, None]
+        a, b = alphas[:, None, None] / norm, 1 / norm
+        stack = np.concatenate([a * c1[:, :n] + b * c1[:, n:],
+                                a.conj() * c2[:, :n] + b * c2[:, n:]], axis=1)
+        return np.linalg.svd(stack, compute_uv=False)[:, n - 1]
+
+    xs = np.arange(-box, box + step / 2, step)
+    grid = xs[None, :] + 1j * xs[:, None]
+    res = np.array([sigma_n(row) for row in grid])
+    inner = res[1:-1, 1:-1]
+    is_min = inner < 0.05
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                is_min &= inner <= res[1 + di:res.shape[0] - 1 + di, 1 + dj:res.shape[1] - 1 + dj]
+    roots = []
+    for a in grid[1:-1, 1:-1][is_min]:
+        best, scale = sigma_n(a)[0], step
+        while scale > 1e-14:
+            moves = a + scale * np.array([1, -1, 1j, -1j])
+            values = sigma_n(moves)
+            if values.min() < best:
+                a, best = moves[values.argmin()], values.min()
+            else:
+                scale /= 2
+        if best <= 1e-10 and not any(abs(a - r) <= 1e-6 for r in roots):
+            roots.append(complex(a))
+    return roots
+
+
 class TestPairedProducts:
     def test_round_trip_rank_five(self):
         rng = np.random.default_rng(4)
@@ -401,8 +445,6 @@ class TestPairedProducts:
         # finite enumeration is exhaustive and the search refuses
         h1 = orthonormal_complement(np.array([[1, 0, 0, 1]], dtype=complex).T)
         h2 = orthonormal_complement(np.array([[0, 1, 1, 0]], dtype=complex).T)
-        (det,) = _paired_dets(build_paired_system(h1, h2))
-        assert np.allclose(det.coeffs, [[-0.5, 0], [0, 0.5]])
         with pytest.raises(NonGenericInput, match="self-conjugate"):
             paired_products(*paired_bases(h1, h2))
 
@@ -416,14 +458,16 @@ class TestPairedProducts:
         with pytest.raises(NonGenericInput, match="self-conjugate"):
             paired_products(*paired_bases(h, h))
 
-    def test_rank_six_six_degree_bound(self):
+    def test_rank_six_six_candidate_bound(self):
+        # 2 + 2 constraint rows, N = 4: the pencil keeps the k1^2 + k2^2 = 8
+        # rows where Delta_0 does not vanish, so at most 8 finite candidates
         rng = np.random.default_rng(5)
         m, _, _ = build_separable(rng, 4, 6)
         state = DensityState(m)
         assert state.rank == 6 and state.pt_rank == 6
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
-        assert len(_paired_dets(cs)) == 1
-        assert eliminate_paired(cs).degree <= 8
+        assert [x.shape[0] for x in cs.conj_blocks] == [2, 2, 2, 2]
+        assert _pencil_roots(cs).size <= 8
 
     def test_membership_of_every_returned_vector(self):
         rng = np.random.default_rng(6)
@@ -469,26 +513,24 @@ class TestPairedProducts:
         extra2 = rng.standard_normal((2 * n, 4)) + 1j * rng.standard_normal((2 * n, 4))
         h1 = np.column_stack([v.vector, extra1])
         h2 = np.column_stack([v.conjugate_partner.vector, extra2])
+        # 2 + 3 constraint rows, more than N: the pencil compresses them
         cs = build_paired_system(h1, h2)
-        assert len(_paired_dets(cs)) == 2
+        assert [x.shape[0] for x in cs.conj_blocks] == [2, 2, 3, 3]
         found = paired_products(*paired_bases(h1, h2))
         assert isinstance(found, list)
         assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-7 for w in found)
 
     def test_determinant_system_matches_grid_search(self):
-        # the verified roots of the three-determinant system equal the
-        # independent grid-scan roots of that same system
-        from helpers import grid_root_oracle, sets_match
+        # the finite alphas of the search equal the roots of an independent
+        # scan of sigma_N over a grid, where a pair |e,f> in H1, |e*,f> in H2 exists
         rng = np.random.default_rng(20)
         m, _, _ = build_separable(rng, 4, 5)
         state = DensityState(m)
-        cs = build_paired_system(state.range_basis, state.pt_range_basis)
-        assert len(_paired_dets(cs)) == 3
         found = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
         alphas = [v.alpha for v in found if v.alpha is not None]
-        oracle = grid_root_oracle(_paired_dets(cs), box=4.0, step=0.02)
+        oracle = _paired_sigma_scan(state.range_basis, state.pt_range_basis, box=4.0, step=0.02)
+        assert len(oracle) >= 5
         assert sets_match(alphas, oracle, radius=1e-5)
-
 
     @staticmethod
     def planted_search(rng, n, alphas, m1, m2):
