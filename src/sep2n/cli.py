@@ -258,7 +258,7 @@ def load_state(path, flag_overrides: dict | None = None) -> tuple[DensityState, 
         raise InputError(f"{path}: matrix shape {matrix.shape} inconsistent with n={n}")
     tol = load_tolerances(flag_overrides, doc.get("tolerances"))
     try:
-        state = DensityState(matrix, n=n, tol=tol)
+        state = DensityState(matrix, tol=tol)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     return state, doc
@@ -347,7 +347,7 @@ def generate_state(kind: str, n: int, rank: int | None, seed: int) -> tuple[np.n
         for pv in vecs:
             m += rng.uniform(0.5, 1.5) * pv.projector()
         m /= np.real(np.trace(m))
-        state = DensityState(m, n=n)
+        state = DensityState(m)
         if kind == "rank-n-separable" and state.rank != n:
             raise InputError(f"generated rank {state.rank}, expected {n}; try another seed")
         if not state.is_ppt:

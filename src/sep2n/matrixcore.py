@@ -83,6 +83,9 @@ class ToleranceConfig:
 # The tolerances of every call that is given none; frozen, so safely shared.
 DEFAULT_TOL = ToleranceConfig()
 
+# [2**-511, sqrt(largest double)]: a product of two floats with moduli in here is normal.
+_SQUARE_SAFE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
+
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a finite 2-D complex array."""
@@ -260,32 +263,27 @@ def psd_difference_check(x, y, tol: ToleranceConfig | None = None) -> bool:
 class DensityState:
     """Hermitian PSD operator on C2 x CN with cached rank/kernel data.
 
-    The matrix is symmetrized, and the spectral data of it and of its partial
-    transpose (``pt_rank``, its bases, ``pt_min_eigenvalue`` and the
-    ``warnings`` both add to) are computed at construction; the transpose's
-    are the state's own when ``pt_matrix`` equals ``matrix`` byte for byte.
-    Instances are treated as immutable afterwards.  Trace does not have to
-    be 1, only positive.  Both pseudoinverses are built from the cached
-    eigendecompositions.
+    N is half the matrix's dimension.  The matrix is symmetrized, and the
+    spectral data of it and of its partial transpose (``pt_rank``, its bases,
+    ``pt_min_eigenvalue`` and the ``warnings`` both add to) are computed at
+    construction; the transpose's are the state's own when ``pt_matrix``
+    equals ``matrix`` byte for byte.  Instances are treated as immutable
+    afterwards.  Trace does not have to be 1, only positive.  Both
+    pseudoinverses are built from the cached eigendecompositions.
     """
 
-    def __init__(self, matrix, n: int | None = None, tol: ToleranceConfig | None = None,
-                 require_psd: bool = True):
+    def __init__(self, matrix, tol: ToleranceConfig | None = None, require_psd: bool = True):
         tol = tol or DEFAULT_TOL
         m = as_complex_matrix(matrix, "density matrix")
         dim = m.shape[0]
         if m.shape[1] != dim or dim % 2 != 0 or dim == 0:
             raise ValueError(f"density matrix must be 2N x 2N, got shape {m.shape}")
-        if n is None:
-            n = dim // 2
-        elif 2 * n != dim:
-            raise ValueError(f"matrix shape {m.shape} inconsistent with N={n}")
 
         if not _is_hermitian(m, tol):
             herm_err = operator_norm(m - m.conj().T) / operator_norm(m)
             raise ValueError(f"matrix is not Hermitian (relative deviation {herm_err:.3e})")
 
-        self.n = int(n)
+        self.n = dim // 2
         self.dim = dim
         self.tol = tol
         self.matrix = hermitize(m)

@@ -2,19 +2,22 @@
 
 A product vector ``(alpha|0> + |1>) (x) f`` lies in a subspace H exactly
 when ``(alpha A* + B*) f = 0``, where the rows of A and B collect the
-components of an orthonormal basis of the orthogonal complement of H.  A
-single subspace of dimension at most N is searched through the eigenvalues
-of the N x N pencil of these rows.  The paired search additionally
-constrains the conjugate partner ``|e*, f>`` to a second subspace, which
-brings in the conjugate variable; with beta standing for conj(alpha) the
-two constraint sets form a two-parameter eigenvalue problem, whose
-candidate roots are the eigenvalues of one operator-determinant pencil
-(``_pencil_roots``).  Both searches solve their pencil by one shift-invert
-(``_shift_invert``) and polish the candidates the same way
-(``_gate_and_polish``), each until it converges.  Every chart point turns
-into a product vector in ``_chart_products`` under one rank-drop rule
-(``_has_null``), f from one stacked SVD: the samples' own, or the polish's
-for roots and e = |0> (alpha None).
+components of an orthonormal basis of the orthogonal complement of H; a
+``ConstraintSystem`` is built from such complements alone.  A single
+subspace of dimension at most N is searched through the eigenvalues of the
+N x N pencil of these rows.  The paired search additionally constrains the
+conjugate partner ``|e*, f>`` to a second subspace, which brings in the
+conjugate variable; with beta standing for conj(alpha) the two constraint
+sets form a two-parameter eigenvalue problem, whose candidate roots are the
+eigenvalues of one operator-determinant pencil (``_pencil_roots``).  Both
+searches solve their pencil by one shift-invert (``_shift_invert``) and
+polish the candidates the same way (``_gate_and_polish``), each until it
+converges.  Every chart point turns into a product vector in
+``_chart_products`` under one rank-drop rule (``_has_null``), f from one
+stacked SVD: the samples' own, or the polish's for roots and e = |0>
+(alpha None).  Where the solutions form an infinite family, a search
+returns the list of its samples at fixed chart points, an
+``InfiniteFamily`` built by ``_family``.
 
 Candidates are screened as stacks, and each stacked numpy form used here
 gives the bits of the single-vector call it replaces: a mat-vec as a matmul
@@ -27,14 +30,15 @@ one scalar at a time.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, numerical_rank_kernel
+from .matrixcore import _SQUARE_SAFE, DEFAULT_TOL, ToleranceConfig, numerical_rank_kernel
 from .polyelim import eliminate_paired  # noqa: F401 (traced by perfbench)
 
 __all__ = [
@@ -114,10 +118,8 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ``_row_norms`` squares a row of d entries safely when its largest |re| or
-# |im| lies in [LO, HI / sqrt(2d)]: that square does not underflow, and the
-# sum of the 2d squares does not overflow.
-_SQUARE_SAFE_LO = math.sqrt(np.finfo(float).tiny)
-_SQUARE_SAFE_HI = math.sqrt(np.finfo(float).max)
+# |im| lies in [LO, HI / sqrt(2d)] for (LO, HI) = ``_SQUARE_SAFE``: that
+# square does not underflow, and the sum of the 2d squares does not overflow.
 # Row norms at or above this come from no row with a component below LO.
 _NORM_SAFE_LO = 2.0 ** -500
 
@@ -129,7 +131,7 @@ def _square_safe(v: np.ndarray) -> np.ndarray:
     other rows keep their bits.
     """
     top = np.abs(v.view(float)).max(axis=1)
-    far = (top < _SQUARE_SAFE_LO) | (top > _SQUARE_SAFE_HI / math.sqrt(2 * v.shape[1]))
+    far = (top < _SQUARE_SAFE[0]) | (top > _SQUARE_SAFE[1] / math.sqrt(2 * v.shape[1]))
     if not far.any():
         return v
     v = v.copy()
@@ -146,7 +148,7 @@ def _phase_normalize(rows) -> np.ndarray:
     """
     v = np.ascontiguousarray(rows, dtype=complex)
     parts = v.view(float)
-    hi = _SQUARE_SAFE_HI / math.sqrt(max(parts.shape[1], 1))
+    hi = _SQUARE_SAFE[1] / math.sqrt(max(parts.shape[1], 1))
     if parts.size and not (parts.max() <= hi and parts.min() >= -hi):
         v = _square_safe(v)
     nrm = _row_norms(v)
@@ -244,21 +246,27 @@ class ProductVector:
         return f"ProductVector(alpha={a}, n={self.f.size})"
 
 
-@dataclass
-class InfiniteFamily:
-    """Marker for an infinite product-vector family, with a finite sample."""
+class InfiniteFamily(list):
+    """An infinite product-vector family as the list of its samples; ``note`` says why it is one."""
 
-    samples: list[ProductVector] = field(default_factory=list)
-    note: str = ""
+    def __init__(self, samples=(), note: str = ""):
+        super().__init__(samples)
+        self.note = note
 
 
 class ConstraintSystem:
-    """Orthocomplement blocks of a paired search; a single-subspace one has no partner block."""
+    """The constraint blocks of a search, from orthonormal complements of H1 and H2.
 
-    def __init__(self, a1: np.ndarray, b1: np.ndarray, a2: np.ndarray, b2: np.ndarray, n: int):
-        self.n = n
-        # only the conjugates are kept: the constraint rows at alpha are alpha * A* + B*
-        self.conj_blocks = tuple(np.conj(x) for x in (a1, b1, a2, b2))
+    A complement's top and bottom N rows, transposed, are its blocks A and B;
+    the rows at alpha are alpha A* + B* for H1 and conj(alpha) A* + B* for H2,
+    so only the (C-contiguous) conjugates are kept.  A single-subspace search
+    passes a ``c2`` with no columns.
+    """
+
+    def __init__(self, c1: np.ndarray, c2: np.ndarray):
+        n = self.n = c1.shape[0] // 2
+        self.conj_blocks = tuple(np.conj(half) for c in (c1, c2)
+                                 for half in (c[:n].T.copy(), c[n:].T.copy()))
 
     def stacked(self, alphas: np.ndarray, conj_alphas: np.ndarray | None = None) -> np.ndarray:
         """The (K, rows, N) stack of constraint matrices; conj_alphas defaults to conj(alphas)."""
@@ -300,11 +308,6 @@ def orthonormal_complement(h: np.ndarray) -> np.ndarray:
     if h.shape[1] == 0:
         return np.eye(h.shape[0], dtype=complex)
     return numerical_rank_kernel(h.conj().T).kernel_basis
-
-
-def _blocks(comp: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows A[i] and B[i] of each complement vector split by the qubit index."""
-    return comp[:n, :].T.copy(), comp[n:, :].T.copy()
 
 
 def in_range(basis: np.ndarray, vecs: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -467,7 +470,7 @@ def _far_from_products(h: np.ndarray, n: int) -> bool:
     D_1 = (G_01 + G_10)/2, D_2 = i (G_10 - G_01)/2 and D_3 = (G_00 - G_11)/2.
 
     Why True means the full search returns []: with the blocks A, B of H's
-    orthonormal complement (``_blocks``) and e proportional to (alpha, 1),
+    orthonormal complement (``ConstraintSystem``) and e proportional to (alpha, 1),
     the constraint matrix M = alpha A* + B* has sigma_N(M)^2 = (1 +
     |alpha|^2)(1 - lambda_max(K)).
     Since ||[A B]|| = 1, sigma_1(M) <= 1 + |alpha|, so the ``_has_null`` gate
@@ -666,6 +669,11 @@ def _gate_and_polish(cs: ConstraintSystem, candidates: np.ndarray
     return [points[k] for k in kept], (np.concatenate(sigmas)[kept], np.concatenate(fs)[kept])
 
 
+def _family(cs: ConstraintSystem, alphas, h1, h2, tol, note: str) -> InfiniteFamily:
+    """The infinite family of a search, sampled at the chart points ``alphas``."""
+    return InfiniteFamily(_chart_products(cs, alphas, h1, h2, tol), note)
+
+
 # ---------------------------------------------------------------------------
 # single-subspace search
 # ---------------------------------------------------------------------------
@@ -704,11 +712,10 @@ def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
     n, m = h.shape[0] // 2, h.shape[1]
     if m == 0 or (m < n and _far_from_products(h, n)):
         return []
-    cs = _paired_system(comp, comp[:, :0])  # no partner rows
+    cs = ConstraintSystem(comp, comp[:, :0])  # no partner rows
     samples = SAMPLE_ALPHAS + (None,)
     if m > n:
-        return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
-                              note="subspace dimension exceeds N")
+        return _family(cs, samples, h, None, tol, "subspace dimension exceeds N")
 
     # a singular pencil has a vanishing determinant; for m < n that is a
     # family only where the constraints drop rank at every alpha, and
@@ -716,11 +723,9 @@ def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
     candidates = _single_roots(cs)
     if candidates is None:
         if m == n:
-            return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
-                                  note="determinant vanishes identically")
+            return _family(cs, samples, h, None, tol, "determinant vanishes identically")
         if all(_rank_drops(cs, SAMPLE_ALPHAS[:2])):
-            return InfiniteFamily(samples=_chart_products(cs, samples, h, None, tol),
-                                  note="all determinants vanish identically")
+            return _family(cs, samples, h, None, tol, "all determinants vanish identically")
         candidates = np.zeros(0, dtype=complex)
     points, svd = _gate_and_polish(cs, candidates)
     return _chart_products(cs, points, h, None, tol, svd=svd)
@@ -729,14 +734,6 @@ def products_in_subspace(h, comp, tol: ToleranceConfig | None = None):
 # ---------------------------------------------------------------------------
 # paired search
 # ---------------------------------------------------------------------------
-
-def _paired_system(c1: np.ndarray, c2: np.ndarray) -> ConstraintSystem:
-    """Constraints of |e,f> in H1 and |e*,f> in H2, from their orthonormal complements."""
-    n = c1.shape[0] // 2
-    a1, b1 = _blocks(c1, n)
-    a2, b2 = _blocks(c2, n)
-    return ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n)
-
 
 def build_paired_system(h1, h2) -> ConstraintSystem:
     """Constraint blocks of the paired search on raw bases, each orthonormalized and complemented.
@@ -748,7 +745,7 @@ def build_paired_system(h1, h2) -> ConstraintSystem:
     h2 = _orthonormalize(h2)
     if h1.shape[0] != h2.shape[0]:
         raise ValueError("subspaces live in different ambient spaces")
-    return _paired_system(orthonormal_complement(h1), orthonormal_complement(h2))
+    return ConstraintSystem(orthonormal_complement(h1), orthonormal_complement(h2))
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -878,15 +875,13 @@ def paired_products(h1, c1, h2, c2, tol: ToleranceConfig | None = None):
         # SVD complements, until the fit of ROADMAP item 2 makes those exits
         # basis-independent.  The finite roots below are intrinsic.
         h1, h2 = _orthonormalize(h1, tol), _orthonormalize(h2, tol)
-        return InfiniteFamily(samples=_chart_products(build_paired_system(h1, h2), SAMPLE_ALPHAS,
-                                                      h1, h2, tol),
-                              note="dimension count exceeds 3N")
-    cs = _paired_system(c1, c2)
+        return _family(build_paired_system(h1, h2), SAMPLE_ALPHAS, h1, h2, tol,
+                       "dimension count exceeds 3N")
+    cs = ConstraintSystem(c1, c2)
     candidates = _pencil_roots(cs)
     if candidates is None:
         if all(_rank_drops(cs, SAMPLE_ALPHAS[:2])):
-            return InfiniteFamily(samples=_chart_products(cs, SAMPLE_ALPHAS, h1, h2, tol),
-                                  note="all determinants vanish identically")
+            return _family(cs, SAMPLE_ALPHAS, h1, h2, tol, "all determinants vanish identically")
         raise NonGenericInput("singular pencil: the determinants share a self-conjugate "
                               "factor, whose zeros may form a curve")
     points, svd = _gate_and_polish(cs, candidates)
@@ -909,30 +904,27 @@ def real_e_products(h, comp, tol: ToleranceConfig | None = None) -> list[Product
     n, m = h.shape[0] // 2, h.shape[1]
     if m <= n:
         raise ValueError(f"real-e search needs dim(H) > N, got dim {m} with N={n}")
-    return _chart_products(_paired_system(comp, comp[:, :0]), REAL_ALPHA_GRID + (None,),
+    return _chart_products(ConstraintSystem(comp, comp[:, :0]), REAL_ALPHA_GRID + (None,),
                            h, None, tol)
 
 
 def kernel_product_vectors(state):
     """Every product vector found in the kernel of a PPT state, in the search's order.
 
-    The search runs on the state's own kernel and range bases, so the
-    state's rank decision is the only one.  Only vectors whose conjugate
-    partner the partial transpose annihilates are kept.  An infinite kernel
-    family comes back as an InfiniteFamily holding the samples that pass.
-    The search uses the state's tolerances.
+    The search runs on the state's own kernel and range bases and
+    tolerances, so the state's rank decision is the only one.  Only vectors
+    whose conjugate partner the partial transpose annihilates are kept; an
+    infinite kernel family comes back as an InfiniteFamily of those samples.
     """
     kernel = state.kernel_basis
     if kernel.shape[1] == 0:
         return []
     res = products_in_subspace(kernel, state.range_basis, state.tol)
-    vectors = res.samples if isinstance(res, InfiniteFamily) else res
-    kept = []
-    if vectors:
-        images = (state.pt_matrix @ vector_stacks(vectors)[1][:, :, None])[:, :, 0]
-        passing = _row_norms(images) <= NULL_ACCEPT * state.norm
-        kept = [v for v, ok in zip(vectors, passing) if ok]
-    return InfiniteFamily(samples=kept, note=res.note) if isinstance(res, InfiniteFamily) else kept
+    kept = copy.copy(res)  # a family stays one, with its note
+    if res:
+        images = (state.pt_matrix @ vector_stacks(res)[1][:, :, None])[:, :, 0]
+        kept[:] = [v for v, ok in zip(res, _row_norms(images) <= NULL_ACCEPT * state.norm) if ok]
+    return kept
 
 
 def kernel_product_vector(state) -> ProductVector | None:
@@ -941,5 +933,4 @@ def kernel_product_vector(state) -> ProductVector | None:
     Guaranteed to exist when the kernel dimension reaches N.
     """
     found = kernel_product_vectors(state)
-    vectors = found.samples if isinstance(found, InfiniteFamily) else found
-    return vectors[0] if vectors else None
+    return found[0] if found else None

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .matrixcore import (
+    _SQUARE_SAFE,
     DEFAULT_TOL,
     DensityState,
     ToleranceConfig,
@@ -268,8 +269,7 @@ def _stripped_support(state: DensityState) -> tuple[DensityState, np.ndarray, in
         return state, np.eye(n, dtype=complex), borderline
     iso = u[:, keep]
     w2 = np.kron(np.eye(2, dtype=complex), iso)
-    stripped = DensityState(w2.conj().T @ state.matrix @ w2, n=m_dim, tol=state.tol,
-                            require_psd=False)
+    stripped = DensityState(w2.conj().T @ state.matrix @ w2, tol=state.tol, require_psd=False)
     return stripped, iso, borderline
 
 
@@ -487,7 +487,7 @@ def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=state.norm):
         raise NotPTInvariant("state is not invariant under partial transposition")
-    sym = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), n=state.n, tol=state.tol)
+    sym = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), tol=state.tol)
     run = _Run(sym, ReductionTrace(), sym, np.eye(state.n, dtype=complex))
     return _certify(run, (_zero_remainder, _strip, _base_case, _rank_n_kernel,
                           _real_e_subtraction))
@@ -592,7 +592,7 @@ def symmetric_split_check(state: DensityState) -> Verdict | None:
     terms: list[tuple[float, ProductVector]] = []
     if not _negligible(remainder, state):
         try:
-            rem_state = DensityState(remainder, n=n, tol=state.tol)
+            rem_state = DensityState(remainder, tol=state.tol)
             sub = pt_invariant_decompose(rem_state)
         except (ValueError, NonGenericInput):
             return None
@@ -643,7 +643,7 @@ def pt_symmetrizing_search(state: DensityState) -> Verdict | None:
     if not operator_norm_at_most(sigma - sig_pt, PT_INVARIANCE_REL_TOL, sigma):
         return None
     try:
-        sig_state = DensityState(sigma, n=n, tol=state.tol)
+        sig_state = DensityState(sigma, tol=state.tol)
         cert_sigma = pt_invariant_decompose(sig_state)
     except (ValueError, NonGenericInput):
         return None
@@ -788,9 +788,8 @@ def _kernel_reduction(run: _Run, cur: DensityState):
         if terms is not None:
             run.trace.steps.append(_step("rank-n-decompose", cur, detail=f"terms={len(terms)}"))
             return run.assemble(terms)
-        vectors = found.samples if isinstance(found, InfiniteFamily) else found
-        if vectors:
-            new, (weight, pv), iso = reduce_by_kernel(cur, vectors[0])
+        if found:
+            new, (weight, pv), iso = reduce_by_kernel(cur, found[0])
             run.trace.steps.append(_step(
                 "kernel-reduce", cur, new, lam=weight, case="iii", alpha=pv.alpha,
                 norm_before=cur.norm, min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
@@ -859,7 +858,7 @@ def _paired_search(run: _Run, cur: DensityState):
         if cur.rank + cur.pt_rank <= 3 * cur.n:
             run.trace.notes.append("infinite family below the 3N threshold (non-generic)")
         try:
-            done = subtract(cur, res.samples)
+            done = subtract(cur, res)
         except ValueError as exc:
             return run.stop(f"sample subtraction failed: {exc}", REASON_INFINITE_FAMILY)
         if done is None:
@@ -922,15 +921,11 @@ def _certify(run: _Run, stages) -> SeparabilityCertificate:
     return outcome.certificate
 
 
-# Inside this range, squares and products of the largest entry parts stay normal floats.
-_SAFE_TOP = (np.sqrt(np.finfo(float).tiny), np.sqrt(np.finfo(float).max))
-
-
 def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     """Full separability analysis of a Hermitian PSD operator on C2 x CN.
 
     An input whose largest real or imaginary entry part lies outside
-    ``_SAFE_TOP`` is analyzed times an exact 2**k, which the trace notes; the
+    ``_SQUARE_SAFE`` is analyzed times an exact 2**k, which the trace notes; the
     certificate weights are scaled back and re-verified against the input.
     After the partial-transpose test, passes of ``_STAGES`` (zero remainder,
     strip, base case, PT-invariant, kernel reduction, two-qubit, paired
@@ -941,13 +936,12 @@ def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     """
     state0 = rho_in if isinstance(rho_in, DensityState) else DensityState(rho_in)
     top = float(np.max(np.abs(state0.matrix.view(float))))
-    if top and not _SAFE_TOP[0] <= top <= _SAFE_TOP[1]:
+    if top and not _SQUARE_SAFE[0] <= top <= _SQUARE_SAFE[1]:
         # even k with top * 2**k in [1/4, 1) keeps square roots exact, ldexp on the float
         # view keeps signed zeros, and positivity was judged when state0 was built
         k = 2 * (-math.frexp(top)[1] // 2)
         scaled = np.ldexp(state0.matrix.view(float), k).view(complex)
-        verdict, trace = analyze(DensityState(scaled, n=state0.n, tol=state0.tol,
-                                              require_psd=False))
+        verdict, trace = analyze(DensityState(scaled, tol=state0.tol, require_psd=False))
         trace.notes.append(f"input rescaled by 2**{k}")
         if verdict.certificate is not None:
             terms = [(float(np.ldexp(w, -k)), pv) for w, pv in verdict.certificate.terms]

@@ -175,12 +175,9 @@ def reference_sampled_paired(h1, h2, tol):
     basis's adjoint; the constraint rows are those complements' halves.
     """
     h1, h2 = (numerical_rank_kernel(h, tol).range_basis for h in (h1, h2))
-    n = h1.shape[0] // 2
-    blocks = []
-    for h in (h1, h2):
-        comp = numerical_rank_kernel(numerical_rank_kernel(h).range_basis.conj().T).kernel_basis
-        blocks += [comp[:n].T.copy(), comp[n:].T.copy()]
-    return _chart_products(ConstraintSystem(*blocks, n=n), SAMPLE_ALPHAS, h1, h2, tol)
+    c1, c2 = (numerical_rank_kernel(numerical_rank_kernel(h).range_basis.conj().T).kernel_basis
+              for h in (h1, h2))
+    return _chart_products(ConstraintSystem(c1, c2), SAMPLE_ALPHAS, h1, h2, tol)
 
 
 def perfbench_corpus():

@@ -141,7 +141,7 @@ def test_criterion_07_rank_five_enumeration():
         cs = build_paired_system(state.range_basis, state.pt_range_basis)
         assert _pencil_roots(cs).size <= 8
         found = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
-        assert isinstance(found, list) and len(found) <= 5
+        assert type(found) is list and len(found) <= 5
         for v in found:
             res1 = np.linalg.norm(v.vector - state.range_basis
                                   @ (state.range_basis.conj().T @ v.vector))

@@ -401,7 +401,7 @@ def test_pt_invariant_failure_records_reason(monkeypatch, no_fallbacks):
 
 def test_zero_remainder(monkeypatch):
     def to_zero(state, candidates):
-        zero = DensityState(np.zeros_like(state.matrix), n=state.n, require_psd=False)
+        zero = DensityState(np.zeros_like(state.matrix), require_psd=False)
         return zero, 1.0, "iii", candidates[0]
 
     monkeypatch.setattr(sepengine, "subtract", to_zero)

@@ -33,7 +33,6 @@ from sep2n.productfinder import (
     _gate_and_polish,
     _inner,
     _orthonormalize,
-    _paired_system,
     _pencil_roots,
     _phase_normalize,
     _row_norms,
@@ -117,7 +116,7 @@ def single_case(rng, n, m):
     """
     gens = [random_product_vector(rng, n) for _ in range(m - 1)]
     h, comp = basis_and_complement(np.column_stack([g.vector for g in gens] + [cvec(rng, 2 * n)]))
-    cs = _paired_system(comp, comp[:, :0])
+    cs = ConstraintSystem(comp, comp[:, :0])
     near = [g.alpha + 1e-4 * complex(*rng.standard_normal(2)) for g in gens if g.alpha is not None]
     far = list(2.0 * rng.standard_normal(3) + 2j * rng.standard_normal(3))
     return h, cs, _gate_and_polish(cs, _single_roots(cs))[0][:-1] + near + far
@@ -169,7 +168,7 @@ class TestRefinement:
         gens = [random_product_vector(rng, n) for _ in range(3)]
         cols = [g.vector for g in gens] + [cvec(rng, 2 * n)]
         h, comp = basis_and_complement(np.column_stack(cols))
-        cs = _paired_system(comp, comp[:, :0])
+        cs = ConstraintSystem(comp, comp[:, :0])
         a = [g.alpha for g in gens]
         starts = [a[0], a[0] + 1e-8, a[1], a[0] + 5e-7j, a[1] - 2e-7, a[2], a[0] + 2e-6, a[2]]
         points, svd = _gate_and_polish(cs, np.array(starts))
@@ -224,7 +223,7 @@ class TestRefinement:
         for n in (3, 4, 5):
             cols = [cvec(rng, 2 * n) for _ in range(n - 1)]
             h, comp = basis_and_complement(np.column_stack(cols))
-            cs = _paired_system(comp, comp[:, :0])
+            cs = ConstraintSystem(comp, comp[:, :0])
             alphas = _single_roots(cs)
             assert alphas.size == n
             sigmas = np.linalg.svd(cs.stacked(alphas), compute_uv=False)
@@ -300,7 +299,7 @@ class TestChartSamples:
             shapes = [(r, n) for r in (int(rng.integers(0, n)),) * 2 + (int(rng.integers(1, n)),) * 2]
             a1, b1, a2, b2 = (rng.choice(entries, sh) + 1j * rng.choice(entries[:4], sh)
                               for sh in shapes)
-            cs = ConstraintSystem(a1=a1, b1=b1, a2=a2, b2=b2, n=n)
+            cs = ConstraintSystem(np.vstack([a1.T, b1.T]), np.vstack([a2.T, b2.T]))
             eye = np.eye(2 * n, dtype=complex)
             ours = _chart_products(cs, SAMPLE_ALPHAS, eye, eye, TOL)
             assert_same_vectors(ours, scalar_chart_products(cs, SAMPLE_ALPHAS, eye, eye, TOL))
@@ -315,7 +314,7 @@ class TestChartSamples:
         rng = np.random.default_rng(300 + n)
         for m in (n + 1, 2 * n - 1):
             h, comp = basis_and_complement(np.column_stack([cvec(rng, 2 * n) for _ in range(m)]))
-            cs = _paired_system(comp, comp[:, :0])
+            cs = ConstraintSystem(comp, comp[:, :0])
             for alphas in (SAMPLE_ALPHAS, REAL_ALPHA_GRID):
                 ours = _chart_products(cs, alphas, h, None, TOL)
                 assert len(ours) == len(alphas)
@@ -427,7 +426,6 @@ class TestCandidateScreens:
                 with monkeypatch.context() as mp:
                     mp.setattr(productfinder, "products_in_subspace", lambda h, comp, tol: res)
                     ours = kernel_product_vectors(state)
-                ours = ours.samples if isinstance(res, InfiniteFamily) else ours
                 ref = scalar_partner_filter(state, vectors)
                 assert [id(v) for v in ours] == [id(v) for v in ref]
                 kept += len(ours)
@@ -442,9 +440,8 @@ class TestCandidateScreens:
                 state = DensityState(m)
                 bases = paired_bases(state.range_basis, state.pt_range_basis, state.tol)
                 res = paired_products(*bases, state.tol)
-                for cands in (getattr(res, "samples", res),
-                              real_e_products(*basis_and_complement(state.range_basis),
-                                              state.tol)):
+                for cands in (res, real_e_products(*basis_and_complement(state.range_basis),
+                                                   state.tol)):
                     cands = cands + [random_product_vector(rng, n)]
                     chosen += checked_subtraction(state, cands) is not None
                     for v in cands:

@@ -9,6 +9,7 @@ from sep2n.productfinder import (
     PENCIL_CONVERGED,
     PENCIL_GATE,
     PENCIL_POLISH_STEPS,
+    ConstraintSystem,
     InfiniteFamily,
     NonGenericInput,
     ProductVector,
@@ -17,7 +18,6 @@ from sep2n.productfinder import (
     _chart_svd,
     _far_from_products,
     _orthonormalize,
-    _paired_system,
     _pencil_roots,
     _single_roots,
     build_paired_system,
@@ -99,12 +99,26 @@ class TestProductVector:
         assert abs(np.trace(p) - 1) < 1e-12
 
 
+class TestInfiniteFamily:
+    def test_reads_as_the_list_of_its_samples(self):
+        rng = np.random.default_rng(2)
+        samples = [random_product_vector(rng, 3) for _ in range(3)]
+        family = InfiniteFamily(samples=samples, note="planted")
+        assert family.note == "planted"
+        assert len(family) == 3 and family[1] is samples[1] and family[-1] is samples[2]
+        assert [id(v) for v in family] == [id(v) for v in samples]
+        assert family == samples and family is not samples
+        assert family[:2] == samples[:2]
+        empty = InfiniteFamily()
+        assert empty == [] and not empty and empty.note == ""
+
+
 class TestProductsInSubspace:
     def test_two_product_basis_vectors(self):
         # span{|0,1>, |1,2>} on C2 x C2: both basis vectors are the solutions
         h = np.column_stack([basis_vec(2, 0, 0), basis_vec(2, 1, 1)])
         res = products_in_subspace(*basis_and_complement(h))
-        assert isinstance(res, list) and len(res) == 2
+        assert type(res) is list and len(res) == 2
         alphas = [v.alpha for v in res]
         assert None in alphas and any(a is not None and abs(a) < 1e-10 for a in alphas)
         for v in res:
@@ -124,13 +138,13 @@ class TestProductsInSubspace:
             with pytest.raises(ValueError, match="does not fit a basis of shape"):
                 search(h, comp)
         res = search(h, np.eye(6)[:, 4:6])
-        assert len(getattr(res, "samples", res)) == 9
+        assert len(res) == 9
 
     def test_full_space_infinite(self):
         res = products_in_subspace(*basis_and_complement(np.eye(6, dtype=complex)))
         assert isinstance(res, InfiniteFamily)
-        assert [v.alpha for v in res.samples] == SAMPLES + [None]
-        for v in res.samples:
+        assert [v.alpha for v in res] == SAMPLES + [None]
+        for v in res:
             assert abs(np.linalg.norm(v.vector) - 1) < 1e-10
 
     def test_dimension_n_matches_alpha_scan_oracle(self):
@@ -140,7 +154,7 @@ class TestProductsInSubspace:
             h = np.linalg.qr(rng.standard_normal((2 * n, n))
                              + 1j * rng.standard_normal((2 * n, n)))[0]
             res = products_in_subspace(*basis_and_complement(h))
-            assert isinstance(res, list) and len(res) >= 1
+            assert type(res) is list and len(res) >= 1
             # oracle: scan alpha on a grid, minimize the membership residual
             # of the induced product vector, refine the winners
             for v in res:
@@ -166,9 +180,9 @@ class TestProductsInSubspace:
         for m in (n, n - 1) if n > 2 else (n,):
             res = products_in_subspace(*basis_and_complement(np.column_stack(cols[:m])))
             assert isinstance(res, InfiniteFamily) and res.note == notes[m]
-            assert [v.alpha for v in res.samples] == SAMPLES + [None]
+            assert [v.alpha for v in res] == SAMPLES + [None]
             h = _orthonormalize(np.column_stack(cols[:m]))
-            for v in res.samples:
+            for v in res:
                 assert membership_residual(h, v.vector) < 1e-10
                 assert abs(abs(np.vdot(v.f, f0)) - np.linalg.norm(f0)) < 1e-10 * np.linalg.norm(f0)
 
@@ -180,7 +194,7 @@ class TestProductsInSubspace:
                 m, vecs = shared_e_rank_n(np.random.default_rng([n, i]), n)
                 state = DensityState(m)
                 found = products_in_subspace(*basis_and_complement(state.kernel_basis), state.tol)
-                assert isinstance(found, list)
+                assert type(found) is list
                 on_curve = [v for v in found if abs(np.vdot(v.e, vecs[0].e)) < 1e-6]
                 assert len(on_curve) == 1
                 for v in found:
@@ -194,7 +208,7 @@ class TestProductsInSubspace:
             h = np.linalg.qr(rng.standard_normal((2 * n, n))
                              + 1j * rng.standard_normal((2 * n, n)))[0]
             res = products_in_subspace(*basis_and_complement(h))
-            if isinstance(res, list) and len(res) >= 1:
+            if type(res) is list and len(res) >= 1:
                 found += 1
         assert found == 200
 
@@ -265,7 +279,7 @@ class TestProductFreeProof:
         for m in range(1, n):
             h, comp = basis_and_complement(_cvec(rng, 2 * n, m))
             pencil = _bloch_pencil(h, n)
-            ac, bc = _paired_system(comp, comp[:, :0]).conj_blocks[:2]
+            ac, bc = ConstraintSystem(comp, comp[:, :0]).conj_blocks[:2]
             for e in (*_cvec(rng, 4, 2), [1.0, 0.0]):
                 e = np.asarray(e, dtype=complex) / np.linalg.norm(e)
                 x = np.real(np.conj(e) @ PAULI @ e)
@@ -382,7 +396,7 @@ class TestPairedProducts:
         state = DensityState(m)
         assert state.rank == 5 and state.pt_rank == 5
         res = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
-        assert isinstance(res, list)
+        assert type(res) is list
         assert len(res) <= 5
         for g in gens:
             overlap = max(abs(np.vdot(g.vector, v.vector)) for v in res)
@@ -402,7 +416,7 @@ class TestPairedProducts:
         assert isinstance(res, InfiniteFamily)
         assert res.note == "dimension count exceeds 3N"
         # the paired search samples no chart point
-        assert [v.alpha for v in res.samples] == SAMPLES
+        assert [v.alpha for v in res] == SAMPLES
 
     def test_input_ranks_under_the_given_tol(self):
         # each space: 4 orthonormal columns, one a planted vector, and a fifth
@@ -418,7 +432,7 @@ class TestPairedProducts:
         assert paired_products(*paired_bases(h1, h2)).note == "dimension count exceeds 3N"
         tol = ToleranceConfig(rank_rel_tol=1e-2)
         res = paired_products(*paired_bases(h1, h2, tol), tol)
-        assert isinstance(res, list) and len(res) == 1
+        assert type(res) is list and len(res) == 1
         assert abs(np.vdot(planted.vector, res[0].vector)) > 1 - 1e-8
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -434,8 +448,8 @@ class TestPairedProducts:
         res = paired_products(*paired_bases(h, h))
         assert isinstance(res, InfiniteFamily)
         assert res.note == "all determinants vanish identically"
-        assert [v.alpha for v in res.samples] == SAMPLES
-        for v in res.samples:
+        assert [v.alpha for v in res] == SAMPLES
+        for v in res:
             assert membership_residual(h, v.vector) < 1e-7
             assert membership_residual(h, v.conjugate_partner.vector) < 1e-7
 
@@ -475,7 +489,7 @@ class TestPairedProducts:
             m, _, _ = build_separable(rng, 4, count)
             state = DensityState(m)
             res = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
-            assert isinstance(res, list)
+            assert type(res) is list
             for v in res:
                 assert membership_residual(state.range_basis, v.vector) < 1e-7
                 assert membership_residual(state.pt_range_basis,
@@ -493,7 +507,7 @@ class TestPairedProducts:
             h1b = np.linalg.qr(rng.standard_normal((2 * n, 6))
                                + 1j * rng.standard_normal((2 * n, 6)))[0]
             res = paired_products(*paired_bases(h1b, h2))
-            assert isinstance(res, list)
+            assert type(res) is list
 
     def test_count_bound_rank_five(self):
         rng = np.random.default_rng(8)
@@ -501,7 +515,7 @@ class TestPairedProducts:
             m, _, _ = build_separable(rng, 4, 5)
             state = DensityState(m)
             res = paired_products(*paired_bases(state.range_basis, state.pt_range_basis))
-            assert isinstance(res, list) and len(res) <= 5
+            assert type(res) is list and len(res) <= 5
 
     def test_asymmetric_dimensions_with_planted_pair(self):
         # dims (6, 5) on C2 x C4: two determinants share the fixed block;
@@ -517,7 +531,7 @@ class TestPairedProducts:
         cs = build_paired_system(h1, h2)
         assert [x.shape[0] for x in cs.conj_blocks] == [2, 2, 3, 3]
         found = paired_products(*paired_bases(h1, h2))
-        assert isinstance(found, list)
+        assert type(found) is list
         assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-7 for w in found)
 
     def test_determinant_system_matches_grid_search(self):
@@ -537,7 +551,7 @@ class TestPairedProducts:
         """The paired search on random spaces of dimensions m1 and m2 that hold pairs at alphas."""
         h1, h2, planted = _planted_paired_spaces(rng, n, alphas, m1, m2)
         found = paired_products(*paired_bases(h1, h2))
-        assert isinstance(found, list)
+        assert type(found) is list
         for v in planted:
             assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
 
@@ -603,10 +617,10 @@ class TestCloseRoots:
                 if paired:
                     bases = paired_bases(state.range_basis, state.pt_range_basis)
                     found = paired_products(*bases)
-                    cs = _paired_system(bases[1], bases[3])
+                    cs = ConstraintSystem(bases[1], bases[3])
                 else:
                     found = products_in_subspace(h1, comp)
-                    cs = _paired_system(comp, comp[:, :0])
+                    cs = ConstraintSystem(comp, comp[:, :0])
                 assert len(found) >= n + paired
                 for v in found:
                     assert v.alpha is None or _converged(cs, v.alpha), (gap, rep, v.alpha)
@@ -623,7 +637,7 @@ class TestPolishStacks:
         for seed in range(5):
             state = DensityState(build_separable(np.random.default_rng([n, seed]), n, n)[0])
             h, comp = basis_and_complement(state.kernel_basis)
-            cs = _paired_system(comp, comp[:, :0])
+            cs = ConstraintSystem(comp, comp[:, :0])
             candidates = _single_roots(cs)
             s = _chart_svd(cs, list(candidates))[0]
             gated = s[:, -1] <= PENCIL_GATE * np.maximum(s[:, 0], 1.0 + np.abs(candidates))
@@ -681,7 +695,7 @@ class TestDeflatedPencil:
         assert sets_match(deflated, full, radius=1e-8 * scale)
         assert productfinder._pencil_roots(cs).size <= k
         found = paired_products(*paired_bases(h1, h2))
-        assert isinstance(found, list)
+        assert type(found) is list
         for v in planted:
             assert any(abs(np.vdot(v.vector, w.vector)) > 1 - 1e-9 for w in found), v.alpha
 
@@ -751,7 +765,7 @@ class TestHighPrecisionOracle:
             oracle = _mp_paired_alphas(mpmath.mp, build_paired_system(h1, h2),
                                        mpmath.mpc(0.4, 0.3), mpmath.mpc(0.3183, -0.5772))
         found = paired_products(*paired_bases(h1, h2))
-        assert isinstance(found, list)
+        assert type(found) is list
         alphas = [v.alpha for v in found if v.alpha is not None]
         assert len(oracle) >= pairs
         assert sets_match(alphas, oracle, radius=1e-9)
@@ -768,7 +782,7 @@ class TestOneVectorNearEZero:
 
     @staticmethod
     def _assert_planted(found, planted):
-        assert isinstance(found, list) and len(found) == len(planted)
+        assert type(found) is list and len(found) == len(planted)
         for p in planted:
             assert max(abs(np.vdot(p.vector, v.vector)) for v in found) > 1 - 1e-6
 
@@ -816,7 +830,7 @@ class TestUniqueFAtSharedE:
     def test_unique_f_found(self, e, alpha, _msg):
         h1, h2 = self._planted(np.random.default_rng(30), e, 1, 3)
         res = paired_products(*paired_bases(h1, h2))
-        assert isinstance(res, list) and len(res) == 1
+        assert type(res) is list and len(res) == 1
         if alpha is None:
             assert res[0].alpha is None
         else:
@@ -926,6 +940,23 @@ class TestKernelSearch:
             assert abs(np.vdot(found.vector, pv.vector)) > 1 - 1e-6
 
 
+    def test_first_sample_of_a_kernel_family(self, monkeypatch):
+        # a kernel family keeps its type and note through the partner filter,
+        # and kernel_product_vector takes its first sample that passes
+        rng = np.random.default_rng(14)
+        state = DensityState(build_separable(rng, 3, 3)[0])
+        vectors = productfinder.kernel_product_vectors(state)
+        assert type(vectors) is list and len(vectors) == 3
+        family = InfiniteFamily(samples=[random_product_vector(rng, 3)] + vectors[::-1],
+                                note="planted")
+        monkeypatch.setattr(productfinder, "products_in_subspace", lambda h, comp, tol: family)
+        found = productfinder.kernel_product_vectors(state)
+        assert isinstance(found, InfiniteFamily) and found.note == "planted"
+        assert [id(v) for v in found] == [id(v) for v in vectors[::-1]]
+        assert len(family) == 4
+        assert kernel_product_vector(state) is vectors[-1]
+
+
 def _matched_overlaps(ours, ref):
     """|<u|v>| of each vector u of ``ours`` and its closest v of ``ref``, matched one to one."""
     if not ours:
@@ -995,7 +1026,6 @@ class TestStateBases:
                     assert [v.alpha for v in ours] == [v.alpha for v in ref]
                     pairs.append((ours, ref, image, state.rank in (n + 1, 2 * n)))
                 for ours, ref, h, unique in pairs:
-                    ours, ref = getattr(ours, "samples", ours), getattr(ref, "samples", ref)
                     assert len(ours) == len(ref)
                     for v in ours:
                         assert membership_residual(h, v.vector) < 1e-10
@@ -1064,7 +1094,7 @@ class TestPairedStateBases:
             assert counts == {"numerical_rank_kernel": 6, "_orthonormalize": 4,
                               "orthonormal_complement": 2}
             assert res.note == "dimension count exceeds 3N"
-            assert _same_bits(res.samples, reference_sampled_paired(h1, h2, tol))
+            assert _same_bits(res, reference_sampled_paired(h1, h2, tol))
             sampled += 1
         assert sampled >= 100 and finite >= 40
 

@@ -98,3 +98,22 @@ def test_names_separable_inputs_called_entangled_ppt(monkeypatch, capsys):
     prefix = "constructive       entangled_ppt on separable: "
     assert lines[1:] == [f"{prefix}seed {seed} scale 1 {items[i].name}"
                          for seed in (301, 302) for i in (0, 2)]
+
+
+# The verdict digest of each workload at seed 4242 and scale 1.  A change that
+# moves any verdict, in either direction, changes its workload's digest; such a
+# change updates the pin and argues the move in CHANGES.md.
+PINNED_VERDICT_DIGESTS = {
+    "cli_batch": "0d1584e871c63da0723236e86ec4c47049d88a04ab1e2f8dddaa5eba5d22b5a5",
+    "constructive": "be7ee14461032367f2f8b5ad2a32fd6bcc27a9374966de035ece3877c3133db1",
+    "range_enum": "46771c7ef8c8427bb75462d9215a4bd5b7e4d48c41f21891e10b2a6e1072649d",
+    "sampled_reduction": "5d3742aa20ba00ff9f829e9a070524732e74525e400686c0d6b6b5460da6ae16",
+}
+
+
+def test_verdict_digests_are_pinned():
+    assert sorted(corpus.CORPORA) == sorted(PINNED_VERDICT_DIGESTS)
+    got = {workload: record_digest.digests([(item.name, item.label, item.matrix)
+                                            for item in corpus.build(workload, 4242)])[1]
+           for workload in PINNED_VERDICT_DIGESTS}
+    assert got == PINNED_VERDICT_DIGESTS

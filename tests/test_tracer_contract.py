@@ -9,11 +9,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sep2n import cli, productfinder
+from sep2n.matrixcore import DensityState
 
-from helpers import embedded_max_entangled
+from helpers import build_separable, embedded_max_entangled
 
 TOOL = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("tracing", TOOL)
@@ -38,3 +40,19 @@ def test_run_analysis_returns_report_and_code(tmp_path):
     path.write_text(json.dumps(cli.state_to_json(embedded_max_entangled(2), 2)))
     doc, code = cli.run_analysis(path)
     assert isinstance(doc["timings"]["seconds"], float) and code == 2
+
+
+def test_paired_counter_counts_a_sampled_family_as_infinite():
+    # the sampled family is a list of samples, still told apart by its type
+    eye = np.eye(6, dtype=complex)
+    state = DensityState(build_separable(np.random.default_rng(5), 3, 3)[0])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        sampled = productfinder.paired_products(eye, eye[:, :0], eye, eye[:, :0])
+        finite = productfinder.paired_products(state.range_basis, state.kernel_basis,
+                                               state.pt_range_basis, state.pt_kernel_basis)
+    assert isinstance(sampled, productfinder.InfiniteFamily) and len(sampled) == 8
+    assert type(finite) is list and len(finite) == 3
+    assert tracer.calls["productfinder.paired_products"] == 2
+    assert tracer.counters["productfinder.paired_products.infinite"] == 1
+    assert tracer.counters["productfinder.paired_products.nongeneric"] == 0
