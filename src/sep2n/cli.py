@@ -33,6 +33,7 @@ from .sepengine import (
     REASON_REDUCTION_STALLED,
     ReductionTrace,
     SeparabilityCertificate,
+    TraceStep,
     Verdict,
     VerdictKind,
     analyze,
@@ -156,22 +157,18 @@ def certificate_from_json(data) -> SeparabilityCertificate:
     return SeparabilityCertificate(list(zip(weights, pvs)))
 
 
+# The step fields a report carries: all that a step records but the norm before it.
+_STEP_FIELDS = tuple(f.name for f in fields(TraceStep) if f.name != "norm_before")
+
+
 def _trace_to_json(trace: ReductionTrace) -> dict:
+    """The trace, its steps as recorded; a subtraction's alpha is [re, im], or "inf" at e = |0>."""
     steps = []
     for s in trace.steps:
-        steps.append({
-            "op": s.op,
-            "lam": s.lam,
-            "case": s.case,
-            "alpha": "inf" if (s.op.startswith(("kernel", "subtract")) and s.alpha is None)
-                     else (_complex_to_json(s.alpha) if s.alpha is not None else None),
-            "ranks_before": list(s.ranks_before) if s.ranks_before else None,
-            "ranks_after": list(s.ranks_after) if s.ranks_after else None,
-            "n_before": s.n_before,
-            "n_after": s.n_after,
-            "min_eig_after": list(s.min_eig_after) if s.min_eig_after else None,
-            "detail": s.detail,
-        })
+        step = {name: getattr(s, name) for name in _STEP_FIELDS}
+        if s.case is not None:
+            step["alpha"] = "inf" if s.alpha is None else _complex_to_json(s.alpha)
+        steps.append(step)
     return {
         "steps": steps,
         "exhaustive_enumeration": trace.exhaustive_enumeration,
@@ -276,16 +273,12 @@ def _write_json(path, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _witness_to_json(witness: dict | None):
+    """A copy of the witness with its complex expansion coefficients as [re, im] pairs."""
     if witness is None:
         return None
-    out = {}
-    for k, v in witness.items():
-        if isinstance(v, complex):
-            out[k] = _complex_to_json(v)
-        elif isinstance(v, (list, tuple)):
-            out[k] = [_complex_to_json(x) if isinstance(x, complex) else x for x in v]
-        else:
-            out[k] = v
+    out = dict(witness)
+    if "coefficients" in out:
+        out["coefficients"] = _complex_to_json(out["coefficients"])
     return out
 
 

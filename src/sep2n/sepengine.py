@@ -521,11 +521,10 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
     # column l is vec(U^dag P_l U) = vec(w_l w_l^dag) for W = U^dag V
     w = u.conj().T @ np.array([v.vector for v in vectors]).T
     s_mat = (w[:, None, :] * w.conj()[None, :, :]).reshape(r * r, L)
-    sing = np.linalg.svd(s_mat, compute_uv=False)
+    rho_hat = (u.conj().T @ state.matrix @ u).ravel()
+    c, _res, _rank, sing = np.linalg.lstsq(s_mat, rho_hat, rcond=None)
     if sing[0] <= 0 or sing[-1] <= 1e-10 * sing[0]:
         raise DependentProjectors("projector Gram matrix is rank deficient")
-    rho_hat = (u.conj().T @ state.matrix @ u).ravel()
-    c, *_ = np.linalg.lstsq(s_mat, rho_hat, rcond=None)
     rho_scale = float(np.linalg.norm(rho_hat))
     neg_thr = state.tol.cert_recon_tol * state.trace
     drop_thr = 1e-12 * state.trace
@@ -565,14 +564,14 @@ def biorthogonal_check(state: DensityState, vectors: list[ProductVector]) -> Ver
 # sufficient fallback checks
 # ---------------------------------------------------------------------------
 
-def symmetric_split_check(state: DensityState) -> Verdict | None:
+def symmetric_split_check(state: DensityState) -> SeparabilityCertificate | None:
     """Sufficient separability check via the symmetric/antisymmetric split.
 
     Splits the state into its partial-transpose-invariant part plus
     ``sy (x) B``, subtracts the compensator ``C = sum_i |b_i| I (x) P_i``
     built from the spectral decomposition of B, and certifies the invariant
-    remainder.  Returns None when the compensator does not fit under the
-    invariant part; the criterion is only sufficient.
+    remainder.  Returns its verified certificate, or None when the compensator
+    does not fit under the invariant part; the criterion is only sufficient.
     """
     n, m = state.n, state.matrix
     rho_s = hermitize((m + state.pt_matrix) / 2)
@@ -592,27 +591,23 @@ def symmetric_split_check(state: DensityState) -> Verdict | None:
     terms: list[tuple[float, ProductVector]] = []
     if not _negligible(remainder, state):
         try:
-            rem_state = DensityState(remainder, tol=state.tol)
-            sub = pt_invariant_decompose(rem_state)
+            terms.extend(pt_invariant_decompose(DensityState(remainder, tol=state.tol)).terms)
         except (ValueError, NonGenericInput):
             return None
-        terms.extend(sub.terms)
     if keep:
         # the sigma_y eigenvector (1, -i sign(b_i)) with each eigenvector b_i of B
         w_es = np.array([[1.0, -1j * (1.0 if lam_b[i] >= 0 else -1.0)] for i in keep],
                         dtype=complex)
         terms.extend(zip((2 * np.abs(lam_b[keep])).tolist(), products_of(w_es, vec_b[:, keep].T)))
     cert = SeparabilityCertificate(terms)
-    if not verify_certificate(state, cert):
-        return None
-    return Verdict(VerdictKind.SEPARABLE, certificate=cert)
+    return cert if verify_certificate(state, cert) else None
 
 
 # Pauli basis of the Hermitian 2 x 2 matrices: identity, x, y, z.
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def pt_symmetrizing_search(state: DensityState) -> Verdict | None:
+def pt_symmetrizing_search(state: DensityState) -> SeparabilityCertificate | None:
     """Solve for an invertible qubit-side transform A making the state PT-invariant.
 
     With rho_kl the N x N blocks of the state and u, v the rows of A, the
@@ -621,9 +616,9 @@ def pt_symmetrizing_search(state: DensityState) -> Verdict | None:
     ``H = -i(u v^dag - v u^dag)``, and every indefinite H arises this way.
     H is the least-residual solution of that linear system, read off a thin
     SVD in the Pauli basis.  Separability is unchanged by A, so a hit is
-    certified on the transformed state and the certificate pulled back.
-    None means no such A exists within ``PT_INVARIANCE_REL_TOL`` or its
-    certificate failed.
+    certified on the transformed state and its terms pulled back as one
+    stack, each e to A^-1 e.  Returns that certificate, verified, or None
+    when no such A exists within ``PT_INVARIANCE_REL_TOL`` or it fails.
     """
     n = state.n
     images = np.einsum("hkl,kalb->hab", _PAULIS, state.matrix.reshape(2, n, 2, n))
@@ -643,20 +638,15 @@ def pt_symmetrizing_search(state: DensityState) -> Verdict | None:
     if not operator_norm_at_most(sigma - sig_pt, PT_INVARIANCE_REL_TOL, sigma):
         return None
     try:
-        sig_state = DensityState(sigma, tol=state.tol)
-        cert_sigma = pt_invariant_decompose(sig_state)
+        cert_sigma = pt_invariant_decompose(DensityState(sigma, tol=state.tol))
     except (ValueError, NonGenericInput):
         return None
-    a_inv = np.linalg.inv(a)
-    terms = []
-    for lam, pv in cert_sigma.terms:
-        e_back = a_inv @ pv.e
-        terms.append((lam * float(np.vdot(e_back, e_back).real),
-                      ProductVector.from_e_f(e_back, pv.f)))
-    cert = SeparabilityCertificate(terms)
-    if verify_certificate(state, cert):
-        return Verdict(VerdictKind.SEPARABLE, certificate=cert)
-    return None
+    lams, sigma_pvs = zip(*cert_sigma.terms)
+    es = (np.linalg.inv(a) @ np.array([pv.e for pv in sigma_pvs])[:, :, None])[:, :, 0]
+    weights = np.array(lams) * _inner(es[:, :, None], es[:, :, None]).real
+    fs = np.array([pv.f for pv in sigma_pvs])
+    cert = SeparabilityCertificate(list(zip(weights.tolist(), products_of(es, fs))))
+    return cert if verify_certificate(state, cert) else None
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +688,7 @@ def _step(op: str, before: DensityState, after: DensityState | None = None, **kw
 
 @dataclass
 class _Run:
-    """What the stages of one run of ``_passes`` share."""
+    """What the stages of one run of ``_passes`` share; it alone records steps and certifies."""
 
     state0: DensityState
     trace: ReductionTrace
@@ -720,16 +710,21 @@ class _Run:
         self.flag(reason)
         return _STOP
 
-    def advance(self, weight: float, pv: ProductVector, new: DensityState,
+    def advance(self, op: str, weight: float, case: str, pv: ProductVector, new: DensityState,
                 iso: np.ndarray | None = None):
-        """Keep a term of ``cur``, lifted; go on from ``new``, which ``iso`` lifts to ``cur``."""
+        """Record step ``op``, keep its lifted term and go on from ``new``, which ``iso`` lifts."""
+        self.trace.steps.append(_step(
+            op, self.cur, new, lam=weight, case=case, alpha=pv.alpha, norm_before=self.cur.norm,
+            min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
         self.terms.append((weight, _lift_pv(pv, self.lift)))
         self.cur = new
         if iso is not None:
             self.lift = self.lift @ iso
 
-    def assemble(self, extra_terms) -> Verdict:
-        """Collected terms plus ``extra_terms`` on the current support, re-verified."""
+    def assemble(self, extra_terms, op: str | None = None, detail: str = "") -> Verdict:
+        """Record step ``op``, if any; collected terms plus ``extra_terms``, lifted, re-verified."""
+        if op is not None:
+            self.trace.steps.append(_step(op, self.cur, detail=detail))
         lifted = [(w, _lift_pv(pv, self.lift)) for w, pv in extra_terms]
         cert = SeparabilityCertificate(self.terms + lifted)
         if not verify_certificate(self.state0, cert):
@@ -757,16 +752,13 @@ def _strip(run: _Run, cur: DensityState):
 
 def _base_case(run: _Run, cur: DensityState):
     if cur.n == 1:
-        run.trace.steps.append(_step("base-case", cur))
-        return run.assemble(_base_terms(cur))
+        return run.assemble(_base_terms(cur), "base-case")
 
 
 def _pt_invariant(run: _Run, cur: DensityState):
     """Decompose a PT-invariant state; ``pt_invariant_decompose`` alone tests the invariance."""
     try:
-        sub_cert = pt_invariant_decompose(cur)
-        run.trace.steps.append(_step("pt-invariant", cur))
-        return run.assemble(sub_cert.terms)
+        return run.assemble(pt_invariant_decompose(cur).terms, "pt-invariant")
     except NotPTInvariant:
         return None
     except (NonGenericInput, ValueError):
@@ -786,14 +778,10 @@ def _kernel_reduction(run: _Run, cur: DensityState):
         found = kernel_product_vectors(cur)
         terms = _all_kernel_terms(cur, found) if cur.rank == cur.n else None
         if terms is not None:
-            run.trace.steps.append(_step("rank-n-decompose", cur, detail=f"terms={len(terms)}"))
-            return run.assemble(terms)
+            return run.assemble(terms, "rank-n-decompose", f"terms={len(terms)}")
         if found:
             new, (weight, pv), iso = reduce_by_kernel(cur, found[0])
-            run.trace.steps.append(_step(
-                "kernel-reduce", cur, new, lam=weight, case="iii", alpha=pv.alpha,
-                norm_before=cur.norm, min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
-            run.advance(weight, pv, new, iso)
+            run.advance("kernel-reduce", weight, "iii", pv, new, iso)
             return _NEXT_PASS
     except SupportViolation:
         # the kernel line is annihilated though the support looked full: a borderline
@@ -830,10 +818,11 @@ def _real_e_subtraction(run: _Run, cur: DensityState):
     best = _best_candidate(cur, real_e_products(cur.range_basis, cur.kernel_basis, cur.tol))
     if best is None:
         return run.stop("no subtractable real-e product vector found")
-    lam, _case, v = best
+    lam, case, v = best
     m = hermitize(cur.matrix - lam * v.projector())
     # re-symmetrize to cancel floating-point drift of the invariance
-    run.advance(lam, v, _successor((m + partial_transpose_matrix(m, cur.n)) / 2, run.state0))
+    new = _successor((m + partial_transpose_matrix(m, cur.n)) / 2, run.state0)
+    run.advance("real-e", lam, case, v, new)
     return _NEXT_PASS
 
 
@@ -843,8 +832,7 @@ def _two_qubit(run: _Run, cur: DensityState):
         cert = two_qubit_decompose(cur)
         if cert is None:
             return run.stop(f"two-qubit declined: concurrence > {TWO_QUBIT_SLACK:g} x trace")
-        run.trace.steps.append(_step("two-qubit", cur, detail=f"terms={len(cert.terms)}"))
-        return run.assemble(cert.terms)
+        return run.assemble(cert.terms, "two-qubit", f"terms={len(cert.terms)}")
 
 
 def _paired_search(run: _Run, cur: DensityState):
@@ -866,24 +854,20 @@ def _paired_search(run: _Run, cur: DensityState):
             return _STOP
         new, lam, case, best = done
         run.trace.nonexhaustive_subtraction = True
-        run.trace.steps.append(_step(
-            "subtract-sample", cur, new, lam=lam, case=case, alpha=best.alpha,
-            norm_before=cur.norm, min_eig_after=(new.min_eigenvalue, new.pt_min_eigenvalue)))
-        run.advance(lam, best, new)
+        run.advance("subtract-sample", lam, case, best, new)
         return _NEXT_PASS
     if res:
         try:
             bio = biorthogonal_check(cur, res)
         except DependentProjectors as exc:
             return run.stop(f"dependent projectors: {exc}")
-        step = _step("biorthogonal", cur, detail=f"vectors={len(res)}")
+        op, detail = "biorthogonal", f"vectors={len(res)}"
         if bio.kind is VerdictKind.SEPARABLE:
             run.trace.exhaustive_enumeration = not run.trace.nonexhaustive_subtraction
-            run.trace.steps.append(step)
-            return run.assemble(bio.certificate.terms)
+            return run.assemble(bio.certificate.terms, op, detail)
         outcome, witness = "negative expansion", bio.witness
     else:
-        step = _step("enumeration-empty", cur)
+        op, detail = "enumeration-empty", ""
         outcome, witness = "empty enumeration", {"enumerated_vectors": 0}
     # an entangled reading needs no earlier sample and no borderline rank decision
     if run.trace.nonexhaustive_subtraction:
@@ -891,7 +875,7 @@ def _paired_search(run: _Run, cur: DensityState):
     if run.borderline:
         return run.stop(f"{outcome} discarded: borderline rank decisions")
     run.trace.exhaustive_enumeration = True
-    run.trace.steps.append(step)
+    run.trace.steps.append(_step(op, cur, detail=detail))
     return Verdict(VerdictKind.ENTANGLED_PPT, witness=witness)
 
 
@@ -966,10 +950,10 @@ def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
         base, lift = strip_support(state0)
     except ValueError:
         return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace
-    fb = symmetric_split_check(base) or pt_symmetrizing_search(base)
-    if fb is not None and fb.kind is VerdictKind.SEPARABLE:
-        cert = SeparabilityCertificate([(w, _lift_pv(pv, lift)) for w, pv in fb.certificate.terms])
-        if verify_certificate(state0, cert):
+    cert = symmetric_split_check(base) or pt_symmetrizing_search(base)
+    if cert is not None:
+        verdict = _Run(state0, trace, base, lift).assemble(cert.terms)
+        if verdict.kind is VerdictKind.SEPARABLE:
             trace.steps.append(TraceStep(op="fallback-sufficient"))
-            return Verdict(VerdictKind.SEPARABLE, certificate=cert), trace
+            return verdict, trace
     return Verdict(VerdictKind.INCONCLUSIVE, reason=run.reason), trace

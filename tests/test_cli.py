@@ -97,6 +97,20 @@ class TestAnalyzeCommand:
         assert made[0] == certificate_to_json(analyze(state)[0].certificate)
         assert cli.run_analysis(npt)[0]["report"]["certificate"] is None and len(made) == 1
 
+    def test_certificate_failing_its_round_trip_downgrades(self, tmp_path, monkeypatch):
+        # only the report's check of the serialized certificate fails
+        s = tmp_path / "sep.json"
+        main(["generate", "--kind", "rank-n-separable", "--n", "3", "--seed", "2",
+              "--out", str(s)])
+        monkeypatch.setattr(cli, "verify_certificate", lambda state, cert: False)
+        doc, code = cli.run_analysis(s)
+        report = doc["report"]
+        assert code == 4
+        assert (report["verdict"], report["reason"]) == ("inconclusive", "ReductionStalled")
+        assert report["certificate"] is None and report["reverified"] is False
+        assert report["trace"]["notes"][-1] == "serialized certificate failed re-verification"
+        assert report["warnings"] == report["trace"]["notes"]
+
     def test_unwritable_report_is_input_error(self, tmp_path, capsys):
         s = tmp_path / "s.json"
         main(["generate", "--kind", "npt", "--n", "2", "--out", str(s)])

@@ -471,6 +471,10 @@ class TestDensityState:
         with pytest.raises(ValueError):
             DensityState(m)
 
+    def test_zero_matrix_refused(self):
+        with pytest.raises(ValueError, match="^trace must be positive"):
+            DensityState(np.zeros((4, 4)))
+
     def test_caches_and_ppt_flag(self):
         rng = np.random.default_rng(10)
         m, _, _ = build_separable(rng, 2, 2)

@@ -100,20 +100,26 @@ def test_names_separable_inputs_called_entangled_ppt(monkeypatch, capsys):
                          for seed in (301, 302) for i in (0, 2)]
 
 
-# The verdict digest of each workload at seed 4242 and scale 1.  A change that
-# moves any verdict, in either direction, changes its workload's digest; such a
-# change updates the pin and argues the move in CHANGES.md.
-PINNED_VERDICT_DIGESTS = {
-    "cli_batch": "0d1584e871c63da0723236e86ec4c47049d88a04ab1e2f8dddaa5eba5d22b5a5",
-    "constructive": "be7ee14461032367f2f8b5ad2a32fd6bcc27a9374966de035ece3877c3133db1",
-    "range_enum": "46771c7ef8c8427bb75462d9215a4bd5b7e4d48c41f21891e10b2a6e1072649d",
-    "sampled_reduction": "5d3742aa20ba00ff9f829e9a070524732e74525e400686c0d6b6b5460da6ae16",
+# The full and the verdict digest of each workload at seed 4242 and scale 1.
+# A change that moves any bit of a record changes its workload's full digest,
+# and one that moves any verdict, in either direction, also its verdict
+# digest; such a change updates the pin and says why in CHANGES.md.  Like the
+# golden reports, the digests assume numpy 2.4 on x86-64.
+PINNED_DIGESTS = {
+    "cli_batch": ("0ffe79833a24840fdbf099cfc1286d2c81a82e4afc92807b3e0b043fb73b5ac1",
+                  "0d1584e871c63da0723236e86ec4c47049d88a04ab1e2f8dddaa5eba5d22b5a5"),
+    "constructive": ("0a9bb80fc683e8b30138bc7677976e788a091439554032fa71429005c53fa16b",
+                     "be7ee14461032367f2f8b5ad2a32fd6bcc27a9374966de035ece3877c3133db1"),
+    "range_enum": ("53fe95f43db6cca3e0e96c3244eb9d942a62e3379dce0990f54df693200eba60",
+                   "46771c7ef8c8427bb75462d9215a4bd5b7e4d48c41f21891e10b2a6e1072649d"),
+    "sampled_reduction": ("88296839230cf3baf4fe27f35925f4c53147cfb846e355c70ca2bcdbdf10e023",
+                          "5d3742aa20ba00ff9f829e9a070524732e74525e400686c0d6b6b5460da6ae16"),
 }
 
 
 def test_verdict_digests_are_pinned():
-    assert sorted(corpus.CORPORA) == sorted(PINNED_VERDICT_DIGESTS)
+    assert sorted(corpus.CORPORA) == sorted(PINNED_DIGESTS)
     got = {workload: record_digest.digests([(item.name, item.label, item.matrix)
-                                            for item in corpus.build(workload, 4242)])[1]
-           for workload in PINNED_VERDICT_DIGESTS}
-    assert got == PINNED_VERDICT_DIGESTS
+                                            for item in corpus.build(workload, 4242)])[:2]
+           for workload in PINNED_DIGESTS}
+    assert got == PINNED_DIGESTS

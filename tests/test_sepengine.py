@@ -182,6 +182,14 @@ class TestStripSupport:
         stripped, iso = strip_support(state)
         assert stripped.n == 1
 
+    def test_zero_partial_trace_raises(self):
+        # zero diagonal blocks: tracing out the qubit leaves the zero operator
+        x = np.random.default_rng(9).standard_normal((3, 3)) + 0j
+        m = np.block([[np.zeros((3, 3)), x], [x.conj().T, np.zeros((3, 3))]])
+        state = DensityState(m, require_psd=False)
+        with pytest.raises(ValueError, match="the partial trace is zero"):
+            strip_support(state)
+
 
 class TestReduceByKernel:
     def test_rank_n_reduction_bookkeeping(self):
@@ -467,6 +475,17 @@ class TestBiorthogonal:
         with pytest.raises(DependentProjectors):
             biorthogonal_check(state, [v1, v1])
 
+    def test_empty_vector_list_raises(self):
+        with pytest.raises(ValueError, match="needs at least one candidate vector"):
+            biorthogonal_check(DensityState(np.eye(4) / 4), [])
+
+    def test_more_vectors_than_rank_squared_raises(self):
+        # a rank-1 state has room for one projector
+        rng = np.random.default_rng(18)
+        v1, v2 = random_product_vector(rng, 2), random_product_vector(rng, 2)
+        with pytest.raises(DependentProjectors, match="2 projectors cannot be independent"):
+            biorthogonal_check(DensityState(v1.projector()), [v1, v2])
+
 
 class TestPtInvariantDecompose:
     def test_maximally_mixed(self):
@@ -506,6 +525,13 @@ class TestPtInvariantDecompose:
             with pytest.raises(NotPTInvariant):
                 pt_invariant_decompose(state)
 
+    def test_no_real_e_vector_raises(self, monkeypatch):
+        monkeypatch.setattr(sepengine, "real_e_products", lambda *args: [])
+        state = DensityState(random_pt_invariant(np.random.default_rng(3), 4))
+        assert state.rank > state.n
+        with pytest.raises(NonGenericInput, match="no subtractable real-e product vector found"):
+            pt_invariant_decompose(state)
+
     def test_one_state_per_real_e_step(self, built_tols):
         # full rank 8 at N = 4: the symmetrized input, then one state per real-e
         # step down to rank N, where the kernel search builds none
@@ -544,25 +570,25 @@ class TestSymmetricSplit:
         rng = np.random.default_rng(22)
         m = random_pt_invariant(rng, 3)
         state = DensityState(m)
-        verdict = symmetric_split_check(state)
-        assert verdict is not None and verdict.kind is VerdictKind.SEPARABLE
-        assert verify_certificate(state, verdict.certificate)
+        cert = symmetric_split_check(state)
+        assert cert is not None
+        assert verify_certificate(state, cert)
 
     def test_premise_bounded_states_certified(self):
         rng = np.random.default_rng(23)
         for n in (2, 3, 4):
             m = split_premise_state(rng, n, target=0.8)
             state = DensityState(m)
-            verdict = symmetric_split_check(state)
-            assert verdict is not None
-            assert verify_certificate(state, verdict.certificate)
+            cert = symmetric_split_check(state)
+            assert cert is not None
+            assert verify_certificate(state, cert)
 
     def test_spin_terms_keep_the_per_term_bits(self):
         # the sigma_y terms, built as one stack, equal one from_e_f per eigenvector of B
         rng = np.random.default_rng(23)
         for n in (2, 3, 4):
             state = DensityState(split_premise_state(rng, n, target=0.8))
-            terms = symmetric_split_check(state).certificate.terms
+            terms = symmetric_split_check(state).terms
             m = state.matrix
             lam_b, vec_b = np.linalg.eigh(hermitize(-0.5j * (m[:n, n:] - m[n:, :n])))
             cut = 1e-14 * max(float(np.max(np.abs(lam_b))), state.norm)
@@ -592,8 +618,8 @@ class TestSymmetricSplit:
     def test_state_accepted_by_density_state_does_not_raise(self):
         state = DensityState(self.nearly_psd_split_state())
         assert state.is_ppt and state.min_eigenvalue < 0
-        verdict = symmetric_split_check(state)
-        assert verdict is None or verify_certificate(state, verdict.certificate)
+        cert = symmetric_split_check(state)
+        assert cert is None or verify_certificate(state, cert)
 
     def test_analyze_falls_back_on_it_without_raising(self, monkeypatch):
         # with the passes stopped at once, analyze runs the fallbacks on the input
@@ -609,9 +635,9 @@ class TestPtSymmetrizingSearch:
     def test_pt_invariant_state_needs_no_transform(self):
         rng = np.random.default_rng(25)
         state = DensityState(random_pt_invariant(rng, 2))
-        verdict = pt_symmetrizing_search(state)
-        assert verdict is not None and verdict.kind is VerdictKind.SEPARABLE
-        assert verify_certificate(state, verdict.certificate)
+        cert = pt_symmetrizing_search(state)
+        assert cert is not None
+        assert verify_certificate(state, cert)
 
     def test_constructed_transform_recovered(self):
         # a 1e-9 relative invariance defect still passes the search's 1e-8 test
@@ -619,9 +645,34 @@ class TestPtSymmetrizingSearch:
         for n in range(2, 9):
             for defect in (0.0, 1e-9) * 8:
                 state = DensityState(transformed_pt_invariant(rng, n, defect))
-                verdict = pt_symmetrizing_search(state)
-                assert verdict is not None and verdict.kind is VerdictKind.SEPARABLE
-                assert verify_certificate(state, verdict.certificate)
+                cert = pt_symmetrizing_search(state)
+                assert cert is not None
+                assert verify_certificate(state, cert)
+
+    def test_pull_back_keeps_the_per_term_bits(self, monkeypatch):
+        # the terms, pulled back as one stack, equal one from_e_f of A^-1 e per
+        # term of the transformed state's certificate, weighted by |A^-1 e|^2
+        seen = {}
+
+        def recording(name, fn):
+            def wrapped(*args):
+                seen[name] = fn(*args)
+                return seen[name]
+            return wrapped
+        monkeypatch.setattr(np.linalg, "inv", recording("a_inv", np.linalg.inv))
+        monkeypatch.setattr(sepengine, "pt_invariant_decompose",
+                            recording("sigma", sepengine.pt_invariant_decompose))
+        rng = np.random.default_rng(26)
+        for n in range(2, 7):
+            cert = pt_symmetrizing_search(DensityState(transformed_pt_invariant(rng, n)))
+            assert cert is not None and len(cert.terms) == len(seen["sigma"].terms)
+            for (w, pv), (lam, sigma_pv) in zip(cert.terms, seen["sigma"].terms):
+                e_back = seen["a_inv"] @ sigma_pv.e
+                ref = ProductVector.from_e_f(e_back, sigma_pv.f)
+                assert w == lam * float(np.vdot(e_back, e_back).real)
+                assert pv.e.tobytes() == ref.e.tobytes() and pv.f.tobytes() == ref.f.tobytes()
+                assert pv.vector.tobytes() == ref.vector.tobytes()
+                assert np.complex128(pv.alpha).tobytes() == np.complex128(ref.alpha).tobytes()
 
     def test_unsymmetrizable_states_return_none(self):
         # an NPT state can never be made PT-invariant by a local transform

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sep2n import cli, productfinder
+from sep2n import cli, productfinder, sepengine
 from sep2n.matrixcore import DensityState
 
-from helpers import build_separable, embedded_max_entangled
+from helpers import build_separable, embedded_max_entangled, transformed_pt_invariant
 
 TOOL = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("tracing", TOOL)
@@ -56,3 +56,16 @@ def test_paired_counter_counts_a_sampled_family_as_infinite():
     assert tracer.calls["productfinder.paired_products"] == 2
     assert tracer.counters["productfinder.paired_products.infinite"] == 1
     assert tracer.counters["productfinder.paired_products.nongeneric"] == 0
+
+
+def test_symmetrizing_counter_counts_a_returned_certificate():
+    # the search returns a certificate or None; a hit is a certificate
+    hit = DensityState(transformed_pt_invariant(np.random.default_rng(0), 4))
+    miss = DensityState(embedded_max_entangled(2))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert sepengine.pt_symmetrizing_search(hit) is not None
+        assert tracer.counters["sepengine.pt_symmetrizing_search.hits"] == 1
+        assert sepengine.pt_symmetrizing_search(miss) is None
+    assert tracer.calls["sepengine.pt_symmetrizing_search"] == 2
+    assert tracer.counters["sepengine.pt_symmetrizing_search.hits"] == 1
