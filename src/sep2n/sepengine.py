@@ -7,10 +7,9 @@ one), the closed-form two-qubit decomposition at N = 2, whose decline
 stops the passes, and for N >= 3 the paired search, which subtracts a
 sampled product vector above rank sum 3N and otherwise expands the state
 over the enumerated product vectors.  A stop leads to sufficient fallback
-checks.  ``decompose_rank_n`` and ``pt_invariant_decompose`` run stage
-tuples of their own on the same pass loop, ``_passes``.  Every "separable"
-verdict carries a certificate that is re-verified against the input before
-being emitted.
+checks.  ``decompose_rank_n`` runs a stage tuple of its own on the same
+pass loop, ``_passes``; ``pt_invariant_decompose`` is closed form.  Every
+"separable" verdict carries a certificate, re-verified against the input.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .matrixcore import (
     hermitize,
     operator_norm_at_most,
     partial_trace_second,
-    partial_transpose_matrix,
     split_at_cutoff,
 )
 from .productfinder import (
@@ -45,7 +43,6 @@ from .productfinder import (
     kernel_product_vectors,
     paired_products,
     products_of,
-    real_e_products,
     vector_stacks,
 )
 
@@ -473,24 +470,51 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     return SeparabilityCertificate(list(zip(weights.tolist(), products_of(uu[:, :, 0], vh[:, 0]))))
 
 
-def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
-    """Decompose a state equal to its partial transpose.
+# A real qubit rotation by a generic angle: the second pivot of ``pt_invariant_decompose``.
+_PIVOT_TURN = np.array([[math.cos(0.5), math.sin(0.5)], [-math.sin(0.5), math.cos(0.5)]])
 
-    Passes of ``(_zero_remainder, _strip, _base_case, _rank_n_kernel,
-    _real_e_subtraction)`` on the symmetrized state subtract real-e product
-    vectors (which keep the invariance and drop both ranks) down to rank N,
-    where the kernel search finishes; each subtraction builds one state.  A
-    stop raises ``NonGenericInput``; a state farther than
-    ``PT_INVARIANCE_REL_TOL`` from its partial transpose raises
-    ``NotPTInvariant``.
+
+def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
+    """Decompose a state equal to its partial transpose into at most 2N real-e terms.
+
+    Write the symmetrized state (rho + rho^T_A)/2 in N x N blocks [[A, B], [B, C]],
+    B Hermitian by the invariance.  Over the eigenvalues of A above the cutoff,
+    ``rank_rel_tol`` times the norm, let A = W diag(a) W^dag, P = W diag(sqrt a),
+    K = W diag(1/sqrt a) and M = K^dag B K = U diag(m) U^dag.  Then
+
+        rho = sum_j (1, m_j)(1, m_j)^T (x) P u_j u_j^dag P^dag + |1><1| (x) S,
+
+    S = C - P M^2 P^dag = C - B A^+ B, since rho >= 0 puts the range of B in
+    that of A.  So S is the generalized Schur complement of A in rho, which is
+    PSD; its eigenpairs above the cutoff give the last terms.  A certificate
+    off the symmetrized matrix by more than ``cert_recon_tol`` (an e so near |1>
+    that A is singular only up to rounding) gets one retry on (R (x) 1) rho
+    (R^T (x) 1), R = ``_PIVOT_TURN``, which keeps the invariance, with each e
+    turned back by R^T; a second miss raises ``NonGenericInput``.  A state
+    farther than ``PT_INVARIANCE_REL_TOL`` from rho^T_A raises ``NotPTInvariant``.
     """
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=state.norm):
         raise NotPTInvariant("state is not invariant under partial transposition")
-    sym = DensityState(hermitize((state.matrix + state.pt_matrix) / 2), tol=state.tol)
-    run = _Run(sym, ReductionTrace(), sym, np.eye(state.n, dtype=complex))
-    return _certify(run, (_zero_remainder, _strip, _base_case, _rank_n_kernel,
-                          _real_e_subtraction))
+    n, cutoff = state.n, state.tol.rank_rel_tol * state.norm
+    sym = hermitize((state.matrix + state.pt_matrix) / 2)
+    for rot in (None, _PIVOT_TURN):
+        x = sym if rot is None else np.einsum(
+            "ik,kalb,jl->iajb", rot, sym.reshape(2, n, 2, n), rot).reshape(2 * n, 2 * n)
+        a, w = np.linalg.eigh(x[:n, :n])
+        w, root = w[:, a > cutoff], np.sqrt(a[a > cutoff])
+        m, u = np.linalg.eigh(hermitize((w / root).conj().T @ x[:n, n:] @ (w / root)))
+        pu = (w * root) @ u  # column j is P u_j
+        s, v = np.linalg.eigh(x[n:, n:] - (pu * m ** 2) @ pu.conj().T)
+        es = np.concatenate((np.stack((np.ones_like(m), m), axis=1),
+                             np.tile([0.0, 1.0], (np.count_nonzero(s > cutoff), 1))))
+        es = es if rot is None else es @ rot
+        fs = np.concatenate((pu.T, (v[:, s > cutoff] * np.sqrt(s[s > cutoff])).T))
+        weights = np.sum(es ** 2, axis=1) * np.sum(np.abs(fs) ** 2, axis=1)
+        cert = SeparabilityCertificate(list(zip(weights.tolist(), products_of(es, fs))))
+        if operator_norm_at_most(sym - cert.reconstruct(2 * n), state.tol.cert_recon_tol, sym):
+            return cert
+    raise NonGenericInput("closed-form PT-invariant certificate failed re-verification")
 
 
 # ---------------------------------------------------------------------------
@@ -800,30 +824,6 @@ def _kernel_reduction(run: _Run, cur: DensityState):
             run.trace.notes.append(
                 f"rank {cur.rank} equals support but transpose rank is {cur.pt_rank}")
         return run.stop(f"constructive decomposition degenerated: {failure}")
-
-
-def _rank_n_kernel(run: _Run, cur: DensityState):
-    """The kernel reduction at rank N only; above it the real-e subtraction runs."""
-    if cur.rank == cur.n:
-        return _kernel_reduction(run, cur)
-
-
-def _real_e_subtraction(run: _Run, cur: DensityState):
-    """Subtract the real-e product vector of largest weight and re-symmetrize.
-
-    Only the re-symmetrized difference becomes a state, with its PSD check;
-    the plain difference, whose transpose differs from it by rounding, is
-    never built as one.
-    """
-    best = _best_candidate(cur, real_e_products(cur.range_basis, cur.kernel_basis, cur.tol))
-    if best is None:
-        return run.stop("no subtractable real-e product vector found")
-    lam, case, v = best
-    m = hermitize(cur.matrix - lam * v.projector())
-    # re-symmetrize to cancel floating-point drift of the invariance
-    new = _successor((m + partial_transpose_matrix(m, cur.n)) / 2, run.state0)
-    run.advance("real-e", lam, case, v, new)
-    return _NEXT_PASS
 
 
 def _two_qubit(run: _Run, cur: DensityState):

@@ -256,13 +256,18 @@ def test_support_violation(monkeypatch, no_fallbacks):
 
 
 def test_support_violation_on_pt_invariant_route(monkeypatch):
-    # the nested kernel reductions of the PT-invariant stage and of both
-    # fallbacks stop on the violation; none of them lets it escape analyze.
-    # After two samples the ranges are equal and of dimension N + 1, so a
-    # pair sits at every real e: the paired search refuses that curve
+    # the closed-form PT-invariant decomposition, also inside both fallbacks,
+    # picks out no kernel terms, so a planted kernel-term fault leaves it be
     monkeypatch.setattr(sepengine, "_kernel_terms", raising(SupportViolation("planted")))
-    check(analyze(random_pt_invariant(np.random.default_rng(3), 3)), INC, REASON_NON_GENERIC,
-          ["subtract-sample"] * 2, [PAIRED_CURVE], nonexhaustive=True)
+    state = random_pt_invariant(np.random.default_rng(3), 3)
+    verdict, _ = check(analyze(state), SEP, None, ["pt-invariant"], [])
+    assert verify_certificate(state, verdict.certificate)
+    # with the decomposition failing too, no stage lets the violation escape
+    # analyze.  After two samples the ranges are equal and of dimension
+    # N + 1, so a pair sits at every real e: the paired search refuses that curve
+    monkeypatch.setattr(sepengine, "pt_invariant_decompose", raising(NonGenericInput("planted")))
+    check(analyze(state), INC, REASON_NON_GENERIC, ["subtract-sample"] * 2, [PAIRED_CURVE],
+          nonexhaustive=True)
 
 
 def test_kernel_search_misses_rank_n(monkeypatch, no_fallbacks):

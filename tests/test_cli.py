@@ -15,7 +15,7 @@ from sep2n.cli import (
     main,
     state_to_json,
 )
-from sep2n.matrixcore import DEFAULT_TOL, partial_transpose_matrix
+from sep2n.matrixcore import DEFAULT_TOL
 from sep2n.productfinder import ProductVector
 from sep2n.sepengine import analyze
 

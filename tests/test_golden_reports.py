@@ -6,7 +6,7 @@ report's JSON without its ``timings``, must equal the digests recorded
 here.  Between them the cases hold every complex value the CLI encodes: a
 state matrix with a signed zero and a subnormal entry, certificate terms,
 a witness of complex expansion coefficients, ``subtract-sample`` steps at
-complex alpha, and the real-e subtractions of a PT-invariant state.  A
+complex alpha, and the closed-form real-e terms of a PT-invariant state.  A
 change to the JSON encoding, or to any bit of a report, changes a digest.
 
 The digests were recorded with numpy 2.4 on x86-64; another LAPACK build
@@ -19,7 +19,6 @@ import json
 import numpy as np
 import pytest
 
-from sep2n import sepengine
 from sep2n.cli import run_analysis, state_to_json
 
 from helpers import (
@@ -67,7 +66,7 @@ DIGESTS = {
     "npt": ("dde8509c102458ec292542027ff9365c724dc6d70ac4cfb56134edb607c89dc1",
             "d0e8f6aa17b37b0ee383dac9afdf5f90d44f4debe12f1b71ffcd9f3051391de5"),
     "pt_invariant": ("c3e2430e4148b65760ae72d2ac29553f158042757dc0ec94e43840ec85c98cc0",
-                     "a60f2c11eb41c5593d546192e4e72a11654dceec723e5b761f451923acc3c9b3"),
+                     "728ccd803b44d706c944aefae1d3a5c4046a348fcf03c98b91d884f991107082"),
     "subtract_sample": ("167dcdf9171ad8b93d635f2edf4d76ac65a762d5cd7a8c90889d8247f0cb70b3",
                         "162eb2377badfd19134fe523f1e74c5e6575672297d5423909e5fec51e4c980b"),
 }
@@ -78,11 +77,7 @@ def _sha(text: str) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bits(tmp_path, monkeypatch, name):
-    real_e_steps = []
-    real_e = sepengine._real_e_subtraction
-    monkeypatch.setattr(sepengine, "_real_e_subtraction",
-                        lambda run, cur: real_e_steps.append(cur.rank) or real_e(run, cur))
+def test_report_bits(tmp_path, name):
     m = CASES[name]()
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(state_to_json(m, m.shape[0] // 2, label=name),
@@ -100,9 +95,11 @@ def test_report_bits(tmp_path, monkeypatch, name):
     elif name == "npt":
         assert report["verdict"] == "entangled_npt"
     elif name == "pt_invariant":
-        # rank 8 down to N = 4, one real-e subtraction per rank
+        # full rank 8 at N = 4: N terms from the first block and N from the
+        # Schur complement, every e real
         assert report["verdict"] == "separable" and steps == ["pt-invariant"]
-        assert real_e_steps == [8, 7, 6, 5]
+        terms = report["certificate"]["terms"]
+        assert len(terms) == 8 and all(im == 0 for t in terms for _re, im in t["e"])
     else:
         alphas = [s["alpha"] for s in report["trace"]["steps"] if s["op"] == "subtract-sample"]
         assert any(isinstance(a, list) and a[1] != 0 for a in alphas)

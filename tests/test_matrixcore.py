@@ -15,7 +15,6 @@ from sep2n.matrixcore import (
     split_at_cutoff,
     within_psd_tol,
 )
-from sep2n.productfinder import ProductVector
 
 from helpers import (
     build_separable,

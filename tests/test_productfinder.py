@@ -971,8 +971,9 @@ class TestStateBases:
     """The kernel and real-e searches run on the state's own kernel and range bases."""
 
     def test_no_rank_decision_inside_the_searches_and_the_raw_basis_vectors(self, monkeypatch):
-        # on the analyze path of the constructive corpus neither search takes
-        # an SVD rank decision of its own
+        # on the analyze path of the constructive corpus the kernel search
+        # takes no SVD rank decision of its own, and the real-e search, which
+        # the closed-form PT-invariant decomposition replaced, never runs
         inside, decisions, searches = [], [], Counter()
         rank_kernel = matrixcore.numerical_rank_kernel
 
@@ -993,11 +994,16 @@ class TestStateBases:
         with monkeypatch.context() as patch:
             for module in (matrixcore, productfinder):
                 patch.setattr(module, "numerical_rank_kernel", counted)
-            for name in ("kernel_product_vectors", "real_e_products"):
-                patch.setattr(sepengine, name, entered(name, getattr(sepengine, name)))
-            for item in perfbench_corpus().build("constructive", 4242):
+            for module, name in ((sepengine, "kernel_product_vectors"),
+                                 (productfinder, "real_e_products")):
+                patch.setattr(module, name, entered(name, getattr(module, name)))
+            items = perfbench_corpus().build("constructive", 4242)
+            for item in items:
                 sepengine.analyze(item.matrix)
-        assert searches["kernel_product_vectors"] >= 100 and searches["real_e_products"] >= 50
+        # one kernel search per rank-N input
+        rank_n = sum(item.family == "rank_n" for item in items)
+        assert rank_n >= 90 and searches["kernel_product_vectors"] >= rank_n
+        assert searches["real_e_products"] == 0
         assert True not in decisions
 
         # the state's bases span the subspaces that the raw-basis pair spans,

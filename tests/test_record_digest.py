@@ -106,13 +106,13 @@ def test_names_separable_inputs_called_entangled_ppt(monkeypatch, capsys):
 # digest; such a change updates the pin and says why in CHANGES.md.  Like the
 # golden reports, the digests assume numpy 2.4 on x86-64.
 PINNED_DIGESTS = {
-    "cli_batch": ("0ffe79833a24840fdbf099cfc1286d2c81a82e4afc92807b3e0b043fb73b5ac1",
+    "cli_batch": ("f5b79e04bff8b2db212160c23d2fe165d051fe07bc83cda2d14d9bd701446e01",
                   "0d1584e871c63da0723236e86ec4c47049d88a04ab1e2f8dddaa5eba5d22b5a5"),
-    "constructive": ("0a9bb80fc683e8b30138bc7677976e788a091439554032fa71429005c53fa16b",
+    "constructive": ("fd972ec239333abd9d73154f269ea7e88570b60f28e8cf7c7df9726505940004",
                      "be7ee14461032367f2f8b5ad2a32fd6bcc27a9374966de035ece3877c3133db1"),
     "range_enum": ("53fe95f43db6cca3e0e96c3244eb9d942a62e3379dce0990f54df693200eba60",
                    "46771c7ef8c8427bb75462d9215a4bd5b7e4d48c41f21891e10b2a6e1072649d"),
-    "sampled_reduction": ("88296839230cf3baf4fe27f35925f4c53147cfb846e355c70ca2bcdbdf10e023",
+    "sampled_reduction": ("e7afe4634faedec8708acc12e74614f1466ff59759df6e5891056cc6436ac9b4",
                           "5d3742aa20ba00ff9f829e9a070524732e74525e400686c0d6b6b5460da6ae16"),
 }
 

@@ -20,7 +20,6 @@ from sep2n.sepengine import (
     DependentProjectors,
     NotPTInvariant,
     SeparabilityCertificate,
-    Verdict,
     VerdictKind,
     analyze,
     biorthogonal_check,
@@ -525,27 +524,47 @@ class TestPtInvariantDecompose:
             with pytest.raises(NotPTInvariant):
                 pt_invariant_decompose(state)
 
-    def test_no_real_e_vector_raises(self, monkeypatch):
-        monkeypatch.setattr(sepengine, "real_e_products", lambda *args: [])
-        state = DensityState(random_pt_invariant(np.random.default_rng(3), 4))
-        assert state.rank > state.n
-        with pytest.raises(NonGenericInput, match="no subtractable real-e product vector found"):
-            pt_invariant_decompose(state)
-
-    def test_one_state_per_real_e_step(self, built_tols):
-        # full rank 8 at N = 4: the symmetrized input, then one state per real-e
-        # step down to rank N, where the kernel search builds none
+    def test_closed_form_builds_no_state_and_at_most_2n_real_e_terms(self, built_tols):
+        # full rank 8 at N = 4: no state beyond the input, N terms from A's
+        # blocks and N from the Schur complement, every e real
         state = DensityState(random_pt_invariant(np.random.default_rng(3), 4))
         assert state.rank == 8
         built_tols.clear()
         cert = pt_invariant_decompose(state)
-        assert len(built_tols) == 5
+        assert built_tols == []
+        assert len(cert.terms) == 2 * state.n
+        assert all(not np.any(pv.e.imag) for _w, pv in cert.terms)
+        assert verify_certificate(state, cert)
+
+    def test_failed_re_verification_raises(self, monkeypatch):
+        # a reconstruction off the symmetrized matrix by 10x cert_recon_tol
+        state = DensityState(random_pt_invariant(np.random.default_rng(3), 4))
+        real = SeparabilityCertificate.reconstruct
+        monkeypatch.setattr(SeparabilityCertificate, "reconstruct",
+                            lambda cert, dim: real(cert, dim) * (1 + 10 * state.tol.cert_recon_tol))
+        with pytest.raises(NonGenericInput, match="failed re-verification"):
+            pt_invariant_decompose(state)
+
+    def test_e_near_one_is_certified_in_the_turned_basis(self, monkeypatch):
+        # e = (1e-6, 1) leaves A an eigenvalue of 1e-12, under the cutoff,
+        # while B keeps 1e-6 of that term: the product-basis pivot misses it,
+        # and the pivot in the basis turned by _PIVOT_TURN certifies the state
+        rng = np.random.default_rng(8)
+        es = [[1e-6, 1.0], [1.0, 0.7], [0.4, -1.0]]
+        m = sum(ProductVector.from_e_f(e, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                .projector() for e in es)
+        state = DensityState(m)
+        assert np.linalg.eigvalsh(m[:3, :3])[0] < state.tol.rank_rel_tol * state.norm
+        attempts = counting(monkeypatch, "products_of")
+        cert = pt_invariant_decompose(state)
+        assert len(attempts) == 2
+        assert all(not np.any(pv.e.imag) for _w, pv in cert.terms)
         assert verify_certificate(state, cert)
 
     def test_nested_run_skips_the_analyze_bookkeeping(self, monkeypatch):
         # analyze's own pass takes one support spectrum, which also gives the
-        # borderline count, and its PT-invariant stage leaves the invariance
-        # test to the decomposition
+        # borderline count; the closed-form decomposition takes none, and
+        # analyze's PT-invariant stage leaves the invariance test to it
         spectra = counting(monkeypatch, "_stripped_support")
         tests = []
         real_test = sepengine.operator_norm_at_most
@@ -560,8 +579,8 @@ class TestPtInvariantDecompose:
         nested, nested_spectra = len(tests), len(spectra)
         _verdict, trace = analyze(state)
         assert [s.op for s in trace.steps] == ["pt-invariant"]
-        assert len(spectra) - nested_spectra == nested_spectra + 1
-        # the nested run's norm tests and analyze's re-verification, no other test
+        assert nested_spectra == 0 and len(spectra) == 1
+        # the decomposition's norm tests and analyze's re-verification, no other test
         assert len(tests) - nested == nested + 1
 
 
@@ -1063,7 +1082,7 @@ class TestToleranceOwnership:
 
     @pytest.mark.parametrize("build, ops, stages", [
         (lambda mp: DensityState(random_pt_invariant(np.random.default_rng(3), 3), tol=OWN_TOL),
-         ["pt-invariant"], {"pt_invariant_decompose", "real_e_products", "products_in_subspace"}),
+         ["pt-invariant"], {"pt_invariant_decompose"}),
         (lambda mp: DensityState(build_separable(np.random.default_rng(5), 3, 4)[0], tol=OWN_TOL),
          ["biorthogonal"], {"paired_products", "biorthogonal_check"}),
         (lambda mp: DensityState(random_ppt_mixture(np.random.default_rng(1), 4), tol=OWN_TOL),
@@ -1090,8 +1109,7 @@ class TestToleranceOwnership:
             monkeypatch.setattr(module, name, fn)
 
         recording(productfinder, "products_in_subspace", 2)
-        for name, tol_at in [("paired_products", 4), ("real_e_products", 2),
-                             ("pt_invariant_decompose", None),
+        for name, tol_at in [("paired_products", 4), ("pt_invariant_decompose", None),
                              ("decompose_rank_n", None), ("biorthogonal_check", None),
                              ("symmetric_split_check", None), ("pt_symmetrizing_search", None)]:
             recording(sepengine, name, tol_at)
@@ -1101,6 +1119,24 @@ class TestToleranceOwnership:
         assert stages <= called
         assert all(t is OWN_TOL for t in built_tols)
         assert passed and all(t is OWN_TOL for _name, t in passed), passed
+
+    def test_pt_invariant_cutoffs_come_from_the_state_tol(self, monkeypatch):
+        # three real-e terms fill A, and a fourth of weight 1e-7 is all of the
+        # Schur complement: it clears the default cutoff, not one of 1e-6
+        rng = np.random.default_rng(7)
+        m = sum(ProductVector.from_e_f([1.0, rng.standard_normal()], _f).projector()
+                for _f in rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        m = m + 1e-7 * ProductVector.from_e_f([0.0, 1.0], rng.standard_normal(3)).projector()
+        assert len(pt_invariant_decompose(DensityState(m)).terms) == 4
+        loose = ToleranceConfig(rank_rel_tol=1e-6, cert_recon_tol=1e-5)
+        assert len(pt_invariant_decompose(DensityState(m, tol=loose)).terms) == 3
+        # a reconstruction 1.5e-8 off the matrix passes OWN_TOL's cert_recon_tol only
+        real = SeparabilityCertificate.reconstruct
+        monkeypatch.setattr(SeparabilityCertificate, "reconstruct",
+                            lambda cert, dim: real(cert, dim) * (1 + 1.5e-8))
+        assert pt_invariant_decompose(DensityState(m, tol=OWN_TOL)).terms
+        with pytest.raises(NonGenericInput, match="failed re-verification"):
+            pt_invariant_decompose(DensityState(m))
 
     def test_raw_matrix_gets_the_defaults(self, built_tols):
         verdict, _ = analyze(random_pt_invariant(np.random.default_rng(3), 3))
