@@ -1,15 +1,15 @@
 """Separability decision pipeline for PPT states on C2 x CN.
 
 ``analyze`` answers a negative partial transpose at once.  Otherwise each
-pass runs these stages in order: zero remainder, support stripping, the
-base case N = 1, PT-invariance, kernel reduction (both ranks and N drop by
-one), the closed-form two-qubit decomposition at N = 2, whose decline
-stops the passes, and for N >= 3 the paired search, which subtracts a
-sampled product vector above rank sum 3N and otherwise expands the state
-over the enumerated product vectors.  A stop leads to sufficient fallback
-checks.  ``decompose_rank_n`` runs a stage tuple of its own on the same
-pass loop, ``_passes``; ``pt_invariant_decompose`` is closed form.  Every
-"separable" verdict carries a certificate, re-verified against the input.
+pass runs these stages in order: zero remainder, support stripping, the base
+case N = 1, PT-invariance and rank N (closed-form block splits), kernel
+reduction (both ranks and N drop by one), the closed-form two-qubit
+decomposition at N = 2, whose decline stops the passes, and for N >= 3 the
+paired search, which subtracts a sampled product vector above rank sum 3N
+and otherwise expands the state over the enumerated product vectors.  A stop
+leads to sufficient fallback checks.  ``decompose_rank_n`` runs a stage tuple
+of its own on the same pass loop.  Every "separable" verdict carries a
+certificate, re-verified against the input.
 """
 
 from __future__ import annotations
@@ -275,13 +275,11 @@ def _kernel_terms(state: DensityState, vectors) -> list:
 
     With e_hat orthogonal to e, the image ``rho|e_hat, f>`` must be a product
     line ``|e_hat> (x) g``; the term is ``lam |e_hat, g><e_hat, g|`` with
-    ``lam = 1 / <g|f>``.  For a state that is a sum of N product terms, the
-    kernel vector orthogonal to all but one of them picks out that one.  An
-    image no larger than the state's rank cutoff, ``rank_rel_tol`` times its
-    norm, means the state annihilates |e_hat, f>: the support is not full and
-    must be stripped first (``SupportViolation``).  Every check runs on the
-    stack of all vectors; the first vector that fails one raises, with the
-    first check it fails, as a loop over them would.
+    ``lam = 1 / <g|f>``.  An image no larger than the state's rank cutoff,
+    ``rank_rel_tol`` times its norm, means the state annihilates |e_hat, f>:
+    the support is not full and must be stripped first (``SupportViolation``).
+    Every check runs on the stack of all vectors; the first vector that fails
+    one raises, with the first check it fails, as a loop over them would.
 
     Returns one ``(lam, sub_vec, (weight, pv))`` per vector: ``sub_vec`` is
     the unnormalized |e_hat, g> and ``weight`` times the projector of ``pv``
@@ -356,38 +354,19 @@ def _lift_pv(pv: ProductVector, lift: np.ndarray) -> ProductVector:
     return ProductVector.from_e_f(pv.e, lift @ pv.f)
 
 
-def _all_kernel_terms(state: DensityState, found):
-    """The N terms that N kernel product vectors pick out of the state, or None.
-
-    None unless the search found a finite list of exactly N vectors, every
-    vector passes the checks of ``_kernel_terms`` and the terms reconstruct
-    the state within the state's ``cert_recon_tol``.
-    """
-    if isinstance(found, InfiniteFamily) or len(found) != state.n:
-        return None
-    try:
-        terms = [term for _lam, _sub_vec, term in _kernel_terms(state, found)]
-    except (ValueError, SupportViolation, NonGenericInput):
-        return None
-    recon = SeparabilityCertificate(terms).reconstruct(state.dim)
-    return terms if operator_norm_at_most(state.matrix - recon, state.tol.cert_recon_tol,
-                                          state.matrix) else None
-
-
 def decompose_rank_n(state: DensityState) -> SeparabilityCertificate:
     """Constructive decomposition of a state whose rank equals its support dimension.
 
-    A generic such state has exactly N kernel product vectors, one per
-    term, and each picks out its term from the state itself, so one kernel
-    search gives all N terms.  Otherwise each pass of ``(_base_case,
-    _kernel_reduction)`` peels off one term and searches again, down to the
-    spectral base case; a stop raises ``NonGenericInput``.  The certificate
-    is expressed in the input basis.
+    Passes of ``(_base_case, _rank_n, _kernel_reduction)``: ``_schur_split``
+    gives all terms in closed form; where it misses, a kernel product vector
+    peels off one term and the next pass tries again.  A stop raises
+    ``NonGenericInput``.  The certificate is expressed in the input basis.
     """
     cur, lift = strip_support(state)
     if cur.rank != cur.n:
         raise ValueError(f"rank {cur.rank} does not match support dimension {cur.n}")
-    return _certify(_Run(state, ReductionTrace(), cur, lift), (_base_case, _kernel_reduction))
+    return _certify(_Run(state, ReductionTrace(), cur, lift),
+                    (_base_case, _rank_n, _kernel_reduction))
 
 
 # Relative slack, against the trace, by which the largest Wootters value may
@@ -470,51 +449,71 @@ def two_qubit_decompose(state) -> SeparabilityCertificate | None:
     return SeparabilityCertificate(list(zip(weights.tolist(), products_of(uu[:, :, 0], vh[:, 0]))))
 
 
-# A real qubit rotation by a generic angle: the second pivot of ``pt_invariant_decompose``.
+# A real qubit rotation by a generic angle: the second pivot of ``_schur_split``.
 _PIVOT_TURN = np.array([[math.cos(0.5), math.sin(0.5)], [-math.sin(0.5), math.cos(0.5)]])
+# z M + conj(z) M^dag = (M + M^dag)/2 + c (M - M^dag)/2i with c = (sqrt 5 - 1)/2
+_SKEW_MIX = (1 - 1j * (math.sqrt(5) - 1) / 2) / 2
+
+
+def _normal_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """diag(U^dag M U) and U, the eigenvectors of the mix; its two parts commute for a normal M."""
+    u = np.linalg.eigh(hermitize(_SKEW_MIX * m + np.conj(_SKEW_MIX) * m.conj().T))[1]
+    return np.einsum("ij,ik,kj->j", u.conj(), m, u), u
+
+
+def _schur_split(x: np.ndarray, state: DensityState, spectrum):
+    """The terms of the block split of ``x`` on C2 x CN if they reconstruct it, else None.
+
+    With x = [[A, B], [B^dag, C]] in N x N blocks, A = W diag(a) W^dag over a above
+    the cutoff (``rank_rel_tol`` times the state's norm), P = W diag(sqrt a),
+    K = W diag(1/sqrt a) and M = K^dag B K = U diag(mu) U^dag (``spectrum``):
+
+        x = sum_j (1, conj mu_j)(1, conj mu_j)^dag (x) P u_j u_j^dag P^dag + |1><1| (x) S,
+
+    S = C - P M M^dag P^dag the generalized Schur complement of A, PSD for a
+    PSD x.  M is Hermitian for a PT-invariant x, and normal for x of rank N
+    on full support: x = sum_i l_i |a_i, b_i><a_i, b_i| with the b_i a basis
+    makes M unitarily similar to diag(conj(a_i1 / a_i0)) over a_i0 != 0, and S
+    the sum of the other terms.  A miss by more than ``cert_recon_tol`` (A
+    singular only up to rounding, M not normal) gets one retry on
+    (R (x) 1) x (R^T (x) 1), R = ``_PIVOT_TURN``, each e turned back by R^T.
+    """
+    n, cutoff = state.n, state.tol.rank_rel_tol * state.norm
+    for rot in (None, _PIVOT_TURN):
+        y = x if rot is None else np.einsum(
+            "ik,kalb,jl->iajb", rot, x.reshape(2, n, 2, n), rot).reshape(2 * n, 2 * n)
+        a, w = np.linalg.eigh(y[:n, :n])
+        w, root = w[:, a > cutoff], np.sqrt(a[a > cutoff])
+        mu, u = spectrum((w / root).conj().T @ y[:n, n:] @ (w / root))
+        pu = (w * root) @ u  # column j is P u_j
+        s, v = np.linalg.eigh(y[n:, n:] - (pu * np.abs(mu) ** 2) @ pu.conj().T)
+        es = np.concatenate((np.stack((np.ones_like(mu), mu.conj()), axis=1),
+                             np.tile([0.0, 1.0], (np.count_nonzero(s > cutoff), 1))))
+        es = es if rot is None else es @ rot
+        fs = np.concatenate((pu.T, (v[:, s > cutoff] * np.sqrt(s[s > cutoff])).T))
+        weights = np.sum(np.abs(es) ** 2, axis=1) * np.sum(np.abs(fs) ** 2, axis=1)
+        terms = list(zip(weights.tolist(), products_of(es, fs)))
+        if operator_norm_at_most(x - SeparabilityCertificate(terms).reconstruct(2 * n),
+                                 state.tol.cert_recon_tol, x):
+            return terms
+    return None
 
 
 def pt_invariant_decompose(state: DensityState) -> SeparabilityCertificate:
     """Decompose a state equal to its partial transpose into at most 2N real-e terms.
 
-    Write the symmetrized state (rho + rho^T_A)/2 in N x N blocks [[A, B], [B, C]],
-    B Hermitian by the invariance.  Over the eigenvalues of A above the cutoff,
-    ``rank_rel_tol`` times the norm, let A = W diag(a) W^dag, P = W diag(sqrt a),
-    K = W diag(1/sqrt a) and M = K^dag B K = U diag(m) U^dag.  Then
-
-        rho = sum_j (1, m_j)(1, m_j)^T (x) P u_j u_j^dag P^dag + |1><1| (x) S,
-
-    S = C - P M^2 P^dag = C - B A^+ B, since rho >= 0 puts the range of B in
-    that of A.  So S is the generalized Schur complement of A in rho, which is
-    PSD; its eigenpairs above the cutoff give the last terms.  A certificate
-    off the symmetrized matrix by more than ``cert_recon_tol`` (an e so near |1>
-    that A is singular only up to rounding) gets one retry on (R (x) 1) rho
-    (R^T (x) 1), R = ``_PIVOT_TURN``, which keeps the invariance, with each e
-    turned back by R^T; a second miss raises ``NonGenericInput``.  A state
-    farther than ``PT_INVARIANCE_REL_TOL`` from rho^T_A raises ``NotPTInvariant``.
+    The symmetrized state (rho + rho^T_A)/2 has a Hermitian block B, so its
+    ``_schur_split`` has real e's; a split that misses raises ``NonGenericInput``.
+    A state farther than ``PT_INVARIANCE_REL_TOL`` from rho^T_A raises ``NotPTInvariant``.
     """
     if not operator_norm_at_most(state.matrix - state.pt_matrix, PT_INVARIANCE_REL_TOL,
                                  floor=state.norm):
         raise NotPTInvariant("state is not invariant under partial transposition")
-    n, cutoff = state.n, state.tol.rank_rel_tol * state.norm
-    sym = hermitize((state.matrix + state.pt_matrix) / 2)
-    for rot in (None, _PIVOT_TURN):
-        x = sym if rot is None else np.einsum(
-            "ik,kalb,jl->iajb", rot, sym.reshape(2, n, 2, n), rot).reshape(2 * n, 2 * n)
-        a, w = np.linalg.eigh(x[:n, :n])
-        w, root = w[:, a > cutoff], np.sqrt(a[a > cutoff])
-        m, u = np.linalg.eigh(hermitize((w / root).conj().T @ x[:n, n:] @ (w / root)))
-        pu = (w * root) @ u  # column j is P u_j
-        s, v = np.linalg.eigh(x[n:, n:] - (pu * m ** 2) @ pu.conj().T)
-        es = np.concatenate((np.stack((np.ones_like(m), m), axis=1),
-                             np.tile([0.0, 1.0], (np.count_nonzero(s > cutoff), 1))))
-        es = es if rot is None else es @ rot
-        fs = np.concatenate((pu.T, (v[:, s > cutoff] * np.sqrt(s[s > cutoff])).T))
-        weights = np.sum(es ** 2, axis=1) * np.sum(np.abs(fs) ** 2, axis=1)
-        cert = SeparabilityCertificate(list(zip(weights.tolist(), products_of(es, fs))))
-        if operator_norm_at_most(sym - cert.reconstruct(2 * n), state.tol.cert_recon_tol, sym):
-            return cert
-    raise NonGenericInput("closed-form PT-invariant certificate failed re-verification")
+    terms = _schur_split(hermitize((state.matrix + state.pt_matrix) / 2), state,
+                         lambda m: np.linalg.eigh(hermitize(m)))
+    if terms is None:
+        raise NonGenericInput("closed-form PT-invariant certificate failed re-verification")
+    return SeparabilityCertificate(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -789,20 +788,22 @@ def _pt_invariant(run: _Run, cur: DensityState):
         run.flag(REASON_NON_GENERIC)
 
 
-def _kernel_reduction(run: _Run, cur: DensityState):
-    """Decompose a rank-N state from one kernel search, or reduce through a kernel product vector.
+def _rank_n(run: _Run, cur: DensityState):
+    """Decompose a state whose rank equals N in closed form; a split that misses falls through."""
+    terms = _schur_split(cur.matrix, cur, _normal_spectrum) if cur.rank == cur.n else None
+    if terms is not None:
+        return run.assemble(terms, "rank-n-decompose", f"terms={len(terms)}")
 
-    When the kernel product vectors do not give all N terms at once, the
-    first of them lowers both ranks and N by one and the next pass goes on;
-    a rank-N state without one, or a reduction whose result is not PSD,
-    stops the passes.
+
+def _kernel_reduction(run: _Run, cur: DensityState):
+    """Reduce through a kernel product vector: both ranks and N drop by one.
+
+    A rank-N state that ``_rank_n`` left and whose kernel search finds no
+    product vector, or a reduction whose result is not PSD, stops the passes.
     """
     failure = _NO_KERNEL_VECTOR
     try:
         found = kernel_product_vectors(cur)
-        terms = _all_kernel_terms(cur, found) if cur.rank == cur.n else None
-        if terms is not None:
-            return run.assemble(terms, "rank-n-decompose", f"terms={len(terms)}")
         if found:
             new, (weight, pv), iso = reduce_by_kernel(cur, found[0])
             run.advance("kernel-reduce", weight, "iii", pv, new, iso)
@@ -819,7 +820,6 @@ def _kernel_reduction(run: _Run, cur: DensityState):
         # an inaccurate kernel vector makes the tied subtraction overshoot
         return run.stop(f"kernel reduction failed: {exc}")
     if cur.rank == cur.n:
-        # a constructive decomposition would only repeat the failed search
         if cur.pt_rank != cur.n:
             run.trace.notes.append(
                 f"rank {cur.rank} equals support but transpose rank is {cur.pt_rank}")
@@ -879,7 +879,7 @@ def _paired_search(run: _Run, cur: DensityState):
     return Verdict(VerdictKind.ENTANGLED_PPT, witness=witness)
 
 
-_STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _kernel_reduction,
+_STAGES = (_zero_remainder, _strip, _base_case, _pt_invariant, _rank_n, _kernel_reduction,
            _two_qubit, _paired_search)
 
 
@@ -912,8 +912,8 @@ def analyze(rho_in) -> tuple[Verdict, ReductionTrace]:
     ``_SQUARE_SAFE`` is analyzed times an exact 2**k, which the trace notes; the
     certificate weights are scaled back and re-verified against the input.
     After the partial-transpose test, passes of ``_STAGES`` (zero remainder,
-    strip, base case, PT-invariant, kernel reduction, two-qubit, paired
-    search) run until a stage gives a verdict or stops.
+    strip, base case, PT-invariant, rank N, kernel reduction, two-qubit,
+    paired search) run until a stage gives a verdict or stops.
     After a stop, or ``MAX_PIPELINE_PASSES`` passes, the sufficient
     fallbacks run on the input's stripped support.  Every tolerance comes from
     ``rho_in`` when it is a DensityState; a raw matrix gets the defaults.

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sep2n import sepengine
 from sep2n.matrixcore import hermitize, numerical_rank_kernel, partial_transpose_matrix
 from sep2n.productfinder import (
     CHART_INFINITY_TOL,
@@ -473,21 +474,41 @@ def shared_e_rank_n(rng, n):
     return m / np.real(np.trace(m)), vecs
 
 
+def shared_e_rank_n_plus_one(rng, n):
+    """|a><a| (x) sigma + |b><b| (x) |f><f| with sigma of rank N: rank N + 1 on C2 x CN.
+
+    The kernel holds |a_perp, g> for every g orthogonal to f, so each pass
+    reduces through a kernel vector: N - 1 kernel reductions, then the base case.
+    """
+    a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = (np.kron(np.outer(a, a.conj()), random_psd(rng, n))
+         + np.kron(np.outer(b, b.conj()), np.outer(f, f.conj())))
+    return m / np.real(np.trace(m))
+
+
+def decline_rank_n_split(monkeypatch, times=None):
+    """Make the rank-N split decline on its first ``times`` calls, or on every call.
+
+    Only the calls of ``sepengine._schur_split`` with ``_normal_spectrum``
+    decline, so the PT-invariant split, also inside both fallbacks, runs as
+    it is and a rank-N state takes the kernel route.  Returns the list of
+    the declined states.
+    """
+    real, normal, declined = sepengine._schur_split, sepengine._normal_spectrum, []
+
+    def split(x, state, spectrum):
+        if spectrum is normal and (times is None or len(declined) < times):
+            declined.append(state)
+            return None
+        return real(x, state, spectrum)
+
+    monkeypatch.setattr(sepengine, "_schur_split", split)
+    return declined
+
+
 def random_local_unitary(rng, n):
     """U (x) V with U on C2 and V on CN from QR of complex Gaussian matrices."""
     u, v = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
             for d in (2, n))
     return np.kron(u, v)
-
-
-def failing_once(fn, exc):
-    """``fn`` that raises ``exc`` on its first call and then behaves as ``fn``."""
-    calls = []
-
-    def wrapped(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
-            raise exc
-        return fn(*args, **kwargs)
-
-    return wrapped

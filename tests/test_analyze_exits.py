@@ -27,12 +27,13 @@ from sep2n.sepengine import (
 
 from helpers import (
     build_separable,
+    decline_rank_n_split,
     embedded_max_entangled,
-    failing_once,
     horodecki_2x4,
     random_ppt_mixture,
     random_pt_invariant,
     shared_e_rank_n,
+    shared_e_rank_n_plus_one,
 )
 
 SEP = VerdictKind.SEPARABLE
@@ -117,10 +118,19 @@ def test_rank_n():
 
 
 def test_shared_e_kernel_reduce():
-    # two terms share one e, so the kernel holds a curve and the one-shot declines
-    m, _ = shared_e_rank_n(np.random.default_rng([3, 1]), 3)
-    verdict, trace = check(analyze(m), SEP, None, ["kernel-reduce", "rank-n-decompose"], [])
+    # N terms share one e next to one more term: rank N + 1, so each pass
+    # reduces through a kernel vector, down to the base case
+    m = shared_e_rank_n_plus_one(np.random.default_rng([3, 1]), 3)
+    verdict, trace = check(analyze(m), SEP, None, ["kernel-reduce"] * 2 + ["base-case"], [])
     assert (trace.steps[0].case, trace.steps[0].n_after) == ("iii", 2)
+    assert verify_certificate(m, verdict.certificate)
+
+
+def test_shared_e_rank_n_splits_at_once():
+    # two of N terms sharing an e give M a repeated eigenvalue, which the split takes
+    m, _ = shared_e_rank_n(np.random.default_rng([3, 1]), 3)
+    verdict, trace = check(analyze(m), SEP, None, ["rank-n-decompose"], [])
+    assert trace.steps[0].detail == "terms=3"
     assert verify_certificate(m, verdict.certificate)
 
 
@@ -152,10 +162,10 @@ def test_two_qubit_natural_decline():
 def kernel_reduction_not_psd(monkeypatch):
     """Rank 3 on C2 x C3 whose kernel reduction leaves a state that is not PSD.
 
-    The first kernel search returns only its first vector, with f moved by
-    1e-8 relative, so the tied subtraction overshoots; later searches, such
-    as the fallbacks' own, are left alone.  Returns the matrix and its
-    ``analyze`` result, whose one note is checked.
+    The rank-N split declines, and the first kernel search returns only its
+    first vector, with f moved by 1e-8 relative, so the tied subtraction
+    overshoots; later searches, such as the fallbacks' own, are left alone.
+    Returns the matrix and its ``analyze`` result, whose one note is checked.
     """
     search = sepengine.kernel_product_vectors
 
@@ -168,6 +178,7 @@ def kernel_reduction_not_psd(monkeypatch):
         return [ProductVector.from_e_f(v.e, v.f + 1e-8 * d / np.linalg.norm(d))]
 
     calls = []
+    decline_rank_n_split(monkeypatch)
     monkeypatch.setattr(sepengine, "kernel_product_vectors", perturbed)
     m = rank_n()
     result = analyze(m)
@@ -249,7 +260,8 @@ def test_stripped_then_fallback():
 # ---------------------------------------------------------------------------
 
 def test_support_violation(monkeypatch, no_fallbacks):
-    # the one-shot decomposition declines, and the reduction meets the same failure
+    # the rank-N split declines, and the kernel reduction meets the violation
+    decline_rank_n_split(monkeypatch)
     monkeypatch.setattr(sepengine, "_kernel_terms", raising(SupportViolation("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["support violation during kernel reduction"])
@@ -271,18 +283,21 @@ def test_support_violation_on_pt_invariant_route(monkeypatch):
 
 
 def test_kernel_search_misses_rank_n(monkeypatch, no_fallbacks):
+    decline_rank_n_split(monkeypatch)
     monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           [f"constructive decomposition degenerated: {NOT_FOUND}"])
 
 
 def test_kernel_search_raises_on_rank_n(monkeypatch, no_fallbacks):
+    decline_rank_n_split(monkeypatch)
     monkeypatch.setattr(sepengine, "kernel_product_vectors", raising(NonGenericInput("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["constructive decomposition degenerated: planted"])
 
 
 def test_kernel_reduction_raises_on_rank_n(monkeypatch, no_fallbacks):
+    decline_rank_n_split(monkeypatch)
     monkeypatch.setattr(sepengine, "_kernel_terms", raising(NonGenericInput("planted")))
     check(analyze(rank_n()), INC, REASON_NON_GENERIC, [],
           ["constructive decomposition degenerated: planted"])
@@ -291,6 +306,7 @@ def test_kernel_reduction_raises_on_rank_n(monkeypatch, no_fallbacks):
 def test_kernel_search_misses_with_transpose_rank_mismatch(monkeypatch, no_fallbacks):
     state = DensityState(rank_n())
     monkeypatch.setattr(state, "pt_rank", 4)
+    decline_rank_n_split(monkeypatch)
     monkeypatch.setattr(sepengine, "kernel_product_vectors", lambda *a, **k: [])
     check(analyze(state), INC, REASON_NON_GENERIC, [],
           ["rank 3 equals support but transpose rank is 4",
@@ -378,11 +394,12 @@ def test_nongeneric_outranks_infinite_family(monkeypatch, no_fallbacks):
 
 
 def test_term_check_fails_once(monkeypatch):
-    # the one-shot declines; the first vector reduces, and the next pass decomposes at once
-    monkeypatch.setattr(sepengine, "_kernel_terms",
-                        failing_once(sepengine._kernel_terms, NonGenericInput("planted")))
+    # the split's reconstruction check fails once; the first kernel vector
+    # reduces, and the next pass decomposes at once
+    declined = decline_rank_n_split(monkeypatch, times=1)
     verdict, _ = check(analyze(rank_n()), SEP, None, ["kernel-reduce", "rank-n-decompose"], [])
     assert len(verdict.certificate.terms) == 3
+    assert len(declined) == 1
 
 
 def test_failed_certificate_reverification(monkeypatch):

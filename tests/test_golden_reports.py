@@ -58,7 +58,7 @@ CASES = {
 # (state file, report) digests per case
 DIGESTS = {
     "certificate": ("7d466e0dc805a8a96c89c5d8f4dbed6d718d637870e71069f974fa667ebde5c3",
-                    "e3db6bbc33d7b8928a87bf15ff33d30d4d1db7594d3174b04e01e0201bd779aa"),
+                    "ed9bb039bf24d9867cbea023178194b3f33b815bdf7b422197d480e06af8580c"),
     "horodecki": ("94df5b751d513a344622a3d574b2acac4aff5dac0d5e4ffb46c9ac343a5ad9f1",
                   "c7f8e9670fff60b493c409cb19aa281c46119ba16cfbd311e1b95a5c56b73025"),
     "negative_expansion": ("fef0dea653bb8560135ff81a70b7a97696849182e933e3dc3ad27719e46061c0",

@@ -971,10 +971,11 @@ class TestStateBases:
     """The kernel and real-e searches run on the state's own kernel and range bases."""
 
     def test_no_rank_decision_inside_the_searches_and_the_raw_basis_vectors(self, monkeypatch):
-        # on the analyze path of the constructive corpus the kernel search
-        # takes no SVD rank decision of its own, and the real-e search, which
-        # the closed-form PT-invariant decomposition replaced, never runs
-        inside, decisions, searches = [], [], Counter()
+        # on the analyze path of the constructive corpus neither search runs:
+        # the closed-form splits decompose every rank-N and PT-invariant input.
+        # On range_enum, where every separable input has a kernel, the kernel
+        # search runs and takes no SVD rank decision of its own
+        inside, decisions = [], []
         rank_kernel = matrixcore.numerical_rank_kernel
 
         def counted(*args, **kwargs):
@@ -983,7 +984,7 @@ class TestStateBases:
 
         def entered(name, search):
             def fn(*args, **kwargs):
-                searches[name] += 1
+                calls[name] += 1
                 inside.append(name)
                 try:
                     return search(*args, **kwargs)
@@ -991,19 +992,25 @@ class TestStateBases:
                     inside.pop()
             return fn
 
+        calls, searches, families = Counter(), {}, {}
         with monkeypatch.context() as patch:
             for module in (matrixcore, productfinder):
                 patch.setattr(module, "numerical_rank_kernel", counted)
             for module, name in ((sepengine, "kernel_product_vectors"),
                                  (productfinder, "real_e_products")):
                 patch.setattr(module, name, entered(name, getattr(module, name)))
-            items = perfbench_corpus().build("constructive", 4242)
-            for item in items:
-                sepengine.analyze(item.matrix)
-        # one kernel search per rank-N input
-        rank_n = sum(item.family == "rank_n" for item in items)
-        assert rank_n >= 90 and searches["kernel_product_vectors"] >= rank_n
-        assert searches["real_e_products"] == 0
+            for workload in ("constructive", "range_enum"):
+                items = perfbench_corpus().build(workload, 4242)
+                for item in items:
+                    sepengine.analyze(item.matrix)
+                families[workload] = Counter(item.family for item in items)
+                searches[workload] = calls.copy()
+                calls.clear()
+        # no search for any rank-N input
+        assert families["constructive"]["rank_n"] >= 90 and not searches["constructive"]
+        separable = families["range_enum"].total() - families["range_enum"]["horodecki"]
+        assert separable >= 90 and searches["range_enum"]["kernel_product_vectors"] >= separable
+        assert searches["range_enum"]["real_e_products"] == 0
         assert True not in decisions
 
         # the state's bases span the subspaces that the raw-basis pair spans,

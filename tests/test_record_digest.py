@@ -106,9 +106,9 @@ def test_names_separable_inputs_called_entangled_ppt(monkeypatch, capsys):
 # digest; such a change updates the pin and says why in CHANGES.md.  Like the
 # golden reports, the digests assume numpy 2.4 on x86-64.
 PINNED_DIGESTS = {
-    "cli_batch": ("f5b79e04bff8b2db212160c23d2fe165d051fe07bc83cda2d14d9bd701446e01",
+    "cli_batch": ("9d009485e1ec57b2c6888232331bc1f3a71eff570b9ab512fdbf780db4ce0bfc",
                   "0d1584e871c63da0723236e86ec4c47049d88a04ab1e2f8dddaa5eba5d22b5a5"),
-    "constructive": ("fd972ec239333abd9d73154f269ea7e88570b60f28e8cf7c7df9726505940004",
+    "constructive": ("485100c055d00578191253bf5b551054550ae59ec2297b8175c22076b9ccbc31",
                      "be7ee14461032367f2f8b5ad2a32fd6bcc27a9374966de035ece3877c3133db1"),
     "range_enum": ("53fe95f43db6cca3e0e96c3244eb9d942a62e3379dce0990f54df693200eba60",
                    "46771c7ef8c8427bb75462d9215a4bd5b7e4d48c41f21891e10b2a6e1072649d"),

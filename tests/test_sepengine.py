@@ -36,9 +36,9 @@ from sep2n.sepengine import (
 
 from helpers import (
     build_separable,
+    decline_rank_n_split,
     eig_rank,
     embedded_max_entangled,
-    failing_once,
     horodecki_2x4,
     min_eig,
     paired_bases,
@@ -308,7 +308,7 @@ def counting(monkeypatch, name):
 
 
 class TestOneShotRankN:
-    """All N terms from one kernel search, against the step-by-step loop."""
+    """All N terms from the closed-form split, against the kernel route's loop."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_loop_term_by_term(self, n, monkeypatch):
@@ -317,13 +317,17 @@ class TestOneShotRankN:
         reductions = counting(monkeypatch, "reduce_by_kernel")
         one_shot = [decompose_rank_n(state) for state in states]
         assert reductions == []
-        monkeypatch.setattr(sepengine, "_all_kernel_terms", lambda *a: None)
+        decline_rank_n_split(monkeypatch)
         for state, cert in zip(states, one_shot):
             loop = decompose_rank_n(state)
             assert len(cert.terms) == len(loop.terms) == n
-            for (w1, pv1), (w2, pv2) in zip(cert.terms, loop.terms):
+            # the same terms up to order: each split term against its nearest loop term
+            rest = list(loop.terms)
+            for w1, pv1 in cert.terms:
+                k = max(range(len(rest)), key=lambda j: abs(np.vdot(pv1.vector, rest[j][1].vector)))
+                w2, pv2 = rest.pop(k)
+                assert abs(np.vdot(pv1.vector, pv2.vector)) >= 1 - 1e-12
                 assert abs(w1 - w2) <= 1e-9 * max(w1, w2)
-                assert abs(np.vdot(pv1.vector, pv2.vector)) >= 1 - 1e-9
         assert len(reductions) == 20 * (n - 1)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -340,11 +344,11 @@ class TestOneShotRankN:
 
 
 class TestRankNFallback:
-    """Where the one-shot declines, each pass reduces once and searches again."""
+    """Where the split declines, each pass reduces once and tries the split again."""
 
-    # (kernel searches, reductions) per N: every pass searches once and retries
-    # the one-shot, so at N = 3 and 6 the last passes decompose at once
-    SEARCHES_REDUCTIONS = {3: (2, 1), 4: (3, 3), 5: (4, 4), 6: (5, 4)}
+    # (kernel searches, reductions) per N on the kernel route: every pass
+    # searches once and reduces once, down to the base case
+    SEARCHES_REDUCTIONS = {3: (2, 2), 4: (3, 3), 5: (4, 4), 6: (5, 5)}
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_shared_e_curve(self, n, monkeypatch):
@@ -358,14 +362,19 @@ class TestRankNFallback:
         assert plane.shape == (2, n)
         for f in plane:
             assert np.linalg.norm(m @ np.kron([-np.conj(e[1]), np.conj(e[0])], f)) < 1e-12
-        found = kernel_product_vectors(state)
-        assert sepengine._all_kernel_terms(state, found) is None
+        # so the kernel search picks out fewer than N terms
+        assert len(kernel_product_vectors(state)) == n - 1
         searches = counting(monkeypatch, "kernel_product_vectors")
         reductions = counting(monkeypatch, "reduce_by_kernel")
         cert = decompose_rank_n(state)
-        assert (len(searches), len(reductions)) == self.SEARCHES_REDUCTIONS[n]
+        assert (len(searches), len(reductions)) == (0, 0)
         assert len(cert.terms) == n
         assert verify_certificate(m, cert)
+        decline_rank_n_split(monkeypatch)
+        loop = decompose_rank_n(state)
+        assert (len(searches), len(reductions)) == self.SEARCHES_REDUCTIONS[n]
+        assert len(loop.terms) == n
+        assert verify_certificate(m, loop)
 
     def test_shared_e_states(self):
         # the 120 shared-e states at N = 3..6; a reduction that leaves the PSD
@@ -395,21 +404,24 @@ class TestRankNFallback:
 
     def test_terms_must_sum_to_the_state(self):
         state = DensityState(build_separable(np.random.default_rng(22), 4, 4)[0])
-        found = kernel_product_vectors(state)
-        assert sepengine._all_kernel_terms(state, found) is not None
+        assert sepengine._schur_split(state.matrix, state, sepengine._normal_spectrum) is not None
         # every term is genuine, but one is counted twice and one is missing
-        doubled = [found[0]] + found[:3]
-        assert sepengine._all_kernel_terms(state, doubled) is None
+        real = sepengine._normal_spectrum
+
+        def doubled(m):
+            mu, u = real(m)
+            return mu[[0, 0, 2, 3]], u[:, [0, 0, 2, 3]]
+
+        assert sepengine._schur_split(state.matrix, state, doubled) is None
 
     def test_term_check_failure_runs_loop(self, monkeypatch):
         m = build_separable(np.random.default_rng(21), 4, 4)[0]
-        monkeypatch.setattr(sepengine, "_kernel_terms",
-                            failing_once(sepengine._kernel_terms, NonGenericInput("planted")))
+        declined = decline_rank_n_split(monkeypatch, times=1)
         searches = counting(monkeypatch, "kernel_product_vectors")
         reductions = counting(monkeypatch, "reduce_by_kernel")
         cert = decompose_rank_n(DensityState(m))
         # the first pass reduces once; the second decomposes the rest at once
-        assert (len(searches), len(reductions)) == (2, 1)
+        assert (len(declined), len(searches), len(reductions)) == (1, 1, 1)
         assert len(cert.terms) == 4
         assert verify_certificate(m, cert)
 
